@@ -6,12 +6,22 @@ import (
 	"repro/internal/storage"
 )
 
-// DefaultBatchSize is the number of rows a batch operator aims to carry per
-// NextBatch call. 1024 keeps a batch's column vectors comfortably inside
-// the L2 cache for the schema widths this engine sees while amortizing the
-// per-call overhead (interface dispatch, context polling, instrumentation)
-// over a thousand rows.
+// DefaultBatchSize caps the rows a batch operator carries per NextBatch
+// call. 1024 keeps a batch's column vectors comfortably inside the L2 cache
+// for the schema widths this engine sees while amortizing the per-call
+// overhead (interface dispatch, context polling, instrumentation) over a
+// thousand rows. It is a cap, not an up-front allocation: see Batch.grow.
 const DefaultBatchSize = 1024
+
+// A batch starts at minBatchRows and multiplies by batchGrowth each time an
+// operator fills it, so an execution allocates (and zeroes) vectors in
+// proportion to the rows it touches: a one-row index lookup pays for 16
+// slots per column, a 40k-row scan reaches the cap after three small
+// batches (16, 64, 256).
+const (
+	minBatchRows = 16
+	batchGrowth  = 4
+)
 
 // Options configures one execution.
 type Options struct {
@@ -21,8 +31,9 @@ type Options struct {
 	// path is kept as the differential baseline and as the compatibility
 	// path for operators that have not been vectorized.
 	RowExec bool
-	// BatchSize overrides DefaultBatchSize (0 = default). Tests use sizes
-	// around 1 and 1024 to exercise batch-boundary behavior.
+	// BatchSize overrides DefaultBatchSize as the batch-capacity cap (0 =
+	// default). Tests use sizes around 1, the growth steps and 1024 to
+	// exercise batch-boundary behavior.
 	BatchSize int
 	// Metrics, when non-nil, receives the engine's batch counters after
 	// the run: exec.batch.rows (logical rows carried by batches),
@@ -51,6 +62,10 @@ type Batch struct {
 	Cols [][]datum.Datum
 	Sel  []int
 	N    int
+	// size is the capacity grow last handed out. It lives on the batch, not
+	// on the execution, so an operator that is re-opened (a join's inner
+	// side, a correlated subplan) keeps the capacity it has earned.
+	size int
 }
 
 // Rows is the logical row count (selected rows).
@@ -100,6 +115,25 @@ func (b *Batch) reset(width, capacity int) {
 	}
 	b.Sel = nil
 	b.N = 0
+}
+
+// grow prepares the batch for an operator's next fill and returns the
+// capacity to fill to: minBatchRows on first use, batchGrowth times the
+// previous capacity whenever the previous fill used all of it, never more
+// than limit (the execution's batch size). An operator that keeps producing
+// a handful of rows per call therefore never pays for a full-width batch.
+func (b *Batch) grow(width, limit int) int {
+	switch {
+	case b.size == 0:
+		b.size = minBatchRows
+	case b.N >= b.size:
+		b.size *= batchGrowth
+	}
+	if b.size > limit {
+		b.size = limit
+	}
+	b.reset(width, b.size)
+	return b.size
 }
 
 // appendRow adds one dense row (physical == logical) to the batch. The
@@ -159,9 +193,9 @@ func (it *RowIter) Next() (Row, error) {
 func (it *RowIter) Close() error { return it.src.Close() }
 
 // rowSourceIter adapts a row-at-a-time subtree to the batch contract by
-// buffering up to batchSize rows per NextBatch. It carries operators that
-// have not been vectorized (nested-loops and merge joins, window functions,
-// set operations) through a batch plan.
+// buffering up to one batch capacity of rows per NextBatch. It carries
+// operators that have not been vectorized (nested-loops and merge joins,
+// window functions, set operations) through a batch plan.
 type rowSourceIter struct {
 	e     *env
 	child iterator
@@ -175,8 +209,8 @@ func (it *rowSourceIter) NextBatch() (*Batch, error) {
 	if err := it.e.checkCancelBatch(); err != nil {
 		return nil, err
 	}
-	it.b.reset(it.width, it.e.batchSize)
-	for it.b.N < it.e.batchSize {
+	fill := it.b.grow(it.width, it.e.batchSize)
+	for it.b.N < fill {
 		r, err := it.child.Next()
 		if err != nil {
 			return nil, err

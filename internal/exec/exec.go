@@ -90,7 +90,7 @@ type env struct {
 	// opts selects the engine (batch by default, row with opts.RowExec) and
 	// carries the metrics sink.
 	opts Options
-	// batchSize is the physical row capacity of each batch.
+	// batchSize caps the physical row capacity a batch grows to.
 	batchSize int
 	// metRows/metBatches/selHist are the resolved exec.batch.* metrics, nil
 	// when no registry was supplied (the nil metrics are inert).

@@ -92,8 +92,8 @@ func (it *batchAggIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	width := len(it.n.Columns())
-	it.b.reset(width, it.e.batchSize)
-	for it.b.N < it.e.batchSize && it.pos < len(it.out) {
+	fill := it.b.grow(width, it.e.batchSize)
+	for it.b.N < fill && it.pos < len(it.out) {
 		it.b.appendRow(it.out[it.pos])
 		it.pos++
 	}

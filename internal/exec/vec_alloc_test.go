@@ -1,0 +1,114 @@
+package exec_test
+
+import (
+	"context"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/datum"
+	"repro/internal/exec"
+	"repro/internal/optimizer"
+)
+
+// pointReads are the short cached statements a plan cache exists for: a
+// one-row primary-key lookup and two index joins driven by it. Their cost
+// must follow the rows they touch, not the width of a full batch.
+var pointReads = []struct {
+	name, sql string
+	maxRows   int
+}{
+	{"pk", `SELECT e.employee_name, e.salary, e.dept_id FROM employees e WHERE e.emp_id = :emp_id`, 1},
+	{"join1", `SELECT e.employee_name, d.department_name FROM employees e, departments d
+	  WHERE e.dept_id = d.dept_id AND e.emp_id = :emp_id`, 1},
+	{"joinN", `SELECT e.employee_name, s.sale_id, s.amount FROM employees e, sales s
+	  WHERE s.emp_id = e.emp_id AND e.emp_id = :emp_id`, 64},
+}
+
+// pointReadAllocBudget is the allocation gate per execution. Before batches
+// grew to fit, these statements allocated 265-794 KB each (every operator
+// zeroing width x 1024 datums up front).
+const pointReadAllocBudget = 32 << 10
+
+// TestPointReadAllocBudget gates bytes allocated per exec.RunParams call of
+// each point read, and pins that the plans really are index-driven (a plan
+// that fell back to a scan would make the budget meaningless).
+func TestPointReadAllocBudget(t *testing.T) {
+	db := getBenchDB(t)
+	ctx := context.Background()
+	for _, pr := range pointReads {
+		t.Run(pr.name, func(t *testing.T) {
+			plan := planSQL(t, db, pr.sql)
+			if text := optimizer.Explain(plan); !strings.Contains(text, "IndexScan") {
+				t.Fatalf("plan is not index-driven:\n%s", text)
+			}
+			run := func(id int64) {
+				res, err := exec.RunParams(ctx, db, plan, []datum.Datum{datum.NewInt(id)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) > pr.maxRows {
+					t.Fatalf("emp_id %d: %d rows, want <= %d", id, len(res.Rows), pr.maxRows)
+				}
+			}
+			run(1) // lazy set-up outside the measurement
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run(int64(1 + i*97%20000))
+			}
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s: %d B/op, %d allocs/op", pr.name, perOp, (after.Mallocs-before.Mallocs)/runs)
+			if perOp >= pointReadAllocBudget {
+				t.Fatalf("%s allocates %d B per execution, budget %d", pr.name, perOp, pointReadAllocBudget)
+			}
+		})
+	}
+}
+
+// BenchmarkEnginePointRead is the executor's fixed cost per cached
+// statement: the three point reads through exec.RunParams on medium data.
+func BenchmarkEnginePointRead(b *testing.B) {
+	db := getBenchDB(b)
+	ctx := context.Background()
+	for _, pr := range pointReads {
+		plan := planSQL(b, db, pr.sql)
+		b.Run(pr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.RunParams(ctx, db, plan, []datum.Datum{datum.NewInt(int64(1 + i%20000))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestFullScanBatchCount pins the price of growing: a full scan of SALES
+// (40k rows) produces at most three more batches than fixed 1024-row
+// batches would, and carries exactly the same rows.
+func TestFullScanBatchCount(t *testing.T) {
+	db := getBenchDB(t)
+	plan := planSQL(t, db, `SELECT s.sale_id FROM sales s`)
+	_, st, err := exec.RunAnalyze(context.Background(), db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := len(db.Table("SALES").Rows)
+	fixed := (rows + exec.DefaultBatchSize - 1) / exec.DefaultBatchSize
+	for n, op := range st.Ops {
+		if _, ok := n.(*optimizer.SeqScan); !ok {
+			continue
+		}
+		if op.Rows != int64(rows) {
+			t.Fatalf("scan carried %d rows, table has %d", op.Rows, rows)
+		}
+		if op.Batches > int64(fixed+3) {
+			t.Fatalf("scan produced %d batches, want <= %d", op.Batches, fixed+3)
+		}
+		return
+	}
+	t.Fatalf("no SeqScan in plan:\n%s", optimizer.Explain(plan))
+}

@@ -15,7 +15,7 @@ import (
 // dominates otherwise).
 var benchDB *storage.DB
 
-func getBenchDB(b *testing.B) *storage.DB {
+func getBenchDB(tb testing.TB) *storage.DB {
 	if benchDB == nil {
 		benchDB = testkit.NewDB(testkit.MediumSizes(), 1)
 	}

@@ -56,13 +56,22 @@ var boundaryQueries = []string{
 	 WHERE rownum <= 1500`,
 	`SELECT v.emp_id FROM (SELECT e.emp_id emp_id FROM employees e ORDER BY e.emp_id) v
 	 WHERE rownum <= 7`,
+	// Result sizes on either side of a growth step (16, 64, 256), through
+	// an index range, a sort and a join output, at every capacity below.
+	`SELECT e.emp_id, e.salary FROM employees e WHERE e.emp_id <= 16`,
+	`SELECT e.emp_id, e.salary FROM employees e WHERE e.emp_id <= 17`,
+	`SELECT v.emp_id FROM (SELECT e.emp_id emp_id FROM employees e ORDER BY e.emp_id) v
+	 WHERE rownum <= 65`,
+	`SELECT e.emp_id, d.department_name FROM employees e, departments d
+	 WHERE e.dept_id = d.dept_id AND e.emp_id <= 257`,
 }
 
 // boundaryBatchSizes are the edge capacities: single-row batches, one off
-// either side of the default, and the default itself.
-var boundaryBatchSizes = []int{1, 2, 3, 1023, 1024, 1025}
+// either side of every growth step (16, 64, 256; see Batch.grow) and of the
+// default cap, and the cap itself.
+var boundaryBatchSizes = []int{1, 2, 3, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025}
 
-func planSQL(t *testing.T, db *storage.DB, sql string) *optimizer.Plan {
+func planSQL(t testing.TB, db *storage.DB, sql string) *optimizer.Plan {
 	t.Helper()
 	q := qtree.MustBind(sql, db.Catalog)
 	plan, err := optimizer.New(db.Catalog).Optimize(q)

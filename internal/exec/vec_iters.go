@@ -51,9 +51,9 @@ func (it *batchSeqScanIter) NextBatch() (*Batch, error) {
 		if it.pos >= len(it.tbl.Rows) {
 			return nil, nil
 		}
-		it.b.reset(it.width, it.e.batchSize)
+		fill := it.b.grow(it.width, it.e.batchSize)
 		rowidCol := it.width - 1
-		for it.b.N < it.e.batchSize && it.pos < len(it.tbl.Rows) {
+		for it.b.N < fill && it.pos < len(it.tbl.Rows) {
 			if !it.tbl.Visible(it.pos) {
 				it.pos++
 				continue
@@ -122,9 +122,9 @@ func (it *batchIndexScanIter) NextBatch() (*Batch, error) {
 		if it.pos >= len(it.match) {
 			return nil, nil
 		}
-		it.b.reset(it.width, it.e.batchSize)
+		fill := it.b.grow(it.width, it.e.batchSize)
 		rowidCol := it.width - 1
-		for it.b.N < it.e.batchSize && it.pos < len(it.match) {
+		for it.b.N < fill && it.pos < len(it.match) {
 			rowid := it.match[it.pos]
 			src := it.tbl.Rows[rowid]
 			for c := range src {
@@ -306,8 +306,8 @@ func (it *batchSortIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	width := len(it.n.Child.Columns())
-	it.out.reset(width, it.e.batchSize)
-	for it.out.N < it.e.batchSize && it.pos < len(it.rows) {
+	fill := it.out.grow(width, it.e.batchSize)
+	for it.out.N < fill && it.pos < len(it.rows) {
 		it.out.appendRow(it.rows[it.pos])
 		it.pos++
 	}

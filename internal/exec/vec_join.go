@@ -455,14 +455,14 @@ func (it *batchHashJoinIter) nextCombineBatch() (*Batch, error) {
 		return nil, nil
 	}
 	outerPad := it.n.Kind == qtree.JoinLeftOuter || it.n.Kind == qtree.JoinFullOuter
-	it.out.reset(it.nLeft+it.nRight, it.e.batchSize)
+	fill := it.out.grow(it.nLeft+it.nRight, it.e.batchSize)
 	for {
-		if it.out.N == it.e.batchSize {
+		if it.out.N == fill {
 			return &it.out, nil
 		}
 		if it.leftDone {
 			// Full outer tail: build rows that never matched.
-			for it.tailPos < it.nBuild && it.out.N < it.e.batchSize {
+			for it.tailPos < it.nBuild && it.out.N < fill {
 				i := it.tailPos
 				it.tailPos++
 				if it.buildMatched[i] {
@@ -477,7 +477,7 @@ func (it *batchHashJoinIter) nextCombineBatch() (*Batch, error) {
 			continue
 		}
 		if it.inRow {
-			for it.bucketPos < len(it.bucket) && it.out.N < it.e.batchSize {
+			for it.bucketPos < len(it.bucket) && it.out.N < fill {
 				ri := it.bucket[it.bucketPos]
 				it.bucketPos++
 				ok, err := it.onMatch(it.cur, it.curRow, ri)
@@ -496,7 +496,7 @@ func (it *batchHashJoinIter) nextCombineBatch() (*Batch, error) {
 				return &it.out, nil // output full mid-bucket; resume here
 			}
 			if outerPad && !it.rowMatched {
-				if it.out.N == it.e.batchSize {
+				if it.out.N == fill {
 					return &it.out, nil // resume with the padding next call
 				}
 				it.emitLeftPad(it.curRow)

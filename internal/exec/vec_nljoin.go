@@ -221,13 +221,13 @@ func (it *batchNLJoinIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	outerPad := it.n.Kind == qtree.JoinLeftOuter
-	it.out.reset(it.nLeft+it.nRight, it.e.batchSize)
+	fill := it.out.grow(it.nLeft+it.nRight, it.e.batchSize)
 	for {
-		if it.out.N == it.e.batchSize {
+		if it.out.N == fill {
 			return &it.out, nil
 		}
 		if it.inRow {
-			for it.pos < len(it.rowids) && it.out.N < it.e.batchSize {
+			for it.pos < len(it.rowids) && it.out.N < fill {
 				rid := it.rowids[it.pos]
 				it.pos++
 				ok, err := it.onMatch(rid)
@@ -243,7 +243,7 @@ func (it *batchNLJoinIter) NextBatch() (*Batch, error) {
 				return &it.out, nil // output full mid-probe; resume here
 			}
 			if outerPad && !it.matched {
-				if it.out.N == it.e.batchSize {
+				if it.out.N == fill {
 					return &it.out, nil // resume with the padding next call
 				}
 				it.emitLeftPad()

@@ -18,7 +18,6 @@ package plancache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -53,9 +52,28 @@ type Key struct {
 	Version int64
 }
 
-// String renders the key as the canonical cache-map key.
+// String renders the key for diagnostics. The cache itself never builds
+// it: shard maps are keyed by the comparable Key, so a lookup allocates
+// nothing.
 func (k Key) String() string {
 	return fmt.Sprintf("v%d|%s|%s", k.Version, k.Strategy, k.SQL)
+}
+
+// hash is 32-bit FNV-1a over the key's fields, for shard selection.
+func (k Key) hash() uint32 {
+	const offset, prime = 2166136261, 16777619
+	h := uint32(offset)
+	for i := 0; i < len(k.SQL); i++ {
+		h = (h ^ uint32(k.SQL[i])) * prime
+	}
+	h = (h ^ 0xff) * prime // field separator
+	for i := 0; i < len(k.Strategy); i++ {
+		h = (h ^ uint32(k.Strategy[i])) * prime
+	}
+	for v := uint64(k.Version); v != 0; v >>= 8 {
+		h = (h ^ uint32(v&0xff)) * prime
+	}
+	return h
 }
 
 // entry is one cached plan with its clock-algorithm reference bit.
@@ -75,17 +93,23 @@ type call struct {
 
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[Key]*entry
 	ring    []*entry // clock ring, fixed capacity; nil slots are free
 	hand    int
-	calls   map[string]*call
+	calls   map[Key]*call
 }
 
 // Cache is a sharded, bounded, concurrency-safe plan cache.
 type Cache struct {
 	shards   [numShards]shard
 	perShard int
-	count    atomic.Int64
+	// count is adjusted only while the shard whose entries changed is
+	// locked, so it never runs ahead of the true total and Len stays within
+	// the bound even while an Invalidate sweep races inserts.
+	count atomic.Int64
+	// sweepHook, when set (tests only), runs after Invalidate releases each
+	// shard's lock, with the shard index.
+	sweepHook func(shard int)
 
 	hits          *obsv.Counter
 	misses        *obsv.Counter
@@ -116,27 +140,22 @@ func New(maxEntries int, reg *obsv.Registry) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i] = shard{
-			entries: map[string]*entry{},
+			entries: map[Key]*entry{},
 			ring:    make([]*entry, per),
-			calls:   map[string]*call{},
+			calls:   map[Key]*call{},
 		}
 	}
 	return c
 }
 
-func (c *Cache) shard(ks string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(ks))
-	return &c.shards[h.Sum32()%numShards]
-}
+func (c *Cache) shard(k Key) *shard { return &c.shards[k.hash()%numShards] }
 
 // Get returns the cached value for k, if present, marking it recently used.
 func (c *Cache) Get(k Key) (any, bool) {
-	ks := k.String()
-	s := c.shard(ks)
+	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[ks]; ok {
+	if e, ok := s.entries[k]; ok {
 		e.ref = true
 		c.hits.Inc()
 		return e.val, true
@@ -152,17 +171,16 @@ func (c *Cache) Get(k Key) (any, bool) {
 // i.e. whether this call avoided an optimizer run). Errors are returned to
 // every waiter and are not cached.
 func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, shared bool, err error) {
-	ks := k.String()
-	s := c.shard(ks)
+	s := c.shard(k)
 
 	s.mu.Lock()
-	if e, ok := s.entries[ks]; ok {
+	if e, ok := s.entries[k]; ok {
 		e.ref = true
 		c.hits.Inc()
 		s.mu.Unlock()
 		return e.val, true, nil
 	}
-	if cl, ok := s.calls[ks]; ok {
+	if cl, ok := s.calls[k]; ok {
 		c.coalesced.Inc()
 		s.mu.Unlock()
 		cl.wg.Wait()
@@ -170,14 +188,14 @@ func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, share
 	}
 	cl := &call{}
 	cl.wg.Add(1)
-	s.calls[ks] = cl
+	s.calls[k] = cl
 	c.misses.Inc()
 	s.mu.Unlock()
 
 	cl.val, cl.err = compute()
 
 	s.mu.Lock()
-	delete(s.calls, ks)
+	delete(s.calls, k)
 	if cl.err == nil {
 		c.insertLocked(s, &entry{key: k, val: cl.val})
 	}
@@ -189,7 +207,7 @@ func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, share
 // insertLocked places e into the shard, evicting by second chance when the
 // ring is full. Caller holds s.mu.
 func (c *Cache) insertLocked(s *shard, e *entry) {
-	if old, ok := s.entries[e.key.String()]; ok {
+	if old, ok := s.entries[e.key]; ok {
 		// A racing recompute of the same key: replace in place.
 		old.val, old.ref = e.val, true
 		return
@@ -204,7 +222,7 @@ func (c *Cache) insertLocked(s *shard, e *entry) {
 			s.hand = (s.hand + 1) % len(s.ring)
 			continue
 		}
-		delete(s.entries, v.key.String())
+		delete(s.entries, v.key)
 		s.ring[s.hand] = nil
 		c.evictions.Inc()
 		c.count.Add(-1)
@@ -213,7 +231,7 @@ func (c *Cache) insertLocked(s *shard, e *entry) {
 	e.slot = s.hand
 	s.ring[s.hand] = e
 	s.hand = (s.hand + 1) % len(s.ring)
-	s.entries[e.key.String()] = e
+	s.entries[e.key] = e
 	c.entries.Set(c.count.Add(1))
 }
 
@@ -227,17 +245,26 @@ func (c *Cache) Invalidate(version int64) int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for ks, e := range s.entries {
-			if e.key.Version < version {
-				delete(s.entries, ks)
+		dropped := 0
+		for k, e := range s.entries {
+			if k.Version < version {
+				delete(s.entries, k)
 				s.ring[e.slot] = nil
-				n++
+				dropped++
 			}
 		}
+		if dropped > 0 {
+			// Give the slots back before the lock does: an insert that
+			// refills them must find them already subtracted.
+			c.entries.Set(c.count.Add(int64(-dropped)))
+		}
 		s.mu.Unlock()
+		n += dropped
+		if c.sweepHook != nil {
+			c.sweepHook(i)
+		}
 	}
 	c.invalidations.Add(int64(n))
-	c.entries.Set(c.count.Add(int64(-n)))
 	return n
 }
 

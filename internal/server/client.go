@@ -281,6 +281,10 @@ type Stmt struct {
 	SQL      string
 	Cached   bool
 	Affected int
+	// page is what remains of the first page the last execute returned on
+	// its own reply; done reports that this page ends the cursor.
+	page [][]datum.Datum
+	done bool
 }
 
 // Prepare parses and binds the query on the server, returning a statement
@@ -301,7 +305,9 @@ func (s *Stmt) Bind(binds ...BindValue) error {
 
 // Execute optimizes (through the shared plan cache) and runs the
 // statement, opening a cursor. Binds passed here are applied first, on top
-// of any earlier Bind calls.
+// of any earlier Bind calls. The reply carries the cursor's first
+// DefaultFetchRows rows, which Fetch serves before going back to the
+// server: a result that fits one page costs one round trip.
 func (s *Stmt) Execute(binds ...BindValue) error {
 	return s.ExecuteContext(context.Background(), binds...)
 }
@@ -316,14 +322,16 @@ func (s *Stmt) ExecuteContext(ctx context.Context, binds ...BindValue) error {
 	defer cancel()
 	for attempt := 0; ; attempt++ {
 		resp, err := s.c.roundTripCtx(ctx, &Request{
-			Verb: VerbExecute, Stmt: s.id, Binds: binds, DeadlineMS: deadlineMS(ctx),
+			Verb: VerbExecute, Stmt: s.id, Binds: binds, DeadlineMS: deadlineMS(ctx), MaxRows: DefaultFetchRows,
 		})
 		if err == nil {
 			s.RowCount = resp.RowCount
 			s.SQL = resp.SQL
 			s.Cached = resp.Cached
 			s.Affected = resp.Affected
-			return nil
+			s.page, err = decodeRows(resp.Rows)
+			s.done = resp.Done
+			return err
 		}
 		if attempt+1 >= s.c.attempts() || ErrorCode(err) != CodeOverloaded {
 			return err
@@ -335,8 +343,18 @@ func (s *Stmt) ExecuteContext(ctx context.Context, binds ...BindValue) error {
 }
 
 // Fetch returns the next batch of at most maxRows rows (server default
-// when <= 0) and whether the cursor is exhausted.
+// when <= 0) and whether the cursor is exhausted. Rows that arrived with
+// the execute reply are handed out first, without a round trip.
 func (s *Stmt) Fetch(maxRows int) ([][]datum.Datum, bool, error) {
+	if len(s.page) > 0 || s.done {
+		n := len(s.page)
+		if maxRows > 0 && maxRows < n {
+			n = maxRows
+		}
+		rows := s.page[:n:n]
+		s.page = s.page[n:]
+		return rows, s.done && len(s.page) == 0, nil
+	}
 	resp, err := s.c.roundTrip(&Request{Verb: VerbFetch, Stmt: s.id, MaxRows: maxRows})
 	if err != nil {
 		return nil, false, err
@@ -367,7 +385,8 @@ func (s *Stmt) Close() error {
 }
 
 // Query is the one-shot convenience: prepare + execute + drain + close in
-// a single wire exchange plus fetches.
+// a single wire exchange, plus fetches when the result outgrows the first
+// page carried on the execute reply.
 func (c *Client) Query(sql string, binds ...BindValue) ([][]datum.Datum, error) {
 	return c.QueryContext(context.Background(), sql, binds...)
 }
@@ -413,15 +432,17 @@ func (c *Client) QueryContext(ctx context.Context, sql string, binds ...BindValu
 // queryOnce runs one one-shot execute+fetch attempt.
 func (c *Client) queryOnce(ctx context.Context, sql string, binds []BindValue) ([][]datum.Datum, error) {
 	resp, err := c.roundTripCtx(ctx, &Request{
-		Verb: VerbExecute, SQL: sql, Binds: binds, DeadlineMS: deadlineMS(ctx),
+		Verb: VerbExecute, SQL: sql, Binds: binds, DeadlineMS: deadlineMS(ctx), MaxRows: DefaultFetchRows,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{c: c, id: resp.Stmt, RowCount: resp.RowCount, SQL: resp.SQL, Cached: resp.Cached}
-	var all [][]datum.Datum
-	for {
-		fresp, err := c.roundTripCtx(ctx, &Request{Verb: VerbFetch, Stmt: s.id})
+	all, err := decodeRows(resp.Rows)
+	if err != nil {
+		return nil, err
+	}
+	for done := resp.Done; !done; {
+		fresp, err := c.roundTripCtx(ctx, &Request{Verb: VerbFetch, Stmt: resp.Stmt})
 		if err != nil {
 			return nil, err
 		}
@@ -430,10 +451,9 @@ func (c *Client) queryOnce(ctx context.Context, sql string, binds []BindValue) (
 			return nil, err
 		}
 		all = append(all, batch...)
-		if fresp.Done {
-			return all, nil
-		}
+		done = fresp.Done
 	}
+	return all, nil
 }
 
 // Exec runs one mutation statement (INSERT/UPDATE/DELETE) and returns its

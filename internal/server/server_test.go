@@ -317,7 +317,10 @@ func TestAnalyzeInvalidatesCachedPlans(t *testing.T) {
 // TestGracefulDrain checks the shutdown contract: in-flight cursors can be
 // fetched to completion while new statements are refused.
 func TestGracefulDrain(t *testing.T) {
-	srv, addr, _ := startServer(t, Config{})
+	// The cursor must outgrow the page the execute reply carries, or the
+	// drain below would be served from the client's buffer and prove
+	// nothing about the server.
+	srv, addr, _ := startServer(t, Config{DB: testkit.NewDB(pagedSizes(), 1)})
 	cli, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +333,8 @@ func TestGracefulDrain(t *testing.T) {
 	if err := stmt.Execute(Named("s", datum.NewFloat(0))); err != nil {
 		t.Fatal(err)
 	}
-	if stmt.RowCount < 3 {
-		t.Fatalf("want a multi-batch cursor, got %d rows", stmt.RowCount)
+	if stmt.RowCount < 2*DefaultFetchRows {
+		t.Fatalf("want a cursor of several pages, got %d rows", stmt.RowCount)
 	}
 	// Partially drain the cursor, then start shutdown.
 	if _, _, err := stmt.Fetch(1); err != nil {
@@ -354,7 +357,7 @@ func TestGracefulDrain(t *testing.T) {
 	// ...but the open cursor drains to completion.
 	var got int
 	for {
-		batch, done, err := stmt.Fetch(1)
+		batch, done, err := stmt.Fetch(50)
 		if err != nil {
 			t.Fatalf("fetch during drain: %v", err)
 		}
@@ -365,6 +368,9 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if got != stmt.RowCount-1 {
 		t.Fatalf("drained %d rows during shutdown, want %d", got, stmt.RowCount-1)
+	}
+	if _, sess, err := cli.Metrics(); err != nil || sess.Fetches == 0 {
+		t.Fatalf("drain never reached the server: session stats %+v, err %v", sess, err)
 	}
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
@@ -609,7 +615,8 @@ func TestMetricsVerb(t *testing.T) {
 	if m[MetricQueries] != 1 {
 		t.Fatalf("server.queries = %d, want 1", m[MetricQueries])
 	}
-	if sess == nil || sess.Executes != 1 || sess.Fetches == 0 {
+	// The 13 rows ride the execute reply: sent, but by no fetch verb.
+	if sess == nil || sess.Executes != 1 || sess.Fetches != 0 || sess.RowsSent != 13 {
 		t.Fatalf("session stats = %+v", sess)
 	}
 }

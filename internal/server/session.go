@@ -41,8 +41,9 @@ type stmt struct {
 	params []string // parameter names from prepare-time binding
 	binds  []datum.Datum
 	bound  []bool
-	// cursor is the materialized result of the last execute; fetch pages it.
-	cursor [][]datum.Datum
+	// cursor is the materialized result of the last execute (the
+	// executor's rows, not a copy); execute's first page and fetch page it.
+	cursor []exec.Row
 	pos    int
 	open   bool
 }
@@ -390,7 +391,7 @@ func (ss *session) execute(req *Request) (*Response, error) {
 	if err := applyBinds(st, req.Binds); err != nil {
 		return nil, err
 	}
-	missing := []string{}
+	var missing []string
 	for i, ok := range st.bound {
 		if !ok {
 			missing = append(missing, ":"+st.params[i])
@@ -443,10 +444,7 @@ func (ss *session) execute(req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.cursor = make([][]datum.Datum, len(res.Rows))
-		for i, r := range res.Rows {
-			st.cursor[i] = r
-		}
+		st.cursor = res.Rows
 	}
 	st.pos = 0
 	st.open = true
@@ -460,7 +458,31 @@ func (ss *session) execute(req *Request) (*Response, error) {
 	if cached {
 		ss.cacheHits.Add(1)
 	}
-	return &Response{Stmt: st.id, SQL: cp.sql, Cached: cached, RowCount: len(st.cursor), Affected: affected, Params: cp.params}, nil
+	resp := &Response{Stmt: st.id, SQL: cp.sql, Cached: cached, RowCount: len(st.cursor), Affected: affected, Params: cp.params}
+	if req.MaxRows > 0 && cp.dml == nil {
+		// The peer asked for the first page on this reply: a result that
+		// fits it is complete in one round trip. A peer that did not ask
+		// gets exactly the frame it always got.
+		resp.Rows, resp.Done = ss.nextPage(st, req.MaxRows)
+	}
+	return resp, nil
+}
+
+// nextPage encodes up to n rows from the statement's cursor, advances it
+// and counts the rows as sent; done reports cursor exhaustion.
+func (ss *session) nextPage(st *stmt, n int) (page [][]WireDatum, done bool) {
+	end := st.pos + n
+	if end > len(st.cursor) {
+		end = len(st.cursor)
+	}
+	page = make([][]WireDatum, 0, end-st.pos)
+	for _, row := range st.cursor[st.pos:end] {
+		page = append(page, EncodeRow(row))
+	}
+	st.pos = end
+	ss.rowsSent.Add(int64(len(page)))
+	ss.srv.rowsSent.Add(int64(len(page)))
+	return page, st.pos >= len(st.cursor)
 }
 
 // plan resolves the statement's physical plan through the shared cache
@@ -577,20 +599,9 @@ func (ss *session) fetch(req *Request) (*Response, error) {
 	if n <= 0 {
 		n = DefaultFetchRows
 	}
-	end := st.pos + n
-	if end > len(st.cursor) {
-		end = len(st.cursor)
-	}
-	batch := make([][]WireDatum, 0, end-st.pos)
-	for _, row := range st.cursor[st.pos:end] {
-		batch = append(batch, EncodeRow(row))
-	}
-	st.pos = end
-	done := st.pos >= len(st.cursor)
+	batch, done := ss.nextPage(st, n)
 	ss.fetches.Add(1)
-	ss.rowsSent.Add(int64(len(batch)))
 	ss.srv.fetches.Inc()
-	ss.srv.rowsSent.Add(int64(len(batch)))
 	return &Response{Stmt: st.id, Rows: batch, Done: done}, nil
 }
 

@@ -28,7 +28,7 @@ const (
 	VerbHello     = "hello"      // open the session, set per-session options
 	VerbPrepare   = "prepare"    // parse + bind; returns a statement id and its parameter names
 	VerbBind      = "bind"       // set parameter values on a prepared statement
-	VerbExecute   = "execute"    // optimize (through the plan cache) and run; opens a cursor
+	VerbExecute   = "execute"    // optimize (through the plan cache) and run; opens a cursor, optionally returning its first page
 	VerbFetch     = "fetch"      // page rows from the statement's open cursor
 	VerbCloseStmt = "close_stmt" // drop a prepared statement and its cursor
 	VerbAnalyze   = "analyze"    // re-ANALYZE a table (or all), bumping the stats version
@@ -49,7 +49,9 @@ type Request struct {
 	// match parameters case-insensitively; unnamed values bind positionally
 	// in parameter-discovery order.
 	Binds []BindValue `json:"binds,omitempty"`
-	// MaxRows bounds one fetch batch (<= 0: server default).
+	// MaxRows bounds one fetch batch (<= 0: server default). On execute it
+	// asks for the cursor's first page on the execute response itself
+	// (<= 0: none — the response carries no rows and every page is fetched).
 	MaxRows int `json:"max_rows,omitempty"`
 	// Table names the ANALYZE target ("" = every table).
 	Table string `json:"table,omitempty"`
@@ -107,7 +109,8 @@ type Response struct {
 	// Affected is the row count of a mutation statement (execute of
 	// INSERT/UPDATE/DELETE; such statements open an empty cursor).
 	Affected int `json:"affected,omitempty"`
-	// Rows is one fetch batch; Done marks cursor exhaustion.
+	// Rows is one fetch batch — or, on an execute that asked for one, the
+	// cursor's first page; Done marks cursor exhaustion.
 	Rows [][]WireDatum `json:"rows,omitempty"`
 	Done bool          `json:"done,omitempty"`
 	// Metrics is the registry snapshot (metrics verb).
