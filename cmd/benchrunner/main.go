@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchrunner -exp all|fig2|fig3|fig4|gbp|table1|table2|par|vec|memo|server|overload|write [-n 12] [-repeats 3] [-seed 1] [-small] [-parallel 0]
+//	benchrunner -exp all|fig2|fig3|fig4|gbp|table1|table2|par|vec|overload [-n 12] [-repeats 3] [-seed 1] [-small] [-parallel 0]
 package main
 
 import (
@@ -26,13 +26,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig2, fig3, fig4, gbp, table1, table2, par, vec, memo, server, overload, write")
+	exp := flag.String("exp", "all", "experiment: all, fig2, fig3, fig4, gbp, table1, table2, par, vec, overload")
 	n := flag.Int("n", 12, "queries per workload class")
-	serverOps := flag.Int("server-ops", 64, "executes per session in the server experiment")
 	maxInflight := flag.Int("max-inflight", 4, "admission slots in the overload experiment")
 	point := flag.Duration("point", 2*time.Second, "measurement window per offered-load point in the overload experiment")
-	writeCommits := flag.Int("write-commits", 2000, "sustained commits per mode in the write experiment")
-	writeOut := flag.String("write-out", "BENCH_write.json", "machine-readable output of the write experiment")
 	overloadDelay := flag.Duration("overload-delay", 10*time.Millisecond,
 		"simulated optimizer service time per query in the overload experiment; keeps the admission gate, not the CPU, the bottleneck on small machines (0 = pure CPU)")
 	repeats := flag.Int("repeats", 3, "execution repetitions per query (min taken)")
@@ -148,41 +145,6 @@ func main() {
 			return err
 		}
 		fmt.Println(bench.FormatVec(rows))
-		return nil
-	})
-	run("memo", func() error {
-		r, err := bench.Memo(db)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatMemo(r))
-		return nil
-	})
-	run("server", func() error {
-		r, err := bench.ServerThroughput(ctx, db, []int{1, 4, 16}, *serverOps, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-		return nil
-	})
-	run("write", func() error {
-		cfg := bench.WriteConfig{Commits: *writeCommits}
-		if *small {
-			cfg.Commits = 200
-			cfg.MixedDuration = 300 * time.Millisecond
-		}
-		rows, err := bench.Write(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatWrite(rows))
-		if *writeOut != "" {
-			if err := bench.WriteJSON(rows, *writeOut); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *writeOut)
-		}
 		return nil
 	})
 	run("overload", func() error {

@@ -182,8 +182,8 @@ func runQuery(db *storage.DB, sql string, opts cbqt.Options, cfg runConfig) {
 		time.Since(start).Round(10*time.Microsecond),
 		res.Stats.StatesEvaluated, res.Stats.BlocksOptimized, res.Stats.AnnotationHits)
 	if res.Stats.CacheHits+res.Stats.CacheMisses > 0 {
-		fmt.Printf("-- cost cache: %d hits, %d misses, %d evictions --\n",
-			res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.CacheEvictions)
+		fmt.Printf("-- cost cache: %d hits, %d misses --\n",
+			res.Stats.CacheHits, res.Stats.CacheMisses)
 	}
 	if res.Stats.Degraded != cbqt.DegradeNone {
 		fmt.Printf("-- degraded: %s (best plan found within budget) --\n", res.Stats.Degraded)

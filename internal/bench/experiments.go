@@ -281,3 +281,35 @@ func FormatTable1(r Table1Result) string {
 	fmt.Fprintf(&sb, "optimizations avoided by reuse:        %d\n", r.AnnotationHits)
 	return sb.String()
 }
+
+// Table2FamilyQuery scales the paper's Table 2 setup to n subqueries: the
+// same two-table outer join block, with n correlated EXISTS / NOT EXISTS
+// subqueries of the Table 2 flavours (each over two or three base tables,
+// all valid for cost-based unnesting and none consumed by the imperative
+// heuristics, which only merge single-table subqueries).
+func Table2FamilyQuery(n int) string {
+	var sb strings.Builder
+	sb.WriteString("SELECT e.employee_name, d.department_name\n")
+	sb.WriteString("FROM employees e, departments d\n")
+	sb.WriteString("WHERE e.dept_id = d.dept_id")
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			fmt.Fprintf(&sb, " AND\n  EXISTS (SELECT 1 FROM sales s%d, departments ds%d"+
+				" WHERE s%d.dept_id = ds%d.dept_id AND s%d.emp_id = e.emp_id AND s%d.amount > %d"+
+				" AND s%d.amount + %d < 100000 AND ds%d.dept_id + 0 >= 1)",
+				i, i, i, i, i, i, 400+40*i, i, 10*i, i)
+		case 1:
+			fmt.Fprintf(&sb, " AND\n  NOT EXISTS (SELECT 1 FROM job_history j%d, jobs jb%d"+
+				" WHERE j%d.job_id = jb%d.job_id AND j%d.emp_id = e.emp_id AND j%d.start_date > '%d0101'"+
+				" AND j%d.dept_id + %d >= 0 AND jb%d.job_id + 0 >= 1)",
+				i, i, i, i, i, i, 1996+i, i, i, i)
+		default:
+			fmt.Fprintf(&sb, " AND\n  EXISTS (SELECT 1 FROM job_history h%d, departments dh%d, locations lh%d"+
+				" WHERE h%d.dept_id = dh%d.dept_id AND dh%d.loc_id = lh%d.loc_id AND h%d.emp_id = e.emp_id"+
+				" AND h%d.start_date > '%d0101' AND lh%d.loc_id + %d >= 0)",
+				i, i, i, i, i, i, i, i, i, 1994+i, i, i)
+		}
+	}
+	return sb.String()
+}

@@ -37,8 +37,8 @@ type Budget struct {
 	// transformed-object count. The analogue of the bottom-up-rewrite
 	// papers' bounded rewrite budget.
 	MaxDepth int
-	// MaxMemBytes caps the approximate bytes held by per-state deep copies
-	// of the query tree plus the cost-annotation cache.
+	// MaxMemBytes caps the approximate bytes held by per-state copies of the
+	// query tree plus the cost-annotation table.
 	MaxMemBytes int64
 }
 
@@ -199,9 +199,8 @@ func (t *budgetTracker) expired() bool {
 
 // reserve grants permission to cost up to n more states and returns how
 // many were granted (0..n). The grant depends only on the totals reserved
-// so far, never on goroutine scheduling, so trimming a parallel batch to
-// its granted prefix evaluates exactly the states the sequential search
-// would.
+// so far, never on goroutine scheduling, so trimming a batch to its granted
+// prefix evaluates the same states at every worker count.
 func (t *budgetTracker) reserve(n int) int {
 	if n <= 0 {
 		return 0

@@ -91,25 +91,24 @@ type Options struct {
 	IterativeRestarts  int
 	IterativeMaxStates int
 	// Parallelism bounds the worker goroutines that evaluate
-	// transformation states concurrently. Each state is costed on an
-	// independent deep copy of the query, so the Exhaustive, Linear and
-	// Two-Pass searches fan their states out to a pool of this many
-	// workers (Iterative stays sequential: every step depends on the
-	// previous best). 0 selects runtime.GOMAXPROCS(0); 1 evaluates states
-	// sequentially, preserving the single-threaded search exactly. The
+	// transformation states concurrently. Each state is costed on its own
+	// copy of the query, so the Exhaustive, Linear and Two-Pass searches
+	// give their states in batches to this many workers (Iterative stays
+	// sequential: every step depends on the previous best). 0 selects
+	// runtime.GOMAXPROCS(0); 1 evaluates each batch in enumeration order
+	// on the calling goroutine, which is the sequential search. The
 	// chosen state, its cost and the final plan are identical at every
 	// parallelism level: the winner is the minimum-cost state with ties
 	// broken by the state's position in the canonical enumeration order
 	// (its mixed-radix key), never by completion order.
 	Parallelism int
 	// CostCutoff enables abandoning states whose cost exceeds the best
-	// found so far (§3.4.1). Under parallel evaluation each state prunes
-	// against the completed costs of the states that precede it in
-	// enumeration order (a prefix bound): workers may observe a later
-	// (higher) bound than the sequential search would hold, which only
-	// reduces pruning — never correctness, and never below what a
-	// sequential run prunes, keeping normalized search traces identical
-	// at every worker count.
+	// found so far (§3.4.1). Each state prunes against the completed costs
+	// of the states that precede it in enumeration order (a prefix bound):
+	// several workers may observe a later (higher) bound than one worker
+	// would hold, which only reduces pruning — never correctness, and
+	// never below what one worker prunes, keeping normalized search traces
+	// identical at every worker count.
 	CostCutoff bool
 	// AnnotationReuse enables reuse of query sub-tree cost annotations
 	// across states (§3.4.2).
@@ -132,17 +131,14 @@ type Options struct {
 	// used by the CLI's -trace flag, golden-trace tests and examples.
 	Trace bool
 	// Metrics, when non-nil, receives the optimization's work counters
-	// (cbqt.* names) and hosts the cost-annotation cache counters
-	// (costcache.*). The registry may be shared across queries: Stats
-	// snapshots its per-query deltas. Nil keeps the counters private.
+	// (cbqt.* and costcache.* names), added once when the optimization
+	// finishes. The registry may be shared across concurrent queries:
+	// Stats is counted per optimization and never read back from it.
 	Metrics *obsv.Registry
 	// Budget bounds the transformation search; the zero Budget is
 	// unlimited. Exhaustion degrades the search (Stats.Degraded says why)
 	// instead of failing the query.
 	Budget Budget
-	// CacheMaxEntries bounds the cost-annotation cache; <= 0 selects
-	// optimizer.DefaultCacheMaxEntries.
-	CacheMaxEntries int
 	// Faults, when non-nil, is the fault-injection schedule fired at the
 	// named sites of the optimize path (see package faultinject). Injected
 	// panics and errors degrade the search; they never fail the query.
@@ -159,13 +155,6 @@ type Options struct {
 	// fails the optimization. Violations count through Options.Metrics
 	// (cbqt.check_violations and per-class counters).
 	Check bool
-	// FullCloneStates evaluates every transformation state on a full deep
-	// copy of the query instead of a copy-on-write clone (qtree.CloneCOW).
-	// The searches are bit-for-bit identical either way — COW materializes
-	// blocks with their original IDs and allocates nothing from the base —
-	// so this exists for the differential suite and the memo benchmark,
-	// which compare the two modes directly.
-	FullCloneStates bool
 }
 
 // defaultCheck is the Options.Check value DefaultOptions hands out. It is
@@ -173,6 +162,14 @@ type Options struct {
 // true by this package's test suite, so every differential, fault, golden,
 // and parallel test runs with the static checker armed.
 var defaultCheck = false
+
+// fullCloneStates makes evalState cost every state on a full deep copy of
+// the query instead of a copy-on-write clone. The searches are bit-for-bit
+// identical either way — COW materializes blocks with their original IDs and
+// allocates nothing from the base — so the deep copy survives only as the
+// reference TestDifferentialCOW and FuzzCOWClone compare against; nothing
+// outside this package's tests sets it.
+var fullCloneStates = false
 
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
@@ -227,21 +224,19 @@ type Stats struct {
 	// MemoSharedBlocks and MemoMaterializedBlocks profile the copy-on-write
 	// state memo: summed over every state evaluated, how many blocks of the
 	// state's tree stayed shared with the base versus privately owned
-	// (materialized copies plus transformation-created blocks). Under
-	// Options.FullCloneStates every block counts as materialized.
+	// (materialized copies plus transformation-created blocks).
 	MemoSharedBlocks       int
 	MemoMaterializedBlocks int
 	// MemoStateBytes sums the approximate private bytes of every state's
 	// tree (qtree.OwnedApproxBytes) — the per-state copy cost the memo
-	// actually paid, comparable across FullCloneStates modes.
+	// actually paid.
 	MemoStateBytes int64
-	// CacheHits/CacheMisses/CacheEvictions snapshot the cost-annotation
-	// cache counters for this optimization. CacheHits counts the same
-	// events as AnnotationHits, measured at the cache rather than summed
+	// CacheHits/CacheMisses are this optimization's cost-annotation table
+	// lookups, counted by the table itself. CacheHits counts the same
+	// events as AnnotationHits, measured at the table rather than summed
 	// over per-state planners.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
+	CacheHits   int64
+	CacheMisses int64
 }
 
 // StateEval is one costed transformation state: the paper's (0,1,...)
@@ -291,18 +286,11 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	start := time.Now()
 	stats := Stats{StatesByRule: map[string]int{}}
 
-	// The cost-annotation cache counts its work in an obsv registry — the
-	// caller's (Options.Metrics) or a private one. The registry outlives the
-	// query, so per-query Stats are pre/post counter deltas.
+	// The §3.4.2 annotation table lives exactly as long as this search.
 	var cache *optimizer.CostCache
-	var preHits, preMisses, preEvictions int64
 	if o.Opts.AnnotationReuse {
-		cache = optimizer.NewCostCacheIn(o.Opts.Metrics, o.Opts.CacheMaxEntries)
+		cache = optimizer.NewCostCache()
 		cache.Faults = o.Opts.Faults
-		m := cache.Metrics()
-		preHits = m.CounterValue(optimizer.MetricCacheHits)
-		preMisses = m.CounterValue(optimizer.MetricCacheMisses)
-		preEvictions = m.CounterValue(optimizer.MetricCacheEvictions)
 	}
 	tracker := newBudgetTracker(ctx, o.Opts.Budget, q, cache)
 
@@ -410,11 +398,10 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	if stats.Degraded != DegradeNone {
 		o.traceEvent(&stats, obsv.SearchEvent{Ev: obsv.EvDegraded, Reason: string(stats.Degraded)})
 	}
+	var cacheBytes int64
 	if cache != nil {
-		m := cache.Metrics()
-		stats.CacheHits = m.CounterValue(optimizer.MetricCacheHits) - preHits
-		stats.CacheMisses = m.CounterValue(optimizer.MetricCacheMisses) - preMisses
-		stats.CacheEvictions = m.CounterValue(optimizer.MetricCacheEvictions) - preEvictions
+		stats.CacheHits, stats.CacheMisses = cache.Counts()
+		cacheBytes = cache.ApproxBytes()
 	}
 	for i := range stats.Events {
 		stats.Events[i].Seq = i
@@ -437,7 +424,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	}
 	//lint:allow nodeterm OptimizeTime is an observability stat; nothing downstream branches on it
 	stats.OptimizeTime = time.Since(start)
-	o.publishMetrics(&stats)
+	o.publishMetrics(&stats, cacheBytes)
 	return &Result{Query: q, Plan: plan, Stats: stats}, nil
 }
 
@@ -466,14 +453,17 @@ const (
 	MetricMemoStateBytes         = "cbqt.memo.state_bytes"
 )
 
-// publishMetrics folds one optimization's Stats into Options.Metrics (a
-// no-op on the nil registry).
-func (o *Optimizer) publishMetrics(stats *Stats) {
+// publishMetrics folds one optimization's Stats, and the size its annotation
+// table reached, into Options.Metrics (a no-op on the nil registry).
+func (o *Optimizer) publishMetrics(stats *Stats, cacheBytes int64) {
 	reg := o.Opts.Metrics
 	reg.Counter(MetricQueries).Inc()
 	reg.Counter(MetricStates).Add(int64(stats.StatesEvaluated))
 	reg.Counter(MetricBlocks).Add(int64(stats.BlocksOptimized))
 	reg.Counter(MetricAnnotationHits).Add(int64(stats.AnnotationHits))
+	reg.Counter(optimizer.MetricCacheHits).Add(stats.CacheHits)
+	reg.Counter(optimizer.MetricCacheMisses).Add(stats.CacheMisses)
+	reg.Gauge(optimizer.MetricCacheBytes).SetMax(cacheBytes)
 	reg.Counter(MetricTransformErrors).Add(int64(len(stats.TransformErrors)))
 	reg.Counter(MetricQuarantines).Add(int64(len(stats.QuarantinedRules)))
 	reg.Counter(MetricMemoSharedBlocks).Add(int64(stats.MemoSharedBlocks))

@@ -8,11 +8,11 @@ import (
 )
 
 // TestDifferentialCOW is the safety net for the copy-on-write state memo:
-// every sampled workload query is optimized twice — once with
-// Options.FullCloneStates (the legacy deep copy per state) and once with COW
-// clones — and the two runs must agree exactly: same transformed query, same
-// plan cost, same number of states evaluated, and row-for-row identical
-// execution output. Any block-sharing bug that lets one state's rewrite leak
+// every sampled workload query is optimized twice — once under the
+// fullCloneStates test seam (a deep copy per state, the reference) and once
+// with COW clones — and the two runs must agree exactly: same transformed
+// query, same plan cost, same number of states evaluated, and row-for-row
+// identical execution output. Any block-sharing bug that lets one state's rewrite leak
 // into another state, the base query, or the winner surfaces here. Run under
 // -race in CI, the shared-block reads across worker goroutines are also
 // checked for data races.
@@ -28,20 +28,22 @@ func TestDifferentialCOW(t *testing.T) {
 		t.Fatalf("generated only %d queries, want >= 100", len(queries))
 	}
 
-	full := DefaultOptions()
-	full.Parallelism = 1
-	full.FullCloneStates = true
+	seq := DefaultOptions()
+	seq.Parallelism = 1
 
-	cow := DefaultOptions()
-	cow.Parallelism = 1
+	par := DefaultOptions()
+	par.Parallelism = 8
 
-	cowPar := DefaultOptions()
-	cowPar.Parallelism = 8
-
+	t.Cleanup(func() { fullCloneStates = false })
+	var bytesFull, bytesCOW int64
 	for _, wq := range queries {
-		rowsFull, resFull := runCBQT(t, db, wq.SQL, full)
-		rowsCOW, resCOW := runCBQT(t, db, wq.SQL, cow)
-		rowsPar, resPar := runCBQT(t, db, wq.SQL, cowPar)
+		fullCloneStates = true
+		rowsFull, resFull := runCBQT(t, db, wq.SQL, seq)
+		fullCloneStates = false
+		rowsCOW, resCOW := runCBQT(t, db, wq.SQL, seq)
+		rowsPar, resPar := runCBQT(t, db, wq.SQL, par)
+		bytesFull += resFull.Stats.MemoStateBytes
+		bytesCOW += resCOW.Stats.MemoStateBytes
 
 		if got, want := resCOW.Query.SQL(), resFull.Query.SQL(); got != want {
 			t.Errorf("query %d (%s): COW chose a different transformed query\nsql: %s\ncow:        %s\nfull-clone: %s",
@@ -70,5 +72,12 @@ func TestDifferentialCOW(t *testing.T) {
 			t.Errorf("query %d (%s): parallel COW changed results (%d rows vs %d)\nsql: %s",
 				wq.ID, wq.Class, len(rowsPar), len(rowsFull), wq.SQL)
 		}
+	}
+	// What the memo is for: over the same states, COW clones hold at most half
+	// the private tree bytes deep copies hold. The accounting is deterministic
+	// (Stats.MemoStateBytes sums qtree.OwnedApproxBytes), so this is exact.
+	if bytesCOW <= 0 || 2*bytesCOW > bytesFull {
+		t.Errorf("COW states hold %d private tree bytes, full-clone states %d (ratio %.3f, want <= 0.5)",
+			bytesCOW, bytesFull, float64(bytesCOW)/float64(bytesFull))
 	}
 }

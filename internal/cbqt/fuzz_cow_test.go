@@ -52,17 +52,14 @@ WHERE e.dept_id = d.dept_id AND
 			t.Skip("unbindable input")
 		}
 
-		full := DefaultOptions()
-		full.Parallelism = 1
-		full.Check = true
-		full.FullCloneStates = true
+		opts := DefaultOptions()
+		opts.Parallelism = 1
+		opts.Check = true
 
-		cow := DefaultOptions()
-		cow.Parallelism = 1
-		cow.Check = true
-
-		resFull, errFull := (&Optimizer{Cat: db.Catalog, Opts: full}).Optimize(qFull)
-		resCOW, errCOW := (&Optimizer{Cat: db.Catalog, Opts: cow}).Optimize(qCOW)
+		fullCloneStates = true
+		resFull, errFull := (&Optimizer{Cat: db.Catalog, Opts: opts}).Optimize(qFull)
+		fullCloneStates = false
+		resCOW, errCOW := (&Optimizer{Cat: db.Catalog, Opts: opts}).Optimize(qCOW)
 
 		if (errFull == nil) != (errCOW == nil) {
 			t.Fatalf("error divergence\nsql: %s\nfull-clone err: %v\ncow err:        %v", sql, errFull, errCOW)

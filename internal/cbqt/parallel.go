@@ -12,25 +12,28 @@ import (
 	"repro/internal/transform"
 )
 
-// The parallel state-evaluation engine. Every transformation state is
-// costed on an independent deep copy of the query (§3.1), which makes the
-// state-space searches embarrassingly parallel: the Exhaustive, Linear and
-// Two-Pass strategies fan their states out to a bounded worker pool. Three
-// pieces of shared state make this safe and deterministic:
+// The state-evaluation engine. Every transformation state is costed on its
+// own copy of the query (§3.1), so the states of a search are independent:
+// the Exhaustive, Linear and Two-Pass strategies each give their states to
+// evalBatch in batches, and evalBatch costs a batch on a bounded set of
+// workers. With one worker the batch runs in enumeration order on the
+// calling goroutine — that is the sequential search, there is no other.
+// Three pieces of shared state make any worker count safe and deterministic:
 //
-//   - the §3.4.2 annotation cache is sharded with a mutex per shard
+//   - the §3.4.2 annotation table is shared under its own lock
 //     (optimizer.CostCache);
 //   - the §3.4.1 cost cut-off propagates through a prefix bound
-//     (prefixBound): the cut-off a worker applies to state i is the minimum
-//     cost among the *already-completed states that precede i in
-//     enumeration order* (plus the batch seed). A sequential search prunes
-//     state i against the minimum over its whole enumeration prefix, so the
-//     parallel bound is never tighter — the parallel run fully costs a
-//     superset of the states the sequential run costs, and pruning can
-//     never hide the true winner. The surplus fully-costed states all cost
-//     more than the sequential bound at their position, which is exactly
-//     the run-dependent split obsv.Normalize collapses, making normalized
-//     search traces byte-identical at every worker count;
+//     (prefixBound): the cut-off applied to state i is the minimum cost
+//     among the *already-completed states that precede i in enumeration
+//     order* (plus the batch seed). One worker has completed the whole
+//     prefix before it claims state i, so its bound is the running minimum
+//     of a sequential search. More workers may miss a completion, so their
+//     bound is never tighter — they fully cost a superset of the states one
+//     worker costs, and pruning can never hide the true winner. The surplus
+//     fully-costed states all cost more than the one-worker bound at their
+//     position, which is exactly the run-dependent split obsv.Normalize
+//     collapses, making normalized search traces byte-identical at every
+//     worker count;
 //   - per-worker Stats counters and trace buffers are merged in state
 //     enumeration order, and the winner is the minimum-cost state with
 //     ties broken by enumeration order (the state's mixed-radix key),
@@ -40,10 +43,10 @@ import (
 // The budget and fault-isolation layer preserves that determinism: state
 // caps trim a batch to its granted prefix of the enumeration before
 // dispatch (budgetTracker.reserve), and a panicking state quarantines its
-// rule identically at every worker count because mergeBatch surfaces the
-// first failure by enumeration order, not the first in time. Each worker
-// additionally recovers panics around every state it claims, so one bad
-// rewrite can never wedge the pool.
+// rule identically at every worker count because a batch is always finished
+// and mergeBatch surfaces the first failure by enumeration order, not the
+// first in time. Each worker additionally recovers panics around every state
+// it claims, so one bad rewrite can never wedge the pool.
 
 // parallelism resolves Options.Parallelism to a concrete worker count.
 func (o *Optimizer) parallelism() int {
@@ -53,14 +56,14 @@ func (o *Optimizer) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefixBound is the deterministic §3.4.1 cost cut-off of one parallel
-// batch. Completed state costs are recorded per enumeration index, and the
-// bound applied to state i is min(seed, completed costs of states j < i) —
-// never the cost of a later-enumerated state, however early it completed.
-// That keeps every parallel bound at or above the sequential search's bound
-// at the same position, so the parallel run prunes a subset of what the
-// sequential run prunes and obsv.Normalize can reconcile the difference
-// exactly (see the package comment).
+// prefixBound is the deterministic §3.4.1 cost cut-off of one batch.
+// Completed state costs are recorded per enumeration index, and the bound
+// applied to state i is min(seed, completed costs of states j < i) — never
+// the cost of a later-enumerated state, however early it completed. That
+// keeps every bound at or above the one-worker bound at the same position,
+// so a wider run prunes a subset of what one worker prunes and
+// obsv.Normalize can reconcile the difference exactly (see the comment
+// above).
 type prefixBound struct {
 	seed  float64
 	mu    sync.Mutex
@@ -76,8 +79,8 @@ func newPrefixBound(seed float64, n int) *prefixBound {
 }
 
 // boundFor returns the cut-off for state i. Missing a concurrent completion
-// only raises the bound, which weakens pruning but never admits a bound the
-// sequential search would not have reached.
+// only raises the bound, which weakens pruning but never admits a bound one
+// worker would not have reached.
 func (b *prefixBound) boundFor(i int) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -100,60 +103,70 @@ func (b *prefixBound) complete(i int, cost float64) {
 	b.mu.Unlock()
 }
 
-// stateEvalResult is one state's outcome from a parallel batch.
+// stateEvalResult is one state's outcome from a batch.
 type stateEvalResult struct {
 	cost  float64
 	err   error
 	stats Stats
 }
 
-// evalBatch evaluates the given states concurrently on up to par workers
-// and returns the per-state results in input order. Each worker records
-// its counters and trace into the result slot's private Stats, so no two
-// goroutines share a Stats value. bound carries the deterministic prefix
-// cost cut-off: state i prunes against the completed costs of states
-// before it in enumeration order only.
+// evalBatch evaluates the given states on up to Options.Parallelism workers
+// and returns the per-state results in input order; one worker is the caller
+// itself, with no goroutine started. Each worker records its counters and
+// trace into the result slot's private Stats, so no two goroutines share a
+// Stats value. seed is the cost cut-off the batch starts from; state i
+// prunes against it and the completed costs of the states before it in
+// enumeration order only (prefixBound).
 //
 // Every result slot starts as errBudgetStop and is overwritten when its
 // state is actually evaluated: a worker that stops claiming states (wall
 // clock expired) leaves the rest of the batch marked "skipped by budget",
 // never silently costed at zero. A panic escaping evalState's own recovery
 // is caught at the worker too, so the pool always drains.
-func (o *Optimizer) evalBatch(q *qtree.Query, r transform.Rule, states []state, cache *optimizer.CostCache, bound *prefixBound, tracker *budgetTracker, par int) []stateEvalResult {
+func (o *Optimizer) evalBatch(q *qtree.Query, r transform.Rule, states []state, cache *optimizer.CostCache, seed float64, tracker *budgetTracker) []stateEvalResult {
 	results := make([]stateEvalResult, len(states))
 	for i := range results {
 		results[i].err = errBudgetStop
 	}
+	bound := newPrefixBound(seed, len(states))
+	par := o.parallelism()
 	if par > len(states) {
 		par = len(states)
 	}
 	var next atomic.Int64
+	worker := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(states) {
+				return
+			}
+			func() {
+				res := &results[i]
+				defer func() {
+					if p := recover(); p != nil {
+						res.err = &TransformError{Rule: r.Name(), State: stateKey(states[i]), Panic: p, Stack: stack()}
+					}
+				}()
+				if tracker.expired() {
+					return // res.err stays errBudgetStop
+				}
+				res.cost, res.err = o.evalState(q, r, states[i], cache, bound.boundFor(i), &res.stats, tracker)
+				if res.err == nil {
+					bound.complete(i, res.cost)
+				}
+			}()
+		}
+	}
+	if par <= 1 {
+		worker()
+		return results
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(states) {
-					return
-				}
-				func() {
-					res := &results[i]
-					defer func() {
-						if p := recover(); p != nil {
-							res.err = &TransformError{Rule: r.Name(), State: stateKey(states[i]), Panic: p, Stack: stack()}
-						}
-					}()
-					if tracker.expired() {
-						return // res.err stays errBudgetStop
-					}
-					res.cost, res.err = o.evalState(q, r, states[i], cache, bound.boundFor(i), &res.stats, tracker)
-					if res.err == nil {
-						bound.complete(i, res.cost)
-					}
-				}()
-			}
+			worker()
 		}()
 	}
 	wg.Wait()
@@ -194,8 +207,7 @@ func mergeBatch(results []stateEvalResult, stats *Stats) (bestIdx int, bestCost 
 }
 
 // enumerateStates lists every state of the mixed-radix space in canonical
-// enumeration order — digit 0 least significant, exactly the order the
-// sequential exhaustive counter visits.
+// enumeration order, digit 0 least significant.
 func enumerateStates(variants []int) []state {
 	n := len(variants)
 	total := 1
@@ -219,117 +231,4 @@ func enumerateStates(variants []int) []state {
 			return out
 		}
 	}
-}
-
-// searchExhaustiveParallel is searchExhaustive with the whole state space
-// fanned out to the worker pool at once. A state cap trims the space to the
-// same enumeration prefix the sequential search would evaluate.
-func (o *Optimizer) searchExhaustiveParallel(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker, par int) (state, int, error) {
-	states := enumerateStates(variants)
-	granted := tracker.reserve(len(states))
-	if granted == 0 {
-		return make(state, len(variants)), 0, nil
-	}
-	states = states[:granted]
-	results := o.evalBatch(q, r, states, cache, newPrefixBound(math.Inf(1), len(states)), tracker, par)
-	bestIdx, _, count, err := mergeBatch(results, stats)
-	if err != nil {
-		return nil, count, err
-	}
-	if bestIdx < 0 {
-		// Everything infeasible or abandoned: keep the untransformed state,
-		// as the sequential search does.
-		return make(state, len(variants)), count, nil
-	}
-	return states[bestIdx], count, nil
-}
-
-// searchLinearParallel runs the §3.2 linear search with the variants of
-// each object evaluated concurrently. The per-object decisions remain
-// sequential (each fixes the context of the next), matching the sequential
-// search: object i keeps variant v only if it lowers the best cost, ties
-// going to the smaller v.
-func (o *Optimizer) searchLinearParallel(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker, par int) (state, int, error) {
-	n := len(variants)
-	cur := make(state, n)
-	if tracker.reserve(1) == 0 {
-		return cur, 0, nil
-	}
-	bestCost, err := o.evalState(q, r, cur, cache, 0, stats, tracker)
-	if err != nil {
-		if errors.Is(err, errBudgetStop) || errors.Is(err, errInfeasible) {
-			return cur, 0, nil
-		}
-		return nil, 1, err
-	}
-	count := 1
-	for i := 0; i < n; i++ {
-		trials := make([]state, 0, variants[i])
-		for v := 1; v <= variants[i]; v++ {
-			trial := cur.clone()
-			trial[i] = v
-			trials = append(trials, trial)
-		}
-		if len(trials) == 0 {
-			continue
-		}
-		granted := tracker.reserve(len(trials))
-		capped := granted < len(trials)
-		trials = trials[:granted]
-		if granted > 0 {
-			results := o.evalBatch(q, r, trials, cache, newPrefixBound(bestCost, len(trials)), tracker, par)
-			bestIdx, cost, batchCount, err := mergeBatch(results, stats)
-			count += batchCount
-			if err != nil {
-				return nil, count, err
-			}
-			if bestIdx >= 0 && cost < bestCost {
-				bestCost = cost
-				cur[i] = bestIdx + 1
-			}
-		}
-		if capped {
-			return cur, count, nil // degraded mid-object, decisions so far stand
-		}
-	}
-	return cur, count, nil
-}
-
-// searchTwoPassParallel evaluates the all-untransformed and all-transformed
-// states (§3.2) concurrently. Sequentially the zero state's cost seeds the
-// cut-off for the transformed state; in parallel the prefix bound applies
-// the zero state's cost to the transformed state only once the zero state
-// has completed — never the reverse — so pruning stays a subset of the
-// sequential search's and the comparison is unchanged.
-func (o *Optimizer) searchTwoPassParallel(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker, par int) (state, int, error) {
-	n := len(variants)
-	zero := make(state, n)
-	all := make(state, n)
-	for i := range all {
-		all[i] = 1 // first variant of every object
-	}
-	granted := tracker.reserve(2)
-	if granted == 0 {
-		return zero, 0, nil
-	}
-	states := []state{zero, all}[:granted]
-	results := o.evalBatch(q, r, states, cache, newPrefixBound(math.Inf(1), len(states)), tracker, par)
-	bestIdx, _, count, err := mergeBatch(results, stats)
-	if zerr := results[0].err; zerr != nil {
-		if errors.Is(zerr, errInfeasible) || errors.Is(zerr, errBudgetStop) {
-			// Degraded or fault-skipped baseline: stay untransformed, as the
-			// sequential search does.
-			return zero, count, nil
-		}
-		// A genuinely uncostable zero state is a driver bug; mirror the
-		// sequential search and fail.
-		return nil, count, zerr
-	}
-	if err != nil {
-		return nil, count, err
-	}
-	if bestIdx == 1 {
-		return all, count, nil
-	}
-	return zero, count, nil
 }

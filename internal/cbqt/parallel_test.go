@@ -3,8 +3,10 @@ package cbqt
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
 	"repro/internal/testkit"
@@ -180,5 +182,63 @@ func TestParallelismResolution(t *testing.T) {
 	o.Opts.Parallelism = 3
 	if got := o.parallelism(); got != 3 {
 		t.Errorf("parallelism(3) = %d", got)
+	}
+}
+
+// TestCacheStatsPerQueryUnderSharedRegistry: optimizations that share one
+// obsv.Registry — as every session of a server does — each report their own
+// annotation-table lookups. Every concurrent run's Stats.CacheHits and
+// CacheMisses equal a solo run's, and the registry's costcache.hits/misses
+// are exactly their sum. (Stats used to be a before/after difference of the
+// shared counters, so overlapping optimizations counted each other's hits.)
+func TestCacheStatsPerQueryUnderSharedRegistry(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	opts := DefaultOptions()
+	opts.Parallelism = 1 // the hit/miss split is exact only at one worker
+	optimize := func(reg *obsv.Registry) (Stats, error) {
+		o := &Optimizer{Cat: db.Catalog, Opts: opts}
+		o.Opts.Metrics = reg
+		res, err := o.Optimize(qtree.MustBind(table2SQL, db.Catalog))
+		if err != nil {
+			return Stats{}, err
+		}
+		return res.Stats, nil
+	}
+	solo, err := optimize(obsv.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.CacheHits == 0 || solo.CacheMisses == 0 {
+		t.Fatalf("solo run has %d hits, %d misses; the Table 2 search must have both", solo.CacheHits, solo.CacheMisses)
+	}
+
+	const goroutines, runs = 8, 20
+	reg := obsv.NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				s, err := optimize(reg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s.CacheHits != solo.CacheHits || s.CacheMisses != solo.CacheMisses {
+					t.Errorf("concurrent run counted %d hits, %d misses; a solo run counts %d, %d",
+						s.CacheHits, s.CacheMisses, solo.CacheHits, solo.CacheMisses)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const total = goroutines * runs
+	if got, want := reg.CounterValue(optimizer.MetricCacheHits), total*solo.CacheHits; got != want {
+		t.Errorf("registry costcache.hits = %d, want %d (%d runs x %d)", got, want, total, solo.CacheHits)
+	}
+	if got, want := reg.CounterValue(optimizer.MetricCacheMisses), total*solo.CacheMisses; got != want {
+		t.Errorf("registry costcache.misses = %d, want %d (%d runs x %d)", got, want, total, solo.CacheMisses)
 	}
 }

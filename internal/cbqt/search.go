@@ -64,13 +64,11 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 		return 0, errInfeasible
 	}
 	// Each state gets its own copy of the query (§3.1): a copy-on-write
-	// clone by default — sharing every block the state does not rewrite
-	// with the base and with every concurrently evaluated sibling — or a
-	// full deep copy under Options.FullCloneStates. The two modes produce
-	// bit-identical searches; see Options.FullCloneStates.
+	// clone sharing every block the state does not rewrite with the base
+	// and with every concurrently evaluated sibling.
 	var clone *qtree.Query
-	if o.Opts.FullCloneStates {
-		clone, _ = q.Clone()
+	if fullCloneStates {
+		clone, _ = q.Clone() // the differential tests' reference copy
 	} else {
 		clone = q.CloneCOW()
 	}
@@ -183,83 +181,47 @@ func (o *Optimizer) search(q *qtree.Query, r transform.Rule, n int, strat Strate
 		tracker.preSummary = check.Summarize(q)
 		tracker.baseSnap = check.Snapshot(q)
 	}
-	// Parallelism 1 runs the original single-threaded searches; the
-	// parallel engine (parallel.go) selects the same state at any worker
-	// count, so the split is purely an execution choice.
-	par := o.parallelism()
 	switch strat {
-	case StrategyExhaustive:
-		if par > 1 {
-			return o.searchExhaustiveParallel(q, r, variants, cache, stats, tracker, par)
-		}
-		return o.searchExhaustive(q, r, variants, cache, stats, tracker)
 	case StrategyLinear:
-		if par > 1 {
-			return o.searchLinearParallel(q, r, variants, cache, stats, tracker, par)
-		}
 		return o.searchLinear(q, r, variants, cache, stats, tracker)
 	case StrategyTwoPass:
-		if par > 1 {
-			return o.searchTwoPassParallel(q, r, variants, cache, stats, tracker, par)
-		}
 		return o.searchTwoPass(q, r, variants, cache, stats, tracker)
 	case StrategyIterative:
-		// Each hill-climbing step depends on the previous best state;
-		// iterative improvement stays sequential at every parallelism.
 		return o.searchIterative(q, r, variants, cache, stats, tracker)
-	}
-	if par > 1 {
-		return o.searchExhaustiveParallel(q, r, variants, cache, stats, tracker, par)
 	}
 	return o.searchExhaustive(q, r, variants, cache, stats, tracker)
 }
 
-// searchExhaustive enumerates every combination: with binary objects that
-// is the paper's 2^N states; with V-variant objects, prod(V_i + 1).
-// Budget exhaustion returns the best state found so far (the zero state
+// searchExhaustive costs every combination as one batch: with binary
+// objects that is the paper's 2^N states; with V-variant objects,
+// prod(V_i + 1). A state cap trims the space to a prefix of the enumeration;
+// budget exhaustion returns the best state costed so far (the zero state
 // when nothing was costed yet).
 func (o *Optimizer) searchExhaustive(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	n := len(variants)
-	cur := make(state, n)
-	best := cur.clone()
-	bestCost := math.Inf(1)
-	count := 0
-	for {
-		if tracker.reserve(1) == 0 {
-			return best, count, nil // degraded: best fully-costed state so far
-		}
-		cost, err := o.evalState(q, r, cur, cache, bestCost, stats, tracker)
-		if err == nil {
-			count++
-			if cost < bestCost {
-				bestCost = cost
-				best = cur.clone()
-			}
-		} else if errors.Is(err, errBudgetStop) {
-			return best, count, nil
-		} else if !errors.Is(err, errInfeasible) {
-			return nil, count, err
-		}
-		// Advance mixed-radix counter.
-		i := 0
-		for i < n {
-			cur[i]++
-			if cur[i] <= variants[i] {
-				break
-			}
-			cur[i] = 0
-			i++
-		}
-		if i == n {
-			return best, count, nil
-		}
+	states := enumerateStates(variants)
+	granted := tracker.reserve(len(states))
+	if granted == 0 {
+		return make(state, len(variants)), 0, nil
 	}
+	states = states[:granted]
+	results := o.evalBatch(q, r, states, cache, math.Inf(1), tracker)
+	bestIdx, _, count, err := mergeBatch(results, stats)
+	if err != nil {
+		return nil, count, err
+	}
+	if bestIdx < 0 {
+		// Everything infeasible or abandoned: keep the untransformed state.
+		return make(state, len(variants)), count, nil
+	}
+	return states[bestIdx], count, nil
 }
 
 // searchLinear implements the dynamic-programming style linear search
-// (§3.2): it fixes objects one at a time, keeping a transformation of
-// object i only if it lowers the cost given the decisions already made.
-// It evaluates N+1 states for binary objects.
+// (§3.2): it fixes objects one at a time, keeping a transformation of object
+// i only if it lowers the cost given the decisions already made, ties going
+// to the smaller variant. It evaluates N+1 states for binary objects. The
+// variants of one object are a batch; the per-object decisions are
+// sequential, each fixing the context of the next.
 func (o *Optimizer) searchLinear(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
 	n := len(variants)
 	cur := make(state, n)
@@ -269,74 +231,73 @@ func (o *Optimizer) searchLinear(q *qtree.Query, r transform.Rule, variants []in
 	bestCost, err := o.evalState(q, r, cur, cache, 0, stats, tracker)
 	if err != nil {
 		if errors.Is(err, errBudgetStop) || errors.Is(err, errInfeasible) {
-			return cur, 0, nil // degraded before the baseline: stay untransformed
+			return cur, 0, nil
 		}
 		return nil, 1, err
 	}
 	count := 1
 	for i := 0; i < n; i++ {
-		bestV := 0
+		trials := make([]state, 0, variants[i])
 		for v := 1; v <= variants[i]; v++ {
-			if tracker.reserve(1) == 0 {
-				cur[i] = bestV
-				return cur, count, nil
-			}
 			trial := cur.clone()
 			trial[i] = v
-			cost, err := o.evalState(q, r, trial, cache, bestCost, stats, tracker)
-			if errors.Is(err, errInfeasible) {
-				continue
-			}
-			if errors.Is(err, errBudgetStop) {
-				cur[i] = bestV
-				return cur, count, nil
-			}
+			trials = append(trials, trial)
+		}
+		if len(trials) == 0 {
+			continue
+		}
+		granted := tracker.reserve(len(trials))
+		capped := granted < len(trials)
+		trials = trials[:granted]
+		if granted > 0 {
+			results := o.evalBatch(q, r, trials, cache, bestCost, tracker)
+			bestIdx, cost, batchCount, err := mergeBatch(results, stats)
+			count += batchCount
 			if err != nil {
 				return nil, count, err
 			}
-			count++
-			if cost < bestCost {
+			if bestIdx >= 0 && cost < bestCost {
 				bestCost = cost
-				bestV = v
+				cur[i] = bestIdx + 1
 			}
 		}
-		cur[i] = bestV
+		if capped {
+			return cur, count, nil // degraded mid-object, decisions so far stand
+		}
 	}
 	return cur, count, nil
 }
 
 // searchTwoPass compares only the all-untransformed and all-transformed
-// states (§3.2).
+// states (§3.2), as one batch of two. The prefix bound applies the zero
+// state's cost as the transformed state's cut-off once the zero state has
+// completed — never the reverse.
 func (o *Optimizer) searchTwoPass(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
 	n := len(variants)
 	zero := make(state, n)
-	if tracker.reserve(1) == 0 {
-		return zero, 0, nil
-	}
-	zeroCost, err := o.evalState(q, r, zero, cache, 0, stats, tracker)
-	if err != nil {
-		if errors.Is(err, errBudgetStop) || errors.Is(err, errInfeasible) {
-			return zero, 0, nil
-		}
-		return nil, 1, err
-	}
-	count := 1
-	if tracker.reserve(1) == 0 {
-		return zero, count, nil
-	}
 	all := make(state, n)
 	for i := range all {
 		all[i] = 1 // first variant of every object
 	}
-	allCost, err := o.evalState(q, r, all, cache, zeroCost, stats, tracker)
-	if errors.Is(err, errInfeasible) || errors.Is(err, errBudgetStop) {
-		return zero, count, nil
+	granted := tracker.reserve(2)
+	if granted == 0 {
+		return zero, 0, nil
+	}
+	states := []state{zero, all}[:granted]
+	results := o.evalBatch(q, r, states, cache, math.Inf(1), tracker)
+	bestIdx, _, count, err := mergeBatch(results, stats)
+	if zerr := results[0].err; zerr != nil {
+		if errors.Is(zerr, errInfeasible) || errors.Is(zerr, errBudgetStop) {
+			// Degraded or fault-skipped baseline: stay untransformed.
+			return zero, count, nil
+		}
+		// A genuinely uncostable zero state is a driver bug: fail.
+		return nil, count, zerr
 	}
 	if err != nil {
 		return nil, count, err
 	}
-	count++
-	if allCost < zeroCost {
+	if bestIdx == 1 {
 		return all, count, nil
 	}
 	return zero, count, nil
@@ -442,6 +403,3 @@ func stateKey(s state) string {
 	}
 	return string(b)
 }
-
-// Quiet references to keep imports stable across refactors.
-var _ = qtree.JoinInner

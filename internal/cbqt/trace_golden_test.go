@@ -331,3 +331,34 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
+
+// TestGoldenRawOneWorker pins "one worker is the sequential search": the
+// un-normalized event stream (every state's key, outcome, Blocks, CacheHits
+// and cost; only timings stripped) and the exact work totals of the Table 1
+// and Table 2 searches at Parallelism 1. The snapshots were recorded from the
+// dedicated sequential searchExhaustive/searchLinear/searchTwoPass before
+// they were deleted, so the batch engine at one worker must reproduce the
+// sequential cut/costed split, block counts and cache hits exactly — not
+// merely up to obsv.Normalize.
+func TestGoldenRawOneWorker(t *testing.T) {
+	for _, tc := range traceCases() {
+		for _, st := range traceStrategies {
+			if st.strat == StrategyIterative {
+				continue // never had a second implementation
+			}
+			t.Run(tc.name+"/"+st.name, func(t *testing.T) {
+				res := optimizeTraced(t, tc.db, tc.sql, st.strat, 1)
+				events := append([]obsv.SearchEvent(nil), res.Stats.Events...)
+				for i := range events {
+					events[i].ElapsedUS = 0
+				}
+				s := res.Stats
+				got := obsv.MarshalJSONL(events) + fmt.Sprintf(
+					"states=%d blocks=%d annotation_hits=%d cache_hits=%d cache_misses=%d\n",
+					s.StatesEvaluated, s.BlocksOptimized, s.AnnotationHits, s.CacheHits, s.CacheMisses)
+				path := filepath.Join("testdata", "golden", tc.name+"_"+st.name+"_raw_par1.jsonl")
+				compareGolden(t, path, got)
+			})
+		}
+	}
+}

@@ -2,74 +2,39 @@ package optimizer
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
-	"repro/internal/obsv"
+	"repro/internal/qtree"
 )
 
-// cacheShardCount is the number of independently locked shards of the
-// annotation cache. A power of two so the hash maps to a shard with a mask.
-// 32 shards keep lock contention negligible for any realistic worker count
-// (the CBQT driver bounds workers by GOMAXPROCS).
-const cacheShardCount = 32
-
-// DefaultCacheMaxEntries is the entry bound of NewCostCache: generous enough
-// that a single query's state-space search never evicts (Table 2's heaviest
-// search touches a few hundred distinct blocks), small enough that a
-// long-lived session reusing one cache cannot grow it without limit.
-const DefaultCacheMaxEntries = 1 << 16
-
-// CostCache is the cost-annotation store shared across transformation
-// states: canonical block rendering → cost annotation. Annotations are
-// reused only in cost-only mode, because plan nodes are tied to a specific
-// query copy's from IDs.
+// CostCache is the cost-annotation table of one CBQT optimization (§3.4.2):
+// canonical block rendering → cost annotation, shared by every
+// transformation state the search evaluates and dropped with the search.
+// Annotations are reused only in cost-only mode, because plan nodes are tied
+// to a specific query copy's from IDs.
 //
-// The cache is safe for concurrent use: the CBQT driver evaluates
-// transformation states on a bounded worker pool, and every worker's
-// planner consults the same cache. The key space is sharded by key hash
-// with one mutex per shard. Concurrent misses on the same key may both
-// optimize the block and both store the annotation; both store the same
+// The key is structural, not the block's identity: two states that each
+// unnest the same subquery build two distinct but structurally equal views,
+// and the second must reuse the first's annotation (Table 1's 12 → 8 blocks).
+//
+// The table is safe for concurrent use — the search's workers share it —
+// under one mutex: a search holds tens of annotations and a lookup is a map
+// probe, so there is nothing to shard. Concurrent misses on the same key may
+// both optimize the block and both store the annotation; both store the same
 // value (annotations are a deterministic function of the canonical key), so
 // the duplication costs work, never correctness.
-//
-// Each shard is bounded by an entry cap and evicts with the second-chance
-// clock algorithm: entries carry a reference bit set on every hit, and the
-// clock hand sweeps the shard's ring clearing bits until it finds an unset
-// one — O(1) amortized, no per-hit list surgery, and an annotation hit in
-// the current search keeps the entry resident.
 type CostCache struct {
-	shards [cacheShardCount]cacheShard
-
-	// Work counters live in an obsv.Registry (the cache's own, or one shared
-	// with the whole optimization via NewCostCacheIn) under the Metric*
-	// names; reg is their single source of truth. bytes stays a private
-	// atomic because ApproxBytes sits on the CBQT memory-budget hot path.
-	reg       *obsv.Registry
-	hits      *obsv.Counter
-	misses    *obsv.Counter
-	evictions *obsv.Counter
-	bytesG    *obsv.Gauge
-	bytes     atomic.Int64
+	mu      sync.Mutex
+	entries map[string]costAnnotation
+	bytes   int64
+	hits    int64
+	misses  int64
 
 	// Faults, when non-nil, fires the "cache:get" / "cache:put" injection
 	// sites on every lookup and store. An injected error degrades the
 	// operation (a lookup misses, a store is dropped) — the cache is an
 	// accelerator, so faults cost work, never correctness.
 	Faults *faultinject.Set
-}
-
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	ring    []string // clock ring of resident keys
-	hand    int
-	limit   int // max entries; 0 = unbounded
-}
-
-type cacheEntry struct {
-	ann costAnnotation
-	ref bool
 }
 
 type costAnnotation struct {
@@ -82,142 +47,67 @@ func entryBytes(key string, ann costAnnotation) int64 {
 	return int64(len(key)) + int64(16*len(ann.ndvs)) + 96
 }
 
-// The cache's metric names in its obsv.Registry.
+// The names under which the CBQT driver publishes a finished optimization's
+// table counters to its obsv.Registry.
 const (
-	MetricCacheHits      = "costcache.hits"
-	MetricCacheMisses    = "costcache.misses"
-	MetricCacheEvictions = "costcache.evictions"
-	MetricCacheBytes     = "costcache.bytes"
+	MetricCacheHits   = "costcache.hits"
+	MetricCacheMisses = "costcache.misses"
+	// MetricCacheBytes is a gauge: the largest table any optimization held.
+	MetricCacheBytes = "costcache.bytes"
 )
 
-// NewCostCache creates an annotation cache bounded at DefaultCacheMaxEntries.
+// NewCostCache creates an empty annotation table.
 func NewCostCache() *CostCache {
-	return NewCostCacheLimited(DefaultCacheMaxEntries)
+	return &CostCache{entries: map[string]costAnnotation{}}
 }
 
-// NewCostCacheLimited creates an annotation cache holding at most maxEntries
-// annotations (split evenly across shards). maxEntries <= 0 selects
-// DefaultCacheMaxEntries.
-func NewCostCacheLimited(maxEntries int) *CostCache {
-	return NewCostCacheIn(nil, maxEntries)
-}
-
-// NewCostCacheIn is NewCostCacheLimited with the cache's work counters
-// registered in reg under the Metric* names; nil reg gives the cache a
-// private registry. Callers sharing reg across caches or queries should
-// snapshot the counters and diff (obsv.Snapshot.Sub) to attribute work.
-func NewCostCacheIn(reg *obsv.Registry, maxEntries int) *CostCache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCacheMaxEntries
+// lookup renders b's canonical key and returns it with b's annotation, if
+// one is stored. The key goes back to put when the caller has planned b.
+func (c *CostCache) lookup(keys *qtree.BlockKeyer, b *qtree.Block) (string, costAnnotation, bool) {
+	key := keys.Key(b)
+	// An injected lookup failure degrades to a miss.
+	faulted := c.Faults.Fire("cache:get") != nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ann, ok := c.entries[key]; ok && !faulted {
+		c.hits++
+		return key, ann, true
 	}
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
-	perShard := (maxEntries + cacheShardCount - 1) / cacheShardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &CostCache{
-		reg:       reg,
-		hits:      reg.Counter(MetricCacheHits),
-		misses:    reg.Counter(MetricCacheMisses),
-		evictions: reg.Counter(MetricCacheEvictions),
-		bytesG:    reg.Gauge(MetricCacheBytes),
-	}
-	for i := range c.shards {
-		c.shards[i].entries = map[string]*cacheEntry{}
-		c.shards[i].limit = perShard
-	}
-	return c
-}
-
-// Metrics returns the registry holding the cache's work counters.
-func (c *CostCache) Metrics() *obsv.Registry { return c.reg }
-
-// shard selects the shard for a key (FNV-1a over the key bytes).
-func (c *CostCache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h&(cacheShardCount-1)]
-}
-
-func (c *CostCache) get(key string) (costAnnotation, bool) {
-	if err := c.Faults.Fire("cache:get"); err != nil {
-		// Injected lookup failure: degrade to a miss.
-		c.misses.Add(1)
-		return costAnnotation{}, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	var ann costAnnotation
-	if ok {
-		e.ref = true
-		ann = e.ann
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ann, ok
+	c.misses++
+	return key, costAnnotation{}, false
 }
 
 func (c *CostCache) put(key string, ann costAnnotation) {
 	if err := c.Faults.Fire("cache:put"); err != nil {
 		return // injected store failure: drop the annotation
 	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { c.bytesG.Set(c.bytes.Load()) }()
-	if e, ok := s.entries[key]; ok {
-		c.bytes.Add(entryBytes(key, ann) - entryBytes(key, e.ann))
-		e.ann = ann
-		e.ref = true
-		return
+	c.mu.Lock()
+	if old, ok := c.entries[key]; ok {
+		c.bytes -= entryBytes(key, old)
 	}
-	if s.limit > 0 && len(s.entries) >= s.limit {
-		// Clock sweep: give referenced entries a second chance, evict the
-		// first unreferenced one and reuse its ring slot.
-		for {
-			victimKey := s.ring[s.hand]
-			victim := s.entries[victimKey]
-			if victim.ref {
-				victim.ref = false
-				s.hand = (s.hand + 1) % len(s.ring)
-				continue
-			}
-			delete(s.entries, victimKey)
-			c.evictions.Add(1)
-			c.bytes.Add(-entryBytes(victimKey, victim.ann))
-			s.ring[s.hand] = key
-			s.hand = (s.hand + 1) % len(s.ring)
-			break
-		}
-	} else {
-		s.ring = append(s.ring, key)
-	}
-	s.entries[key] = &cacheEntry{ann: ann, ref: true}
-	c.bytes.Add(entryBytes(key, ann))
+	c.entries[key] = ann
+	c.bytes += entryBytes(key, ann)
+	c.mu.Unlock()
 }
 
 // Len reports the number of cached annotations.
 func (c *CostCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
-// ApproxBytes reports the approximate resident size of the cache, for the
+// ApproxBytes reports the approximate resident size of the table, for the
 // CBQT memory budget.
-func (c *CostCache) ApproxBytes() int64 { return c.bytes.Load() }
+func (c *CostCache) ApproxBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// Counts reports the lookups answered from the table and those that were not.
+func (c *CostCache) Counts() (hits, misses int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}

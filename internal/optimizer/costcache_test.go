@@ -1,11 +1,9 @@
 package optimizer
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/obsv"
 	"repro/internal/qtree"
 )
 
@@ -29,7 +27,7 @@ var stressQueries = []string{
 
 // TestCostCacheConcurrentStress drives one shared CostCache from many
 // goroutines, each cost-only-optimizing clones of the same queries. Run
-// under -race this validates the sharded locking; the counter checks
+// under -race this validates the table's locking; the counter checks
 // validate that every block plan is accounted exactly once as either a
 // cache hit or an optimization, and that hits never change the cost.
 func TestCostCacheConcurrentStress(t *testing.T) {
@@ -57,7 +55,7 @@ func TestCostCacheConcurrentStress(t *testing.T) {
 	}
 
 	cache := NewCostCache()
-	const goroutines = 16
+	const goroutines = 32
 	const iters = 10
 
 	var wg sync.WaitGroup
@@ -118,95 +116,36 @@ func TestCostCacheConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestCostCacheEviction drives a tiny bounded cache far past its capacity
-// and checks that the clock eviction keeps the entry count at the bound,
-// accounts every eviction in the metrics registry, and keeps the byte gauge
-// consistent.
-func TestCostCacheEviction(t *testing.T) {
-	const maxEntries = 32 // one entry per shard
-	reg := obsv.NewRegistry()
-	c := NewCostCacheIn(reg, maxEntries)
-	const puts = 400
-	for i := 0; i < puts; i++ {
-		c.put(fmt.Sprintf("select * from t%d", i), costAnnotation{cost: Cost{Total: float64(i)}})
+// TestCostCacheCounts checks the table's own accounting: every lookup is one
+// hit or one miss, a re-stored key replaces its annotation without growing
+// the entry count, and ApproxBytes is the sum of the resident entries.
+func TestCostCacheCounts(t *testing.T) {
+	db := testDB(t)
+	q, err := qtree.BindSQL(`SELECT e.emp_id FROM employees e WHERE e.salary > 100`, db.Catalog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.Len(); got > maxEntries {
-		t.Errorf("cache holds %d entries, bound is %d", got, maxEntries)
-	}
-	evictions := reg.CounterValue(MetricCacheEvictions)
-	if evictions == 0 {
-		t.Error("no evictions after overfilling a bounded cache")
-	}
-	if int(evictions)+c.Len() != puts {
-		t.Errorf("evictions (%d) + resident (%d) != puts (%d)", evictions, c.Len(), puts)
-	}
-	if bytes := reg.Snapshot().Gauges[MetricCacheBytes]; bytes <= 0 || bytes != c.ApproxBytes() {
-		t.Errorf("byte gauge %d, ApproxBytes %d", bytes, c.ApproxBytes())
-	}
-
-	// A resident key must hit; an evicted or unknown key must miss.
-	hitsBefore := reg.CounterValue(MetricCacheHits)
-	missesBefore := reg.CounterValue(MetricCacheMisses)
-	if _, ok := c.get(fmt.Sprintf("select * from t%d", puts-1)); !ok {
-		t.Error("most recently stored key was evicted")
-	}
-	if _, ok := c.get("select * from nowhere"); ok {
-		t.Error("unknown key reported as hit")
-	}
-	if h, m := reg.CounterValue(MetricCacheHits), reg.CounterValue(MetricCacheMisses); h != hitsBefore+1 || m != missesBefore+1 {
-		t.Errorf("counters after 1 hit + 1 miss: hits %d->%d, misses %d->%d",
-			hitsBefore, h, missesBefore, m)
-	}
-}
-
-// TestCostCacheSecondChance: a referenced entry survives one eviction
-// sweep; the unreferenced one on the same shard is the victim.
-func TestCostCacheSecondChance(t *testing.T) {
-	c := NewCostCacheLimited(0) // default bound; direct shard manipulation below
-	s := &c.shards[0]
-	s.limit = 2
-	// Install two entries directly on shard 0 so the test is independent of
-	// the hash function.
-	put := func(key string, ref bool) {
-		s.entries[key] = &cacheEntry{ann: costAnnotation{}, ref: ref}
-		s.ring = append(s.ring, key)
-	}
-	put("keep", true)
-	put("victim", false)
-	s.mu.Lock()
-	// Inline the clock sweep the way put runs it.
-	for {
-		k := s.ring[s.hand]
-		e := s.entries[k]
-		if e.ref {
-			e.ref = false
-			s.hand = (s.hand + 1) % len(s.ring)
-			continue
-		}
-		delete(s.entries, k)
-		s.ring[s.hand] = "new"
-		s.entries["new"] = &cacheEntry{ann: costAnnotation{}, ref: true}
-		break
-	}
-	s.mu.Unlock()
-	if _, ok := s.entries["keep"]; !ok {
-		t.Error("referenced entry was evicted before the unreferenced one")
-	}
-	if _, ok := s.entries["victim"]; ok {
-		t.Error("unreferenced entry survived the sweep")
-	}
-}
-
-// TestCostCacheShardDistribution sanity-checks that distinct keys land on
-// more than one shard, so the per-shard mutexes actually spread contention.
-func TestCostCacheShardDistribution(t *testing.T) {
 	c := NewCostCache()
-	shards := map[*cacheShard]bool{}
-	keys := []string{"a", "b", "select x from t0", "select x from t1", "q2", "q3", "q4", "q5"}
-	for _, k := range keys {
-		shards[c.shard(k)] = true
+	key, _, ok := c.lookup(q.BlockKeyer(), q.Root)
+	if ok {
+		t.Fatal("empty table reported a hit")
 	}
-	if len(shards) < 2 {
-		t.Errorf("all %d keys hashed to one shard", len(keys))
+	if want := q.CanonicalKey(q.Root); key != want {
+		t.Fatalf("table key %q, want the canonical key %q", key, want)
+	}
+	c.put(key, costAnnotation{cost: Cost{Total: 1}})
+	c.put(key, costAnnotation{cost: Cost{Total: 2}, ndvs: []float64{3}})
+	_, ann, ok := c.lookup(q.BlockKeyer(), q.Root)
+	if !ok || ann.cost.Total != 2 {
+		t.Errorf("lookup after re-store = %+v, %v; want the second annotation", ann, ok)
+	}
+	if hits, misses := c.Counts(); hits != 1 || misses != 1 {
+		t.Errorf("counts after 1 miss + 1 hit: hits %d, misses %d", hits, misses)
+	}
+	if c.Len() != 1 {
+		t.Errorf("table holds %d entries after storing one key twice", c.Len())
+	}
+	if got, want := c.ApproxBytes(), entryBytes(key, ann); got != want {
+		t.Errorf("ApproxBytes %d, want %d (the one resident entry)", got, want)
 	}
 }

@@ -55,6 +55,11 @@ type Planner struct {
 	Deadline time.Time
 
 	Counters Counters
+
+	// keys renders the cache keys of the query under Optimize: one keyer per
+	// call, so the query-wide walk that names correlated references happens
+	// at most once per costed state.
+	keys *qtree.BlockKeyer
 }
 
 // New creates a planner over the catalog.
@@ -65,6 +70,7 @@ func New(cat *catalog.Catalog) *Planner {
 // Optimize produces a physical plan for the query.
 func (p *Planner) Optimize(q *qtree.Query) (*Plan, error) {
 	plan := &Plan{Subplans: map[*qtree.Subq]*SubPlan{}}
+	p.keys = q.BlockKeyer()
 	node, _, err := p.planBlock(q, q.Root, 0, plan)
 	if err != nil {
 		return nil, err
@@ -118,14 +124,15 @@ func (p *Planner) planBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.FromID
 	// Cost-annotation reuse (§3.4.2).
 	var key string
 	if p.Cache != nil && p.CostOnly {
-		key = q.CanonicalKey(b)
-		if ann, ok := p.Cache.get(key); ok {
+		k, ann, ok := p.Cache.lookup(p.keys, b)
+		if ok {
 			p.Counters.CacheHits++
 			stub := &cachedStub{}
 			stub.cols = outputCols(outFrom, len(b.OutCols()))
 			stub.cost = ann.cost
 			return stub, blockInfo{rows: ann.cost.Rows, ndvs: ann.ndvs}, nil
 		}
+		key = k
 	}
 	node, info, err := p.planSelectBlock(q, b, outFrom, plan)
 	if err != nil {

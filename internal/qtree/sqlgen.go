@@ -96,6 +96,25 @@ func (q *Query) SQL() string {
 // Correlated references to items outside the subtree are rendered by the
 // outer item's table name and user alias, which survive deep copies.
 func (q *Query) CanonicalKey(b *Block) string {
+	return q.BlockKeyer().Key(b)
+}
+
+// BlockKeyer renders the canonical keys of many blocks of one query. Naming
+// a correlated reference needs the from item it points at, which may sit
+// anywhere in the query: the keyer finds them all in one walk from the root,
+// taken on the first correlated reference and shared by every later key. It
+// is valid while the query's from items are not added, removed or renamed,
+// and is not safe for concurrent use.
+type BlockKeyer struct {
+	q     *Query
+	outer map[FromID]*FromItem
+}
+
+// BlockKeyer returns a keyer for q's blocks.
+func (q *Query) BlockKeyer() *BlockKeyer { return &BlockKeyer{q: q} }
+
+// Key is q.CanonicalKey(b).
+func (k *BlockKeyer) Key(b *Block) string {
 	n := &Namer{names: map[FromID]string{}, ordinals: true}
 	i := 0
 	visitFromItems(b, func(f *FromItem) {
@@ -103,17 +122,19 @@ func (q *Query) CanonicalKey(b *Block) string {
 		i++
 	})
 	// Outer items referenced from within b: name by stable attributes.
-	outer := map[FromID]*FromItem{}
-	visitFromItems(q.Root, func(f *FromItem) {
-		outer[f.ID] = f
-	})
 	refs := map[FromID]bool{}
 	collectBlockRefs(b, refs)
 	for id := range refs {
 		if _, local := n.names[id]; local {
 			continue
 		}
-		f := outer[id]
+		if k.outer == nil {
+			k.outer = map[FromID]*FromItem{}
+			visitFromItems(k.q.Root, func(f *FromItem) {
+				k.outer[f.ID] = f
+			})
+		}
+		f := k.outer[id]
 		if f == nil {
 			n.names[id] = fmt.Sprintf("x%d", id)
 			continue
