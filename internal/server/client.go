@@ -90,8 +90,13 @@ type Client struct {
 
 	conn   net.Conn
 	r      *bufio.Reader
-	w      *bufio.Writer
 	broken bool
+	// out holds the request being written, in the response frame or page
+	// being read; both are reused from one call to the next.
+	out, in []byte
+	// offer is the result-page format hello asks for, pageFormat the one
+	// the server answered with (see the PageFormat constants).
+	offer, pageFormat int
 }
 
 // Dial connects to a cbqtd server and performs the hello exchange.
@@ -107,11 +112,18 @@ func DialRetry(addr string, opts *SessionOptions, policy RetryPolicy) (*Client, 
 
 // DialWith connects with full client configuration.
 func DialWith(addr string, dop DialOptions) (*Client, error) {
+	return dial(addr, dop, PageFormatColumnar)
+}
+
+// dial is DialWith offering the server the given result-page format. The
+// client always offers the newest; tests offer PageFormatRows to stand in
+// for a peer from before the negotiation existed.
+func dial(addr string, dop DialOptions, offer int) (*Client, error) {
 	seed := dop.Retry.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	c := &Client{addr: addr, dop: dop, rng: rand.New(rand.NewSource(seed))}
+	c := &Client{addr: addr, dop: dop, rng: rand.New(rand.NewSource(seed)), offer: offer}
 	if err := c.connect(); err != nil {
 		return nil, err
 	}
@@ -129,15 +141,20 @@ func (c *Client) connect() error {
 	if err != nil {
 		return &Error{Code: CodeConnReset, Msg: fmt.Sprintf("dial %s: %v", c.addr, err), Err: err}
 	}
-	c.conn, c.r, c.w = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
+	c.conn, c.r = conn, bufio.NewReader(conn)
 	c.broken = false
+	c.pageFormat = PageFormatRows
 	conn.SetDeadline(time.Now().Add(hs))
-	_, err = c.roundTrip(&Request{Verb: VerbHello, Options: c.dop.Session})
+	rep, err := c.roundTrip(&Request{Verb: VerbHello, Options: c.dop.Session, PageFormat: c.offer})
 	conn.SetDeadline(time.Time{})
+	if err == nil && (rep.PageFormat < PageFormatRows || rep.PageFormat > c.offer) {
+		err = &Error{Code: CodeError, Msg: fmt.Sprintf("server chose page format %d, offered %d", rep.PageFormat, c.offer)}
+	}
 	if err != nil {
 		c.fail() // close the socket: no leaked fd on a failed handshake
 		return err
 	}
+	c.pageFormat = rep.PageFormat
 	return nil
 }
 
@@ -153,46 +170,70 @@ func (c *Client) fail() {
 // one-shot call will redial; everything else errors until Close).
 func (c *Client) Broken() bool { return c.broken }
 
+// reply is one response as the client's calls see it: the control fields
+// and the result page it carried, decoded from whichever encoding the
+// session negotiated.
+type reply struct {
+	Response
+	rows [][]datum.Datum
+}
+
 // roundTrip sends one request and reads its response, turning server-side
 // errors into typed *Error values. Transport failures are classified:
 // failures before any response byte arrived are CONN_RESET (retryable for
 // this protocol's read-only statements), mid-frame failures CONN_BROKEN,
 // deadline expiries DEADLINE. Any transport failure closes the connection.
-func (c *Client) roundTrip(req *Request) (*Response, error) {
+// A request that cannot be encoded never reached the transport: it fails
+// with a plain error and the connection stays usable.
+func (c *Client) roundTrip(req *Request) (*reply, error) {
 	if c.broken {
 		return nil, &Error{Code: CodeConnReset, Msg: "connection already broken"}
 	}
-	if err := WriteFrame(c.w, req); err != nil {
+	out, err := appendFrame(c.out[:0], req)
+	if err != nil {
+		return nil, err
+	}
+	c.out = out
+	if _, err := c.conn.Write(out); err != nil {
 		c.fail()
 		return nil, transportError(err, true)
 	}
-	if err := c.w.Flush(); err != nil {
+	var rep reply
+	if err := readFrame(c.r, &c.in, &rep.Response); err != nil {
 		c.fail()
-		return nil, transportError(err, true)
-	}
-	var resp Response
-	if err := ReadFrame(c.r, &resp); err != nil {
-		c.fail()
-		// ReadFrame wraps mid-frame failures ("short frame"); a bare
+		// readFrame wraps mid-frame failures ("short frame"); a bare
 		// error means the 4-byte header never arrived, i.e. the reset
 		// happened before the first response byte.
 		beforeResponse := !errors.Is(err, io.ErrUnexpectedEOF) && !isWrapped(err)
 		return nil, transportError(err, beforeResponse)
 	}
-	if !resp.OK {
-		code := resp.Code
+	if !rep.OK {
+		code := rep.Code
 		if code == "" {
 			code = CodeError
 		}
-		return &resp, &Error{Code: code, Msg: resp.Error}
+		return &rep, &Error{Code: code, Msg: rep.Error}
 	}
-	return &resp, nil
+	if c.pageFormat != PageFormatColumnar || rep.Page == 0 {
+		rep.rows, err = decodeRows(rep.Rows)
+		return &rep, err
+	}
+	// The frame announced a columnar page behind it. Failing to read it is
+	// a transport failure like any other mid-response; a page that arrived
+	// whole but does not decode leaves the stream in step.
+	page, err := readBody(c.r, &c.in, rep.Page, "page")
+	if err != nil {
+		c.fail()
+		return nil, transportError(err, false)
+	}
+	rep.rows, err = decodePage(page)
+	return &rep, err
 }
 
 // roundTripCtx is roundTrip under a context: a context deadline becomes
 // the connection deadline, so a blackholed or stalled server fails the
 // call with a typed DEADLINE error instead of hanging it.
-func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*reply, error) {
 	if c.broken {
 		return nil, &Error{Code: CodeConnReset, Msg: "connection already broken"}
 	}
@@ -329,9 +370,8 @@ func (s *Stmt) ExecuteContext(ctx context.Context, binds ...BindValue) error {
 			s.SQL = resp.SQL
 			s.Cached = resp.Cached
 			s.Affected = resp.Affected
-			s.page, err = decodeRows(resp.Rows)
-			s.done = resp.Done
-			return err
+			s.page, s.done = resp.rows, resp.Done
+			return nil
 		}
 		if attempt+1 >= s.c.attempts() || ErrorCode(err) != CodeOverloaded {
 			return err
@@ -359,8 +399,7 @@ func (s *Stmt) Fetch(maxRows int) ([][]datum.Datum, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	rows, err := decodeRows(resp.Rows)
-	return rows, resp.Done, err
+	return resp.rows, resp.Done, nil
 }
 
 // FetchAll drains the cursor.
@@ -437,20 +476,13 @@ func (c *Client) queryOnce(ctx context.Context, sql string, binds []BindValue) (
 	if err != nil {
 		return nil, err
 	}
-	all, err := decodeRows(resp.Rows)
-	if err != nil {
-		return nil, err
-	}
+	all := resp.rows
 	for done := resp.Done; !done; {
 		fresp, err := c.roundTripCtx(ctx, &Request{Verb: VerbFetch, Stmt: resp.Stmt})
 		if err != nil {
 			return nil, err
 		}
-		batch, err := decodeRows(fresp.Rows)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, batch...)
+		all = append(all, fresp.rows...)
 		done = fresp.Done
 	}
 	return all, nil

@@ -22,6 +22,7 @@ const (
 	MetricQueries        = "server.queries"
 	MetricFetches        = "server.fetches"
 	MetricRowsSent       = "server.rows_sent"
+	MetricBytesSent      = "server.bytes_sent" // every byte written to a session socket, frame headers included
 	MetricErrors         = "server.errors"
 )
 
@@ -102,6 +103,7 @@ type Server struct {
 	queries        *obsv.Counter
 	fetches        *obsv.Counter
 	rowsSent       *obsv.Counter
+	bytesSent      *obsv.Counter
 	errorsCtr      *obsv.Counter
 	deadlinesCtr   *obsv.Counter
 	idleReaped     *obsv.Counter
@@ -133,6 +135,7 @@ func New(cfg Config) *Server {
 		queries:        reg.Counter(MetricQueries),
 		fetches:        reg.Counter(MetricFetches),
 		rowsSent:       reg.Counter(MetricRowsSent),
+		bytesSent:      reg.Counter(MetricBytesSent),
 		errorsCtr:      reg.Counter(MetricErrors),
 		deadlinesCtr:   reg.Counter(MetricDeadlineExceeded),
 		idleReaped:     reg.Counter(MetricIdleReaped),

@@ -317,70 +317,74 @@ func TestAnalyzeInvalidatesCachedPlans(t *testing.T) {
 // TestGracefulDrain checks the shutdown contract: in-flight cursors can be
 // fetched to completion while new statements are refused.
 func TestGracefulDrain(t *testing.T) {
-	// The cursor must outgrow the page the execute reply carries, or the
-	// drain below would be served from the client's buffer and prove
-	// nothing about the server.
-	srv, addr, _ := startServer(t, Config{DB: testkit.NewDB(pagedSizes(), 1)})
-	cli, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, pf := range pageFormats {
+		t.Run(pf.name, func(t *testing.T) {
+			// The cursor must outgrow the page the execute reply carries, or the
+			// drain below would be served from the client's buffer and prove
+			// nothing about the server.
+			srv, addr, _ := startServer(t, Config{DB: testkit.NewDB(pagedSizes(), 1)})
+			cli, err := dial(addr, DialOptions{}, pf.format)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	stmt, err := cli.Prepare("SELECT e.EMP_ID FROM employees e WHERE e.SALARY > :s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stmt.Execute(Named("s", datum.NewFloat(0))); err != nil {
-		t.Fatal(err)
-	}
-	if stmt.RowCount < 2*DefaultFetchRows {
-		t.Fatalf("want a cursor of several pages, got %d rows", stmt.RowCount)
-	}
-	// Partially drain the cursor, then start shutdown.
-	if _, _, err := stmt.Fetch(1); err != nil {
-		t.Fatal(err)
-	}
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-	for !srv.Draining() {
-		time.Sleep(time.Millisecond)
-	}
+			stmt, err := cli.Prepare("SELECT e.EMP_ID FROM employees e WHERE e.SALARY > :s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stmt.Execute(Named("s", datum.NewFloat(0))); err != nil {
+				t.Fatal(err)
+			}
+			if stmt.RowCount < 2*DefaultFetchRows {
+				t.Fatalf("want a cursor of several pages, got %d rows", stmt.RowCount)
+			}
+			// Partially drain the cursor, then start shutdown.
+			if _, _, err := stmt.Fetch(1); err != nil {
+				t.Fatal(err)
+			}
+			shutdownDone := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				shutdownDone <- srv.Shutdown(ctx)
+			}()
+			for !srv.Draining() {
+				time.Sleep(time.Millisecond)
+			}
 
-	// New work is refused...
-	if _, err := cli.Prepare("SELECT 1 FROM employees e"); err == nil || !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("prepare during drain: err = %v, want draining", err)
-	}
-	// ...but the open cursor drains to completion.
-	var got int
-	for {
-		batch, done, err := stmt.Fetch(50)
-		if err != nil {
-			t.Fatalf("fetch during drain: %v", err)
-		}
-		got += len(batch)
-		if done {
-			break
-		}
-	}
-	if got != stmt.RowCount-1 {
-		t.Fatalf("drained %d rows during shutdown, want %d", got, stmt.RowCount-1)
-	}
-	if _, sess, err := cli.Metrics(); err != nil || sess.Fetches == 0 {
-		t.Fatalf("drain never reached the server: session stats %+v, err %v", sess, err)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("graceful shutdown returned %v", err)
-	}
-	// New connections are refused after drain.
-	if _, err := Dial(addr, nil); err == nil {
-		t.Fatal("dial after shutdown should fail")
+			// New work is refused...
+			if _, err := cli.Prepare("SELECT 1 FROM employees e"); err == nil || !strings.Contains(err.Error(), "draining") {
+				t.Fatalf("prepare during drain: err = %v, want draining", err)
+			}
+			// ...but the open cursor drains to completion.
+			var got int
+			for {
+				batch, done, err := stmt.Fetch(50)
+				if err != nil {
+					t.Fatalf("fetch during drain: %v", err)
+				}
+				got += len(batch)
+				if done {
+					break
+				}
+			}
+			if got != stmt.RowCount-1 {
+				t.Fatalf("drained %d rows during shutdown, want %d", got, stmt.RowCount-1)
+			}
+			if _, sess, err := cli.Metrics(); err != nil || sess.Fetches == 0 {
+				t.Fatalf("drain never reached the server: session stats %+v, err %v", sess, err)
+			}
+			if err := cli.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-shutdownDone; err != nil {
+				t.Fatalf("graceful shutdown returned %v", err)
+			}
+			// New connections are refused after drain.
+			if _, err := Dial(addr, nil); err == nil {
+				t.Fatal("dial after shutdown should fail")
+			}
+		})
 	}
 }
 

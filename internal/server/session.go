@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -42,7 +43,8 @@ type stmt struct {
 	binds  []datum.Datum
 	bound  []bool
 	// cursor is the materialized result of the last execute (the
-	// executor's rows, not a copy); execute's first page and fetch page it.
+	// executor's rows, not a copy); execute's first page and fetch page it,
+	// and the page that ends it drops it.
 	cursor []exec.Row
 	pos    int
 	open   bool
@@ -59,7 +61,12 @@ type session struct {
 	id   int64
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	// in is readLoop's frame buffer. out is the response being written and
+	// page the columnar page nextPage encoded for it; all three are reused
+	// from one request to the next.
+	in, out, page []byte
+	// pageFormat is what hello negotiated (PageFormatRows until then).
+	pageFormat int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -89,7 +96,6 @@ func newSession(s *Server, id int64, conn net.Conn) *session {
 		id:       id,
 		conn:     conn,
 		r:        bufio.NewReader(conn),
-		w:        bufio.NewWriter(conn),
 		ctx:      ctx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
@@ -173,7 +179,7 @@ func (ss *session) run() {
 func (ss *session) readLoop(frames chan<- frameMsg) {
 	for {
 		var req Request
-		if err := ReadFrame(ss.r, &req); err != nil {
+		if err := readFrame(ss.r, &ss.in, &req); err != nil {
 			ss.cancel()
 			select {
 			case frames <- frameMsg{err: err}:
@@ -189,21 +195,32 @@ func (ss *session) readLoop(frames chan<- frameMsg) {
 	}
 }
 
-// writeResponse sends one frame under the server's write deadline, so a
+// writeResponse sends one frame — and, behind it in the same write, the
+// columnar page it announces — under the server's write deadline, so a
 // peer that stops reading severs its own session instead of blocking the
 // writer (and a graceful drain behind it) forever.
 func (ss *session) writeResponse(resp *Response) error {
+	out, err := appendFrame(ss.out[:0], resp)
+	if err != nil {
+		return err
+	}
+	if resp.Page > 0 {
+		out = append(out, ss.page...)
+	}
 	if d := ss.srv.writeTimeout; d > 0 {
 		ss.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := WriteFrame(ss.w, resp); err != nil {
-		return err
-	}
-	if err := ss.w.Flush(); err != nil {
+	n, err := ss.conn.Write(out)
+	ss.srv.bytesSent.Add(int64(n))
+	if err != nil {
 		return err
 	}
 	if ss.srv.writeTimeout > 0 {
 		ss.conn.SetWriteDeadline(time.Time{})
+	}
+	ss.out = out
+	if cap(ss.out) > maxKeptBuffer {
+		ss.out, ss.page = nil, nil
 	}
 	return nil
 }
@@ -267,7 +284,8 @@ func (ss *session) hello(req *Request) (*Response, error) {
 	}
 	ss.opts = opts
 	ss.strategy = fp
-	return &Response{Stmt: ss.id}, nil
+	ss.pageFormat = max(PageFormatRows, min(req.PageFormat, PageFormatColumnar))
+	return &Response{Stmt: ss.id, PageFormat: ss.pageFormat}, nil
 }
 
 func (ss *session) prepare(req *Request) (*Response, error) {
@@ -463,26 +481,50 @@ func (ss *session) execute(req *Request) (*Response, error) {
 		// The peer asked for the first page on this reply: a result that
 		// fits it is complete in one round trip. A peer that did not ask
 		// gets exactly the frame it always got.
-		resp.Rows, resp.Done = ss.nextPage(st, req.MaxRows)
+		if err := ss.nextPage(st, req.MaxRows, resp); err != nil {
+			return nil, err
+		}
 	}
 	return resp, nil
 }
 
-// nextPage encodes up to n rows from the statement's cursor, advances it
-// and counts the rows as sent; done reports cursor exhaustion.
-func (ss *session) nextPage(st *stmt, n int) (page [][]WireDatum, done bool) {
-	end := st.pos + n
-	if end > len(st.cursor) {
-		end = len(st.cursor)
+// nextPage puts up to n rows from the statement's cursor on resp, in the
+// session's negotiated page format, advances the cursor and counts the rows
+// as sent. The page that exhausts the cursor sets Done and releases the
+// executor's rows; a later fetch answers empty and Done. On error nothing
+// has moved.
+func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
+	rows := st.cursor[st.pos:]
+	if n < len(rows) {
+		rows = rows[:n]
 	}
-	page = make([][]WireDatum, 0, end-st.pos)
-	for _, row := range st.cursor[st.pos:end] {
-		page = append(page, EncodeRow(row))
+	if ss.pageFormat == PageFormatColumnar {
+		var err error
+		if ss.page, err = appendPage(ss.page[:0], rows); err != nil {
+			return err
+		}
+		resp.Page = len(ss.page)
+	} else {
+		resp.Rows = make([][]WireDatum, 0, len(rows))
+		for _, row := range rows {
+			for _, d := range row {
+				if d.Kind() == datum.KFloat && (math.IsNaN(d.Float()) || math.IsInf(d.Float(), 0)) {
+					// Left to json.Marshal this would fail the frame and
+					// with it the connection, which a client takes for a
+					// retryable reset.
+					return fmt.Errorf("server: result holds the float %v, which the JSON row encoding cannot carry", d.Float())
+				}
+			}
+			resp.Rows = append(resp.Rows, EncodeRow(row))
+		}
 	}
-	st.pos = end
-	ss.rowsSent.Add(int64(len(page)))
-	ss.srv.rowsSent.Add(int64(len(page)))
-	return page, st.pos >= len(st.cursor)
+	st.pos += len(rows)
+	ss.rowsSent.Add(int64(len(rows)))
+	ss.srv.rowsSent.Add(int64(len(rows)))
+	if resp.Done = st.pos >= len(st.cursor); resp.Done {
+		st.cursor, st.pos = nil, 0
+	}
+	return nil
 }
 
 // plan resolves the statement's physical plan through the shared cache
@@ -599,10 +641,13 @@ func (ss *session) fetch(req *Request) (*Response, error) {
 	if n <= 0 {
 		n = DefaultFetchRows
 	}
-	batch, done := ss.nextPage(st, n)
+	resp := &Response{Stmt: st.id}
+	if err := ss.nextPage(st, n, resp); err != nil {
+		return nil, err
+	}
 	ss.fetches.Add(1)
 	ss.srv.fetches.Inc()
-	return &Response{Stmt: st.id, Rows: batch, Done: done}, nil
+	return resp, nil
 }
 
 func (ss *session) closeStmt(req *Request) (*Response, error) {

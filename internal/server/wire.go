@@ -17,10 +17,23 @@ import (
 	"repro/internal/datum"
 )
 
-// MaxFrameBytes bounds a single wire frame (requests and responses); a
-// peer announcing a larger frame is malformed and the connection is
-// dropped.
+// MaxFrameBytes bounds a single wire frame (requests and responses) and a
+// single result page; a peer announcing a larger one is malformed and the
+// connection is dropped.
 const MaxFrameBytes = 64 << 20
+
+// Result-page formats, negotiated in hello: the client offers the newest
+// format it decodes in Request.PageFormat and the server answers with the
+// one the session will use, never newer than the offer. A peer that offers
+// nothing (the zero value) is sent PageFormatRows, which is every frame the
+// protocol sent before there was anything to negotiate.
+const (
+	// PageFormatRows carries a page as JSON in Response.Rows.
+	PageFormatRows = 0
+	// PageFormatColumnar carries a page as Response.Page bytes of the
+	// columnar encoding (page.go) directly behind the response frame.
+	PageFormatColumnar = 1
+)
 
 // Wire verbs. One request frame carries one verb; the server answers every
 // request with exactly one response frame.
@@ -63,6 +76,9 @@ type Request struct {
 	// (aborting the run), so a query that can no longer make its deadline
 	// stops burning optimizer states and returns a typed DEADLINE error.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// PageFormat offers a result-page format (hello only; see the
+	// PageFormat constants).
+	PageFormat int `json:"page_format,omitempty"`
 }
 
 // SessionOptions selects the optimizer configuration for one session.
@@ -113,6 +129,12 @@ type Response struct {
 	// cursor's first page; Done marks cursor exhaustion.
 	Rows [][]WireDatum `json:"rows,omitempty"`
 	Done bool          `json:"done,omitempty"`
+	// Page, on a session that negotiated PageFormatColumnar, replaces Rows:
+	// it is the byte length of the page that follows this frame on the
+	// stream, outside the frame's own length.
+	Page int `json:"page,omitempty"`
+	// PageFormat is the session's result-page format (hello reply).
+	PageFormat int `json:"page_format,omitempty"`
 	// Metrics is the registry snapshot (metrics verb).
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// Session carries the per-session counters (metrics verb).
@@ -187,15 +209,36 @@ func EncodeRow(row []datum.Datum) []WireDatum {
 	return out
 }
 
+// marshalFrame encodes msg as one frame's payload.
+func marshalFrame(msg any) ([]byte, error) {
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode frame: %w", err)
+	}
+	if len(payload) > MaxFrameBytes {
+		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
+	}
+	return payload, nil
+}
+
+// appendFrame appends msg as one frame — a 4-byte big-endian payload length
+// followed by the JSON payload — to a buffer the connection keeps between
+// frames. dst is returned unchanged on error.
+func appendFrame(dst []byte, msg any) ([]byte, error) {
+	payload, err := marshalFrame(msg)
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
+}
+
 // WriteFrame sends one length-prefixed JSON message: a 4-byte big-endian
 // payload length followed by the payload.
 func WriteFrame(w io.Writer, msg any) error {
-	payload, err := json.Marshal(msg)
+	payload, err := marshalFrame(msg)
 	if err != nil {
-		return fmt.Errorf("server: encode frame: %w", err)
-	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
+		return err
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -208,20 +251,63 @@ func WriteFrame(w io.Writer, msg any) error {
 
 // ReadFrame receives one length-prefixed JSON message into msg.
 func ReadFrame(r io.Reader, msg any) error {
+	var buf []byte
+	return readFrame(r, &buf, msg)
+}
+
+// readFrame is ReadFrame through a buffer the connection keeps between
+// frames.
+func readFrame(r io.Reader, buf *[]byte, msg any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err // io.EOF on clean close
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return fmt.Errorf("server: peer announced %d-byte frame, limit %d", n, MaxFrameBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("server: short frame: %w", err)
+	payload, err := readBody(r, buf, int(binary.BigEndian.Uint32(hdr[:])), "frame")
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(payload, msg); err != nil {
 		return fmt.Errorf("server: decode frame: %w", err)
 	}
 	return nil
+}
+
+const (
+	// readChunk is the first read of a body into an empty buffer; each
+	// later read may be as large as everything that has arrived so far.
+	readChunk = 4 << 10
+	// maxKeptBuffer is the largest per-connection buffer kept for the next
+	// frame; one oversized frame or page does not pin its size for the
+	// life of the connection.
+	maxKeptBuffer = 1 << 20
+)
+
+// readBody reads the n bytes a peer announced (a frame payload or a result
+// page) into *buf and returns them; they are valid until the next read
+// through the same buffer. The buffer grows only as bytes arrive — an
+// announcement alone allocates nothing — and at most doubles per read, so a
+// peer holds at most about twice what it has actually sent.
+func readBody(r io.Reader, buf *[]byte, n int, what string) ([]byte, error) {
+	if n < 0 || n > MaxFrameBytes {
+		return nil, fmt.Errorf("server: peer announced %d-byte %s, limit %d", n, what, MaxFrameBytes)
+	}
+	b := (*buf)[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			grown := make([]byte, len(b), min(n, max(readChunk, 2*cap(b))))
+			copy(grown, b)
+			b = grown
+		}
+		m, err := io.ReadFull(r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, fmt.Errorf("server: short %s: %w", what, err)
+		}
+	}
+	if cap(b) <= maxKeptBuffer {
+		*buf = b
+	} else {
+		*buf = nil
+	}
+	return b, nil
 }
