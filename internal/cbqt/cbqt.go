@@ -126,8 +126,8 @@ type Options struct {
 	Rules []transform.Rule
 	// Seed drives the iterative strategy's pseudo-random walk.
 	Seed int64
-	// Trace records every state evaluated (rule, state vector, cost) in
-	// Stats.Trace, and the structured search-event stream in Stats.Events;
+	// Trace records the structured search-event stream in Stats.Events —
+	// every state evaluated with its rule, state vector, outcome and cost;
 	// used by the CLI's -trace flag, golden-trace tests and examples.
 	Trace bool
 	// Metrics, when non-nil, receives the optimization's work counters
@@ -202,8 +202,6 @@ type Stats struct {
 	// OptimizeTime is the total time spent in the driver and physical
 	// optimizer.
 	OptimizeTime time.Duration
-	// Trace lists every state evaluated when Options.Trace is set.
-	Trace []StateEval
 	// Events is the structured search-event stream recorded when
 	// Options.Trace is set: rule headers, every state evaluation with its
 	// outcome, winners, quarantines and degradations, in state enumeration
@@ -237,15 +235,6 @@ type Stats struct {
 	// over per-state planners.
 	CacheHits   int64
 	CacheMisses int64
-}
-
-// StateEval is one costed transformation state: the paper's (0,1,...)
-// notation rendered as a digit string, with its estimated cost (infinite
-// when the state was abandoned by the cost cut-off).
-type StateEval struct {
-	Rule  string
-	State string
-	Cost  float64
 }
 
 // Optimizer is the CBQT-enabled query optimizer.
@@ -580,27 +569,18 @@ func (o *Optimizer) applyHeuristics(q *qtree.Query) error {
 	if err := o.Opts.Faults.Fire("heuristics"); err != nil {
 		return err
 	}
+	rules := transform.Heuristics()
 	if o.Opts.DisableMergeUnnest {
 		// Run the heuristic set minus merge unnesting.
-		for pass := 0; pass < 10; pass++ {
-			changed := false
-			for _, r := range transform.Heuristics() {
-				if _, isUnnest := r.(*transform.UnnestMerge); isUnnest {
-					continue
-				}
-				ch, err := r.Apply(q)
-				if err != nil {
-					return err
-				}
-				changed = changed || ch
-			}
-			if !changed {
-				return nil
+		kept := rules[:0]
+		for _, r := range rules {
+			if _, isUnnest := r.(*transform.UnnestMerge); !isUnnest {
+				kept = append(kept, r)
 			}
 		}
-		return nil
+		rules = kept
 	}
-	return transform.ApplyHeuristics(q)
+	return transform.ApplyHeuristicRules(q, rules)
 }
 
 func (o *Optimizer) mode(r transform.Rule) RuleMode {

@@ -189,7 +189,6 @@ func mergeBatch(results []stateEvalResult, stats *Stats) (bestIdx int, bestCost 
 		stats.MemoSharedBlocks += res.stats.MemoSharedBlocks
 		stats.MemoMaterializedBlocks += res.stats.MemoMaterializedBlocks
 		stats.MemoStateBytes += res.stats.MemoStateBytes
-		stats.Trace = append(stats.Trace, res.stats.Trace...)
 		stats.Events = append(stats.Events, res.stats.Events...)
 		stats.TransformErrors = append(stats.TransformErrors, res.stats.TransformErrors...)
 		if res.err != nil {

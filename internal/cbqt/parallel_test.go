@@ -3,6 +3,7 @@ package cbqt
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,13 +164,18 @@ func TestParallelTraceCoversAllStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"00", "10", "01", "11"}
-	if len(res.Stats.Trace) != len(want) {
-		t.Fatalf("trace has %d entries, want %d: %+v", len(res.Stats.Trace), len(want), res.Stats.Trace)
-	}
-	for i, ev := range res.Stats.Trace {
-		if ev.State != want[i] {
-			t.Errorf("trace[%d].State = %s, want %s (merge must follow enumeration order)", i, ev.State, want[i])
+	var got []string
+	for _, ev := range res.Stats.Events {
+		if ev.Ev != obsv.EvState {
+			continue
 		}
+		if ev.Outcome != obsv.OutcomeCosted {
+			t.Errorf("state %s: outcome %q, want %q", ev.State, ev.Outcome, obsv.OutcomeCosted)
+		}
+		got = append(got, ev.State)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("state events %v, want %v (merge must follow enumeration order)", got, want)
 	}
 }
 

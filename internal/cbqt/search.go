@@ -140,9 +140,6 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	if perr != nil {
 		if errors.Is(perr, optimizer.ErrCutoff) {
 			// §3.4.1: the state exceeded the best cost; abandon it.
-			if o.Opts.Trace {
-				stats.Trace = append(stats.Trace, StateEval{Rule: r.Name(), State: stateKey(s), Cost: math.Inf(1)})
-			}
 			stateEvent(obsv.OutcomeCut, "", 0, p.Counters.BlocksOptimized, p.Counters.CacheHits)
 			return math.Inf(1), nil
 		}
@@ -158,9 +155,6 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 			stateEvent(obsv.OutcomeFault, checkEventReason, 0, 0, 0)
 			return 0, o.checkFault(r.Name(), stateKey(s), stats, vs)
 		}
-	}
-	if o.Opts.Trace {
-		stats.Trace = append(stats.Trace, StateEval{Rule: r.Name(), State: stateKey(s), Cost: plan.Cost.Total})
 	}
 	stateEvent(obsv.OutcomeCosted, "", plan.Cost.Total, p.Counters.BlocksOptimized, p.Counters.CacheHits)
 	return plan.Cost.Total, nil

@@ -101,10 +101,6 @@ var contracts = map[string]Contract{
 	"join factorization":         {MayRemoveTables: true},
 }
 
-// RegisterContract installs (or replaces) the contract for a rule name.
-// Built-in rules are pre-registered; tests and future rules use this.
-func RegisterContract(rule string, ct Contract) { contracts[rule] = ct }
-
 // CheckContract compares the post-transformation state of q against the
 // pre-state summary under the named rule's contract, returning one
 // ClassContract violation per broken invariant.

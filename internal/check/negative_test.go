@@ -350,7 +350,7 @@ func TestNegativePlan(t *testing.T) {
 		}
 		walk(p.Root)
 		if !broke {
-			t.Skip("no hash/merge join in this plan shape")
+			t.Skip("no hash join in this plan shape")
 		}
 		wantClass(t, Plan(p), ClassPlan)
 	})

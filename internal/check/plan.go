@@ -9,7 +9,7 @@ import (
 )
 
 // Plan statically verifies a physical plan: every operator has its inputs,
-// hash/merge join keys agree in arity, set-operation inputs agree in
+// hash join keys agree in arity, set-operation inputs agree in
 // arity, every subquery expression left in the tree has a compiled
 // subplan, every column an expression references is produced by the
 // operator's inputs (or supplied by correlation), and cost estimates are

@@ -110,30 +110,14 @@ func (d Datum) Bool() bool {
 	return d.i != 0
 }
 
-// AsInt returns the integer value, or an error naming the actual kind.
-// The error-returning twin of Int for values whose kind the caller cannot
-// prove statically (anything computed from user SQL).
-func (d Datum) AsInt() (int64, error) {
-	if d.kind != KInt {
-		return 0, fmt.Errorf("datum: want INT, have %s", d.kind)
-	}
-	return d.i, nil
-}
-
 // AsStr returns the string value, or an error naming the actual kind.
+// The error-returning twin of Str for values whose kind the caller cannot
+// prove statically (anything computed from user SQL).
 func (d Datum) AsStr() (string, error) {
 	if d.kind != KString {
 		return "", fmt.Errorf("datum: want STRING, have %s", d.kind)
 	}
 	return d.s, nil
-}
-
-// AsBool returns the boolean value, or an error naming the actual kind.
-func (d Datum) AsBool() (bool, error) {
-	if d.kind != KBool {
-		return false, fmt.Errorf("datum: want BOOL, have %s", d.kind)
-	}
-	return d.i != 0, nil
 }
 
 // String renders the datum as it would appear in SQL text.

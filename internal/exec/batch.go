@@ -194,8 +194,8 @@ func (it *RowIter) Close() error { return it.src.Close() }
 
 // rowSourceIter adapts a row-at-a-time subtree to the batch contract by
 // buffering up to one batch capacity of rows per NextBatch. It carries
-// operators that have not been vectorized (nested-loops and merge joins,
-// window functions, set operations) through a batch plan.
+// operators that have not been vectorized (nested-loops joins, window
+// functions, set operations) through a batch plan.
 type rowSourceIter struct {
 	e     *env
 	child iterator

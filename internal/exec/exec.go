@@ -2,7 +2,7 @@
 // interprets physical plans from package optimizer against the in-memory
 // storage engine: sequential and index scans, filters with correlated
 // subquery evaluation under tuple iteration semantics with result caching
-// (§2.1.1), nested-loops / hash / sort-merge joins with inner, semi, anti,
+// (§2.1.1), nested-loops and hash joins with inner, semi, anti,
 // null-aware anti and left outer variants (semijoin and antijoin have the
 // stop-at-first-match property and cache results for duplicate left keys,
 // as the paper describes), hash aggregation with grouping sets, distinct,
@@ -348,14 +348,10 @@ func buildNode(e *env, n optimizer.PlanNode) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch v.Method {
-		case optimizer.MethodHash:
+		if v.Method == optimizer.MethodHash {
 			return newHashJoin(e, v, l, r), nil
-		case optimizer.MethodMerge:
-			return newMergeJoin(e, v, l, r), nil
-		default:
-			return newNLJoin(e, v, l, r), nil
 		}
+		return newNLJoin(e, v, l, r), nil
 	case *optimizer.Agg:
 		child, err := build(e, v.Child)
 		if err != nil {
@@ -418,9 +414,9 @@ func buildBatch(e *env, n optimizer.PlanNode) (batchIterator, error) {
 
 // buildBatchNode dispatches a plan node to its vectorized operator, or to a
 // row operator bridged with the RowIter / rowSourceIter adapter pair. The
-// bridged operators (nested-loops and merge joins, window functions, set
-// operations) still consume vectorized subtrees through RowIter, so only
-// the operator itself runs row-at-a-time.
+// bridged operators (nested-loops joins, window functions, set operations)
+// still consume vectorized subtrees through RowIter, so only the operator
+// itself runs row-at-a-time.
 func buildBatchNode(e *env, n optimizer.PlanNode) (batchIterator, error) {
 	switch v := n.(type) {
 	case *optimizer.SeqScan:
@@ -462,7 +458,7 @@ func buildBatchNode(e *env, n optimizer.PlanNode) (batchIterator, error) {
 			}
 			return newBatchNLJoin(e, v, l)
 		}
-		// Remaining nested-loops and merge joins run their whole subtree
+		// Remaining nested-loops joins run their whole subtree
 		// row-at-a-time: filling batches just to unpack them again
 		// row-wise under the join would double the copy work (measured as
 		// a net slowdown). The row build instruments the subtree itself,

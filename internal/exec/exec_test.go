@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -457,18 +456,4 @@ func TestRowidsAreDistinct(t *testing.T) {
 	if len(got) != 6 {
 		t.Errorf("rowids = %v", got)
 	}
-}
-
-func TestMergeJoinAgreesWithHash(t *testing.T) {
-	// Force specific join methods by constructing plans via the optimizer
-	// and checking against each other on a join query.
-	db := tinyDB(t)
-	want := runSQL(t, db, `
-SELECT e.name, d.name FROM emp e, dept d WHERE e.dept_id = d.dept_id`)
-	if len(want) != 5 {
-		t.Fatalf("join rows = %d", len(want))
-	}
-	// All method variants should return the same multiset; exercised more
-	// thoroughly by the transformation equivalence tests.
-	_ = fmt.Sprintf
 }

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
@@ -663,177 +661,4 @@ func (it *hashJoinIter) memBytes() int64 {
 		b += 48 + int64(len(k)) + 8*int64(len(bucket))
 	}
 	return b
-}
-
-// mergeJoinIter sorts both inputs by the equi keys and merges (inner join).
-type mergeJoinIter struct {
-	e    *env
-	n    *optimizer.Join
-	l, r iterator
-
-	outer   *Ctx
-	combCtx *Ctx
-
-	lRows, rRows []Row
-	lKeys, rKeys []Row
-	li, ri       int
-	groupL       []int // current matching left rows
-	groupR       []int
-	gi, gj       int
-	inGroup      bool
-}
-
-func newMergeJoin(e *env, n *optimizer.Join, l, r iterator) *mergeJoinIter {
-	return &mergeJoinIter{e: e, n: n, l: l, r: r}
-}
-
-func (it *mergeJoinIter) Open(outer *Ctx) error {
-	it.outer = outer
-	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
-	comb = append(comb, it.n.R.Columns()...)
-	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
-	var err error
-	it.lRows, it.lKeys, err = it.drainSorted(it.l, it.n.L.Columns(), it.n.EqL, outer)
-	if err != nil {
-		return err
-	}
-	it.rRows, it.rKeys, err = it.drainSorted(it.r, it.n.R.Columns(), it.n.EqR, outer)
-	if err != nil {
-		return err
-	}
-	it.li, it.ri = 0, 0
-	it.inGroup = false
-	return nil
-}
-
-func (it *mergeJoinIter) drainSorted(src iterator, cols []optimizer.ColID, keys []qtree.Expr, outer *Ctx) ([]Row, []Row, error) {
-	if err := src.Open(outer); err != nil {
-		return nil, nil, err
-	}
-	ctx := &Ctx{parent: outer, cols: colMap(cols)}
-	var rows []Row
-	var keyVals []Row
-	for {
-		r, err := src.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if r == nil {
-			break
-		}
-		ctx.row = r
-		kv := make(Row, len(keys))
-		null := false
-		for i, k := range keys {
-			d, err := it.e.evalExpr(k, ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			if d.IsNull() {
-				null = true
-			}
-			kv[i] = d
-		}
-		if null {
-			continue // null keys never join
-		}
-		rows = append(rows, r)
-		keyVals = append(keyVals, kv)
-	}
-	// Sort rows by keys.
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	lessKey := func(a, b Row) int {
-		for i := range a {
-			c := nullsFirstCompare(a[i], b[i])
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return lessKey(keyVals[idx[a]], keyVals[idx[b]]) < 0 })
-	outRows := make([]Row, len(rows))
-	outKeys := make([]Row, len(rows))
-	for i, j := range idx {
-		outRows[i] = rows[j]
-		outKeys[i] = keyVals[j]
-	}
-	return outRows, outKeys, nil
-}
-
-func (it *mergeJoinIter) Next() (Row, error) {
-	for {
-		if it.inGroup {
-			for it.gi < len(it.groupL) {
-				for it.gj < len(it.groupR) {
-					lr := it.lRows[it.groupL[it.gi]]
-					rr := it.rRows[it.groupR[it.gj]]
-					it.gj++
-					comb := make(Row, 0, len(lr)+len(rr))
-					comb = append(comb, lr...)
-					comb = append(comb, rr...)
-					it.combCtx.row = comb
-					ok, err := it.e.evalPreds(it.n.On, it.combCtx)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						return comb, nil
-					}
-				}
-				it.gj = 0
-				it.gi++
-			}
-			it.inGroup = false
-		}
-		if it.li >= len(it.lRows) || it.ri >= len(it.rRows) {
-			return nil, nil
-		}
-		c := compareKeyRows(it.lKeys[it.li], it.rKeys[it.ri])
-		switch {
-		case c < 0:
-			it.li++
-		case c > 0:
-			it.ri++
-		default:
-			// Collect equal-key groups on both sides.
-			it.groupL = it.groupL[:0]
-			it.groupR = it.groupR[:0]
-			key := it.lKeys[it.li]
-			for it.li < len(it.lRows) && compareKeyRows(it.lKeys[it.li], key) == 0 {
-				it.groupL = append(it.groupL, it.li)
-				it.li++
-			}
-			for it.ri < len(it.rRows) && compareKeyRows(it.rKeys[it.ri], key) == 0 {
-				it.groupR = append(it.groupR, it.ri)
-				it.ri++
-			}
-			it.gi, it.gj = 0, 0
-			it.inGroup = true
-		}
-	}
-}
-
-func compareKeyRows(a, b Row) int {
-	for i := range a {
-		c := nullsFirstCompare(a[i], b[i])
-		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func (it *mergeJoinIter) Close() error {
-	it.l.Close()
-	return it.r.Close()
-}
-
-// memBytes approximates both sorted sides with their key columns.
-func (it *mergeJoinIter) memBytes() int64 {
-	return rowsBytes(it.lRows) + rowsBytes(it.rRows) +
-		rowsBytes(it.lKeys) + rowsBytes(it.rKeys)
 }

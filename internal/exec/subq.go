@@ -300,19 +300,6 @@ func (e *env) evalUncorrelated(s *qtree.Subq, rt *subqRuntime, ctx *Ctx, left Ro
 		return datum.Null, err
 	}
 	switch s.Kind {
-	case qtree.SubqExists:
-		return datum.NewBool(len(rows) > 0), nil
-	case qtree.SubqNotExists:
-		return datum.NewBool(len(rows) == 0), nil
-	case qtree.SubqScalar:
-		if len(rows) == 0 {
-			return datum.Null, nil
-		}
-		if len(rows) > 1 {
-			return datum.Null, fmt.Errorf("exec: scalar subquery returned more than one row")
-		}
-		return rows[0][0], nil
-
 	case qtree.SubqIn, qtree.SubqNotIn:
 		rt.buildInSet()
 		res := e.probeIn(rt, left, rows)
@@ -320,7 +307,6 @@ func (e *env) evalUncorrelated(s *qtree.Subq, rt *subqRuntime, ctx *Ctx, left Ro
 			res = res.Not()
 		}
 		return res.Datum(), nil
-
 	case qtree.SubqAnyCmp, qtree.SubqAllCmp:
 		if len(left) == 1 {
 			rt.buildColStats()
@@ -328,7 +314,6 @@ func (e *env) evalUncorrelated(s *qtree.Subq, rt *subqRuntime, ctx *Ctx, left Ro
 				return quantFromStats(s, rt, left[0]).Datum(), nil
 			}
 		}
-		return combineSubqRows(s, left, rows)
 	}
 	return combineSubqRows(s, left, rows)
 }
@@ -345,13 +330,7 @@ func (e *env) probeIn(rt *subqRuntime, left Row, rows []Row) datum.TriBool {
 	if !leftNull && rt.inSet[rowKey(left)] {
 		return datum.True
 	}
-	if !leftNull && !rt.inAnyNull {
-		if len(rows) == 0 {
-			return datum.False
-		}
-		return datum.False
-	}
-	if len(rows) == 0 {
+	if (!leftNull && !rt.inAnyNull) || len(rows) == 0 {
 		return datum.False
 	}
 	if len(left) == 1 {

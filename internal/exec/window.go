@@ -195,6 +195,17 @@ func (it *windowIter) computeFunc(f *qtree.WinFunc, rows []Row, ctx *Ctx) ([]dat
 	return vals, nil
 }
 
+// compareKeyRows orders two order-key rows column by column, nulls first.
+func compareKeyRows(a, b Row) int {
+	for i := range a {
+		c := nullsFirstCompare(a[i], b[i])
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 func winToAgg(op qtree.WinOp) qtree.AggOp {
 	switch op {
 	case qtree.WinCount:

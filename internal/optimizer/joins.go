@@ -111,6 +111,10 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 					}
 					in.preds = append(in.preds, c)
 				} else {
+					// The join evaluates its condition's subqueries itself.
+					if err := p.compileExprSubplans(q, c, jb.es, plan); err != nil {
+						return nil, err
+					}
 					in.cond = append(in.cond, c)
 				}
 			}
@@ -325,30 +329,6 @@ func (jb *joinBuilder) joinTo(left *dpEntry, j int) (PlanNode, error) {
 			Rows: outRows,
 		}
 		candidates = append(candidates, hj)
-
-		// Sort-merge join (inner only in this engine; null-safe keys need
-		// hash semantics).
-		anyNullSafe := false
-		for _, ep := range equis {
-			anyNullSafe = anyNullSafe || ep.nullSafe
-		}
-		if kind == qtree.JoinInner && !anyNullSafe {
-			mj := &Join{Method: MethodMerge, Kind: kind, L: left.node, R: in.self, On: residual}
-			for _, ep := range equis {
-				mj.EqL = append(mj.EqL, ep.left)
-				mj.EqR = append(mj.EqR, ep.right)
-			}
-			mj.cols = outCols
-			sortL := sortFactor * math.Max(leftRows, 2) * math.Log2(math.Max(leftRows, 2))
-			sortR := sortFactor * math.Max(rightRows, 2) * math.Log2(math.Max(rightRows, 2))
-			mj.cost = Cost{
-				Total: left.node.Cost().Total + in.self.Cost().Total +
-					sortL + sortR + (leftRows+rightRows)*mergeRowCost +
-					outRows*predsEvalCost(residual),
-				Rows: outRows,
-			}
-			candidates = append(candidates, mj)
-		}
 	}
 
 	// Nested loops with an index probe on the right (base tables). A full

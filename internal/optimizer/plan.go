@@ -3,7 +3,7 @@
 // (full scan, index equality and range scans), System-R style dynamic
 // programming join enumeration with partial-order constraints for
 // semijoin/antijoin/outer-join/lateral views, join method selection
-// (nested loops, hash, sort-merge, each with semi/anti/outer variants), and
+// (nested loops and hash, each with semi/anti/outer variants), and
 // costing of aggregation, sorting, distinct, set operations and correlated
 // subquery evaluation under tuple iteration semantics with caching.
 //
@@ -106,17 +106,16 @@ type JoinMethod uint8
 const (
 	MethodNL JoinMethod = iota
 	MethodHash
-	MethodMerge
 )
 
-var joinMethodNames = [...]string{MethodNL: "NestedLoops", MethodHash: "Hash", MethodMerge: "Merge"}
+var joinMethodNames = [...]string{MethodNL: "NestedLoops", MethodHash: "Hash"}
 
 func (m JoinMethod) String() string { return joinMethodNames[m] }
 
 // Join combines two inputs. Kind follows qtree join kinds (inner, semi,
 // anti, null-aware anti, left outer). For MethodNL the right child is
 // re-evaluated per left row and may be an IndexScan probing left columns or
-// a lateral view subplan; for hash/merge, EqL/EqR are the equi-key
+// a lateral view subplan; for hash, EqL/EqR are the equi-key
 // expressions over the left/right columns.
 type Join struct {
 	base
@@ -124,7 +123,7 @@ type Join struct {
 	Kind   qtree.JoinKind
 	L, R   PlanNode
 
-	EqL, EqR []qtree.Expr // hash/merge keys (len equal)
+	EqL, EqR []qtree.Expr // hash keys (len equal)
 	// NullSafeEq marks per-key null-safe equality (nulls match), produced
 	// by the set-operator-into-join transformation.
 	NullSafeEq []bool
@@ -135,7 +134,7 @@ type Join struct {
 	RLateral bool
 }
 
-// NullSafe reports whether hash/merge key i uses null-safe equality.
+// NullSafe reports whether hash key i uses null-safe equality.
 func (n *Join) NullSafe(i int) bool {
 	return i < len(n.NullSafeEq) && n.NullSafeEq[i]
 }

@@ -44,7 +44,7 @@ type Planner struct {
 	Cutoff float64
 	// ForceJoin, when non-nil, restricts join method selection to the
 	// given method wherever it is applicable — a debugging hint akin to
-	// Oracle's USE_NL/USE_HASH/USE_MERGE.
+	// Oracle's USE_NL/USE_HASH.
 	ForceJoin *JoinMethod
 	// Ctx, when non-nil, is polled at block-planning boundaries; a canceled
 	// context aborts optimization with ErrBudget.
@@ -265,8 +265,8 @@ func isStreaming(n PlanNode) bool {
 	case *Sort, *Agg, *Distinct, *SetNode, *cachedStub:
 		return false
 	case *Join:
-		// Hash/merge joins block on the build/sort phase; treat the probe
-		// side as streaming only for NL.
+		// Hash joins block on the build phase; treat the probe side as
+		// streaming only for NL.
 		if v.Method == MethodNL {
 			return isStreaming(v.L)
 		}

@@ -16,7 +16,6 @@ const (
 	indexRowCost    = 1.5  // fetching one row through an index
 	hashBuildCost   = 1.4  // inserting one row into a hash table
 	hashProbeCost   = 1.0  // probing once
-	mergeRowCost    = 0.6  // advancing merge join by one row
 	sortFactor      = 0.35 // n·log2(n) multiplier
 	aggRowCost      = 1.5  // grouping one row
 	aggFnCost       = 0.3  // one aggregate accumulation

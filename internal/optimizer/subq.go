@@ -131,8 +131,8 @@ func (p *Planner) buildSubqFilter(q *qtree.Query, child PlanNode, preds []qtree.
 }
 
 // compileExprSubplans compiles subplans for subqueries appearing in a
-// non-filter expression (select list, order by) and returns the extra
-// execution cost.
+// non-filter expression (select list, non-inner join condition). Their
+// execution cost is not charged to the plan.
 func (p *Planner) compileExprSubplans(q *qtree.Query, e qtree.Expr, es *estimator, plan *Plan) error {
 	var err error
 	qtree.WalkExpr(e, func(x qtree.Expr) bool {

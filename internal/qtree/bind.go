@@ -451,13 +451,6 @@ func findExpr(list []Expr, e Expr) int {
 	return -1
 }
 
-// SameCol reports whether two expressions are the same column reference.
-func SameCol(a, b Expr) bool {
-	ac, ok1 := a.(*Col)
-	bc, ok2 := b.(*Col)
-	return ok1 && ok2 && ac.From == bc.From && ac.Ord == bc.Ord
-}
-
 var aggOps = map[string]AggOp{
 	"COUNT": AggCount, "SUM": AggSum, "AVG": AggAvg, "MIN": AggMin, "MAX": AggMax,
 }

@@ -509,20 +509,6 @@ func removeDefined(b *Block, refs map[FromID]bool) {
 // outside its own subtree.
 func (b *Block) IsCorrelated() bool { return len(b.OuterRefs()) > 0 }
 
-// AdoptFrom replaces q's tree with src's, transferring ownership of every
-// block (ID allocation runs through the owning query) to q. src is typically
-// a backup deep copy taken before a speculative mutation of q: restoring it
-// on failure makes transformation application all-or-nothing, which the
-// panic-isolation layer of package cbqt relies on. src must not be used
-// afterwards.
-func (q *Query) AdoptFrom(src *Query) {
-	q.Root = src.Root
-	q.Params = src.Params
-	q.nextFrom = src.nextFrom
-	q.nextBlk = src.nextBlk
-	q.reown(q.Root)
-}
-
 // reown points every block of the subtree back at q.
 func (q *Query) reown(b *Block) {
 	if b == nil {

@@ -77,14 +77,6 @@ func (q *Query) CloneCOW() *Query {
 // IsCOW reports whether q is a copy-on-write clone.
 func (q *Query) IsCOW() bool { return q.cow != nil }
 
-// COWBase returns the base query of a COW clone, or nil.
-func (q *Query) COWBase() *Query {
-	if q.cow == nil {
-		return nil
-	}
-	return q.cow.base
-}
-
 // CanHold reports whether block b may legally appear in q's tree: b is
 // owned by q, or q is a COW clone and b is shared from its base. The static
 // checker uses this in place of strict ownership.

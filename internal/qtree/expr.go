@@ -131,25 +131,6 @@ func (o BinOp) Commute() BinOp {
 	return o
 }
 
-// Negate returns the complementary comparison (a < b ⇒ a >= b).
-func (o BinOp) Negate() BinOp {
-	switch o {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	case OpGe:
-		return OpLt
-	}
-	return o
-}
-
 // Bin is a binary operation.
 type Bin struct {
 	Op   BinOp

@@ -2,7 +2,6 @@ package qtree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -39,21 +38,6 @@ func (q *Query) DisplayNamer() *Namer {
 		}
 		used[key] = true
 		n.names[f.ID] = alias
-	})
-	return n
-}
-
-// CanonicalNamer assigns position-based aliases (t0, t1, ...) in a
-// deterministic traversal order over the whole query, so that two
-// structurally identical queries render identically regardless of the
-// from IDs they carry. This underpins cost-annotation reuse (§3.4.2):
-// untransformed copies of a query block produce the same canonical key.
-func (q *Query) CanonicalNamer() *Namer {
-	n := &Namer{names: map[FromID]string{}, ordinals: true}
-	i := 0
-	visitFromItems(q.Root, func(f *FromItem) {
-		n.names[f.ID] = fmt.Sprintf("t%d", i)
-		i++
 	})
 	return n
 }
@@ -428,15 +412,4 @@ func leftSQL(left []Expr, n *Namer) string {
 		parts[i] = exprSQL(x, n)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// SortedFromIDs returns the block's from IDs in ascending order; handy for
-// deterministic iteration in tests and transformations.
-func (b *Block) SortedFromIDs() []FromID {
-	out := make([]FromID, 0, len(b.From))
-	for _, f := range b.From {
-		out = append(out, f.ID)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -270,15 +270,6 @@ func (s *Server) severAll() int {
 	return len(conns)
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // sessionOpts refines the base optimizer options with one session's hello.
 func (s *Server) sessionOpts(so *SessionOptions) (cbqt.Options, string, error) {
 	opts := s.opts

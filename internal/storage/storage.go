@@ -60,9 +60,6 @@ func NewTable(meta *catalog.Table) *Table {
 	return &Table{Meta: meta, ts: initialTS, indexes: map[string]*Index{}}
 }
 
-// SnapTS returns the view's visibility horizon (its snapshot timestamp).
-func (t *Table) SnapTS() uint64 { return t.ts }
-
 // Visible reports whether row version i is visible in this view.
 func (t *Table) Visible(i int) bool {
 	if i >= len(t.begin) {
@@ -462,30 +459,4 @@ func (db *DB) analyzeOne(name string) {
 		t.BuildIndexes()
 	}
 	t.Meta.SetStats(Analyze(t))
-}
-
-// CreateIndex adds a secondary index to an existing table (CREATE INDEX),
-// builds it, and bumps the catalog's DDL version. Not safe concurrently
-// with serving (the server does not expose it); committed writes maintain
-// the new index from then on.
-func (db *DB) CreateIndex(table string, idx *catalog.Index) error {
-	t := db.Table(table)
-	if t == nil {
-		return fmt.Errorf("storage: table %s does not exist", table)
-	}
-	for _, have := range t.Meta.Indexes {
-		if have.Name == idx.Name {
-			return fmt.Errorf("storage: index %s already exists on %s", idx.Name, t.Meta.Name)
-		}
-	}
-	for _, c := range idx.Cols {
-		if c < 0 || c >= len(t.Meta.Cols) {
-			return fmt.Errorf("storage: index %s: column ordinal %d out of range", idx.Name, c)
-		}
-	}
-	t.Meta.Indexes = append(t.Meta.Indexes, idx)
-	//lint:allow snapmut load-time DDL documented not safe concurrently with serving; no snapshot can be holding this version yet
-	t.indexes[idx.Name] = buildIndex(t.Rows, idx)
-	db.Catalog.BumpVersion()
-	return nil
 }

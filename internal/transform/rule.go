@@ -52,8 +52,11 @@ type HeuristicRule interface {
 // ApplyHeuristics runs the heuristic rules in the paper's sequential order
 // to a fixpoint (a transformation can expose new opportunities for earlier
 // ones, §3.1).
-func ApplyHeuristics(q *qtree.Query) error {
-	rules := Heuristics()
+func ApplyHeuristics(q *qtree.Query) error { return ApplyHeuristicRules(q, Heuristics()) }
+
+// ApplyHeuristicRules runs the given heuristic rules, in order, to a
+// fixpoint of at most ten passes.
+func ApplyHeuristicRules(q *qtree.Query, rules []HeuristicRule) error {
 	for pass := 0; pass < 10; pass++ {
 		changed := false
 		for _, r := range rules {

@@ -132,9 +132,6 @@ func eqConjunct(e qtree.Expr) (l, r *qtree.Col, ok bool) {
 	return lc, rc, true
 }
 
-// trueConst is a TRUE literal.
-func trueConst() qtree.Expr { return &qtree.Const{Val: datum.NewBool(true)} }
-
 // falseConst is a FALSE literal.
 func falseConst() qtree.Expr { return &qtree.Const{Val: datum.NewBool(false)} }
 
