@@ -57,13 +57,8 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "sever sessions whose peer stops reading responses for this long (0 = never)")
 	flag.Parse()
 
-	var seedDB *storage.DB
-	switch *size {
-	case "small":
-		seedDB = testkit.NewDB(testkit.SmallSizes(), *seed)
-	case "medium":
-		seedDB = testkit.NewDB(testkit.MediumSizes(), *seed)
-	default:
+	sizes, ok := map[string]testkit.Sizes{"small": testkit.SmallSizes(), "medium": testkit.MediumSizes()}[*size]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown size %q\n", *size)
 		os.Exit(2)
 	}
@@ -71,7 +66,7 @@ func main() {
 	var db *storage.DB
 	switch *store {
 	case "mem":
-		db = seedDB
+		db = testkit.NewDB(sizes, *seed)
 	case "disk":
 		if *dataDir == "" {
 			fmt.Fprintln(os.Stderr, "-store disk requires -data-dir")
@@ -84,10 +79,10 @@ func main() {
 		}
 		db = storage.NewDBWithEngine(cat, eng)
 		if len(cat.Tables()) == 0 {
-			// Fresh directory: seed the demo dataset through the WAL so the
+			// Fresh directory: load the demo dataset through the WAL so the
 			// first start is durable too.
 			log.Printf("cbqtd: seeding %s demo data into %s", *size, *dataDir)
-			if err := storage.Mirror(seedDB, db); err != nil {
+			if err := testkit.Load(db, sizes, *seed); err != nil {
 				log.Fatalf("cbqtd: seed disk store: %v", err)
 			}
 		} else {

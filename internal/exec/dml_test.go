@@ -11,6 +11,7 @@ import (
 	"repro/internal/qtree"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/testkit"
 )
 
 // runDML parses, binds, optimizes and executes one mutation statement.
@@ -47,7 +48,7 @@ func tryDML(db *storage.DB, src string, params ...datum.Datum) (*DMLResult, erro
 }
 
 func TestInsertValues(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db, "INSERT INTO DEPT VALUES (50, 'lab', 3), (60, 'qa', NULL)")
 	if res.Affected != 2 {
 		t.Fatalf("affected = %d, want 2", res.Affected)
@@ -59,7 +60,7 @@ func TestInsertValues(t *testing.T) {
 }
 
 func TestInsertColumnListAndDefaults(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	runDML(t, db, "INSERT INTO DEPT (name, dept_id) VALUES ('lab', 50)")
 	got := runSQL(t, db, "SELECT dept_id, name FROM dept WHERE loc_id IS NULL AND dept_id = 50")
 	if len(got) != 1 || got[0] != "50|'lab'" {
@@ -79,7 +80,7 @@ func TestInsertColumnListAndDefaults(t *testing.T) {
 }
 
 func TestInsertParams(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	stmt, err := sql.ParseStatement("INSERT INTO DEPT VALUES (:id, :nm, NULL)")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestInsertParams(t *testing.T) {
 }
 
 func TestInsertSelect(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db,
 		"INSERT INTO DEPT SELECT dept_id + 100, name || '2', loc_id FROM dept WHERE dept_id <= 20")
 	if res.Affected != 2 {
@@ -120,7 +121,7 @@ func TestInsertSelect(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db, "UPDATE EMP SET salary = salary * 2 WHERE dept_id = 10")
 	if res.Affected != 2 {
 		t.Fatalf("affected = %d, want 2", res.Affected)
@@ -136,7 +137,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestUpdateMultipleColumnsWithAlias(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db, "UPDATE EMP e SET name = 'ANN', mgr_id = NULL WHERE e.emp_id = 1")
 	if res.Affected != 1 {
 		t.Fatalf("affected = %d", res.Affected)
@@ -151,7 +152,7 @@ func TestUpdateMultipleColumnsWithAlias(t *testing.T) {
 }
 
 func TestUpdateWithSubqueryPredicate(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// The locating query runs through the full optimizer, subquery included.
 	res := runDML(t, db,
 		"UPDATE EMP SET salary = 0 WHERE dept_id IN (SELECT dept_id FROM dept WHERE name = 'ops')")
@@ -164,7 +165,7 @@ func TestUpdateWithSubqueryPredicate(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db, "DELETE FROM EMP WHERE salary < :cut", datum.NewFloat(150))
 	if res.Affected != 2 { // ann (100) and dee (50)
 		t.Fatalf("affected = %d, want 2", res.Affected)
@@ -176,7 +177,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestDeleteAll(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	res := runDML(t, db, "DELETE FROM EMP")
 	if res.Affected != 6 {
 		t.Fatalf("affected = %d, want 6", res.Affected)
@@ -191,7 +192,7 @@ func TestDeleteAll(t *testing.T) {
 }
 
 func TestDMLSnapshotConsistency(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// A snapshot taken before a delete keeps serving the old rows through
 	// the executor, on both engines.
 	snap := db.Snapshot()
@@ -230,7 +231,7 @@ func mustPlan(t *testing.T, db *storage.DB, src string) *optimizer.Plan {
 }
 
 func TestDMLWriteConflict(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// Prepare two updates of the same row from the same snapshot by
 	// committing a conflicting delete between read and commit. Simulate
 	// with direct batches: statement-level behavior is covered above.
@@ -259,7 +260,7 @@ func TestDMLWriteConflict(t *testing.T) {
 }
 
 func TestSelectRejectsDMLAndViceVersa(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	if _, err := qtree.BindDMLSQL("SELECT name FROM emp", db.Catalog); err == nil {
 		t.Error("BindDMLSQL should reject a query")
 	}

@@ -5,88 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
 	"repro/internal/storage"
+	"repro/internal/testkit"
 )
-
-// tinyDB builds a small deterministic database with hand-checkable data.
-//
-//	dept: (10, eng, L1), (20, ops, L2), (30, hr, L1), (40, empty, NULL)
-//	emp:  id, name, dept, salary, mgr
-func tinyDB(t *testing.T) *storage.DB {
-	t.Helper()
-	cat := catalog.New()
-	db := storage.NewDB(cat)
-
-	dept, err := db.CreateTable(&catalog.Table{
-		Name: "DEPT",
-		Cols: []catalog.Column{
-			{Name: "DEPT_ID", Type: datum.KInt},
-			{Name: "NAME", Type: datum.KString},
-			{Name: "LOC_ID", Type: datum.KInt, Nullable: true},
-		},
-		PrimaryKey: []int{0},
-		Indexes:    []*catalog.Index{{Name: "DEPT_PK", Cols: []int{0}, Unique: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, err := db.CreateTable(&catalog.Table{
-		Name: "EMP",
-		Cols: []catalog.Column{
-			{Name: "EMP_ID", Type: datum.KInt},
-			{Name: "NAME", Type: datum.KString},
-			{Name: "DEPT_ID", Type: datum.KInt, Nullable: true},
-			{Name: "SALARY", Type: datum.KFloat},
-			{Name: "MGR_ID", Type: datum.KInt, Nullable: true},
-		},
-		PrimaryKey: []int{0},
-		ForeignKeys: []catalog.ForeignKey{
-			{Cols: []int{2}, RefTable: "DEPT", RefCols: []int{0}},
-		},
-		Indexes: []*catalog.Index{
-			{Name: "EMP_PK", Cols: []int{0}, Unique: true},
-			{Name: "EMP_DEPT", Cols: []int{2}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dd := func(vals ...interface{}) []datum.Datum {
-		out := make([]datum.Datum, len(vals))
-		for i, v := range vals {
-			switch x := v.(type) {
-			case nil:
-				out[i] = datum.Null
-			case int:
-				out[i] = datum.NewInt(int64(x))
-			case float64:
-				out[i] = datum.NewFloat(x)
-			case string:
-				out[i] = datum.NewString(x)
-			}
-		}
-		return out
-	}
-	dept.MustAppend(dd(10, "eng", 1)...)
-	dept.MustAppend(dd(20, "ops", 2)...)
-	dept.MustAppend(dd(30, "hr", 1)...)
-	dept.MustAppend(dd(40, "empty", nil)...)
-
-	emp.MustAppend(dd(1, "ann", 10, 100.0, nil)...)
-	emp.MustAppend(dd(2, "bob", 10, 200.0, 1)...)
-	emp.MustAppend(dd(3, "cal", 20, 300.0, 1)...)
-	emp.MustAppend(dd(4, "dee", 20, 50.0, 3)...)
-	emp.MustAppend(dd(5, "eli", 30, 250.0, 1)...)
-	emp.MustAppend(dd(6, "fay", nil, 150.0, 2)...)
-
-	db.Finalize()
-	return db
-}
 
 // runSQL optimizes and executes a query, returning rows as strings sorted
 // for comparison.
@@ -162,19 +86,19 @@ func expect(t *testing.T, got []string, want ...string) {
 }
 
 func TestScanAndFilter(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT e.name FROM emp e WHERE e.salary > 150`)
 	expect(t, got, "'bob'", "'cal'", "'eli'")
 }
 
 func TestIndexLookup(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT e.name FROM emp e WHERE e.emp_id = 3`)
 	expect(t, got, "'cal'")
 }
 
 func TestJoin(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, d.name FROM emp e, dept d
 WHERE e.dept_id = d.dept_id AND d.loc_id = 1`)
@@ -182,7 +106,7 @@ WHERE e.dept_id = d.dept_id AND d.loc_id = 1`)
 }
 
 func TestLeftOuterJoin(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, d.name FROM emp e LEFT OUTER JOIN dept d ON e.dept_id = d.dept_id`)
 	expect(t, got,
@@ -191,7 +115,7 @@ SELECT e.name, d.name FROM emp e LEFT OUTER JOIN dept d ON e.dept_id = d.dept_id
 }
 
 func TestGroupByHaving(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.dept_id, COUNT(*), AVG(e.salary) FROM emp e
 WHERE e.dept_id IS NOT NULL
@@ -200,25 +124,25 @@ GROUP BY e.dept_id HAVING COUNT(*) > 1`)
 }
 
 func TestAggregatesIgnoreNulls(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT COUNT(e.dept_id), COUNT(*), MIN(e.salary), MAX(e.salary), SUM(e.salary) FROM emp e`)
 	expect(t, got, "5|6|50|300|1050")
 }
 
 func TestScalarAggOverEmptyInput(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT COUNT(*), SUM(e.salary) FROM emp e WHERE e.salary > 10000`)
 	expect(t, got, "0|NULL")
 }
 
 func TestDistinct(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT DISTINCT e.dept_id FROM emp e`)
 	expect(t, got, "10", "20", "30", "NULL")
 }
 
 func TestOrderByAndRownum(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQLOrdered(t, db, `SELECT e.name FROM emp e ORDER BY e.salary DESC`)
 	if got[0] != "'cal'" || got[len(got)-1] != "'dee'" {
 		t.Errorf("order: %v", got)
@@ -230,7 +154,7 @@ WHERE rownum <= 2`)
 }
 
 func TestExistsSubquery(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT d.name FROM dept d WHERE EXISTS
 (SELECT 1 FROM emp e WHERE e.dept_id = d.dept_id AND e.salary > 150)`)
@@ -238,7 +162,7 @@ SELECT d.name FROM dept d WHERE EXISTS
 }
 
 func TestNotExistsSubquery(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT d.name FROM dept d WHERE NOT EXISTS
 (SELECT 1 FROM emp e WHERE e.dept_id = d.dept_id)`)
@@ -246,7 +170,7 @@ SELECT d.name FROM dept d WHERE NOT EXISTS
 }
 
 func TestInSubquery(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name FROM emp e WHERE e.dept_id IN
 (SELECT d.dept_id FROM dept d WHERE d.loc_id = 1)`)
@@ -254,7 +178,7 @@ SELECT e.name FROM emp e WHERE e.dept_id IN
 }
 
 func TestNotInWithNullsIsEmpty(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// dept_id of emp contains NULL on the probe side; those rows are
 	// suppressed. All dept ids appear in dept, so result is empty.
 	got := runSQL(t, db, `
@@ -263,7 +187,7 @@ SELECT e.name FROM emp e WHERE e.dept_id NOT IN (SELECT d.dept_id FROM dept d)`)
 }
 
 func TestNotInWithNullInSubquery(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// The subquery returns a NULL (loc_id of dept 40): NOT IN over a set
 	// containing NULL filters everything.
 	got := runSQL(t, db, `
@@ -272,7 +196,7 @@ SELECT e.name FROM emp e WHERE e.dept_id NOT IN (SELECT d.loc_id FROM dept d)`)
 }
 
 func TestNotInWithoutNulls(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name FROM emp e WHERE e.emp_id NOT IN
 (SELECT e2.mgr_id FROM emp e2 WHERE e2.mgr_id IS NOT NULL)`)
@@ -281,7 +205,7 @@ SELECT e.name FROM emp e WHERE e.emp_id NOT IN
 }
 
 func TestScalarSubquery(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name FROM emp e
 WHERE e.salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept_id = e.dept_id)`)
@@ -291,7 +215,7 @@ WHERE e.salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept_id = e.dept_id
 }
 
 func TestAnyAllSubqueries(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name FROM emp e WHERE e.salary > ALL
 (SELECT e2.salary FROM emp e2 WHERE e2.dept_id = 10)`)
@@ -304,7 +228,7 @@ SELECT e.name FROM emp e WHERE e.salary < ANY
 }
 
 func TestUnionAndMinusAndIntersect(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT d.loc_id FROM dept d WHERE d.loc_id IS NOT NULL
 UNION SELECT e.dept_id FROM emp e WHERE e.emp_id = 1`)
@@ -318,7 +242,7 @@ SELECT e.dept_id FROM emp e INTERSECT SELECT d.dept_id FROM dept d`)
 }
 
 func TestUnionAllKeepsDuplicates(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.dept_id FROM emp e WHERE e.dept_id = 10
 UNION ALL SELECT d.dept_id FROM dept d WHERE d.dept_id = 10`)
@@ -326,7 +250,7 @@ UNION ALL SELECT d.dept_id FROM dept d WHERE d.dept_id = 10`)
 }
 
 func TestInListAndBetweenAndLike(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT e.name FROM emp e WHERE e.dept_id IN (10, 30)`)
 	expect(t, got, "'ann'", "'bob'", "'eli'")
 	got = runSQL(t, db, `SELECT e.name FROM emp e WHERE e.salary BETWEEN 100 AND 200`)
@@ -338,7 +262,7 @@ func TestInListAndBetweenAndLike(t *testing.T) {
 }
 
 func TestCaseExpression(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, CASE WHEN e.salary >= 200 THEN 'high' WHEN e.salary >= 100 THEN 'mid' ELSE 'low' END
 FROM emp e WHERE e.dept_id = 20`)
@@ -346,7 +270,7 @@ FROM emp e WHERE e.dept_id = 20`)
 }
 
 func TestGroupingSetsRollup(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT d.loc_id, d.dept_id, COUNT(*) FROM dept d WHERE d.loc_id IS NOT NULL
 GROUP BY ROLLUP(d.loc_id, d.dept_id)`)
@@ -360,7 +284,7 @@ GROUP BY ROLLUP(d.loc_id, d.dept_id)`)
 }
 
 func TestViewAndCorrelatedView(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT v.dept_id, v.avg_sal
 FROM (SELECT e.dept_id, AVG(e.salary) avg_sal FROM emp e GROUP BY e.dept_id) v
@@ -369,7 +293,7 @@ WHERE v.avg_sal > 160`)
 }
 
 func TestSubqueryCaching(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	q, err := qtree.BindSQL(`
 SELECT e.name FROM emp e
 WHERE e.salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept_id = e.dept_id)`, db.Catalog)
@@ -406,7 +330,7 @@ WHERE e.salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept_id = e.dept_id
 }
 
 func TestErrorPropagation(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	q, err := qtree.BindSQL(`SELECT e.salary / (e.emp_id - 1) FROM emp e`, db.Catalog)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +346,7 @@ func TestErrorPropagation(t *testing.T) {
 }
 
 func TestConcatAndArith(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT e.name || '-x', e.salary * 2 + 1 FROM emp e WHERE e.emp_id = 1`)
 	expect(t, got, "'ann-x'|201")
 }
@@ -451,7 +375,7 @@ func TestLikeMatcher(t *testing.T) {
 }
 
 func TestRowidsAreDistinct(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `SELECT DISTINCT e.rowid FROM emp e`)
 	if len(got) != 6 {
 		t.Errorf("rowids = %v", got)

@@ -5,40 +5,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
-	"repro/internal/storage"
+	"repro/internal/testkit"
 )
 
-// paramDB builds a tiny table for bind-parameter execution tests.
-func paramDB(t *testing.T) *storage.DB {
-	t.Helper()
-	cat := catalog.New()
-	db := storage.NewDB(cat)
-	tt, err := db.CreateTable(&catalog.Table{
-		Name: "T",
-		Cols: []catalog.Column{
-			{Name: "ID", Type: datum.KInt},
-			{Name: "GRP", Type: datum.KInt},
-			{Name: "VAL", Type: datum.KFloat},
-		},
-		PrimaryKey: []int{0},
-		Indexes:    []*catalog.Index{{Name: "T_GRP", Cols: []int{1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		tt.MustAppend(datum.NewInt(int64(i)), datum.NewInt(int64(i%4)), datum.NewFloat(float64(i)*1.5))
-	}
-	db.Finalize()
-	return db
-}
-
 func TestRunParamsBinding(t *testing.T) {
-	db := paramDB(t)
+	db := testkit.ParamDB()
 	q, err := qtree.BindSQL("SELECT t.ID FROM t WHERE t.GRP = :g", db.Catalog)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/qtree"
 	"repro/internal/storage"
+	"repro/internal/testkit"
 )
 
 func bindOnly(db *storage.DB, src string) (*qtree.Query, error) {
@@ -19,7 +20,7 @@ func bindOnly(db *storage.DB, src string) (*qtree.Query, error) {
 //	NULL:    fay(150)
 
 func TestWindowWholePartition(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, AVG(e.salary) OVER (PARTITION BY e.dept_id) FROM emp e`)
 	expect(t, got,
@@ -30,7 +31,7 @@ SELECT e.name, AVG(e.salary) OVER (PARTITION BY e.dept_id) FROM emp e`)
 }
 
 func TestWindowRunningSum(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// Running sum by emp_id order within each department.
 	got := runSQL(t, db, `
 SELECT e.name, SUM(e.salary) OVER (PARTITION BY e.dept_id ORDER BY e.emp_id) FROM emp e`)
@@ -42,7 +43,7 @@ SELECT e.name, SUM(e.salary) OVER (PARTITION BY e.dept_id ORDER BY e.emp_id) FRO
 }
 
 func TestWindowRunningRangePeers(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// RANGE frame: order-key ties are peers and share the frame. Order by
 	// dept_id without partitioning; dept 10 has two peer rows.
 	got := runSQL(t, db, `
@@ -56,7 +57,7 @@ WHERE e.dept_id IS NOT NULL`)
 }
 
 func TestWindowRowNumber(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, ROW_NUMBER() OVER (PARTITION BY e.dept_id ORDER BY e.salary DESC)
 FROM emp e WHERE e.dept_id IS NOT NULL`)
@@ -67,7 +68,7 @@ FROM emp e WHERE e.dept_id IS NOT NULL`)
 }
 
 func TestWindowCountStarAndExplicitFrame(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	got := runSQL(t, db, `
 SELECT e.name, COUNT(*) OVER (PARTITION BY e.dept_id ORDER BY e.emp_id
   ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM emp e
@@ -76,7 +77,7 @@ WHERE e.dept_id = 10`)
 }
 
 func TestWindowInView(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	// The paper's Q7 shape: running aggregate in a view, filtered outside.
 	got := runSQL(t, db, `
 SELECT v.name, v.ravg FROM
@@ -88,7 +89,7 @@ WHERE v.d = 10`)
 }
 
 func TestWindowBindErrors(t *testing.T) {
-	db := tinyDB(t)
+	db := testkit.TinyDB()
 	bad := []string{
 		// Window in WHERE.
 		`SELECT e.name FROM emp e WHERE SUM(e.salary) OVER (PARTITION BY e.dept_id) > 10`,

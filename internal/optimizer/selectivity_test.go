@@ -22,18 +22,38 @@ func estTable(t *testing.T, n int) (*estimator, qtree.FromID) {
 			{Name: "S", Type: datum.KString},
 		},
 	}
-	tbl := storage.NewTable(meta)
+	var rows [][]datum.Datum
 	for i := 1; i <= n; i++ {
 		g := datum.NewInt(int64(i % 10))
 		if i%20 == 0 {
 			g = datum.Null
 		}
-		tbl.MustAppend(datum.NewInt(int64(i)), g, datum.NewString(string(rune('a'+i%26))))
+		rows = append(rows, []datum.Datum{datum.NewInt(int64(i)), g, datum.NewString(string(rune('a' + i%26)))})
 	}
-	meta.SetStats(storage.Analyze(tbl))
 	es := newEstimator()
-	es.addTable(1, meta)
+	es.addTable(1, analyzed(t, meta, rows))
 	return es, 1
+}
+
+// analyzed commits rows into a fresh table of meta and returns meta with
+// its statistics collected.
+func analyzed(t *testing.T, meta *catalog.Table, rows [][]datum.Datum) *catalog.Table {
+	t.Helper()
+	db := storage.NewDB(catalog.New())
+	if _, err := db.CreateTable(meta); err != nil {
+		t.Fatal(err)
+	}
+	b := db.NewBatch()
+	for _, r := range rows {
+		if err := b.Insert(meta.Name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Commit(b); err != nil {
+		t.Fatal(err)
+	}
+	db.Finalize()
+	return meta
 }
 
 func col(id qtree.FromID, ord int) *qtree.Col {
@@ -137,12 +157,11 @@ func TestJoinPredSelectivity(t *testing.T) {
 		Name: "T2_EST",
 		Cols: []catalog.Column{{Name: "W", Type: datum.KInt}},
 	}
-	tbl := storage.NewTable(meta)
+	var rows [][]datum.Datum
 	for i := 1; i <= 100; i++ {
-		tbl.MustAppend(datum.NewInt(int64(i % 10)))
+		rows = append(rows, []datum.Datum{datum.NewInt(int64(i % 10))})
 	}
-	meta.SetStats(storage.Analyze(tbl))
-	es2.addTable(2, meta)
+	es2.addTable(2, analyzed(t, meta, rows))
 	// v(1000 ndv) = w(10 ndv): selectivity 1/max = 1/1000.
 	sel := es2.selectivity(&qtree.Bin{Op: qtree.OpEq, L: col(id, 0), R: col(2, 0)})
 	if math.Abs(sel-0.001) > 0.0005 {

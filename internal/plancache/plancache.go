@@ -3,7 +3,7 @@
 // shared cursor cache the paper leans on to justify the optimizer's expense
 // (§3: "the cost of optimization is amortized over many executions").
 //
-// The cache is sharded for concurrency, bounded with second-chance (clock)
+// The cache is one map under one mutex, bounded with second-chance (clock)
 // eviction, and coalesces concurrent misses for the same key through a
 // per-key singleflight, so a burst of identical queries triggers exactly
 // one optimizer run. Keys combine the normalized query text, the search
@@ -19,7 +19,6 @@ package plancache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obsv"
 )
@@ -37,8 +36,6 @@ const (
 // DefaultMaxEntries bounds the cache when the caller passes maxEntries <= 0.
 const DefaultMaxEntries = 1024
 
-const numShards = 16
-
 // Key identifies one cached plan.
 type Key struct {
 	// SQL is the normalized query text (see Normalize).
@@ -53,34 +50,17 @@ type Key struct {
 }
 
 // String renders the key for diagnostics. The cache itself never builds
-// it: shard maps are keyed by the comparable Key, so a lookup allocates
+// it: its map is keyed by the comparable Key, so a lookup allocates
 // nothing.
 func (k Key) String() string {
 	return fmt.Sprintf("v%d|%s|%s", k.Version, k.Strategy, k.SQL)
-}
-
-// hash is 32-bit FNV-1a over the key's fields, for shard selection.
-func (k Key) hash() uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(k.SQL); i++ {
-		h = (h ^ uint32(k.SQL[i])) * prime
-	}
-	h = (h ^ 0xff) * prime // field separator
-	for i := 0; i < len(k.Strategy); i++ {
-		h = (h ^ uint32(k.Strategy[i])) * prime
-	}
-	for v := uint64(k.Version); v != 0; v >>= 8 {
-		h = (h ^ uint32(v&0xff)) * prime
-	}
-	return h
 }
 
 // entry is one cached plan with its clock-algorithm reference bit.
 type entry struct {
 	key  Key
 	val  any
-	slot int  // position in the shard's clock ring
+	slot int  // position in the clock ring
 	ref  bool // second-chance bit, set on every hit
 }
 
@@ -91,32 +71,21 @@ type call struct {
 	err error
 }
 
-type shard struct {
+// Cache is a bounded, concurrency-safe plan cache. One mutex guards the
+// entries, the clock ring and the in-flight computations.
+type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	ring    []*entry // clock ring, fixed capacity; nil slots are free
 	hand    int
 	calls   map[Key]*call
-}
-
-// Cache is a sharded, bounded, concurrency-safe plan cache.
-type Cache struct {
-	shards   [numShards]shard
-	perShard int
-	// count is adjusted only while the shard whose entries changed is
-	// locked, so it never runs ahead of the true total and Len stays within
-	// the bound even while an Invalidate sweep races inserts.
-	count atomic.Int64
-	// sweepHook, when set (tests only), runs after Invalidate releases each
-	// shard's lock, with the shard index.
-	sweepHook func(shard int)
 
 	hits          *obsv.Counter
 	misses        *obsv.Counter
 	evictions     *obsv.Counter
 	invalidations *obsv.Counter
 	coalesced     *obsv.Counter
-	entries       *obsv.Gauge
+	entriesGauge  *obsv.Gauge
 }
 
 // New creates a cache bounded to maxEntries plans (DefaultMaxEntries when
@@ -125,37 +94,24 @@ func New(maxEntries int, reg *obsv.Registry) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	per := (maxEntries + numShards - 1) / numShards
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{
-		perShard:      per,
+	return &Cache{
+		entries:       map[Key]*entry{},
+		ring:          make([]*entry, maxEntries),
+		calls:         map[Key]*call{},
 		hits:          reg.Counter(MetricHits),
 		misses:        reg.Counter(MetricMisses),
 		evictions:     reg.Counter(MetricEvictions),
 		invalidations: reg.Counter(MetricInvalidations),
 		coalesced:     reg.Counter(MetricCoalesced),
-		entries:       reg.Gauge(MetricEntries),
+		entriesGauge:  reg.Gauge(MetricEntries),
 	}
-	for i := range c.shards {
-		c.shards[i] = shard{
-			entries: map[Key]*entry{},
-			ring:    make([]*entry, per),
-			calls:   map[Key]*call{},
-		}
-	}
-	return c
 }
-
-func (c *Cache) shard(k Key) *shard { return &c.shards[k.hash()%numShards] }
 
 // Get returns the cached value for k, if present, marking it recently used.
 func (c *Cache) Get(k Key) (any, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok {
 		e.ref = true
 		c.hits.Inc()
 		return e.val, true
@@ -171,68 +127,65 @@ func (c *Cache) Get(k Key) (any, bool) {
 // i.e. whether this call avoided an optimizer run). Errors are returned to
 // every waiter and are not cached.
 func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, shared bool, err error) {
-	s := c.shard(k)
-
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
+	c.mu.Lock()
+	if e, ok := c.entries[k]; ok {
 		e.ref = true
 		c.hits.Inc()
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return e.val, true, nil
 	}
-	if cl, ok := s.calls[k]; ok {
+	if cl, ok := c.calls[k]; ok {
 		c.coalesced.Inc()
-		s.mu.Unlock()
+		c.mu.Unlock()
 		cl.wg.Wait()
 		return cl.val, true, cl.err
 	}
 	cl := &call{}
 	cl.wg.Add(1)
-	s.calls[k] = cl
+	c.calls[k] = cl
 	c.misses.Inc()
-	s.mu.Unlock()
+	c.mu.Unlock()
 
 	cl.val, cl.err = compute()
 
-	s.mu.Lock()
-	delete(s.calls, k)
+	c.mu.Lock()
+	delete(c.calls, k)
 	if cl.err == nil {
-		c.insertLocked(s, &entry{key: k, val: cl.val})
+		c.insertLocked(&entry{key: k, val: cl.val})
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	cl.wg.Done()
 	return cl.val, false, cl.err
 }
 
-// insertLocked places e into the shard, evicting by second chance when the
-// ring is full. Caller holds s.mu.
-func (c *Cache) insertLocked(s *shard, e *entry) {
-	if old, ok := s.entries[e.key]; ok {
+// insertLocked places e into the ring, evicting by second chance when it
+// is full. Caller holds c.mu.
+func (c *Cache) insertLocked(e *entry) {
+	if old, ok := c.entries[e.key]; ok {
 		// A racing recompute of the same key: replace in place.
 		old.val, old.ref = e.val, true
 		return
 	}
 	for {
-		v := s.ring[s.hand]
+		v := c.ring[c.hand]
 		if v == nil {
 			break
 		}
 		if v.ref {
 			v.ref = false
-			s.hand = (s.hand + 1) % len(s.ring)
+			c.hand = (c.hand + 1) % len(c.ring)
 			continue
 		}
-		delete(s.entries, v.key)
-		s.ring[s.hand] = nil
+		delete(c.entries, v.key)
+		c.ring[c.hand] = nil
 		c.evictions.Inc()
-		c.count.Add(-1)
 		break
 	}
-	e.slot = s.hand
-	s.ring[s.hand] = e
-	s.hand = (s.hand + 1) % len(s.ring)
-	s.entries[e.key] = e
-	c.entries.Set(c.count.Add(1))
+	e.slot = c.hand
+	c.ring[c.hand] = e
+	c.hand = (c.hand + 1) % len(c.ring)
+	c.entries[e.key] = e
+	c.entriesGauge.Set(int64(len(c.entries)))
 }
 
 // Invalidate removes every entry whose key version is below version —
@@ -241,32 +194,24 @@ func (c *Cache) insertLocked(s *shard, e *entry) {
 // are still harmless (new lookups carry the new version and miss), but
 // sweeping frees their slots immediately.
 func (c *Cache) Invalidate(version int64) int {
+	c.mu.Lock()
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		dropped := 0
-		for k, e := range s.entries {
-			if k.Version < version {
-				delete(s.entries, k)
-				s.ring[e.slot] = nil
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			// Give the slots back before the lock does: an insert that
-			// refills them must find them already subtracted.
-			c.entries.Set(c.count.Add(int64(-dropped)))
-		}
-		s.mu.Unlock()
-		n += dropped
-		if c.sweepHook != nil {
-			c.sweepHook(i)
+	for k, e := range c.entries {
+		if k.Version < version {
+			delete(c.entries, k)
+			c.ring[e.slot] = nil
+			n++
 		}
 	}
+	c.entriesGauge.Set(int64(len(c.entries)))
+	c.mu.Unlock()
 	c.invalidations.Add(int64(n))
 	return n
 }
 
-// Len counts the cached entries across all shards.
-func (c *Cache) Len() int { return int(c.count.Load()) }
+// Len counts the cached entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -106,31 +106,26 @@ func TestBoundedSecondChanceEviction(t *testing.T) {
 	if got := c.Len(); got > capacity {
 		t.Fatalf("cache grew to %d entries, bound is %d", got, capacity)
 	}
-	if ev := reg.CounterValue(MetricEvictions); ev < 3*capacity-numShards {
-		t.Fatalf("evictions = %d, want roughly %d", ev, 3*capacity)
+	if ev := reg.CounterValue(MetricEvictions); ev != 3*capacity {
+		t.Fatalf("evictions = %d, want %d", ev, 3*capacity)
 	}
 }
 
 // TestSecondChancePrefersHotEntries verifies the clock keeps an entry that
-// keeps getting hit while cold entries churn through its shard: with two
+// keeps getting hit while cold entries churn through the cache: with two
 // slots, the cold slot cycles while the re-referenced hot entry survives.
 func TestSecondChancePrefersHotEntries(t *testing.T) {
-	c := New(2*numShards, nil) // two slots per shard
+	c := New(2, nil)
 	hot := Key{SQL: "SELECT hot", Strategy: "auto"}
 	c.GetOrCompute(hot, func() (any, error) { return "hot", nil })
-	hotShard := c.shard(hot)
-	for i, churned := 0, 0; churned < 64 && i < 10000; i++ {
+	for i := 0; i < 64; i++ {
 		cold := Key{SQL: fmt.Sprintf("SELECT cold %d", i), Strategy: "auto"}
-		if c.shard(cold) != hotShard {
-			continue // only keys contending for the hot entry's shard count
-		}
-		churned++
 		c.GetOrCompute(cold, func() (any, error) { return i, nil })
 		if _, ok := c.Get(hot); !ok {
 			// Get re-arms the ref bit every round, so when the hand sweeps
 			// past the hot slot it gets a second chance and the clock evicts
 			// the unreferenced cold entry instead.
-			t.Fatalf("hot entry evicted after %d cold inserts into its shard", churned)
+			t.Fatalf("hot entry evicted after %d cold inserts", i+1)
 		}
 	}
 }
@@ -160,60 +155,6 @@ func TestInvalidateDropsStaleVersions(t *testing.T) {
 	}
 	if _, ok := c.Get(Key{SQL: "SELECT fresh", Strategy: "auto", Version: 2}); !ok {
 		t.Fatal("fresh entry was dropped")
-	}
-}
-
-// TestInvalidateCountsPerShard is the deterministic form of the race
-// TestStressInvalidateDuringCoalescedLoads used to lose about once in
-// thirty runs: with the cache full of stale plans, inserts that land in a
-// shard the sweep has already passed refill its freed slots while the sweep
-// is still working through the others. Len must stay within the bound at
-// that moment, which requires the count to drop with each shard's lock
-// held, not once after the whole sweep.
-func TestInvalidateCountsPerShard(t *testing.T) {
-	reg := obsv.NewRegistry()
-	const perShard = 4
-	const bound = perShard * numShards
-	c := New(bound, reg)
-	// keysFor returns perShard distinct keys at version v hashing to shard.
-	keysFor := func(shard int, v int64) []Key {
-		var ks []Key
-		for i := 0; len(ks) < perShard; i++ {
-			k := Key{SQL: fmt.Sprintf("SELECT %d", i), Strategy: "auto", Version: v}
-			if c.shard(k) == &c.shards[shard] {
-				ks = append(ks, k)
-			}
-		}
-		return ks
-	}
-	for sh := 0; sh < numShards; sh++ {
-		for _, k := range keysFor(sh, 1) {
-			c.GetOrCompute(k, func() (any, error) { return 1, nil })
-		}
-	}
-	if c.Len() != bound {
-		t.Fatalf("cache holds %d entries before the sweep, want it full at %d", c.Len(), bound)
-	}
-	peak := 0
-	c.sweepHook = func(shard int) {
-		for _, k := range keysFor(shard, 2) {
-			c.GetOrCompute(k, func() (any, error) { return 2, nil })
-			if n := c.Len(); n > peak {
-				peak = n
-			}
-		}
-		if g := reg.GaugeValue(MetricEntries); g > bound {
-			t.Errorf("%s gauge = %d mid-sweep, bound %d", MetricEntries, g, bound)
-		}
-	}
-	if n := c.Invalidate(2); n != bound {
-		t.Fatalf("invalidated %d entries, want %d", n, bound)
-	}
-	if peak > bound {
-		t.Fatalf("Len() peaked at %d during the sweep, bound %d", peak, bound)
-	}
-	if c.Len() != bound {
-		t.Fatalf("cache holds %d entries after refilling every shard, want %d", c.Len(), bound)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // GetOrCompute (so misses coalesce) while a churn goroutine bumps the
 // catalog version and invalidates everything older, over and over. The
 // invariants: every load returns the value computed for exactly its own
-// key (no cross-version bleed), the entry count respects the bound and the
-// shards stay internally consistent, and post-churn the cache still works.
+// key (no cross-version bleed), neither Len nor the entries gauge ever
+// exceeds the bound, and post-churn the cache still works.
 func TestStressInvalidateDuringCoalescedLoads(t *testing.T) {
 	reg := obsv.NewRegistry()
 	const maxEntries = 64
@@ -77,6 +77,10 @@ func TestStressInvalidateDuringCoalescedLoads(t *testing.T) {
 				}
 				if got := c.Len(); got < 0 || got > maxEntries {
 					errs <- fmt.Errorf("worker %d iter %d: Len() = %d outside [0, %d]", w, i, got, maxEntries)
+					return
+				}
+				if got := reg.GaugeValue(MetricEntries); got < 0 || got > maxEntries {
+					errs <- fmt.Errorf("worker %d iter %d: %s gauge = %d outside [0, %d]", w, i, MetricEntries, got, maxEntries)
 					return
 				}
 			}

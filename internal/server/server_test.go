@@ -286,13 +286,12 @@ func TestAnalyzeInvalidatesCachedPlans(t *testing.T) {
 
 	// Grow the table the cached plan scans, then ANALYZE it. The version
 	// bump must force a re-optimize AND the new execution must see the
-	// appended rows (the cached cursor is not stale data).
-	emp := db.Table("EMPLOYEES")
-	n := len(emp.Rows)
+	// inserted rows (the cached cursor is not stale data).
+	n := db.Table("EMPLOYEES").NumVisible()
 	for i := 0; i < 5; i++ {
-		emp.MustAppend(datum.NewInt(int64(100000+i)), datum.NewString(fmt.Sprintf("NEW_%d", i)),
-			datum.NewInt(10), datum.NewFloat(5000), datum.Null, datum.NewInt(1),
-			datum.NewString("2024-01-01"))
+		if _, err := cli.Exec(fmt.Sprintf("INSERT INTO employees VALUES (%d, 'NEW_%d', 10, 5000.0, NULL, 1, '2024-01-01')", 100000+i, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := cli.Analyze("employees"); err != nil {
 		t.Fatal(err)
@@ -309,7 +308,7 @@ func TestAnalyzeInvalidatesCachedPlans(t *testing.T) {
 	if stmt.RowCount != before+5 {
 		t.Fatalf("post-ANALYZE execution saw %d rows, want %d (stats or index stale)", stmt.RowCount, before+5)
 	}
-	if got := len(emp.Rows); got != n+5 {
+	if got := db.Table("EMPLOYEES").NumVisible(); got != n+5 {
 		t.Fatalf("table has %d rows, want %d", got, n+5)
 	}
 }

@@ -56,7 +56,7 @@ func OpenDiskEngine(dir string, cat *catalog.Catalog) (*DiskEngine, error) {
 	// Rebuild what the log does not store: indexes and statistics.
 	for _, name := range s.tableNames() {
 		t := s.openTable(name)
-		t.BuildIndexes()
+		t.buildIndexes()
 		t.Meta.SetStats(Analyze(t))
 	}
 	if len(s.tableNames()) > 0 {
@@ -113,9 +113,8 @@ func (e *DiskEngine) Dir() string { return e.dir }
 // Mirror copies every table of src into dst: schemas are cloned (fresh
 // metadata objects, since catalog ownership is per-engine), all currently
 // visible rows are inserted through one write batch per table, and dst is
-// finalized (indexes + statistics). It is the standard way to seed a disk
-// engine from a generated in-memory dataset, and the differential oracle
-// uses it to start two engines from identical states.
+// finalized (indexes + statistics). It starts a second engine from the
+// visible state of an existing database.
 func Mirror(src *DB, dst *DB) error {
 	for _, meta := range src.Catalog.Tables() {
 		clone := CloneMeta(meta)

@@ -12,10 +12,8 @@ import (
 	"repro/internal/obsv"
 )
 
-// initialTS is the commit timestamp stamped on bulk-loaded rows and the
-// oracle's starting point; every snapshot has ts >= initialTS, so loaded
-// data is visible everywhere. The first transactional commit gets
-// initialTS+1.
+// initialTS is the oracle's starting point: the horizon of a freshly
+// created, empty table. The first commit gets initialTS+1.
 const initialTS uint64 = 1
 
 // ErrWriteConflict is returned by Commit when another transaction deleted
@@ -98,7 +96,7 @@ func (s *store) createTable(meta *catalog.Table) (*Table, error) {
 		return nil, err
 	}
 	mt := &mvTable{}
-	mt.head.Store(NewTable(meta))
+	mt.head.Store(&Table{Meta: meta, ts: initialTS, indexes: map[string]*Index{}})
 	s.mu.Lock()
 	s.tables[meta.Name] = mt
 	s.mu.Unlock()
@@ -284,7 +282,7 @@ func (s *store) commit(b *WriteBatch) (uint64, error) {
 		if int(o.rid) < 0 || int(o.rid) >= len(head.Rows) {
 			return 0, fmt.Errorf("storage: %s: rowid %d out of range", o.table, o.rid)
 		}
-		if int(o.rid) < len(head.ends) && atomic.LoadUint64(&head.ends[o.rid]) != 0 {
+		if atomic.LoadUint64(&head.ends[o.rid]) != 0 {
 			s.metrics.conflicts.Inc()
 			return 0, fmt.Errorf("%w: %s rowid %d", ErrWriteConflict, o.table, o.rid)
 		}
@@ -341,12 +339,6 @@ func (s *store) applyOps(commitTS uint64, ops []op) {
 			ends:    head.ends,
 			ts:      commitTS,
 			indexes: head.indexes,
-		}
-		// Load-time tables may predate their MVCC metadata; backfill so
-		// every version slot has begin/end stamps before we extend.
-		for len(next.begin) < len(next.Rows) {
-			next.begin = append(next.begin, head.ts)
-			next.ends = append(next.ends, 0)
 		}
 		var newSlots []int32
 		if len(g.inserts) > 0 {

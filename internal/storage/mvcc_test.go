@@ -13,8 +13,7 @@ import (
 
 func mvccDB(t *testing.T) *DB {
 	t.Helper()
-	db := NewDB(catalog.New())
-	tbl, err := db.CreateTable(&catalog.Table{
+	return loadDB(t, &catalog.Table{
 		Name: "T",
 		Cols: []catalog.Column{
 			{Name: "ID", Type: datum.KInt},
@@ -22,14 +21,9 @@ func mvccDB(t *testing.T) *DB {
 		},
 		PrimaryKey: []int{0},
 		Indexes:    []*catalog.Index{{Name: "T_PK", Cols: []int{0}, Unique: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.MustAppend(datum.NewInt(1), datum.NewString("a"))
-	tbl.MustAppend(datum.NewInt(2), datum.NewString("b"))
-	db.Finalize()
-	return db
+	},
+		[]datum.Datum{datum.NewInt(1), datum.NewString("a")},
+		[]datum.Datum{datum.NewInt(2), datum.NewString("b")})
 }
 
 func visibleIDs(t *testing.T, view *Table) []int64 {
@@ -64,8 +58,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts != initialTS+1 {
-		t.Errorf("first commit ts = %d, want %d", ts, initialTS+1)
+	if ts != snap.TS()+1 {
+		t.Errorf("commit ts = %d, want %d", ts, snap.TS()+1)
 	}
 
 	// The old snapshot is byte-identical to before the commit.
@@ -125,11 +119,19 @@ func TestWriteWriteConflict(t *testing.T) {
 	}
 }
 
+// TestIndexMaintainedByCommits checks that a commit after Finalize keeps
+// every index current and in key order, including for keys that land
+// before and after the existing ones.
 func TestIndexMaintainedByCommits(t *testing.T) {
 	db := mvccDB(t)
 	b := db.NewBatch()
-	if err := b.Insert("T", []datum.Datum{datum.NewInt(7), datum.NewString("g")}); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		id int64
+		v  string
+	}{{7, "g"}, {0, "z"}} {
+		if err := b.Insert("T", []datum.Datum{datum.NewInt(r.id), datum.NewString(r.v)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := db.Commit(b); err != nil {
 		t.Fatal(err)
@@ -140,29 +142,13 @@ func TestIndexMaintainedByCommits(t *testing.T) {
 	if len(got) != 1 || view.Rows[got[0]][1].Str() != "g" {
 		t.Errorf("index probe for committed insert = %v", got)
 	}
-}
-
-// TestAppendMaintainsBuiltIndexes is the regression test for the silent
-// index staleness bug: appending after BuildIndexes used to leave indexes
-// out of date with no error.
-func TestAppendMaintainsBuiltIndexes(t *testing.T) {
-	db := mvccDB(t)
-	tbl := db.Table("T")
-	tbl.MustAppend(datum.NewInt(5), datum.NewString("e")) // after Finalize built indexes
-	ix := tbl.Index("T_PK")
-	got := ix.EqualRange([]datum.Datum{datum.NewInt(5)})
-	if len(got) != 1 || tbl.Rows[got[0]][1].Str() != "e" {
-		t.Fatalf("index stale after post-build Append: %v", got)
-	}
-	// Order is preserved across the whole index.
 	all := ix.Range(datum.Null, false, false, datum.Null, false, false)
-	var last int64 = -1 << 62
+	var ids []int64
 	for _, rid := range all {
-		v := tbl.Rows[rid][0].Int()
-		if v < last {
-			t.Fatalf("index out of order after in-place insert: %d after %d", v, last)
-		}
-		last = v
+		ids = append(ids, view.Rows[rid][0].Int())
+	}
+	if fmt.Sprint(ids) != "[0 1 2 7]" {
+		t.Errorf("index order after commit = %v, want [0 1 2 7]", ids)
 	}
 }
 
@@ -170,6 +156,7 @@ func TestSnapshotStableUnderConcurrentCommits(t *testing.T) {
 	db := mvccDB(t)
 	const writers = 4
 	const commitsPerWriter = 200
+	startVersion := db.Catalog.DataVersion()
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -221,8 +208,8 @@ func TestSnapshotStableUnderConcurrentCommits(t *testing.T) {
 	if got := db.Snapshot().Table("T").NumVisible(); got != 2+writers*commitsPerWriter {
 		t.Errorf("final visible rows = %d, want %d", got, 2+writers*commitsPerWriter)
 	}
-	if dv := db.Catalog.DataVersion(); dv != int64(writers*commitsPerWriter) {
-		t.Errorf("data version = %d, want %d", dv, writers*commitsPerWriter)
+	if dv := db.Catalog.DataVersion() - startVersion; dv != int64(writers*commitsPerWriter) {
+		t.Errorf("data version advanced by %d, want %d", dv, writers*commitsPerWriter)
 	}
 }
 
@@ -271,6 +258,7 @@ func TestMvccMetrics(t *testing.T) {
 func TestEmptyBatchCommit(t *testing.T) {
 	db := mvccDB(t)
 	before := db.Snapshot().TS()
+	startVersion := db.Catalog.DataVersion()
 	ts, err := db.Commit(db.NewBatch())
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +266,7 @@ func TestEmptyBatchCommit(t *testing.T) {
 	if ts != before {
 		t.Errorf("empty commit advanced the oracle: %d -> %d", before, ts)
 	}
-	if dv := db.Catalog.DataVersion(); dv != 0 {
-		t.Errorf("empty commit bumped data version to %d", dv)
+	if dv := db.Catalog.DataVersion(); dv != startVersion {
+		t.Errorf("empty commit bumped data version %d -> %d", startVersion, dv)
 	}
 }

@@ -30,13 +30,9 @@ type Row []datum.Datum
 // Table is one immutable published version of a table: the version heap
 // (all row versions, live and dead), the MVCC metadata deciding which are
 // visible at this view's snapshot timestamp, and the indexes built over the
-// heap. Scans must skip rows for which Visible reports false.
-//
-// The zero begin/ends arrays (NewTable + direct Append before any MVCC
-// commit) describe the non-transactional bulk-load path: rows appended
-// directly are stamped with the view's own timestamp and are immediately
-// visible. Direct Append is not safe concurrently with serving; committed
-// writes go through an Engine's WriteBatch.
+// heap. Scans must skip rows for which Visible reports false. Rows enter
+// only through a committed WriteBatch, so begin, ends and Rows always have
+// the same length.
 type Table struct {
 	Meta *catalog.Table
 	Rows []Row
@@ -54,19 +50,8 @@ type Table struct {
 	indexes map[string]*Index // by index name
 }
 
-// NewTable creates an empty table for the given metadata. The result is a
-// load-time head: Append mutates it in place.
-func NewTable(meta *catalog.Table) *Table {
-	return &Table{Meta: meta, ts: initialTS, indexes: map[string]*Index{}}
-}
-
 // Visible reports whether row version i is visible in this view.
 func (t *Table) Visible(i int) bool {
-	if i >= len(t.begin) {
-		// Rows appended by the bulk-load path before MVCC metadata existed
-		// (or a view sliced ahead of its metadata) are always visible.
-		return true
-	}
 	if t.begin[i] > t.ts {
 		return false
 	}
@@ -151,37 +136,17 @@ func coerceRow(meta *catalog.Table, vals []datum.Datum) Row {
 	return out
 }
 
-// Append adds a row after validating its arity and column kinds. This is
-// the non-transactional bulk-load path: the row is stamped with the view's
-// own timestamp (immediately visible) and any already-built indexes are
-// maintained incrementally, so loading after BuildIndexes can no longer
-// leave them silently stale. Not safe concurrently with serving.
-func (t *Table) Append(vals ...datum.Datum) error {
-	if err := validateRow(t.Meta, vals); err != nil {
-		return err
+// buildIndexes builds every index declared in the table metadata over the
+// whole heap. Load-time only (Finalize, the end of WAL replay): it writes
+// the head in place, before serving starts.
+func (t *Table) buildIndexes() {
+	all := make([]int32, len(t.Rows))
+	for i := range all {
+		all[i] = int32(i)
 	}
-	slot := int32(len(t.Rows))
-	t.Rows = append(t.Rows, Row(vals))
-	t.begin = append(t.begin, t.ts)
-	t.ends = append(t.ends, 0)
-	for _, ix := range t.indexes {
-		ix.insertInPlace(t.Rows, slot)
-	}
-	return nil
-}
-
-// MustAppend is Append but panics on error; for test and generator code.
-func (t *Table) MustAppend(vals ...datum.Datum) {
-	if err := t.Append(vals...); err != nil {
-		panic(err)
-	}
-}
-
-// BuildIndexes (re)builds every index declared in the table metadata.
-func (t *Table) BuildIndexes() {
-	t.indexes = map[string]*Index{}
+	t.indexes = make(map[string]*Index, len(t.Meta.Indexes))
 	for _, im := range t.Meta.Indexes {
-		t.indexes[im.Name] = buildIndex(t.Rows, im)
+		t.indexes[im.Name] = (&Index{Meta: im}).extended(t.Rows, all)
 	}
 }
 
@@ -193,8 +158,7 @@ func (t *Table) Index(name string) *Index {
 // Index is an ordered secondary index: row numbers sorted by key columns.
 // An index covers every row version of its table view, dead ones included;
 // probes filter by visibility. Indexes are immutable once published with a
-// version (commits extend them copy-on-write); only the load-time path
-// inserts in place.
+// version; commits extend them copy-on-write.
 type Index struct {
 	Meta  *catalog.Index
 	rows  []Row
@@ -218,31 +182,6 @@ func rowLess(rows []Row, meta *catalog.Index, a, b int32) bool {
 		}
 	}
 	return false
-}
-
-func buildIndex(rows []Row, meta *catalog.Index) *Index {
-	idx := &Index{Meta: meta, rows: rows, order: make([]int32, len(rows))}
-	for i := range idx.order {
-		idx.order[i] = int32(i)
-	}
-	sort.SliceStable(idx.order, func(a, b int) bool {
-		return rowLess(rows, meta, idx.order[a], idx.order[b])
-	})
-	return idx
-}
-
-// insertInPlace inserts one new row number into key order (load-time path;
-// not safe concurrently with readers).
-func (ix *Index) insertInPlace(rows []Row, slot int32) {
-	ix.rows = rows
-	pos := sort.Search(len(ix.order), func(i int) bool {
-		// Upper bound: new rows land after existing equal keys, matching
-		// buildIndex's stable order.
-		return rowLess(rows, ix.Meta, slot, ix.order[i])
-	})
-	ix.order = append(ix.order, 0)
-	copy(ix.order[pos+1:], ix.order[pos:])
-	ix.order[pos] = slot
 }
 
 // extended returns a new index over rows that additionally covers the
@@ -413,11 +352,12 @@ func (db *DB) Commit(b *WriteBatch) (uint64, error) { return db.eng.Commit(b) }
 func (db *DB) Close() error { return db.eng.Close() }
 
 // Finalize builds all indexes and collects statistics for every table.
-// Call after loading data. It counts as one statistics change.
+// Call once after the load commits, before serving. It counts as one
+// statistics change.
 func (db *DB) Finalize() {
 	for _, name := range db.eng.TableNames() {
 		t := db.eng.OpenTable(name)
-		t.BuildIndexes()
+		t.buildIndexes()
 		t.Meta.SetStats(Analyze(t))
 	}
 	db.Catalog.BumpVersion()
@@ -447,16 +387,9 @@ func (db *DB) AnalyzeTable(name string) error {
 	return nil
 }
 
-// analyzeOne refreshes one table's statistics (and, for load-time tables
-// that were appended to before any BuildIndexes, builds the declared
-// indexes so the legacy append-then-analyze flow still works).
+// analyzeOne refreshes one table's statistics.
 func (db *DB) analyzeOne(name string) {
-	t := db.eng.OpenTable(name)
-	if t == nil {
-		return
+	if t := db.eng.OpenTable(name); t != nil {
+		t.Meta.SetStats(Analyze(t))
 	}
-	if len(t.indexes) < len(t.Meta.Indexes) {
-		t.BuildIndexes()
-	}
-	t.Meta.SetStats(Analyze(t))
 }

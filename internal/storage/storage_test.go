@@ -24,7 +24,6 @@ func testTable(t *testing.T) *Table {
 			{Name: "EMP_DEPT", Cols: []int{1}},
 		},
 	}
-	tbl := NewTable(meta)
 	rows := []struct {
 		id   int64
 		dept datum.Datum
@@ -38,41 +37,68 @@ func testTable(t *testing.T) *Table {
 		{5, datum.NewInt(30), 250, "eli"},
 		{6, datum.NewInt(20), 120, "fay"},
 	}
+	var vals [][]datum.Datum
 	for _, r := range rows {
-		tbl.MustAppend(datum.NewInt(r.id), r.dept, datum.NewFloat(r.sal), datum.NewString(r.name))
+		vals = append(vals, []datum.Datum{datum.NewInt(r.id), r.dept, datum.NewFloat(r.sal), datum.NewString(r.name)})
 	}
-	tbl.BuildIndexes()
-	return tbl
+	return loadDB(t, meta, vals...).Table("EMP")
 }
 
-func TestAppendValidation(t *testing.T) {
-	meta := &catalog.Table{
+// loadDB creates meta in a fresh in-memory database, commits rows in one
+// batch and finalizes the database.
+func loadDB(t *testing.T, meta *catalog.Table, rows ...[]datum.Datum) *DB {
+	t.Helper()
+	db := NewDB(catalog.New())
+	if _, err := db.CreateTable(meta); err != nil {
+		t.Fatal(err)
+	}
+	b := db.NewBatch()
+	for _, r := range rows {
+		if err := b.Insert(meta.Name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Commit(b); err != nil {
+		t.Fatal(err)
+	}
+	db.Finalize()
+	return db
+}
+
+func TestInsertValidation(t *testing.T) {
+	db := loadDB(t, &catalog.Table{
 		Name: "T",
 		Cols: []catalog.Column{
 			{Name: "A", Type: datum.KInt},
 			{Name: "B", Type: datum.KString, Nullable: true},
 		},
-	}
-	tbl := NewTable(meta)
-	if err := tbl.Append(datum.NewInt(1)); err == nil {
+	})
+	b := db.NewBatch()
+	if err := b.Insert("T", []datum.Datum{datum.NewInt(1)}); err == nil {
 		t.Error("arity mismatch should error")
 	}
-	if err := tbl.Append(datum.NewString("x"), datum.NewString("y")); err == nil {
+	if err := b.Insert("T", []datum.Datum{datum.NewString("x"), datum.NewString("y")}); err == nil {
 		t.Error("kind mismatch should error")
 	}
-	if err := tbl.Append(datum.Null, datum.NewString("y")); err == nil {
+	if err := b.Insert("T", []datum.Datum{datum.Null, datum.NewString("y")}); err == nil {
 		t.Error("NULL in non-nullable column should error")
 	}
-	if err := tbl.Append(datum.NewInt(1), datum.Null); err != nil {
+	if err := b.Insert("T", []datum.Datum{datum.NewInt(1), datum.Null}); err != nil {
 		t.Errorf("NULL in nullable column: %v", err)
+	}
+	if err := b.Insert("NOPE", []datum.Datum{datum.NewInt(1)}); err == nil {
+		t.Error("insert into a missing table should error")
+	}
+	if b.Inserted() != 1 {
+		t.Errorf("batch queued %d rows, want only the valid one", b.Inserted())
 	}
 }
 
 func TestIntInFloatColumn(t *testing.T) {
-	meta := &catalog.Table{Name: "T", Cols: []catalog.Column{{Name: "F", Type: datum.KFloat}}}
-	tbl := NewTable(meta)
-	if err := tbl.Append(datum.NewInt(3)); err != nil {
-		t.Errorf("int should be accepted in float column: %v", err)
+	db := loadDB(t, &catalog.Table{Name: "T", Cols: []catalog.Column{{Name: "F", Type: datum.KFloat}}},
+		[]datum.Datum{datum.NewInt(3)})
+	if got := db.Table("T").Rows[0][0]; got.Kind() != datum.KFloat || got.Float() != 3 {
+		t.Errorf("int in float column stored as %v (%s), want float 3", got, got.Kind())
 	}
 }
 
@@ -133,15 +159,14 @@ func TestRangeMatchesLinearScan(t *testing.T) {
 		},
 	}
 	f := func(vals []int16, loRaw, hiRaw int16) bool {
-		tbl := NewTable(meta)
+		rows := make([][]datum.Datum, len(vals))
 		for i, v := range vals {
+			rows[i] = []datum.Datum{datum.NewInt(int64(v))}
 			if i%7 == 3 {
-				tbl.MustAppend(datum.Null)
-				continue
+				rows[i][0] = datum.Null
 			}
-			tbl.MustAppend(datum.NewInt(int64(v)))
 		}
-		tbl.BuildIndexes()
+		tbl := loadDB(t, meta, rows...).Table("R")
 		lo, hi := int64(loRaw), int64(hiRaw)
 		if lo > hi {
 			lo, hi = hi, lo
@@ -198,8 +223,6 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestDB(t *testing.T) {
-	cat := catalog.New()
-	db := NewDB(cat)
 	meta := &catalog.Table{
 		Name: "DEPT",
 		Cols: []catalog.Column{
@@ -209,13 +232,10 @@ func TestDB(t *testing.T) {
 		PrimaryKey: []int{0},
 		Indexes:    []*catalog.Index{{Name: "DEPT_PK", Cols: []int{0}, Unique: true}},
 	}
-	tbl, err := db.CreateTable(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.MustAppend(datum.NewInt(10), datum.NewString("eng"))
-	tbl.MustAppend(datum.NewInt(20), datum.NewString("ops"))
-	db.Finalize()
+	db := loadDB(t, meta,
+		[]datum.Datum{datum.NewInt(10), datum.NewString("eng")},
+		[]datum.Datum{datum.NewInt(20), datum.NewString("ops")})
+	tbl := db.Table("DEPT")
 
 	if db.Table("dept") != tbl {
 		t.Error("case-insensitive lookup failed")

@@ -54,14 +54,23 @@ func MediumSizes() Sizes {
 // Countries used by the locations table.
 var Countries = []string{"US", "UK", "DE", "FR", "JP", "IN", "BR", "CA"}
 
-// NewDB builds the schema, loads deterministic pseudo-random data of the
-// given sizes (seeded by seed), builds indexes and collects statistics.
+// NewDB returns a fresh in-memory database loaded by Load.
 func NewDB(sizes Sizes, seed int64) *storage.DB {
-	rng := rand.New(rand.NewSource(seed))
-	cat := catalog.New()
-	db := storage.NewDB(cat)
+	db := storage.NewDB(catalog.New())
+	if err := Load(db, sizes, seed); err != nil {
+		panic(err)
+	}
+	return db
+}
 
-	locations := mustCreate(db, &catalog.Table{
+// Load creates the schema in db, which must not hold these tables yet,
+// commits deterministic pseudo-random data of the given sizes (seeded by
+// seed) and finalizes db: indexes and statistics. The rows and their heap
+// order depend only on sizes and seed, whatever engine db runs on.
+func Load(db *storage.DB, sizes Sizes, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	l := &loader{db: db}
+	l.create(&catalog.Table{
 		Name: "LOCATIONS",
 		Cols: []catalog.Column{
 			{Name: "LOC_ID", Type: datum.KInt},
@@ -73,8 +82,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 			{Name: "LOC_PK", Cols: []int{0}, Unique: true},
 			{Name: "LOC_COUNTRY", Cols: []int{2}},
 		},
-	})
-	departments := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "DEPARTMENTS",
 		Cols: []catalog.Column{
 			{Name: "DEPT_ID", Type: datum.KInt},
@@ -90,8 +98,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 			{Name: "DEPT_PK", Cols: []int{0}, Unique: true},
 			{Name: "DEPT_LOC", Cols: []int{2}},
 		},
-	})
-	jobs := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "JOBS",
 		Cols: []catalog.Column{
 			{Name: "JOB_ID", Type: datum.KInt},
@@ -102,8 +109,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		Indexes: []*catalog.Index{
 			{Name: "JOBS_PK", Cols: []int{0}, Unique: true},
 		},
-	})
-	employees := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "EMPLOYEES",
 		Cols: []catalog.Column{
 			{Name: "EMP_ID", Type: datum.KInt},
@@ -124,8 +130,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 			{Name: "EMP_DEPT", Cols: []int{2}},
 			{Name: "EMP_JOB", Cols: []int{5}},
 		},
-	})
-	jobHistory := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "JOB_HISTORY",
 		Cols: []catalog.Column{
 			{Name: "EMP_ID", Type: datum.KInt},
@@ -141,8 +146,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 			{Name: "JH_EMP", Cols: []int{0}},
 			{Name: "JH_START", Cols: []int{3}},
 		},
-	})
-	sales := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "SALES",
 		Cols: []catalog.Column{
 			{Name: "SALE_ID", Type: datum.KInt},
@@ -159,8 +163,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 			{Name: "SALES_EMP", Cols: []int{1}},
 			{Name: "SALES_DEPT", Cols: []int{2}},
 		},
-	})
-	accounts := mustCreate(db, &catalog.Table{
+	}, &catalog.Table{
 		Name: "ACCOUNTS",
 		Cols: []catalog.Column{
 			{Name: "ACCT_ID", Type: datum.KString},
@@ -175,7 +178,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 	})
 
 	for i := 0; i < sizes.Locations; i++ {
-		locations.MustAppend(
+		l.insert("LOCATIONS",
 			datum.NewInt(int64(i+1)),
 			datum.NewString(fmt.Sprintf("city_%d", i+1)),
 			datum.NewString(Countries[i%len(Countries)]),
@@ -183,7 +186,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 	}
 	for i := 0; i < sizes.Departments; i++ {
 		locations := int64(rng.Intn(max(sizes.Locations, 1)) + 1)
-		departments.MustAppend(
+		l.insert("DEPARTMENTS",
 			datum.NewInt(int64(i+1)),
 			datum.NewString(fmt.Sprintf("dept_%d", i+1)),
 			datum.NewInt(locations),
@@ -191,7 +194,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		)
 	}
 	for i := 0; i < sizes.Jobs; i++ {
-		jobs.MustAppend(
+		l.insert("JOBS",
 			datum.NewInt(int64(i+1)),
 			datum.NewString(fmt.Sprintf("title_%d", i+1)),
 			datum.NewFloat(float64(rng.Intn(5000)+2000)),
@@ -206,7 +209,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		if i > 0 && rng.Intn(10) != 0 {
 			mgr = datum.NewInt(int64(rng.Intn(i) + 1))
 		}
-		employees.MustAppend(
+		l.insert("EMPLOYEES",
 			datum.NewInt(int64(i+1)),
 			datum.NewString(fmt.Sprintf("emp_%d", i+1)),
 			dept,
@@ -217,7 +220,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		)
 	}
 	for i := 0; i < sizes.JobHistory; i++ {
-		jobHistory.MustAppend(
+		l.insert("JOB_HISTORY",
 			datum.NewInt(int64(rng.Intn(max(sizes.Employees, 1))+1)),
 			datum.NewInt(int64(rng.Intn(max(sizes.Jobs, 1))+1)),
 			datum.NewString(fmt.Sprintf("title_%d", rng.Intn(max(sizes.Jobs, 1))+1)),
@@ -227,7 +230,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 	}
 	states := []string{"CA", "NY", "TX", "WA", "MA"}
 	for i := 0; i < sizes.Sales; i++ {
-		sales.MustAppend(
+		l.insert("SALES",
 			datum.NewInt(int64(i+1)),
 			datum.NewInt(int64(rng.Intn(max(sizes.Employees, 1))+1)),
 			datum.NewInt(int64(rng.Intn(max(sizes.Departments, 1))+1)),
@@ -242,7 +245,7 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		if i%37 == 0 {
 			id = "ORCL"
 		}
-		accounts.MustAppend(
+		l.insert("ACCOUNTS",
 			datum.NewString(id),
 			datum.NewInt(int64(i%24+1)),
 			datum.NewFloat(float64(rng.Intn(100000))/100),
@@ -251,16 +254,66 @@ func NewDB(sizes Sizes, seed int64) *storage.DB {
 		)
 	}
 
-	db.Finalize()
-	return db
+	return l.finish()
 }
 
-func mustCreate(db *storage.DB, meta *catalog.Table) *storage.Table {
-	t, err := db.CreateTable(meta)
-	if err != nil {
+// loadBatchRows is how many rows one load commit carries. Staging a whole
+// table, or the whole dataset, in one batch would hold a second copy of it
+// in memory at the peak.
+const loadBatchRows = 1024
+
+// loader creates tables and commits rows into db through write batches of
+// loadBatchRows rows. The first error sticks: later calls do nothing, and
+// finish returns it.
+type loader struct {
+	db  *storage.DB
+	b   *storage.WriteBatch
+	err error
+}
+
+func (l *loader) create(schema ...*catalog.Table) {
+	for _, meta := range schema {
+		if l.err == nil {
+			_, l.err = l.db.CreateTable(meta)
+		}
+	}
+}
+
+func (l *loader) insert(table string, vals ...datum.Datum) {
+	if l.err != nil {
+		return
+	}
+	if l.b == nil {
+		l.b = l.db.NewBatch()
+	}
+	if l.err = l.b.Insert(table, vals); l.err == nil && l.b.Inserted() == loadBatchRows {
+		l.flush()
+	}
+}
+
+func (l *loader) flush() {
+	if l.err == nil && l.b != nil {
+		_, l.err = l.db.Commit(l.b)
+	}
+	l.b = nil
+}
+
+// finish commits the rows still staged and finalizes the database.
+func (l *loader) finish() error {
+	l.flush()
+	if l.err != nil {
+		return l.err
+	}
+	l.db.Finalize()
+	return nil
+}
+
+// mustFinish is finish for the in-memory fixtures, which cannot fail.
+func (l *loader) mustFinish() *storage.DB {
+	if err := l.finish(); err != nil {
 		panic(err)
 	}
-	return t
+	return l.db
 }
 
 func randDate(rng *rand.Rand, yearLo, yearHi int) datum.Datum {
@@ -268,11 +321,4 @@ func randDate(rng *rand.Rand, yearLo, yearHi int) datum.Datum {
 	m := rng.Intn(12) + 1
 	d := rng.Intn(28) + 1
 	return datum.NewString(fmt.Sprintf("%04d%02d%02d", y, m, d))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

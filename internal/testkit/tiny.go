@@ -14,10 +14,8 @@ import (
 //	EMP:  6 rows; fay has a NULL dept_id, ann a NULL mgr_id
 //	PROJ: projects with dept_id and budgets (dept 10 has two, 20 one)
 func TinyDB() *storage.DB {
-	cat := catalog.New()
-	db := storage.NewDB(cat)
-
-	dept, err := db.CreateTable(&catalog.Table{
+	l := &loader{db: storage.NewDB(catalog.New())}
+	l.create(&catalog.Table{
 		Name: "DEPT",
 		Cols: []catalog.Column{
 			{Name: "DEPT_ID", Type: datum.KInt},
@@ -26,11 +24,7 @@ func TinyDB() *storage.DB {
 		},
 		PrimaryKey: []int{0},
 		Indexes:    []*catalog.Index{{Name: "DEPT_PK", Cols: []int{0}, Unique: true}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	emp, err := db.CreateTable(&catalog.Table{
+	}, &catalog.Table{
 		Name: "EMP",
 		Cols: []catalog.Column{
 			{Name: "EMP_ID", Type: datum.KInt},
@@ -47,11 +41,7 @@ func TinyDB() *storage.DB {
 			{Name: "EMP_PK", Cols: []int{0}, Unique: true},
 			{Name: "EMP_DEPT", Cols: []int{2}},
 		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	proj, err := db.CreateTable(&catalog.Table{
+	}, &catalog.Table{
 		Name: "PROJ",
 		Cols: []catalog.Column{
 			{Name: "PROJ_ID", Type: datum.KInt},
@@ -65,9 +55,6 @@ func TinyDB() *storage.DB {
 			{Name: "PROJ_DEPT", Cols: []int{1}},
 		},
 	})
-	if err != nil {
-		panic(err)
-	}
 
 	d := func(vals ...interface{}) []datum.Datum {
 		out := make([]datum.Datum, len(vals))
@@ -85,23 +72,42 @@ func TinyDB() *storage.DB {
 		}
 		return out
 	}
-	dept.MustAppend(d(10, "eng", 1)...)
-	dept.MustAppend(d(20, "ops", 2)...)
-	dept.MustAppend(d(30, "hr", 1)...)
-	dept.MustAppend(d(40, "empty", nil)...)
+	l.insert("DEPT", d(10, "eng", 1)...)
+	l.insert("DEPT", d(20, "ops", 2)...)
+	l.insert("DEPT", d(30, "hr", 1)...)
+	l.insert("DEPT", d(40, "empty", nil)...)
 
-	emp.MustAppend(d(1, "ann", 10, 100.0, nil)...)
-	emp.MustAppend(d(2, "bob", 10, 200.0, 1)...)
-	emp.MustAppend(d(3, "cal", 20, 300.0, 1)...)
-	emp.MustAppend(d(4, "dee", 20, 50.0, 3)...)
-	emp.MustAppend(d(5, "eli", 30, 250.0, 1)...)
-	emp.MustAppend(d(6, "fay", nil, 150.0, 2)...)
+	l.insert("EMP", d(1, "ann", 10, 100.0, nil)...)
+	l.insert("EMP", d(2, "bob", 10, 200.0, 1)...)
+	l.insert("EMP", d(3, "cal", 20, 300.0, 1)...)
+	l.insert("EMP", d(4, "dee", 20, 50.0, 3)...)
+	l.insert("EMP", d(5, "eli", 30, 250.0, 1)...)
+	l.insert("EMP", d(6, "fay", nil, 150.0, 2)...)
 
-	proj.MustAppend(d(100, 10, 1000.0, "alpha")...)
-	proj.MustAppend(d(101, 10, 500.0, "beta")...)
-	proj.MustAppend(d(102, 20, 800.0, "gamma")...)
-	proj.MustAppend(d(103, nil, 300.0, "orphan")...)
+	l.insert("PROJ", d(100, 10, 1000.0, "alpha")...)
+	l.insert("PROJ", d(101, 10, 500.0, "beta")...)
+	l.insert("PROJ", d(102, 20, 800.0, "gamma")...)
+	l.insert("PROJ", d(103, nil, 300.0, "orphan")...)
 
-	db.Finalize()
-	return db
+	return l.mustFinish()
+}
+
+// ParamDB builds one table for bind-parameter tests: T(ID, GRP, VAL) with
+// ids 0..19, GRP = ID mod 4 (indexed) and VAL = 1.5 * ID.
+func ParamDB() *storage.DB {
+	l := &loader{db: storage.NewDB(catalog.New())}
+	l.create(&catalog.Table{
+		Name: "T",
+		Cols: []catalog.Column{
+			{Name: "ID", Type: datum.KInt},
+			{Name: "GRP", Type: datum.KInt},
+			{Name: "VAL", Type: datum.KFloat},
+		},
+		PrimaryKey: []int{0},
+		Indexes:    []*catalog.Index{{Name: "T_GRP", Cols: []int{1}}},
+	})
+	for i := 0; i < 20; i++ {
+		l.insert("T", datum.NewInt(int64(i)), datum.NewInt(int64(i%4)), datum.NewFloat(float64(i)*1.5))
+	}
+	return l.mustFinish()
 }

@@ -5,7 +5,7 @@
 // and the four passes in this file machine-check them:
 //
 //   - snapmut: a published MVCC table version (storage.Table / storage.Index)
-//     is immutable; only the allowlisted constructor/commit set may write its
+//     is immutable; only the allowlisted load/commit set may write its
 //     fields. A stray mutation is a silent snapshot-isolation break the
 //     differential oracle can only catch probabilistically;
 //   - ctxflow: inside the serving path (server, exec, cbqt, storage), a
@@ -33,18 +33,14 @@ import (
 // published instances are immutable by design.
 var versionTypes = map[string]bool{"Table": true, "Index": true}
 
-// snapmutAllowed is the constructor/commit function set of internal/storage
-// that is allowed to write version fields: load-time builders that run
-// before a version is published, and the commit path that writes only the
-// private next version before the atomic head swap. Extending this list is
-// a review decision, not a convenience.
+// snapmutAllowed is the function set of internal/storage that is allowed to
+// write version fields: the load-time index builder, which runs before
+// serving starts, and the commit path, which writes only the private next
+// version before the atomic head swap. Extending this list is a review
+// decision, not a convenience.
 var snapmutAllowed = map[string]bool{
-	"NewTable":      true, // load-time constructor, version not yet published
-	"Append":        true, // load-time row loader (documented not-serving-safe)
-	"BuildIndexes":  true, // load-time index builder
-	"buildIndex":    true, // builds a private Index before publication
-	"insertInPlace": true, // load-time index maintenance under Append
-	"applyOps":      true, // commit path: writes the unpublished next version
+	"buildIndexes": true, // load-time index builder (Finalize, end of WAL replay)
+	"applyOps":     true, // commit path: writes the unpublished next version
 }
 
 // isStoragePkg reports whether pkg is this repository's internal/storage.
@@ -54,7 +50,7 @@ func isStoragePkg(pkg *types.Package) bool {
 
 var snapmut = &Analyzer{
 	Name: "snapmut",
-	Doc:  "forbid writes to published MVCC table-version fields outside the constructor/commit set",
+	Doc:  "forbid writes to published MVCC table-version fields outside the load/commit set",
 	Run: func(p *Pass) {
 		inStorage := isStoragePkg(p.Pkg)
 		for _, f := range p.Files {
@@ -120,7 +116,7 @@ func snapmutCheckWrite(p *Pass, lhs ast.Expr) {
 			return // field store through a value copy mutates only the copy
 		}
 	}
-	p.Report(lhs.Pos(), "write to %s.%s outside the MVCC constructor/commit set: published table versions are immutable; mutate an unpublished copy and swap the head", owner.Obj().Name(), sl.Obj().Name())
+	p.Report(lhs.Pos(), "write to %s.%s outside the MVCC load/commit set: published table versions are immutable; mutate an unpublished copy and swap the head", owner.Obj().Name(), sl.Obj().Name())
 }
 
 // namedOf strips one level of pointer and returns the named type, or nil.
