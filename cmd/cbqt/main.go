@@ -104,21 +104,12 @@ func main() {
 		fs.Metrics = reg
 		opts.Faults = fs
 	}
-	switch *strategy {
-	case "auto":
-		opts.Strategy = cbqt.StrategyAuto
-	case "exhaustive":
-		opts.Strategy = cbqt.StrategyExhaustive
-	case "iterative":
-		opts.Strategy = cbqt.StrategyIterative
-	case "linear":
-		opts.Strategy = cbqt.StrategyLinear
-	case "two-pass":
-		opts.Strategy = cbqt.StrategyTwoPass
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+	st, err := cbqt.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts.Strategy = st
 	switch *mode {
 	case "cost":
 	case "heuristic", "off":

@@ -72,13 +72,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-store disk requires -data-dir")
 			os.Exit(2)
 		}
-		cat := catalog.New()
-		eng, err := storage.OpenDiskEngine(*dataDir, cat)
+		var err error
+		db, err = storage.OpenDiskEngine(*dataDir, catalog.New())
 		if err != nil {
 			log.Fatalf("cbqtd: open disk store: %v", err)
 		}
-		db = storage.NewDBWithEngine(cat, eng)
-		if len(cat.Tables()) == 0 {
+		if len(db.Catalog.Tables()) == 0 {
 			// Fresh directory: load the demo dataset through the WAL so the
 			// first start is durable too.
 			log.Printf("cbqtd: seeding %s demo data into %s", *size, *dataDir)
@@ -86,7 +85,7 @@ func main() {
 				log.Fatalf("cbqtd: seed disk store: %v", err)
 			}
 		} else {
-			log.Printf("cbqtd: recovered %d table(s) from %s", len(cat.Tables()), *dataDir)
+			log.Printf("cbqtd: recovered %d table(s) from %s", len(db.Catalog.Tables()), *dataDir)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown store %q\n", *store)
@@ -95,21 +94,12 @@ func main() {
 
 	opts := cbqt.DefaultOptions()
 	opts.Check = *chk
-	switch *strategy {
-	case "auto":
-		opts.Strategy = cbqt.StrategyAuto
-	case "exhaustive":
-		opts.Strategy = cbqt.StrategyExhaustive
-	case "iterative":
-		opts.Strategy = cbqt.StrategyIterative
-	case "linear":
-		opts.Strategy = cbqt.StrategyLinear
-	case "two-pass":
-		opts.Strategy = cbqt.StrategyTwoPass
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+	st, err := cbqt.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts.Strategy = st
 
 	reg := obsv.NewRegistry()
 	db.Metrics(reg) // storage.mvcc.* / storage.wal.* counters

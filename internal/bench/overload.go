@@ -20,8 +20,8 @@ import (
 type OverloadConfig struct {
 	// DB is the benchmark database.
 	DB *storage.DB
-	// Opts is the optimizer configuration (zero value: cbqt defaults with
-	// Parallelism 1, like the throughput experiment).
+	// Opts is the optimizer configuration; callers start from
+	// cbqt.DefaultOptions.
 	Opts cbqt.Options
 	// MaxInflight / MaxQueue / QueueWait configure the server's admission
 	// gate (defaults: 4 / MaxInflight / one mean service time measured at
@@ -97,12 +97,6 @@ func Overload(ctx context.Context, cfg OverloadConfig) (*OverloadResult, error) 
 	}
 	if cfg.PointDuration <= 0 {
 		cfg.PointDuration = 2 * time.Second
-	}
-	// A zero Options means "use the defaults" (a real configuration always
-	// starts from cbqt.DefaultOptions, which sets the thresholds).
-	if cfg.Opts.ExhaustiveThreshold == 0 && cfg.Opts.TwoPassThreshold == 0 {
-		cfg.Opts = cbqt.DefaultOptions()
-		cfg.Opts.Parallelism = 1
 	}
 
 	pqs := cfg.Queries

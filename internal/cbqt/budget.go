@@ -31,12 +31,6 @@ type Budget struct {
 	Timeout time.Duration
 	// MaxStates caps transformation states costed across all rules.
 	MaxStates int
-	// MaxDepth caps the total number of object transformations applied to
-	// the query: states needing more transformations than the remaining
-	// depth are skipped, and each chosen winner consumes depth equal to its
-	// transformed-object count. The analogue of the bottom-up-rewrite
-	// papers' bounded rewrite budget.
-	MaxDepth int
 	// MaxMemBytes caps the approximate bytes held by per-state copies of the
 	// query tree plus the cost-annotation table.
 	MaxMemBytes int64
@@ -52,7 +46,6 @@ const (
 	DegradeNone     DegradeReason = ""
 	DegradeDeadline DegradeReason = "deadline"
 	DegradeStateCap DegradeReason = "state-cap"
-	DegradeDepthCap DegradeReason = "depth-cap"
 	DegradeMemCap   DegradeReason = "mem-cap"
 	DegradeCanceled DegradeReason = "canceled"
 )
@@ -120,11 +113,8 @@ type budgetTracker struct {
 	perStateBytes int64     // approx bytes of one deep-copied query tree
 	cacheBytes    func() int64
 
-	resMu     sync.Mutex   // serializes reserve's read-modify-write
-	states    atomic.Int64 // states granted so far
-	depthUsed atomic.Int64
-
-	maxDepth int // 0 = unlimited
+	resMu  sync.Mutex   // serializes reserve's read-modify-write
+	states atomic.Int64 // states granted so far
 
 	// preSummary is the contract summary of the query a rule search starts
 	// from (Options.Check only). o.search writes it before dispatching
@@ -147,7 +137,6 @@ func newBudgetTracker(ctx context.Context, b Budget, q *qtree.Query, cache *opti
 	t := &budgetTracker{
 		ctx:           ctx,
 		maxStates:     int64(b.MaxStates),
-		maxDepth:      b.MaxDepth,
 		maxMem:        b.MaxMemBytes,
 		perStateBytes: q.ApproxBytes(),
 		cacheBytes:    func() int64 { return 0 },
@@ -231,37 +220,4 @@ func (t *budgetTracker) reserve(n int) int {
 	}
 	t.states.Add(granted)
 	return int(granted)
-}
-
-// allowWeight reports whether a state applying w object transformations
-// fits in the remaining transformation depth. A pure function of the state
-// and the depth consumed by already-chosen winners, so filtering is
-// deterministic at any parallelism.
-func (t *budgetTracker) allowWeight(w int) bool {
-	if t.maxDepth <= 0 || w == 0 {
-		return true
-	}
-	if int64(w)+t.depthUsed.Load() > int64(t.maxDepth) {
-		t.trip(DegradeDepthCap)
-		return false
-	}
-	return true
-}
-
-// noteDepth consumes depth for a chosen winner.
-func (t *budgetTracker) noteDepth(w int) {
-	if w > 0 {
-		t.depthUsed.Add(int64(w))
-	}
-}
-
-// weight is the number of transformed (non-zero) objects in a state.
-func weight(s state) int {
-	w := 0
-	for _, v := range s {
-		if v != 0 {
-			w++
-		}
-	}
-	return w
 }

@@ -106,27 +106,6 @@ func TestDegradeStateCap(t *testing.T) {
 	}
 }
 
-// TestDegradeDepthCap: with a transformation-depth budget of 1, states
-// transforming two or more objects are skipped and the skip is recorded.
-func TestDegradeDepthCap(t *testing.T) {
-	db := testkit.NewDB(testkit.SmallSizes(), 7)
-	baseRows, _ := runCBQT(t, db, table2SQL, disabledOptions())
-
-	opts := DefaultOptions()
-	opts.Parallelism = 1
-	opts.Budget.MaxDepth = 1
-	rows, res := runCBQT(t, db, table2SQL, opts)
-
-	// Table 2 has four unnestable subqueries, so weight >= 2 states exist
-	// and must have been filtered.
-	if res.Stats.Degraded != DegradeDepthCap {
-		t.Fatalf("Degraded = %q, want %q", res.Stats.Degraded, DegradeDepthCap)
-	}
-	if !equalStrs(rows, baseRows) {
-		t.Errorf("depth-capped plan changed results")
-	}
-}
-
 // TestDegradeMemCap: a memory budget smaller than one deep copy of the
 // query grants zero states, degrading to the heuristic-only plan.
 func TestDegradeMemCap(t *testing.T) {

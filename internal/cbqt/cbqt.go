@@ -37,8 +37,8 @@ type Strategy int
 // Search strategies.
 const (
 	// StrategyAuto picks per the paper: exhaustive for small object
-	// counts, linear beyond ExhaustiveThreshold, two-pass when the total
-	// object count in the query exceeds TwoPassThreshold.
+	// counts, linear beyond exhaustiveThreshold, two-pass when the total
+	// object count in the query exceeds twoPassThreshold.
 	StrategyAuto Strategy = iota
 	StrategyExhaustive
 	StrategyIterative
@@ -53,6 +53,16 @@ var strategyNames = [...]string{
 }
 
 func (s Strategy) String() string { return strategyNames[s] }
+
+// ParseStrategy returns the strategy whose String is name.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, n := range strategyNames {
+		if n == name {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("cbqt: unknown strategy %q", name)
+}
 
 // RuleMode controls how one transformation participates.
 type RuleMode int
@@ -79,16 +89,7 @@ type HeuristicDecider interface {
 // Options configure the CBQT driver.
 type Options struct {
 	Strategy Strategy
-	// ExhaustiveThreshold is the largest per-transformation object count
-	// enumerated exhaustively under StrategyAuto (the paper: "if a query
-	// block contains a small number of subqueries, we use exhaustive
-	// search, but if the number exceeds a fixed threshold, linear").
-	ExhaustiveThreshold int
-	// TwoPassThreshold is the total transformation-object count in the
-	// query above which StrategyAuto degrades every search to two-pass.
-	TwoPassThreshold int
-	// IterativeRestarts and IterativeMaxStates bound iterative improvement.
-	IterativeRestarts  int
+	// IterativeMaxStates bounds the states iterative improvement costs.
 	IterativeMaxStates int
 	// Parallelism bounds the worker goroutines that evaluate
 	// transformation states concurrently. Each state is costed on its own
@@ -174,16 +175,13 @@ var fullCloneStates = false
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		Strategy:            StrategyAuto,
-		ExhaustiveThreshold: 4,
-		TwoPassThreshold:    10,
-		IterativeRestarts:   3,
-		IterativeMaxStates:  24,
-		Parallelism:         0, // runtime.GOMAXPROCS(0) workers
-		CostCutoff:          true,
-		AnnotationReuse:     true,
-		Seed:                1,
-		Check:               defaultCheck,
+		Strategy:           StrategyAuto,
+		IterativeMaxStates: 24,
+		Parallelism:        0, // runtime.GOMAXPROCS(0) workers
+		CostCutoff:         true,
+		AnnotationReuse:    true,
+		Seed:               1,
+		Check:              defaultCheck,
 	}
 }
 
@@ -372,7 +370,6 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		winner := obsv.WinnerUntransformed
 		if !best.isZero() {
 			if o.applyWinner(q, r, best, quarantine, &stats) {
-				tracker.noteDepth(weight(best))
 				winner = obsv.WinnerApplied
 			} else {
 				winner = obsv.WinnerRolledBack
@@ -619,15 +616,31 @@ func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule) err
 	return nil
 }
 
+// The search-strategy limits of §3.2, which picks strategies by "a fixed
+// threshold": "if a query block contains a small number of subqueries, we
+// use exhaustive search, but if the number exceeds a fixed threshold,
+// linear".
+const (
+	// exhaustiveThreshold is the largest per-transformation object count
+	// StrategyAuto enumerates exhaustively.
+	exhaustiveThreshold = 4
+	// twoPassThreshold is the total transformation-object count in the
+	// query above which StrategyAuto degrades every search to two-pass.
+	twoPassThreshold = 10
+	// iterativeRestarts bounds the random restarts of iterative
+	// improvement.
+	iterativeRestarts = 3
+)
+
 // pickStrategy implements the automatic selection (§3.2).
 func (o *Optimizer) pickStrategy(n, totalObjects int) Strategy {
 	if o.Opts.Strategy != StrategyAuto {
 		return o.Opts.Strategy
 	}
-	if totalObjects > o.Opts.TwoPassThreshold {
+	if totalObjects > twoPassThreshold {
 		return StrategyTwoPass
 	}
-	if n <= o.Opts.ExhaustiveThreshold {
+	if n <= exhaustiveThreshold {
 		return StrategyExhaustive
 	}
 	return StrategyLinear

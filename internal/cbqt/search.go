@@ -46,10 +46,6 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 			ElapsedUS: time.Since(began).Microseconds(),
 		})
 	}
-	if !tracker.allowWeight(weight(s)) {
-		stateEvent(obsv.OutcomeInfeasible, "depth-cap", 0, 0, 0)
-		return 0, errInfeasible // deeper than the remaining depth budget
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			cost = 0
@@ -300,7 +296,7 @@ func (o *Optimizer) searchTwoPass(q *qtree.Query, r transform.Rule, variants []i
 // searchIterative performs iterative improvement (§3.2): from a random
 // initial state, repeatedly move to a cheaper neighbour (one object
 // changed) until a local minimum; restart with a different initial state,
-// bounded by IterativeRestarts and IterativeMaxStates.
+// bounded by iterativeRestarts and IterativeMaxStates.
 func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
 	n := len(variants)
 	rng := rand.New(rand.NewSource(o.Opts.Seed))
@@ -340,7 +336,7 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 	}
 	best, bestCost = zero.clone(), cost
 
-	for restart := 0; restart < o.Opts.IterativeRestarts && count < o.Opts.IterativeMaxStates; restart++ {
+	for restart := 0; restart < iterativeRestarts && count < o.Opts.IterativeMaxStates; restart++ {
 		cur := make(state, n)
 		for i := range cur {
 			cur[i] = rng.Intn(variants[i] + 1)

@@ -275,7 +275,7 @@ func (s *Server) sessionOpts(so *SessionOptions) (cbqt.Options, string, error) {
 	opts := s.opts
 	if so != nil {
 		if so.Strategy != "" {
-			st, err := parseStrategy(so.Strategy)
+			st, err := cbqt.ParseStrategy(so.Strategy)
 			if err != nil {
 				return opts, "", err
 			}
@@ -291,18 +291,6 @@ func (s *Server) sessionOpts(so *SessionOptions) (cbqt.Options, string, error) {
 		}
 	}
 	return opts, strategyFingerprint(opts), nil
-}
-
-func parseStrategy(name string) (cbqt.Strategy, error) {
-	for _, st := range []cbqt.Strategy{
-		cbqt.StrategyAuto, cbqt.StrategyExhaustive, cbqt.StrategyIterative,
-		cbqt.StrategyLinear, cbqt.StrategyTwoPass,
-	} {
-		if st.String() == name {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown strategy %q", name)
 }
 
 // strategyFingerprint renders the plan-affecting optimizer options as the

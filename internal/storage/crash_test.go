@@ -104,12 +104,10 @@ func TestKillAndRecover(t *testing.T) {
 	// exactly 1..K for some K >= lastAcked (commits are sequential and
 	// atomic, so unacked-but-synced trailing commits are fine, holes and
 	// partial rows are not).
-	cat := catalog.New()
-	eng, err := OpenDiskEngine(dir, cat)
+	db, err := OpenDiskEngine(dir, catalog.New())
 	if err != nil {
 		t.Fatalf("reopen after SIGKILL: %v", err)
 	}
-	db := NewDBWithEngine(cat, eng)
 	defer db.Close()
 	view := db.Snapshot().Table("T")
 	if view == nil {

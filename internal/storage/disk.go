@@ -1,123 +1,74 @@
 package storage
 
 import (
-	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/catalog"
 )
 
-// DiskEngine is the disk-backed append-log storage engine: the same MVCC
-// store as MemEngine, made durable by a segmented WAL. Every CREATE TABLE
-// and every commit is appended and fsynced before it is applied or
-// acknowledged; opening a data directory replays the log (truncating a
-// torn tail left by a crash) and rebuilds the in-memory heaps, indexes,
-// and statistics, reproducing exactly the committed-transaction state.
-type DiskEngine struct {
-	s   *store
-	dir string
-
-	// walMu guards the writer for schema records, which are written
-	// outside the store's commit lock. Commit records are written under
-	// commitMu via the store's log hook; the two never interleave because
-	// CreateTable is not concurrent with serving, but the lock keeps the
-	// writer safe regardless.
-	walMu sync.Mutex
-	w     *walWriter
-}
-
-var (
-	_ Engine = (*MemEngine)(nil)
-	_ Engine = (*DiskEngine)(nil)
-)
-
 // OpenDiskEngine opens (or initializes) a data directory over the given
-// catalog. The catalog must not already contain tables that the WAL also
-// defines — the intended use is a fresh catalog that the replay populates.
-// After replay, indexes are rebuilt in memory and statistics recollected,
-// so the database is immediately servable.
-func OpenDiskEngine(dir string, cat *catalog.Catalog) (*DiskEngine, error) {
+// catalog and returns a durable database: the in-memory MVCC store with a
+// segmented WAL attached. Every CREATE TABLE and every commit is appended
+// and fsynced before it is applied or acknowledged. Opening replays the
+// log (truncating a torn tail left by a crash), reproducing exactly the
+// committed-transaction state, then builds indexes and statistics with
+// Finalize, so the database is immediately servable. The catalog must not
+// already contain tables that the WAL also defines — the intended use is
+// a fresh catalog that the replay populates.
+func OpenDiskEngine(dir string, cat *catalog.Catalog) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := newStore(cat)
-	var m walMetrics
-	lastSeg, err := replayWAL(dir, s, m)
+	db := NewDB(cat)
+	w, err := replayWAL(dir, db)
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWalWriter(dir, lastSeg)
-	if err != nil {
-		return nil, err
+	db.wal = w
+	if len(cat.Tables()) > 0 {
+		db.Finalize()
 	}
-	e := &DiskEngine{s: s, dir: dir, w: w}
-	s.logFn = e.logCommit
-	// Rebuild what the log does not store: indexes and statistics.
-	for _, name := range s.tableNames() {
-		t := s.openTable(name)
-		t.buildIndexes()
-		t.Meta.SetStats(Analyze(t))
-	}
-	if len(s.tableNames()) > 0 {
-		cat.BumpVersion()
-	}
-	return e, nil
+	return db, nil
 }
 
-// logCommit is the store's durability hook: append + fsync the commit
-// record before the commit is applied.
-func (e *DiskEngine) logCommit(commitTS uint64, b *WriteBatch) error {
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	return e.w.append(encodeCommit(commitTS, b.ops))
-}
+// NewDBWithEngine returns db unchanged. It is kept only for
+// benchmark/replay.go, which wraps OpenDiskEngine's result with it.
+func NewDBWithEngine(cat *catalog.Catalog, db *DB) *DB { return db }
 
-// CreateTable logs the schema durably, then registers the table.
-func (e *DiskEngine) CreateTable(meta *catalog.Table) (*Table, error) {
-	if e.s.cat.Table(meta.Name) != nil {
-		return nil, fmt.Errorf("catalog: table %s already exists", meta.Name)
+// Metrics wires an observability registry into the storage.mvcc.* and,
+// for a durable database, storage.wal.* counters. The WAL replay done at
+// open is counted into storage.wal.replayed_commits and
+// storage.wal.torn_tails here. Safe to call with nil.
+func (db *DB) Metrics(reg metricsRegistry) {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	db.metrics = newStoreMetrics(reg)
+	if db.wal != nil {
+		db.wal.metrics = newWalMetrics(reg)
+		db.wal.metrics.replayed.Add(db.wal.replayed)
+		db.wal.metrics.torn.Add(db.wal.torn)
 	}
-	e.walMu.Lock()
-	err := e.w.append(encodeSchema(meta))
-	e.walMu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("storage: log schema: %w", err)
+}
+
+// Close flushes and closes the WAL of a durable database; further commits
+// and CREATE TABLEs fail with ErrClosed. It is a no-op in memory.
+func (db *DB) Close() error {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	if db.wal == nil {
+		return nil
 	}
-	return e.s.createTable(meta)
+	return db.wal.close()
 }
-
-func (e *DiskEngine) OpenTable(name string) *Table         { return e.s.openTable(name) }
-func (e *DiskEngine) TableNames() []string                 { return e.s.tableNames() }
-func (e *DiskEngine) Snapshot() *Snapshot                  { return e.s.snapshot() }
-func (e *DiskEngine) NewBatch() *WriteBatch                { return e.s.newBatch() }
-func (e *DiskEngine) Commit(b *WriteBatch) (uint64, error) { return e.s.commit(b) }
-
-func (e *DiskEngine) UseMetrics(reg metricsRegistry) {
-	e.s.metrics = newStoreMetrics(reg)
-	e.walMu.Lock()
-	e.w.metrics = newWalMetrics(reg)
-	e.walMu.Unlock()
-}
-
-// Close flushes and closes the WAL. Further commits fail.
-func (e *DiskEngine) Close() error {
-	e.walMu.Lock()
-	defer e.walMu.Unlock()
-	return e.w.close()
-}
-
-// Dir returns the engine's data directory.
-func (e *DiskEngine) Dir() string { return e.dir }
 
 // Mirror copies every table of src into dst: schemas are cloned (fresh
-// metadata objects, since catalog ownership is per-engine), all currently
+// metadata objects, since catalog ownership is per-database), all currently
 // visible rows are inserted through one write batch per table, and dst is
-// finalized (indexes + statistics). It starts a second engine from the
-// visible state of an existing database.
+// finalized (indexes + statistics). It starts a second database from the
+// visible state of an existing one.
 func Mirror(src *DB, dst *DB) error {
 	for _, meta := range src.Catalog.Tables() {
-		clone := CloneMeta(meta)
+		clone := cloneMeta(meta)
 		if _, err := dst.CreateTable(clone); err != nil {
 			return err
 		}
@@ -139,9 +90,9 @@ func Mirror(src *DB, dst *DB) error {
 	return nil
 }
 
-// CloneMeta deep-copies table metadata without its statistics, for
+// cloneMeta deep-copies table metadata without its statistics, for
 // registering the same schema in a second catalog.
-func CloneMeta(meta *catalog.Table) *catalog.Table {
+func cloneMeta(meta *catalog.Table) *catalog.Table {
 	out := &catalog.Table{
 		Name:       meta.Name,
 		Cols:       append([]catalog.Column(nil), meta.Cols...),

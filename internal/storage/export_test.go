@@ -5,3 +5,6 @@ package storage
 func (t *Table) VersionLens() (rows, begin, ends int) {
 	return len(t.Rows), len(t.begin), len(t.ends)
 }
+
+// TableNames returns the names of db's tables, sorted.
+func (db *DB) TableNames() []string { return db.tableNames() }

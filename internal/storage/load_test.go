@@ -17,7 +17,7 @@ const loadSeed = 7
 // guard.
 func checkVersionLens(t *testing.T, db *storage.DB, when string) {
 	t.Helper()
-	for _, name := range db.Engine().TableNames() {
+	for _, name := range db.TableNames() {
 		rows, begin, ends := db.Table(name).VersionLens()
 		if begin != rows || ends != rows {
 			t.Errorf("%s: %s has %d rows, %d begin and %d end stamps", when, name, rows, begin, ends)
@@ -28,7 +28,7 @@ func checkVersionLens(t *testing.T, db *storage.DB, when string) {
 // heap renders every table's visible rows in heap order.
 func heap(db *storage.DB) string {
 	out := ""
-	for _, name := range db.Engine().TableNames() {
+	for _, name := range db.TableNames() {
 		out += name + "\n"
 		for _, r := range db.Snapshot().Table(name).VisibleRows() {
 			out += fmt.Sprintln(r)
@@ -39,12 +39,11 @@ func heap(db *storage.DB) string {
 
 func openDisk(t *testing.T, dir string) *storage.DB {
 	t.Helper()
-	cat := catalog.New()
-	eng, err := storage.OpenDiskEngine(dir, cat)
+	db, err := storage.OpenDiskEngine(dir, catalog.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return storage.NewDBWithEngine(cat, eng)
+	return db
 }
 
 // churn commits one insert, one update and one delete into LOCATIONS.

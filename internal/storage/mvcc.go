@@ -22,11 +22,11 @@ const initialTS uint64 = 1
 // may re-read under a fresh snapshot and retry.
 var ErrWriteConflict = errors.New("storage: write-write conflict")
 
-// metricsRegistry is the observability sink the engines publish into.
+// metricsRegistry is the observability sink the database publishes into.
 type metricsRegistry = *obsv.Registry
 
 // storeMetrics are the storage.mvcc.* counters. All fields may be nil
-// (obsv counters are nil-safe), so an engine without a registry pays only
+// (obsv counters are nil-safe), so a database without a registry pays only
 // the nil check.
 type storeMetrics struct {
 	commits      *obsv.Counter // storage.mvcc.commits
@@ -55,12 +55,12 @@ type mvTable struct {
 	head atomic.Pointer[Table]
 }
 
-// store is the shared MVCC core both engines are built on: the table heads,
-// the commit-timestamp oracle, and the commit protocol. The disk engine
-// adds a WAL by installing a log hook that runs inside the commit critical
-// section, after validation and before anything is applied.
-type store struct {
-	cat *catalog.Catalog
+// DB is a database instance: a catalog plus the MVCC store holding its
+// tables — the table heads, the commit-timestamp oracle and the commit
+// protocol. NewDB builds an in-memory database; OpenDiskEngine builds a
+// durable one, which is the same type with a WAL attached.
+type DB struct {
+	Catalog *catalog.Catalog
 
 	mu     sync.RWMutex // guards the tables map itself (CreateTable vs lookup)
 	tables map[string]*mvTable
@@ -71,60 +71,81 @@ type store struct {
 	// commit <= T in full.
 	committed atomic.Uint64
 
-	// commitMu serializes commits. Writers queue here; readers never touch
-	// it. Serializing commits keeps the oracle trivially monotonic and
-	// makes "publish heads, then advance committed" a correct protocol
-	// without per-table commit ordering machinery.
+	// commitMu serializes commits, schema changes and every use of wal.
+	// Writers queue here; readers never touch it. Serializing commits keeps
+	// the oracle trivially monotonic and makes "publish heads, then advance
+	// committed" a correct protocol without per-table commit ordering
+	// machinery.
 	commitMu sync.Mutex
 
-	// logFn, when set, durably records a validated batch before it is
-	// applied (the disk engine's WAL append + fsync). An error aborts the
-	// commit with nothing applied.
-	logFn func(commitTS uint64, b *WriteBatch) error
+	// wal, when non-nil, durably records every CREATE TABLE and every
+	// validated batch before it is applied. An append error aborts the
+	// operation with nothing applied.
+	wal *walWriter
 
 	metrics storeMetrics
 }
 
-func newStore(cat *catalog.Catalog) *store {
-	s := &store{cat: cat, tables: map[string]*mvTable{}}
-	s.committed.Store(initialTS)
-	return s
+// NewDB creates an empty in-memory database over the given catalog.
+// Commits are visible until process exit.
+func NewDB(cat *catalog.Catalog) *DB {
+	db := &DB{Catalog: cat, tables: map[string]*mvTable{}}
+	db.committed.Store(initialTS)
+	return db
 }
 
-func (s *store) createTable(meta *catalog.Table) (*Table, error) {
-	if err := s.cat.AddTable(meta); err != nil {
+// CreateTable registers table metadata in the catalog and creates empty
+// storage for it. A durable database logs the schema first.
+func (db *DB) CreateTable(meta *catalog.Table) (*Table, error) {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	if db.wal != nil {
+		if db.Catalog.Table(meta.Name) != nil {
+			return nil, fmt.Errorf("catalog: table %s already exists", meta.Name)
+		}
+		if err := db.wal.append(encodeSchema(meta)); err != nil {
+			return nil, fmt.Errorf("storage: log schema: %w", err)
+		}
+	}
+	return db.createTable(meta)
+}
+
+// createTable registers meta and publishes its empty head. Called with
+// commitMu held, or single-threaded during recovery replay.
+func (db *DB) createTable(meta *catalog.Table) (*Table, error) {
+	if err := db.Catalog.AddTable(meta); err != nil {
 		return nil, err
 	}
 	mt := &mvTable{}
 	mt.head.Store(&Table{Meta: meta, ts: initialTS, indexes: map[string]*Index{}})
-	s.mu.Lock()
-	s.tables[meta.Name] = mt
-	s.mu.Unlock()
+	db.mu.Lock()
+	db.tables[meta.Name] = mt
+	db.mu.Unlock()
 	return mt.head.Load(), nil
 }
 
-func (s *store) table(name string) *mvTable {
-	s.mu.RLock()
-	mt := s.tables[name]
-	s.mu.RUnlock()
+func (db *DB) table(name string) *mvTable {
+	db.mu.RLock()
+	mt := db.tables[name]
+	db.mu.RUnlock()
 	return mt
 }
 
-func (s *store) openTable(name string) *Table {
-	mt := s.table(name)
+func (db *DB) openTable(name string) *Table {
+	mt := db.table(name)
 	if mt == nil {
 		return nil
 	}
 	return mt.head.Load()
 }
 
-func (s *store) tableNames() []string {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
+func (db *DB) tableNames() []string {
+	db.mu.RLock()
+	names := make([]string, 0, len(db.tables))
+	for n := range db.tables {
 		names = append(names, n)
 	}
-	s.mu.RUnlock()
+	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
@@ -135,16 +156,19 @@ func (s *store) tableNames() []string {
 // snapshot and observes byte-identical results no matter how many commits
 // land concurrently. Safe for concurrent use.
 type Snapshot struct {
-	ts    uint64
-	store *store
+	ts uint64
+	db *DB
 
 	mu    sync.Mutex
 	views map[string]*Table
 }
 
-func (s *store) snapshot() *Snapshot {
-	s.metrics.snapshots.Inc()
-	return &Snapshot{ts: s.committed.Load(), store: s, views: map[string]*Table{}}
+// Snapshot acquires a consistent multi-table read view at the current
+// commit timestamp. Snapshots never block writers and writers never block
+// snapshots.
+func (db *DB) Snapshot() *Snapshot {
+	db.metrics.snapshots.Inc()
+	return &Snapshot{ts: db.committed.Load(), db: db, views: map[string]*Table{}}
 }
 
 // TS returns the snapshot's read timestamp.
@@ -160,7 +184,7 @@ func (sn *Snapshot) Table(name string) *Table {
 	if t, ok := sn.views[name]; ok {
 		return t
 	}
-	head := sn.store.openTable(name)
+	head := sn.db.openTable(name)
 	if head == nil {
 		return nil
 	}
@@ -192,17 +216,18 @@ type op struct {
 // produced by the scan paths (the heap version number). A batch is built
 // by a single goroutine and committed once.
 type WriteBatch struct {
-	store *store
-	ops   []op
-	nIns  int
-	nDel  int
+	db   *DB
+	ops  []op
+	nIns int
+	nDel int
 }
 
-func (s *store) newBatch() *WriteBatch { return &WriteBatch{store: s} }
+// NewBatch starts a write batch reading from the current commit timestamp.
+func (db *DB) NewBatch() *WriteBatch { return &WriteBatch{db: db} }
 
 // Insert queues a row append after validating arity and column kinds.
 func (b *WriteBatch) Insert(table string, vals []datum.Datum) error {
-	meta := b.store.cat.Table(table)
+	meta := b.db.Catalog.Table(table)
 	if meta == nil {
 		return fmt.Errorf("storage: table %s does not exist", table)
 	}
@@ -216,7 +241,7 @@ func (b *WriteBatch) Insert(table string, vals []datum.Datum) error {
 
 // Delete queues the removal of row version rid.
 func (b *WriteBatch) Delete(table string, rid int32) error {
-	meta := b.store.cat.Table(table)
+	meta := b.db.Catalog.Table(table)
 	if meta == nil {
 		return fmt.Errorf("storage: table %s does not exist", table)
 	}
@@ -243,13 +268,13 @@ func (b *WriteBatch) Deleted() int  { return b.nDel }
 // Empty reports whether the batch holds no mutations.
 func (b *WriteBatch) Empty() bool { return len(b.ops) == 0 }
 
-// commit runs the commit protocol:
+// Commit atomically applies a write batch. It runs the commit protocol:
 //
 //  1. pick commitTS = committed+1 (commits are serialized, so this is the
 //     monotonic oracle);
 //  2. validate write-write conflicts: every targeted row version must
 //     still be live (first committer wins);
-//  3. durably log the batch (disk engine WAL hook), abort on error;
+//  3. durably log the batch (WAL append + fsync), abort on error;
 //  4. apply: stamp deleted versions' end timestamps in place, build new
 //     table versions copy-on-write for inserts, extend indexes;
 //  5. publish the new heads, then advance committed;
@@ -258,24 +283,24 @@ func (b *WriteBatch) Empty() bool { return len(b.ops) == 0 }
 // Readers are never blocked: they either hold a snapshot < commitTS (and
 // the end-timestamp stamps don't change what's visible to them) or acquire
 // one >= commitTS after step 5's publishes are complete.
-func (s *store) commit(b *WriteBatch) (uint64, error) {
-	if b.store != s {
-		return 0, errors.New("storage: batch committed against a different store")
+func (db *DB) Commit(b *WriteBatch) (uint64, error) {
+	if b.db != db {
+		return 0, errors.New("storage: batch committed against a different database")
 	}
 	if b.Empty() {
-		return s.committed.Load(), nil
+		return db.committed.Load(), nil
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 
-	commitTS := s.committed.Load() + 1
+	commitTS := db.committed.Load() + 1
 
 	// Validate: all delete targets still live.
 	for _, o := range b.ops {
 		if o.row != nil {
 			continue
 		}
-		head := s.openTable(o.table)
+		head := db.openTable(o.table)
 		if head == nil {
 			return 0, fmt.Errorf("storage: table %s does not exist", o.table)
 		}
@@ -283,30 +308,30 @@ func (s *store) commit(b *WriteBatch) (uint64, error) {
 			return 0, fmt.Errorf("storage: %s: rowid %d out of range", o.table, o.rid)
 		}
 		if atomic.LoadUint64(&head.ends[o.rid]) != 0 {
-			s.metrics.conflicts.Inc()
+			db.metrics.conflicts.Inc()
 			return 0, fmt.Errorf("%w: %s rowid %d", ErrWriteConflict, o.table, o.rid)
 		}
 	}
 
-	if s.logFn != nil {
-		if err := s.logFn(commitTS, b); err != nil {
+	if db.wal != nil {
+		if err := db.wal.append(encodeCommit(commitTS, b.ops)); err != nil {
 			return 0, fmt.Errorf("storage: log commit: %w", err)
 		}
 	}
 
-	s.applyOps(commitTS, b.ops)
+	db.applyOps(commitTS, b.ops)
 
-	s.committed.Store(commitTS)
-	s.metrics.commits.Inc()
-	s.metrics.rowsInserted.Add(int64(b.nIns))
-	s.metrics.rowsDeleted.Add(int64(b.nDel))
-	s.cat.BumpDataVersion()
+	db.committed.Store(commitTS)
+	db.metrics.commits.Inc()
+	db.metrics.rowsInserted.Add(int64(b.nIns))
+	db.metrics.rowsDeleted.Add(int64(b.nDel))
+	db.Catalog.BumpDataVersion()
 	return commitTS, nil
 }
 
 // applyOps applies validated ops at commitTS and publishes the new heads.
 // Called with commitMu held (or single-threaded during recovery replay).
-func (s *store) applyOps(commitTS uint64, ops []op) {
+func (db *DB) applyOps(commitTS uint64, ops []op) {
 	// Group per table, preserving op order.
 	type tableOps struct {
 		inserts []Row
@@ -329,7 +354,7 @@ func (s *store) applyOps(commitTS uint64, ops []op) {
 	}
 	for _, name := range order {
 		g := grouped[name]
-		mt := s.table(name)
+		mt := db.table(name)
 		head := mt.head.Load()
 
 		next := &Table{

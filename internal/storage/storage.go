@@ -2,10 +2,9 @@
 // tables with multi-version rows (snapshot-isolation MVCC), ordered
 // secondary indexes with binary-search range scans maintained incrementally
 // by the write path, the ANALYZE pass that collects the optimizer
-// statistics defined in package catalog, and a pluggable Engine interface
-// with two implementations — the in-memory engine and a disk-backed
-// append-log engine (segmented WAL, fsync-on-commit, crash-recovery
-// replay).
+// statistics defined in package catalog, and optional durability: a DB
+// opened over a data directory carries a segmented WAL (fsync-on-commit,
+// crash-recovery replay); one built by NewDB lives in memory only.
 //
 // Concurrency model: every published *Table is an immutable version view.
 // Readers acquire a Snapshot (a read timestamp plus the table heads at that
@@ -293,38 +292,6 @@ func (ix *Index) Range(lo datum.Datum, loInc bool, hasLo bool, hi datum.Datum, h
 	return ix.order[start:end]
 }
 
-// DB is a database instance: a catalog plus a storage engine holding the
-// tables. The zero-config constructor uses the in-memory engine; Open
-// builds one over the disk-backed append-log engine.
-type DB struct {
-	Catalog *catalog.Catalog
-	eng     Engine
-}
-
-// NewDB creates an empty database over the given catalog, backed by the
-// in-memory engine.
-func NewDB(cat *catalog.Catalog) *DB {
-	return &DB{Catalog: cat, eng: NewMemEngine(cat)}
-}
-
-// NewDBWithEngine creates a database over an already-open engine.
-func NewDBWithEngine(cat *catalog.Catalog, eng Engine) *DB {
-	return &DB{Catalog: cat, eng: eng}
-}
-
-// Engine exposes the underlying storage engine.
-func (db *DB) Engine() Engine { return db.eng }
-
-// Metrics wires an observability registry into the engine's storage.mvcc.*
-// (and, for the disk engine, storage.wal.*) counters.
-func (db *DB) Metrics(reg metricsRegistry) { db.eng.UseMetrics(reg) }
-
-// CreateTable registers table metadata in the catalog and creates empty
-// storage for it.
-func (db *DB) CreateTable(meta *catalog.Table) (*Table, error) {
-	return db.eng.CreateTable(meta)
-}
-
 // Table returns the current head version of the table by (case-insensitive)
 // name, or nil. The head is a consistent single-table view; multi-table
 // statements should read through a Snapshot instead.
@@ -333,30 +300,15 @@ func (db *DB) Table(name string) *Table {
 	if meta == nil {
 		return nil
 	}
-	return db.eng.OpenTable(meta.Name)
+	return db.openTable(meta.Name)
 }
-
-// Snapshot acquires a consistent multi-table read view at the engine's
-// current commit timestamp. Snapshots never block writers and writers
-// never block snapshots.
-func (db *DB) Snapshot() *Snapshot { return db.eng.Snapshot() }
-
-// NewBatch starts a write batch reading from the current commit timestamp.
-func (db *DB) NewBatch() *WriteBatch { return db.eng.NewBatch() }
-
-// Commit atomically applies a write batch; see Engine.Commit.
-func (db *DB) Commit(b *WriteBatch) (uint64, error) { return db.eng.Commit(b) }
-
-// Close releases the engine (flushes and closes the WAL for the disk
-// engine).
-func (db *DB) Close() error { return db.eng.Close() }
 
 // Finalize builds all indexes and collects statistics for every table.
 // Call once after the load commits, before serving. It counts as one
 // statistics change.
 func (db *DB) Finalize() {
-	for _, name := range db.eng.TableNames() {
-		t := db.eng.OpenTable(name)
+	for _, name := range db.tableNames() {
+		t := db.openTable(name)
 		t.buildIndexes()
 		t.Meta.SetStats(Analyze(t))
 	}
@@ -372,7 +324,7 @@ func (db *DB) Finalize() {
 // the write path, so none are rebuilt here.
 func (db *DB) AnalyzeTable(name string) error {
 	if name == "" {
-		for _, n := range db.eng.TableNames() {
+		for _, n := range db.tableNames() {
 			db.analyzeOne(n)
 		}
 		db.Catalog.BumpVersion()
@@ -389,7 +341,7 @@ func (db *DB) AnalyzeTable(name string) error {
 
 // analyzeOne refreshes one table's statistics.
 func (db *DB) analyzeOne(name string) {
-	if t := db.eng.OpenTable(name); t != nil {
+	if t := db.openTable(name); t != nil {
 		t.Meta.SetStats(Analyze(t))
 	}
 }

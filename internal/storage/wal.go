@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,6 +50,10 @@ const (
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrClosed is returned by Commit and CreateTable on a durable database
+// after Close.
+var ErrClosed = errors.New("storage: database closed")
 
 // errTornRecord marks an incomplete or corrupt tail record during replay.
 var errTornRecord = errors.New("storage: torn WAL record")
@@ -371,14 +374,17 @@ func decodeCommit(d *walDec) (uint64, []op, error) {
 }
 
 // walWriter appends records to the current segment, rotating at the size
-// threshold. Not safe for concurrent use; the disk engine serializes
-// through its commit lock.
+// threshold. Not safe for concurrent use; the DB serializes through its
+// commit lock.
 type walWriter struct {
 	dir     string
-	seg     *os.File
+	seg     *os.File // nil after close
 	segNum  int
 	segSize int64
 	metrics walMetrics
+	// replayed and torn count the commit records and torn tails replayed
+	// at open, before any registry is attached; Metrics adds them.
+	replayed, torn int64
 }
 
 // walMetrics are the storage.wal.* counters; all nil-safe.
@@ -473,6 +479,9 @@ func (w *walWriter) rotate() error {
 
 // append writes one record and fsyncs it (write-before-ack durability).
 func (w *walWriter) append(payload []byte) error {
+	if w.seg == nil {
+		return ErrClosed
+	}
 	recSize := int64(8 + len(payload))
 	if w.segSize+recSize > walSegMaxBytes && w.segSize > int64(len(walMagic)) {
 		if err := w.rotate(); err != nil {
@@ -547,15 +556,16 @@ func replaySegment(path string, apply func(payload []byte) error) (validEnd int6
 	}
 }
 
-// replayWAL replays all segments in dir into the store: schema records
-// re-create tables, commit records re-apply batches in commit order. The
-// last segment may be truncated at a torn tail. Returns the number of the
-// last segment (0 if none) so the writer can continue appending to it.
-func replayWAL(dir string, s *store, m walMetrics) (lastSeg int, err error) {
+// replayWAL replays all segments in dir into db: schema records re-create
+// tables, commit records re-apply batches in commit order. The last
+// segment may be truncated at a torn tail. It returns a writer that
+// continues appending to the last segment (or starts the first).
+func replayWAL(dir string, db *DB) (*walWriter, error) {
 	segs, err := walSegments(dir)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
+	var replayed, torn int64
 	apply := func(payload []byte) error {
 		d := &walDec{buf: payload}
 		typ, err := d.b()
@@ -568,7 +578,7 @@ func replayWAL(dir string, s *store, m walMetrics) (lastSeg int, err error) {
 			if err != nil {
 				return err
 			}
-			if _, err := s.createTable(meta); err != nil {
+			if _, err := db.createTable(meta); err != nil {
 				return fmt.Errorf("storage: replay schema: %w", err)
 			}
 		case recCommit:
@@ -576,28 +586,29 @@ func replayWAL(dir string, s *store, m walMetrics) (lastSeg int, err error) {
 			if err != nil {
 				return err
 			}
-			s.applyOps(ts, ops)
-			s.committed.Store(ts)
-			s.cat.BumpDataVersion()
-			m.replayed.Inc()
+			db.applyOps(ts, ops)
+			db.committed.Store(ts)
+			db.Catalog.BumpDataVersion()
+			replayed++
 		default:
 			return errTornRecord
 		}
 		return nil
 	}
+	lastSeg := 0
 	for i, name := range segs {
 		path := filepath.Join(dir, name)
-		validEnd, torn, err := replaySegment(path, apply)
+		validEnd, tornTail, err := replaySegment(path, apply)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if torn {
+		if tornTail {
 			if i != len(segs)-1 {
-				return 0, fmt.Errorf("storage: %s: torn record in non-final segment", name)
+				return nil, fmt.Errorf("storage: %s: torn record in non-final segment", name)
 			}
-			m.torn.Inc()
+			torn++
 			if err := os.Truncate(path, validEnd); err != nil {
-				return 0, err
+				return nil, err
 			}
 		}
 		var n int
@@ -605,7 +616,10 @@ func replayWAL(dir string, s *store, m walMetrics) (lastSeg int, err error) {
 			lastSeg = n
 		}
 	}
-	return lastSeg, nil
+	w, err := openWalWriter(dir, lastSeg)
+	if err != nil {
+		return nil, err
+	}
+	w.replayed, w.torn = replayed, torn
+	return w, nil
 }
-
-var _ io.Closer = (*DiskEngine)(nil)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,12 +14,11 @@ import (
 
 func diskDB(t *testing.T, dir string) *DB {
 	t.Helper()
-	cat := catalog.New()
-	eng, err := OpenDiskEngine(dir, cat)
+	db, err := OpenDiskEngine(dir, catalog.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDBWithEngine(cat, eng)
+	return db
 }
 
 func tMeta() *catalog.Table {
@@ -145,16 +145,17 @@ func TestWalTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	cat := catalog.New()
 	reg := obsv.NewRegistry()
-	eng, err := OpenDiskEngine(dir, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.UseMetrics(reg)
-	db2 := NewDBWithEngine(cat, eng)
+	db2 := diskDB(t, dir)
+	db2.Metrics(reg)
 	if got := dumpT(t, db2); got != want {
 		t.Errorf("state after torn tail:\n%s\nwant:\n%s", got, want)
+	}
+	if got := reg.CounterValue("storage.wal.replayed_commits"); got != 2 {
+		t.Errorf("storage.wal.replayed_commits = %d, want 2", got)
+	}
+	if got := reg.CounterValue("storage.wal.torn_tails"); got != 1 {
+		t.Errorf("storage.wal.torn_tails = %d, want 1", got)
 	}
 	// The torn bytes were truncated away, so reopening once more is clean.
 	if err := db2.Close(); err != nil {
@@ -261,4 +262,46 @@ func TestMirror(t *testing.T) {
 		t.Errorf("mirror after reopen = %s, want %s", got, a)
 	}
 	dst2.Close()
+}
+
+func TestClosedDiskDBRejectsWrites(t *testing.T) {
+	dir := t.TempDir()
+	db := diskDB(t, dir)
+	if _, err := db.CreateTable(tMeta()); err != nil {
+		t.Fatal(err)
+	}
+	insertT(t, db, 1, datum.NewString("a"), 1, true)
+	want := dumpT(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := db.NewBatch()
+	if err := b.Insert("T", []datum.Datum{datum.NewInt(2), datum.Null, datum.NewFloat(2), datum.NewBool(false)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Commit(b); !errors.Is(err, ErrClosed) {
+		t.Errorf("Commit after Close: err = %v, want ErrClosed", err)
+	}
+	u := tMeta()
+	u.Name = "U"
+	u.Indexes = nil
+	if _, err := db.CreateTable(u); !errors.Is(err, ErrClosed) {
+		t.Errorf("CreateTable after Close: err = %v, want ErrClosed", err)
+	}
+	if got := dumpT(t, db); got != want {
+		t.Errorf("state after rejected commit:\n%s\nwant:\n%s", got, want)
+	}
+	if db.Catalog.Table("U") != nil || db.Table("U") != nil {
+		t.Error("rejected CREATE TABLE was registered")
+	}
+
+	db2 := diskDB(t, dir)
+	defer db2.Close()
+	if got := dumpT(t, db2); got != want {
+		t.Errorf("state after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	if db2.Catalog.Table("U") != nil {
+		t.Error("rejected CREATE TABLE survived a reopen")
+	}
 }

@@ -108,12 +108,11 @@ func TestEngineDifferential(t *testing.T) {
 
 			mem := newDMLDB(t, storage.NewDB(catalog.New()))
 			dir := t.TempDir()
-			dcat := catalog.New()
-			deng, err := storage.OpenDiskEngine(dir, dcat)
+			ddb, err := storage.OpenDiskEngine(dir, catalog.New())
 			if err != nil {
 				t.Fatal(err)
 			}
-			disk := newDMLDB(t, storage.NewDBWithEngine(dcat, deng))
+			disk := newDMLDB(t, ddb)
 
 			for _, op := range ops {
 				got := replayStep(t, disk, op)
@@ -127,12 +126,10 @@ func TestEngineDifferential(t *testing.T) {
 			if err := disk.Close(); err != nil {
 				t.Fatal(err)
 			}
-			rcat := catalog.New()
-			reopened, err := storage.OpenDiskEngine(dir, rcat)
+			disk2, err := storage.OpenDiskEngine(dir, catalog.New())
 			if err != nil {
 				t.Fatal(err)
 			}
-			disk2 := storage.NewDBWithEngine(rcat, reopened)
 			defer disk2.Close()
 			if got := dumpDML(t, disk2); got != finalMem {
 				t.Fatalf("reopened disk state diverged from mem:\nmem:  %s\ndisk: %s", finalMem, got)

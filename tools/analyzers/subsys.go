@@ -368,7 +368,7 @@ func funcKey(p *Pass, fd *ast.FuncDecl) string {
 // durability into data loss (an fsync error after ack is unrecoverable).
 var durabilityCallees = map[string]bool{
 	"Sync": true, "Close": true, "close": true, "append": true,
-	"rotate": true, "commit": true, "Commit": true, "logCommit": true,
+	"rotate": true, "commit": true, "Commit": true,
 	"Truncate": true, "Flush": true,
 }
 
