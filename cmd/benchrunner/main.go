@@ -15,6 +15,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -25,8 +27,12 @@ import (
 	"repro/internal/testkit"
 )
 
+// experiments names the -exp values, in run order under -exp all.
+var experiments = []string{"fig2", "fig3", "fig4", "gbp", "table1", "table2", "par", "vec", "overload"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig2, fig3, fig4, gbp, table1, table2, par, vec, overload")
+	valid := "all, " + strings.Join(experiments, ", ")
+	exp := flag.String("exp", "all", "experiment: "+valid)
 	n := flag.Int("n", 12, "queries per workload class")
 	maxInflight := flag.Int("max-inflight", 4, "admission slots in the overload experiment")
 	point := flag.Duration("point", 2*time.Second, "measurement window per offered-load point in the overload experiment")
@@ -39,6 +45,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query optimization deadline for the figure experiments (0 = none)")
 	metrics := flag.Bool("metrics", false, "dump the optimizer metrics delta after each experiment")
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "benchrunner: unknown -exp %q (valid: %s)\n", *exp, valid)
+		os.Exit(2)
+	}
 	bench.Parallelism = *parallel
 	bench.Budget = cbqt.Budget{Timeout: *timeout}
 	var reg *obsv.Registry

@@ -44,7 +44,6 @@ func main() {
 	store := flag.String("store", "mem", "storage engine: mem (volatile) or disk (WAL-backed, durable)")
 	dataDir := flag.String("data-dir", "", "disk engine data directory (required with -store disk)")
 	strategy := flag.String("strategy", "auto", "default state-space search: auto, exhaustive, iterative, linear, two-pass")
-	cacheOff := flag.Bool("cache-off", false, "disable the shared plan cache (every execute optimizes)")
 	chk := flag.Bool("check", false, "statically verify every transformation state and plan served (sessions can override per-statement)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache bound (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for sessions to finish")
@@ -107,7 +106,6 @@ func main() {
 		DB:              db,
 		Opts:            opts,
 		Registry:        reg,
-		CacheOff:        *cacheOff,
 		CacheMaxEntries: *cacheEntries,
 
 		MaxInflight:       *maxInflight,
@@ -122,7 +120,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("cbqtd: listen: %v", err)
 	}
-	log.Printf("cbqtd: serving %s data on %s (store %s, cache %s)", *size, l.Addr(), *store, onOff(!*cacheOff))
+	log.Printf("cbqtd: serving %s data on %s (store %s)", *size, l.Addr(), *store)
 
 	if *metricsEvery > 0 {
 		go func() {
@@ -148,11 +146,4 @@ func main() {
 		log.Fatalf("cbqtd: serve: %v", err)
 	}
 	log.Printf("cbqtd: drained; final metrics\n%s", reg.Dump())
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

@@ -39,7 +39,7 @@ type OverloadConfig struct {
 	// offered rate of each point, capped at 512).
 	Workers int
 	// Queries overrides the query mix (default: the Table 2 family mix
-	// from overloadQueries).
+	// from overloadQueries). Each query must end in a WHERE clause.
 	Queries []string
 	// Seed drives workload generation.
 	Seed int64
@@ -142,9 +142,10 @@ func Overload(ctx context.Context, cfg OverloadConfig) (*OverloadResult, error) 
 // overloadQueries builds the query mix: Table 2-family queries whose
 // multi-table subqueries force the cost-based state search (8 to 64 states
 // each), so optimization — the resource the admission gate protects — is
-// the dominant per-request cost. The cache is off, so every request pays
-// it. A tight outer filter keeps execution (which the gate deliberately
-// does not cover) near free, so the measurement isolates the gate.
+// the dominant per-request cost. overloadPick makes every request's text
+// unique, so every request misses the plan cache and pays it. A tight
+// outer filter keeps execution (which the gate deliberately does not
+// cover) near free, so the measurement isolates the gate.
 func overloadQueries() []string {
 	var qs []string
 	for _, n := range []int{3, 4, 5, 6} {
@@ -156,7 +157,7 @@ func overloadQueries() []string {
 // overloadServer brings up a server with the experiment's admission gate.
 func overloadServer(cfg OverloadConfig, queueWait time.Duration) (*server.Server, string, func(), error) {
 	srv := server.New(server.Config{
-		DB: cfg.DB, Opts: cfg.Opts, Registry: obsv.NewRegistry(), CacheOff: true,
+		DB: cfg.DB, Opts: cfg.Opts, Registry: obsv.NewRegistry(),
 		MaxInflight: cfg.MaxInflight, MaxQueue: cfg.MaxQueue, QueueWait: queueWait,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -226,9 +227,12 @@ func overloadCalibrate(ctx context.Context, cfg OverloadConfig, pqs []string) (f
 	return float64(done.Load()) / elapsed.Seconds(), nil
 }
 
-// overloadPick rotates a worker through the query mix.
+// overloadPick rotates a worker through the query mix. An always-true
+// conjunct numbered by worker and operation makes each text distinct, so
+// no request is served from the plan cache; the mix's queries must end in
+// a WHERE clause.
 func overloadPick(pqs []string, w, op int) string {
-	return pqs[(w+op)%len(pqs)]
+	return fmt.Sprintf("%s AND %d >= 0", pqs[(w+op)%len(pqs)], w<<32|op)
 }
 
 // overloadPoint drives one open-loop offered-load level: a pacing loop

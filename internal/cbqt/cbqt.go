@@ -5,9 +5,11 @@
 // it discovers the objects the transformation applies to, enumerates a
 // state space over those objects — a state assigns each object
 // "untransformed" or one of its variants (variants model interleaving and
-// juxtaposition, §3.3) — deep-copies the query per state, applies the
-// state, invokes the physical optimizer to cost it, and finally transfers
-// the directives of the winning state onto the original query tree.
+// juxtaposition, §3.3) — gives each state a copy-on-write clone of the
+// query (qtree.CloneCOW: blocks are shared until a rule mutates them),
+// applies the state, invokes the physical optimizer to cost it, and
+// finally transfers the directives of the winning state onto the original
+// query tree.
 //
 // Four state-space search strategies are provided (§3.2): exhaustive,
 // iterative improvement, linear, and two-pass, with automatic selection

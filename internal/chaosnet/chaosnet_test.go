@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/testkit"
+	"repro/internal/testkit/leakcheck"
 )
 
 // echoServer is a plain TCP echo peer for proxy tests. Close severs every
@@ -84,7 +84,7 @@ func roundTrip(c net.Conn, msg []byte) ([]byte, error) {
 }
 
 func TestCleanRelay(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	p := startProxy(t, Config{Target: echo.l.Addr().String()}) // FaultEvery 0: clean
 
@@ -154,7 +154,7 @@ func faultAll(t *testing.T, target string, kind Kind, extra Config) *Proxy {
 }
 
 func TestResetAtAccept(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	reg := obsv.NewRegistry()
 	p := faultAll(t, echo.l.Addr().String(), KindReset, Config{Registry: reg})
@@ -179,7 +179,7 @@ func TestResetAtAccept(t *testing.T) {
 }
 
 func TestTruncateCutsTheStream(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	p := faultAll(t, echo.l.Addr().String(), KindTruncate, Config{})
 
@@ -204,7 +204,7 @@ func TestTruncateCutsTheStream(t *testing.T) {
 }
 
 func TestDelaySpikesLatency(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	const spike = 150 * time.Millisecond
 	p := faultAll(t, echo.l.Addr().String(), KindDelay, Config{Delay: spike})
@@ -241,7 +241,7 @@ func TestDelaySpikesLatency(t *testing.T) {
 }
 
 func TestBlackholeStallsUntilClose(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	p := faultAll(t, echo.l.Addr().String(), KindBlackhole, Config{})
 
@@ -265,16 +265,16 @@ func TestBlackholeStallsUntilClose(t *testing.T) {
 		t.Fatalf("events = %v, want one blackhole", ev)
 	}
 	// Close must sever the blackholed relay and drain its goroutines —
-	// LeakCheck enforces the drain.
+	// leakcheck.Check enforces the drain.
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCloseUnderLoad closes the proxy while connections are mid-flight and
-// relies on LeakCheck to prove no relay goroutine survives.
+// relies on leakcheck.Check to prove no relay goroutine survives.
 func TestCloseUnderLoad(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	echo := startEcho(t)
 	p := startProxy(t, Config{Target: echo.l.Addr().String(), Seed: 3, FaultEvery: 2})
 

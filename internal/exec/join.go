@@ -17,19 +17,12 @@ func leftRefCols(n *optimizer.Join) []optimizer.ColID {
 	seen := map[optimizer.ColID]bool{}
 	var out []optimizer.ColID
 	addExpr := func(e qtree.Expr) {
-		qtree.WalkExpr(e, func(x qtree.Expr) bool {
-			if c, ok := x.(*qtree.Col); ok {
-				id := optimizer.ColID{From: c.From, Ord: c.Ord}
-				if leftSet[id] && !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
+		qtree.ExprCols(e, func(c *qtree.Col) {
+			id := optimizer.ColID{From: c.From, Ord: c.Ord}
+			if leftSet[id] && !seen[id] {
+				seen[id] = true
+				out = append(out, id)
 			}
-			if s, ok := x.(*qtree.Subq); ok {
-				collectSubqRefs(s.Block, leftSet, seen, &out)
-				return false
-			}
-			return true
 		})
 	}
 	for _, e := range n.On {
@@ -45,31 +38,6 @@ func leftRefCols(n *optimizer.Join) []optimizer.ColID {
 		}
 	})
 	return out
-}
-
-func collectSubqRefs(b *qtree.Block, leftSet map[optimizer.ColID]bool, seen map[optimizer.ColID]bool, out *[]optimizer.ColID) {
-	b.VisitExprs(func(e qtree.Expr) {
-		switch v := e.(type) {
-		case *qtree.Col:
-			id := optimizer.ColID{From: v.From, Ord: v.Ord}
-			if leftSet[id] && !seen[id] {
-				seen[id] = true
-				*out = append(*out, id)
-			}
-		case *qtree.Subq:
-			collectSubqRefs(v.Block, leftSet, seen, out)
-		}
-	})
-	for _, f := range b.From {
-		if f.View != nil {
-			collectSubqRefs(f.View, leftSet, seen, out)
-		}
-	}
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			collectSubqRefs(c, leftSet, seen, out)
-		}
-	}
 }
 
 // nodeExprs gathers the expressions a plan node evaluates.

@@ -74,58 +74,16 @@ func (e *env) subqRuntime(s *qtree.Subq) (*subqRuntime, error) {
 // subtree whose from item is defined outside the subtree — the full
 // correlation signature used as the TIS cache key.
 func outerColIDs(b *qtree.Block) []optimizer.ColID {
-	defined := map[qtree.FromID]bool{}
-	var markDefined func(blk *qtree.Block)
-	markDefined = func(blk *qtree.Block) {
-		for _, f := range blk.From {
-			defined[f.ID] = true
-			if f.View != nil {
-				markDefined(f.View)
-			}
-		}
-		if blk.Set != nil {
-			for _, c := range blk.Set.Children {
-				markDefined(c)
-			}
-		}
-		blk.VisitExprs(func(e qtree.Expr) {
-			if s, ok := e.(*qtree.Subq); ok {
-				markDefined(s.Block)
-			}
-		})
-	}
-	markDefined(b)
-
+	defined := b.Defined()
 	seen := map[optimizer.ColID]bool{}
 	var out []optimizer.ColID
-	var walk func(blk *qtree.Block)
-	walk = func(blk *qtree.Block) {
-		blk.VisitExprs(func(e qtree.Expr) {
-			switch v := e.(type) {
-			case *qtree.Col:
-				if !defined[v.From] {
-					id := optimizer.ColID{From: v.From, Ord: v.Ord}
-					if !seen[id] {
-						seen[id] = true
-						out = append(out, id)
-					}
-				}
-			case *qtree.Subq:
-				walk(v.Block)
-			}
-		})
-		for _, f := range blk.From {
-			if f.View != nil {
-				walk(f.View)
-			}
+	b.Cols(func(c *qtree.Col) {
+		id := optimizer.ColID{From: c.From, Ord: c.Ord}
+		if !defined[c.From] && !seen[id] {
+			seen[id] = true
+			out = append(out, id)
 		}
-		if blk.Set != nil {
-			for _, c := range blk.Set.Children {
-				walk(c)
-			}
-		}
-	}
-	walk(b)
+	})
 	return out
 }
 

@@ -8,15 +8,16 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
 	"repro/internal/testkit"
+	"repro/internal/testkit/leakcheck"
 )
 
 // TestBatchCancellationLatency pins the batch engine's cancellation bound:
 // the context is polled once per batch, so a cancel between two NextBatch
 // calls on a large scan must surface on the very next call — the engine
-// never produces another full batch, let alone drains the table. LeakCheck
+// never produces another full batch, let alone drains the table. leakcheck.Check
 // confirms the canceled execution leaves no goroutines behind.
 func TestBatchCancellationLatency(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	sizes := testkit.SmallSizes()
 	sizes.Employees = 20000 // many batches ahead when the cancel lands
 	db := testkit.NewDB(sizes, 1)
@@ -58,7 +59,7 @@ func TestBatchCancellationLatency(t *testing.T) {
 // TestBatchCancelBeforeRun is the black-box variant: RunWith under an
 // already-canceled context fails without producing rows on both engines.
 func TestBatchCancelBeforeRun(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	db := testkit.NewDB(testkit.SmallSizes(), 1)
 	q := qtree.MustBind(`SELECT e.emp_id FROM employees e`, db.Catalog)
 	plan, err := optimizer.New(db.Catalog).Optimize(q)

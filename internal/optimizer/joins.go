@@ -152,7 +152,7 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 func refsOfConds(conds []qtree.Expr) map[qtree.FromID]bool {
 	out := map[qtree.FromID]bool{}
 	for _, c := range conds {
-		qtree.ColsUsed(c, out)
+		qtree.ExprCols(c, func(col *qtree.Col) { out[col.From] = true })
 	}
 	return out
 }

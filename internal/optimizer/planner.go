@@ -285,7 +285,7 @@ func isStreaming(n PlanNode) bool {
 // subquery blocks).
 func exprRefs(e qtree.Expr) map[qtree.FromID]bool {
 	s := map[qtree.FromID]bool{}
-	qtree.ColsUsed(e, s)
+	qtree.ExprCols(e, func(c *qtree.Col) { s[c.From] = true })
 	return s
 }
 

@@ -25,24 +25,14 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 	// Distinct correlation bindings: product of NDVs of the outer columns
 	// referenced by the subquery that belong to relations in scope.
 	distinct := 1.0
-	correlated := false
-	for id := range s.Block.OuterRefs() {
-		if ri, ok := es.rels[id]; ok {
-			correlated = true
-			// Without knowing which column, assume a key-like domain.
-			_ = ri
-		}
-	}
-	// Refine using actual column references.
 	refCols := collectOuterCols(s.Block, es)
 	for _, c := range refCols {
 		sp.Correlated = append(sp.Correlated, ColID{From: c.From, Ord: c.Ord})
 		if ci, ok := es.col(c); ok {
 			distinct *= math.Max(ci.ndv, 1)
-			correlated = true
 		}
 	}
-	if !correlated {
+	if len(refCols) == 0 {
 		// Uncorrelated subquery: executed once.
 		sp.EffectiveExecs = 1
 	} else {
@@ -57,34 +47,13 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 func collectOuterCols(b *qtree.Block, es *estimator) []*qtree.Col {
 	var out []*qtree.Col
 	seen := map[ColID]bool{}
-	var walkBlock func(blk *qtree.Block)
-	walkBlock = func(blk *qtree.Block) {
-		blk.VisitExprs(func(e qtree.Expr) {
-			switch v := e.(type) {
-			case *qtree.Col:
-				if _, ok := es.rels[v.From]; ok {
-					id := ColID{From: v.From, Ord: v.Ord}
-					if !seen[id] {
-						seen[id] = true
-						out = append(out, v)
-					}
-				}
-			case *qtree.Subq:
-				walkBlock(v.Block)
-			}
-		})
-		for _, f := range blk.From {
-			if f.View != nil {
-				walkBlock(f.View)
-			}
+	b.Cols(func(c *qtree.Col) {
+		id := ColID{From: c.From, Ord: c.Ord}
+		if _, ok := es.rels[c.From]; ok && !seen[id] {
+			seen[id] = true
+			out = append(out, c)
 		}
-		if blk.Set != nil {
-			for _, c := range blk.Set.Children {
-				walkBlock(c)
-			}
-		}
-	}
-	walkBlock(b)
+	})
 	return out
 }
 

@@ -270,7 +270,7 @@ func registerFromIDs(b *Block, r *Remap) {
 			registerFromIDs(f.View, r)
 		}
 	}
-	walkBlockExprs(b, func(e Expr) {
+	b.VisitExprs(func(e Expr) {
 		if s, ok := e.(*Subq); ok {
 			registerFromIDs(s.Block, r)
 		}
@@ -316,43 +316,41 @@ func (b *Block) cloneStructure(r *Remap) *Block {
 	return nb
 }
 
-// walkBlockExprs applies f to every expression in the block (not descending
-// into views or subquery blocks — f receives the Subq node itself).
-func walkBlockExprs(b *Block, f func(Expr)) {
-	visit := func(e Expr) {
-		if e != nil {
-			WalkExpr(e, func(x Expr) bool {
-				f(x)
-				_, isSubq := x.(*Subq)
-				return !isSubq // don't descend into subquery blocks
-			})
-		}
-	}
+// exprRoots applies f to the root of every expression slot of the block.
+func (b *Block) exprRoots(f func(Expr)) {
 	for _, it := range b.Select {
-		visit(it.Expr)
+		f(it.Expr)
 	}
 	for _, fi := range b.From {
 		for _, c := range fi.Cond {
-			visit(c)
+			f(c)
 		}
 	}
 	for _, e := range b.Where {
-		visit(e)
+		f(e)
 	}
 	for _, e := range b.GroupBy {
-		visit(e)
+		f(e)
 	}
 	for _, e := range b.Having {
-		visit(e)
+		f(e)
 	}
 	for _, o := range b.OrderBy {
-		visit(o.Expr)
+		f(o.Expr)
 	}
 }
 
 // VisitExprs applies f to every expression in the block, without descending
-// into view blocks or subquery blocks.
-func (b *Block) VisitExprs(f func(Expr)) { walkBlockExprs(b, f) }
+// into view blocks or subquery blocks (f receives the Subq node itself).
+func (b *Block) VisitExprs(f func(Expr)) {
+	b.exprRoots(func(e Expr) {
+		WalkExpr(e, func(x Expr) bool {
+			f(x)
+			_, isSubq := x.(*Subq)
+			return !isSubq
+		})
+	})
+}
 
 // WalkExpr walks e in pre-order. f returns whether to descend into the
 // node's children. Subquery blocks are not entered (the *Subq node is
@@ -431,42 +429,6 @@ func ContainsAgg(e Expr) bool {
 	return found
 }
 
-// ColsUsed collects the distinct from IDs referenced by e, including those
-// referenced inside subquery blocks (correlation), into set.
-func ColsUsed(e Expr, set map[FromID]bool) {
-	WalkExpr(e, func(x Expr) bool {
-		switch v := x.(type) {
-		case *Col:
-			set[v.From] = true
-		case *Subq:
-			collectBlockRefs(v.Block, set)
-		}
-		return true
-	})
-}
-
-// collectBlockRefs adds every from ID referenced anywhere in b's subtree.
-func collectBlockRefs(b *Block, set map[FromID]bool) {
-	walkBlockExprs(b, func(e Expr) {
-		switch v := e.(type) {
-		case *Col:
-			set[v.From] = true
-		case *Subq:
-			collectBlockRefs(v.Block, set)
-		}
-	})
-	for _, f := range b.From {
-		if f.View != nil {
-			collectBlockRefs(f.View, set)
-		}
-	}
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			collectBlockRefs(c, set)
-		}
-	}
-}
-
 // LocalFromIDs returns the set of from IDs defined directly in b.
 func (b *Block) LocalFromIDs() map[FromID]bool {
 	out := map[FromID]bool{}
@@ -481,86 +443,110 @@ func (b *Block) LocalFromIDs() map[FromID]bool {
 // correlated references.
 func (b *Block) OuterRefs() map[FromID]bool {
 	refs := map[FromID]bool{}
-	collectBlockRefs(b, refs)
-	removeDefined(b, refs)
-	return refs
-}
-
-func removeDefined(b *Block, refs map[FromID]bool) {
-	for _, f := range b.From {
-		delete(refs, f.ID)
-		if f.View != nil {
-			removeDefined(f.View, refs)
+	b.Cols(func(c *Col) { refs[c.From] = true })
+	b.Walk(func(blk *Block) bool {
+		for _, f := range blk.From {
+			delete(refs, f.ID)
 		}
-	}
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			removeDefined(c, refs)
-		}
-	}
-	walkBlockExprs(b, func(e Expr) {
-		if s, ok := e.(*Subq); ok {
-			removeDefined(s.Block, refs)
-		}
+		return true
 	})
+	return refs
 }
 
 // IsCorrelated reports whether block b references from items defined
 // outside its own subtree.
 func (b *Block) IsCorrelated() bool { return len(b.OuterRefs()) > 0 }
 
-// reown points every block of the subtree back at q.
-func (q *Query) reown(b *Block) {
-	if b == nil {
-		return
-	}
-	b.query = q
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			q.reown(c)
-		}
-	}
-	for _, f := range b.From {
-		if f.View != nil {
-			q.reown(f.View)
-		}
-	}
-	walkBlockExprs(b, func(e Expr) {
-		if s, ok := e.(*Subq); ok {
-			q.reown(s.Block)
-		}
-	})
-}
-
 // ApproxBytes is a rough estimate of the memory held by the query tree —
 // the unit of the cbqt memory budget, which charges one tree copy per
 // transformation state evaluated (§3.4.3's explicit memory management).
 func (q *Query) ApproxBytes() int64 {
 	var total int64
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if b == nil {
-			return
-		}
+	q.Root.Walk(func(b *Block) bool {
 		total += 256 // block header, slices
-		if b.Set != nil {
-			for _, c := range b.Set.Children {
-				walk(c)
-			}
-		}
 		for _, f := range b.From {
 			total += 128 + int64(len(f.Alias))
-			if f.View != nil {
-				walk(f.View)
-			}
 		}
-		walkBlockExprs(b, func(e Expr) {
-			total += 48 // expr node
-			if s, ok := e.(*Subq); ok {
-				walk(s.Block)
-			}
-		})
-	}
-	walk(q.Root)
+		b.VisitExprs(func(Expr) { total += 48 }) // expr node
+		return true
+	})
 	return total
+}
+
+// Tree walks. children is the one place that knows where nested blocks
+// hang, and every subtree traversal below goes through it. The walks that
+// stay separate (the deep clone, visitFromItems, privatize and the
+// checker's) are listed with their reasons in DESIGN.md.
+
+// children calls f on each block directly nested in b: set-operation
+// branches, then view bodies in from order, then subquery blocks in
+// expression order.
+func (b *Block) children(f func(*Block)) {
+	if b.Set != nil {
+		for _, c := range b.Set.Children {
+			f(c)
+		}
+	}
+	for _, fi := range b.From {
+		if fi.View != nil {
+			f(fi.View)
+		}
+	}
+	b.VisitExprs(func(e Expr) {
+		if s, ok := e.(*Subq); ok {
+			f(s.Block)
+		}
+	})
+}
+
+// Walk visits b's subtree in pre-order: a block, then the subtree of each of
+// its children in children order. When f returns false the block's
+// descendants are skipped.
+func (b *Block) Walk(f func(*Block) bool) {
+	if b == nil || !f(b) {
+		return
+	}
+	b.children(func(c *Block) { c.Walk(f) })
+}
+
+// Cols calls f on every column reference in b's subtree, including those in
+// a subquery's left operands.
+func (b *Block) Cols(f func(*Col)) {
+	b.Walk(func(blk *Block) bool {
+		blk.exprRoots(func(e Expr) {
+			WalkExpr(e, func(x Expr) bool {
+				if c, ok := x.(*Col); ok {
+					f(c)
+				}
+				return true
+			})
+		})
+		return true
+	})
+}
+
+// ExprCols calls f on every column reference in e, including those inside
+// its subquery blocks (correlation).
+func ExprCols(e Expr, f func(*Col)) {
+	WalkExpr(e, func(x Expr) bool {
+		switch v := x.(type) {
+		case *Col:
+			f(v)
+		case *Subq:
+			v.Block.Cols(f)
+		}
+		return true
+	})
+}
+
+// Defined returns every from ID defined in b's subtree.
+func (b *Block) Defined() map[FromID]bool {
+	out := map[FromID]bool{}
+	b.Walk(func(blk *Block) bool {
+		for _, f := range blk.From {
+			out[f.ID] = true
+		}
+		return true
+	})
+	return out
 }

@@ -1,6 +1,9 @@
 package qtree
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Copy-on-write query clones (§3.4.3). The CBQT search evaluates one
 // transformation state per tree copy; a deep copy per state is the search's
@@ -162,44 +165,23 @@ func (q *Query) MutableDeep(b *Block) *Block {
 // findPath locates the link path from q.Root down to target, returning the
 // blocks along it (root first, target last).
 func (q *Query) findPath(target *Block) ([]*Block, bool) {
-	var path []*Block
-	var dfs func(b *Block) bool
-	dfs = func(b *Block) bool {
-		if b == nil {
-			return false
+	var path []*Block // target first while unwinding
+	var onPath func(b *Block) bool
+	onPath = func(b *Block) bool {
+		found := b == target
+		if !found {
+			b.children(func(c *Block) { found = found || onPath(c) })
 		}
-		path = append(path, b)
-		if b == target {
-			return true
-		}
-		if b.Set != nil {
-			for _, c := range b.Set.Children {
-				if dfs(c) {
-					return true
-				}
-			}
-		}
-		for _, f := range b.From {
-			if f.View != nil && dfs(f.View) {
-				return true
-			}
-		}
-		found := false
-		walkBlockExprs(b, func(e Expr) {
-			if found {
-				return
-			}
-			if s, ok := e.(*Subq); ok && dfs(s.Block) {
-				found = true
-			}
-		})
 		if found {
-			return true
+			path = append(path, b)
 		}
-		path = path[:len(path)-1]
-		return false
+		return found
 	}
-	return path, dfs(q.Root)
+	if q.Root == nil || !onPath(q.Root) {
+		return nil, false
+	}
+	slices.Reverse(path)
+	return path, true
 }
 
 // materialize shallow-copies a shared block into the clone: private slices,
@@ -313,7 +295,7 @@ func (q *Query) privatize(b *Block) {
 		ns.Block = blk
 		return &ns
 	})
-	walkBlockExprs(b, func(e Expr) {
+	b.VisitExprs(func(e Expr) {
 		if s, ok := e.(*Subq); ok {
 			q.privatize(s.Block)
 		}
@@ -332,7 +314,10 @@ func (q *Query) AdoptCOW(work *Query) {
 	q.Params = work.Params
 	q.nextFrom = work.nextFrom
 	q.nextBlk = work.nextBlk
-	q.reown(q.Root)
+	q.Root.Walk(func(b *Block) bool {
+		b.query = q
+		return true
+	})
 }
 
 // COWStats counts the blocks reachable from q's root by ownership: shared
@@ -340,33 +325,14 @@ func (q *Query) AdoptCOW(work *Query) {
 // (materialized copies and transformation-created blocks). A non-COW query
 // reports every block as owned.
 func (q *Query) COWStats() (shared, owned int) {
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if b == nil {
-			return
-		}
+	q.Root.Walk(func(b *Block) bool {
 		if b.query == q {
 			owned++
 		} else {
 			shared++
 		}
-		if b.Set != nil {
-			for _, c := range b.Set.Children {
-				walk(c)
-			}
-		}
-		for _, f := range b.From {
-			if f.View != nil {
-				walk(f.View)
-			}
-		}
-		walkBlockExprs(b, func(e Expr) {
-			if s, ok := e.(*Subq); ok {
-				walk(s.Block)
-			}
-		})
-	}
-	walk(q.Root)
+		return true
+	})
 	return shared, owned
 }
 
@@ -386,32 +352,16 @@ func (q *Query) OwnedApproxBytes() int64 {
 		return q.ApproxBytes()
 	}
 	var total int64
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if b == nil || b.query != q {
-			return
+	q.Root.Walk(func(b *Block) bool {
+		if b.query != q {
+			return false
 		}
 		total += 256
 		for _, f := range b.From {
 			total += 128 + int64(len(f.Alias))
 		}
-		if b.Set != nil {
-			for _, c := range b.Set.Children {
-				walk(c)
-			}
-		}
-		for _, f := range b.From {
-			if f.View != nil {
-				walk(f.View)
-			}
-		}
-		walkBlockExprs(b, func(e Expr) {
-			total += 8 // slice entry; the node itself is shared
-			if s, ok := e.(*Subq); ok {
-				walk(s.Block)
-			}
-		})
-	}
-	walk(q.Root)
+		b.VisitExprs(func(Expr) { total += 8 }) // slice entry; the node itself is shared
+		return true
+	})
 	return total
 }

@@ -225,13 +225,11 @@ func TestCloneRemapsIDs(t *testing.T) {
 		}
 	}
 	// No reference in the clone points to an original ID.
-	refs := map[FromID]bool{}
-	collectBlockRefs(clone.Root, refs)
-	for id := range refs {
-		if !cloned[id] {
-			t.Errorf("clone references unknown from ID %d", id)
+	clone.Root.Cols(func(c *Col) {
+		if !cloned[c.From] {
+			t.Errorf("clone references unknown from ID %d", c.From)
 		}
-	}
+	})
 }
 
 func TestClonePreservesSQL(t *testing.T) {

@@ -238,13 +238,13 @@ func TestQuickCOWMaterializeIsIDTransparent(t *testing.T) {
 	}
 }
 
-func TestQuickColsUsedMatchesWalk(t *testing.T) {
-	// ColsUsed agrees with a manual walk.
+func TestQuickExprColsMatchesWalk(t *testing.T) {
+	// ExprCols agrees with a manual walk.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := genExpr(rng, 4)
 		got := map[FromID]bool{}
-		ColsUsed(e, got)
+		ExprCols(e, func(c *Col) { got[c.From] = true })
 		want := map[FromID]bool{}
 		WalkExpr(e, func(x Expr) bool {
 			if c, ok := x.(*Col); ok {

@@ -101,25 +101,8 @@ func RewriteBlockExprs(b *Block, f func(Expr) Expr) {
 // redirect column references across block boundaries (correlated references
 // must follow).
 func RewriteBlockExprsDeep(b *Block, f func(Expr) Expr) {
-	RewriteBlockExprs(b, f)
-	for _, fi := range b.From {
-		if fi.View != nil {
-			RewriteBlockExprsDeep(fi.View, f)
-		}
-	}
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			RewriteBlockExprsDeep(c, f)
-		}
-	}
-	// Subquery blocks nested in expressions.
-	var subqs []*Subq
-	walkBlockExprs(b, func(e Expr) {
-		if s, ok := e.(*Subq); ok {
-			subqs = append(subqs, s)
-		}
+	b.Walk(func(blk *Block) bool {
+		RewriteBlockExprs(blk, f)
+		return true
 	})
-	for _, s := range subqs {
-		RewriteBlockExprsDeep(s.Block, f)
-	}
 }

@@ -60,7 +60,7 @@ func visitFromItems(b *Block, f func(*FromItem)) {
 			visitFromItems(fi.View, f)
 		}
 	}
-	walkBlockExprs(b, func(e Expr) {
+	b.VisitExprs(func(e Expr) {
 		if s, ok := e.(*Subq); ok {
 			visitFromItems(s.Block, f)
 		}
@@ -106,11 +106,10 @@ func (k *BlockKeyer) Key(b *Block) string {
 		i++
 	})
 	// Outer items referenced from within b: name by stable attributes.
-	refs := map[FromID]bool{}
-	collectBlockRefs(b, refs)
-	for id := range refs {
-		if _, local := n.names[id]; local {
-			continue
+	b.Cols(func(c *Col) {
+		id := c.From
+		if _, named := n.names[id]; named {
+			return
 		}
 		if k.outer == nil {
 			k.outer = map[FromID]*FromItem{}
@@ -121,14 +120,14 @@ func (k *BlockKeyer) Key(b *Block) string {
 		f := k.outer[id]
 		if f == nil {
 			n.names[id] = fmt.Sprintf("x%d", id)
-			continue
+			return
 		}
 		tbl := "view"
 		if f.Table != nil {
 			tbl = f.Table.Name
 		}
 		n.names[id] = fmt.Sprintf("x:%s~%s", tbl, f.Alias)
-	}
+	})
 	return b.SQL(n)
 }
 

@@ -12,7 +12,7 @@ import (
 	"repro/internal/chaosnet"
 	"repro/internal/datum"
 	"repro/internal/obsv"
-	"repro/internal/testkit"
+	"repro/internal/testkit/leakcheck"
 )
 
 // TestChaosSoak is the acceptance test for the resilience layer as a whole:
@@ -23,7 +23,7 @@ import (
 // never corrupted rows, and afterwards no leaked session, cursor or
 // goroutine.
 func TestChaosSoak(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	for _, pf := range pageFormats {
 		t.Run(pf.name, func(t *testing.T) {
 			reg := obsv.NewRegistry()
@@ -172,7 +172,7 @@ func TestChaosSoak(t *testing.T) {
 				ok.Load(), typed.Load(), proxy.Conns(), dist)
 
 			// Teardown half of the invariant: sever the proxy, drain the server,
-			// and nothing may linger. LeakCheck (registered first, so it runs after
+			// and nothing may linger. leakcheck.Check (registered first, so it runs after
 			// the deferred stop) covers goroutines; the gauges cover sessions.
 			if err := proxy.Close(); err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,13 +16,13 @@ import (
 	"repro/internal/datum"
 	"repro/internal/faultinject"
 	"repro/internal/obsv"
-	"repro/internal/testkit"
+	"repro/internal/testkit/leakcheck"
 )
 
 // slowOpts makes every optimization take at least d: the heuristics fault
-// site fires at least once per optimize. Combined with CacheOff this turns
-// each execute into a d-long span, which is how these tests create real
-// contention on the admission gate.
+// site fires at least once per optimize. Executes whose texts differ (see
+// empByDept) each miss the plan cache, so each becomes a d-long span, which
+// is how these tests create real contention on the admission gate.
 func slowOpts(d time.Duration) cbqt.Options {
 	opts := cbqt.DefaultOptions()
 	opts.Faults = faultinject.New(faultinject.Fault{
@@ -56,38 +57,50 @@ WHERE e.dept_id = d.dept_id AND
   NOT EXISTS (SELECT 1 FROM sales s2, jobs jb2, employees e4
               WHERE s2.emp_id = e4.emp_id AND e4.job_id = jb2.job_id AND s2.dept_id = e.dept_id AND s2.amount > 990)`
 
+// empByDept is a one-parameter read whose n-th variant differs only in a
+// column alias: each variant has its own plan-cache entry, so its first
+// execute optimizes.
+func empByDept(n int) string {
+	return fmt.Sprintf("SELECT e.EMP_ID AS id%d FROM employees e WHERE e.DEPT_ID = :d", n)
+}
+
+// heavyQueryAs is heavyQuery with a column alias numbered n, for tests that
+// need several executes to optimize.
+func heavyQueryAs(n int) string {
+	return strings.Replace(heavyQuery, "d.department_name", fmt.Sprintf("d.department_name AS dn%d", n), 1)
+}
+
 // TestAdmissionShedsWhenSaturated: with one inflight slot and no queue,
 // concurrent executes beyond the slot are shed immediately with the typed,
 // retryable OVERLOADED error — the server never queues unboundedly.
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{
-		Registry: reg, CacheOff: true, Opts: slowOpts(400 * time.Millisecond),
+		Registry: reg, Opts: slowOpts(400 * time.Millisecond),
 		MaxInflight: 1, MaxQueue: 0,
 	})
 	defer stop()
 
-	sql := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
-	run := func() error {
+	run := func(n int) error {
 		cli, err := Dial(addr, nil)
 		if err != nil {
 			return err
 		}
 		defer cli.Close()
-		_, err = cli.Query(sql, Named("d", datum.NewInt(10)))
+		_, err = cli.Query(empByDept(n), Named("d", datum.NewInt(10)))
 		return err
 	}
 
 	first := make(chan error, 1)
-	go func() { first <- run() }()
+	go func() { first <- run(0) }()
 	time.Sleep(150 * time.Millisecond) // the first query now holds the slot
 
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := range errs {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); errs[i] = run() }(i)
+		go func(i int) { defer wg.Done(); errs[i] = run(i + 1) }(i)
 	}
 	wg.Wait()
 	if err := <-first; err != nil {
@@ -121,15 +134,14 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 // TestQueueWaitShed: a request that queues but cannot get a slot within
 // QueueWait is shed with OVERLOADED rather than waiting forever.
 func TestQueueWaitShed(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{
-		Registry: reg, CacheOff: true, Opts: slowOpts(600 * time.Millisecond),
+		Registry: reg, Opts: slowOpts(600 * time.Millisecond),
 		MaxInflight: 1, MaxQueue: 4, QueueWait: 50 * time.Millisecond,
 	})
 	defer stop()
 
-	sql := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
 	first := make(chan error, 1)
 	go func() {
 		cli, err := Dial(addr, nil)
@@ -138,7 +150,7 @@ func TestQueueWaitShed(t *testing.T) {
 			return
 		}
 		defer cli.Close()
-		_, err = cli.Query(sql, Named("d", datum.NewInt(10)))
+		_, err = cli.Query(empByDept(0), Named("d", datum.NewInt(10)))
 		first <- err
 	}()
 	time.Sleep(150 * time.Millisecond)
@@ -149,7 +161,7 @@ func TestQueueWaitShed(t *testing.T) {
 	}
 	defer cli.Close()
 	start := time.Now()
-	_, err = cli.Query(sql, Named("d", datum.NewInt(20)))
+	_, err = cli.Query(empByDept(1), Named("d", datum.NewInt(20)))
 	waited := time.Since(start)
 	if ErrorCode(err) != CodeOverloaded {
 		t.Fatalf("queued past QueueWait: err = %v, want OVERLOADED", err)
@@ -170,10 +182,10 @@ func TestQueueWaitShed(t *testing.T) {
 // shed — but a span starting on an idle gate is always admitted, so the
 // server recovers instead of wedging.
 func TestMemoryPressureShed(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{
-		Registry: reg, CacheOff: true, Opts: slowOpts(300 * time.Millisecond),
+		Registry: reg, Opts: slowOpts(300 * time.Millisecond),
 		MaxInflight: 4, MemHighWaterBytes: 1,
 	})
 	defer stop()
@@ -185,7 +197,7 @@ func TestMemoryPressureShed(t *testing.T) {
 	defer cli.Close()
 	// Prime the estimate: the first query runs on a cold gate (estimate 0).
 	// heavyQuery's state search is what makes MemoStateBytes nonzero.
-	if _, err := cli.Query(heavyQuery); err != nil {
+	if _, err := cli.Query(heavyQueryAs(0)); err != nil {
 		t.Fatal(err)
 	}
 	if reg.GaugeValue(MetricMemEstimated) <= 0 {
@@ -201,11 +213,11 @@ func TestMemoryPressureShed(t *testing.T) {
 			return
 		}
 		defer h.Close()
-		_, err = h.Query(heavyQuery)
+		_, err = h.Query(heavyQueryAs(1))
 		holder <- err
 	}()
 	time.Sleep(150 * time.Millisecond)
-	_, err = cli.Query(heavyQuery)
+	_, err = cli.Query(heavyQueryAs(2))
 	if ErrorCode(err) != CodeOverloaded {
 		t.Fatalf("concurrent query over the high-water mark: err = %v, want OVERLOADED", err)
 	}
@@ -217,7 +229,7 @@ func TestMemoryPressureShed(t *testing.T) {
 	}
 	// Idle gate again: the same query is admitted even though the estimate
 	// still exceeds the high-water mark (no permanent lockout).
-	if _, err := cli.Query(heavyQuery); err != nil {
+	if _, err := cli.Query(heavyQueryAs(3)); err != nil {
 		t.Fatalf("idle-gate query after pressure: %v", err)
 	}
 }
@@ -277,7 +289,7 @@ func (rs *rawSession) call(t *testing.T, req *Request) *Response {
 // critically — the deadline-degraded optimization is never cached: the next
 // caller optimizes fresh.
 func TestDeadlinePropagation(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	// Every transformation-state evaluation sleeps 60ms, so a 20ms deadline
 	// always expires mid-search while an unbounded caller still finishes.
@@ -318,8 +330,8 @@ func TestDeadlinePropagation(t *testing.T) {
 // propagation: a QueryContext past its budget fails with a typed DEADLINE
 // error instead of hanging.
 func TestClientDeadlineCancelsQuery(t *testing.T) {
-	testkit.LeakCheck(t)
-	_, addr, stop := startServer(t, Config{Opts: slowStates(60 * time.Millisecond), CacheOff: true})
+	leakcheck.Check(t)
+	_, addr, stop := startServer(t, Config{Opts: slowStates(60 * time.Millisecond)})
 	defer stop()
 
 	cli, err := Dial(addr, nil)
@@ -343,7 +355,7 @@ func TestClientDeadlineCancelsQuery(t *testing.T) {
 // heartbeat pings keep a deliberately idle session — and its cursors —
 // alive through the same window.
 func TestIdleReapAndHeartbeat(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	const idle = 300 * time.Millisecond
 	_, addr, stop := startServer(t, Config{Registry: reg, IdleTimeout: idle})
@@ -403,7 +415,7 @@ func TestIdleReapAndHeartbeat(t *testing.T) {
 // graceful Shutdown. The per-response write deadline severs the stalled
 // session, bounding the drain.
 func TestStalledReaderSeveredByWriteDeadline(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	srv, addr, _ := startServer(t, Config{Registry: reg, WriteTimeout: 300 * time.Millisecond})
 
@@ -455,7 +467,7 @@ func TestStalledReaderSeveredByWriteDeadline(t *testing.T) {
 // listener accepts but never answers hello) must close its socket — no
 // file descriptor or goroutine may outlive the error.
 func TestHandshakeFailureLeaksNothing(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -517,15 +529,14 @@ func openFDs(t *testing.T) int {
 // TestRetryOvercomesOverload: a client with a retry policy turns transient
 // OVERLOADED sheds into a successful query via jittered backoff.
 func TestRetryOvercomesOverload(t *testing.T) {
-	testkit.LeakCheck(t)
+	leakcheck.Check(t)
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{
-		Registry: reg, CacheOff: true, Opts: slowOpts(300 * time.Millisecond),
+		Registry: reg, Opts: slowOpts(300 * time.Millisecond),
 		MaxInflight: 1, MaxQueue: 0,
 	})
 	defer stop()
 
-	sql := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
 	holder := make(chan error, 1)
 	go func() {
 		h, err := Dial(addr, nil)
@@ -534,7 +545,7 @@ func TestRetryOvercomesOverload(t *testing.T) {
 			return
 		}
 		defer h.Close()
-		_, err = h.Query(sql, Named("d", datum.NewInt(10)))
+		_, err = h.Query(empByDept(0), Named("d", datum.NewInt(10)))
 		holder <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -546,7 +557,7 @@ func TestRetryOvercomesOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	rows, err := cli.Query(sql, Named("d", datum.NewInt(20)))
+	rows, err := cli.Query(empByDept(1), Named("d", datum.NewInt(20)))
 	if err != nil {
 		t.Fatalf("retrying query failed despite backoff: %v", err)
 	}

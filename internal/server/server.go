@@ -45,9 +45,6 @@ type Config struct {
 	// Registry receives server, session, plan-cache and optimizer counters.
 	// Nil allocates a private registry.
 	Registry *obsv.Registry
-	// CacheOff disables the shared plan cache: every execute optimizes.
-	// Used by benchmarks to measure the cache's amortization.
-	CacheOff bool
 	// CacheMaxEntries bounds the plan cache (<= 0: plancache default).
 	CacheMaxEntries int
 
@@ -83,8 +80,8 @@ type Server struct {
 	db    *storage.DB
 	opts  cbqt.Options
 	reg   *obsv.Registry
-	cache *plancache.Cache // nil when the cache is off
-	adm   *admission       // nil when admission control is off
+	cache *plancache.Cache
+	adm   *admission // nil when admission control is off
 
 	idleTimeout  time.Duration
 	writeTimeout time.Duration
@@ -124,6 +121,7 @@ func New(cfg Config) *Server {
 		opts:         opts,
 		reg:          reg,
 		adm:          newAdmission(cfg, reg),
+		cache:        plancache.New(cfg.CacheMaxEntries, reg),
 		idleTimeout:  cfg.IdleTimeout,
 		writeTimeout: cfg.WriteTimeout,
 		sessions:     map[int64]*session{},
@@ -141,9 +139,6 @@ func New(cfg Config) *Server {
 		idleReaped:     reg.Counter(MetricIdleReaped),
 		writeTimeouts:  reg.Counter(MetricWriteTimeouts),
 		pings:          reg.Counter(MetricPings),
-	}
-	if !cfg.CacheOff {
-		s.cache = plancache.New(cfg.CacheMaxEntries, reg)
 	}
 	return s
 }

@@ -496,34 +496,6 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	}
 }
 
-// TestCacheOffOptimizesEveryTime covers the benchmark baseline mode.
-func TestCacheOffOptimizesEveryTime(t *testing.T) {
-	reg := obsv.NewRegistry()
-	_, addr, stop := startServer(t, Config{Registry: reg, CacheOff: true})
-	defer stop()
-	cli, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	sql := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
-	for i := 0; i < 3; i++ {
-		stmt, err := cli.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stmt.Execute(Named("d", datum.NewInt(10))); err != nil {
-			t.Fatal(err)
-		}
-		if stmt.Cached {
-			t.Fatal("cache-off server reported a cached plan")
-		}
-	}
-	if q := reg.CounterValue("cbqt.queries"); q != 3 {
-		t.Fatalf("optimizer ran %d times with cache off, want 3", q)
-	}
-}
-
 func TestSessionOptionsStrategy(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{Registry: reg})

@@ -527,11 +527,11 @@ func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
 	return nil
 }
 
-// plan resolves the statement's physical plan through the shared cache
-// (or optimizes directly when the cache is off). The catalog stats version
-// in the key is an atomic read: an ANALYZE racing this lookup may cache a
-// plan one stats generation newer than its key says — still a correct
-// plan (statistics only steer cost), and the next Invalidate sweeps it.
+// plan resolves the statement's physical plan through the shared cache.
+// The catalog stats version in the key is an atomic read: an ANALYZE
+// racing this lookup may cache a plan one stats generation newer than its
+// key says — still a correct plan (statistics only steer cost), and the
+// next Invalidate sweeps it.
 // The data version deliberately stays out of the key: snapshots keep a
 // cached plan correct under any amount of concurrent write churn.
 func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error) {
@@ -539,10 +539,6 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 		SQL:      st.norm,
 		Strategy: ss.strategy,
 		Version:  ss.srv.db.Catalog.Version(),
-	}
-	if ss.srv.cache == nil {
-		cp, err := ss.optimize(ctx, st.sql)
-		return cp, false, err
 	}
 	// Coalesced waiters share the computing caller's context: if that
 	// caller's deadline degrades or fails the optimization, the error is
@@ -670,9 +666,7 @@ func (ss *session) analyze(req *Request) (*Response, error) {
 		return nil, err
 	}
 	version := ss.srv.db.Catalog.Version()
-	if ss.srv.cache != nil {
-		ss.srv.cache.Invalidate(version)
-	}
+	ss.srv.cache.Invalidate(version)
 	return &Response{}, nil
 }
 

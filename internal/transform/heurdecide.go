@@ -58,7 +58,7 @@ func outerHasFilterPreds(b *qtree.Block) bool {
 // correlationIndexed reports whether some local column of a correlation
 // equality predicate in the subquery has an index.
 func correlationIndexed(sub *qtree.Block) bool {
-	defined := subtreeDefined(sub)
+	defined := sub.Defined()
 	for _, e := range sub.Where {
 		in, _, ok := corrPred(e, defined)
 		if !ok {

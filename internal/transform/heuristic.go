@@ -116,8 +116,8 @@ func eliminateOne(q *qtree.Query, b *qtree.Block) bool {
 	return false
 }
 
-// refCountOutside counts references to item id in the block subtree
-// excluding the given conjunct indexes of b.Where.
+// referencedOutside reports whether item id is referenced in the block
+// subtree outside the given conjunct indexes of b.Where.
 func referencedOutside(b *qtree.Block, id qtree.FromID, exceptWhere map[int]bool) bool {
 	found := false
 	check := func(e qtree.Expr) {
@@ -135,12 +135,8 @@ func referencedOutside(b *qtree.Block, id qtree.FromID, exceptWhere map[int]bool
 		for _, c := range fi.Cond {
 			check(c)
 		}
-		if fi.View != nil {
-			var refs = map[qtree.FromID]bool{}
-			collectDeepRefs(fi.View, refs)
-			if refs[id] {
-				found = true
-			}
+		if fi.View != nil && blockRefersTo(fi.View, id) {
+			found = true
 		}
 	}
 	for i, e := range b.Where {
@@ -159,22 +155,6 @@ func referencedOutside(b *qtree.Block, id qtree.FromID, exceptWhere map[int]bool
 		check(o.Expr)
 	}
 	return found
-}
-
-func collectDeepRefs(b *qtree.Block, refs map[qtree.FromID]bool) {
-	b.VisitExprs(func(e qtree.Expr) {
-		qtree.ColsUsed(e, refs)
-	})
-	for _, f := range b.From {
-		if f.View != nil {
-			collectDeepRefs(f.View, refs)
-		}
-	}
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			collectDeepRefs(c, refs)
-		}
-	}
 }
 
 // eliminateFKJoin removes parent table t when a child table's complete

@@ -73,7 +73,7 @@ func (r *PredicatePullup) Apply(q *qtree.Query, obj, variant int) error {
 
 	// Expose every view-internal column the predicate references as an
 	// extra output, reusing existing outputs where possible.
-	internal := subtreeDefined(v)
+	internal := v.Defined()
 	exposed := map[string]int{} // col string -> view output ordinal
 	for i, it := range v.Select {
 		if c, ok := it.Expr.(*qtree.Col); ok {

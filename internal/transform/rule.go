@@ -104,34 +104,14 @@ func CostBasedRules() []Rule {
 	}
 }
 
-// walkBlocks visits every block of the query in deterministic pre-order:
+// Blocks returns every block of q in deterministic pre-order (Block.Walk):
 // the block itself, then set-op children, then view bodies in from order,
 // then subquery blocks in expression order.
-func walkBlocks(b *qtree.Block, f func(*qtree.Block)) {
-	if b == nil {
-		return
-	}
-	f(b)
-	if b.Set != nil {
-		for _, c := range b.Set.Children {
-			walkBlocks(c, f)
-		}
-	}
-	for _, fi := range b.From {
-		if fi.View != nil {
-			walkBlocks(fi.View, f)
-		}
-	}
-	b.VisitExprs(func(e qtree.Expr) {
-		if s, ok := e.(*qtree.Subq); ok {
-			walkBlocks(s.Block, f)
-		}
-	})
-}
-
-// Blocks returns every block of q in deterministic order.
 func Blocks(q *qtree.Query) []*qtree.Block {
 	var out []*qtree.Block
-	walkBlocks(q.Root, func(b *qtree.Block) { out = append(out, b) })
+	q.Root.Walk(func(b *qtree.Block) bool {
+		out = append(out, b)
+		return true
+	})
 	return out
 }

@@ -125,6 +125,46 @@ SELECT x.n FROM (SELECT v.name n FROM (SELECT e.name name FROM emp e) v) x`,
 		heuristic("spj view merging"))
 }
 
+// TestSPJViewMergeCopiesSubqueryPerUse: merging a view whose output column
+// holds a correlated scalar subquery substitutes a copy of the subquery at
+// every use of the column (cloneExpr). Each copy must get its own from IDs,
+// and the result must not change.
+func TestSPJViewMergeCopiesSubqueryPerUse(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	src := `SELECT v.emp_id, v.x, v.x + 1
+	        FROM (SELECT e.emp_id,
+	                     (SELECT MAX(d.budget) FROM departments d WHERE d.dept_id = e.dept_id) AS x
+	              FROM employees e) v
+	        WHERE v.x > 0`
+	want := results(t, db, qtree.MustBind(src, db.Catalog))
+	q := qtree.MustBind(src, db.Catalog)
+	if ch, err := (&SPJViewMerge{}).Apply(q); err != nil || !ch {
+		t.Fatalf("merge: %v %v", ch, err)
+	}
+	var copies []*qtree.Block
+	q.Root.VisitExprs(func(e qtree.Expr) {
+		if s, ok := e.(*qtree.Subq); ok {
+			copies = append(copies, s.Block)
+		}
+	})
+	if len(copies) != 3 {
+		t.Fatalf("want one subquery copy per use of v.x (3), got %d: %s", len(copies), q.SQL())
+	}
+	owner := map[qtree.FromID]int{}
+	for i, c := range copies {
+		for id := range c.Defined() {
+			if j, dup := owner[id]; dup {
+				t.Errorf("subquery copies %d and %d share from ID %d: %s", j, i, id, q.SQL())
+			}
+			owner[id] = i
+		}
+	}
+	got := results(t, db, q)
+	if len(want) == 0 || !sameRows(want, got) {
+		t.Errorf("merged view returned %d rows, the original %d\nsql: %s", len(got), len(want), q.SQL())
+	}
+}
+
 func TestJoinEliminationFK(t *testing.T) {
 	db := testkit.TinyDB()
 	src := `SELECT e.name, e.salary FROM emp e, dept d WHERE e.dept_id = d.dept_id`

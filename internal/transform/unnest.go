@@ -132,17 +132,6 @@ func classifyUnnest(b *qtree.Block, wi int, e qtree.Expr) (unnestObj, bool) {
 	return unnestObj{}, false
 }
 
-// subtreeDefined returns the from IDs defined anywhere inside block b.
-func subtreeDefined(b *qtree.Block) map[qtree.FromID]bool {
-	out := map[qtree.FromID]bool{}
-	walkBlocks(b, func(blk *qtree.Block) {
-		for _, f := range blk.From {
-			out[f.ID] = true
-		}
-	})
-	return out
-}
-
 // corrPred decomposes conjunct e of the subquery as "innerExpr = outerExpr"
 // where innerExpr references only the subquery's relations and outerExpr
 // references only outer ones.
@@ -202,7 +191,7 @@ func aggUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 			return false
 		}
 	}
-	defined := subtreeDefined(sub)
+	defined := sub.Defined()
 	nCorr := 0
 	for _, e := range sub.Where {
 		if _, _, ok := corrPred(e, defined); ok {
@@ -249,7 +238,7 @@ func unnestAggSubquery(q *qtree.Query, o unnestObj) (*qtree.FromItem, error) {
 	if !ok {
 		return nil, fmt.Errorf("transform: aggregate-subquery site %d is %T, want *qtree.Bin", o.where, b.Where[o.where])
 	}
-	defined := subtreeDefined(sub)
+	defined := sub.Defined()
 
 	v := q.NewBlock()
 	v.From = sub.From
@@ -323,7 +312,7 @@ func joinUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 			return false // correlated to a non-parent (§2.1.1)
 		}
 	}
-	defined := subtreeDefined(sub)
+	defined := sub.Defined()
 	if sub.HasGroupBy() || sub.Distinct {
 		// Correlation cannot be pulled above grouping; require an
 		// uncorrelated subquery.
@@ -373,7 +362,7 @@ func unnestToJoinView(q *qtree.Query, o unnestObj) error {
 	// The subquery's from items and grouping move into the new view, so its
 	// block must be private before the move.
 	sub := q.Mutable(s.Block)
-	defined := subtreeDefined(sub)
+	defined := sub.Defined()
 
 	v := q.NewBlock()
 	v.From = sub.From

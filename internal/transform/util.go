@@ -9,24 +9,31 @@ import (
 // blocks).
 func refsOf(e qtree.Expr) map[qtree.FromID]bool {
 	s := map[qtree.FromID]bool{}
-	qtree.ColsUsed(e, s)
+	qtree.ExprCols(e, func(c *qtree.Col) { s[c.From] = true })
 	return s
 }
 
 // refsOnly reports whether e references no from items other than those in
 // allowed (expressions with zero references qualify).
 func refsOnly(e qtree.Expr, allowed map[qtree.FromID]bool) bool {
-	for id := range refsOf(e) {
-		if !allowed[id] {
-			return false
-		}
-	}
-	return true
+	ok := true
+	qtree.ExprCols(e, func(c *qtree.Col) { ok = ok && allowed[c.From] })
+	return ok
 }
 
 // refersTo reports whether e references from item id.
 func refersTo(e qtree.Expr, id qtree.FromID) bool {
-	return refsOf(e)[id]
+	found := false
+	qtree.ExprCols(e, func(c *qtree.Col) { found = found || c.From == id })
+	return found
+}
+
+// blockRefersTo reports whether any expression in b's subtree references
+// from item id.
+func blockRefersTo(b *qtree.Block, id qtree.FromID) bool {
+	found := false
+	b.Cols(func(c *qtree.Col) { found = found || c.From == id })
+	return found
 }
 
 // containsSubq reports whether the expression contains a subquery.

@@ -359,7 +359,7 @@ func jppdView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 
 	// Distinct removal + semijoin conversion (Q13).
 	v := f.View
-	if v.Set == nil && v.Distinct && !v.HasGroupBy() && !viewOutputsUsed(b, f.ID) {
+	if v.Set == nil && v.Distinct && !v.HasGroupBy() && !blockRefersTo(b, f.ID) {
 		v.Distinct = false
 		f.Kind = qtree.JoinSemi
 	}
@@ -391,42 +391,4 @@ func pushJoinPredIntoView(q *qtree.Query, f *qtree.FromItem, e qtree.Expr) bool 
 		return true
 	}
 	return push(f.View)
-}
-
-// viewOutputsUsed reports whether any expression in the block still
-// references the view's outputs.
-func viewOutputsUsed(b *qtree.Block, id qtree.FromID) bool {
-	used := false
-	b.VisitExprs(func(e qtree.Expr) {
-		switch v := e.(type) {
-		case *qtree.Col:
-			if v.From == id {
-				used = true
-			}
-		case *qtree.Subq:
-			refs := map[qtree.FromID]bool{}
-			qtree.ColsUsed(v, refs)
-			if refs[id] {
-				used = true
-			}
-		}
-	})
-	for _, fi := range b.From {
-		if fi.ID == id {
-			continue
-		}
-		for _, c := range fi.Cond {
-			if refersTo(c, id) {
-				used = true
-			}
-		}
-		if fi.View != nil {
-			refs := map[qtree.FromID]bool{}
-			collectDeepRefs(fi.View, refs)
-			if refs[id] {
-				used = true
-			}
-		}
-	}
-	return used
 }
