@@ -40,11 +40,11 @@ func arith(d, o Datum, op byte) (Datum, error) {
 	if d.kind == KInt && o.kind == KInt {
 		switch op {
 		case '+':
-			return NewInt(d.i + o.i), nil
+			return NewInt(d.i() + o.i()), nil
 		case '-':
-			return NewInt(d.i - o.i), nil
+			return NewInt(d.i() - o.i()), nil
 		case '*':
-			return NewInt(d.i * o.i), nil
+			return NewInt(d.i() * o.i()), nil
 		}
 	}
 	a, b := d.Float(), o.Float()
@@ -65,9 +65,9 @@ func Neg(d Datum) (Datum, error) {
 	case KNull:
 		return Null, nil
 	case KInt:
-		return NewInt(-d.i), nil
+		return NewInt(-d.i()), nil
 	case KFloat:
-		return NewFloat(-d.f), nil
+		return NewFloat(-d.f()), nil
 	}
 	return Null, fmt.Errorf("datum: cannot negate %s", d.kind)
 }

@@ -8,7 +8,9 @@
 package datum
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -41,33 +43,43 @@ func (k Kind) String() string {
 }
 
 // Datum is a single SQL value. The zero value is SQL NULL.
+//
+// The layout is 32 bytes on 64-bit platforms: the string header, one
+// 8-byte payload word and the kind. Integers and booleans live in n as
+// their two's-complement bits, floats as math.Float64bits (so -0.0 and NaN
+// payloads round-trip exactly).
 type Datum struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
+	n    uint64
+	kind Kind
 }
 
 // Null is the SQL NULL value.
 var Null = Datum{}
 
 // NewInt returns an integer datum.
-func NewInt(v int64) Datum { return Datum{kind: KInt, i: v} }
+func NewInt(v int64) Datum { return Datum{kind: KInt, n: uint64(v)} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KFloat, n: math.Float64bits(v)} }
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KString, s: v} }
 
 // NewBool returns a boolean datum.
 func NewBool(v bool) Datum {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Datum{kind: KBool, i: i}
+	return Datum{kind: KBool, n: n}
 }
+
+// i is the integer payload (INT and BOOL).
+func (d Datum) i() int64 { return int64(d.n) }
+
+// f is the float payload (FLOAT).
+func (d Datum) f() float64 { return math.Float64frombits(d.n) }
 
 // Kind reports the datum's kind.
 func (d Datum) Kind() Kind { return d.kind }
@@ -80,16 +92,16 @@ func (d Datum) Int() int64 {
 	if d.kind != KInt {
 		panic(fmt.Sprintf("datum: Int on %s", d.kind))
 	}
-	return d.i
+	return d.i()
 }
 
 // Float returns the float value, converting from integer if necessary.
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KFloat:
-		return d.f
+		return d.f()
 	case KInt:
-		return float64(d.i)
+		return float64(d.i())
 	}
 	panic(fmt.Sprintf("datum: Float on %s", d.kind))
 }
@@ -107,7 +119,7 @@ func (d Datum) Bool() bool {
 	if d.kind != KBool {
 		panic(fmt.Sprintf("datum: Bool on %s", d.kind))
 	}
-	return d.i != 0
+	return d.n != 0
 }
 
 // AsStr returns the string value, or an error naming the actual kind.
@@ -126,13 +138,13 @@ func (d Datum) String() string {
 	case KNull:
 		return "NULL"
 	case KInt:
-		return strconv.FormatInt(d.i, 10)
+		return strconv.FormatInt(d.i(), 10)
 	case KFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.f(), 'g', -1, 64)
 	case KString:
 		return "'" + d.s + "'"
 	case KBool:
-		if d.i != 0 {
+		if d.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -142,6 +154,9 @@ func (d Datum) String() string {
 
 // numeric reports whether the datum is an INT or FLOAT.
 func (d Datum) numeric() bool { return d.kind == KInt || d.kind == KFloat }
+
+// isNaN reports whether the datum is a FLOAT NaN.
+func (d Datum) isNaN() bool { return d.kind == KFloat && math.IsNaN(d.f()) }
 
 // Compare orders two non-null datums: -1 if d < o, 0 if equal, +1 if d > o.
 // Numeric kinds compare with each other; otherwise kinds must match.
@@ -153,9 +168,9 @@ func Compare(d, o Datum) (int, error) {
 	if d.numeric() && o.numeric() {
 		if d.kind == KInt && o.kind == KInt {
 			switch {
-			case d.i < o.i:
+			case d.i() < o.i():
 				return -1, nil
-			case d.i > o.i:
+			case d.i() > o.i():
 				return 1, nil
 			}
 			return 0, nil
@@ -183,9 +198,9 @@ func Compare(d, o Datum) (int, error) {
 		return 0, nil
 	case KBool:
 		switch {
-		case d.i < o.i:
+		case d.n < o.n:
 			return -1, nil
-		case d.i > o.i:
+		case d.n > o.n:
 			return 1, nil
 		}
 		return 0, nil
@@ -204,13 +219,17 @@ func MustCompare(d, o Datum) int {
 }
 
 // SameValue reports whether two datums are identical values, treating NULL
-// as equal to NULL. This is the IS NOT DISTINCT FROM / grouping equality,
-// used by GROUP BY, DISTINCT and set operations (where NULLs match).
+// as equal to NULL and NaN as equal to NaN (and to nothing else). This is
+// the IS NOT DISTINCT FROM / grouping equality, used by GROUP BY, DISTINCT
+// and set operations (where NULLs match); AppendKey keys by it.
 func SameValue(d, o Datum) bool {
 	if d.IsNull() || o.IsNull() {
 		return d.IsNull() && o.IsNull()
 	}
 	if d.numeric() && o.numeric() {
+		if dn, on := d.isNaN(), o.isNaN(); dn || on {
+			return dn && on
+		}
 		c, _ := Compare(d, o)
 		return c == 0
 	}
@@ -221,25 +240,44 @@ func SameValue(d, o Datum) bool {
 	return err == nil && c == 0
 }
 
-// Key returns a string that uniquely identifies the datum's value within its
-// kind, suitable for use as a hash map key in joins and aggregation. NULLs
-// map to a distinct key so that SameValue semantics hold for grouping.
-func (d Datum) Key() string {
+// Key tags written by AppendKey, one per encoded value.
+const (
+	keyNull   byte = iota // no payload
+	keyInt                // 8-byte big-endian int64: INT and integral FLOAT
+	keyFloat              // 8-byte big-endian float bits, NaN canonical
+	keyString             // uvarint length, then the bytes
+	keyBool               // 1 byte
+)
+
+// canonicalNaN is the bit pattern every NaN payload encodes as, so all
+// NaNs share one key (SameValue treats NaN as equal only to NaN).
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// AppendKey appends the datum's hash key to dst and returns the extended
+// slice. The encoding is self-delimiting (one tag per value, a fixed-width
+// or length-prefixed payload), so the concatenated keys of a row identify
+// the row's values column by column. Two datums get the same key exactly
+// when SameValue holds within a kind; an INT and an integral FLOAT share
+// one form, so 1 and 1.0 group together, and -0.0 keys as 0.
+func AppendKey(dst []byte, d Datum) []byte {
 	switch d.kind {
-	case KNull:
-		return "\x00N"
 	case KInt:
-		return "\x01" + strconv.FormatInt(d.i, 10)
+		return binary.BigEndian.AppendUint64(append(dst, keyInt), d.n)
 	case KFloat:
-		// Normalize integral floats so 1 and 1.0 group together.
-		if d.f == float64(int64(d.f)) {
-			return "\x01" + strconv.FormatInt(int64(d.f), 10)
+		f := d.f()
+		if i := int64(f); f == float64(i) {
+			return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(i))
 		}
-		return "\x02" + strconv.FormatFloat(d.f, 'b', -1, 64)
+		bits := d.n
+		if math.IsNaN(f) {
+			bits = canonicalNaN
+		}
+		return binary.BigEndian.AppendUint64(append(dst, keyFloat), bits)
 	case KString:
-		return "\x03" + d.s
+		dst = binary.AppendUvarint(append(dst, keyString), uint64(len(d.s)))
+		return append(dst, d.s...)
 	case KBool:
-		return "\x04" + strconv.FormatInt(d.i, 10)
+		return append(dst, keyBool, byte(d.n))
 	}
-	return "\x05"
+	return append(dst, keyNull)
 }

@@ -1,6 +1,7 @@
 package datum
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -104,22 +105,36 @@ func TestSameValue(t *testing.T) {
 	}
 }
 
+func key(d Datum) string { return string(AppendKey(nil, d)) }
+
 func TestKeyDistinguishesValues(t *testing.T) {
 	ds := []Datum{
 		Null, NewInt(0), NewInt(1), NewFloat(1.5), NewString(""),
 		NewString("1"), NewBool(false), NewBool(true), NewString("N"),
+		NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewInt(math.MinInt64), NewFloat(-0.5),
 	}
 	seen := map[string]Datum{}
 	for _, d := range ds {
-		k := d.Key()
+		k := key(d)
 		if prev, ok := seen[k]; ok {
 			t.Errorf("Key collision between %v and %v", prev, d)
 		}
 		seen[k] = d
 	}
-	// Integral float and int must share a key (grouping equality).
-	if NewInt(7).Key() != NewFloat(7.0).Key() {
-		t.Error("7 and 7.0 should share a grouping key")
+	// Integral float and int must share a key (grouping equality), and so
+	// must the two zeros and every NaN payload.
+	same := [][2]Datum{
+		{NewInt(7), NewFloat(7.0)},
+		{NewInt(-7), NewFloat(-7.0)},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		{NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))},
+		{NewFloat(math.NaN()), NewFloat(math.Float64frombits(0xfff0_0000_0000_0001))},
+	}
+	for _, p := range same {
+		if key(p[0]) != key(p[1]) {
+			t.Errorf("%v and %v should share a grouping key", p[0], p[1])
+		}
 	}
 }
 
@@ -128,17 +143,53 @@ func TestKeyMatchesSameValue(t *testing.T) {
 	// generate.
 	f := func(a, b int64) bool {
 		da, db := NewInt(a), NewInt(b)
-		return (da.Key() == db.Key()) == SameValue(da, db)
+		return (key(da) == key(db)) == SameValue(da, db)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 	g := func(a, b float64) bool {
 		da, db := NewFloat(a), NewFloat(b)
-		return (da.Key() == db.Key()) == SameValue(da, db)
+		return (key(da) == key(db)) == SameValue(da, db)
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+	h := func(a, b string) bool {
+		da, db := NewString(a), NewString(b)
+		return (key(da) == key(db)) == SameValue(da, db)
+	}
+	if err := quick.Check(h, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFloatPayloadRoundTrip pins that the float payload keeps its exact
+// bits: -0.0 stays negative and a NaN keeps its payload.
+func TestFloatPayloadRoundTrip(t *testing.T) {
+	for _, bits := range []uint64{
+		math.Float64bits(math.Copysign(0, -1)),
+		0x7ff8_0000_dead_beef,
+		0xfff0_0000_0000_0001,
+		math.Float64bits(math.Inf(-1)),
+		math.Float64bits(1.5),
+	} {
+		if got := math.Float64bits(NewFloat(math.Float64frombits(bits)).Float()); got != bits {
+			t.Errorf("float bits %#x came back as %#x", bits, got)
+		}
+	}
+	if NewInt(math.MinInt64).Int() != math.MinInt64 || NewInt(-1).Int() != -1 {
+		t.Error("negative ints do not round-trip")
+	}
+}
+
+func TestSameValueNaN(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	if !SameValue(nan, NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))) {
+		t.Error("NaN should SameValue NaN (grouping semantics)")
+	}
+	if SameValue(nan, NewFloat(1)) || SameValue(NewInt(1), nan) {
+		t.Error("NaN should SameValue nothing but NaN")
 	}
 }
 

@@ -87,9 +87,9 @@ func TriFromDatum(d Datum) TriBool {
 	case KNull:
 		return Unknown
 	case KBool, KInt:
-		return FromBool(d.i != 0)
+		return FromBool(d.n != 0)
 	case KFloat:
-		return FromBool(d.f != 0)
+		return FromBool(d.f() != 0)
 	}
 	return Unknown
 }

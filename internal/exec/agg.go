@@ -15,10 +15,11 @@ type aggState struct {
 	sum      datum.Datum
 	min, max datum.Datum
 	distinct map[string]bool
+	key      []byte // DISTINCT lookup scratch
 }
 
-func newAggState(spec optimizer.AggSpec) *aggState {
-	s := &aggState{spec: spec, sum: datum.Null, min: datum.Null, max: datum.Null}
+func newAggState(spec optimizer.AggSpec) aggState {
+	s := aggState{spec: spec, sum: datum.Null, min: datum.Null, max: datum.Null}
 	if spec.Distinct {
 		s.distinct = map[string]bool{}
 	}
@@ -34,11 +35,11 @@ func (s *aggState) add(v datum.Datum) error {
 		return nil // aggregates ignore NULLs
 	}
 	if s.distinct != nil {
-		k := v.Key()
-		if s.distinct[k] {
+		s.key = datum.AppendKey(s.key[:0], v)
+		if s.distinct[string(s.key)] {
 			return nil
 		}
-		s.distinct[k] = true
+		s.distinct[string(s.key)] = true
 	}
 	s.count++
 	switch s.spec.Op {
@@ -112,7 +113,15 @@ func newAgg(e *env, n *optimizer.Agg, child iterator) *aggIter {
 
 type aggGroup struct {
 	gbVals Row
-	states []*aggState
+	states []aggState
+}
+
+func newAggGroup(gbVals Row, aggs []optimizer.AggSpec) *aggGroup {
+	g := &aggGroup{gbVals: gbVals, states: make([]aggState, len(aggs))}
+	for i, spec := range aggs {
+		g.states[i] = newAggState(spec)
+	}
+	return g
 }
 
 // aggHash is the grouping-set hash-aggregation core shared by the row and
@@ -124,9 +133,10 @@ type aggGroup struct {
 type aggHash struct {
 	n    *optimizer.Agg
 	sets [][]int
-	// groups[setIdx][key] -> group
+	// groups[setIdx][key] -> group, keyed by the set's member values
 	groups []map[string]*aggGroup
-	order  [][]string
+	order  [][]*aggGroup // per set, in insertion order
+	key    []byte        // group-key scratch
 }
 
 func newAggHash(n *optimizer.Agg) *aggHash {
@@ -142,7 +152,7 @@ func newAggHash(n *optimizer.Agg) *aggHash {
 		n:      n,
 		sets:   sets,
 		groups: make([]map[string]*aggGroup, len(sets)),
-		order:  make([][]string, len(sets)),
+		order:  make([][]*aggGroup, len(sets)),
 	}
 	for i := range h.groups {
 		h.groups[i] = map[string]*aggGroup{}
@@ -150,26 +160,27 @@ func newAggHash(n *optimizer.Agg) *aggHash {
 	return h
 }
 
+// update folds one input row into every grouping set. It retains neither
+// gbVals nor argVals, so callers pass reused scratch rows; a group's
+// grouping row (the set's members, NULL elsewhere) is built only when the
+// group is new.
 func (h *aggHash) update(gbVals, argVals Row) error {
 	for si, set := range h.sets {
-		masked := make(Row, len(h.n.GroupBy))
-		for i := range masked {
-			masked[i] = datum.Null
-		}
+		h.key = h.key[:0]
 		for _, gi := range set {
-			masked[gi] = gbVals[gi]
+			h.key = datum.AppendKey(h.key, gbVals[gi])
 		}
-		key := rowKey(masked)
-		g, ok := h.groups[si][key]
+		g, ok := h.groups[si][string(h.key)]
 		if !ok {
-			g = &aggGroup{gbVals: masked}
-			for _, spec := range h.n.Aggs {
-				g.states = append(g.states, newAggState(spec))
+			masked := make(Row, len(h.n.GroupBy)) // the zero Datum is NULL
+			for _, gi := range set {
+				masked[gi] = gbVals[gi]
 			}
-			h.groups[si][key] = g
-			h.order[si] = append(h.order[si], key)
+			g = newAggGroup(masked, h.n.Aggs)
+			h.groups[si][string(h.key)] = g
+			h.order[si] = append(h.order[si], g)
 		}
-		for i := range h.n.Aggs {
+		for i := range g.states {
 			if err := g.states[i].add(argVals[i]); err != nil {
 				return err
 			}
@@ -178,24 +189,26 @@ func (h *aggHash) update(gbVals, argVals Row) error {
 	return nil
 }
 
+// results returns one row per group, cut from one backing slab.
 func (h *aggHash) results() []Row {
 	// Scalar aggregation over empty input produces one row.
-	if len(h.n.GroupBy) == 0 && len(h.groups[0]) == 0 {
-		g := &aggGroup{gbVals: Row{}}
-		for _, spec := range h.n.Aggs {
-			g.states = append(g.states, newAggState(spec))
-		}
-		h.groups[0][""] = g
-		h.order[0] = append(h.order[0], "")
+	if len(h.n.GroupBy) == 0 && len(h.order[0]) == 0 {
+		h.order[0] = append(h.order[0], newAggGroup(Row{}, h.n.Aggs))
 	}
-	var out []Row
-	for si := range h.groups {
-		for _, key := range h.order[si] {
-			g := h.groups[si][key]
-			row := make(Row, 0, len(g.gbVals)+len(g.states))
-			row = append(row, g.gbVals...)
-			for _, s := range g.states {
-				row = append(row, s.result())
+	groups := 0
+	for _, o := range h.order {
+		groups += len(o)
+	}
+	w := len(h.n.GroupBy) + len(h.n.Aggs)
+	slab := make([]datum.Datum, groups*w)
+	out := make([]Row, 0, groups)
+	for _, o := range h.order {
+		for _, g := range o {
+			row := slab[:w:w]
+			slab = slab[w:]
+			n := copy(row, g.gbVals)
+			for i := range g.states {
+				row[n+i] = g.states[i].result()
 			}
 			out = append(out, row)
 		}
@@ -211,7 +224,8 @@ func (it *aggIter) Open(outer *Ctx) error {
 	it.pos = 0
 	ctx := &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
 	h := newAggHash(it.n)
-
+	gbVals := make(Row, len(it.n.GroupBy))
+	argVals := make(Row, len(it.n.Aggs))
 	for {
 		r, err := it.child.Next()
 		if err != nil {
@@ -222,7 +236,6 @@ func (it *aggIter) Open(outer *Ctx) error {
 		}
 		ctx.row = r
 		// Evaluate grouping columns once.
-		gbVals := make(Row, len(it.n.GroupBy))
 		for i, g := range it.n.GroupBy {
 			d, err := it.e.evalExpr(g, ctx)
 			if err != nil {
@@ -231,7 +244,6 @@ func (it *aggIter) Open(outer *Ctx) error {
 			gbVals[i] = d
 		}
 		// Evaluate aggregate arguments once.
-		argVals := make(Row, len(it.n.Aggs))
 		for i, a := range it.n.Aggs {
 			if a.Star || a.Arg == nil {
 				continue
@@ -263,5 +275,3 @@ func (it *aggIter) Close() error { return it.child.Close() }
 
 // memBytes approximates the materialized group rows.
 func (it *aggIter) memBytes() int64 { return rowsBytes(it.out) }
-
-var _ = fmt.Sprintf // reserved for error formatting extensions

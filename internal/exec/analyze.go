@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"time"
+	"unsafe"
 
+	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/storage"
 )
@@ -136,9 +138,12 @@ func (it *instrBatchIter) sampleMem() {
 	}
 }
 
+// datumBytes is the in-memory size of one value.
+const datumBytes = int64(unsafe.Sizeof(datum.Datum{}))
+
 // rowBytes approximates the heap footprint of one row: slice header plus
 // per-datum storage.
-func rowBytes(r Row) int64 { return 48 + 16*int64(len(r)) }
+func rowBytes(r Row) int64 { return 48 + datumBytes*int64(len(r)) }
 
 // rowsBytes approximates the footprint of a row buffer.
 func rowsBytes(rows []Row) int64 {

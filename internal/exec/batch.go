@@ -57,7 +57,7 @@ type Options struct {
 // Ownership: a batch returned by NextBatch is valid only until the next
 // NextBatch or Close call on the same iterator. Operators reuse their
 // output batch across calls, so consumers that buffer rows must copy them
-// out (Batch.Row does).
+// out (Batch.appendRows does).
 type Batch struct {
 	Cols [][]datum.Datum
 	Sel  []int
@@ -84,14 +84,19 @@ func (b *Batch) Live(k int) int {
 	return k
 }
 
-// Row materializes physical row r as a freshly allocated Row, safe to keep
-// past the batch's lifetime.
-func (b *Batch) Row(r int) Row {
-	out := make(Row, len(b.Cols))
-	for c := range b.Cols {
-		out[c] = b.Cols[c][r]
+// appendRows appends copies of the batch's live rows to rows and returns
+// the extended slice. The copies are cut from one backing slab, so a batch
+// costs one allocation instead of one per row; they are safe to keep past
+// the batch's lifetime (a kept row keeps its slab alive).
+func (b *Batch) appendRows(rows []Row) []Row {
+	n, w := b.Rows(), len(b.Cols)
+	slab := make([]datum.Datum, n*w)
+	for k := 0; k < n; k++ {
+		row := Row(slab[k*w : (k+1)*w : (k+1)*w])
+		b.gather(b.Live(k), row)
+		rows = append(rows, row)
 	}
-	return out
+	return rows
 }
 
 // gather copies physical row r into buf (len(buf) == len(b.Cols)).
@@ -159,35 +164,37 @@ type batchIterator interface {
 // RowIter adapts a batch subtree to the row-at-a-time iterator contract.
 // It is the compatibility seam that lets operators migrate to batches
 // incrementally: a not-yet-vectorized operator consumes its vectorized
-// child through a RowIter and never sees a batch. Every Next materializes
-// a fresh Row, so buffering consumers (sorts, joins, subquery caches) can
-// keep the rows they are handed.
+// child through a RowIter and never sees a batch. Each batch is
+// materialized once into fresh rows (Batch.appendRows), so buffering
+// consumers (sorts, joins, subquery caches) can keep the rows they are
+// handed.
 type RowIter struct {
-	src batchIterator
-	b   *Batch
-	k   int
+	src  batchIterator
+	rows []Row // the current batch's rows
+	k    int
 }
 
 // NewRowIter wraps a batch iterator for row-at-a-time consumption.
 func NewRowIter(src batchIterator) *RowIter { return &RowIter{src: src} }
 
 func (it *RowIter) Open(outer *Ctx) error {
-	it.b, it.k = nil, 0
+	it.rows, it.k = it.rows[:0], 0
 	return it.src.Open(outer)
 }
 
 func (it *RowIter) Next() (Row, error) {
-	for it.b == nil || it.k >= it.b.Rows() {
+	for it.k >= len(it.rows) {
 		b, err := it.src.NextBatch()
 		if err != nil || b == nil {
-			it.b = nil
+			it.rows, it.k = it.rows[:0], 0
 			return nil, err
 		}
-		it.b, it.k = b, 0
+		clear(it.rows)
+		it.rows, it.k = b.appendRows(it.rows[:0]), 0
 	}
-	r := it.b.Live(it.k)
+	r := it.rows[it.k]
 	it.k++
-	return it.b.Row(r), nil
+	return r, nil
 }
 
 func (it *RowIter) Close() error { return it.src.Close() }

@@ -12,7 +12,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/datum"
 	"repro/internal/obsv"
@@ -68,6 +67,9 @@ type env struct {
 	// subqCache memoizes subquery predicate results under tuple iteration
 	// semantics, keyed per subquery by correlation and left-hand values.
 	subqCache map[*qtree.Subq]map[string]datum.Datum
+	// key is the scratch buffer subquery cache and IN-set lookups encode
+	// their keys into.
+	key []byte
 	// subqIters holds the compiled iterator per subquery expression.
 	subqIters map[*qtree.Subq]*subqRuntime
 	// SubqExecs counts subquery executions (cache misses); tests use it to
@@ -277,9 +279,7 @@ func runEnvBatches(e *env) (*Result, error) {
 		if b == nil {
 			return res, nil
 		}
-		for k := 0; k < b.Rows(); k++ {
-			res.Rows = append(res.Rows, b.Row(b.Live(k)))
-		}
+		res.Rows = b.appendRows(res.Rows)
 	}
 }
 
@@ -519,12 +519,58 @@ func newRowSource(e *env, n optimizer.PlanNode, it iterator) *rowSourceIter {
 	return &rowSourceIter{e: e, child: it, width: len(n.Columns())}
 }
 
-// rowKey renders a row as a grouping key (nulls match nulls).
-func rowKey(r Row) string {
-	var sb strings.Builder
+// appendRowKey appends the row's grouping key to dst: the values'
+// datum.AppendKey encodings back to back. Each encoding is self-delimiting,
+// so equal keys mean column-wise SameValue (nulls match nulls). Hash tables
+// look up with m[string(key)] over a reused buffer, which does not allocate.
+func appendRowKey(dst []byte, r Row) []byte {
 	for _, d := range r {
-		sb.WriteString(d.Key())
-		sb.WriteByte(0x1f)
+		dst = datum.AppendKey(dst, d)
 	}
-	return sb.String()
+	return dst
+}
+
+// keyTable groups row indices by encoded row key (appendRowKey): each
+// distinct key owns one bucket, and buckets keep first-insertion order.
+// Lookups take the caller's reused key buffer and do not allocate; a key
+// string is allocated only when a new key is inserted. The zero value is
+// an empty table.
+type keyTable struct {
+	ids     map[string]int
+	buckets [][]int
+}
+
+func newKeyTable(size int) keyTable { return keyTable{ids: make(map[string]int, size)} }
+
+// get returns key's bucket, nil when the key is absent.
+func (t *keyTable) get(key []byte) []int {
+	if id, ok := t.ids[string(key)]; ok {
+		return t.buckets[id]
+	}
+	return nil
+}
+
+// slot returns key's bucket for appending, creating it on first use. The
+// pointer is valid until the next slot call.
+func (t *keyTable) slot(key []byte) *[]int {
+	id, ok := t.ids[string(key)]
+	if !ok {
+		if t.ids == nil {
+			t.ids = map[string]int{}
+		}
+		id = len(t.buckets)
+		t.ids[string(key)] = id
+		t.buckets = append(t.buckets, nil)
+	}
+	return &t.buckets[id]
+}
+
+// memBytes approximates the table for EXPLAIN ANALYZE: per key a map entry,
+// the key bytes and the bucket's indices.
+func (t *keyTable) memBytes() int64 {
+	var b int64
+	for k, id := range t.ids {
+		b += 48 + int64(len(k)) + 8*int64(len(t.buckets[id]))
+	}
+	return b
 }

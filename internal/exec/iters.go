@@ -362,6 +362,7 @@ func (it *limitIter) Close() error { return it.child.Close() }
 type distinctIter struct {
 	child iterator
 	seen  map[string]bool
+	key   []byte
 }
 
 func newDistinct(child iterator) *distinctIter { return &distinctIter{child: child} }
@@ -377,9 +378,9 @@ func (it *distinctIter) Next() (Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		k := rowKey(r)
-		if !it.seen[k] {
-			it.seen[k] = true
+		it.key = appendRowKey(it.key[:0], r)
+		if !it.seen[string(it.key)] {
+			it.seen[string(it.key)] = true
 			return r, nil
 		}
 	}
@@ -431,6 +432,12 @@ func (it *setOpIter) Open(outer *Ctx) error {
 	if err != nil {
 		return err
 	}
+	// Lookups encode into one reused buffer; only inserts allocate a key.
+	var key []byte
+	keyOf := func(r Row) []byte {
+		key = appendRowKey(key[:0], r)
+		return key
+	}
 	switch it.n.Kind {
 	case qtree.SetUnionAll:
 		it.out = first
@@ -445,9 +452,8 @@ func (it *setOpIter) Open(outer *Ctx) error {
 		seen := map[string]bool{}
 		add := func(rows []Row) {
 			for _, r := range rows {
-				k := rowKey(r)
-				if !seen[k] {
-					seen[k] = true
+				if k := keyOf(r); !seen[string(k)] {
+					seen[string(k)] = true
 					it.out = append(it.out, r)
 				}
 			}
@@ -461,51 +467,52 @@ func (it *setOpIter) Open(outer *Ctx) error {
 			add(rows)
 		}
 	case qtree.SetIntersect:
-		// Distinct rows of the first input present in every other input.
-		present := map[string]Row{}
+		// Distinct rows of the first input present in every other input:
+		// each candidate counts the inputs it has been seen in.
+		type member struct{ hits, lastKid int }
+		present := map[string]*member{}
 		for _, r := range first {
-			present[rowKey(r)] = r
+			if k := keyOf(r); present[string(k)] == nil {
+				present[string(k)] = &member{lastKid: -1}
+			}
 		}
-		for _, k := range it.kids[1:] {
-			rows, err := drain(k)
+		for ki, kid := range it.kids[1:] {
+			rows, err := drain(kid)
 			if err != nil {
 				return err
 			}
-			inThis := map[string]bool{}
 			for _, r := range rows {
-				inThis[rowKey(r)] = true
-			}
-			for key := range present {
-				if !inThis[key] {
-					delete(present, key)
+				if m := present[string(keyOf(r))]; m != nil && m.lastKid != ki {
+					m.lastKid = ki
+					m.hits++
 				}
 			}
 		}
-		// Keep first-input order.
-		emitted := map[string]bool{}
+		// Keep first-input order; a member is emitted once.
 		for _, r := range first {
-			k := rowKey(r)
-			if _, ok := present[k]; ok && !emitted[k] {
-				emitted[k] = true
+			if m := present[string(keyOf(r))]; m.hits == len(it.kids)-1 {
+				m.hits = -1
 				it.out = append(it.out, r)
 			}
 		}
 	case qtree.SetMinus:
-		remove := map[string]bool{}
+		// removed holds the keys of every later input, then of each first-
+		// input row once it is emitted.
+		removed := map[string]bool{}
 		for _, k := range it.kids[1:] {
 			rows, err := drain(k)
 			if err != nil {
 				return err
 			}
 			for _, r := range rows {
-				remove[rowKey(r)] = true
+				if k := keyOf(r); !removed[string(k)] {
+					removed[string(k)] = true
+				}
 			}
 		}
-		emitted := map[string]bool{}
 		for _, r := range first {
-			k := rowKey(r)
-			if !remove[k] && !emitted[k] {
-				emitted[k] = true
+			if k := keyOf(r); !removed[string(k)] {
+				removed[string(k)] = true
 				it.out = append(it.out, r)
 			}
 		}

@@ -106,6 +106,7 @@ type nlJoinIter struct {
 	leftDone     bool
 
 	cacheCols []optimizer.ColID
+	key       []byte // cache-key scratch
 	// verdictCache caches semi/anti verdicts by left key values.
 	verdictCache map[string]bool
 	// lateralCache caches lateral right row sets by correlation values.
@@ -155,20 +156,21 @@ func (it *nlJoinIter) Open(outer *Ctx) error {
 	return nil
 }
 
-// leftKey renders the cache key for the current left row.
-func (it *nlJoinIter) leftKey() (string, bool) {
+// leftKey encodes the cache key for the current left row into the
+// iterator's scratch buffer, valid until the next leftKey call.
+func (it *nlJoinIter) leftKey() ([]byte, bool) {
 	if len(it.cacheCols) == 0 {
-		return "", false
+		return nil, false
 	}
-	key := make(Row, len(it.cacheCols))
-	for i, id := range it.cacheCols {
+	it.key = it.key[:0]
+	for _, id := range it.cacheCols {
 		d, ok := it.leftCtx.lookup(id)
 		if !ok {
-			return "", false
+			return nil, false
 		}
-		key[i] = d
+		it.key = datum.AppendKey(it.key, d)
 	}
-	return rowKey(key), true
+	return it.key, true
 }
 
 // rightForCurrentLeft returns the right rows for the current left row.
@@ -177,10 +179,12 @@ func (it *nlJoinIter) rightForCurrentLeft() ([]Row, error) {
 		return it.matRight, nil
 	}
 	key, cacheable := it.leftKey()
+	var ks string
 	if cacheable {
-		if rows, ok := it.lateralCache[key]; ok {
+		if rows, ok := it.lateralCache[string(key)]; ok {
 			return rows, nil
 		}
+		ks = string(key)
 	}
 	if err := it.r.Open(it.leftCtx); err != nil {
 		return nil, err
@@ -197,7 +201,7 @@ func (it *nlJoinIter) rightForCurrentLeft() ([]Row, error) {
 		rows = append(rows, r)
 	}
 	if cacheable {
-		it.lateralCache[key] = rows
+		it.lateralCache[ks] = rows
 	}
 	return rows, nil
 }
@@ -293,10 +297,12 @@ func (it *nlJoinIter) Next() (Row, error) {
 // row with stop-at-first-match and verdict caching.
 func (it *nlJoinIter) evalSemiAnti() (bool, error) {
 	key, cacheable := it.leftKey()
+	var ks string
 	if cacheable {
-		if v, ok := it.verdictCache[key]; ok {
+		if v, ok := it.verdictCache[string(key)]; ok {
 			return v, nil
 		}
+		ks = string(key)
 	}
 	rows, err := it.rightForCurrentLeft()
 	if err != nil {
@@ -344,7 +350,7 @@ func (it *nlJoinIter) evalSemiAnti() (bool, error) {
 		}
 	}
 	if cacheable {
-		it.verdictCache[key] = verdict
+		it.verdictCache[ks] = verdict
 	}
 	return verdict, nil
 }
@@ -397,7 +403,8 @@ type hashJoinIter struct {
 	leftCtx *Ctx
 	combCtx *Ctx
 
-	table        map[string][]int
+	table        keyTable
+	key          []byte // join-key scratch
 	buildRows    []Row
 	buildMatched []bool
 	buildNulls   bool
@@ -421,7 +428,7 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
 	comb = append(comb, it.n.R.Columns()...)
 	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
-	it.table = map[string][]int{}
+	it.table = keyTable{}
 	it.buildRows = nil
 	it.buildMatched = nil
 	it.buildNulls = false
@@ -444,7 +451,7 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 		idx := len(it.buildRows)
 		it.buildRows = append(it.buildRows, rr)
 		rightCtx.row = rr
-		key, hasNull, err := it.evalKey(it.n.EqR, rightCtx)
+		hasNull, err := it.evalKey(it.n.EqR, rightCtx)
 		if err != nil {
 			return err
 		}
@@ -454,7 +461,8 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 			it.buildNulls = true
 			continue
 		}
-		it.table[key] = append(it.table[key], idx)
+		bucket := it.table.slot(it.key)
+		*bucket = append(*bucket, idx)
 	}
 	if it.n.Kind == qtree.JoinFullOuter {
 		it.buildMatched = make([]bool, len(it.buildRows))
@@ -462,20 +470,22 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 	return it.l.Open(outer)
 }
 
-func (it *hashJoinIter) evalKey(exprs []qtree.Expr, ctx *Ctx) (string, bool, error) {
-	vals := make(Row, len(exprs))
+// evalKey encodes the join key of exprs under ctx into it.key and reports
+// whether a non-null-safe key part is NULL.
+func (it *hashJoinIter) evalKey(exprs []qtree.Expr, ctx *Ctx) (bool, error) {
+	it.key = it.key[:0]
 	hasNull := false
 	for i, e := range exprs {
 		d, err := it.e.evalExpr(e, ctx)
 		if err != nil {
-			return "", false, err
+			return false, err
 		}
 		if d.IsNull() && !it.n.NullSafe(i) {
 			hasNull = true
 		}
-		vals[i] = d
+		it.key = datum.AppendKey(it.key, d)
 	}
-	return rowKey(vals), hasNull, nil
+	return hasNull, nil
 }
 
 func (it *hashJoinIter) Next() (Row, error) {
@@ -512,7 +522,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 			it.matched = false
 			it.bucketPos = 0
 
-			key, hasNull, err := it.evalKey(it.n.EqL, it.leftCtx)
+			hasNull, err := it.evalKey(it.n.EqL, it.leftCtx)
 			if err != nil {
 				return nil, err
 			}
@@ -521,7 +531,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 				if hasNull {
 					continue
 				}
-				ok, err := it.anyMatch(key)
+				ok, err := it.anyMatch()
 				if err != nil {
 					return nil, err
 				}
@@ -534,7 +544,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 					// Unknown comparison: NOT EXISTS-style anti keeps row.
 					return it.leftRow, nil
 				}
-				ok, err := it.anyMatch(key)
+				ok, err := it.anyMatch()
 				if err != nil {
 					return nil, err
 				}
@@ -549,7 +559,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 				if it.buildNulls || hasNull {
 					continue // UNKNOWN everywhere: row suppressed
 				}
-				ok, err := it.anyMatch(key)
+				ok, err := it.anyMatch()
 				if err != nil {
 					return nil, err
 				}
@@ -561,7 +571,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 				if hasNull {
 					it.bucket = nil
 				} else {
-					it.bucket = it.table[key]
+					it.bucket = it.table.get(it.key)
 				}
 			}
 			it.needLeft = false
@@ -597,10 +607,10 @@ func (it *hashJoinIter) Next() (Row, error) {
 	}
 }
 
-// anyMatch reports whether any build row in the key's bucket passes the
-// residual conditions.
-func (it *hashJoinIter) anyMatch(key string) (bool, error) {
-	for _, ri := range it.table[key] {
+// anyMatch reports whether any build row in the bucket of the probe key
+// (it.key) passes the residual conditions.
+func (it *hashJoinIter) anyMatch() (bool, error) {
+	for _, ri := range it.table.get(it.key) {
 		rr := it.buildRows[ri]
 		comb := make(Row, 0, len(it.leftRow)+len(rr))
 		comb = append(comb, it.leftRow...)
@@ -624,9 +634,5 @@ func (it *hashJoinIter) Close() error {
 
 // memBytes approximates the build side: rows plus hash-table buckets.
 func (it *hashJoinIter) memBytes() int64 {
-	b := rowsBytes(it.buildRows)
-	for k, bucket := range it.table {
-		b += 48 + int64(len(k)) + 8*int64(len(bucket))
-	}
-	return b
+	return rowsBytes(it.buildRows) + it.table.memBytes()
 }

@@ -130,7 +130,7 @@ func pathCases() []pathCase {
 			// then 1.25: the hash table starts on the int64 fast path and
 			// demotes with an entry already in it. Opening the join alone
 			// shows the first build row carried over under the generic key
-			// rowKey gives the integral value.
+			// appendRowKey gives the integral value.
 			name: "hash-demotes-after-entries",
 			db:   small,
 			sql: `SELECT e.emp_id, s.sale_id FROM employees e, sales s
@@ -160,7 +160,7 @@ func pathCases() []pathCase {
 				if hj.intMode {
 					return fmt.Errorf("build table still on the int64 fast path")
 				}
-				if b := hj.table[rowKey(Row{datum.NewFloat(1)})]; len(b) != 1 || b[0] != 0 {
+				if b := hj.table.get(appendRowKey(nil, Row{datum.NewFloat(1)})); len(b) != 1 || b[0] != 0 {
 					return fmt.Errorf("first build row not carried over under key 1: %v", b)
 				}
 				return nil

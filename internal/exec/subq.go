@@ -126,6 +126,7 @@ func (rt *subqRuntime) buildInSet() {
 		return
 	}
 	rt.inSet = make(map[string]bool, len(rt.rows))
+	var key []byte
 	for _, r := range rt.rows {
 		hasNull := false
 		for _, d := range r {
@@ -138,7 +139,10 @@ func (rt *subqRuntime) buildInSet() {
 			rt.inAnyNull = true
 			continue
 		}
-		rt.inSet[rowKey(r)] = true
+		key = appendRowKey(key[:0], r)
+		if !rt.inSet[string(key)] {
+			rt.inSet[string(key)] = true
+		}
 	}
 }
 
@@ -201,26 +205,26 @@ func (e *env) evalSubq(s *qtree.Subq, ctx *Ctx) (datum.Datum, error) {
 		return e.evalUncorrelated(s, rt, ctx, left)
 	}
 
-	// Correlated: memoize by correlation + left values.
+	// Correlated: memoize by correlation + left values. The key is encoded
+	// into e.key and copied to a string only on a miss, before execution
+	// can reuse the buffer (nested subqueries share it).
 	cacheable := true
-	key := make(Row, 0, len(rt.corrCols)+len(left))
+	e.key = e.key[:0]
 	for _, id := range rt.corrCols {
 		d, ok := ctx.lookup(id)
 		if !ok {
 			cacheable = false
 			break
 		}
-		key = append(key, d)
+		e.key = datum.AppendKey(e.key, d)
 	}
 	var ck string
 	if cacheable {
-		key = append(key, left...)
-		ck = rowKey(key)
-		if cache, ok := e.subqCache[s]; ok {
-			if v, hit := cache[ck]; hit {
-				return v, nil
-			}
+		e.key = appendRowKey(e.key, left)
+		if v, hit := e.subqCache[s][string(e.key)]; hit {
+			return v, nil
 		}
+		ck = string(e.key)
 	}
 
 	rows, err := e.execute(rt, ctx, earlyOutFor(s))
@@ -285,8 +289,11 @@ func (e *env) probeIn(rt *subqRuntime, left Row, rows []Row) datum.TriBool {
 			leftNull = true
 		}
 	}
-	if !leftNull && rt.inSet[rowKey(left)] {
-		return datum.True
+	if !leftNull {
+		e.key = appendRowKey(e.key[:0], left)
+		if rt.inSet[string(e.key)] {
+			return datum.True
+		}
 	}
 	if (!leftNull && !rt.inAnyNull) || len(rows) == 0 {
 		return datum.False

@@ -33,6 +33,8 @@ func (it *batchAggIter) Open(outer *Ctx) error {
 	h := newAggHash(it.n)
 	gbVecs := make([][]datum.Datum, len(it.n.GroupBy))
 	argVecs := make([][]datum.Datum, len(it.n.Aggs))
+	gbVals := make(Row, len(it.n.GroupBy))
+	argVals := make(Row, len(it.n.Aggs))
 
 	for {
 		b, err := it.child.NextBatch()
@@ -60,11 +62,9 @@ func (it *batchAggIter) Open(outer *Ctx) error {
 		}
 		for k := 0; k < b.Rows(); k++ {
 			r := b.Live(k)
-			gbVals := make(Row, len(it.n.GroupBy))
 			for i := range it.n.GroupBy {
 				gbVals[i] = gbVecs[i][r]
 			}
-			argVals := make(Row, len(it.n.Aggs))
 			for i := range it.n.Aggs {
 				if argVecs[i] != nil {
 					argVals[i] = argVecs[i][r]

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datum"
 	"repro/internal/exec"
@@ -65,6 +66,48 @@ func TestPointReadAllocBudget(t *testing.T) {
 				t.Fatalf("%s allocates %d B per execution, budget %d", pr.name, perOp, pointReadAllocBudget)
 			}
 		})
+	}
+}
+
+// groupByAllocBudget is the allocation gate per output group of a hash
+// aggregation. Before group keys were encoded into a reused buffer and
+// the per-row argument rows were dropped, this query allocated about 470
+// times per group (some 14 times per input row).
+const groupByAllocBudget = 16
+
+// TestGroupByAllocBudget gates allocations per output group of a batch-
+// engine GROUP BY over medium data: the cost of grouping must follow the
+// groups it builds, not the rows it folds.
+func TestGroupByAllocBudget(t *testing.T) {
+	db := getBenchDB(t)
+	plan := planSQL(t, db, `SELECT s.dept_id, COUNT(*), SUM(s.amount), MAX(s.amount)
+	  FROM sales s WHERE s.amount > 200 GROUP BY s.dept_id`)
+	ctx := context.Background()
+	var groups int
+	run := func() {
+		res, err := exec.RunContext(ctx, db, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = len(res.Rows)
+	}
+	run() // lazy set-up outside the measurement
+	if groups < 2 {
+		t.Fatalf("%d groups; the gate needs several", groups)
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	perGroup := allocs / float64(groups)
+	t.Logf("%.0f allocs/op over %d groups: %.1f per group", allocs, groups, perGroup)
+	if perGroup >= groupByAllocBudget {
+		t.Fatalf("GROUP BY allocates %.1f times per group, budget %d", perGroup, groupByAllocBudget)
+	}
+}
+
+// TestDatumIs32Bytes pins the value layout every row, batch vector and
+// hash table pays for per value (and that EXPLAIN ANALYZE charges).
+func TestDatumIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(datum.Datum{}); n != 32 {
+		t.Fatalf("datum.Datum is %d bytes, want 32", n)
 	}
 }
 

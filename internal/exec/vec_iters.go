@@ -220,7 +220,8 @@ func (it *batchProjectIter) NextBatch() (*Batch, error) {
 func (it *batchProjectIter) Close() error { return it.child.Close() }
 
 // batchSortIter materializes its input (copying rows out of the child's
-// reused batches), sorts, and re-emits the rows in fresh batches.
+// reused batches, one slab per batch), sorts, and re-emits the rows in
+// fresh batches.
 type batchSortIter struct {
 	e     *env
 	n     *optimizer.Sort
@@ -257,13 +258,15 @@ func (it *batchSortIter) Open(outer *Ctx) error {
 				return err
 			}
 		}
+		it.rows = b.appendRows(it.rows)
+		nk := len(it.n.Keys)
+		kslab := make([]datum.Datum, b.Rows()*nk)
 		for k := 0; k < b.Rows(); k++ {
 			r := b.Live(k)
-			kr := make(Row, len(it.n.Keys))
-			for i := range it.n.Keys {
+			kr := Row(kslab[k*nk : (k+1)*nk : (k+1)*nk])
+			for i := range kr {
 				kr[i] = keyVecs[i][r]
 			}
-			it.rows = append(it.rows, b.Row(r))
 			keys = append(keys, kr)
 		}
 		for i := range keyVecs {
@@ -365,6 +368,7 @@ type batchDistinctIter struct {
 	child   batchIterator
 	seen    map[string]bool
 	scratch Row
+	key     []byte
 	sel     []int
 }
 
@@ -391,9 +395,9 @@ func (it *batchDistinctIter) NextBatch() (*Batch, error) {
 		for k := 0; k < b.Rows(); k++ {
 			r := b.Live(k)
 			b.gather(r, it.scratch)
-			key := rowKey(it.scratch)
-			if !it.seen[key] {
-				it.seen[key] = true
+			it.key = appendRowKey(it.key[:0], it.scratch)
+			if !it.seen[string(it.key)] {
+				it.seen[string(it.key)] = true
 				it.sel = append(it.sel, r)
 			}
 		}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"strconv"
-
 	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
@@ -32,12 +30,12 @@ type batchHashJoinIter struct {
 	nLeft   int
 	nRight  int
 
-	table map[string][]int
+	table keyTable
 	// Single-key fast path: when the join has exactly one non-null-safe
 	// equi-key, integer-valued keys (KInt and integral KFloat, which
-	// datum.Key groups together) hash as raw int64, skipping the per-row
-	// key-string rendering on both sides. The first build key that is not
-	// integer-valued demotes the whole table to the generic string form.
+	// datum.AppendKey encodes alike) hash as raw int64, skipping the key
+	// encoding on both sides. The first build key that is not
+	// integer-valued demotes the whole table to the generic encoded form.
 	intMode  bool
 	intTable map[int64][]int
 	// buildCols stores the build side columnar (buildCols[c][ri] is column
@@ -53,12 +51,13 @@ type batchHashJoinIter struct {
 	buildMatched []bool
 	buildNulls   bool
 
-	bcL        *batchCtx
-	scratchKey Row
-	keyStr     []string // per physical probe row (generic path)
-	keyInt     []int64  // per physical probe row (int fast path)
-	keyIntOK   []bool   // probe key reduced to an int64
-	keyNull    []bool
+	bcL     *batchCtx
+	key     []byte          // encoded-key scratch (generic path)
+	keyVecs [][]datum.Datum // probe-key vectors of the current batch
+	// Per physical probe row: the matching build bucket (nil when the key
+	// is null or absent) and whether a non-null-safe key part is null.
+	keyBucket [][]int
+	keyNull   []bool
 
 	// Probe continuation state (inner/outer kinds).
 	cur        *Batch
@@ -86,7 +85,7 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 	comb = append(comb, it.n.R.Columns()...)
 	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
 	it.comb = make(Row, it.nLeft+it.nRight)
-	it.scratchKey = make(Row, len(it.n.EqL))
+	it.keyVecs = make([][]datum.Datum, len(it.n.EqL))
 	it.bcL = newBatchCtx(it.e, it.n.L.Columns(), outer)
 	it.cur = nil
 	it.k = 0
@@ -109,10 +108,10 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 	it.intMode = len(it.n.EqR) == 1 && !it.n.NullSafe(0)
 	if it.intMode {
 		it.intTable = make(map[int64][]int, est)
-		it.table = make(map[string][]int)
+		it.table = keyTable{}
 	} else {
 		it.intTable = nil
-		it.table = make(map[string][]int, est)
+		it.table = newKeyTable(est)
 	}
 	switch it.n.Kind {
 	case qtree.JoinSemi, qtree.JoinAnti, qtree.JoinNullAwareAnti:
@@ -184,8 +183,8 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 }
 
 // insertBuild adds build row idx under its join key, demoting from the
-// int64 fast path to the generic string table on the first build key that
-// is not integer-valued.
+// int64 fast path to the generic table on the first build key that is not
+// integer-valued.
 func (it *batchHashJoinIter) insertBuild(key Row, idx int) {
 	if it.intMode {
 		if v, ok := intJoinKey(key[0]); ok {
@@ -198,34 +197,29 @@ func (it *batchHashJoinIter) insertBuild(key Row, idx int) {
 		}
 		it.demote()
 	}
-	ks := rowKey(key)
-	bucket := it.table[ks]
-	if it.presenceOnly && len(bucket) > 0 {
+	it.key = appendRowKey(it.key[:0], key)
+	bucket := it.table.slot(it.key)
+	if it.presenceOnly && len(*bucket) > 0 {
 		return
 	}
-	it.table[ks] = append(bucket, idx)
+	*bucket = append(*bucket, idx)
 }
 
-// demote rewrites the int64 table in the generic string form. The string
-// key of an integer-valued datum is fully determined by its int64
-// reduction (datum.Key normalizes integral floats onto the integer form),
-// so the buckets move over verbatim.
+// demote moves the int64 table into the generic table. The key of an
+// integer-valued datum is fully determined by its int64 reduction
+// (datum.AppendKey encodes integral floats in the integer form), so the
+// buckets move over verbatim under the key of datum.NewInt(v).
 func (it *batchHashJoinIter) demote() {
 	for v, bucket := range it.intTable {
-		it.table[intKeyString(v)] = bucket
+		it.key = datum.AppendKey(it.key[:0], datum.NewInt(v))
+		*it.table.slot(it.key) = bucket
 	}
 	it.intTable = nil
 	it.intMode = false
 }
 
-// intKeyString renders the generic-table key that rowKey would produce for
-// a single integer-valued datum.
-func intKeyString(v int64) string {
-	return "\x01" + strconv.FormatInt(v, 10) + "\x1f"
-}
-
 // intJoinKey reduces a datum to the int64 hash key shared by integers and
-// integral floats, mirroring datum.Key's cross-kind grouping. Nulls,
+// integral floats, mirroring datum.AppendKey's cross-kind grouping. Nulls,
 // strings, bools and non-integral floats do not reduce.
 func intJoinKey(d datum.Datum) (int64, bool) {
 	switch d.Kind() {
@@ -240,74 +234,53 @@ func intJoinKey(d datum.Datum) (int64, bool) {
 	return 0, false
 }
 
-// prepKeys evaluates the probe-key expressions for a left batch column-wise
-// and renders per-row hash keys and null flags.
+// prepKeys evaluates the probe-key expressions for a left batch
+// column-wise and resolves each live row's build bucket and null flag.
 func (it *batchHashJoinIter) prepKeys(b *Batch) error {
 	if cap(it.keyNull) < b.N {
-		it.keyStr = make([]string, b.N)
-		it.keyInt = make([]int64, b.N)
-		it.keyIntOK = make([]bool, b.N)
+		it.keyBucket = make([][]int, b.N)
 		it.keyNull = make([]bool, b.N)
 	}
-	it.keyStr = it.keyStr[:b.N]
-	it.keyInt = it.keyInt[:b.N]
-	it.keyIntOK = it.keyIntOK[:b.N]
+	it.keyBucket = it.keyBucket[:b.N]
 	it.keyNull = it.keyNull[:b.N]
-	vecs := make([][]datum.Datum, len(it.n.EqL))
+	vecs := it.keyVecs
 	for i, ex := range it.n.EqL {
 		vecs[i] = it.bcL.getVec(b.N)
 		if err := it.e.evalExprBatch(ex, b, b.Sel, it.bcL, vecs[i]); err != nil {
 			return err
 		}
 	}
-	if it.intMode {
-		vec := vecs[0] // intMode implies one non-null-safe key
-		for k := 0; k < b.Rows(); k++ {
-			r := b.Live(k)
-			d := vec[r]
-			if d.IsNull() {
-				it.keyNull[r] = true
-				continue
+	for k := 0; k < b.Rows(); k++ {
+		r := b.Live(k)
+		it.keyBucket[r] = nil
+		if it.intMode {
+			// intMode implies one non-null-safe key. A key that is not
+			// integer-valued cannot equal anything in an all-integer table.
+			d := vecs[0][r]
+			it.keyNull[r] = d.IsNull()
+			if v, ok := intJoinKey(d); ok {
+				it.keyBucket[r] = it.intTable[v]
 			}
-			it.keyNull[r] = false
-			it.keyInt[r], it.keyIntOK[r] = intJoinKey(d)
+			continue
 		}
-	} else {
-		for k := 0; k < b.Rows(); k++ {
-			r := b.Live(k)
-			hasNull := false
-			for i := range it.n.EqL {
-				d := vecs[i][r]
-				if d.IsNull() && !it.n.NullSafe(i) {
-					hasNull = true
-				}
-				it.scratchKey[i] = d
+		hasNull := false
+		it.key = it.key[:0]
+		for i := range vecs {
+			d := vecs[i][r]
+			if d.IsNull() && !it.n.NullSafe(i) {
+				hasNull = true
 			}
-			it.keyStr[r] = rowKey(it.scratchKey)
-			it.keyNull[r] = hasNull
+			it.key = datum.AppendKey(it.key, d)
+		}
+		it.keyNull[r] = hasNull
+		if !hasNull {
+			it.keyBucket[r] = it.table.get(it.key)
 		}
 	}
 	for i := range vecs {
 		it.bcL.putVec(vecs[i])
 	}
 	return nil
-}
-
-// bucketFor returns the build bucket for probe row r: nil when the key is
-// null, and under the fast path also when the probe key is not
-// integer-valued — such a key cannot equal anything in an all-integer
-// build table.
-func (it *batchHashJoinIter) bucketFor(r int) []int {
-	if it.keyNull[r] {
-		return nil
-	}
-	if it.intMode {
-		if !it.keyIntOK[r] {
-			return nil
-		}
-		return it.intTable[it.keyInt[r]]
-	}
-	return it.table[it.keyStr[r]]
 }
 
 // onMatch evaluates the residual join predicates for (probe row r, build
@@ -329,7 +302,7 @@ func (it *batchHashJoinIter) onMatch(b *Batch, r, ri int) (bool, error) {
 // anyMatch reports whether any build row in the key's bucket passes the
 // residual predicates.
 func (it *batchHashJoinIter) anyMatch(b *Batch, r int) (bool, error) {
-	bucket := it.bucketFor(r)
+	bucket := it.keyBucket[r]
 	if len(it.n.On) == 0 {
 		return len(bucket) > 0, nil
 	}
@@ -526,7 +499,7 @@ func (it *batchHashJoinIter) nextCombineBatch() (*Batch, error) {
 		r := it.cur.Live(it.k)
 		it.k++
 		it.curRow = r
-		it.bucket = it.bucketFor(r)
+		it.bucket = it.keyBucket[r]
 		it.bucketPos = 0
 		it.rowMatched = false
 		it.inRow = true
@@ -550,12 +523,9 @@ func (it *batchHashJoinIter) Close() error {
 // per-row term uses the row engine's rowBytes formula on the columnar
 // store, so EXPLAIN ANALYZE mem= stays comparable across engines.
 func (it *batchHashJoinIter) memBytes() int64 {
-	var b int64
+	b := it.table.memBytes()
 	if !it.presenceOnly {
-		b = int64(it.nBuild) * (48 + 16*int64(it.nRight))
-	}
-	for k, bucket := range it.table {
-		b += 48 + int64(len(k)) + 8*int64(len(bucket))
+		b += int64(it.nBuild) * (48 + datumBytes*int64(it.nRight))
 	}
 	for _, bucket := range it.intTable {
 		b += 48 + 8 + 8*int64(len(bucket))

@@ -36,7 +36,7 @@ type batchNLJoinIter struct {
 
 	cacheCols []optimizer.ColID
 	cache     map[string][]int32
-	keyBuf    Row
+	key       []byte // lateral-cache key scratch
 	cacheMem  int64
 
 	// Probe continuation state, mirroring batchHashJoinIter.
@@ -92,7 +92,6 @@ func (it *batchNLJoinIter) Open(outer *Ctx) error {
 	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
 	it.comb = make(Row, it.nLeft+it.nRight)
 	it.srcBuf = make(Row, it.nRight)
-	it.keyBuf = make(Row, len(it.cacheCols))
 	it.cache = map[string][]int32{}
 	it.cacheMem = 0
 	it.cur = nil
@@ -102,20 +101,22 @@ func (it *batchNLJoinIter) Open(outer *Ctx) error {
 	return it.l.Open(outer)
 }
 
-// leftKeyStr renders the lateral-cache key for the current left row
-// (leftCtx.row must be bound), with nlJoinIter.leftKey's cacheability rule.
-func (it *batchNLJoinIter) leftKeyStr() (string, bool) {
+// leftKey encodes the lateral-cache key for the current left row
+// (leftCtx.row must be bound) into it.key, with nlJoinIter.leftKey's
+// cacheability rule.
+func (it *batchNLJoinIter) leftKey() bool {
 	if len(it.cacheCols) == 0 {
-		return "", false
+		return false
 	}
-	for i, id := range it.cacheCols {
+	it.key = it.key[:0]
+	for _, id := range it.cacheCols {
 		d, ok := it.leftCtx.lookup(id)
 		if !ok {
-			return "", false
+			return false
 		}
-		it.keyBuf[i] = d
+		it.key = datum.AppendKey(it.key, d)
 	}
-	return rowKey(it.keyBuf), true
+	return true
 }
 
 // probe runs one index lookup for the current left row and filters the
@@ -159,9 +160,9 @@ func (it *batchNLJoinIter) probe() ([]int32, error) {
 // rightFor returns the post-filter rowids for the current left row, probing
 // on a lateral-cache miss.
 func (it *batchNLJoinIter) rightFor() ([]int32, error) {
-	key, cacheable := it.leftKeyStr()
+	cacheable := it.leftKey()
 	if cacheable {
-		if rowids, ok := it.cache[key]; ok {
+		if rowids, ok := it.cache[string(it.key)]; ok {
 			return rowids, nil
 		}
 	}
@@ -170,8 +171,8 @@ func (it *batchNLJoinIter) rightFor() ([]int32, error) {
 		return nil, err
 	}
 	if cacheable {
-		it.cache[key] = rowids
-		it.cacheMem += 48 + int64(len(key)) + 4*int64(len(rowids))
+		it.cache[string(it.key)] = rowids
+		it.cacheMem += 48 + int64(len(it.key)) + 4*int64(len(rowids))
 	}
 	return rowids, nil
 }

@@ -73,12 +73,12 @@ func (it *windowIter) computeFunc(f *qtree.WinFunc, rows []Row, ctx *Ctx) ([]dat
 	n := len(rows)
 	vals := make([]datum.Datum, n)
 
-	// Partition rows.
-	parts := map[string][]int{}
-	var order []string
+	// Partition rows, in order of each partition's first row.
+	var parts keyTable
+	key := make(Row, len(f.PartitionBy))
+	var kb []byte
 	for i, r := range rows {
 		ctx.row = r
-		key := make(Row, len(f.PartitionBy))
 		for k, pe := range f.PartitionBy {
 			d, err := it.e.evalExpr(pe, ctx)
 			if err != nil {
@@ -86,15 +86,12 @@ func (it *windowIter) computeFunc(f *qtree.WinFunc, rows []Row, ctx *Ctx) ([]dat
 			}
 			key[k] = d
 		}
-		ks := rowKey(key)
-		if _, ok := parts[ks]; !ok {
-			order = append(order, ks)
-		}
-		parts[ks] = append(parts[ks], i)
+		kb = appendRowKey(kb[:0], key)
+		p := parts.slot(kb)
+		*p = append(*p, i)
 	}
 
-	for _, ks := range order {
-		idxs := parts[ks]
+	for _, idxs := range parts.buckets {
 		// Order within the partition.
 		sortKeys := make([]Row, len(idxs))
 		if len(f.OrderBy) > 0 {

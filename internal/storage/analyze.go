@@ -33,6 +33,7 @@ func analyzeColumn(rows []Row, c int) catalog.ColStats {
 	var cs catalog.ColStats
 	vals := make([]datum.Datum, 0, len(rows))
 	distinct := map[string]struct{}{}
+	var key []byte
 	for _, r := range rows {
 		v := r[c]
 		if v.IsNull() {
@@ -40,7 +41,10 @@ func analyzeColumn(rows []Row, c int) catalog.ColStats {
 			continue
 		}
 		vals = append(vals, v)
-		distinct[v.Key()] = struct{}{}
+		key = datum.AppendKey(key[:0], v)
+		if _, ok := distinct[string(key)]; !ok {
+			distinct[string(key)] = struct{}{}
+		}
 	}
 	cs.NDV = int64(len(distinct))
 	if len(vals) == 0 {

@@ -285,7 +285,6 @@ func fieldListHasCtx(p *Pass, params *ast.FieldList) bool {
 // builds the batch it writes). Keys are "Recv.Method" for methods. As with
 // snapmut, extending the set is a review decision.
 var selvecKernels = map[string]bool{
-	"Batch.Row":                      true,
 	"Batch.gather":                   true,
 	"Batch.appendRow":                true,
 	"batchSeqScanIter.NextBatch":     true,
@@ -336,7 +335,7 @@ var selvec = &Analyzer{
 						!strings.HasSuffix(owner.Obj().Pkg().Path(), "internal/exec") {
 						return true
 					}
-					p.Report(outer.Pos(), "direct Batch.Cols[c][i] indexing bypasses the selection vector: use Live/Row (or add the function to the kernel allowlist deliberately)")
+					p.Report(outer.Pos(), "direct Batch.Cols[c][i] indexing bypasses the selection vector: use Live/gather (or add the function to the kernel allowlist deliberately)")
 					return true
 				})
 			}
