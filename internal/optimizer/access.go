@@ -8,17 +8,6 @@ import (
 	"repro/internal/qtree"
 )
 
-// localOnlyRefs returns the refs of e that belong to the current block.
-func (jb *joinBuilder) localRefs(e qtree.Expr) map[qtree.FromID]bool {
-	out := map[qtree.FromID]bool{}
-	for id := range exprRefs(e) {
-		if _, ok := jb.idToIdx[id]; ok {
-			out[id] = true
-		}
-	}
-	return out
-}
-
 // standaloneAccess picks the cheapest access path for a from item given its
 // single-item predicates (which may reference correlation parameters):
 // sequential scan versus the best index equality/range scan.
@@ -229,12 +218,12 @@ func eqColKey(pred qtree.Expr, id qtree.FromID, ord int, jb *joinBuilder) (*qtre
 		return nil, nil, false
 	}
 	if c, ok := b.L.(*qtree.Col); ok && c.From == id && c.Ord == ord {
-		if len(jb.localRefs(b.R)) == 0 {
+		if jb.refMask(b.R) == 0 {
 			return c, b.R, true
 		}
 	}
 	if c, ok := b.R.(*qtree.Col); ok && c.From == id && c.Ord == ord {
-		if len(jb.localRefs(b.L)) == 0 {
+		if jb.refMask(b.L) == 0 {
 			return c, b.L, true
 		}
 	}
@@ -244,10 +233,10 @@ func eqColKey(pred qtree.Expr, id qtree.FromID, ord int, jb *joinBuilder) (*qtre
 // rangeOn matches pred as a range bound on (id, ord): returns the bound
 // expression and the operator with the column on the left.
 func rangeOn(b *qtree.Bin, id qtree.FromID, ord int, jb *joinBuilder) (side int, bound qtree.Expr, op qtree.BinOp) {
-	if c, ok := b.L.(*qtree.Col); ok && c.From == id && c.Ord == ord && len(jb.localRefs(b.R)) == 0 {
+	if c, ok := b.L.(*qtree.Col); ok && c.From == id && c.Ord == ord && jb.refMask(b.R) == 0 {
 		return 1, b.R, b.Op
 	}
-	if c, ok := b.R.(*qtree.Col); ok && c.From == id && c.Ord == ord && len(jb.localRefs(b.L)) == 0 {
+	if c, ok := b.R.(*qtree.Col); ok && c.From == id && c.Ord == ord && jb.refMask(b.L) == 0 {
 		return 2, b.L, b.Op.Commute()
 	}
 	return 0, nil, 0

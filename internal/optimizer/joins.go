@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
+	"repro/internal/catalog"
 	"repro/internal/qtree"
 )
 
@@ -18,38 +20,55 @@ type joinInput struct {
 	idx  int
 	item *qtree.FromItem
 	// preds are the single-item predicates (possibly with correlation
-	// parameters) used by access-path selection.
-	preds []qtree.Expr
+	// parameters) used by access-path selection; predsCost is their
+	// per-row evaluation cost.
+	preds     []qtree.Expr
+	predsCost float64
 	// self is the best standalone access path.
 	self PlanNode
 	// cond is the effective non-inner join condition: the item's Cond
 	// minus single-item conjuncts, which are pushed into the access path
 	// (filtering the right side of a semi/anti/outer join first is always
 	// equivalent).
-	cond []qtree.Expr
+	cond []joinPred
 	// prereq is the bitmask of inputs that must be joined before this one
 	// (non-inner join condition references; lateral view references).
 	prereq uint64
 	// mustFollow forbids this input from starting the join order
 	// (semijoin/antijoin/outer-join right sides and lateral views).
 	mustFollow bool
-	// lateral marks a lateral (JPPD) view re-executed per outer row.
-	lateral bool
-	// viewNode is the planned view body for view inputs.
-	viewNode PlanNode
+	// lateral marks a lateral (JPPD) view re-executed per outer row;
+	// lateralNDV estimates its distinct correlation bindings.
+	lateral    bool
+	lateralNDV float64
+}
+
+// joinPred is one join predicate with everything enumeration needs from
+// it, computed once per block so that pricing a join walks no expression.
+type joinPred struct {
+	e    qtree.Expr
+	mask uint64 // the inputs it references
+	// eq is e if it is an equality (= or <=>), and lm and rm are the
+	// inputs each of its sides references.
+	eq     *qtree.Bin
+	lm, rm uint64
+	sel    float64 // estimated selectivity
+	// evalCost is its per-row cost beyond cpuEvalCost (expensive calls).
+	evalCost float64
 }
 
 // joinBuilder runs join enumeration for one block.
 type joinBuilder struct {
-	p         *Planner
-	q         *qtree.Query
-	b         *qtree.Block
-	es        *estimator
-	inputs    []*joinInput
-	joinPreds []qtree.Expr
-	predMask  []uint64 // local refs of each join pred as an input bitmask
-	idToIdx   map[qtree.FromID]int
-	plan      *Plan
+	p       *Planner
+	es      *estimator
+	inputs  []*joinInput
+	preds   []joinPred // the WHERE join predicates
+	idToIdx map[qtree.FromID]int
+	// Scratch reused by every joinTo: what a candidate needs only while
+	// it is priced. The winner copies what it keeps.
+	conds, residual []*joinPred
+	equis           []equiPred
+	keys            []int
 }
 
 // dpEntry is the best plan found for a subset of inputs.
@@ -59,21 +78,14 @@ type dpEntry struct {
 }
 
 func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[qtree.FromID][]qtree.Expr, joinPreds []qtree.Expr, plan *Plan) (*joinBuilder, error) {
-	jb := &joinBuilder{
-		p: p, q: q, b: b,
-		es:        newEstimator(),
-		joinPreds: joinPreds,
-		idToIdx:   map[qtree.FromID]int{},
-		plan:      plan,
-	}
+	jb := &joinBuilder{p: p, es: newEstimator(), idToIdx: map[qtree.FromID]int{}}
 	for i, f := range b.From {
 		jb.idToIdx[f.ID] = i
 	}
-	local := b.LocalFromIDs()
 
 	// Register relations and plan views.
-	viewNodes := map[qtree.FromID]PlanNode{}
-	for _, f := range b.From {
+	viewNodes := make([]PlanNode, len(b.From))
+	for i, f := range b.From {
 		if f.Table != nil {
 			jb.es.addTable(f.ID, f.Table)
 			continue
@@ -82,28 +94,22 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 		if err != nil {
 			return nil, err
 		}
-		viewNodes[f.ID] = node
+		viewNodes[i] = node
 		jb.es.addDerived(f.ID, info.rows, info.ndvs)
 	}
 
 	for i, f := range b.From {
-		in := &joinInput{idx: i, item: f, preds: itemPreds[f.ID], viewNode: viewNodes[f.ID]}
+		in := &joinInput{idx: i, item: f, preds: itemPreds[f.ID]}
+		self := uint64(1) << uint(i)
 		if f.Kind != qtree.JoinInner {
 			in.mustFollow = true
 			for _, c := range f.Cond {
-				selfOnly := true
-				for id := range exprRefs(c) {
-					if local[id] && id != f.ID {
-						selfOnly = false
-					}
-				}
+				others := jb.refMask(c) &^ self
+				in.prereq |= others
 				// Pre-filtering the right side is equivalent for semi, anti
 				// and left outer joins, but NOT for full outer: rows failing
 				// the ON condition must still surface null-padded.
-				if f.Kind == qtree.JoinFullOuter {
-					selfOnly = false
-				}
-				if selfOnly && !containsSubq(c) {
+				if others == 0 && f.Kind != qtree.JoinFullOuter && !containsSubq(c) {
 					// IS TRUE wrappers are redundant in strict filter
 					// context; unwrap so index matching sees the predicate.
 					if st, ok := c.(*qtree.IsTrue); ok {
@@ -115,46 +121,50 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 					if err := p.compileExprSubplans(q, c, jb.es, plan); err != nil {
 						return nil, err
 					}
-					in.cond = append(in.cond, c)
-				}
-			}
-			for id := range refsOfConds(f.Cond) {
-				if local[id] && id != f.ID {
-					in.prereq |= 1 << uint(jb.idToIdx[id])
+					in.cond = append(in.cond, jb.newPred(c))
 				}
 			}
 		}
-		in.self = jb.standaloneAccess(f, in.preds, in.viewNode)
+		in.self = jb.standaloneAccess(f, in.preds, viewNodes[i])
+		in.predsCost = predsEvalCost(in.preds)
 		if f.Lateral && f.View != nil {
 			in.lateral = true
 			in.mustFollow = true
-			for id := range f.View.OuterRefs() {
-				if local[id] {
-					in.prereq |= 1 << uint(jb.idToIdx[id])
+			f.View.Cols(func(c *qtree.Col) {
+				if idx, ok := jb.idToIdx[c.From]; ok {
+					in.prereq |= 1 << uint(idx)
 				}
-			}
+			})
+			in.lateralNDV = jb.lateralNDV(in)
 		}
 		jb.inputs = append(jb.inputs, in)
 	}
 
-	// Precompute join predicate reference masks.
-	jb.predMask = make([]uint64, len(joinPreds))
+	jb.preds = make([]joinPred, len(joinPreds))
 	for i, pr := range joinPreds {
-		for id := range exprRefs(pr) {
-			if local[id] {
-				jb.predMask[i] |= 1 << uint(jb.idToIdx[id])
-			}
-		}
+		jb.preds[i] = jb.newPred(pr)
 	}
 	return jb, nil
 }
 
-func refsOfConds(conds []qtree.Expr) map[qtree.FromID]bool {
-	out := map[qtree.FromID]bool{}
-	for _, c := range conds {
-		qtree.ExprCols(c, func(col *qtree.Col) { out[col.From] = true })
+// newPred computes what enumeration needs of predicate e.
+func (jb *joinBuilder) newPred(e qtree.Expr) joinPred {
+	p := joinPred{e: e, mask: jb.refMask(e), sel: jb.es.selectivity(e), evalCost: expensiveEvalCost(e)}
+	if b, ok := e.(*qtree.Bin); ok && (b.Op == qtree.OpEq || b.Op == qtree.OpNullSafeEq) {
+		p.eq, p.lm, p.rm = b, jb.refMask(b.L), jb.refMask(b.R)
 	}
-	return out
+	return p
+}
+
+// refMask is the set of this block's inputs e references.
+func (jb *joinBuilder) refMask(e qtree.Expr) uint64 {
+	var m uint64
+	qtree.ExprCols(e, func(c *qtree.Col) {
+		if idx, ok := jb.idToIdx[c.From]; ok {
+			m |= 1 << uint(idx)
+		}
+	})
+	return m
 }
 
 // enumerate finds the cheapest join order covering all inputs.
@@ -179,18 +189,18 @@ func (jb *joinBuilder) enumerate() (PlanNode, error) {
 func (jb *joinBuilder) enumerateDP() (PlanNode, error) {
 	n := len(jb.inputs)
 	full := uint64(1)<<uint(n) - 1
-	best := make([]*dpEntry, full+1)
+	best := make([]dpEntry, full+1) // node == nil: no plan for the subset yet
 	for i, in := range jb.inputs {
 		if in.mustFollow {
 			continue
 		}
-		best[1<<uint(i)] = &dpEntry{node: in.self, mask: 1 << uint(i)}
+		best[1<<uint(i)] = dpEntry{node: in.self, mask: 1 << uint(i)}
 	}
 	cut := jb.p.Cutoff
 	cutoffHit := false
 	for mask := uint64(1); mask <= full; mask++ {
-		e := best[mask]
-		if e == nil {
+		e := &best[mask]
+		if e.node == nil {
 			continue
 		}
 		if cut > 0 && e.node.Cost().Total > cut {
@@ -206,17 +216,13 @@ func (jb *joinBuilder) enumerateDP() (PlanNode, error) {
 			if in.prereq&^mask != 0 {
 				continue
 			}
-			cand, err := jb.joinTo(e, j)
-			if err != nil {
-				return nil, err
-			}
 			nm := mask | bit
-			if best[nm] == nil || cand.Cost().Total < best[nm].node.Cost().Total {
-				best[nm] = &dpEntry{node: cand, mask: nm}
+			if cand := jb.joinTo(e, j, best[nm].node); cand != nil {
+				best[nm] = dpEntry{node: cand, mask: nm}
 			}
 		}
 	}
-	if best[full] == nil {
+	if best[full].node == nil {
 		if cutoffHit {
 			return nil, ErrCutoff
 		}
@@ -230,37 +236,33 @@ func (jb *joinBuilder) enumerateDP() (PlanNode, error) {
 
 func (jb *joinBuilder) enumerateGreedy() (PlanNode, error) {
 	n := len(jb.inputs)
-	var cur *dpEntry
+	var cur dpEntry
 	for i, in := range jb.inputs {
 		if in.mustFollow {
 			continue
 		}
-		if cur == nil || in.self.Cost().Total < cur.node.Cost().Total {
-			cur = &dpEntry{node: in.self, mask: 1 << uint(i)}
+		if cur.node == nil || in.self.Cost().Total < cur.node.Cost().Total {
+			cur = dpEntry{node: in.self, mask: 1 << uint(i)}
 		}
 	}
-	if cur == nil {
+	if cur.node == nil {
 		return nil, errors.New("optimizer: no valid leading relation")
 	}
 	for bits.OnesCount64(cur.mask) < n {
-		var bestNext *dpEntry
+		var next dpEntry
 		for j := 0; j < n; j++ {
 			bit := uint64(1) << uint(j)
 			if cur.mask&bit != 0 || jb.inputs[j].prereq&^cur.mask != 0 {
 				continue
 			}
-			cand, err := jb.joinTo(cur, j)
-			if err != nil {
-				return nil, err
-			}
-			if bestNext == nil || cand.Cost().Total < bestNext.node.Cost().Total {
-				bestNext = &dpEntry{node: cand, mask: cur.mask | bit}
+			if cand := jb.joinTo(&cur, j, next.node); cand != nil {
+				next = dpEntry{node: cand, mask: cur.mask | bit}
 			}
 		}
-		if bestNext == nil {
+		if next.node == nil {
 			return nil, errors.New("optimizer: greedy join order stuck (constraint cycle)")
 		}
-		cur = bestNext
+		cur = next
 		if err := jb.p.checkCutoff(cur.node.Cost().Total); err != nil {
 			return nil, err
 		}
@@ -274,134 +276,198 @@ type equiPred struct {
 	nullSafe    bool
 }
 
-// joinTo joins input j onto the left entry and returns the cheapest method.
-func (jb *joinBuilder) joinTo(left *dpEntry, j int) (PlanNode, error) {
+// The join candidates of one step, in tie order: on equal cost the
+// earlier wins.
+const (
+	candHash  = iota // hash join, building the joining input
+	candProbe        // nested loops probing an index of the joining table
+	candNL           // nested loops rescanning (or re-running) the input
+	numCands
+)
+
+var candMethod = [numCands]JoinMethod{candHash: MethodHash, candProbe: MethodNL, candNL: MethodNL}
+
+// pickJoin returns the cheapest applicable candidate. A join-method hint
+// restricts the choice to the candidates of its method when one applies.
+func pickJoin(cost [numCands]float64, ok [numCands]bool, force *JoinMethod) int {
+	if force != nil {
+		forced, applies := ok, false
+		for c := range forced {
+			forced[c] = ok[c] && candMethod[c] == *force
+			applies = applies || forced[c]
+		}
+		if applies {
+			ok = forced
+		}
+	}
+	best := -1
+	for c := range ok {
+		if ok[c] && (best < 0 || cost[c] < cost[best]) {
+			best = c
+		}
+	}
+	return best
+}
+
+// joinTo joins input j onto the left entry. It prices every candidate
+// method first and builds only the cheapest, and only when it is cheaper
+// than incumbent, the best plan so far for the same inputs (nil if none);
+// otherwise it returns nil.
+func (jb *joinBuilder) joinTo(left *dpEntry, j int, incumbent PlanNode) PlanNode {
 	in := jb.inputs[j]
 	bit := uint64(1) << uint(j)
 	newMask := left.mask | bit
 
-	// Newly applicable join predicates.
-	var conds []qtree.Expr
-	for i, pr := range jb.joinPreds {
-		m := jb.predMask[i]
-		if m&^newMask == 0 && m&bit != 0 {
-			conds = append(conds, pr)
+	// Newly applicable join predicates; non-inner join conditions always
+	// apply at this join.
+	conds := jb.conds[:0]
+	for i := range jb.preds {
+		if m := jb.preds[i].mask; m&^newMask == 0 && m&bit != 0 {
+			conds = append(conds, &jb.preds[i])
 		}
 	}
-	// Non-inner join conditions always apply at this join.
 	kind := qtree.JoinInner
 	if in.item.Kind != qtree.JoinInner {
 		kind = in.item.Kind
-		conds = append(conds, in.cond...)
+		for i := range in.cond {
+			conds = append(conds, &in.cond[i])
+		}
 	}
 
 	// Split equi predicates.
-	var equis []equiPred
-	var residual []qtree.Expr
+	equis, residual := jb.equis[:0], jb.residual[:0]
 	for _, c := range conds {
-		if ep, ok := jb.splitEqui(c, left.mask, bit); ok {
+		if ep, ok := c.split(left.mask, bit); ok {
 			equis = append(equis, ep)
 		} else {
 			residual = append(residual, c)
 		}
 	}
+	jb.conds, jb.equis, jb.residual = conds, equis, residual
 
-	leftRows := left.node.Cost().Rows
-	rightRows := in.self.Cost().Rows
-	outRows := jb.joinRows(left, in, kind, equis, residual)
+	l, r := left.node.Cost(), in.self.Cost()
+	leftRows, rightRows := l.Rows, r.Rows
+	outRows := jb.joinRows(leftRows, rightRows, kind, equis, residual)
 
-	var candidates []PlanNode
-	outCols := joinOutCols(left.node, in.self, kind)
-
+	var cost [numCands]float64
+	var ok [numCands]bool
 	// Hash join (build right, probe left).
 	if len(equis) > 0 && !in.lateral {
-		hj := &Join{Method: MethodHash, Kind: kind, L: left.node, R: in.self, On: residual}
-		for _, ep := range equis {
-			hj.EqL = append(hj.EqL, ep.left)
-			hj.EqR = append(hj.EqR, ep.right)
-			hj.NullSafeEq = append(hj.NullSafeEq, ep.nullSafe)
-		}
-		hj.cols = outCols
-		hj.cost = Cost{
-			Total: left.node.Cost().Total + in.self.Cost().Total +
-				rightRows*hashBuildCost + leftRows*hashProbeCost +
-				outRows*predsEvalCost(residual),
-			Rows: outRows,
-		}
-		candidates = append(candidates, hj)
+		ok[candHash] = true
+		cost[candHash] = l.Total + r.Total +
+			rightRows*hashBuildCost + leftRows*hashProbeCost +
+			outRows*evalCost(residual)
 	}
-
 	// Nested loops with an index probe on the right (base tables). A full
 	// outer join needs the whole right side to report unmatched rows, so
 	// the probe path does not apply.
+	var probe indexProbe
 	if in.item.Table != nil && len(equis) > 0 &&
 		kind != qtree.JoinNullAwareAnti && kind != qtree.JoinFullOuter {
-		if probe := jb.tryIndexProbe(in, equis); probe != nil {
-			nl := &Join{Method: MethodNL, Kind: kind, L: left.node, R: probe.node, On: append(residual, probe.residual...), RLateral: true}
-			nl.cols = outCols
+		if probe, ok[candProbe] = jb.priceIndexProbe(in, equis); ok[candProbe] {
 			probes := leftRows
 			if kind == qtree.JoinSemi || kind == qtree.JoinAnti {
 				// Semijoin/antijoin result caching (§2.1.1): one probe per
 				// distinct left key.
-				probes = math.Min(leftRows, jb.keyNDV(probe.usedEquis))
+				probes = math.Min(leftRows, jb.keyNDV(in, equis, probe.idx))
 			}
-			nl.cost = Cost{
-				Total: left.node.Cost().Total + probes*probe.perProbe + leftRows*subqCacheProbe,
-				Rows:  outRows,
-			}
-			candidates = append(candidates, nl)
+			cost[candProbe] = l.Total + probes*probe.perProbe + leftRows*subqCacheProbe
 		}
 	}
-
 	// Plain nested loops (materialized rescan of the right side), and
 	// lateral re-execution for JPPD views.
-	{
-		nl := &Join{Method: MethodNL, Kind: kind, L: left.node, R: in.self, On: conds, RLateral: in.lateral}
-		nl.cols = outCols
-		var total float64
-		if in.lateral {
-			execs := leftRows
-			// Lateral executions also cache by correlation values.
-			execs = math.Min(execs, jb.lateralNDV(in))
-			total = left.node.Cost().Total + execs*in.self.Cost().Total + leftRows*subqCacheProbe
-		} else {
-			scanFrac := 1.0
-			if kind == qtree.JoinSemi || kind == qtree.JoinAnti || kind == qtree.JoinNullAwareAnti {
-				scanFrac = 0.55 // stop at first match on average
-			}
-			total = left.node.Cost().Total + in.self.Cost().Total +
-				leftRows*rightRows*scanFrac*(rescanRowCost+predsEvalCost(conds))
+	ok[candNL] = true
+	if in.lateral {
+		// Lateral executions also cache by correlation values.
+		execs := math.Min(leftRows, in.lateralNDV)
+		cost[candNL] = l.Total + execs*r.Total + leftRows*subqCacheProbe
+	} else {
+		scanFrac := 1.0
+		if kind == qtree.JoinSemi || kind == qtree.JoinAnti || kind == qtree.JoinNullAwareAnti {
+			scanFrac = 0.55 // stop at first match on average
 		}
-		nl.cost = Cost{Total: total, Rows: outRows}
-		candidates = append(candidates, nl)
+		cost[candNL] = l.Total + r.Total +
+			leftRows*rightRows*scanFrac*(rescanRowCost+evalCost(conds))
 	}
 
-	// A join-method hint filters the candidates when applicable.
-	if jb.p.ForceJoin != nil {
-		var forced []PlanNode
-		for _, c := range candidates {
-			if j, ok := c.(*Join); ok && j.Method == *jb.p.ForceJoin {
-				forced = append(forced, c)
-			}
-		}
-		if len(forced) > 0 {
-			candidates = forced
-		}
+	c := pickJoin(cost, ok, jb.p.ForceJoin)
+	if incumbent != nil && !(cost[c] < incumbent.Cost().Total) {
+		return nil
 	}
-	var best PlanNode
-	for _, c := range candidates {
-		if best == nil || c.Cost().Total < best.Cost().Total {
-			best = c
+	node := &Join{Method: candMethod[c], Kind: kind, L: left.node}
+	switch c {
+	case candHash:
+		node.R, node.On = in.self, predExprs(residual)
+		for _, ep := range equis {
+			node.EqL = append(node.EqL, ep.left)
+			node.EqR = append(node.EqR, ep.right)
+			node.NullSafeEq = append(node.NullSafeEq, ep.nullSafe)
 		}
+	case candProbe:
+		scan, unused := jb.buildIndexProbe(in, equis, probe)
+		node.R, node.On, node.RLateral = scan, append(predExprs(residual), unused...), true
+	default:
+		node.R, node.On, node.RLateral = in.self, predExprs(conds), in.lateral
 	}
-	return best, nil
+	node.cols = joinOutCols(left.node, in.self, kind)
+	node.cost = Cost{Total: cost[c], Rows: outRows}
+	return node
 }
 
-// keyNDV estimates the number of distinct left-side key combinations.
-func (jb *joinBuilder) keyNDV(equis []equiPred) float64 {
+// split decomposes p as left-expr = right-expr across the join of the
+// inputs in leftMask with the input rightBit.
+func (p *joinPred) split(leftMask, rightBit uint64) (equiPred, bool) {
+	b := p.eq
+	if b == nil || p.lm == 0 || p.rm == 0 {
+		return equiPred{}, false
+	}
+	nullSafe := b.Op == qtree.OpNullSafeEq
+	switch {
+	case p.lm&^leftMask == 0 && p.rm&^rightBit == 0:
+		return equiPred{left: b.L, right: b.R, nullSafe: nullSafe}, true
+	case p.rm&^leftMask == 0 && p.lm&^rightBit == 0:
+		return equiPred{left: b.R, right: b.L, nullSafe: nullSafe}, true
+	}
+	return equiPred{}, false
+}
+
+// evalCost is predsEvalCost of the predicates.
+func evalCost(preds []*joinPred) float64 {
+	c := float64(len(preds)) * cpuEvalCost
+	for _, p := range preds {
+		c += p.evalCost
+	}
+	return c
+}
+
+// selectivityAll is estimator.selectivityAll of the predicates.
+func selectivityAll(preds []*joinPred) float64 {
+	s := 1.0
+	for _, p := range preds {
+		s *= p.sel
+	}
+	return clampSel(s)
+}
+
+// predExprs copies the predicates' expressions for a plan node to keep.
+func predExprs(preds []*joinPred) []qtree.Expr {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]qtree.Expr, len(preds))
+	for i, p := range preds {
+		out[i] = p.e
+	}
+	return out
+}
+
+// keyNDV estimates the number of distinct left-side key combinations of
+// an index probe.
+func (jb *joinBuilder) keyNDV(in *joinInput, equis []equiPred, idx *catalog.Index) float64 {
+	jb.keys = probeKeys(jb.keys[:0], in, idx, equis)
 	n := 1.0
-	for _, ep := range equis {
-		n *= jb.es.ndv(ep.left)
+	for _, k := range jb.keys {
+		n *= jb.es.ndv(equis[k].left)
 	}
 	return math.Max(n, 1)
 }
@@ -417,70 +483,33 @@ func (jb *joinBuilder) lateralNDV(in *joinInput) float64 {
 	return math.Max(n, 1)
 }
 
-// splitEqui decomposes c as left-expr = right-expr across the join.
-func (jb *joinBuilder) splitEqui(c qtree.Expr, leftMask, rightBit uint64) (equiPred, bool) {
-	b, ok := c.(*qtree.Bin)
-	if !ok || (b.Op != qtree.OpEq && b.Op != qtree.OpNullSafeEq) {
-		return equiPred{}, false
-	}
-	lm := jb.refMask(b.L)
-	rm := jb.refMask(b.R)
-	switch {
-	case lm&^leftMask == 0 && rm&^rightBit == 0 && rm != 0 && lm != 0:
-		return equiPred{left: b.L, right: b.R, nullSafe: b.Op == qtree.OpNullSafeEq}, true
-	case rm&^leftMask == 0 && lm&^rightBit == 0 && lm != 0 && rm != 0:
-		return equiPred{left: b.R, right: b.L, nullSafe: b.Op == qtree.OpNullSafeEq}, true
-	}
-	return equiPred{}, false
-}
-
-func (jb *joinBuilder) refMask(e qtree.Expr) uint64 {
-	var m uint64
-	for id := range exprRefs(e) {
-		if idx, ok := jb.idToIdx[id]; ok {
-			m |= 1 << uint(idx)
-		}
-	}
-	return m
-}
-
 // joinRows estimates the join output cardinality.
-func (jb *joinBuilder) joinRows(left *dpEntry, in *joinInput, kind qtree.JoinKind, equis []equiPred, residual []qtree.Expr) float64 {
-	leftRows := left.node.Cost().Rows
-	rightRows := in.self.Cost().Rows
+func (jb *joinBuilder) joinRows(leftRows, rightRows float64, kind qtree.JoinKind, equis []equiPred, residual []*joinPred) float64 {
 	switch kind {
-	case qtree.JoinInner:
-		rows := leftRows * rightRows
-		for _, ep := range equis {
-			rows /= math.Max(math.Max(jb.es.ndv(ep.left), jb.es.ndv(ep.right)), 1)
-		}
-		rows *= jb.es.selectivityAll(residual)
-		return math.Max(rows, 1e-3)
 	case qtree.JoinSemi:
-		return math.Max(leftRows*jb.matchFrac(equis, residual, rightRows), 1e-3)
+		return math.Max(leftRows*jb.matchFrac(equis, len(residual), rightRows), 1e-3)
 	case qtree.JoinAnti, qtree.JoinNullAwareAnti:
-		return math.Max(leftRows*(1-jb.matchFrac(equis, residual, rightRows)), 1e-3)
-	case qtree.JoinLeftOuter:
+		return math.Max(leftRows*(1-jb.matchFrac(equis, len(residual), rightRows)), 1e-3)
+	case qtree.JoinInner, qtree.JoinLeftOuter, qtree.JoinFullOuter:
 		rows := leftRows * rightRows
 		for _, ep := range equis {
 			rows /= math.Max(math.Max(jb.es.ndv(ep.left), jb.es.ndv(ep.right)), 1)
 		}
-		rows *= jb.es.selectivityAll(residual)
-		return math.Max(rows, leftRows)
-	case qtree.JoinFullOuter:
-		rows := leftRows * rightRows
-		for _, ep := range equis {
-			rows /= math.Max(math.Max(jb.es.ndv(ep.left), jb.es.ndv(ep.right)), 1)
+		rows *= selectivityAll(residual)
+		switch kind {
+		case qtree.JoinLeftOuter:
+			return math.Max(rows, leftRows)
+		case qtree.JoinFullOuter:
+			return math.Max(rows, math.Max(leftRows, rightRows))
 		}
-		rows *= jb.es.selectivityAll(residual)
-		return math.Max(rows, math.Max(leftRows, rightRows))
+		return math.Max(rows, 1e-3)
 	}
 	return math.Max(leftRows, 1)
 }
 
 // matchFrac is the estimated fraction of left rows with at least one
 // matching right row (containment assumption).
-func (jb *joinBuilder) matchFrac(equis []equiPred, residual []qtree.Expr, rightRows float64) float64 {
+func (jb *joinBuilder) matchFrac(equis []equiPred, nResidual int, rightRows float64) float64 {
 	frac := 1.0
 	for _, ep := range equis {
 		ndvL := jb.es.ndv(ep.left)
@@ -491,7 +520,7 @@ func (jb *joinBuilder) matchFrac(equis []equiPred, residual []qtree.Expr, rightR
 		// Pure residual-join semi/anti: assume most rows match something.
 		frac = 0.8
 	}
-	frac *= math.Pow(0.9, float64(len(residual)))
+	frac *= math.Pow(0.9, float64(nResidual))
 	if frac < 0.01 {
 		frac = 0.01
 	}
@@ -510,72 +539,84 @@ func joinOutCols(l, r PlanNode, kind qtree.JoinKind) []ColID {
 	return append(out, r.Columns()...)
 }
 
-// indexProbe describes an index-based NL probe of the right input.
+// indexProbe is the cheapest index a nested-loops join can probe the
+// joining table with.
 type indexProbe struct {
-	node      PlanNode
+	idx       *catalog.Index
 	perProbe  float64
-	usedEquis []equiPred
-	residual  []qtree.Expr
+	matchRows float64
 }
 
-// tryIndexProbe builds an IndexScan on the joining table using the equi
-// predicates as probe keys (right side = indexed column).
-func (jb *joinBuilder) tryIndexProbe(in *joinInput, equis []equiPred) *indexProbe {
+// probeKeys appends to keys the equi predicates that key a probe of idx
+// (right side = indexed column, one per leading index column, in column
+// order).
+func probeKeys(keys []int, in *joinInput, idx *catalog.Index, equis []equiPred) []int {
+	for _, colOrd := range idx.Cols {
+		found := -1
+		for ei, ep := range equis {
+			if slices.Contains(keys, ei) {
+				continue
+			}
+			if c, ok := ep.right.(*qtree.Col); ok && c.From == in.item.ID && c.Ord == colOrd && !ep.nullSafe {
+				found = ei
+				break
+			}
+		}
+		if found < 0 {
+			break
+		}
+		keys = append(keys, found)
+	}
+	return keys
+}
+
+// priceIndexProbe finds the index of the joining table whose probe, keyed
+// by the equi predicates, is cheapest; ok is false when none applies.
+func (jb *joinBuilder) priceIndexProbe(in *joinInput, equis []equiPred) (best indexProbe, ok bool) {
 	t := in.item.Table
 	baseRows := 1000.0
 	if st := t.Stats(); st != nil {
 		baseRows = math.Max(float64(st.RowCount), 1)
 	}
-	var best *indexProbe
 	for _, idx := range t.Indexes {
-		var keys []qtree.Expr
-		var used []equiPred
-		usedSet := map[int]bool{}
-		for _, colOrd := range idx.Cols {
-			found := false
-			for ei, ep := range equis {
-				if usedSet[ei] {
-					continue
-				}
-				if c, ok := ep.right.(*qtree.Col); ok && c.From == in.item.ID && c.Ord == colOrd && !ep.nullSafe {
-					keys = append(keys, ep.left)
-					used = append(used, ep)
-					usedSet[ei] = true
-					found = true
-					break
-				}
-			}
-			if !found {
-				break
-			}
-		}
-		if len(keys) == 0 {
+		jb.keys = probeKeys(jb.keys[:0], in, idx, equis)
+		if len(jb.keys) == 0 {
 			continue
 		}
-		var residual []qtree.Expr
-		for ei, ep := range equis {
-			if !usedSet[ei] {
-				residual = append(residual, &qtree.Bin{Op: qtree.OpEq, L: ep.left, R: ep.right})
-			}
-		}
 		matchSel := 1.0
-		for i := range keys {
+		for i := range jb.keys {
 			ci, _ := jb.es.col(&qtree.Col{From: in.item.ID, Ord: idx.Cols[i]})
 			matchSel *= clampSel(1 / math.Max(ci.ndv, 1))
 		}
 		matchRows := math.Max(baseRows*matchSel, 1e-3)
-		filter := append([]qtree.Expr(nil), in.preds...)
-		node := &IndexScan{
-			Table: t, From: in.item.ID, Index: idx,
-			EqKeys: keys, Filter: filter,
-		}
-		node.cols = tableCols(in.item)
-		perProbe := indexProbeCost + matchRows*indexRowCost + matchRows*predsEvalCost(filter)
-		node.cost = Cost{Total: perProbe, Rows: math.Max(matchRows*jb.es.selectivityAll(filter), 1e-3)}
-		cand := &indexProbe{node: node, perProbe: perProbe, usedEquis: used, residual: residual}
-		if best == nil || cand.perProbe < best.perProbe {
-			best = cand
+		perProbe := indexProbeCost + matchRows*indexRowCost + matchRows*in.predsCost
+		if !ok || perProbe < best.perProbe {
+			best, ok = indexProbe{idx: idx, perProbe: perProbe, matchRows: matchRows}, true
 		}
 	}
-	return best
+	return best, ok
+}
+
+// buildIndexProbe builds the IndexScan of a priced probe. The equi
+// predicates that do not key it are returned as residual conditions.
+func (jb *joinBuilder) buildIndexProbe(in *joinInput, equis []equiPred, probe indexProbe) (*IndexScan, []qtree.Expr) {
+	used := probeKeys(nil, in, probe.idx, equis)
+	keys := make([]qtree.Expr, len(used))
+	for i, k := range used {
+		keys[i] = equis[k].left
+	}
+	var residual []qtree.Expr
+	for ei, ep := range equis {
+		if !slices.Contains(used, ei) {
+			residual = append(residual, &qtree.Bin{Op: qtree.OpEq, L: ep.left, R: ep.right})
+		}
+	}
+	filter := append([]qtree.Expr(nil), in.preds...)
+	node := &IndexScan{
+		Table: in.item.Table, From: in.item.ID, Index: probe.idx,
+		EqKeys: keys, Filter: filter,
+	}
+	node.cols = tableCols(in.item)
+	node.cost = Cost{Total: probe.perProbe, Rows: math.Max(probe.matchRows*jb.es.selectivityAll(filter), 1e-3)}
+	return node, residual
 }

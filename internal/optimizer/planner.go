@@ -281,14 +281,6 @@ func isStreaming(n PlanNode) bool {
 	return true
 }
 
-// exprRefs collects the from IDs referenced by e (including inside nested
-// subquery blocks).
-func exprRefs(e qtree.Expr) map[qtree.FromID]bool {
-	s := map[qtree.FromID]bool{}
-	qtree.ExprCols(e, func(c *qtree.Col) { s[c.From] = true })
-	return s
-}
-
 // containsSubq reports whether e contains a subquery expression.
 func containsSubq(e qtree.Expr) bool {
 	found := false
@@ -337,24 +329,22 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 			subqPreds = append(subqPreds, e)
 			continue
 		}
-		refs := exprRefs(e)
+		// The local items e references: none, exactly only, or several.
 		nLocal := 0
 		var only qtree.FromID
-		for id := range refs {
-			if local[id] {
+		qtree.ExprCols(e, func(c *qtree.Col) {
+			if local[c.From] && (nLocal == 0 || nLocal == 1 && c.From != only) {
 				nLocal++
-				only = id
+				only = c.From
 			}
-		}
-		switch {
-		case nLocal <= 1 && nLocal == len(refs) && nLocal == 1:
+		})
+		switch nLocal {
+		case 1:
+			// Single local item, possibly with correlation parameters:
+			// pushable to the item's access path (this is what makes TIS
+			// with an index on the correlated column fast).
 			itemPreds[only] = append(itemPreds[only], e)
-		case nLocal == 1:
-			// Single local item plus correlation parameters: pushable to
-			// the item's access path (this is what makes TIS with an index
-			// on the correlated column fast).
-			itemPreds[only] = append(itemPreds[only], e)
-		case nLocal == 0:
+		case 0:
 			// Pure-parameter predicate: applies once per outer row; treat
 			// as a cheap top filter.
 			subqPreds = append(subqPreds, e)

@@ -2,6 +2,7 @@ package qtree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 )
@@ -455,7 +456,19 @@ func (b *Block) OuterRefs() map[FromID]bool {
 
 // IsCorrelated reports whether block b references from items defined
 // outside its own subtree.
-func (b *Block) IsCorrelated() bool { return len(b.OuterRefs()) > 0 }
+func (b *Block) IsCorrelated() bool {
+	var arr [16]FromID
+	defined := arr[:0]
+	b.Walk(func(blk *Block) bool {
+		for _, f := range blk.From {
+			defined = append(defined, f.ID)
+		}
+		return true
+	})
+	correlated := false
+	b.Cols(func(c *Col) { correlated = correlated || !slices.Contains(defined, c.From) })
+	return correlated
+}
 
 // ApproxBytes is a rough estimate of the memory held by the query tree —
 // the unit of the cbqt memory budget, which charges one tree copy per

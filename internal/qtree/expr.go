@@ -12,8 +12,6 @@
 package qtree
 
 import (
-	"fmt"
-
 	"repro/internal/catalog"
 	"repro/internal/datum"
 )
@@ -342,114 +340,18 @@ func cloneExprs(es []Expr, r *Remap) []Expr {
 	return out
 }
 
-func (e *Const) String() string { return e.Val.String() }
-func (e *Param) String() string { return ":" + e.Name }
-func (e *Col) String() string {
-	return fmt.Sprintf("q%d.%s", e.From, e.Name)
-}
-func (e *Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
-}
-func (e *Not) String() string { return fmt.Sprintf("NOT (%s)", e.E) }
-func (e *IsNull) String() string {
-	if e.Neg {
-		return fmt.Sprintf("%s IS NOT NULL", e.E)
-	}
-	return fmt.Sprintf("%s IS NULL", e.E)
-}
-func (e *Like) String() string {
-	neg := ""
-	if e.Neg {
-		neg = " NOT"
-	}
-	return fmt.Sprintf("%s%s LIKE %s", e.E, neg, e.Pattern)
-}
-func (e *InList) String() string {
-	neg := ""
-	if e.Neg {
-		neg = " NOT"
-	}
-	s := fmt.Sprintf("%s%s IN (", e.E, neg)
-	for i, v := range e.Vals {
-		if i > 0 {
-			s += ", "
-		}
-		s += v.String()
-	}
-	return s + ")"
-}
-func (e *Func) String() string {
-	s := e.Def.Name + "("
-	for i, a := range e.Args {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
-func (e *LNNVL) String() string  { return fmt.Sprintf("LNNVL(%s)", e.E) }
-func (e *IsTrue) String() string { return fmt.Sprintf("(%s) IS TRUE", e.E) }
-func (e *Agg) String() string {
-	if e.Star {
-		return "COUNT(*)"
-	}
-	d := ""
-	if e.Distinct {
-		d = "DISTINCT "
-	}
-	return fmt.Sprintf("%s(%s%s)", e.Op, d, e.Arg)
-}
-func (e *WinFunc) String() string {
-	arg := "*"
-	if e.Arg != nil {
-		arg = e.Arg.String()
-	}
-	if e.Op == WinRowNumber {
-		arg = ""
-	}
-	s := fmt.Sprintf("%s(%s) OVER (", e.Op, arg)
-	for i, p := range e.PartitionBy {
-		if i == 0 {
-			s += "PARTITION BY "
-		} else {
-			s += ", "
-		}
-		s += p.String()
-	}
-	for i, o := range e.OrderBy {
-		if i == 0 {
-			if len(e.PartitionBy) > 0 {
-				s += " "
-			}
-			s += "ORDER BY "
-		} else {
-			s += ", "
-		}
-		s += o.Expr.String()
-		if o.Desc {
-			s += " DESC"
-		}
-	}
-	return s + ")"
-}
-func (e *Subq) String() string {
-	switch e.Kind {
-	case SubqExists, SubqNotExists:
-		return fmt.Sprintf("%s (subquery b%d)", e.Kind, e.Block.ID)
-	case SubqScalar:
-		return fmt.Sprintf("(subquery b%d)", e.Block.ID)
-	default:
-		return fmt.Sprintf("%v %s (subquery b%d)", e.Left, e.Kind, e.Block.ID)
-	}
-}
-func (e *Case) String() string {
-	s := "CASE"
-	for _, w := range e.Whens {
-		s += fmt.Sprintf(" WHEN %s THEN %s", w.Cond, w.Result)
-	}
-	if e.Else != nil {
-		s += fmt.Sprintf(" ELSE %s", e.Else)
-	}
-	return s + " END"
-}
+func (e *Const) String() string   { return e.Val.String() }
+func (e *Param) String() string   { return rawString(e) }
+func (e *Col) String() string     { return rawString(e) }
+func (e *Bin) String() string     { return rawString(e) }
+func (e *Not) String() string     { return rawString(e) }
+func (e *IsNull) String() string  { return rawString(e) }
+func (e *Like) String() string    { return rawString(e) }
+func (e *InList) String() string  { return rawString(e) }
+func (e *Func) String() string    { return rawString(e) }
+func (e *LNNVL) String() string   { return rawString(e) }
+func (e *IsTrue) String() string  { return rawString(e) }
+func (e *Agg) String() string     { return rawString(e) }
+func (e *WinFunc) String() string { return rawString(e) }
+func (e *Subq) String() string    { return rawString(e) }
+func (e *Case) String() string    { return rawString(e) }

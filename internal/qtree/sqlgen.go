@@ -1,25 +1,31 @@
 package qtree
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
-// Namer maps from-item IDs to display aliases during SQL rendering.
+// renderForm selects one of the three renderings the writer produces.
+type renderForm uint8
+
+const (
+	// formDisplay names items by alias and columns by name.
+	formDisplay renderForm = iota
+	// formCanonical names columns by output ordinal and parameters by slot,
+	// which makes the rendering independent of aliasing.
+	formCanonical
+	// formRaw is Expr.String(): raw from IDs, subquery blocks by block ID.
+	formRaw
+)
+
+// Namer maps from-item IDs to rendered names and selects the form.
 type Namer struct {
 	names map[FromID]string
-	// ordinals switches column rendering from names to output ordinals,
-	// which makes the rendering canonical (independent of aliasing).
-	ordinals bool
+	form  renderForm
 }
 
-// name returns the rendered alias for a from item.
-func (n *Namer) name(id FromID) string {
-	if s, ok := n.names[id]; ok {
-		return s
-	}
-	return fmt.Sprintf("q%d", id)
-}
+// rawNamer renders Expr.String(): every item is named q<ID>.
+var rawNamer = &Namer{form: formRaw}
 
 // DisplayNamer builds a namer from the from-item aliases in the query,
 // disambiguating duplicates with the item ID.
@@ -29,11 +35,11 @@ func (q *Query) DisplayNamer() *Namer {
 	visitFromItems(q.Root, func(f *FromItem) {
 		alias := f.Alias
 		if alias == "" {
-			alias = fmt.Sprintf("T%d", f.ID)
+			alias = "T" + strconv.Itoa(int(f.ID))
 		}
 		key := strings.ToUpper(alias)
 		if used[key] {
-			alias = fmt.Sprintf("%s_%d", alias, f.ID)
+			alias = alias + "_" + strconv.Itoa(int(f.ID))
 			key = strings.ToUpper(alias)
 		}
 		used[key] = true
@@ -92,23 +98,33 @@ func (q *Query) CanonicalKey(b *Block) string {
 type BlockKeyer struct {
 	q     *Query
 	outer map[FromID]*FromItem
+	// n and tnames are reused by every key: the namer's map is cleared,
+	// and tnames[i] is the name of a subtree's i-th from item.
+	n      Namer
+	tnames []string
 }
 
 // BlockKeyer returns a keyer for q's blocks.
-func (q *Query) BlockKeyer() *BlockKeyer { return &BlockKeyer{q: q} }
+func (q *Query) BlockKeyer() *BlockKeyer {
+	return &BlockKeyer{q: q, n: Namer{names: map[FromID]string{}, form: formCanonical}}
+}
 
 // Key is q.CanonicalKey(b).
 func (k *BlockKeyer) Key(b *Block) string {
-	n := &Namer{names: map[FromID]string{}, ordinals: true}
+	names := k.n.names
+	clear(names)
 	i := 0
 	visitFromItems(b, func(f *FromItem) {
-		n.names[f.ID] = fmt.Sprintf("t%d", i)
+		if i == len(k.tnames) {
+			k.tnames = append(k.tnames, "t"+strconv.Itoa(i))
+		}
+		names[f.ID] = k.tnames[i]
 		i++
 	})
 	// Outer items referenced from within b: name by stable attributes.
 	b.Cols(func(c *Col) {
 		id := c.From
-		if _, named := n.names[id]; named {
+		if _, named := names[id]; named {
 			return
 		}
 		if k.outer == nil {
@@ -119,296 +135,337 @@ func (k *BlockKeyer) Key(b *Block) string {
 		}
 		f := k.outer[id]
 		if f == nil {
-			n.names[id] = fmt.Sprintf("x%d", id)
+			names[id] = "x" + strconv.Itoa(int(id))
 			return
 		}
 		tbl := "view"
 		if f.Table != nil {
 			tbl = f.Table.Name
 		}
-		n.names[id] = fmt.Sprintf("x:%s~%s", tbl, f.Alias)
+		names[id] = "x:" + tbl + "~" + f.Alias
 	})
-	return b.SQL(n)
+	return b.SQL(&k.n)
 }
 
 // SQL renders the block using the given namer.
 func (b *Block) SQL(n *Namer) string {
-	var sb strings.Builder
-	b.writeSQL(&sb, n)
-	return sb.String()
+	w := sqlWriter{n: n}
+	w.Grow(256)
+	w.block(b)
+	return w.String()
 }
 
-func (b *Block) writeSQL(sb *strings.Builder, n *Namer) {
+// rawString is Expr.String() for every expression kind but Const.
+func rawString(e Expr) string {
+	w := sqlWriter{n: rawNamer}
+	w.Grow(64)
+	w.expr(e)
+	return w.String()
+}
+
+// sqlWriter is the one renderer: display SQL, canonical keys and
+// Expr.String() differ only in what the namer says.
+type sqlWriter struct {
+	strings.Builder
+	n *Namer
+}
+
+// s writes the strings in order.
+func (w *sqlWriter) s(parts ...string) {
+	for _, p := range parts {
+		w.WriteString(p)
+	}
+}
+
+func (w *sqlWriter) int(i int64) {
+	var a [20]byte
+	w.Write(strconv.AppendInt(a[:0], i, 10))
+}
+
+// wrap writes e between pre and post.
+func (w *sqlWriter) wrap(pre string, e Expr, post string) {
+	w.s(pre)
+	w.expr(e)
+	w.s(post)
+}
+
+// list writes es separated by sep.
+func (w *sqlWriter) list(es []Expr, sep string) {
+	for i, e := range es {
+		if i > 0 {
+			w.s(sep)
+		}
+		w.expr(e)
+	}
+}
+
+// name writes the rendered name of a from item.
+func (w *sqlWriter) name(id FromID) {
+	if s, ok := w.n.names[id]; ok {
+		w.s(s)
+		return
+	}
+	w.s("q")
+	w.int(int64(id))
+}
+
+func (w *sqlWriter) block(b *Block) {
 	if b.Set != nil {
 		for i, c := range b.Set.Children {
 			if i > 0 {
-				sb.WriteString(" ")
-				sb.WriteString(b.Set.Kind.String())
-				sb.WriteString(" ")
+				w.s(" ", b.Set.Kind.String(), " ")
 			}
-			sb.WriteString("(")
-			c.writeSQL(sb, n)
-			sb.WriteString(")")
+			w.s("(")
+			w.block(c)
+			w.s(")")
 		}
-		b.writeOrderLimit(sb, n)
+		w.orderLimit(b)
 		return
 	}
-	sb.WriteString("SELECT ")
+	w.s("SELECT ")
 	if b.Distinct {
-		sb.WriteString("DISTINCT ")
+		w.s("DISTINCT ")
 	}
 	for i, it := range b.Select {
 		if i > 0 {
-			sb.WriteString(", ")
+			w.s(", ")
 		}
-		sb.WriteString(exprSQL(it.Expr, n))
-		if it.Alias != "" && !n.ordinals {
-			sb.WriteString(" ")
-			sb.WriteString(it.Alias)
+		w.expr(it.Expr)
+		if it.Alias != "" && w.n.form != formCanonical {
+			w.s(" ", it.Alias)
 		}
 	}
-	sb.WriteString(" FROM ")
+	w.s(" FROM ")
 	for i, f := range b.From {
 		if i > 0 {
-			sb.WriteString(", ")
+			w.s(", ")
 		}
-		f.writeSQL(sb, n)
+		w.fromItem(f)
 	}
 	if len(b.Where) > 0 || b.Limit > 0 {
-		sb.WriteString(" WHERE ")
-		for i, e := range b.Where {
-			if i > 0 {
-				sb.WriteString(" AND ")
-			}
-			sb.WriteString(exprSQL(e, n))
-		}
+		w.s(" WHERE ")
+		w.list(b.Where, " AND ")
 		if b.Limit > 0 {
 			if len(b.Where) > 0 {
-				sb.WriteString(" AND ")
+				w.s(" AND ")
 			}
-			fmt.Fprintf(sb, "ROWNUM <= %d", b.Limit)
+			w.s("ROWNUM <= ")
+			w.int(b.Limit)
 		}
 	}
 	if len(b.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
+		w.s(" GROUP BY ")
 		if b.GroupingSets != nil {
-			sb.WriteString("GROUPING SETS (")
+			w.s("GROUPING SETS (")
 			for i, set := range b.GroupingSets {
 				if i > 0 {
-					sb.WriteString(", ")
+					w.s(", ")
 				}
-				sb.WriteString("(")
+				w.s("(")
 				for j, idx := range set {
 					if j > 0 {
-						sb.WriteString(", ")
+						w.s(", ")
 					}
-					sb.WriteString(exprSQL(b.GroupBy[idx], n))
+					w.expr(b.GroupBy[idx])
 				}
-				sb.WriteString(")")
+				w.s(")")
 			}
-			sb.WriteString(")")
+			w.s(")")
 		} else {
-			for i, g := range b.GroupBy {
-				if i > 0 {
-					sb.WriteString(", ")
-				}
-				sb.WriteString(exprSQL(g, n))
-			}
+			w.list(b.GroupBy, ", ")
 		}
 	}
 	if len(b.Having) > 0 {
-		sb.WriteString(" HAVING ")
-		for i, e := range b.Having {
-			if i > 0 {
-				sb.WriteString(" AND ")
-			}
-			sb.WriteString(exprSQL(e, n))
-		}
+		w.s(" HAVING ")
+		w.list(b.Having, " AND ")
 	}
-	b.writeOrderLimit(sb, n)
+	w.orderLimit(b)
 }
 
-func (b *Block) writeOrderLimit(sb *strings.Builder, n *Namer) {
+func (w *sqlWriter) orderLimit(b *Block) {
 	if len(b.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
-		for i, o := range b.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(exprSQL(o.Expr, n))
-			if o.Desc {
-				sb.WriteString(" DESC")
-			}
-		}
+		w.s(" ORDER BY ")
+		w.orderItems(b.OrderBy)
 	}
 	if b.Set != nil && b.Limit > 0 {
-		fmt.Fprintf(sb, " /* ROWNUM <= %d */", b.Limit)
+		w.s(" /* ROWNUM <= ")
+		w.int(b.Limit)
+		w.s(" */")
 	}
 }
 
-func (f *FromItem) writeSQL(sb *strings.Builder, n *Namer) {
+func (w *sqlWriter) orderItems(os []OrderItem) {
+	for i, o := range os {
+		if i > 0 {
+			w.s(", ")
+		}
+		w.expr(o.Expr)
+		if o.Desc {
+			w.s(" DESC")
+		}
+	}
+}
+
+func (w *sqlWriter) fromItem(f *FromItem) {
 	if f.Kind != JoinInner {
-		sb.WriteString(f.Kind.String())
-		sb.WriteString(" JOIN ")
+		w.s(f.Kind.String(), " JOIN ")
 	}
 	if f.Lateral {
-		sb.WriteString("LATERAL ")
+		w.s("LATERAL ")
 	}
 	if f.Table != nil {
-		sb.WriteString(f.Table.Name)
-		sb.WriteString(" ")
-		sb.WriteString(n.name(f.ID))
+		w.s(f.Table.Name, " ")
 	} else {
-		sb.WriteString("(")
-		f.View.writeSQL(sb, n)
-		sb.WriteString(") ")
-		sb.WriteString(n.name(f.ID))
+		w.s("(")
+		w.block(f.View)
+		w.s(") ")
 	}
+	w.name(f.ID)
 	if len(f.Cond) > 0 {
-		sb.WriteString(" ON (")
-		for i, c := range f.Cond {
-			if i > 0 {
-				sb.WriteString(" AND ")
-			}
-			sb.WriteString(exprSQL(c, n))
-		}
-		sb.WriteString(")")
+		w.s(" ON (")
+		w.list(f.Cond, " AND ")
+		w.s(")")
 	}
 }
 
-// exprSQL renders an expression with resolved aliases.
-func exprSQL(e Expr, n *Namer) string {
+func (w *sqlWriter) expr(e Expr) {
 	switch v := e.(type) {
 	case *Const:
-		return v.Val.String()
+		w.s(v.Val.String())
 	case *Param:
-		if n.ordinals {
-			// Canonical cache keys identify parameters by slot so that
-			// structurally identical blocks match regardless of names.
-			return fmt.Sprintf(":$%d", v.Ord)
+		if w.n.form != formCanonical {
+			w.s(":", v.Name)
+			return
 		}
-		return ":" + v.Name
+		// Canonical cache keys identify parameters by slot so that
+		// structurally identical blocks match regardless of names.
+		w.s(":$")
+		w.int(int64(v.Ord))
 	case *Col:
-		if v.From == 0 {
-			return v.Name // set-operation output reference
+		switch {
+		case v.From == 0 && w.n.form != formRaw:
+			w.s(v.Name) // set-operation output reference
+		case w.n.form == formCanonical:
+			w.name(v.From)
+			w.s(".#")
+			w.int(int64(v.Ord))
+		default:
+			w.name(v.From)
+			w.s(".", v.Name)
 		}
-		if n.ordinals {
-			return fmt.Sprintf("%s.#%d", n.name(v.From), v.Ord)
-		}
-		return fmt.Sprintf("%s.%s", n.name(v.From), v.Name)
 	case *Bin:
-		return fmt.Sprintf("(%s %s %s)", exprSQL(v.L, n), v.Op, exprSQL(v.R, n))
+		w.wrap("(", v.L, " "+v.Op.String()+" ")
+		w.wrap("", v.R, ")")
 	case *Not:
-		return fmt.Sprintf("NOT (%s)", exprSQL(v.E, n))
+		w.wrap("NOT (", v.E, ")")
 	case *IsNull:
 		if v.Neg {
-			return exprSQL(v.E, n) + " IS NOT NULL"
+			w.wrap("", v.E, " IS NOT NULL")
+		} else {
+			w.wrap("", v.E, " IS NULL")
 		}
-		return exprSQL(v.E, n) + " IS NULL"
 	case *Like:
-		neg := ""
+		w.expr(v.E)
 		if v.Neg {
-			neg = " NOT"
+			w.s(" NOT")
 		}
-		return fmt.Sprintf("%s%s LIKE %s", exprSQL(v.E, n), neg, exprSQL(v.Pattern, n))
+		w.wrap(" LIKE ", v.Pattern, "")
 	case *InList:
-		neg := ""
+		w.expr(v.E)
 		if v.Neg {
-			neg = " NOT"
+			w.s(" NOT")
 		}
-		parts := make([]string, len(v.Vals))
-		for i, x := range v.Vals {
-			parts[i] = exprSQL(x, n)
-		}
-		return fmt.Sprintf("%s%s IN (%s)", exprSQL(v.E, n), neg, strings.Join(parts, ", "))
+		w.s(" IN (")
+		w.list(v.Vals, ", ")
+		w.s(")")
 	case *Func:
-		parts := make([]string, len(v.Args))
-		for i, x := range v.Args {
-			parts[i] = exprSQL(x, n)
-		}
-		return fmt.Sprintf("%s(%s)", v.Def.Name, strings.Join(parts, ", "))
+		w.s(v.Def.Name, "(")
+		w.list(v.Args, ", ")
+		w.s(")")
 	case *LNNVL:
-		return fmt.Sprintf("LNNVL(%s)", exprSQL(v.E, n))
+		w.wrap("LNNVL(", v.E, ")")
 	case *IsTrue:
-		return fmt.Sprintf("(%s) IS TRUE", exprSQL(v.E, n))
+		w.wrap("(", v.E, ") IS TRUE")
 	case *Agg:
-		if v.Star {
-			return "COUNT(*)"
+		switch {
+		case v.Star:
+			w.s("COUNT(*)")
+		case v.Distinct:
+			w.wrap(v.Op.String()+"(DISTINCT ", v.Arg, ")")
+		default:
+			w.wrap(v.Op.String()+"(", v.Arg, ")")
 		}
-		d := ""
-		if v.Distinct {
-			d = "DISTINCT "
-		}
-		return fmt.Sprintf("%s(%s%s)", v.Op, d, exprSQL(v.Arg, n))
 	case *WinFunc:
-		arg := "*"
-		if v.Arg != nil {
-			arg = exprSQL(v.Arg, n)
+		w.s(v.Op.String(), "(")
+		switch {
+		case v.Op == WinRowNumber:
+		case v.Arg != nil:
+			w.expr(v.Arg)
+		default:
+			w.s("*")
 		}
-		if v.Op == WinRowNumber {
-			arg = ""
-		}
-		var parts []string
+		w.s(") OVER (")
 		if len(v.PartitionBy) > 0 {
-			ps := make([]string, len(v.PartitionBy))
-			for i, x := range v.PartitionBy {
-				ps[i] = exprSQL(x, n)
-			}
-			parts = append(parts, "PARTITION BY "+strings.Join(ps, ", "))
+			w.s("PARTITION BY ")
+			w.list(v.PartitionBy, ", ")
 		}
 		if len(v.OrderBy) > 0 {
-			os := make([]string, len(v.OrderBy))
-			for i, o := range v.OrderBy {
-				os[i] = exprSQL(o.Expr, n)
-				if o.Desc {
-					os[i] += " DESC"
-				}
+			if len(v.PartitionBy) > 0 {
+				w.s(" ")
 			}
-			parts = append(parts, "ORDER BY "+strings.Join(os, ", "))
+			w.s("ORDER BY ")
+			w.orderItems(v.OrderBy)
 		}
-		return fmt.Sprintf("%s(%s) OVER (%s)", v.Op, arg, strings.Join(parts, " "))
+		w.s(")")
 	case *Subq:
-		inner := v.Block.SQL(n)
-		switch v.Kind {
-		case SubqExists:
-			return fmt.Sprintf("EXISTS (%s)", inner)
-		case SubqNotExists:
-			return fmt.Sprintf("NOT EXISTS (%s)", inner)
-		case SubqScalar:
-			return fmt.Sprintf("(%s)", inner)
-		case SubqIn, SubqNotIn:
-			neg := ""
-			if v.Kind == SubqNotIn {
-				neg = " NOT"
-			}
-			return fmt.Sprintf("%s%s IN (%s)", leftSQL(v.Left, n), neg, inner)
-		case SubqAnyCmp:
-			return fmt.Sprintf("%s %s ANY (%s)", leftSQL(v.Left, n), v.Op, inner)
-		case SubqAllCmp:
-			return fmt.Sprintf("%s %s ALL (%s)", leftSQL(v.Left, n), v.Op, inner)
-		}
+		w.subq(v)
 	case *Case:
-		var sb strings.Builder
-		sb.WriteString("CASE")
-		for _, w := range v.Whens {
-			fmt.Fprintf(&sb, " WHEN %s THEN %s", exprSQL(w.Cond, n), exprSQL(w.Result, n))
+		w.s("CASE")
+		for _, c := range v.Whens {
+			w.wrap(" WHEN ", c.Cond, "")
+			w.wrap(" THEN ", c.Result, "")
 		}
 		if v.Else != nil {
-			fmt.Fprintf(&sb, " ELSE %s", exprSQL(v.Else, n))
+			w.wrap(" ELSE ", v.Else, "")
 		}
-		sb.WriteString(" END")
-		return sb.String()
+		w.s(" END")
 	}
-	return fmt.Sprintf("<%T>", e)
 }
 
-func leftSQL(left []Expr, n *Namer) string {
-	if len(left) == 1 {
-		return exprSQL(left[0], n)
+func (w *sqlWriter) subq(v *Subq) {
+	switch {
+	case v.Kind == SubqExists || v.Kind == SubqNotExists:
+		w.s(v.Kind.String(), " ")
+	case v.Kind == SubqScalar:
+	case w.n.form == formRaw:
+		w.s("[")
+		w.list(v.Left, " ")
+		w.s("] ", v.Kind.String(), " ")
+	default:
+		if len(v.Left) == 1 {
+			w.expr(v.Left[0])
+		} else {
+			w.s("(")
+			w.list(v.Left, ", ")
+			w.s(")")
+		}
+		switch v.Kind {
+		case SubqIn:
+			w.s(" IN ")
+		case SubqNotIn:
+			w.s(" NOT IN ")
+		default:
+			w.s(" ", v.Op.String(), " ", v.Kind.String(), " ")
+		}
 	}
-	parts := make([]string, len(left))
-	for i, x := range left {
-		parts[i] = exprSQL(x, n)
+	if w.n.form == formRaw {
+		// The raw form names the block instead of rendering it.
+		w.s("(subquery b")
+		w.int(int64(v.Block.ID))
+		w.s(")")
+		return
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	w.s("(")
+	w.block(v.Block)
+	w.s(")")
 }

@@ -33,8 +33,16 @@ func outerHasFilterPreds(b *qtree.Block) bool {
 		if containsSubq(e) {
 			continue
 		}
-		refs := refsOf(e)
-		if len(refs) != 1 {
+		// Exactly one from item referenced?
+		n := 0
+		var only qtree.FromID
+		qtree.ExprCols(e, func(c *qtree.Col) {
+			if n == 0 || n == 1 && c.From != only {
+				n++
+				only = c.From
+			}
+		})
+		if n != 1 {
 			continue
 		}
 		// Comparison against a constant?

@@ -1,10 +1,6 @@
 package transform
 
-import (
-	"fmt"
-
-	"repro/internal/qtree"
-)
+import "repro/internal/qtree"
 
 // PredicateMoveAround implements filter predicate move-around (§2.1.3):
 // inexpensive single-source filter predicates are pushed from a block into
@@ -90,10 +86,11 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 				L:  &qtree.Col{From: f.ID, Ord: ord, Name: f.ColName(ord)},
 				R:  &qtree.Const{Val: con.Val},
 			}
-			if existing[up.String()] {
+			k := up.String()
+			if existing[k] {
 				continue
 			}
-			existing[up.String()] = true
+			existing[k] = true
 			b = q.Mutable(b)
 			b.Where = append(b.Where, up)
 			changed = true
@@ -109,28 +106,31 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 	if b.IsSetOp() {
 		return false
 	}
-	// Union-find over columns appearing in equality conjuncts.
-	parent := map[string]string{}
-	colByKey := map[string]*qtree.Col{}
-	var find func(string) string
-	find = func(x string) string {
+	// Union-find over columns appearing in equality conjuncts. Identity is
+	// (from item, ordinal): display names can differ in case between a
+	// view alias and its uppercased references.
+	type colKey struct {
+		from qtree.FromID
+		ord  int
+	}
+	parent := map[colKey]colKey{}
+	colByKey := map[colKey]*qtree.Col{}
+	find := func(x colKey) colKey {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	key := func(c *qtree.Col) string {
-		// Identity is (from item, ordinal) — display names can differ in
-		// case between a view alias and its uppercased references.
-		k := fmt.Sprintf("%d#%d", c.From, c.Ord)
+	key := func(c *qtree.Col) colKey {
+		k := colKey{c.From, c.Ord}
 		if _, ok := parent[k]; !ok {
 			parent[k] = k
 			colByKey[k] = c
 		}
 		return k
 	}
-	union := func(a, bk string) {
+	union := func(a, bk colKey) {
 		ra, rb := find(a), find(bk)
 		if ra != rb {
 			parent[ra] = rb
@@ -172,7 +172,7 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 		if col == nil {
 			continue
 		}
-		ck := fmt.Sprintf("%d#%d", col.From, col.Ord)
+		ck := colKey{col.From, col.Ord}
 		if _, known := parent[ck]; !known {
 			continue
 		}
@@ -184,8 +184,8 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 			}
 			oc := colByKey[other]
 			ne := &qtree.Bin{Op: op, L: &qtree.Col{From: oc.From, Ord: oc.Ord, Name: oc.Name}, R: cloneExpr(q, con)}
-			if !existing[ne.String()] {
-				existing[ne.String()] = true
+			if k := ne.String(); !existing[k] {
+				existing[k] = true
 				derived = append(derived, ne)
 				changed = true
 			}
@@ -233,20 +233,21 @@ func pushIntoViews(q *qtree.Query, b *qtree.Block) bool {
 // soleViewTarget returns the view item that is the only local relation e
 // references, or nil.
 func soleViewTarget(b *qtree.Block, e qtree.Expr) *qtree.FromItem {
-	local := b.LocalFromIDs()
 	var target *qtree.FromItem
-	for id := range refsOf(e) {
-		if !local[id] {
-			return nil // conservatively keep correlated predicates in place
-		}
-		f := b.FindFrom(id)
-		if f == nil || f.View == nil || f.Kind != qtree.JoinInner || f.Lateral {
-			return nil
-		}
-		if target != nil && target != f {
-			return nil
+	ok := true
+	qtree.ExprCols(e, func(c *qtree.Col) {
+		// A non-local reference (correlation) conservatively keeps the
+		// predicate in place.
+		f := b.FindFrom(c.From)
+		if f == nil || f.View == nil || f.Kind != qtree.JoinInner || f.Lateral ||
+			target != nil && target != f {
+			ok = false
+			return
 		}
 		target = f
+	})
+	if !ok {
+		return nil
 	}
 	return target
 }

@@ -41,11 +41,7 @@ func (r *OrExpansion) objects(q *qtree.Query) []orObj {
 			local := b.LocalFromIDs()
 			for _, d := range splitOr(e) {
 				hasLocal := false
-				for id := range refsOf(d) {
-					if local[id] {
-						hasLocal = true
-					}
-				}
+				qtree.ExprCols(d, func(c *qtree.Col) { hasLocal = hasLocal || local[c.From] })
 				if !hasLocal {
 					useful = false
 				}

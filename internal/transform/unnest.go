@@ -154,13 +154,13 @@ func corrPred(e qtree.Expr, defined map[qtree.FromID]bool) (inner, outer qtree.E
 // sideRefs reports whether e references subquery-local relations and
 // whether it references outer relations.
 func sideRefs(e qtree.Expr, defined map[qtree.FromID]bool) (localRefs, outerRefs bool) {
-	for id := range refsOf(e) {
-		if defined[id] {
+	qtree.ExprCols(e, func(c *qtree.Col) {
+		if defined[c.From] {
 			localRefs = true
 		} else {
 			outerRefs = true
 		}
-	}
+	})
 	return
 }
 

@@ -5,14 +5,6 @@ import (
 	"repro/internal/qtree"
 )
 
-// refsOf returns the from IDs referenced by e (including inside subquery
-// blocks).
-func refsOf(e qtree.Expr) map[qtree.FromID]bool {
-	s := map[qtree.FromID]bool{}
-	qtree.ExprCols(e, func(c *qtree.Col) { s[c.From] = true })
-	return s
-}
-
 // refsOnly reports whether e references no from items other than those in
 // allowed (expressions with zero references qualify).
 func refsOnly(e qtree.Expr, allowed map[qtree.FromID]bool) bool {

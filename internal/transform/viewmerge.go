@@ -271,14 +271,15 @@ func jppdConds(b *qtree.Block, f *qtree.FromItem) []int {
 			if !isCol || c.From != f.ID {
 				return false
 			}
-			refs := refsOf(otherSide)
-			if len(refs) == 0 || refs[f.ID] {
+			// The other side references local items only, at least one,
+			// and not the view.
+			refs, ok := false, true
+			qtree.ExprCols(otherSide, func(c *qtree.Col) {
+				refs = true
+				ok = ok && c.From != f.ID && local[c.From]
+			})
+			if !refs || !ok {
 				return false
-			}
-			for id := range refs {
-				if !local[id] {
-					return false
-				}
 			}
 			// The push must be legal through grouping.
 			return jppdAccepts(f.View, c.Ord)
