@@ -102,13 +102,14 @@ type aggIter struct {
 	e     *env
 	n     *optimizer.Agg
 	child iterator
+	self  Ctx
 
 	out []Row
 	pos int
 }
 
 func newAgg(e *env, n *optimizer.Agg, child iterator) *aggIter {
-	return &aggIter{e: e, n: n, child: child}
+	return &aggIter{e: e, n: n, child: child, self: schemaCtx(n.Child.Columns())}
 }
 
 type aggGroup struct {
@@ -222,7 +223,8 @@ func (it *aggIter) Open(outer *Ctx) error {
 	}
 	it.out = nil
 	it.pos = 0
-	ctx := &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
+	ctx := &it.self
+	ctx.parent = outer
 	h := newAggHash(it.n)
 	gbVals := make(Row, len(it.n.GroupBy))
 	argVals := make(Row, len(it.n.Aggs))

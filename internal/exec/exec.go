@@ -37,23 +37,71 @@ type Row []datum.Datum
 
 // Ctx resolves column references at runtime. Each operator exposes its
 // current row under its output schema; parent links provide correlation
-// (outer rows) for subqueries, lateral views and index probes.
+// (outer rows) for subqueries, lateral views and index probes. An operator
+// owns its contexts: their column indexes are built with the iterator, and
+// Open only rebinds the parent.
 type Ctx struct {
 	parent *Ctx
-	cols   map[optimizer.ColID]int
+	cols   colIndex
 	row    Row
 }
 
 // lookup resolves a column through the context chain.
 func (c *Ctx) lookup(id optimizer.ColID) (datum.Datum, bool) {
 	for cur := c; cur != nil; cur = cur.parent {
-		if cur.cols != nil {
-			if i, ok := cur.cols[id]; ok {
-				return cur.row[i], true
-			}
+		if i, ok := cur.cols.find(id); ok {
+			return cur.row[i], true
 		}
 	}
 	return datum.Null, false
+}
+
+// colRun maps n consecutive ordinals of one from item, starting at ord0, to
+// n consecutive schema slots starting at slot0.
+type colRun struct {
+	from  qtree.FromID
+	ord0  int
+	n     int
+	slot0 int
+}
+
+// colIndex resolves a ColID to its slot in an operator's schema. Scans,
+// joins and projections expose consecutive ordinals of one from item, so a
+// schema encodes as a few runs and find is a short scan with no hashing.
+type colIndex []colRun
+
+// newColIndex run-encodes a schema.
+func newColIndex(cols []optimizer.ColID) colIndex {
+	var x colIndex
+	for i, c := range cols {
+		if k := len(x) - 1; k >= 0 && x[k].from == c.From && x[k].ord0+x[k].n == c.Ord {
+			x[k].n++
+			continue
+		}
+		x = append(x, colRun{from: c.From, ord0: c.Ord, n: 1, slot0: i})
+	}
+	return x
+}
+
+// find returns id's slot. A run holds each ColID at most once and runs are
+// scanned last to first, so a ColID the schema repeats resolves to its last
+// slot.
+func (x colIndex) find(id optimizer.ColID) (int, bool) {
+	for k := len(x) - 1; k >= 0; k-- {
+		r := &x[k]
+		if r.from == id.From && uint(id.Ord-r.ord0) < uint(r.n) {
+			return r.slot0 + id.Ord - r.ord0, true
+		}
+	}
+	return 0, false
+}
+
+// schemaCtx returns a context over schema, unbound to any outer context.
+func schemaCtx(schema []optimizer.ColID) Ctx { return Ctx{cols: newColIndex(schema)} }
+
+// joinSchema is a join's combined schema: left columns, then right.
+func joinSchema(n *optimizer.Join) []optimizer.ColID {
+	return append(append([]optimizer.ColID(nil), n.L.Columns()...), n.R.Columns()...)
 }
 
 // env carries run-wide state.
@@ -281,15 +329,6 @@ func runEnvBatches(e *env) (*Result, error) {
 		}
 		res.Rows = b.appendRows(res.Rows)
 	}
-}
-
-// colMap builds the ColID→slot map for a schema.
-func colMap(cols []optimizer.ColID) map[optimizer.ColID]int {
-	m := make(map[optimizer.ColID]int, len(cols))
-	for i, c := range cols {
-		m[c] = i
-	}
-	return m
 }
 
 // build constructs the iterator tree for a plan node, wrapping each

@@ -11,25 +11,26 @@ import (
 // This file is the batched expression evaluator: evalExprBatch evaluates
 // one scalar expression for every live row of a batch at once, and
 // evalPredsBatch refines a batch's selection vector through a conjunct
-// list. Column references resolve to one slice index per batch instead of
-// one map lookup per row, and the scalar kernels (applyBin, cmp3,
-// likeMatch) are shared with the row engine so the two paths agree
-// element-for-element. Expressions the vectorizer does not specialize
-// (subqueries, CASE, function calls, IN lists) fall back to the row
-// evaluator over a scratch row, preserving semantics exactly at row-engine
-// speed for that node only.
+// list. A column reference resolves once per batch, through the operator's
+// run-encoded column index (colIndex), to a column vector; the scalar
+// kernels (applyBin, cmp3, likeMatch) are shared with the row engine so the
+// two paths agree element-for-element. Expressions the vectorizer does not
+// specialize (subqueries, CASE, function calls, IN lists) fall back to the
+// row evaluator over a scratch row, preserving semantics exactly at
+// row-engine speed for that node only.
 
 // batchCtx is the per-operator state of batched expression evaluation: the
-// operator's output schema (ColID -> column index), the outer correlation
-// context, a scratch row + row context for fallback evaluation, and small
-// pools for the intermediate vectors and selection buffers so steady-state
-// evaluation allocates nothing per batch.
+// operator's schema (ColID -> column index), the outer correlation context,
+// a scratch row + row context for fallback evaluation, and small pools for
+// the intermediate vectors and selection buffers so steady-state evaluation
+// allocates nothing per batch. An operator builds its batchCtx once, with
+// the iterator, and binds the outer context on every Open: correlated
+// subplans re-open once per outer row and keep their pools.
 type batchCtx struct {
 	e     *env
-	cols  map[optimizer.ColID]int
 	outer *Ctx
 
-	rowCtx  *Ctx
+	rowCtx  Ctx // rowCtx.cols is the schema's column index
 	scratch Row
 
 	pool    [][]datum.Datum
@@ -44,15 +45,14 @@ type batchCtx struct {
 	predFlip bool
 }
 
-func newBatchCtx(e *env, schema []optimizer.ColID, outer *Ctx) *batchCtx {
-	cols := colMap(schema)
-	return &batchCtx{
-		e:       e,
-		cols:    cols,
-		outer:   outer,
-		rowCtx:  &Ctx{parent: outer, cols: cols},
-		scratch: make(Row, len(schema)),
-	}
+func newBatchCtx(e *env, schema []optimizer.ColID) *batchCtx {
+	return &batchCtx{e: e, rowCtx: schemaCtx(schema), scratch: make(Row, len(schema))}
+}
+
+// bind sets the outer correlation context for the operator's next run.
+func (bc *batchCtx) bind(outer *Ctx) {
+	bc.outer = outer
+	bc.rowCtx.parent = outer
 }
 
 // getVec returns a value vector with at least n elements.
@@ -136,7 +136,7 @@ func (e *env) evalExprBatch(x qtree.Expr, b *Batch, sel []int, bc *batchCtx, dst
 
 	case *qtree.Col:
 		id := optimizer.ColID{From: v.From, Ord: v.Ord}
-		if ci, ok := bc.cols[id]; ok {
+		if ci, ok := bc.rowCtx.cols.find(id); ok {
 			col := b.Cols[ci]
 			if sel == nil {
 				copy(dst[:b.N], col[:b.N])
@@ -247,7 +247,7 @@ func (e *env) evalExprBatch(x qtree.Expr, b *Batch, sel []int, bc *batchCtx, dst
 		r := selAt(sel, k)
 		b.gather(r, bc.scratch)
 		bc.rowCtx.row = bc.scratch
-		d, err := e.evalExpr(x, bc.rowCtx)
+		d, err := e.evalExpr(x, &bc.rowCtx)
 		if err != nil {
 			return err
 		}

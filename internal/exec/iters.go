@@ -15,13 +15,12 @@ type seqScanIter struct {
 	e    *env
 	n    *optimizer.SeqScan
 	tbl  *storage.Table
-	ctx  *Ctx
 	pos  int
-	self *Ctx
+	self Ctx
 }
 
 func newSeqScan(e *env, n *optimizer.SeqScan) *seqScanIter {
-	return &seqScanIter{e: e, n: n, tbl: e.table(n.Table.Name)}
+	return &seqScanIter{e: e, n: n, tbl: e.table(n.Table.Name), self: schemaCtx(n.Columns())}
 }
 
 func (it *seqScanIter) Open(outer *Ctx) error {
@@ -29,8 +28,7 @@ func (it *seqScanIter) Open(outer *Ctx) error {
 		return fmt.Errorf("exec: table %s has no storage", it.n.Table.Name)
 	}
 	it.pos = 0
-	it.ctx = outer
-	it.self = &Ctx{parent: outer, cols: colMap(it.n.Columns())}
+	it.self.parent = outer
 	return nil
 }
 
@@ -50,7 +48,7 @@ func (it *seqScanIter) Next() (Row, error) {
 		copy(out, src)
 		out[len(src)] = datum.NewInt(int64(rowid))
 		it.self.row = out
-		ok, err := it.e.evalPreds(it.n.Filter, it.self)
+		ok, err := it.e.evalPreds(it.n.Filter, &it.self)
 		if err != nil {
 			return nil, err
 		}
@@ -70,8 +68,7 @@ type indexScanIter struct {
 	tbl   *storage.Table
 	match []int32
 	pos   int
-	self  *Ctx
-	outer *Ctx
+	self  Ctx
 }
 
 func newIndexScan(e *env, n *optimizer.IndexScan) (*indexScanIter, error) {
@@ -79,13 +76,12 @@ func newIndexScan(e *env, n *optimizer.IndexScan) (*indexScanIter, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", n.Table.Name)
 	}
-	return &indexScanIter{e: e, n: n, tbl: tbl}, nil
+	return &indexScanIter{e: e, n: n, tbl: tbl, self: schemaCtx(n.Columns())}, nil
 }
 
 func (it *indexScanIter) Open(outer *Ctx) error {
-	it.outer = outer
 	it.pos = 0
-	it.self = &Ctx{parent: outer, cols: colMap(it.n.Columns())}
+	it.self.parent = outer
 	match, err := indexMatches(it.e, it.n, it.tbl, outer)
 	if err != nil {
 		return err
@@ -151,7 +147,7 @@ func (it *indexScanIter) Next() (Row, error) {
 		copy(out, src)
 		out[len(src)] = datum.NewInt(int64(rowid))
 		it.self.row = out
-		ok, err := it.e.evalPreds(it.n.Filter, it.self)
+		ok, err := it.e.evalPreds(it.n.Filter, &it.self)
 		if err != nil {
 			return nil, err
 		}
@@ -169,15 +165,15 @@ type filterIter struct {
 	e     *env
 	n     *optimizer.Filter
 	child iterator
-	self  *Ctx
+	self  Ctx
 }
 
 func newFilter(e *env, n *optimizer.Filter, child iterator) *filterIter {
-	return &filterIter{e: e, n: n, child: child}
+	return &filterIter{e: e, n: n, child: child, self: schemaCtx(n.Child.Columns())}
 }
 
 func (it *filterIter) Open(outer *Ctx) error {
-	it.self = &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
+	it.self.parent = outer
 	return it.child.Open(outer)
 }
 
@@ -188,7 +184,7 @@ func (it *filterIter) Next() (Row, error) {
 			return nil, err
 		}
 		it.self.row = r
-		ok, err := it.e.evalPreds(it.n.Preds, it.self)
+		ok, err := it.e.evalPreds(it.n.Preds, &it.self)
 		if err != nil {
 			return nil, err
 		}
@@ -205,15 +201,15 @@ type projectIter struct {
 	e     *env
 	n     *optimizer.Project
 	child iterator
-	self  *Ctx
+	self  Ctx
 }
 
 func newProject(e *env, n *optimizer.Project, child iterator) *projectIter {
-	return &projectIter{e: e, n: n, child: child}
+	return &projectIter{e: e, n: n, child: child, self: schemaCtx(n.Child.Columns())}
 }
 
 func (it *projectIter) Open(outer *Ctx) error {
-	it.self = &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
+	it.self.parent = outer
 	return it.child.Open(outer)
 }
 
@@ -225,7 +221,7 @@ func (it *projectIter) Next() (Row, error) {
 	it.self.row = r
 	out := make(Row, len(it.n.Exprs))
 	for i, ex := range it.n.Exprs {
-		d, err := it.e.evalExpr(ex, it.self)
+		d, err := it.e.evalExpr(ex, &it.self)
 		if err != nil {
 			return nil, err
 		}
@@ -241,12 +237,13 @@ type sortIter struct {
 	e     *env
 	n     *optimizer.Sort
 	child iterator
+	self  Ctx
 	rows  []Row
 	pos   int
 }
 
 func newSort(e *env, n *optimizer.Sort, child iterator) *sortIter {
-	return &sortIter{e: e, n: n, child: child}
+	return &sortIter{e: e, n: n, child: child, self: schemaCtx(n.Child.Columns())}
 }
 
 func (it *sortIter) Open(outer *Ctx) error {
@@ -255,7 +252,8 @@ func (it *sortIter) Open(outer *Ctx) error {
 	}
 	it.rows = nil
 	it.pos = 0
-	self := &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
+	self := &it.self
+	self.parent = outer
 	type keyed struct {
 		row  Row
 		keys []datum.Datum

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/datum"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
@@ -76,6 +78,29 @@ func nodeExprs(n optimizer.PlanNode) []qtree.Expr {
 	return nil
 }
 
+// pairRow is a join's scratch row for residual conditions: the current left
+// row followed by one candidate right row. The left part is copied once per
+// left row and each candidate only overwrites the right part, so checking a
+// pair allocates nothing; a pair that is emitted is cloned, because callers
+// keep the rows they are handed.
+type pairRow struct {
+	row   Row
+	nLeft int
+}
+
+// setLeft starts pairs for a new left row.
+func (p *pairRow) setLeft(l Row) {
+	p.row = append(p.row[:0], l...)
+	p.nLeft = len(l)
+}
+
+// with returns the current left row paired with r, valid until the next
+// setLeft or with call.
+func (p *pairRow) with(r Row) Row {
+	p.row = append(p.row[:p.nLeft], r...)
+	return p.row
+}
+
 // nlJoinIter is the nested-loops join for all kinds. The right side is
 // materialized once per Open unless the join is lateral (correlated), in
 // which case it is re-opened per left row with the left row bound as
@@ -87,10 +112,9 @@ type nlJoinIter struct {
 	n    *optimizer.Join
 	l, r iterator
 
-	outer    *Ctx
-	leftCtx  *Ctx
-	combCtx  *Ctx
-	leftCols int
+	leftCtx Ctx
+	combCtx Ctx
+	pair    pairRow
 
 	matRight   []Row // materialized right (non-lateral)
 	leftRow    Row
@@ -114,16 +138,13 @@ type nlJoinIter struct {
 }
 
 func newNLJoin(e *env, n *optimizer.Join, l, r iterator) *nlJoinIter {
-	return &nlJoinIter{e: e, n: n, l: l, r: r, cacheCols: leftRefCols(n)}
+	return &nlJoinIter{e: e, n: n, l: l, r: r, cacheCols: leftRefCols(n),
+		leftCtx: schemaCtx(n.L.Columns()), combCtx: schemaCtx(joinSchema(n))}
 }
 
 func (it *nlJoinIter) Open(outer *Ctx) error {
-	it.outer = outer
-	it.leftCols = len(it.n.L.Columns())
-	it.leftCtx = &Ctx{parent: outer, cols: colMap(it.n.L.Columns())}
-	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
-	comb = append(comb, it.n.R.Columns()...)
-	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
+	it.leftCtx.parent = outer
+	it.combCtx.parent = outer
 	it.needLeft = true
 	it.leftRow = nil
 	it.leftDone = false
@@ -186,7 +207,7 @@ func (it *nlJoinIter) rightForCurrentLeft() ([]Row, error) {
 		}
 		ks = string(key)
 	}
-	if err := it.r.Open(it.leftCtx); err != nil {
+	if err := it.r.Open(&it.leftCtx); err != nil {
 		return nil, err
 	}
 	var rows []Row
@@ -217,8 +238,9 @@ func (it *nlJoinIter) Next() (Row, error) {
 				if it.rightMatched[i] {
 					continue
 				}
-				comb := make(Row, it.leftCols+len(it.matRight[i]))
-				copy(comb[it.leftCols:], it.matRight[i])
+				nLeft := len(it.n.L.Columns())
+				comb := make(Row, nLeft+len(it.matRight[i]))
+				copy(comb[nLeft:], it.matRight[i])
 				return comb, nil
 			}
 			return nil, nil
@@ -237,6 +259,7 @@ func (it *nlJoinIter) Next() (Row, error) {
 			}
 			it.leftRow = lr
 			it.leftCtx.row = lr
+			it.pair.setLeft(lr)
 			it.needLeft = false
 			it.emittedAny = false
 			it.rightPos = 0
@@ -266,11 +289,8 @@ func (it *nlJoinIter) Next() (Row, error) {
 			ri := it.rightPos
 			rr := it.rightRows[ri]
 			it.rightPos++
-			comb := make(Row, 0, it.leftCols+len(rr))
-			comb = append(comb, it.leftRow...)
-			comb = append(comb, rr...)
-			it.combCtx.row = comb
-			ok, err := it.e.evalPreds(it.n.On, it.combCtx)
+			it.combCtx.row = it.pair.with(rr)
+			ok, err := it.e.evalPreds(it.n.On, &it.combCtx)
 			if err != nil {
 				return nil, err
 			}
@@ -279,12 +299,12 @@ func (it *nlJoinIter) Next() (Row, error) {
 				if it.rightMatched != nil {
 					it.rightMatched[ri] = true
 				}
-				return comb, nil
+				return slices.Clone(it.combCtx.row), nil
 			}
 		}
 		// Right exhausted for this left row.
 		if (it.n.Kind == qtree.JoinLeftOuter || it.n.Kind == qtree.JoinFullOuter) && !it.emittedAny {
-			comb := make(Row, it.leftCols+len(it.n.R.Columns()))
+			comb := make(Row, len(it.leftRow)+len(it.n.R.Columns()))
 			copy(comb, it.leftRow)
 			it.needLeft = true
 			return comb, nil
@@ -355,14 +375,13 @@ func (it *nlJoinIter) evalSemiAnti() (bool, error) {
 	return verdict, nil
 }
 
+// evalOn evaluates the residual conditions for the current left row paired
+// with rr, on the iterator's scratch row.
 func (it *nlJoinIter) evalOn(rr Row) (datum.TriBool, error) {
-	comb := make(Row, 0, it.leftCols+len(rr))
-	comb = append(comb, it.leftRow...)
-	comb = append(comb, rr...)
-	it.combCtx.row = comb
+	it.combCtx.row = it.pair.with(rr)
 	res := datum.True
 	for _, p := range it.n.On {
-		t, err := it.e.evalBool(p, it.combCtx)
+		t, err := it.e.evalBool(p, &it.combCtx)
 		if err != nil {
 			return datum.Unknown, err
 		}
@@ -399,9 +418,10 @@ type hashJoinIter struct {
 	n    *optimizer.Join
 	l, r iterator
 
-	outer   *Ctx
-	leftCtx *Ctx
-	combCtx *Ctx
+	leftCtx  Ctx
+	rightCtx Ctx
+	combCtx  Ctx
+	pair     pairRow
 
 	table        keyTable
 	key          []byte // join-key scratch
@@ -419,15 +439,14 @@ type hashJoinIter struct {
 }
 
 func newHashJoin(e *env, n *optimizer.Join, l, r iterator) *hashJoinIter {
-	return &hashJoinIter{e: e, n: n, l: l, r: r}
+	return &hashJoinIter{e: e, n: n, l: l, r: r, leftCtx: schemaCtx(n.L.Columns()),
+		rightCtx: schemaCtx(n.R.Columns()), combCtx: schemaCtx(joinSchema(n))}
 }
 
 func (it *hashJoinIter) Open(outer *Ctx) error {
-	it.outer = outer
-	it.leftCtx = &Ctx{parent: outer, cols: colMap(it.n.L.Columns())}
-	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
-	comb = append(comb, it.n.R.Columns()...)
-	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
+	it.leftCtx.parent = outer
+	it.rightCtx.parent = outer
+	it.combCtx.parent = outer
 	it.table = keyTable{}
 	it.buildRows = nil
 	it.buildMatched = nil
@@ -439,7 +458,6 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 	if err := it.r.Open(outer); err != nil {
 		return err
 	}
-	rightCtx := &Ctx{parent: outer, cols: colMap(it.n.R.Columns())}
 	for {
 		rr, err := it.r.Next()
 		if err != nil {
@@ -450,8 +468,8 @@ func (it *hashJoinIter) Open(outer *Ctx) error {
 		}
 		idx := len(it.buildRows)
 		it.buildRows = append(it.buildRows, rr)
-		rightCtx.row = rr
-		hasNull, err := it.evalKey(it.n.EqR, rightCtx)
+		it.rightCtx.row = rr
+		hasNull, err := it.evalKey(it.n.EqR, &it.rightCtx)
 		if err != nil {
 			return err
 		}
@@ -519,10 +537,11 @@ func (it *hashJoinIter) Next() (Row, error) {
 			}
 			it.leftRow = lr
 			it.leftCtx.row = lr
+			it.pair.setLeft(lr)
 			it.matched = false
 			it.bucketPos = 0
 
-			hasNull, err := it.evalKey(it.n.EqL, it.leftCtx)
+			hasNull, err := it.evalKey(it.n.EqL, &it.leftCtx)
 			if err != nil {
 				return nil, err
 			}
@@ -581,11 +600,8 @@ func (it *hashJoinIter) Next() (Row, error) {
 			ri := it.bucket[it.bucketPos]
 			rr := it.buildRows[ri]
 			it.bucketPos++
-			comb := make(Row, 0, len(it.leftRow)+len(rr))
-			comb = append(comb, it.leftRow...)
-			comb = append(comb, rr...)
-			it.combCtx.row = comb
-			ok, err := it.e.evalPreds(it.n.On, it.combCtx)
+			it.combCtx.row = it.pair.with(rr)
+			ok, err := it.e.evalPreds(it.n.On, &it.combCtx)
 			if err != nil {
 				return nil, err
 			}
@@ -594,7 +610,7 @@ func (it *hashJoinIter) Next() (Row, error) {
 				if it.buildMatched != nil {
 					it.buildMatched[ri] = true
 				}
-				return comb, nil
+				return slices.Clone(it.combCtx.row), nil
 			}
 		}
 		if (it.n.Kind == qtree.JoinLeftOuter || it.n.Kind == qtree.JoinFullOuter) && !it.matched {
@@ -611,12 +627,8 @@ func (it *hashJoinIter) Next() (Row, error) {
 // (it.key) passes the residual conditions.
 func (it *hashJoinIter) anyMatch() (bool, error) {
 	for _, ri := range it.table.get(it.key) {
-		rr := it.buildRows[ri]
-		comb := make(Row, 0, len(it.leftRow)+len(rr))
-		comb = append(comb, it.leftRow...)
-		comb = append(comb, rr...)
-		it.combCtx.row = comb
-		ok, err := it.e.evalPreds(it.n.On, it.combCtx)
+		it.combCtx.row = it.pair.with(it.buildRows[ri])
+		ok, err := it.e.evalPreds(it.n.On, &it.combCtx)
 		if err != nil {
 			return false, err
 		}

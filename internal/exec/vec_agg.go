@@ -13,6 +13,7 @@ type batchAggIter struct {
 	e     *env
 	n     *optimizer.Agg
 	child batchIterator
+	bc    *batchCtx
 
 	out []Row
 	pos int
@@ -20,7 +21,7 @@ type batchAggIter struct {
 }
 
 func newBatchAgg(e *env, n *optimizer.Agg, child batchIterator) *batchAggIter {
-	return &batchAggIter{e: e, n: n, child: child}
+	return &batchAggIter{e: e, n: n, child: child, bc: newBatchCtx(e, n.Child.Columns())}
 }
 
 func (it *batchAggIter) Open(outer *Ctx) error {
@@ -29,7 +30,8 @@ func (it *batchAggIter) Open(outer *Ctx) error {
 	}
 	it.out = nil
 	it.pos = 0
-	bc := newBatchCtx(it.e, it.n.Child.Columns(), outer)
+	bc := it.bc
+	bc.bind(outer)
 	h := newAggHash(it.n)
 	gbVecs := make([][]datum.Datum, len(it.n.GroupBy))
 	argVecs := make([][]datum.Datum, len(it.n.Aggs))

@@ -7,9 +7,13 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/bench"
+	"repro/internal/cbqt"
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/optimizer"
+	"repro/internal/qtree"
+	"repro/internal/testkit"
 )
 
 // pointReads are the short cached statements a plan cache exists for: a
@@ -100,6 +104,40 @@ func TestGroupByAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs/op over %d groups: %.1f per group", allocs, groups, perGroup)
 	if perGroup >= groupByAllocBudget {
 		t.Fatalf("GROUP BY allocates %.1f times per group, budget %d", perGroup, groupByAllocBudget)
+	}
+}
+
+// semiAntiAllocBudget is the allocation gate per execution of the Table 2
+// family with ten subqueries on small data. While row-engine joins built a
+// combined row for every (left, right) pair they checked, and contexts
+// resolved columns through a map rebuilt on every Open, it allocated 16 580
+// times per execution; with one scratch row per join, run-encoded column
+// indexes built with the iterator and the batched probe filter it
+// allocates about 3 760 times.
+const semiAntiAllocBudget = 6000
+
+// TestSemiAntiAllocBudget gates allocations per exec.RunContext of the
+// CBQT plan for bench.Table2FamilyQuery(10): semi and anti joins on the row
+// engine, correlated subplans re-opened per outer row, and inlined index
+// probes with filters.
+func TestSemiAntiAllocBudget(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 1)
+	res, err := cbqt.New(db.Catalog).Optimize(qtree.MustBind(bench.Table2FamilyQuery(10), db.Catalog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func() {
+		if _, err := exec.RunContext(ctx, db, res.Plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // lazy set-up outside the measurement
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("%.0f allocs per execution", allocs)
+	if allocs >= semiAntiAllocBudget {
+		t.Fatalf("Table 2 family allocates %.0f times per execution, budget %d\n%s",
+			allocs, semiAntiAllocBudget, optimizer.Explain(res.Plan))
 	}
 }
 

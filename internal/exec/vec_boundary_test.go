@@ -129,3 +129,117 @@ func TestBatchBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// probeFilterCases put a filter on the IndexScan that the batch engine's
+// nested-loops join inlines and evaluates batch-wise over each probe's
+// candidates. The optimizer keeps predicates that read the left side in the
+// join's On and predicates with subqueries in a Filter above the join, so
+// two cases copy such a predicate into the probe filter by hand ("on",
+// "filter"); the copy leaves the query's result unchanged. Their database
+// has two jobs, so one EMP_JOB probe returns about 1300 candidates, more
+// than DefaultBatchSize.
+var probeFilterCases = []struct {
+	name, sql string
+	copyFrom  string // "on" or "filter": predicates copied into the probe filter
+	minRows   int    // the case is meaningless below this many result rows
+	wantErr   bool
+}{
+	{name: "rowid", sql: `SELECT d.dept_id, s.sale_id FROM departments d, sales s
+	  WHERE s.dept_id = d.dept_id AND s.rowid > 250`},
+	{name: "left-column", sql: `SELECT d.dept_id, s.sale_id FROM departments d, sales s
+	  WHERE s.dept_id = d.dept_id AND s.amount > d.budget / 1000`, copyFrom: "on"},
+	{name: "case-fallback", sql: `SELECT j.job_id, e.emp_id FROM jobs j, employees e
+	  WHERE e.job_id = j.job_id AND j.job_id + 0 = 1 AND CASE WHEN e.salary > 2000 THEN 1 ELSE 0 END = 1`,
+		minRows: exec.DefaultBatchSize + 1},
+	{name: "subquery-fallback", sql: `SELECT d.dept_id, s.sale_id FROM departments d, sales s
+	  WHERE s.dept_id = d.dept_id AND s.amount > (SELECT AVG(s2.amount) FROM sales s2)`, copyFrom: "filter"},
+	{name: "wide-probe", sql: `SELECT j.job_id, e.emp_id, e.salary FROM jobs j, employees e
+	  WHERE e.job_id = j.job_id AND j.job_id + 0 = 1 AND e.salary > 2000 AND e.emp_id > 7`,
+		minRows: exec.DefaultBatchSize + 1},
+	{name: "division-by-zero", sql: `SELECT d.dept_id, s.sale_id FROM departments d, sales s
+	  WHERE s.dept_id = d.dept_id AND s.amount / (s.sale_id - 7) > 0`, wantErr: true},
+}
+
+// probeJoin returns the plan's inlined index probe: a lateral inner join
+// whose right side is a bare IndexScan.
+func probeJoin(plan *optimizer.Plan) (*optimizer.Join, *optimizer.IndexScan) {
+	var j *optimizer.Join
+	var rn *optimizer.IndexScan
+	optimizer.Walk(plan.Root, func(n optimizer.PlanNode) {
+		if v, ok := n.(*optimizer.Join); ok && v.RLateral && v.Kind == qtree.JoinInner {
+			if r, ok := v.R.(*optimizer.IndexScan); ok && j == nil {
+				j, rn = v, r
+			}
+		}
+	})
+	return j, rn
+}
+
+// TestBatchBoundariesProbeFilter runs each probe-filter case on the row
+// engine and on the batch engine at caps 1, 16 and 1024. Results, or the
+// error raised, must be identical, and so must the inlined IndexScan's
+// EXPLAIN ANALYZE opens and rows.
+func TestBatchBoundariesProbeFilter(t *testing.T) {
+	sizes := boundarySizes()
+	sizes.Jobs = 2
+	db := testkit.NewDB(sizes, 3)
+	ctx := context.Background()
+	nl := optimizer.MethodNL
+	for _, pc := range probeFilterCases {
+		t.Run(pc.name, func(t *testing.T) {
+			p := optimizer.New(db.Catalog)
+			p.ForceJoin = &nl
+			plan, err := p.Optimize(qtree.MustBind(pc.sql, db.Catalog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, rn := probeJoin(plan)
+			if j == nil {
+				t.Fatalf("no inlined index probe in plan:\n%s", optimizer.Explain(plan))
+			}
+			switch pc.copyFrom {
+			case "on":
+				rn.Filter = append(rn.Filter, j.On...)
+			case "filter":
+				optimizer.Walk(plan.Root, func(n optimizer.PlanNode) {
+					if f, ok := n.(*optimizer.Filter); ok {
+						rn.Filter = append(rn.Filter, f.Preds...)
+					}
+				})
+			}
+			if len(rn.Filter) == 0 {
+				t.Fatalf("probe has no filter:\n%s", optimizer.Explain(plan))
+			}
+			ref, refSt, refErr := exec.RunAnalyzeWith(ctx, db, plan, exec.Options{RowExec: true})
+			if pc.wantErr != (refErr != nil) {
+				t.Fatalf("row engine error = %v, want error %v\n%s", refErr, pc.wantErr, optimizer.Explain(plan))
+			}
+			var want []string
+			if refErr == nil {
+				want = sortedRows(ref)
+				if len(want) < pc.minRows {
+					t.Fatalf("%d rows, want >= %d", len(want), pc.minRows)
+				}
+			}
+			for _, bs := range []int{1, 16, 1024} {
+				res, st, err := exec.RunAnalyzeWith(ctx, db, plan, exec.Options{BatchSize: bs})
+				if refErr != nil {
+					if err == nil || err.Error() != refErr.Error() {
+						t.Fatalf("batch size %d: error %v, row engine %v", bs, err, refErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("batch size %d: %v", bs, err)
+				}
+				if got := sortedRows(res); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("batch size %d: %d rows differ from the row engine's %d", bs, len(got), len(want))
+				}
+				if b, r := st.Ops[rn], refSt.Ops[rn]; b.Opens != r.Opens || b.Rows != r.Rows {
+					t.Fatalf("batch size %d: probe opens/rows %d/%d, row engine %d/%d",
+						bs, b.Opens, b.Rows, r.Opens, r.Rows)
+				}
+			}
+		})
+	}
+}

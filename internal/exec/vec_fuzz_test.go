@@ -116,7 +116,7 @@ func FuzzBatchExpr(f *testing.F) {
 
 		// Row path: evaluate live rows in order, stopping at the first
 		// error exactly like the volcano operators do.
-		ctx := &Ctx{cols: colMap(fuzzSchema)}
+		ctx := &Ctx{cols: newColIndex(fuzzSchema)}
 		buf := make(Row, len(fuzzSchema))
 		rowVals := make([]datum.Datum, 0, len(sel))
 		var rowErr error
@@ -132,7 +132,7 @@ func FuzzBatchExpr(f *testing.F) {
 		}
 
 		// Batch path over the same selection.
-		bc := newBatchCtx(e, fuzzSchema, nil)
+		bc := newBatchCtx(e, fuzzSchema)
 		dst := make([]datum.Datum, n)
 		batchErr := e.evalExprBatch(x, &b, b.Sel, bc, dst)
 

@@ -30,7 +30,7 @@ type batchSeqScanIter struct {
 }
 
 func newBatchSeqScan(e *env, n *optimizer.SeqScan) *batchSeqScanIter {
-	return &batchSeqScanIter{e: e, n: n, tbl: e.table(n.Table.Name)}
+	return &batchSeqScanIter{e: e, n: n, tbl: e.table(n.Table.Name), bc: newBatchCtx(e, n.Columns())}
 }
 
 func (it *batchSeqScanIter) Open(outer *Ctx) error {
@@ -39,7 +39,7 @@ func (it *batchSeqScanIter) Open(outer *Ctx) error {
 	}
 	it.pos = 0
 	it.width = len(it.n.Columns())
-	it.bc = newBatchCtx(it.e, it.n.Columns(), outer)
+	it.bc.bind(outer)
 	return nil
 }
 
@@ -99,13 +99,13 @@ func newBatchIndexScan(e *env, n *optimizer.IndexScan) (*batchIndexScanIter, err
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", n.Table.Name)
 	}
-	return &batchIndexScanIter{e: e, n: n, tbl: tbl}, nil
+	return &batchIndexScanIter{e: e, n: n, tbl: tbl, bc: newBatchCtx(e, n.Columns())}, nil
 }
 
 func (it *batchIndexScanIter) Open(outer *Ctx) error {
 	it.pos = 0
 	it.width = len(it.n.Columns())
-	it.bc = newBatchCtx(it.e, it.n.Columns(), outer)
+	it.bc.bind(outer)
 	match, err := indexMatches(it.e, it.n, it.tbl, outer)
 	if err != nil {
 		return err
@@ -157,11 +157,11 @@ type batchFilterIter struct {
 }
 
 func newBatchFilter(e *env, n *optimizer.Filter, child batchIterator) *batchFilterIter {
-	return &batchFilterIter{e: e, n: n, child: child}
+	return &batchFilterIter{e: e, n: n, child: child, bc: newBatchCtx(e, n.Child.Columns())}
 }
 
 func (it *batchFilterIter) Open(outer *Ctx) error {
-	it.bc = newBatchCtx(it.e, it.n.Child.Columns(), outer)
+	it.bc.bind(outer)
 	return it.child.Open(outer)
 }
 
@@ -193,11 +193,11 @@ type batchProjectIter struct {
 }
 
 func newBatchProject(e *env, n *optimizer.Project, child batchIterator) *batchProjectIter {
-	return &batchProjectIter{e: e, n: n, child: child}
+	return &batchProjectIter{e: e, n: n, child: child, bc: newBatchCtx(e, n.Child.Columns())}
 }
 
 func (it *batchProjectIter) Open(outer *Ctx) error {
-	it.bc = newBatchCtx(it.e, it.n.Child.Columns(), outer)
+	it.bc.bind(outer)
 	return it.child.Open(outer)
 }
 
@@ -226,13 +226,14 @@ type batchSortIter struct {
 	e     *env
 	n     *optimizer.Sort
 	child batchIterator
+	bc    *batchCtx
 	rows  []Row
 	pos   int
 	out   Batch
 }
 
 func newBatchSort(e *env, n *optimizer.Sort, child batchIterator) *batchSortIter {
-	return &batchSortIter{e: e, n: n, child: child}
+	return &batchSortIter{e: e, n: n, child: child, bc: newBatchCtx(e, n.Child.Columns())}
 }
 
 func (it *batchSortIter) Open(outer *Ctx) error {
@@ -241,7 +242,8 @@ func (it *batchSortIter) Open(outer *Ctx) error {
 	}
 	it.rows = nil
 	it.pos = 0
-	bc := newBatchCtx(it.e, it.n.Child.Columns(), outer)
+	bc := it.bc
+	bc.bind(outer)
 	var keys []Row
 	keyVecs := make([][]datum.Datum, len(it.n.Keys))
 	for {

@@ -25,7 +25,7 @@ type batchHashJoinIter struct {
 	n    *optimizer.Join
 	l, r batchIterator
 
-	combCtx *Ctx
+	combCtx Ctx
 	comb    Row // scratch combined row for residual On evaluation
 	nLeft   int
 	nRight  int
@@ -52,6 +52,7 @@ type batchHashJoinIter struct {
 	buildNulls   bool
 
 	bcL     *batchCtx
+	bcR     *batchCtx
 	key     []byte          // encoded-key scratch (generic path)
 	keyVecs [][]datum.Datum // probe-key vectors of the current batch
 	// Per physical probe row: the matching build bucket (nil when the key
@@ -75,18 +76,17 @@ type batchHashJoinIter struct {
 }
 
 func newBatchHashJoin(e *env, n *optimizer.Join, l, r batchIterator) *batchHashJoinIter {
-	return &batchHashJoinIter{e: e, n: n, l: l, r: r}
+	nLeft, nRight := len(n.L.Columns()), len(n.R.Columns())
+	return &batchHashJoinIter{e: e, n: n, l: l, r: r, nLeft: nLeft, nRight: nRight,
+		combCtx: schemaCtx(joinSchema(n)), comb: make(Row, nLeft+nRight),
+		keyVecs: make([][]datum.Datum, len(n.EqL)),
+		bcL:     newBatchCtx(e, n.L.Columns()), bcR: newBatchCtx(e, n.R.Columns())}
 }
 
 func (it *batchHashJoinIter) Open(outer *Ctx) error {
-	it.nLeft = len(it.n.L.Columns())
-	it.nRight = len(it.n.R.Columns())
-	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
-	comb = append(comb, it.n.R.Columns()...)
-	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
-	it.comb = make(Row, it.nLeft+it.nRight)
-	it.keyVecs = make([][]datum.Datum, len(it.n.EqL))
-	it.bcL = newBatchCtx(it.e, it.n.L.Columns(), outer)
+	it.combCtx.parent = outer
+	it.bcL.bind(outer)
+	it.bcR.bind(outer)
 	it.cur = nil
 	it.k = 0
 	it.inRow = false
@@ -132,7 +132,7 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 	if err := it.r.Open(outer); err != nil {
 		return err
 	}
-	bcR := newBatchCtx(it.e, it.n.R.Columns(), outer)
+	bcR := it.bcR
 	vecs := make([][]datum.Datum, len(it.n.EqR))
 	key := make(Row, len(it.n.EqR))
 	for {
@@ -296,7 +296,7 @@ func (it *batchHashJoinIter) onMatch(b *Batch, r, ri int) (bool, error) {
 		it.comb[it.nLeft+c] = it.buildCols[c][ri]
 	}
 	it.combCtx.row = it.comb
-	return it.e.evalPreds(it.n.On, it.combCtx)
+	return it.e.evalPreds(it.n.On, &it.combCtx)
 }
 
 // anyMatch reports whether any build row in the key's bucket passes the

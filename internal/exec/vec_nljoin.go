@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/optimizer"
@@ -26,13 +27,19 @@ type batchNLJoinIter struct {
 	rn  *optimizer.IndexScan
 	tbl *storage.Table
 
-	leftCtx *Ctx
-	selfCtx *Ctx // right-scan ctx for the probe filter (parent: leftCtx)
-	combCtx *Ctx
+	leftCtx Ctx
+	combCtx Ctx
 	comb    Row // scratch: left row ++ right row; prefix doubles as leftCtx.row
-	srcBuf  Row // scratch: right source row ++ rowid for the probe filter
 	nLeft   int
 	nRight  int
+
+	// The probe filter runs batch-wise over cand, a candidate batch that
+	// carries only the right-side columns rn.Filter reads: candSlots[j] is
+	// the right-schema slot of cand column j, and candBC resolves the
+	// filter's columns against that narrow schema, with leftCtx as outer.
+	candSlots []int
+	candBC    *batchCtx
+	cand      Batch
 
 	cacheCols []optimizer.ColID
 	cache     map[string][]int32
@@ -79,19 +86,39 @@ func newBatchNLJoin(e *env, n *optimizer.Join, l batchIterator) (*batchNLJoinIte
 		// an unprobed inner side still reports a zeroed entry; match that.
 		e.opStats(rn)
 	}
-	return &batchNLJoinIter{e: e, n: n, l: l, rn: rn, tbl: tbl, cacheCols: leftRefCols(n)}, nil
+	nLeft, nRight := len(n.L.Columns()), len(n.R.Columns())
+	it := &batchNLJoinIter{e: e, n: n, l: l, rn: rn, tbl: tbl, cacheCols: leftRefCols(n),
+		leftCtx: schemaCtx(n.L.Columns()), combCtx: schemaCtx(joinSchema(n)),
+		comb: make(Row, nLeft+nRight), nLeft: nLeft, nRight: nRight}
+	it.combCtx.row = it.comb
+	it.leftCtx.row = it.comb[:nLeft]
+	if len(rn.Filter) > 0 {
+		rcols := rn.Columns()
+		idx := newColIndex(rcols)
+		read := make([]bool, len(rcols))
+		for _, f := range rn.Filter {
+			qtree.ExprCols(f, func(c *qtree.Col) {
+				if slot, ok := idx.find(optimizer.ColID{From: c.From, Ord: c.Ord}); ok {
+					read[slot] = true
+				}
+			})
+		}
+		var schema []optimizer.ColID
+		for slot, ok := range read {
+			if ok {
+				it.candSlots = append(it.candSlots, slot)
+				schema = append(schema, rcols[slot])
+			}
+		}
+		it.candBC = newBatchCtx(e, schema)
+		it.candBC.bind(&it.leftCtx)
+	}
+	return it, nil
 }
 
 func (it *batchNLJoinIter) Open(outer *Ctx) error {
-	it.nLeft = len(it.n.L.Columns())
-	it.nRight = len(it.n.R.Columns())
-	it.leftCtx = &Ctx{parent: outer, cols: colMap(it.n.L.Columns())}
-	it.selfCtx = &Ctx{parent: it.leftCtx, cols: colMap(it.n.R.Columns())}
-	comb := append([]optimizer.ColID(nil), it.n.L.Columns()...)
-	comb = append(comb, it.n.R.Columns()...)
-	it.combCtx = &Ctx{parent: outer, cols: colMap(comb)}
-	it.comb = make(Row, it.nLeft+it.nRight)
-	it.srcBuf = make(Row, it.nRight)
+	it.leftCtx.parent = outer
+	it.combCtx.parent = outer
 	it.cache = map[string][]int32{}
 	it.cacheMem = 0
 	it.cur = nil
@@ -128,23 +155,39 @@ func (it *batchNLJoinIter) probe() ([]int32, error) {
 		st = it.e.opStats(it.rn)
 		st.Opens++
 	}
-	match, err := indexMatches(it.e, it.rn, it.tbl, it.leftCtx)
+	match, err := indexMatches(it.e, it.rn, it.tbl, &it.leftCtx)
 	if err != nil {
 		return nil, err
 	}
 	if len(it.rn.Filter) > 0 && len(match) > 0 {
-		kept := match[:0:0]
-		for _, rid := range match {
-			src := it.tbl.Rows[rid]
-			copy(it.srcBuf, src)
-			it.srcBuf[len(src)] = datum.NewInt(int64(rid))
-			it.selfCtx.row = it.srcBuf
-			ok, err := it.e.evalPreds(it.rn.Filter, it.selfCtx)
-			if err != nil {
+		// Filter the candidates in chunks of the batch cap: gather the
+		// columns the filter reads (a slot past the table row is the
+		// rowid), refine the chunk's selection through the conjuncts, and
+		// keep the surviving rowids. Conjunct k runs over the survivors of
+		// conjunct k-1: the same (row, conjunct) evaluations as the row
+		// engine's per-row short-circuit.
+		var kept []int32
+		for rest := match; len(rest) > 0; {
+			chunk := rest[:min(len(rest), it.e.batchSize)]
+			rest = rest[len(chunk):]
+			it.cand.reset(len(it.candSlots), len(chunk))
+			for i, rid := range chunk {
+				src := it.tbl.Rows[rid]
+				for j, slot := range it.candSlots {
+					if slot < len(src) {
+						it.cand.Cols[j][i] = src[slot]
+					} else {
+						it.cand.Cols[j][i] = datum.NewInt(int64(rid))
+					}
+				}
+			}
+			it.cand.N = len(chunk)
+			if err := it.e.evalPredsBatch(it.rn.Filter, &it.cand, it.candBC); err != nil {
 				return nil, err
 			}
-			if ok {
-				kept = append(kept, rid)
+			kept = slices.Grow(kept, it.cand.Rows())
+			for k := 0; k < it.cand.Rows(); k++ {
+				kept = append(kept, chunk[it.cand.Live(k)])
 			}
 		}
 		match = kept
@@ -186,8 +229,7 @@ func (it *batchNLJoinIter) onMatch(rid int32) (bool, error) {
 	src := it.tbl.Rows[rid]
 	copy(it.comb[it.nLeft:], src)
 	it.comb[it.nLeft+len(src)] = datum.NewInt(int64(rid))
-	it.combCtx.row = it.comb
-	return it.e.evalPreds(it.n.On, it.combCtx)
+	return it.e.evalPreds(it.n.On, &it.combCtx)
 }
 
 // emit appends the current left row combined with right row rid.
@@ -273,7 +315,6 @@ func (it *batchNLJoinIter) NextBatch() (*Batch, error) {
 		for c := 0; c < it.nLeft; c++ {
 			it.comb[c] = it.cur.Cols[c][r]
 		}
-		it.leftCtx.row = it.comb[:it.nLeft]
 		rowids, err := it.rightFor()
 		if err != nil {
 			return nil, err

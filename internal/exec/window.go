@@ -18,13 +18,14 @@ type windowIter struct {
 	e     *env
 	n     *optimizer.Window
 	child iterator
+	self  Ctx
 
 	out []Row
 	pos int
 }
 
 func newWindow(e *env, n *optimizer.Window, child iterator) *windowIter {
-	return &windowIter{e: e, n: n, child: child}
+	return &windowIter{e: e, n: n, child: child, self: schemaCtx(n.Child.Columns())}
 }
 
 func (it *windowIter) Open(outer *Ctx) error {
@@ -33,7 +34,8 @@ func (it *windowIter) Open(outer *Ctx) error {
 	}
 	it.out = nil
 	it.pos = 0
-	ctx := &Ctx{parent: outer, cols: colMap(it.n.Child.Columns())}
+	ctx := &it.self
+	ctx.parent = outer
 
 	var rows []Row
 	for {

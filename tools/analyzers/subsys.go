@@ -292,6 +292,7 @@ var selvecKernels = map[string]bool{
 	"batchNLJoinIter.emit":           true,
 	"batchNLJoinIter.emitLeftPad":    true,
 	"batchNLJoinIter.NextBatch":      true,
+	"batchNLJoinIter.probe":          true,
 	"batchHashJoinIter.Open":         true,
 	"batchHashJoinIter.onMatch":      true,
 	"batchHashJoinIter.emitComb":     true,
