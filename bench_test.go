@@ -245,3 +245,29 @@ func BenchmarkSmallDBEndToEnd(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdhocOptimize sizes the one-shot optimize path in process:
+// parse, bind and CBQT (heuristics, state search, final plan) of the texts
+// of bench.AdhocCorpus in turn, at one worker on small data — the
+// per-statement work of the adhoc_cbqt benchmark workload without the
+// server or the executor. One op is one statement, so ns/op, B/op and
+// allocs/op are per statement; us/stmt repeats ns/op in microseconds.
+func BenchmarkAdhocOptimize(b *testing.B) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	corpus := bench.AdhocCorpus(41)
+	opts := cbqt.DefaultOptions()
+	opts.Parallelism = 1
+	o := &cbqt.Optimizer{Cat: db.Catalog, Opts: opts}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := qtree.BindSQL(corpus[i%len(corpus)], db.Catalog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Optimize(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/stmt")
+}

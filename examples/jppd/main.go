@@ -41,11 +41,12 @@ WHERE e1.dept_id = v.dept_id AND e1.emp_id = j.emp_id AND
 	for v := 0; v <= 2; v++ {
 		q := qtree.MustBind(q12, db.Catalog)
 		if v > 0 {
-			if rule.Find(q) == 0 {
+			objs := rule.Find(q)
+			if len(objs) == 0 {
 				fmt.Println("  no view object found")
 				return
 			}
-			if err := rule.Apply(q, 0, v); err != nil {
+			if err := rule.Apply(q, objs[0], v); err != nil {
 				fmt.Printf("  %-65s (not applicable: %v)\n", labels[v], err)
 				continue
 			}

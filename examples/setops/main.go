@@ -70,11 +70,12 @@ func demo(db *storage.DB, sql string, rule transform.Rule, variant int) {
 	rowsBefore := countRows(db, planB)
 
 	after := qtree.MustBind(sql, db.Catalog)
-	if rule.Find(after) == 0 {
+	objs := rule.Find(after)
+	if len(objs) == 0 {
 		fmt.Println("  (rule found no objects)")
 		return
 	}
-	if err := rule.Apply(after, 0, variant); err != nil {
+	if err := rule.Apply(after, objs[0], variant); err != nil {
 		fmt.Printf("  (not applicable: %v)\n", err)
 		return
 	}

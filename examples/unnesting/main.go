@@ -58,11 +58,15 @@ func showStateSpace(db *storage.DB, sql string) {
 		"state 2: unnest + merge the view, interleaved (Q11)",
 	}
 	base := qtree.MustBind(sql, db.Catalog)
-	nVariants := rule.Variants(base, 0)
-	for v := 0; v <= nVariants; v++ {
+	objs := rule.Find(base)
+	if len(objs) == 0 {
+		fmt.Println("  (no unnestable subquery)")
+		return
+	}
+	for v := 0; v <= objs[0].Variants; v++ {
 		q := qtree.MustBind(sql, db.Catalog)
 		if v > 0 {
-			if err := rule.Apply(q, 0, v); err != nil {
+			if err := rule.Apply(q, rule.Find(q)[0], v); err != nil {
 				fmt.Printf("  %-55s (not applicable: %v)\n", labels[v], err)
 				continue
 			}

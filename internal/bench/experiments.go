@@ -282,6 +282,23 @@ func FormatTable1(r Table1Result) string {
 	return sb.String()
 }
 
+// AdhocCorpus is an in-process stand-in for one cycle of the adhoc_cbqt
+// benchmark workload, for sizing search changes without a server: the
+// Table 2 family at four, six, eight and ten subqueries, then one text per
+// CBQT-relevant workload class drawn from seed for testkit.SmallSizes data.
+func AdhocCorpus(seed int64) []string {
+	var out []string
+	for _, n := range []int{4, 6, 8, 10} {
+		out = append(out, Table2FamilyQuery(n))
+	}
+	s := testkit.SmallSizes()
+	cfg := workload.DefaultConfig(seed, 0, s.Employees, s.Departments, s.Jobs)
+	for i, class := range workload.RelevantClasses {
+		out = append(out, workload.GenerateClass(seed+int64(i), 1, cfg, class)[0].SQL)
+	}
+	return out
+}
+
 // Table2FamilyQuery scales the paper's Table 2 setup to n subqueries: the
 // same two-table outer join block, with n correlated EXISTS / NOT EXISTS
 // subqueries of the Table 2 flavours (each over two or three base tables,

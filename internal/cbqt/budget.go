@@ -12,6 +12,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
+	"repro/internal/transform"
 )
 
 // stack captures the current goroutine stack for TransformError reports.
@@ -125,6 +126,16 @@ type budgetTracker struct {
 	// mutated the blocks its copy-on-write clone shares with the base.
 	// Written with preSummary, read concurrently, never re-written mid-rule.
 	baseSnap *check.TreeSnapshot
+	// objs is the object set the current rule's Find returned on the base.
+	// o.search writes it before dispatching workers; every state applies
+	// its variants through these handles and none writes them.
+	objs []transform.Object
+	// baseFixpoint records that the query the search starts from is at a
+	// fixpoint of the heuristic rules, so a state's heuristic re-pass may
+	// skip the blocks it shares with it. The driver writes it between rule
+	// searches only: set when the heuristic phase or a winner's re-pass
+	// converges, cleared when a RuleHeuristic-mode rule changes the query.
+	baseFixpoint bool
 
 	mu     sync.Mutex
 	reason DegradeReason

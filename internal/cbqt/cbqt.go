@@ -2,14 +2,15 @@
 // query transformation framework (§3). The driver applies the heuristic
 // transformations imperatively, then considers each cost-based
 // transformation in the paper's sequential order. For every transformation
-// it discovers the objects the transformation applies to, enumerates a
-// state space over those objects — a state assigns each object
+// it discovers the objects the transformation applies to, once per search,
+// enumerates a state space over those objects — a state assigns each object
 // "untransformed" or one of its variants (variants model interleaving and
 // juxtaposition, §3.3) — gives each state a copy-on-write clone of the
 // query (qtree.CloneCOW: blocks are shared until a rule mutates them),
-// applies the state, invokes the physical optimizer to cost it, and
-// finally transfers the directives of the winning state onto the original
-// query tree.
+// applies the state through the objects' handles, re-runs the heuristic
+// transformations over the blocks the state owns, invokes the physical
+// optimizer to cost it, and finally transfers the directives of the winning
+// state onto the original query tree.
 //
 // Four state-space search strategies are provided (§3.2): exhaustive,
 // iterative improvement, linear, and two-pass, with automatic selection
@@ -84,8 +85,8 @@ const (
 // heuristic decision procedure; used in RuleHeuristic mode.
 type HeuristicDecider interface {
 	// HeuristicVariant returns the variant the heuristic would choose for
-	// object obj (0 = leave untransformed).
-	HeuristicVariant(q *qtree.Query, obj int) int
+	// object o of q (0 = leave untransformed).
+	HeuristicVariant(q *qtree.Query, o transform.Object) int
 }
 
 // Options configure the CBQT driver.
@@ -173,6 +174,21 @@ var defaultCheck = false
 // reference TestDifferentialCOW and FuzzCOWClone compare against; nothing
 // outside this package's tests sets it.
 var fullCloneStates = false
+
+// fullHeuristicRepass makes every heuristic re-pass (evalState's and
+// applyWinner's) visit every block, as if the base were never known to be at
+// a heuristic fixpoint. The passes that skip shared blocks produce the same
+// tree by construction; the full passes survive only as the reference the
+// equivalence tests compare against. Nothing outside this package's tests
+// sets it.
+var fullHeuristicRepass = false
+
+// onHandleMismatch, when non-nil, makes applyState re-discover the rule's
+// objects on the state's clone before every application and report any
+// object whose handle disagrees with the one rediscovery finds at its
+// index — the contract that lets a search find its objects once. Only this
+// package's tests set it.
+var onHandleMismatch func(error)
 
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
@@ -287,9 +303,11 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		return nil, err
 	}
 	if !o.Opts.SkipHeuristics {
-		if err := o.protectedHeuristics(q, &stats); err != nil {
+		fixpoint, err := o.protectedHeuristics(q, &stats)
+		if err != nil {
 			return nil, err
 		}
+		tracker.baseFixpoint = fixpoint
 	}
 
 	rules := o.Opts.Rules
@@ -312,11 +330,11 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		})
 	}
 	// safeFind quarantines rules whose object discovery panics.
-	safeFind := func(r transform.Rule) (n int) {
+	safeFind := func(r transform.Rule) (objs []transform.Object) {
 		defer func() {
 			if p := recover(); p != nil {
 				quarantine(r.Name(), &TransformError{Rule: r.Name(), Panic: p, Stack: stack()})
-				n = 0
+				objs = nil
 			}
 		}()
 		return r.Find(q)
@@ -328,7 +346,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		if o.mode(r) == RuleOff || quarantined[r.Name()] {
 			continue
 		}
-		totalObjects += safeFind(r)
+		totalObjects += len(safeFind(r))
 	}
 
 	for _, r := range rules {
@@ -342,20 +360,20 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		case RuleOff:
 			continue
 		case RuleHeuristic:
-			if err := o.applyRuleHeuristically(q, r); err != nil {
-				return nil, err
+			if o.applyRuleHeuristically(q, r, quarantine, &stats) {
+				tracker.baseFixpoint = false
 			}
 			continue
 		}
-		n := safeFind(r)
-		if n == 0 {
+		objs := safeFind(r)
+		if len(objs) == 0 {
 			continue
 		}
-		strat := o.pickStrategy(n, totalObjects)
+		strat := o.pickStrategy(len(objs), totalObjects)
 		o.traceEvent(&stats, obsv.SearchEvent{
-			Ev: obsv.EvRule, Rule: r.Name(), Strategy: strat.String(), Objects: n,
+			Ev: obsv.EvRule, Rule: r.Name(), Strategy: strat.String(), Objects: len(objs),
 		})
-		best, states, err := o.search(q, r, n, strat, cache, &stats, tracker)
+		best, states, err := o.search(q, r, objs, strat, cache, &stats, tracker)
 		stats.StatesEvaluated += states
 		stats.StatesByRule[r.Name()] += states
 		if err != nil {
@@ -371,7 +389,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		// Transfer the winning directives onto the original tree (§3.1).
 		winner := obsv.WinnerUntransformed
 		if !best.isZero() {
-			if o.applyWinner(q, r, best, quarantine, &stats) {
+			if o.applyWinner(q, r, objs, best, quarantine, &stats, tracker) {
 				winner = obsv.WinnerApplied
 			} else {
 				winner = obsv.WinnerRolledBack
@@ -478,25 +496,27 @@ func (o *Optimizer) traceEvent(stats *Stats, e obsv.SearchEvent) {
 // adopted (qtree.AdoptCOW) only when every pass and check succeeds: a
 // panicking, fault-injected or checker-rejected pass simply discards the
 // work clone and continues with the untransformed query, with no deep
-// backup copy ever taken. Genuine rule errors still propagate.
-func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (err error) {
+// backup copy ever taken. Genuine rule errors still propagate. It reports
+// whether q is now at a fixpoint of the heuristic rules.
+func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint bool, err error) {
 	work := q.CloneCOW()
 	defer func() {
 		if p := recover(); p != nil {
 			stats.TransformErrors = append(stats.TransformErrors,
 				&TransformError{Rule: "heuristics", Panic: p, Stack: stack()})
 			o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: "panic"})
-			err = nil
+			fixpoint, err = false, nil
 		}
 	}()
-	if herr := o.applyHeuristics(work); herr != nil {
+	converged, herr := o.applyHeuristics(work, false)
+	if herr != nil {
 		if errors.Is(herr, faultinject.ErrInjected) {
 			stats.TransformErrors = append(stats.TransformErrors,
 				&TransformError{Rule: "heuristics", Err: herr})
 			o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: "injected"})
-			return nil
+			return false, nil
 		}
-		return herr
+		return false, herr
 	}
 	if o.Opts.Check {
 		// A heuristic pass that broke the tree — or mutated blocks without
@@ -509,12 +529,12 @@ func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (err error
 			stats.TransformErrors = append(stats.TransformErrors,
 				&TransformError{Rule: "heuristics", Err: vs})
 			o.traceCheckFault(stats)
-			return nil
+			return false, nil
 		}
 	}
 	q.AdoptCOW(work)
 	o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: "ok"})
-	return nil
+	return converged, nil
 }
 
 // applyWinner transfers the winning directives (and the heuristic re-pass
@@ -522,8 +542,9 @@ func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (err error
 // is applied to a copy-on-write work clone that is adopted only when every
 // step and check succeeds. On any failure the work clone is discarded — q
 // was never mutated, its from-ID allocation is untouched, and the SQL the
-// non-fault path generates is unchanged — and the rule is quarantined.
-func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, best state, quarantine func(string, *TransformError), stats *Stats) (applied bool) {
+// non-fault path generates is unchanged — and the rule is quarantined. On
+// success, tracker.baseFixpoint records whether the re-pass converged.
+func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, objs []transform.Object, best state, quarantine func(string, *TransformError), stats *Stats, tracker *budgetTracker) (applied bool) {
 	work := q.CloneCOW()
 	fail := func(p any, err error, stk string) {
 		quarantine(r.Name(), &TransformError{Rule: r.Name(), State: stateKey(best), Panic: p, Err: err, Stack: stk})
@@ -534,7 +555,7 @@ func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, best state, qu
 			applied = false
 		}
 	}()
-	if err := o.applyState(work, r, best); err != nil {
+	if err := o.applyState(work, r, objs, best); err != nil {
 		fail(nil, err, "")
 		return false
 	}
@@ -545,12 +566,26 @@ func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, best state, qu
 			return false
 		}
 	}
+	fixpoint := false
 	if !o.Opts.SkipHeuristics {
-		if err := o.applyHeuristics(work); err != nil {
+		converged, err := o.applyHeuristics(work, tracker.baseFixpoint && !fullHeuristicRepass)
+		if err != nil {
 			fail(nil, err, "")
 			return false
 		}
+		fixpoint = converged
 	}
+	if !o.adoptChecked(q, work, stats, fail) {
+		return false
+	}
+	tracker.baseFixpoint = fixpoint
+	return true
+}
+
+// adoptChecked adopts the work clone into q, after the static checker
+// (Options.Check) accepts its tree and its copy-on-write discipline; on a
+// violation it reports through fail and leaves q untouched.
+func (o *Optimizer) adoptChecked(q, work *qtree.Query, stats *Stats, fail func(any, error, string)) bool {
 	if o.Opts.Check {
 		vs := check.Aliasing(work)
 		vs = append(vs, check.Query(work)...)
@@ -564,9 +599,12 @@ func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, best state, qu
 	return true
 }
 
-func (o *Optimizer) applyHeuristics(q *qtree.Query) error {
+// applyHeuristics runs the heuristic phase's rules over q to a fixpoint
+// and reports whether it converged. skipShared says q's copy-on-write base
+// is at a fixpoint, so blocks q shares with it need no visit.
+func (o *Optimizer) applyHeuristics(q *qtree.Query, skipShared bool) (bool, error) {
 	if err := o.Opts.Faults.Fire("heuristics"); err != nil {
-		return err
+		return false, err
 	}
 	rules := transform.Heuristics()
 	if o.Opts.DisableMergeUnnest {
@@ -579,7 +617,7 @@ func (o *Optimizer) applyHeuristics(q *qtree.Query) error {
 		}
 		rules = kept
 	}
-	return transform.ApplyHeuristicRules(q, rules)
+	return transform.ApplyHeuristicRules(q, rules, skipShared)
 }
 
 func (o *Optimizer) mode(r transform.Rule) RuleMode {
@@ -590,32 +628,61 @@ func (o *Optimizer) mode(r transform.Rule) RuleMode {
 }
 
 // applyRuleHeuristically applies the rule's pre-CBQT heuristic decision to
-// every object (releases prior to Oracle 10g, §2.2.1).
-func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule) error {
+// every object (releases prior to Oracle 10g, §2.2.1), protected like
+// applyWinner: the decisions are applied to a copy-on-write work clone, each
+// application fires the "apply:<rule>" site, and the clone is adopted only
+// when every step and check succeeds. A panic, an injected error or a
+// checker violation discards the clone and quarantines the rule. It reports
+// whether q changed.
+func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule, quarantine func(string, *TransformError), stats *Stats) (changed bool) {
 	hd, ok := r.(HeuristicDecider)
 	if !ok {
-		return nil // no heuristic counterpart: leave untransformed
+		return false // no heuristic counterpart: leave untransformed
 	}
+	work := q.CloneCOW()
+	fail := func(p any, err error, stk string) {
+		quarantine(r.Name(), &TransformError{Rule: r.Name(), Panic: p, Err: err, Stack: stk})
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			fail(p, nil, stack())
+			changed = false
+		}
+	}()
 	// Objects shift as transformations apply; re-discover each round.
 	for guard := 0; guard < 32; guard++ {
-		n := r.Find(q)
 		applied := false
-		for obj := 0; obj < n; obj++ {
-			v := hd.HeuristicVariant(q, obj)
+		for _, obj := range r.Find(work) {
+			v := hd.HeuristicVariant(work, obj)
 			if v == 0 {
 				continue
 			}
-			if err := r.Apply(q, obj, v); err != nil {
+			if err := o.Opts.Faults.Fire("apply:" + r.Name()); err != nil {
+				fail(nil, err, "")
+				return false
+			}
+			if err := r.Apply(work, obj, v); err != nil {
 				continue // treat as inapplicable
 			}
 			applied = true
 			break // re-discover objects after mutation
 		}
 		if !applied {
-			return nil
+			break
+		}
+		changed = true
+	}
+	if !changed {
+		return false
+	}
+	if o.Opts.Check {
+		if vs := check.CheckContract(r.Name(), check.Summarize(q), work); len(vs) > 0 {
+			o.countCheckViolations(stats, vs)
+			fail(nil, vs, "")
+			return false
 		}
 	}
-	return nil
+	return o.adoptChecked(q, work, stats, fail)
 }
 
 // The search-strategy limits of §3.2, which picks strategies by "a fixed
@@ -662,11 +729,13 @@ func (s state) isZero() bool {
 
 func (s state) clone() state { return append(state(nil), s...) }
 
-// applyState deep-applies a state to query q in place, firing the
-// "apply:<rule>" fault-injection site once per object application.
-func (o *Optimizer) applyState(q *qtree.Query, r transform.Rule, s state) error {
-	// Objects are applied from the last to the first so earlier object
-	// indexes remain valid as the tree mutates.
+// applyState applies a state to query q in place, each object through its
+// handle, firing the "apply:<rule>" fault-injection site once per object
+// application.
+func (o *Optimizer) applyState(q *qtree.Query, r transform.Rule, objs []transform.Object, s state) error {
+	// Objects are applied from the last to the first: a later object never
+	// sits in front of an earlier one in the same block, so the conjunct
+	// and from positions earlier handles name stay put.
 	for obj := len(s) - 1; obj >= 0; obj-- {
 		if s[obj] == 0 {
 			continue
@@ -674,9 +743,24 @@ func (o *Optimizer) applyState(q *qtree.Query, r transform.Rule, s state) error 
 		if err := o.Opts.Faults.Fire("apply:" + r.Name()); err != nil {
 			return err
 		}
-		if err := r.Apply(q, obj, s[obj]); err != nil {
+		if onHandleMismatch != nil {
+			checkHandle(q, r, objs, obj)
+		}
+		if err := r.Apply(q, objs[obj], s[obj]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkHandle compares object obj's handle with the object rediscovery on
+// q finds at the same index, reporting a disagreement to onHandleMismatch.
+func checkHandle(q *qtree.Query, r transform.Rule, objs []transform.Object, obj int) {
+	want := objs[obj]
+	want.Block = q.Resolve(want.Block)
+	found := r.Find(q)
+	if obj >= len(found) || found[obj] != want {
+		onHandleMismatch(fmt.Errorf("%s object %d of %d: handle %+v, rediscovery finds %d objects: %+v",
+			r.Name(), obj, len(objs), want, len(found), found))
+	}
 }

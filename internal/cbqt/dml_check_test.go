@@ -105,17 +105,19 @@ func hasClass(vs check.Violations, cl check.Class) bool {
 // just like the ROWID pseudo-column), but it silently breaks the DML
 // contract the executor trusts blindly, turning employee IDs into row
 // addresses. Registered in heuristic mode it applies on the pre-CBQT
-// path, which runs no per-state contract checks — exactly the gap the
-// post-transformation DML seam exists to close.
+// path, whose checks (the rule's contract, COW aliasing, the query) pass
+// it because the output keeps its count and type: only the
+// post-transformation DML seam knows the first output must be the ROWID,
+// which is the gap that seam exists to close.
 type rowidSwapRule struct{}
 
 func (rowidSwapRule) Name() string { return "ROWID_SWAP" }
 
-func (r rowidSwapRule) Find(q *qtree.Query) int {
+func (r rowidSwapRule) Find(q *qtree.Query) []transform.Object {
 	if r.target(q) != nil {
-		return 1
+		return []transform.Object{{Variants: 1, Block: q.Root}}
 	}
-	return 0
+	return nil
 }
 
 // target locates the root's first output when it is a from-item's ROWID
@@ -137,19 +139,29 @@ func (rowidSwapRule) target(q *qtree.Query) *qtree.Col {
 	return nil
 }
 
-func (rowidSwapRule) Variants(q *qtree.Query, obj int) int { return 1 }
-
-func (r rowidSwapRule) Apply(q *qtree.Query, obj, variant int) error {
+func (r rowidSwapRule) Apply(q *qtree.Query, o transform.Object, variant int) error {
 	col := r.target(q)
 	if col == nil {
 		return fmt.Errorf("no ROWID output to swap")
 	}
-	col.Ord = 0
-	col.Name = "EMP_ID"
+	// Rewrite a private copy of the root: q may be a copy-on-write clone
+	// whose root is still the original query's.
+	root := q.Mutable(q.Root)
+	root.Select[0].Expr = &qtree.Col{From: col.From, Ord: 0, Name: "EMP_ID"}
 	return nil
 }
 
-func (rowidSwapRule) HeuristicVariant(q *qtree.Query, obj int) int { return 1 }
+// swapThenPanicRule swaps like rowidSwapRule and then panics.
+type swapThenPanicRule struct{ rowidSwapRule }
+
+func (r swapThenPanicRule) Apply(q *qtree.Query, o transform.Object, variant int) error {
+	if err := r.rowidSwapRule.Apply(q, o, variant); err != nil {
+		return err
+	}
+	panic("ROWID_SWAP exploded after swapping")
+}
+
+func (rowidSwapRule) HeuristicVariant(q *qtree.Query, o transform.Object) int { return 1 }
 
 // TestMalformedLocatingQueryRejectedAtPostSeam is the regression test for
 // the fifth checker seam: a heuristic-mode transformation that rewrites an
@@ -201,6 +213,24 @@ func TestMalformedLocatingQueryRejectedAtPostSeam(t *testing.T) {
 		col, ok := stmt.Read.Root.Select[0].Expr.(*qtree.Col)
 		if !ok || col.Ord != 0 {
 			t.Fatalf("rule did not fire; first output %v", stmt.Read.Root.Select[0].Expr)
+		}
+	})
+
+	// The heuristic-mode application works on a copy-on-write clone: when
+	// it panics after swapping, the swap never reaches the locating query.
+	t.Run("failed application discarded", func(t *testing.T) {
+		opts, stmt := evil(true)
+		opts.Rules = []transform.Rule{swapThenPanicRule{}}
+		o := &Optimizer{Cat: db.Catalog, Opts: opts}
+		res, err := o.OptimizeDML(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("a discarded application still reached a seam: %v", err)
+		}
+		if got := fmt.Sprint(res.Stats.QuarantinedRules); got != "[ROWID_SWAP]" {
+			t.Fatalf("quarantined %s, want [ROWID_SWAP]", got)
+		}
+		if (rowidSwapRule{}).target(stmt.Read) == nil {
+			t.Fatalf("the discarded swap leaked into the query: first output %v", stmt.Read.Root.Select[0].Expr)
 		}
 	})
 }

@@ -17,8 +17,10 @@ import (
 // infeasible marks states whose transformation could not be applied.
 var errInfeasible = errors.New("cbqt: state infeasible")
 
-// evalState deep-copies the query, applies the state, re-runs the
-// imperative transformations that the new constructs may enable (§3.1), and
+// evalState gives the state its own copy-on-write clone of the query,
+// applies the state through the handles of the objects the search found on
+// the base (tracker.objs), re-runs the imperative transformations that the
+// new constructs may enable (§3.1) over the blocks the state owns, and
 // invokes the physical optimizer in cost-only mode.
 //
 // It is the fault boundary of the search: the "state:<rule>" injection site
@@ -63,12 +65,16 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	// clone sharing every block the state does not rewrite with the base
 	// and with every concurrently evaluated sibling.
 	var clone *qtree.Query
+	objs := tracker.objs
 	if fullCloneStates {
-		clone, _ = q.Clone() // the differential tests' reference copy
+		// The differential tests' reference copy: handles name the base's
+		// blocks, so find the objects again on the untouched deep copy.
+		clone, _ = q.Clone()
+		objs = r.Find(clone)
 	} else {
 		clone = q.CloneCOW()
 	}
-	if aerr := o.applyState(clone, r, s); aerr != nil {
+	if aerr := o.applyState(clone, r, objs, s); aerr != nil {
 		reason := "inapplicable"
 		if errors.Is(aerr, faultinject.ErrInjected) {
 			reason = "injected"
@@ -85,7 +91,8 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 		}
 	}
 	if !o.Opts.SkipHeuristics && !s.isZero() {
-		if herr := o.applyHeuristics(clone); herr != nil {
+		// Blocks the state shares with a base at a fixpoint need no visit.
+		if _, herr := o.applyHeuristics(clone, tracker.baseFixpoint && !fullHeuristicRepass); herr != nil {
 			if errors.Is(herr, faultinject.ErrInjected) {
 				stats.TransformErrors = append(stats.TransformErrors,
 					&TransformError{Rule: r.Name(), State: stateKey(s), Err: herr})
@@ -158,11 +165,12 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 
 // search runs the chosen strategy and returns the best state found plus
 // the number of states evaluated.
-func (o *Optimizer) search(q *qtree.Query, r transform.Rule, n int, strat Strategy, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	variants := make([]int, n)
-	for i := 0; i < n; i++ {
-		variants[i] = r.Variants(q, i)
+func (o *Optimizer) search(q *qtree.Query, r transform.Rule, objs []transform.Object, strat Strategy, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
+	variants := make([]int, len(objs))
+	for i, obj := range objs {
+		variants[i] = obj.Variants
 	}
+	tracker.objs = objs
 	if o.Opts.Check {
 		// The contract pre-state for every state this search evaluates (q is
 		// not mutated until the winner is applied, after the search), and the

@@ -37,11 +37,10 @@ func FuzzCheckerNeverPanics(f *testing.F) {
 			}
 			Query(q)
 			for _, r := range transform.CostBasedRules() {
-				nObj := r.Find(q)
-				for obj := 0; obj < nObj; obj++ {
-					for v := 1; v <= r.Variants(q, obj); v++ {
-						clone, _ := q.Clone()
-						if err := r.Apply(clone, obj, v); err != nil {
+				for _, o := range r.Find(q) {
+					for v := 1; v <= o.Variants; v++ {
+						clone := q.CloneCOW()
+						if err := r.Apply(clone, o, v); err != nil {
 							continue
 						}
 						Query(clone)

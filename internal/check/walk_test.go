@@ -60,10 +60,10 @@ func TestTreeWalkMatchesChecker(t *testing.T) {
 		}
 		check(wq.ID, "heuristics", q)
 		for _, r := range transform.CostBasedRules() {
-			for obj := 0; obj < r.Find(q); obj++ {
-				for v := 1; v <= r.Variants(q, obj); v++ {
+			for _, o := range r.Find(q) {
+				for v := 1; v <= o.Variants; v++ {
 					clone := q.CloneCOW()
-					if err := r.Apply(clone, obj, v); err != nil {
+					if err := r.Apply(clone, o, v); err != nil {
 						continue // inapplicable variant
 					}
 					check(wq.ID, r.Name(), clone)

@@ -73,11 +73,10 @@ func TestTransformedStatesClean(t *testing.T) {
 		}
 		pre := Summarize(q)
 		for _, r := range transform.CostBasedRules() {
-			n := r.Find(q)
-			for obj := 0; obj < n; obj++ {
-				for v := 1; v <= r.Variants(q, obj); v++ {
-					clone, _ := q.Clone()
-					if err := r.Apply(clone, obj, v); err != nil {
+			for obj, o := range r.Find(q) {
+				for v := 1; v <= o.Variants; v++ {
+					clone := q.CloneCOW()
+					if err := r.Apply(clone, o, v); err != nil {
 						continue // inapplicable variant
 					}
 					applied++

@@ -80,6 +80,13 @@ func (q *Query) CloneCOW() *Query {
 // IsCOW reports whether q is a copy-on-write clone.
 func (q *Query) IsCOW() bool { return q.cow != nil }
 
+// Owns reports whether b belongs to q rather than to q's copy-on-write base:
+// always on a query that is not a COW clone, and on a clone for its
+// materialized copies and the blocks it created. Because the owned region
+// is upward-closed, a block q does not own heads a subtree identical to the
+// base's.
+func (q *Query) Owns(b *Block) bool { return q.cow == nil || b.query == q }
+
 // CanHold reports whether block b may legally appear in q's tree: b is
 // owned by q, or q is a COW clone and b is shared from its base. The static
 // checker uses this in place of strict ownership.

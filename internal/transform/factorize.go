@@ -23,15 +23,11 @@ type JoinFactorization struct{}
 // Name implements Rule.
 func (*JoinFactorization) Name() string { return "join factorization" }
 
-type factObj struct {
-	block     *qtree.Block
-	table     string // common table name
-	strictOK  bool   // join predicates can be pulled out (Q15)
-	lateralOK bool   // predicates stay inside; lateral join (extension)
-}
-
-func (r *JoinFactorization) objects(q *qtree.Query) []factObj {
-	var out []factObj
+// Find implements Rule. When both forms are legal, variant 1 pulls the
+// join predicates out (Q15) and variant 2 leaves them in the branches with
+// a lateral join; when only one is legal, it is variant 1.
+func (r *JoinFactorization) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
 		if b.Set == nil || b.Set.Kind != qtree.SetUnionAll || len(b.Set.Children) < 2 {
 			continue
@@ -53,11 +49,10 @@ func (r *JoinFactorization) objects(q *qtree.Query) []factObj {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			o := factObj{block: b, table: name}
-			o.strictOK = analyzeFactorization(b, name) != nil
-			o.lateralOK = analyzeLateralFactorization(b, name) != nil
-			if o.strictOK || o.lateralOK {
-				out = append(out, o)
+			strictOK := analyzeFactorization(b, name) != nil
+			lateralOK := analyzeLateralFactorization(b, name) != nil
+			if strictOK || lateralOK {
+				out = append(out, Object{Block: b, table: name}.withForms(strictOK, lateralOK))
 			}
 		}
 	}
@@ -247,41 +242,36 @@ func equalIntMap(a, b map[int]int) bool {
 	return true
 }
 
-// Find implements Rule.
-func (r *JoinFactorization) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule. When both forms are legal, variant 1 pulls the
-// join predicates out (Q15) and variant 2 leaves them in the branches with
-// a lateral join; when only one is legal, it is variant 1.
-func (r *JoinFactorization) Variants(q *qtree.Query, obj int) int {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return 1
+// factorizationSite returns q's UNION ALL block that object o factors its
+// table out of, or nil when there is none. Find only names UNION ALL
+// blocks, so a resolved block without a set operation is one that an
+// earlier application in the same state factored another common table out
+// of: the UNION ALL now sits in the view that block joins last (VW_JF or
+// VW_JF_L), and o factors its table out of that view instead.
+func factorizationSite(q *qtree.Query, o Object) *qtree.Block {
+	b := q.Resolve(o.Block)
+	for b.Set == nil && len(b.From) == 2 && b.From[1].View != nil {
+		b = b.From[1].View
 	}
-	n := 0
-	if objs[obj].strictOK {
-		n++
+	if b.Set == nil || b.Set.Kind != qtree.SetUnionAll || len(b.Set.Children) < 2 {
+		return nil
 	}
-	if objs[obj].lateralOK {
-		n++
-	}
-	return n
+	return b
 }
 
 // Apply implements Rule.
-func (r *JoinFactorization) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("join factorization: object %d out of range", obj)
+func (r *JoinFactorization) Apply(q *qtree.Query, o Object, variant int) error {
+	switch o.form(variant) {
+	case formSecond:
+		return applyLateralFactorization(q, o)
+	case 0:
+		return fmt.Errorf("join factorization: no variant %d for table %s", variant, o.table)
 	}
-	o := objs[obj]
-	if variant == 2 || (variant == 1 && !o.strictOK) {
-		if !o.lateralOK {
-			return fmt.Errorf("join factorization: no variant %d for object %d", variant, obj)
-		}
-		return applyLateralFactorization(q, o.block, o.table)
+	b := factorizationSite(q, o)
+	if b == nil {
+		return fmt.Errorf("join factorization: block %d is no longer a UNION ALL", o.Block.ID)
 	}
-	b := q.Mutable(o.block)
+	b = q.Mutable(b)
 	plans := analyzeFactorization(b, o.table)
 	if plans == nil {
 		return fmt.Errorf("join factorization: no longer legal")
@@ -357,9 +347,13 @@ func (r *JoinFactorization) Apply(q *qtree.Query, obj, variant int) error {
 // table is removed and its references redirected to the single pulled-out
 // item, making the UNION ALL view correlated (lateral), exactly the
 // JPPD-based technique §2.2.5 sketches for non-pullable predicates.
-func applyLateralFactorization(q *qtree.Query, b *qtree.Block, table string) error {
-	b = q.Mutable(q.Resolve(b))
-	plans := analyzeLateralFactorization(b, table)
+func applyLateralFactorization(q *qtree.Query, o Object) error {
+	b := factorizationSite(q, o)
+	if b == nil {
+		return fmt.Errorf("join factorization (lateral): block %d is no longer a UNION ALL", o.Block.ID)
+	}
+	b = q.Mutable(b)
+	plans := analyzeLateralFactorization(b, o.table)
 	if plans == nil {
 		return fmt.Errorf("join factorization (lateral): no longer legal")
 	}

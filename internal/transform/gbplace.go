@@ -17,44 +17,33 @@ type GroupByPlacement struct{}
 // Name implements Rule.
 func (*GroupByPlacement) Name() string { return "group-by placement" }
 
-type gbpObj struct {
-	block *qtree.Block
-	from  int
-}
-
-func (r *GroupByPlacement) objects(q *qtree.Query) []gbpObj {
-	var out []gbpObj
+// Find implements Rule.
+func (r *GroupByPlacement) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
 		if !gbpBlockLegal(b) {
 			continue
 		}
-		for fi, f := range b.From {
+		for _, f := range b.From {
 			if gbpItemLegal(b, f) {
-				out = append(out, gbpObj{block: b, from: fi})
+				out = append(out, Object{Variants: 1, Block: b, From: f.ID})
 			}
 		}
 	}
 	return out
 }
 
-// Find implements Rule.
-func (r *GroupByPlacement) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule.
-func (r *GroupByPlacement) Variants(q *qtree.Query, obj int) int { return 1 }
-
 // Apply implements Rule.
-func (r *GroupByPlacement) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("group-by placement: object %d out of range", obj)
-	}
-	o := objs[obj]
+func (r *GroupByPlacement) Apply(q *qtree.Query, o Object, variant int) error {
 	// Materialize before the push: the table item migrates into the new
 	// view and the block's expressions are rewritten in place, so neither
 	// may still be shared with a copy-on-write base.
-	b := q.Mutable(o.block)
-	return pushGroupBy(q, b, b.From[o.from])
+	b := q.Mutable(o.Block)
+	f := b.FindFrom(o.From)
+	if f == nil {
+		return fmt.Errorf("group-by placement: from item %d not found", o.From)
+	}
+	return pushGroupBy(q, b, f)
 }
 
 func gbpBlockLegal(b *qtree.Block) bool {

@@ -14,13 +14,12 @@ import (
 // and there are indexes on the local columns in the subquery correlation,
 // then the subquery should not be unnested." Otherwise unnest (plain
 // variant, no interleaving — interleaving is a CBQT-era feature).
-func (r *UnnestSubquery) HeuristicVariant(q *qtree.Query, obj int) int {
-	objs := r.objects(q)
-	if obj >= len(objs) {
+func (r *UnnestSubquery) HeuristicVariant(q *qtree.Query, o Object) int {
+	b, s, err := unnestSite(q, o)
+	if err != nil {
 		return 0
 	}
-	o := objs[obj]
-	if outerHasFilterPreds(o.block) && correlationIndexed(o.subq.Block) {
+	if outerHasFilterPreds(b) && correlationIndexed(s.Block) {
 		return 0
 	}
 	return 1
@@ -90,14 +89,10 @@ func correlationIndexed(sub *qtree.Block) bool {
 // HeuristicVariant for views: the pre-CBQT behaviour merges group-by and
 // distinct views whenever legal (delayed aggregation was considered always
 // profitable); JPPD applies only when merging is illegal.
-func (r *ViewStrategy) HeuristicVariant(q *qtree.Query, obj int) int {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return 0
-	}
+func (r *ViewStrategy) HeuristicVariant(q *qtree.Query, o Object) int {
 	return 1 // variant 1 is "merge if legal, otherwise JPPD"
 }
 
 // HeuristicVariant for set operations: always convert with duplicates
 // removed at the join output.
-func (r *SetOpIntoJoin) HeuristicVariant(q *qtree.Query, obj int) int { return 1 }
+func (r *SetOpIntoJoin) HeuristicVariant(q *qtree.Query, o Object) int { return 1 }

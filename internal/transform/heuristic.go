@@ -16,29 +16,26 @@ type SPJViewMerge struct{}
 // Name implements HeuristicRule.
 func (*SPJViewMerge) Name() string { return "spj view merging" }
 
-// Apply implements HeuristicRule.
-func (*SPJViewMerge) Apply(q *qtree.Query) (bool, error) {
+// Visit implements HeuristicRule.
+func (*SPJViewMerge) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
 	changed := false
-	for _, b := range Blocks(q) {
-		for {
-			// The block snapshot goes stale once copy-on-write
-			// materialization forwards a block; follow the forwarding map.
-			b = q.Resolve(b)
-			merged := false
-			for _, f := range b.From {
-				if canMergeSPJ(b, f) {
-					mergeSPJView(q, b, f)
-					merged = true
-					changed = true
-					break // from list changed; rescan
-				}
-			}
-			if !merged {
-				break
+	for {
+		// A merge materializes b under copy-on-write; follow the
+		// forwarding map.
+		b = q.Resolve(b)
+		merged := false
+		for _, f := range b.From {
+			if canMergeSPJ(b, f) {
+				mergeSPJView(q, b, f)
+				merged = true
+				changed = true
+				break // from list changed; rescan
 			}
 		}
+		if !merged {
+			return changed, nil
+		}
 	}
-	return changed, nil
 }
 
 func canMergeSPJ(b *qtree.Block, f *qtree.FromItem) bool {
@@ -82,16 +79,11 @@ type JoinElimination struct{}
 // Name implements HeuristicRule.
 func (*JoinElimination) Name() string { return "join elimination" }
 
-// Apply implements HeuristicRule.
-func (*JoinElimination) Apply(q *qtree.Query) (bool, error) {
+// Visit implements HeuristicRule.
+func (*JoinElimination) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
 	changed := false
-	for _, b := range Blocks(q) {
-		for {
-			if !eliminateOne(q, b) {
-				break
-			}
-			changed = true
-		}
+	for eliminateOne(q, b) {
+		changed = true
 	}
 	return changed, nil
 }
@@ -119,42 +111,45 @@ func eliminateOne(q *qtree.Query, b *qtree.Block) bool {
 // referencedOutside reports whether item id is referenced in the block
 // subtree outside the given conjunct indexes of b.Where.
 func referencedOutside(b *qtree.Block, id qtree.FromID, exceptWhere map[int]bool) bool {
-	found := false
-	check := func(e qtree.Expr) {
-		if refersTo(e, id) {
-			found = true
-		}
-	}
 	for _, it := range b.Select {
-		check(it.Expr)
+		if refersTo(it.Expr, id) {
+			return true
+		}
 	}
 	for _, fi := range b.From {
 		if fi.ID == id {
 			continue
 		}
 		for _, c := range fi.Cond {
-			check(c)
+			if refersTo(c, id) {
+				return true
+			}
 		}
 		if fi.View != nil && blockRefersTo(fi.View, id) {
-			found = true
+			return true
 		}
 	}
 	for i, e := range b.Where {
-		if exceptWhere[i] {
-			continue
+		if !exceptWhere[i] && refersTo(e, id) {
+			return true
 		}
-		check(e)
 	}
 	for _, e := range b.GroupBy {
-		check(e)
+		if refersTo(e, id) {
+			return true
+		}
 	}
 	for _, e := range b.Having {
-		check(e)
+		if refersTo(e, id) {
+			return true
+		}
 	}
 	for _, o := range b.OrderBy {
-		check(o.Expr)
+		if refersTo(o.Expr, id) {
+			return true
+		}
 	}
-	return found
+	return false
 }
 
 // eliminateFKJoin removes parent table t when a child table's complete
@@ -272,16 +267,11 @@ type UnnestMerge struct{}
 // Name implements HeuristicRule.
 func (*UnnestMerge) Name() string { return "subquery unnesting (merge)" }
 
-// Apply implements HeuristicRule.
-func (*UnnestMerge) Apply(q *qtree.Query) (bool, error) {
+// Visit implements HeuristicRule.
+func (*UnnestMerge) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
 	changed := false
-	for _, b := range Blocks(q) {
-		for {
-			if !unnestMergeOne(q, b) {
-				break
-			}
-			changed = true
-		}
+	for unnestMergeOne(q, b) {
+		changed = true
 	}
 	return changed, nil
 }

@@ -34,11 +34,11 @@ SELECT e.name FROM emp e WHERE EXISTS
 	// the cost-based rule must not list it as an object. (The outer EXISTS
 	// itself is single-table at its level and contains a subquery, so it
 	// is not a merge candidate either.)
-	if _, err := (&UnnestMerge{}).Apply(q); err != nil {
+	if _, err := applyOnce(q, &UnnestMerge{}); err != nil {
 		t.Fatal(err)
 	}
 	r := &UnnestSubquery{}
-	if n := r.Find(q); n != 0 {
+	if n := len(r.Find(q)); n != 0 {
 		t.Errorf("non-parent correlated subquery must not be unnestable, found %d objects", n)
 	}
 }
@@ -52,7 +52,7 @@ SELECT e.name FROM emp e
 WHERE e.salary > (SELECT COUNT(*) FROM proj p, dept d
                   WHERE p.dept_id = d.dept_id AND d.dept_id = e.dept_id)`
 	q := qtree.MustBind(src, db.Catalog)
-	if n := (&UnnestSubquery{}).Find(q); n != 0 {
+	if n := len((&UnnestSubquery{}).Find(q)); n != 0 {
 		t.Errorf("COUNT subquery must not unnest (empty-group semantics), found %d", n)
 	}
 }
@@ -64,7 +64,7 @@ func TestUnnestRefusesMultiItemNullableNotIn(t *testing.T) {
 SELECT e.name FROM emp e WHERE (e.dept_id, e.mgr_id) NOT IN
 (SELECT p.dept_id, p.proj_id FROM proj p, dept d WHERE p.dept_id = d.dept_id)`
 	q := qtree.MustBind(src, db.Catalog)
-	if n := (&UnnestSubquery{}).Find(q); n != 0 {
+	if n := len((&UnnestSubquery{}).Find(q)); n != 0 {
 		t.Errorf("nullable multi-item NOT IN must not unnest, found %d", n)
 	}
 }
@@ -91,13 +91,10 @@ WHERE e.dept_id = v.dd AND e.salary > 1000000`},
 	}
 	for _, c := range cases {
 		q := qtree.MustBind(c.src, db.Catalog)
-		n := vs.Find(q)
 		// Merging must be refused; JPPD may still be offered for some
 		// (that is fine — check merge specifically).
-		for obj := 0; obj < n; obj++ {
-			q2 := qtree.MustBind(c.src, db.Catalog)
-			objs := vs.objects(q2)
-			if objs[obj].mergeOK {
+		for _, o := range vs.Find(q) {
+			if o.forms&formFirst != 0 {
 				t.Errorf("%s: merge should be illegal\nsql: %s", c.name, c.src)
 			}
 		}
@@ -112,9 +109,9 @@ SELECT e.name, v.a FROM emp e,
 (SELECT AVG(p.budget) a, p.dept_id dd FROM proj p GROUP BY p.dept_id) v
 WHERE e.salary > 100`
 	q := qtree.MustBind(src, db.Catalog)
-	objs := (&ViewStrategy{}).objects(q)
+	objs := (&ViewStrategy{}).Find(q)
 	for _, o := range objs {
-		if o.jppdOK {
+		if o.forms&formSecond != 0 {
 			t.Errorf("JPPD should be illegal without a pushable join predicate")
 		}
 	}
@@ -129,9 +126,9 @@ SELECT e.name FROM emp e,
 (SELECT AVG(p.budget) a, p.dept_id dd FROM proj p GROUP BY p.dept_id) v
 WHERE e.salary = v.a`
 	q := qtree.MustBind(src, db.Catalog)
-	objs := (&ViewStrategy{}).objects(q)
+	objs := (&ViewStrategy{}).Find(q)
 	for _, o := range objs {
-		if o.jppdOK {
+		if o.forms&formSecond != 0 {
 			t.Errorf("JPPD on aggregate output must be refused")
 		}
 	}
@@ -154,7 +151,7 @@ func TestOrExpansionRefusals(t *testing.T) {
 	}
 	for _, src := range bad {
 		q := qtree.MustBind(src, db.Catalog)
-		if n := r.Find(q); n != 0 {
+		if n := len(r.Find(q)); n != 0 {
 			t.Errorf("OR expansion should refuse: %s", src)
 		}
 	}
@@ -178,7 +175,7 @@ func TestPullupRefusals(t *testing.T) {
 	}
 	for _, src := range bad {
 		q := qtree.MustBind(src, db.Catalog)
-		if n := r.Find(q); n != 0 {
+		if n := len(r.Find(q)); n != 0 {
 			t.Errorf("pullup should refuse: %s", src)
 		}
 	}
@@ -201,7 +198,7 @@ func TestFactorizationRefusals(t *testing.T) {
 	}
 	for _, src := range bad {
 		q := qtree.MustBind(src, db.Catalog)
-		if n := r.Find(q); n != 0 {
+		if n := len(r.Find(q)); n != 0 {
 			t.Errorf("factorization should refuse: %s", src)
 		}
 	}
@@ -222,7 +219,7 @@ func TestGroupByPlacementRefusals(t *testing.T) {
 	}
 	for _, src := range bad {
 		q := qtree.MustBind(src, db.Catalog)
-		if n := r.Find(q); n != 0 {
+		if n := len(r.Find(q)); n != 0 {
 			t.Errorf("group-by placement should refuse: %s", src)
 		}
 	}
@@ -236,7 +233,7 @@ func TestSetOpIntoJoinRefusesNestedSetChildren(t *testing.T) {
 (SELECT e.dept_id FROM emp e UNION ALL SELECT p.dept_id FROM proj p)
 MINUS SELECT d.dept_id FROM dept d`
 	q := qtree.MustBind(src, db.Catalog)
-	if n := r.Find(q); n != 0 {
+	if n := len(r.Find(q)); n != 0 {
 		t.Errorf("nested set children should be refused, found %d", n)
 	}
 }

@@ -13,26 +13,17 @@ type PredicateMoveAround struct{}
 // Name implements HeuristicRule.
 func (*PredicateMoveAround) Name() string { return "filter predicate move around" }
 
-// Apply implements HeuristicRule. Following [Levy/Mumick/Sagiv], predicates
+// Visit implements HeuristicRule. Following [Levy/Mumick/Sagiv], predicates
 // are first pulled up (copied, since they remain implied below), then
 // propagated across equality classes, then pushed down — so a filter deep
 // in one view can reach the scan of a joined view.
-func (*PredicateMoveAround) Apply(q *qtree.Query) (bool, error) {
-	changed := false
-	for _, b := range Blocks(q) {
-		// Copy-on-write materialization forwards blocks; each helper
-		// re-resolves so the later passes see the earlier passes' writes.
-		if pullUpImplied(q, b) {
-			changed = true
-		}
-		if transitiveClose(q, b) {
-			changed = true
-		}
-		if pushIntoViews(q, b) {
-			changed = true
-		}
-	}
-	return changed, nil
+func (*PredicateMoveAround) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
+	// Copy-on-write materialization forwards blocks; each helper
+	// re-resolves so the later steps see the earlier steps' writes.
+	pulled := pullUpImplied(q, b)
+	closed := transitiveClose(q, b)
+	pushed := pushIntoViews(q, b)
+	return pulled || closed || pushed, nil
 }
 
 // pullUpImplied copies constant equality/range predicates on a view's
@@ -45,10 +36,7 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 	if b.IsSetOp() {
 		return false
 	}
-	existing := map[string]bool{}
-	for _, e := range b.Where {
-		existing[e.String()] = true
-	}
+	var existing map[string]bool // rendered conjuncts, on the first candidate
 	changed := false
 	for _, f := range b.From {
 		if f.View == nil || f.View.IsSetOp() || f.Kind != qtree.JoinInner {
@@ -87,6 +75,9 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 				R:  &qtree.Const{Val: con.Val},
 			}
 			k := up.String()
+			if existing == nil {
+				existing = whereKeys(b)
+			}
 			if existing[k] {
 				continue
 			}
@@ -97,6 +88,16 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 		}
 	}
 	return changed
+}
+
+// whereKeys renders b's conjuncts, the keys the move-around steps
+// deduplicate new predicates by.
+func whereKeys(b *qtree.Block) map[string]bool {
+	keys := make(map[string]bool, len(b.Where))
+	for _, e := range b.Where {
+		keys[e.String()] = true
+	}
+	return keys
 }
 
 // transitiveClose derives new constant predicates across equality classes:
@@ -144,11 +145,8 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 	if len(parent) == 0 {
 		return false
 	}
-	// Collect existing conjunct renderings to deduplicate.
-	existing := map[string]bool{}
-	for _, e := range b.Where {
-		existing[e.String()] = true
-	}
+	// Existing conjunct renderings deduplicate the derived predicates.
+	var existing map[string]bool
 	// For each col-vs-constant comparison, propagate to class members.
 	changed := false
 	var derived []qtree.Expr
@@ -184,6 +182,9 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 			}
 			oc := colByKey[other]
 			ne := &qtree.Bin{Op: op, L: &qtree.Col{From: oc.From, Ord: oc.Ord, Name: oc.Name}, R: cloneExpr(q, con)}
+			if existing == nil {
+				existing = whereKeys(b)
+			}
 			if k := ne.String(); !existing[k] {
 				existing[k] = true
 				derived = append(derived, ne)
@@ -360,18 +361,15 @@ type GroupPruning struct{}
 // Name implements HeuristicRule.
 func (*GroupPruning) Name() string { return "group pruning" }
 
-// Apply implements HeuristicRule.
-func (*GroupPruning) Apply(q *qtree.Query) (bool, error) {
+// Visit implements HeuristicRule.
+func (*GroupPruning) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
 	changed := false
-	for _, b := range Blocks(q) {
-		b = q.Resolve(b)
-		for _, f := range b.From {
-			if f.View == nil || f.View.GroupingSets == nil {
-				continue
-			}
-			if pruneGroups(q, b, f) {
-				changed = true
-			}
+	for _, f := range b.From {
+		if f.View == nil || f.View.GroupingSets == nil {
+			continue
+		}
+		if pruneGroups(q, b, f) {
+			changed = true
 		}
 	}
 	return changed, nil

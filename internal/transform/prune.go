@@ -17,19 +17,16 @@ type RedundancyPruning struct{}
 // Name implements HeuristicRule.
 func (*RedundancyPruning) Name() string { return "redundancy pruning" }
 
-// Apply implements HeuristicRule.
-func (*RedundancyPruning) Apply(q *qtree.Query) (bool, error) {
+// Visit implements HeuristicRule.
+func (*RedundancyPruning) Visit(q *qtree.Query, b *qtree.Block) (bool, error) {
 	changed := false
-	for _, b := range Blocks(q) {
+	if pruneDistinct(q, b) {
+		changed = true
 		b = q.Resolve(b)
-		if pruneDistinct(q, b) {
+	}
+	for _, f := range b.From {
+		if f.View != nil && pruneViewOrder(q, b, f.View) {
 			changed = true
-			b = q.Resolve(b)
-		}
-		for _, f := range b.From {
-			if f.View != nil && pruneViewOrder(q, b, f.View) {
-				changed = true
-			}
 		}
 	}
 	return changed, nil

@@ -17,30 +17,20 @@ type PredicatePullup struct{}
 // Name implements Rule.
 func (*PredicatePullup) Name() string { return "predicate pullup" }
 
-type pullupObj struct {
-	block *qtree.Block
-	from  int
-	where int // index of the expensive predicate in the view's WHERE
-}
-
-func (r *PredicatePullup) objects(q *qtree.Query) []pullupObj {
-	var out []pullupObj
+// Find implements Rule.
+func (r *PredicatePullup) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
 		if b.IsSetOp() || b.Limit == 0 {
 			continue // only under a rownum predicate (§2.2.6)
 		}
-		for fi, f := range b.From {
-			if f.View == nil || f.Kind != qtree.JoinInner || f.Lateral {
+		for _, f := range b.From {
+			if !pullupView(f) {
 				continue
 			}
-			v := f.View
-			if v.IsSetOp() || len(v.OrderBy) == 0 || v.Limit > 0 ||
-				v.Distinct || v.HasGroupBy() || v.HasWindowFuncs() {
-				continue // the view must block (ORDER BY) and be simple
-			}
-			for wi, e := range v.Where {
+			for wi, e := range f.View.Where {
 				if isExpensive(e) {
-					out = append(out, pullupObj{block: b, from: fi, where: wi})
+					out = append(out, Object{Variants: 1, Block: b, From: f.ID, Where: wi})
 				}
 			}
 		}
@@ -48,28 +38,31 @@ func (r *PredicatePullup) objects(q *qtree.Query) []pullupObj {
 	return out
 }
 
-// Find implements Rule.
-func (r *PredicatePullup) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule.
-func (r *PredicatePullup) Variants(q *qtree.Query, obj int) int { return 1 }
+// pullupView reports whether f is a view a predicate can be pulled out of:
+// one that blocks (ORDER BY) and is otherwise simple.
+func pullupView(f *qtree.FromItem) bool {
+	if f.View == nil || f.Kind != qtree.JoinInner || f.Lateral {
+		return false
+	}
+	v := f.View
+	return !v.IsSetOp() && len(v.OrderBy) > 0 && v.Limit == 0 &&
+		!v.Distinct && !v.HasGroupBy() && !v.HasWindowFuncs()
+}
 
 // Apply implements Rule.
-func (r *PredicatePullup) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("predicate pullup: object %d out of range", obj)
-	}
-	o := objs[obj]
+func (r *PredicatePullup) Apply(q *qtree.Query, o Object, variant int) error {
 	// Both the view (losing the predicate, gaining hidden outputs) and the
 	// containing block (gaining the pulled predicate) are mutated, and the
 	// predicate's subquery blocks are rewritten in place — privatize the
 	// view's subtree under copy-on-write.
-	b := q.Mutable(o.block)
-	f := b.From[o.from]
+	b := q.Mutable(o.Block)
+	f := b.FindFrom(o.From)
+	if f == nil || !pullupView(f) || o.Where >= len(f.View.Where) {
+		return fmt.Errorf("predicate pullup: view item %d has no conjunct %d to pull up", o.From, o.Where)
+	}
 	v := q.MutableDeep(f.View)
-	pred := v.Where[o.where]
-	v.Where = append(v.Where[:o.where:o.where], v.Where[o.where+1:]...)
+	pred := v.Where[o.Where]
+	v.Where = append(v.Where[:o.Where:o.Where], v.Where[o.Where+1:]...)
 
 	// Expose every view-internal column the predicate references as an
 	// extra output, reusing existing outputs where possible.

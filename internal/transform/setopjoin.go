@@ -17,43 +17,34 @@ type SetOpIntoJoin struct{}
 // Name implements Rule.
 func (*SetOpIntoJoin) Name() string { return "set operators into joins" }
 
-type setOpObj struct {
-	block *qtree.Block
-}
-
-func (r *SetOpIntoJoin) objects(q *qtree.Query) []setOpObj {
-	var out []setOpObj
+// Find implements Rule. Variant 1 removes duplicates at the join output;
+// variant 2 removes them at the left input.
+func (r *SetOpIntoJoin) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
-		if b.Set == nil || len(b.Set.Children) != 2 {
-			continue
+		if setOpConvertible(b) {
+			out = append(out, Object{Variants: 2, Block: b})
 		}
-		if b.Set.Kind != qtree.SetIntersect && b.Set.Kind != qtree.SetMinus {
-			continue
-		}
-		// Children must be SELECT blocks (nested set operations would need
-		// their own conversion first).
-		if b.Set.Children[0].IsSetOp() || b.Set.Children[1].IsSetOp() {
-			continue
-		}
-		out = append(out, setOpObj{block: b})
 	}
 	return out
 }
 
-// Find implements Rule.
-func (r *SetOpIntoJoin) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule. Variant 1 removes duplicates at the join
-// output; variant 2 removes them at the left input.
-func (r *SetOpIntoJoin) Variants(q *qtree.Query, obj int) int { return 2 }
+// setOpConvertible reports whether b is an INTERSECT or MINUS of two
+// SELECT blocks (nested set operations would need their own conversion
+// first).
+func setOpConvertible(b *qtree.Block) bool {
+	return b.Set != nil && len(b.Set.Children) == 2 &&
+		(b.Set.Kind == qtree.SetIntersect || b.Set.Kind == qtree.SetMinus) &&
+		!b.Set.Children[0].IsSetOp() && !b.Set.Children[1].IsSetOp()
+}
 
 // Apply implements Rule.
-func (r *SetOpIntoJoin) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("set-op into join: object %d out of range", obj)
+func (r *SetOpIntoJoin) Apply(q *qtree.Query, o Object, variant int) error {
+	b := q.Resolve(o.Block)
+	if !setOpConvertible(b) {
+		return fmt.Errorf("set-op into join: block %d is no longer a convertible set operation", b.ID)
 	}
-	b := q.Mutable(objs[obj].block)
+	b = q.Mutable(b)
 	kind := b.Set.Kind
 	c1, c2 := b.Set.Children[0], b.Set.Children[1]
 	outNames := b.OutCols()

@@ -65,11 +65,16 @@ func assertEquivalent(t *testing.T, db *storage.DB, src string, mutate func(*qtr
 	}
 }
 
+// applyOnce runs one pass of heuristic rule r over every block of q.
+func applyOnce(q *qtree.Query, r HeuristicRule) (bool, error) {
+	return heuristicPass(q, r, passBlocks(q, false), false)
+}
+
 func heuristic(name string) func(*qtree.Query) bool {
 	return func(q *qtree.Query) bool {
 		for _, r := range Heuristics() {
 			if r.Name() == name {
-				ch, err := r.Apply(q)
+				ch, err := applyOnce(q, r)
 				if err != nil {
 					panic(err)
 				}
@@ -86,10 +91,11 @@ func costBased(t *testing.T, name string, obj, variant int) func(*qtree.Query) b
 			if r.Name() != name {
 				continue
 			}
-			if r.Find(q) <= obj {
+			objs := r.Find(q)
+			if len(objs) <= obj {
 				return false
 			}
-			if err := r.Apply(q, obj, variant); err != nil {
+			if err := r.Apply(q, objs[obj], variant); err != nil {
 				t.Fatalf("%s apply: %v", name, err)
 			}
 			return true
@@ -106,7 +112,7 @@ func TestSPJViewMerge(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&SPJViewMerge{}).Apply(q2)
+	ch, err := applyOnce(q2, &SPJViewMerge{})
 	if err != nil || !ch {
 		t.Fatalf("merge: %v %v", ch, err)
 	}
@@ -138,7 +144,7 @@ func TestSPJViewMergeCopiesSubqueryPerUse(t *testing.T) {
 	        WHERE v.x > 0`
 	want := results(t, db, qtree.MustBind(src, db.Catalog))
 	q := qtree.MustBind(src, db.Catalog)
-	if ch, err := (&SPJViewMerge{}).Apply(q); err != nil || !ch {
+	if ch, err := applyOnce(q, &SPJViewMerge{}); err != nil || !ch {
 		t.Fatalf("merge: %v %v", ch, err)
 	}
 	var copies []*qtree.Block
@@ -171,7 +177,7 @@ func TestJoinEliminationFK(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&JoinElimination{}).Apply(q2)
+	ch, err := applyOnce(q2, &JoinElimination{})
 	if err != nil || !ch {
 		t.Fatalf("eliminate: %v %v", ch, err)
 	}
@@ -196,7 +202,7 @@ func TestJoinEliminationFK(t *testing.T) {
 func TestJoinEliminationNotWhenReferenced(t *testing.T) {
 	db := testkit.TinyDB()
 	q := qtree.MustBind(`SELECT e.name, d.name FROM emp e, dept d WHERE e.dept_id = d.dept_id`, db.Catalog)
-	ch, err := (&JoinElimination{}).Apply(q)
+	ch, err := applyOnce(q, &JoinElimination{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +225,7 @@ func TestUnnestMergeExists(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&UnnestMerge{}).Apply(q2)
+	ch, err := applyOnce(q2, &UnnestMerge{})
 	if err != nil || !ch {
 		t.Fatalf("unnest: %v %v", ch, err)
 	}
@@ -271,7 +277,7 @@ func TestPredicatePushIntoView(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&PredicateMoveAround{}).Apply(q2)
+	ch, err := applyOnce(q2, &PredicateMoveAround{})
 	if err != nil || !ch {
 		t.Fatalf("move around: %v %v", ch, err)
 	}
@@ -289,7 +295,7 @@ func TestPredicateNotPushedPastAggregateOutput(t *testing.T) {
 	    (SELECT e.dept_id d, AVG(e.salary) avg_sal FROM emp e GROUP BY e.dept_id) v
 	    WHERE v.avg_sal > 100`, db.Catalog)
 	before := len(q.Root.Where)
-	if _, err := (&PredicateMoveAround{}).Apply(q); err != nil {
+	if _, err := applyOnce(q, &PredicateMoveAround{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(q.Root.Where) != before {
@@ -321,7 +327,7 @@ func TestTransitivePredicates(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&PredicateMoveAround{}).Apply(q2)
+	ch, err := applyOnce(q2, &PredicateMoveAround{})
 	if err != nil || !ch {
 		t.Fatalf("transitive: %v %v", ch, err)
 	}
@@ -342,7 +348,7 @@ func TestGroupPruning(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&GroupPruning{}).Apply(q2)
+	ch, err := applyOnce(q2, &GroupPruning{})
 	if err != nil || !ch {
 		t.Fatalf("prune: %v %v", ch, err)
 	}
@@ -366,13 +372,13 @@ func TestUnnestAggSubqueryVariant1(t *testing.T) {
 	want := results(t, db, q)
 	q2 := qtree.MustBind(q1Tiny, db.Catalog)
 	r := &UnnestSubquery{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d", len(r.Find(q2)))
 	}
-	if r.Variants(q2, 0) != 2 {
-		t.Fatalf("variants = %d (unnest, unnest+merge)", r.Variants(q2, 0))
+	if r.Find(q2)[0].Variants != 2 {
+		t.Fatalf("variants = %d (unnest, unnest+merge)", r.Find(q2)[0].Variants)
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	// The query now has a group-by view joined in.
@@ -396,7 +402,7 @@ func TestUnnestAggSubqueryVariant2Interleaved(t *testing.T) {
 	want := results(t, db, q)
 	q2 := qtree.MustBind(q1Tiny, db.Catalog)
 	r := &UnnestSubquery{}
-	if err := r.Apply(q2, 0, 2); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 2); err != nil {
 		t.Fatal(err)
 	}
 	// Fully merged: no views left, outer block is grouped with HAVING.
@@ -421,7 +427,7 @@ func TestUnnestMultiTableIn(t *testing.T) {
 	// Check it used a semijoined view.
 	q := qtree.MustBind(src, db.Catalog)
 	r := &UnnestSubquery{}
-	if err := r.Apply(q, 0, 1); err != nil {
+	if err := r.Apply(q, r.Find(q)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -476,13 +482,13 @@ func TestViewStrategyJPPD(t *testing.T) {
 	want := results(t, db, q)
 	q2 := qtree.MustBind(q12Tiny, db.Catalog)
 	r := &ViewStrategy{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d", len(r.Find(q2)))
 	}
-	if r.Variants(q2, 0) != 2 {
-		t.Fatalf("variants = %d (merge, jppd)", r.Variants(q2, 0))
+	if r.Find(q2)[0].Variants != 2 {
+		t.Fatalf("variants = %d (merge, jppd)", r.Find(q2)[0].Variants)
 	}
-	if err := r.Apply(q2, 0, 2); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 2); err != nil {
 		t.Fatal(err)
 	}
 	// Q13 shape: lateral view, distinct removed, semijoin.
@@ -532,10 +538,10 @@ func TestGroupByPlacement(t *testing.T) {
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
 	r := &GroupByPlacement{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d", len(r.Find(q2)))
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	// proj should now be wrapped in a group-by view.
@@ -584,10 +590,10 @@ func TestOrExpansion(t *testing.T) {
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
 	r := &OrExpansion{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d", len(r.Find(q2)))
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	if q2.Root.Set == nil || q2.Root.Set.Kind != qtree.SetUnionAll {
@@ -621,10 +627,10 @@ SELECT d.name, p.pname FROM proj p, dept d WHERE p.dept_id = d.dept_id`
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
 	r := &JoinFactorization{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d (DEPT is common)", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d (DEPT is common)", len(r.Find(q2)))
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	if q2.Root.Set != nil {
@@ -655,10 +661,10 @@ WHERE rownum <= 3`
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
 	r := &PredicatePullup{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d (one expensive predicate)", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d (one expensive predicate)", len(r.Find(q2)))
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	// The expensive predicate must now be in the outer block.
@@ -709,14 +715,24 @@ WHERE v.d = 10 AND EXISTS (SELECT 1 FROM proj p WHERE p.dept_id = v.d)`
 	}
 }
 
+// TestRuleObjectsStableAcrossClone pins what the CBQT driver's deep-copy
+// reference path relies on: Find on a deep copy finds the same objects, with
+// the same variant counts, in the same order.
 func TestRuleObjectsStableAcrossClone(t *testing.T) {
 	db := testkit.TinyDB()
 	q := qtree.MustBind(q1Tiny, db.Catalog)
 	for _, r := range CostBasedRules() {
-		n := r.Find(q)
+		objs := r.Find(q)
 		clone, _ := q.Clone()
-		if got := r.Find(clone); got != n {
-			t.Errorf("%s: objects change across clone: %d vs %d", r.Name(), n, got)
+		got := r.Find(clone)
+		if len(got) != len(objs) {
+			t.Errorf("%s: objects change across clone: %d vs %d", r.Name(), len(objs), len(got))
+			continue
+		}
+		for i := range objs {
+			if got[i].Variants != objs[i].Variants || got[i].Where != objs[i].Where {
+				t.Errorf("%s: object %d changes across clone: %+v vs %+v", r.Name(), i, objs[i], got[i])
+			}
 		}
 	}
 }
@@ -735,15 +751,15 @@ SELECT d.name, p.pname FROM proj p, dept d WHERE p.dept_id = d.loc_id`
 
 	q2 := qtree.MustBind(src, db.Catalog)
 	r := &JoinFactorization{}
-	if r.Find(q2) != 1 {
-		t.Fatalf("objects = %d", r.Find(q2))
+	if len(r.Find(q2)) != 1 {
+		t.Fatalf("objects = %d", len(r.Find(q2)))
 	}
 	// Different join ordinals across branches: only the lateral variant is
 	// legal, so it is variant 1.
-	if r.Variants(q2, 0) != 1 {
-		t.Fatalf("variants = %d, want 1 (lateral only)", r.Variants(q2, 0))
+	if r.Find(q2)[0].Variants != 1 {
+		t.Fatalf("variants = %d, want 1 (lateral only)", r.Find(q2)[0].Variants)
 	}
-	if err := r.Apply(q2, 0, 1); err != nil {
+	if err := r.Apply(q2, r.Find(q2)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	// Shape: DEPT joined with a lateral union-all view.
@@ -774,7 +790,7 @@ func TestDistinctEliminationOnUniqueKey(t *testing.T) {
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&RedundancyPruning{}).Apply(q2)
+	ch, err := applyOnce(q2, &RedundancyPruning{})
 	if err != nil || !ch {
 		t.Fatalf("prune: %v %v", ch, err)
 	}
@@ -801,7 +817,7 @@ func TestDistinctNotEliminatedWithoutKey(t *testing.T) {
 	}
 	for _, src := range cases {
 		q := qtree.MustBind(src, db.Catalog)
-		if _, err := (&RedundancyPruning{}).Apply(q); err != nil {
+		if _, err := applyOnce(q, &RedundancyPruning{}); err != nil {
 			t.Fatal(err)
 		}
 		if !q.Root.Distinct {
@@ -814,7 +830,7 @@ func TestViewOrderByPruned(t *testing.T) {
 	db := testkit.TinyDB()
 	src := `SELECT v.n FROM (SELECT e.name n FROM emp e ORDER BY e.salary) v WHERE v.n LIKE '%a%'`
 	q := qtree.MustBind(src, db.Catalog)
-	ch, err := (&RedundancyPruning{}).Apply(q)
+	ch, err := applyOnce(q, &RedundancyPruning{})
 	if err != nil || !ch {
 		t.Fatalf("prune: %v %v", ch, err)
 	}
@@ -824,7 +840,7 @@ func TestViewOrderByPruned(t *testing.T) {
 	// Under a rownum limit the order is observable and must survive.
 	src = `SELECT v.n FROM (SELECT e.name n FROM emp e ORDER BY e.salary) v WHERE rownum <= 2`
 	q = qtree.MustBind(src, db.Catalog)
-	if _, err := (&RedundancyPruning{}).Apply(q); err != nil {
+	if _, err := applyOnce(q, &RedundancyPruning{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(q.Root.From[0].View.OrderBy) == 0 {
@@ -854,7 +870,7 @@ WHERE v1.d = v2.d`
 	q3 := qtree.MustBind(src, db.Catalog)
 	ma := &PredicateMoveAround{}
 	for i := 0; i < 5; i++ {
-		if ch, err := ma.Apply(q3); err != nil {
+		if ch, err := applyOnce(q3, ma); err != nil {
 			t.Fatal(err)
 		} else if !ch {
 			break
@@ -888,7 +904,7 @@ SELECT v.d FROM (SELECT e.dept_id d FROM emp e WHERE e.dept_id = 10) v`
 	ma := &PredicateMoveAround{}
 	sizeBefore := -1
 	for i := 0; i < 6; i++ {
-		if _, err := ma.Apply(q); err != nil {
+		if _, err := applyOnce(q, ma); err != nil {
 			t.Fatal(err)
 		}
 		n := len(q.Root.From[0].View.Where)
@@ -896,5 +912,65 @@ SELECT v.d FROM (SELECT e.dept_id d FROM emp e WHERE e.dept_id = 10) v`
 			t.Fatalf("view predicate list grows without bound: %d -> %d", sizeBefore, n)
 		}
 		sizeBefore = n
+	}
+}
+
+// TestHandlesFollowReshapedBlocks pins what a handle means once an earlier
+// application in the same state reshaped its block. Expanding the second
+// disjunction turns the block into a UNION ALL header, and the first
+// disjunction is then expanded in every branch: four branches, one per
+// combination of disjuncts. Factoring EMP out of a UNION ALL leaves the
+// UNION ALL in the VW_JF_L view, and DEPT is then factored out of that
+// view.
+func TestHandlesFollowReshapedBlocks(t *testing.T) {
+	db := testkit.TinyDB()
+	applyLastFirst := func(src string, r Rule, variants ...int) *qtree.Query {
+		t.Helper()
+		base := qtree.MustBind(src, db.Catalog)
+		objs := r.Find(base)
+		if len(objs) != len(variants) {
+			t.Fatalf("%s: objects = %d, want %d", r.Name(), len(objs), len(variants))
+		}
+		q := base.CloneCOW()
+		for i := len(objs) - 1; i >= 0; i-- {
+			if variants[i] == 0 {
+				continue
+			}
+			if err := r.Apply(q, objs[i], variants[i]); err != nil {
+				t.Fatalf("%s object %d: %v", r.Name(), i, err)
+			}
+		}
+		if got, want := results(t, db, q), results(t, db, base); !sameRows(want, got) {
+			t.Errorf("%s: results differ\ntransformed: %s\nwant: %v\ngot:  %v", r.Name(), q.SQL(), want, got)
+		}
+		return q
+	}
+
+	q := applyLastFirst(`SELECT e.name FROM emp e
+	 WHERE (e.dept_id = 10 OR e.salary > 200) AND (e.mgr_id = 1 OR e.emp_id = 3)`, &OrExpansion{}, 1, 1)
+	if q.Root.Set == nil || len(q.Root.Set.Children) != 4 {
+		t.Fatalf("want one UNION ALL of four branches: %s", q.SQL())
+	}
+	for _, br := range q.Root.Set.Children {
+		for _, e := range br.Where {
+			if br.IsSetOp() || len(splitOr(e)) > 1 {
+				t.Fatalf("a branch keeps a disjunction: %s", q.SQL())
+			}
+		}
+	}
+
+	// DEPT has both forms (variant 1 strict), EMP and PROJ only the lateral.
+	q = applyLastFirst(`
+SELECT d.name, e.name, p.pname FROM emp e, dept d, proj p
+ WHERE e.dept_id = d.dept_id AND p.dept_id = d.dept_id AND p.budget > 100
+UNION ALL
+SELECT d.name, e.name, p.pname FROM emp e, dept d, proj p
+ WHERE e.dept_id = d.dept_id AND p.dept_id = d.dept_id AND e.salary > 200`, &JoinFactorization{}, 1, 1, 0)
+	if q.Root.Set != nil || len(q.Root.From) != 2 || q.Root.From[0].Table.Name != "EMP" {
+		t.Fatalf("EMP is not factored out of the root: %s", q.SQL())
+	}
+	inner := q.Root.From[1].View
+	if inner.Set != nil || len(inner.From) != 2 || inner.From[0].Table.Name != "DEPT" || !inner.From[1].View.IsSetOp() {
+		t.Fatalf("DEPT is not factored out of the VW_JF_L view: %s", q.SQL())
 	}
 }

@@ -37,99 +37,96 @@ const (
 	unnestAnti
 )
 
-type unnestObj struct {
-	block *qtree.Block
-	where int
-	subq  *qtree.Subq
-	kind  unnestKind
-}
-
-func (r *UnnestSubquery) objects(q *qtree.Query) []unnestObj {
-	var out []unnestObj
+// Find implements Rule.
+func (r *UnnestSubquery) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
 		if b.IsSetOp() {
 			continue
 		}
 		for wi, e := range b.Where {
-			if o, ok := classifyUnnest(b, wi, e); ok {
-				out = append(out, o)
+			s, kind, ok := classifyUnnest(b, e)
+			if !ok {
+				continue
 			}
+			o := Object{Variants: 1, Block: b, Where: wi, Sub: s.Block.ID, kind: kind}
+			if kind == unnestAgg && !r.NoInterleave {
+				o.Variants = 2 // unnest; unnest + interleaved view merge
+			}
+			out = append(out, o)
 		}
 	}
 	return out
 }
 
-// Find implements Rule.
-func (r *UnnestSubquery) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule.
-func (r *UnnestSubquery) Variants(q *qtree.Query, obj int) int {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return 1
+// Apply implements Rule.
+func (r *UnnestSubquery) Apply(q *qtree.Query, o Object, variant int) error {
+	b, s, err := unnestSite(q, o)
+	if err != nil {
+		return err
 	}
-	if objs[obj].kind == unnestAgg && !r.NoInterleave {
-		return 2 // unnest; unnest + interleaved view merge
+	if o.kind != unnestAgg {
+		return unnestToJoinView(q, b, o.Where, s)
 	}
-	return 1
+	fv, err := unnestAggSubquery(q, b, o.Where, s)
+	if err != nil || variant != 2 {
+		return err
+	}
+	// The unnest materialized b under copy-on-write; merge into its
+	// current incarnation.
+	return mergeGroupByView(q, q.Resolve(b), fv)
 }
 
-// Apply implements Rule.
-func (r *UnnestSubquery) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("unnest: object %d out of range", obj)
-	}
-	o := objs[obj]
-	switch o.kind {
-	case unnestAgg:
-		fv, err := unnestAggSubquery(q, o)
-		if err != nil {
-			return err
+// unnestSite locates unnesting object o in q: its block's current
+// incarnation and the subquery its conjunct holds now.
+func unnestSite(q *qtree.Query, o Object) (*qtree.Block, *qtree.Subq, error) {
+	b := q.Resolve(o.Block)
+	if o.Where < len(b.Where) {
+		sides := [2]qtree.Expr{b.Where[o.Where]}
+		if bin, ok := sides[0].(*qtree.Bin); ok {
+			sides = [2]qtree.Expr{bin.R, bin.L}
 		}
-		if variant == 2 {
-			// The unnest may have materialized o.block under copy-on-write;
-			// merge into its current incarnation.
-			return mergeGroupByView(q, q.Resolve(o.block), fv)
+		for _, e := range sides {
+			if s, ok := e.(*qtree.Subq); ok && s.Block.ID == o.Sub {
+				return b, s, nil
+			}
 		}
-		return nil
-	default:
-		return unnestToJoinView(q, o)
 	}
+	return nil, nil, fmt.Errorf("unnest: subquery block %d is no longer at conjunct %d of block %d", o.Sub, o.Where, b.ID)
 }
 
 // classifyUnnest decides whether conjunct e of block b is unnestable in a
-// cost-based way and how.
-func classifyUnnest(b *qtree.Block, wi int, e qtree.Expr) (unnestObj, bool) {
+// cost-based way and how, returning the subquery to unnest.
+func classifyUnnest(b *qtree.Block, e qtree.Expr) (*qtree.Subq, unnestKind, bool) {
 	// Correlated aggregate scalar subquery inside a comparison.
 	if bin, ok := e.(*qtree.Bin); ok && bin.Op.IsComparison() {
 		if s, ok := bin.R.(*qtree.Subq); ok && s.Kind == qtree.SubqScalar {
 			if aggUnnestLegal(b, s) {
-				return unnestObj{block: b, where: wi, subq: s, kind: unnestAgg}, true
+				return s, unnestAgg, true
 			}
 		}
 		if s, ok := bin.L.(*qtree.Subq); ok && s.Kind == qtree.SubqScalar {
 			if aggUnnestLegal(b, s) {
-				return unnestObj{block: b, where: wi, subq: s, kind: unnestAgg}, true
+				return s, unnestAgg, true
 			}
 		}
-		return unnestObj{}, false
+		return nil, 0, false
 	}
 	s, ok := e.(*qtree.Subq)
 	if !ok {
-		return unnestObj{}, false
+		return nil, 0, false
 	}
 	switch s.Kind {
 	case qtree.SubqIn, qtree.SubqExists:
 		if joinUnnestLegal(b, s) {
-			return unnestObj{block: b, where: wi, subq: s, kind: unnestSemi}, true
+			return s, unnestSemi, true
 		}
 	case qtree.SubqNotIn, qtree.SubqNotExists:
 		if joinUnnestLegal(b, s) && notInNullSafe(b, s) {
-			return unnestObj{block: b, where: wi, subq: s, kind: unnestAnti}, true
+			return s, unnestAnti, true
 		}
 	}
-	return unnestObj{}, false
+	return nil, 0, false
 }
 
 // corrPred decomposes conjunct e of the subquery as "innerExpr = outerExpr"
@@ -226,17 +223,14 @@ func aggUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 // unnestAggSubquery transforms Q1 into Q10: the aggregate subquery becomes
 // a group-by inline view joined on the correlation columns. It returns the
 // new from item so interleaving can merge it further.
-func unnestAggSubquery(q *qtree.Query, o unnestObj) (*qtree.FromItem, error) {
-	b := q.Mutable(o.block)
-	if _, ok := b.Where[o.where].(*qtree.Bin); !ok {
-		return nil, fmt.Errorf("transform: aggregate-subquery site %d is %T, want *qtree.Bin", o.where, b.Where[o.where])
-	}
+func unnestAggSubquery(q *qtree.Query, b *qtree.Block, wi int, s *qtree.Subq) (*qtree.FromItem, error) {
+	b = q.Mutable(b)
 	// Materializing the subquery block rebuilds the conjunct's expression
 	// spine under copy-on-write, so the comparison is re-fetched after.
-	sub := q.Mutable(o.subq.Block)
-	bin, ok := b.Where[o.where].(*qtree.Bin)
+	sub := q.Mutable(s.Block)
+	bin, ok := b.Where[wi].(*qtree.Bin)
 	if !ok {
-		return nil, fmt.Errorf("transform: aggregate-subquery site %d is %T, want *qtree.Bin", o.where, b.Where[o.where])
+		return nil, fmt.Errorf("transform: aggregate-subquery site %d is %T, want *qtree.Bin", wi, b.Where[wi])
 	}
 	defined := sub.Defined()
 
@@ -273,7 +267,7 @@ func unnestAggSubquery(q *qtree.Query, o unnestObj) (*qtree.FromItem, error) {
 	} else {
 		nbin.R = aggCol
 	}
-	b.Where[o.where] = nbin
+	b.Where[wi] = nbin
 	// Join the view on the correlation columns.
 	for i, out := range corrOuter {
 		b.Where = append(b.Where, &qtree.Bin{
@@ -356,9 +350,8 @@ func notInNullSafe(b *qtree.Block, s *qtree.Subq) bool {
 
 // unnestToJoinView transforms a multi-table (or grouped) quantified
 // subquery into an inline view joined by semijoin or (null-aware) antijoin.
-func unnestToJoinView(q *qtree.Query, o unnestObj) error {
-	b := q.Mutable(o.block)
-	s := o.subq
+func unnestToJoinView(q *qtree.Query, b *qtree.Block, wi int, s *qtree.Subq) error {
+	b = q.Mutable(b)
 	// The subquery's from items and grouping move into the new view, so its
 	// block must be private before the move.
 	sub := q.Mutable(s.Block)
@@ -430,7 +423,7 @@ func unnestToJoinView(q *qtree.Query, o unnestObj) error {
 			fv.Kind = qtree.JoinAnti
 		}
 	}
-	removeWhereAt(b, o.where)
+	removeWhereAt(b, wi)
 	b.From = append(b.From, fv)
 	return nil
 }

@@ -24,68 +24,39 @@ type ViewStrategy struct {
 // Name implements Rule.
 func (*ViewStrategy) Name() string { return "group-by view merging / join predicate pushdown" }
 
-type viewObj struct {
-	block   *qtree.Block
-	from    int // index into block.From
-	mergeOK bool
-	jppdOK  bool
-}
-
-func (r *ViewStrategy) objects(q *qtree.Query) []viewObj {
-	var out []viewObj
+// Find implements Rule. Variant 1 is merging when legal (otherwise JPPD);
+// variant 2 is JPPD.
+func (r *ViewStrategy) Find(q *qtree.Query) []Object {
+	var out []Object
 	for _, b := range Blocks(q) {
 		if b.IsSetOp() {
 			continue
 		}
-		for fi, f := range b.From {
-			o := viewObj{block: b, from: fi}
-			o.mergeOK = !r.NoMerge && canMergeGroupByView(b, f)
-			o.jppdOK = !r.NoJPPD && canJPPD(b, f)
-			if o.mergeOK || o.jppdOK {
-				out = append(out, o)
+		for _, f := range b.From {
+			mergeOK := !r.NoMerge && canMergeGroupByView(b, f)
+			jppdOK := !r.NoJPPD && canJPPD(b, f)
+			if mergeOK || jppdOK {
+				out = append(out, Object{Block: b, From: f.ID}.withForms(mergeOK, jppdOK))
 			}
 		}
 	}
 	return out
 }
 
-// Find implements Rule.
-func (r *ViewStrategy) Find(q *qtree.Query) int { return len(r.objects(q)) }
-
-// Variants implements Rule.
-func (r *ViewStrategy) Variants(q *qtree.Query, obj int) int {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return 1
+// Apply implements Rule.
+func (r *ViewStrategy) Apply(q *qtree.Query, o Object, variant int) error {
+	b := q.Resolve(o.Block)
+	f := b.FindFrom(o.From)
+	if f == nil {
+		return fmt.Errorf("view strategy: view item %d not found", o.From)
 	}
-	n := 0
-	if objs[obj].mergeOK {
-		n++
+	switch o.form(variant) {
+	case formFirst:
+		return mergeGroupByView(q, b, f)
+	case formSecond:
+		return jppdView(q, b, f)
 	}
-	if objs[obj].jppdOK {
-		n++
-	}
-	return n
-}
-
-// Apply implements Rule. Variant 1 is merging when legal (otherwise JPPD);
-// variant 2 is JPPD.
-func (r *ViewStrategy) Apply(q *qtree.Query, obj, variant int) error {
-	objs := r.objects(q)
-	if obj >= len(objs) {
-		return fmt.Errorf("view strategy: object %d out of range", obj)
-	}
-	o := objs[obj]
-	f := o.block.From[o.from]
-	switch {
-	case variant == 1 && o.mergeOK:
-		return mergeGroupByView(q, o.block, f)
-	case variant == 1 && o.jppdOK:
-		return jppdView(q, o.block, f)
-	case variant == 2 && o.jppdOK:
-		return jppdView(q, o.block, f)
-	}
-	return fmt.Errorf("view strategy: no variant %d for object %d", variant, obj)
+	return fmt.Errorf("view strategy: no variant %d for view item %d", variant, o.From)
 }
 
 // canMergeGroupByView checks Q10 -> Q11 legality.

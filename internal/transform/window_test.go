@@ -24,7 +24,7 @@ func TestQ7PartitionByPushdown(t *testing.T) {
 	want := results(t, db, q)
 
 	q2 := qtree.MustBind(q7SQL, db.Catalog)
-	ch, err := (&PredicateMoveAround{}).Apply(q2)
+	ch, err := applyOnce(q2, &PredicateMoveAround{})
 	if err != nil || !ch {
 		t.Fatalf("move around: %v %v", ch, err)
 	}
@@ -76,11 +76,11 @@ func refersToName(e qtree.Expr, name string) bool {
 func TestWindowViewNotMergedOrUnnested(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 3)
 	q := qtree.MustBind(q7SQL, db.Catalog)
-	if ch, err := (&SPJViewMerge{}).Apply(q); err != nil || ch {
+	if ch, err := applyOnce(q, &SPJViewMerge{}); err != nil || ch {
 		t.Errorf("window view must not merge as SPJ: %v %v", ch, err)
 	}
 	r := &ViewStrategy{}
-	if n := r.Find(q); n != 0 {
+	if n := len(r.Find(q)); n != 0 {
 		t.Errorf("window view is not a merge/JPPD object, found %d", n)
 	}
 }
@@ -96,7 +96,7 @@ WHERE e.dept_id = v.dd AND e.emp_id < 20`
 	q := qtree.MustBind(src, db.Catalog)
 	want := results(t, db, q)
 	q2 := qtree.MustBind(src, db.Catalog)
-	ch, err := (&PredicateMoveAround{}).Apply(q2)
+	ch, err := applyOnce(q2, &PredicateMoveAround{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ SELECT v.dd, v.rs FROM
 WHERE v.rs > 100`
 	q3 := qtree.MustBind(src3, db.Catalog)
 	before := len(q3.Root.Where)
-	if _, err := (&PredicateMoveAround{}).Apply(q3); err != nil {
+	if _, err := applyOnce(q3, &PredicateMoveAround{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(q3.Root.Where) != before {
