@@ -57,7 +57,8 @@ SELECT e.name FROM emp e WHERE EXISTS
 
 func TestQuantifiedOverUncorrelatedUsesStats(t *testing.T) {
 	db := testkit.TinyDB()
-	// > ALL over an uncorrelated subquery: answered via min/max statistics.
+	// > ALL over an uncorrelated subquery: the subquery runs once and every
+	// outer row folds its materialized rows.
 	got := runSQL(t, db, `
 SELECT e.name FROM emp e WHERE e.salary > ALL (SELECT p.budget / 10 FROM proj p)`)
 	// budgets/10: 100, 50, 80, 30 -> max 100; salaries > 100.

@@ -58,7 +58,7 @@ func pathCases() []pathCase {
 		}
 	}
 
-	return []pathCase{
+	cases := []pathCase{
 		{
 			name: "greedy-join-order",
 			db:   tiny,
@@ -229,6 +229,54 @@ func pathCases() []pathCase {
 			},
 		},
 	}
+
+	// Quantified comparisons over uncorrelated subqueries, which run once
+	// and fold their materialized rows. The binder turns = ANY into IN and
+	// <> ALL into NOT IN. EMP.dept_id is 10, 10, 20, 20, 30 and NULL (fay);
+	// the wanted names are worked out by hand, in sorted order.
+	const (
+		withNull = `(SELECT d.loc_id * 10 FROM dept d)`                   // 10, 20, 10, NULL
+		tens     = `(SELECT p.dept_id FROM proj p WHERE p.proj_id < 102)` // 10, 10
+		tenNull  = `(SELECT p.dept_id FROM proj p WHERE p.budget < 600)`  // 10, NULL
+		noRows   = `(SELECT p.dept_id FROM proj p WHERE p.budget > 99999)`
+	)
+	for _, q := range []struct {
+		name, pred string
+		kind       qtree.SubqKind
+		want       string
+	}{
+		{"eq-any-null-in-set", "= ANY " + withNull, qtree.SubqIn, "'ann','bob','cal','dee'"},
+		{"eq-any-empty", "= ANY " + noRows, qtree.SubqIn, ""},
+		{"ne-all", "<> ALL " + tens, qtree.SubqNotIn, "'cal','dee','eli'"},
+		{"ne-all-null-in-set", "<> ALL " + withNull, qtree.SubqNotIn, ""},
+		{"ne-all-empty", "<> ALL " + noRows, qtree.SubqNotIn, "'ann','bob','cal','dee','eli','fay'"},
+		{"ne-any", "<> ANY " + tens, qtree.SubqAnyCmp, "'cal','dee','eli'"},
+		{"ne-any-null-in-set", "<> ANY " + withNull, qtree.SubqAnyCmp, "'ann','bob','cal','dee','eli'"},
+		{"ne-any-empty", "<> ANY " + noRows, qtree.SubqAnyCmp, ""},
+		{"eq-all", "= ALL " + tens, qtree.SubqAllCmp, "'ann','bob'"},
+		{"eq-all-null-in-set", "= ALL " + tenNull, qtree.SubqAllCmp, ""},
+		{"eq-all-empty", "= ALL " + noRows, qtree.SubqAllCmp, "'ann','bob','cal','dee','eli','fay'"},
+	} {
+		cases = append(cases, pathCase{
+			name: "uncorrelated-" + q.name,
+			db:   tiny,
+			sql:  "SELECT e.name FROM emp e WHERE e.dept_id " + q.pred,
+			taken: func(p *optimizer.Plan, rows []Row) error {
+				found := false
+				for sq, sp := range p.Subplans {
+					found = found || sq.Kind == q.kind && len(sp.Correlated) == 0
+				}
+				if !found {
+					return fmt.Errorf("no uncorrelated %v subplan", q.kind)
+				}
+				if got := strings.Join(rowStrings(rows), ","); got != q.want {
+					return fmt.Errorf("rows %s, want %s", got, q.want)
+				}
+				return nil
+			},
+		})
+	}
+	return cases
 }
 
 // TestReachablePaths runs each path case on the row engine and on the batch

@@ -23,13 +23,8 @@ type subqRuntime struct {
 	rows    []Row
 
 	// inSet answers single-row IN probes in O(1): keys of null-free rows.
-	inSet       map[string]bool
-	inAnyNull   bool // some row has a null in a compared column
-	statsDone   bool
-	statsBroken bool        // column mixes incomparable kinds; min/max unusable
-	minV, maxV  datum.Datum // single-column subqueries only
-	colHasNull  bool
-	colNonEmpty bool
+	inSet     map[string]bool
+	inAnyNull bool // some row has a null in a compared column
 }
 
 // subqRuntimes lazily compiles subquery iterators.
@@ -146,45 +141,10 @@ func (rt *subqRuntime) buildInSet() {
 	}
 }
 
-// buildColStats prepares min/max over the first output column for
-// quantified comparisons. A column mixing incomparable kinds (reachable
-// from user SQL via e.g. a CASE select item) marks the stats broken and the
-// caller falls back to the row scan instead of panicking.
-func (rt *subqRuntime) buildColStats() {
-	if rt.statsDone {
-		return
-	}
-	rt.statsDone = true
-	for _, r := range rt.rows {
-		v := r[0]
-		if v.IsNull() {
-			rt.colHasNull = true
-			continue
-		}
-		rt.colNonEmpty = true
-		if rt.minV.IsNull() {
-			rt.minV = v
-		} else if c, err := datum.Compare(v, rt.minV); err != nil {
-			rt.statsBroken = true
-			return
-		} else if c < 0 {
-			rt.minV = v
-		}
-		if rt.maxV.IsNull() {
-			rt.maxV = v
-		} else if c, err := datum.Compare(v, rt.maxV); err != nil {
-			rt.statsBroken = true
-			return
-		} else if c > 0 {
-			rt.maxV = v
-		}
-	}
-}
-
 // evalSubq evaluates a subquery expression. Correlated subqueries run under
 // tuple iteration semantics with result caching per distinct (correlation,
-// left-hand) values (§2.1.1); uncorrelated subqueries are materialized once
-// and probed in constant time.
+// left-hand) values (§2.1.1); uncorrelated subqueries are materialized once,
+// and IN probes the materialization in constant time.
 func (e *env) evalSubq(s *qtree.Subq, ctx *Ctx) (datum.Datum, error) {
 	rt, err := e.subqRuntime(s)
 	if err != nil {
@@ -269,13 +229,6 @@ func (e *env) evalUncorrelated(s *qtree.Subq, rt *subqRuntime, ctx *Ctx, left Ro
 			res = res.Not()
 		}
 		return res.Datum(), nil
-	case qtree.SubqAnyCmp, qtree.SubqAllCmp:
-		if len(left) == 1 {
-			rt.buildColStats()
-			if !rt.statsBroken {
-				return quantFromStats(s, rt, left[0]).Datum(), nil
-			}
-		}
 	}
 	return combineSubqRows(s, left, rows)
 }
@@ -311,109 +264,6 @@ func (e *env) probeIn(rt *subqRuntime, left Row, rows []Row) datum.TriBool {
 		}
 	}
 	return res
-}
-
-// quantFromStats answers single-column ANY/ALL comparisons from min/max.
-func quantFromStats(s *qtree.Subq, rt *subqRuntime, x datum.Datum) datum.TriBool {
-	empty := !rt.colNonEmpty && !rt.colHasNull
-	if s.Kind == qtree.SubqAnyCmp {
-		if empty {
-			return datum.False
-		}
-		if x.IsNull() {
-			return datum.Unknown
-		}
-		verdict := datum.False
-		if rt.colNonEmpty {
-			switch s.Op {
-			case qtree.OpLt:
-				verdict = cmp3(x, rt.maxV, qtree.OpLt)
-			case qtree.OpLe:
-				verdict = cmp3(x, rt.maxV, qtree.OpLe)
-			case qtree.OpGt:
-				verdict = cmp3(x, rt.minV, qtree.OpGt)
-			case qtree.OpGe:
-				verdict = cmp3(x, rt.minV, qtree.OpGe)
-			case qtree.OpNe:
-				// x <> ANY: true unless every value equals x. An x of an
-				// incomparable kind leaves the comparison UNKNOWN, as the
-				// row scan would.
-				if mm, _ := datum.Compare(rt.minV, rt.maxV); mm != 0 {
-					verdict = datum.True
-				} else if xm, err := datum.Compare(x, rt.minV); err != nil {
-					verdict = datum.Unknown
-				} else {
-					verdict = datum.FromBool(xm != 0)
-				}
-			case qtree.OpEq:
-				lo, errLo := datum.Compare(x, rt.minV)
-				hi, errHi := datum.Compare(x, rt.maxV)
-				if errLo != nil || errHi != nil {
-					verdict = datum.Unknown
-				} else {
-					verdict = datum.FromBool(lo >= 0 && hi <= 0 && scanEq(rt.rows, x))
-				}
-			}
-		}
-		if verdict == datum.True {
-			return datum.True
-		}
-		if rt.colHasNull {
-			return datum.Unknown
-		}
-		return verdict
-	}
-	// ALL.
-	if empty {
-		return datum.True
-	}
-	if x.IsNull() {
-		return datum.Unknown
-	}
-	verdict := datum.True
-	if rt.colNonEmpty {
-		switch s.Op {
-		case qtree.OpLt:
-			verdict = cmp3(x, rt.minV, qtree.OpLt)
-		case qtree.OpLe:
-			verdict = cmp3(x, rt.minV, qtree.OpLe)
-		case qtree.OpGt:
-			verdict = cmp3(x, rt.maxV, qtree.OpGt)
-		case qtree.OpGe:
-			verdict = cmp3(x, rt.maxV, qtree.OpGe)
-		case qtree.OpEq:
-			if mm, _ := datum.Compare(rt.minV, rt.maxV); mm != 0 {
-				verdict = datum.False
-			} else if xm, err := datum.Compare(x, rt.minV); err != nil {
-				verdict = datum.Unknown
-			} else {
-				verdict = datum.FromBool(xm == 0)
-			}
-		case qtree.OpNe:
-			verdict = datum.FromBool(!scanEq(rt.rows, x))
-		}
-	}
-	if verdict == datum.False {
-		return datum.False
-	}
-	if rt.colHasNull {
-		return datum.Unknown
-	}
-	return verdict
-}
-
-// scanEq reports whether any first-column value equals x; values of a kind
-// incomparable with x count as not equal.
-func scanEq(rows []Row, x datum.Datum) bool {
-	for _, r := range rows {
-		if r[0].IsNull() {
-			continue
-		}
-		if c, err := datum.Compare(r[0], x); err == nil && c == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // combineSubqRows folds the subquery result rows into the predicate value

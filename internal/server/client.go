@@ -94,9 +94,6 @@ type Client struct {
 	// out holds the request being written, in the response frame or page
 	// being read; both are reused from one call to the next.
 	out, in []byte
-	// offer is the result-page format hello asks for, pageFormat the one
-	// the server answered with (see the PageFormat constants).
-	offer, pageFormat int
 }
 
 // Dial connects to a cbqtd server and performs the hello exchange.
@@ -112,18 +109,11 @@ func DialRetry(addr string, opts *SessionOptions, policy RetryPolicy) (*Client, 
 
 // DialWith connects with full client configuration.
 func DialWith(addr string, dop DialOptions) (*Client, error) {
-	return dial(addr, dop, PageFormatColumnar)
-}
-
-// dial is DialWith offering the server the given result-page format. The
-// client always offers the newest; tests offer PageFormatRows to stand in
-// for a peer from before the negotiation existed.
-func dial(addr string, dop DialOptions, offer int) (*Client, error) {
 	seed := dop.Retry.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	c := &Client{addr: addr, dop: dop, rng: rand.New(rand.NewSource(seed)), offer: offer}
+	c := &Client{addr: addr, dop: dop, rng: rand.New(rand.NewSource(seed))}
 	if err := c.connect(); err != nil {
 		return nil, err
 	}
@@ -143,18 +133,13 @@ func (c *Client) connect() error {
 	}
 	c.conn, c.r = conn, bufio.NewReader(conn)
 	c.broken = false
-	c.pageFormat = PageFormatRows
 	conn.SetDeadline(time.Now().Add(hs))
-	rep, err := c.roundTrip(&Request{Verb: VerbHello, Options: c.dop.Session, PageFormat: c.offer})
+	_, err = c.roundTrip(&Request{Verb: VerbHello, Options: c.dop.Session})
 	conn.SetDeadline(time.Time{})
-	if err == nil && (rep.PageFormat < PageFormatRows || rep.PageFormat > c.offer) {
-		err = &Error{Code: CodeError, Msg: fmt.Sprintf("server chose page format %d, offered %d", rep.PageFormat, c.offer)}
-	}
 	if err != nil {
 		c.fail() // close the socket: no leaked fd on a failed handshake
 		return err
 	}
-	c.pageFormat = rep.PageFormat
 	return nil
 }
 
@@ -171,8 +156,7 @@ func (c *Client) fail() {
 func (c *Client) Broken() bool { return c.broken }
 
 // reply is one response as the client's calls see it: the control fields
-// and the result page it carried, decoded from whichever encoding the
-// session negotiated.
+// and the rows of the result page it carried.
 type reply struct {
 	Response
 	rows [][]datum.Datum
@@ -214,9 +198,8 @@ func (c *Client) roundTrip(req *Request) (*reply, error) {
 		}
 		return &rep, &Error{Code: code, Msg: rep.Error}
 	}
-	if c.pageFormat != PageFormatColumnar || rep.Page == 0 {
-		rep.rows, err = decodeRows(rep.Rows)
-		return &rep, err
+	if rep.Page == 0 {
+		return &rep, nil
 	}
 	// The frame announced a columnar page behind it. Failing to read it is
 	// a transport failure like any other mid-response; a page that arrived
@@ -553,22 +536,6 @@ func (c *Client) Close() error {
 		return rtErr
 	}
 	return closeErr
-}
-
-func decodeRows(rows [][]WireDatum) ([][]datum.Datum, error) {
-	out := make([][]datum.Datum, len(rows))
-	for i, wr := range rows {
-		row := make([]datum.Datum, len(wr))
-		for j, wd := range wr {
-			d, err := wd.Decode()
-			if err != nil {
-				return nil, fmt.Errorf("server: row %d col %d: %w", i, j, err)
-			}
-			row[j] = d
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // Named builds a named bind value.

@@ -9,8 +9,8 @@ import (
 	"repro/internal/datum"
 )
 
-// The columnar result page (PageFormatColumnar) is the whole row encoding
-// between a session and a peer that negotiated it in hello. A page is
+// The columnar result page is the whole row encoding between a session and
+// its peer: every reply that carries rows carries them as one page. A page is
 // self-describing — it names its own shape and every column's kind — so it
 // needs no per-cursor state on either side:
 //

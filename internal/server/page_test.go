@@ -66,6 +66,23 @@ func jsonPage(rows [][]datum.Datum) ([][]datum.Datum, error) {
 	return decodeRows(resp.Rows)
 }
 
+// decodeRows decodes JSON rows, the reference side of jsonPage and
+// BenchmarkPageCodec.
+func decodeRows(rows [][]WireDatum) ([][]datum.Datum, error) {
+	out := make([][]datum.Datum, len(rows))
+	for i, wr := range rows {
+		out[i] = make([]datum.Datum, len(wr))
+		for j, wd := range wr {
+			d, err := wd.Decode()
+			if err != nil {
+				return nil, fmt.Errorf("row %d col %d: %w", i, j, err)
+			}
+			out[i][j] = d
+		}
+	}
+	return out, nil
+}
+
 // jsonCarries reports whether the JSON row encoding can carry d exactly: it
 // cannot carry a non-finite float at all, drops the sign of -0.0 (omitempty)
 // and rewrites bytes that are not UTF-8.

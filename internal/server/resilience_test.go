@@ -433,13 +433,17 @@ func TestStalledReaderSeveredByWriteDeadline(t *testing.T) {
 	if resp := rs.call(t, &Request{Verb: VerbHello}); !resp.OK {
 		t.Fatalf("hello: %s", resp.Error)
 	}
+	// The page must outgrow the socket buffers, or the write completes
+	// into them and nothing stalls: the 40 000 rows of employees ×
+	// employees make a 1.4 MB columnar page, which loopback buffers can
+	// hold, so locations multiplies them.
 	resp := rs.call(t, &Request{Verb: VerbExecute, SQL: `
 		SELECT e.EMP_ID, e.EMPLOYEE_NAME, e.SALARY, e2.EMP_ID, e2.EMPLOYEE_NAME, e2.SALARY
-		FROM employees e, employees e2`})
+		FROM employees e, employees e2, locations l`})
 	if !resp.OK {
 		t.Fatalf("cross-join execute: %s", resp.Error)
 	}
-	if resp.RowCount < 10000 {
+	if resp.RowCount < 300000 {
 		t.Fatalf("cross join produced %d rows; too small to stall a writer", resp.RowCount)
 	}
 	// Ask for the whole cursor in one frame, then never read a byte.

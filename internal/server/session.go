@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"strings"
@@ -42,6 +41,11 @@ type stmt struct {
 	params []string // parameter names from prepare-time binding
 	binds  []datum.Datum
 	bound  []bool
+	// tree is the statement as prepare bound it, kept for the first plan
+	// lookup, which takes it: a miss optimizes this tree instead of binding
+	// the text again. Optimization mutates a tree, so it serves one lookup;
+	// a later miss (after an ANALYZE or an eviction) binds the text anew.
+	tree any
 	// cursor is the materialized result of the last execute (the
 	// executor's rows, not a copy); execute's first page and fetch page it,
 	// and the page that ends it drops it.
@@ -65,8 +69,6 @@ type session struct {
 	// page the columnar page nextPage encoded for it; all three are reused
 	// from one request to the next.
 	in, out, page []byte
-	// pageFormat is what hello negotiated (PageFormatRows until then).
-	pageFormat int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -284,8 +286,7 @@ func (ss *session) hello(req *Request) (*Response, error) {
 	}
 	ss.opts = opts
 	ss.strategy = fp
-	ss.pageFormat = max(PageFormatRows, min(req.PageFormat, PageFormatColumnar))
-	return &Response{Stmt: ss.id, PageFormat: ss.pageFormat}, nil
+	return &Response{Stmt: ss.id}, nil
 }
 
 func (ss *session) prepare(req *Request) (*Response, error) {
@@ -301,16 +302,13 @@ func (ss *session) prepare(req *Request) (*Response, error) {
 	return &Response{Stmt: st.id, Params: st.params}, nil
 }
 
-// newStmt parses and binds the text once to discover its parameters. The
-// throwaway tree also surfaces syntax and semantic errors at prepare time.
-// Queries and mutations both prepare here; the statement kind is resolved
-// again at plan time from the cached entry.
+// newStmt parses and binds the text, which discovers its parameters and
+// surfaces syntax and semantic errors at prepare time. The bound tree stays
+// on the statement for its first plan lookup. Queries and mutations both
+// prepare here; the statement kind is resolved again at plan time from the
+// cached entry.
 func (ss *session) newStmt(src string) (*stmt, error) {
-	parsed, err := sql.ParseStatement(src)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := qtree.BindStatement(parsed, ss.srv.db.Catalog)
+	bound, err := ss.parseBind(src)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +327,18 @@ func (ss *session) newStmt(src string) (*stmt, error) {
 		params: params,
 		binds:  make([]datum.Datum, len(params)),
 		bound:  make([]bool, len(params)),
+		tree:   bound,
 	}, nil
+}
+
+// parseBind parses and binds one statement's text: a *qtree.Query or a
+// *qtree.DMLStmt.
+func (ss *session) parseBind(src string) (any, error) {
+	parsed, err := sql.ParseStatement(src)
+	if err != nil {
+		return nil, err
+	}
+	return qtree.BindStatement(parsed, ss.srv.db.Catalog)
 }
 
 func (ss *session) lookup(id int64) (*stmt, error) {
@@ -488,36 +497,20 @@ func (ss *session) execute(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// nextPage puts up to n rows from the statement's cursor on resp, in the
-// session's negotiated page format, advances the cursor and counts the rows
-// as sent. The page that exhausts the cursor sets Done and releases the
-// executor's rows; a later fetch answers empty and Done. On error nothing
-// has moved.
+// nextPage puts up to n rows from the statement's cursor on resp as one
+// columnar page, advances the cursor and counts the rows as sent. The page
+// that exhausts the cursor sets Done and releases the executor's rows; a
+// later fetch answers empty and Done. On error nothing has moved.
 func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
 	rows := st.cursor[st.pos:]
 	if n < len(rows) {
 		rows = rows[:n]
 	}
-	if ss.pageFormat == PageFormatColumnar {
-		var err error
-		if ss.page, err = appendPage(ss.page[:0], rows); err != nil {
-			return err
-		}
-		resp.Page = len(ss.page)
-	} else {
-		resp.Rows = make([][]WireDatum, 0, len(rows))
-		for _, row := range rows {
-			for _, d := range row {
-				if d.Kind() == datum.KFloat && (math.IsNaN(d.Float()) || math.IsInf(d.Float(), 0)) {
-					// Left to json.Marshal this would fail the frame and
-					// with it the connection, which a client takes for a
-					// retryable reset.
-					return fmt.Errorf("server: result holds the float %v, which the JSON row encoding cannot carry", d.Float())
-				}
-			}
-			resp.Rows = append(resp.Rows, EncodeRow(row))
-		}
+	var err error
+	if ss.page, err = appendPage(ss.page[:0], rows); err != nil {
+		return err
 	}
+	resp.Page = len(ss.page)
 	st.pos += len(rows)
 	ss.rowsSent.Add(int64(len(rows)))
 	ss.srv.rowsSent.Add(int64(len(rows)))
@@ -534,17 +527,21 @@ func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
 // next Invalidate sweeps it.
 // The data version deliberately stays out of the key: snapshots keep a
 // cached plan correct under any amount of concurrent write churn.
+// The lookup takes the statement's bound tree, hit or miss, so the tree is
+// optimized at most once and a hit does not keep it alive.
 func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error) {
 	key := plancache.Key{
 		SQL:      st.norm,
 		Strategy: ss.strategy,
 		Version:  ss.srv.db.Catalog.Version(),
 	}
+	tree := st.tree
+	st.tree = nil
 	// Coalesced waiters share the computing caller's context: if that
 	// caller's deadline degrades or fails the optimization, the error is
 	// returned to every waiter and nothing is cached.
 	v, shared, err := ss.srv.cache.GetOrCompute(key, func() (any, error) {
-		return ss.optimize(ctx, st.sql)
+		return ss.optimize(ctx, st.sql, tree)
 	})
 	if err != nil {
 		return nil, false, err
@@ -556,73 +553,50 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 	return cp, shared, nil
 }
 
-// optimize runs the full parse → bind → CBQT pipeline for one statement.
-// Mutations go through the same pipeline: their locating/source query is
-// an ordinary bound query that the cost-based transformer plans like any
-// SELECT, so an UPDATE's subquery predicate gets unnested exactly as it
-// would in a read. A request whose deadline expires mid-search fails here
-// with the context error rather than returning the degraded plan: the
-// query could not make its deadline anyway, and a plan degraded by one
-// caller's deadline must never be cached for everyone else.
-func (ss *session) optimize(ctx context.Context, src string) (*cachedPlan, error) {
-	parsed, err := sql.ParseStatement(src)
-	if err != nil {
-		return nil, err
+// optimize runs CBQT over one statement's bound tree, parsing and binding
+// src first when there is none (a prepared statement optimized again after
+// its tree was used). Mutations go through the same optimizer: their
+// locating/source query is an ordinary bound query that the cost-based
+// transformer plans like any SELECT, so an UPDATE's subquery predicate gets
+// unnested exactly as it would in a read, and the DML contract (ROWID
+// locating query, target arity/types) is validated around that search, so a
+// malformed statement fails here instead of addressing arbitrary rows in
+// the executor. A request whose deadline expires mid-search fails here with
+// the context error rather than returning the degraded plan: the query
+// could not make its deadline anyway, and a plan degraded by one caller's
+// deadline must never be cached for everyone else.
+func (ss *session) optimize(ctx context.Context, src string, tree any) (*cachedPlan, error) {
+	if tree == nil {
+		var err error
+		if tree, err = ss.parseBind(src); err != nil {
+			return nil, err
+		}
 	}
-	bound, err := qtree.BindStatement(parsed, ss.srv.db.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	switch v := bound.(type) {
+	o := &cbqt.Optimizer{Cat: ss.srv.db.Catalog, Opts: ss.opts}
+	var cp *cachedPlan
+	var res *cbqt.Result
+	var err error
+	switch v := tree.(type) {
 	case *qtree.Query:
-		res, err := ss.runCBQT(ctx, v)
-		if err != nil {
-			return nil, err
-		}
-		return &cachedPlan{plan: res.Plan, params: res.Query.Params, sql: res.Query.SQL()}, nil
+		cp = &cachedPlan{params: v.Params}
+		res, err = o.OptimizeContext(ctx, v)
 	case *qtree.DMLStmt:
-		// Mutations run the same optimizer entry the checker arms: the DML
-		// contract (ROWID locating query, target arity/types) is validated
-		// around the read query's search, so a malformed statement fails
-		// here instead of addressing arbitrary rows in the executor.
-		cp := &cachedPlan{params: v.Params, sql: src, dml: v}
-		res, err := ss.runCBQTDML(ctx, v)
-		if err != nil {
-			return nil, err
-		}
-		if res.Plan != nil {
-			cp.plan = res.Plan
-			cp.sql = res.Query.SQL()
-		}
-		return cp, nil
+		cp = &cachedPlan{params: v.Params, sql: src, dml: v}
+		res, err = o.OptimizeDML(ctx, v)
+	default:
+		return nil, fmt.Errorf("server: unknown bound statement %T", tree)
 	}
-	return nil, fmt.Errorf("server: unknown bound statement %T", bound)
-}
-
-func (ss *session) runCBQT(ctx context.Context, q *qtree.Query) (*cbqt.Result, error) {
-	o := &cbqt.Optimizer{Cat: ss.srv.db.Catalog, Opts: ss.opts}
-	res, err := o.OptimizeContext(ctx, q)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	ss.srv.adm.observe(res.Stats.MemoStateBytes)
-	return res, nil
-}
-
-func (ss *session) runCBQTDML(ctx context.Context, stmt *qtree.DMLStmt) (*cbqt.Result, error) {
-	o := &cbqt.Optimizer{Cat: ss.srv.db.Catalog, Opts: ss.opts}
-	res, err := o.OptimizeDML(ctx, stmt)
-	if err != nil {
-		return nil, err
+	if res.Plan != nil { // nil for INSERT ... VALUES, which reads nothing
+		cp.plan, cp.sql = res.Plan, res.Query.SQL()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ss.srv.adm.observe(res.Stats.MemoStateBytes)
-	return res, nil
+	return cp, nil
 }
 
 func (ss *session) fetch(req *Request) (*Response, error) {

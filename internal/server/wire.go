@@ -22,19 +22,6 @@ import (
 // connection is dropped.
 const MaxFrameBytes = 64 << 20
 
-// Result-page formats, negotiated in hello: the client offers the newest
-// format it decodes in Request.PageFormat and the server answers with the
-// one the session will use, never newer than the offer. A peer that offers
-// nothing (the zero value) is sent PageFormatRows, which is every frame the
-// protocol sent before there was anything to negotiate.
-const (
-	// PageFormatRows carries a page as JSON in Response.Rows.
-	PageFormatRows = 0
-	// PageFormatColumnar carries a page as Response.Page bytes of the
-	// columnar encoding (page.go) directly behind the response frame.
-	PageFormatColumnar = 1
-)
-
 // Wire verbs. One request frame carries one verb; the server answers every
 // request with exactly one response frame.
 const (
@@ -76,9 +63,6 @@ type Request struct {
 	// (aborting the run), so a query that can no longer make its deadline
 	// stops burning optimizer states and returns a typed DEADLINE error.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// PageFormat offers a result-page format (hello only; see the
-	// PageFormat constants).
-	PageFormat int `json:"page_format,omitempty"`
 }
 
 // SessionOptions selects the optimizer configuration for one session.
@@ -125,16 +109,17 @@ type Response struct {
 	// Affected is the row count of a mutation statement (execute of
 	// INSERT/UPDATE/DELETE; such statements open an empty cursor).
 	Affected int `json:"affected,omitempty"`
-	// Rows is one fetch batch — or, on an execute that asked for one, the
-	// cursor's first page; Done marks cursor exhaustion.
+	// Rows is a page as JSON values. cbqtd never sends it: it stays for
+	// benchmark/replay.go, which frames its re-enacted fetches with it and
+	// EncodeRow, and goes with that replay (ROADMAP item 3(b)).
 	Rows [][]WireDatum `json:"rows,omitempty"`
-	Done bool          `json:"done,omitempty"`
-	// Page, on a session that negotiated PageFormatColumnar, replaces Rows:
-	// it is the byte length of the page that follows this frame on the
-	// stream, outside the frame's own length.
+	// Done marks cursor exhaustion.
+	Done bool `json:"done,omitempty"`
+	// Page is the byte length of the result page that follows this frame
+	// on the stream, outside the frame's own length: one fetch batch or, on
+	// an execute that asked for one, the cursor's first page, in the
+	// columnar encoding of page.go. Zero means the reply carries no rows.
 	Page int `json:"page,omitempty"`
-	// PageFormat is the session's result-page format (hello reply).
-	PageFormat int `json:"page_format,omitempty"`
 	// Metrics is the registry snapshot (metrics verb).
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// Session carries the per-session counters (metrics verb).

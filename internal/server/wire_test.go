@@ -19,24 +19,13 @@ import (
 	"repro/internal/testkit"
 )
 
-// pageFormats is what the tests that move rows run over: the negotiated
-// columnar page, and the JSON rows a peer that offers nothing is sent.
-var pageFormats = []struct {
-	name   string
-	format int
-}{
-	{"columnar", PageFormatColumnar},
-	{"rows", PageFormatRows},
-}
-
 // overflowQuery returns +Inf for :x = 1e200.
 const overflowQuery = `SELECT e.SALARY * :x * :x FROM employees e WHERE e.EMP_ID = 1`
 
 // TestNonFiniteFloatResult: a result holding +Inf is an answer, not a
-// connection failure. A negotiated peer receives the value; a JSON peer,
-// whose encoding cannot carry it, receives a typed final error on a
-// connection that keeps working. Either way the statement runs once — the
-// dropped connection this used to cause read as a retryable reset.
+// connection failure. The peer receives the value, and the statement runs
+// once — the dropped connection this used to cause read as a retryable
+// reset.
 func TestNonFiniteFloatResult(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{Registry: reg})
@@ -49,24 +38,13 @@ func TestNonFiniteFloatResult(t *testing.T) {
 	defer cli.Close()
 	rows, err := cli.Query(overflowQuery, Named("x", datum.NewFloat(1e200)))
 	if err != nil {
-		t.Fatalf("negotiated peer: %v", err)
+		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0][0].Kind() != datum.KFloat || !math.IsInf(rows[0][0].Float(), 1) {
-		t.Fatalf("negotiated peer got %v, want one +Inf", rows)
+		t.Fatalf("got %v, want one +Inf", rows)
 	}
 	if n := reg.CounterValue(MetricQueries); n != 1 {
 		t.Fatalf("statement executed %d times, want 1", n)
-	}
-
-	rs := rawDial(t, addr)
-	defer rs.close()
-	resp := rs.call(t, &Request{Verb: VerbExecute, SQL: overflowQuery, MaxRows: DefaultFetchRows,
-		Binds: []BindValue{Named("x", datum.NewFloat(1e200))}})
-	if resp.OK || resp.Code != CodeError || IsRetryable(&Error{Code: resp.Code}) {
-		t.Fatalf("JSON peer: ok %v code %q error %q; want a final ERROR", resp.OK, resp.Code, resp.Error)
-	}
-	if resp := rs.call(t, &Request{Verb: VerbPing}); !resp.OK {
-		t.Fatalf("session did not survive the error: %s", resp.Error)
 	}
 }
 
@@ -212,107 +190,53 @@ func TestFetchRoundTripAllocBudget(t *testing.T) {
 // driven through dispatch, so the statement table can be read in step.
 func TestCursorReleasedWhenDone(t *testing.T) {
 	srv := New(Config{DB: testkit.NewDB(pagedSizes(), 1), Registry: obsv.NewRegistry()})
-	for _, pf := range pageFormats {
-		t.Run(pf.name, func(t *testing.T) {
-			ss := newSession(srv, 1, nil)
-			do := func(req *Request) *Response {
-				t.Helper()
-				resp := ss.dispatch(req)
-				if !resp.OK {
-					t.Fatalf("%s: %s", req.Verb, resp.Error)
-				}
-				return resp
+	t.Run("columnar", func(t *testing.T) {
+		ss := newSession(srv, 1, nil)
+		do := func(req *Request) *Response {
+			t.Helper()
+			resp := ss.dispatch(req)
+			if !resp.OK {
+				t.Fatalf("%s: %s", req.Verb, resp.Error)
 			}
-			do(&Request{Verb: VerbHello, PageFormat: pf.format})
-			binds := func(n int64) []BindValue { return []BindValue{Named("n", datum.NewInt(n))} }
+			return resp
+		}
+		do(&Request{Verb: VerbHello})
+		binds := func(n int64) []BindValue { return []BindValue{Named("n", datum.NewInt(n))} }
 
-			// One-shot, whole on the first page.
-			resp := do(&Request{Verb: VerbExecute, SQL: rangeQuery, Binds: binds(13), MaxRows: DefaultFetchRows})
-			if !resp.Done || resp.RowCount != 13 || ss.stmts[0].cursor != nil {
-				t.Fatalf("first page ended the cursor (done %v, %d rows) but %d rows stay referenced",
-					resp.Done, resp.RowCount, len(ss.stmts[0].cursor))
-			}
-			if resp := do(&Request{Verb: VerbFetch}); !resp.Done || resp.Page > 2 || len(resp.Rows) != 0 {
-				t.Fatalf("fetch after done: %+v", resp)
-			}
+		// One-shot, whole on the first page.
+		resp := do(&Request{Verb: VerbExecute, SQL: rangeQuery, Binds: binds(13), MaxRows: DefaultFetchRows})
+		if !resp.Done || resp.RowCount != 13 || ss.stmts[0].cursor != nil {
+			t.Fatalf("first page ended the cursor (done %v, %d rows) but %d rows stay referenced",
+				resp.Done, resp.RowCount, len(ss.stmts[0].cursor))
+		}
+		if resp := do(&Request{Verb: VerbFetch}); !resp.Done || resp.Page > 2 {
+			t.Fatalf("fetch after done: %+v", resp)
+		}
 
-			// Prepared, ended by a fetch.
-			id := do(&Request{Verb: VerbPrepare, SQL: rangeQuery}).Stmt
-			n := int64(DefaultFetchRows + 7)
-			resp = do(&Request{Verb: VerbExecute, Stmt: id, Binds: binds(n), MaxRows: DefaultFetchRows})
-			if resp.Done || len(ss.stmts[id].cursor) != int(n) {
-				t.Fatalf("cursor of %d rows after its first page: done %v, %d rows held", n, resp.Done, len(ss.stmts[id].cursor))
-			}
-			resp = do(&Request{Verb: VerbFetch, Stmt: id})
-			if !resp.Done || ss.stmts[id].cursor != nil {
-				t.Fatalf("last fetch (done %v) left %d rows referenced", resp.Done, len(ss.stmts[id].cursor))
-			}
-			if resp := do(&Request{Verb: VerbFetch, Stmt: id}); !resp.Done || resp.Page > 2 || len(resp.Rows) != 0 {
-				t.Fatalf("fetch after done: %+v", resp)
-			}
-			if got := ss.rowsSent.Load(); got != 13+n {
-				t.Fatalf("rows sent %d, want %d", got, 13+n)
-			}
-		})
-	}
+		// Prepared, ended by a fetch.
+		id := do(&Request{Verb: VerbPrepare, SQL: rangeQuery}).Stmt
+		n := int64(DefaultFetchRows + 7)
+		resp = do(&Request{Verb: VerbExecute, Stmt: id, Binds: binds(n), MaxRows: DefaultFetchRows})
+		if resp.Done || len(ss.stmts[id].cursor) != int(n) {
+			t.Fatalf("cursor of %d rows after its first page: done %v, %d rows held", n, resp.Done, len(ss.stmts[id].cursor))
+		}
+		resp = do(&Request{Verb: VerbFetch, Stmt: id})
+		if !resp.Done || ss.stmts[id].cursor != nil {
+			t.Fatalf("last fetch (done %v) left %d rows referenced", resp.Done, len(ss.stmts[id].cursor))
+		}
+		if resp := do(&Request{Verb: VerbFetch, Stmt: id}); !resp.Done || resp.Page > 2 {
+			t.Fatalf("fetch after done: %+v", resp)
+		}
+		if got := ss.rowsSent.Load(); got != 13+n {
+			t.Fatalf("rows sent %d, want %d", got, 13+n)
+		}
+	})
 }
 
-// TestRowsPeerFramesUnchanged is TestExecuteWithoutFirstPageUnchanged's
-// twin for the page negotiation: a peer whose hello offers no page format
-// is sent, byte for byte, the frames the protocol sent before there was
-// one — JSON rows on the execute reply's first page and on every fetch, no
-// page and no page_format key anywhere. The fixed frames are spelled out;
-// the execute reply, which echoes the transformed SQL, is rebuilt from its
-// own fields the way the parent encoded them.
-func TestRowsPeerFramesUnchanged(t *testing.T) {
-	_, addr, stop := startServer(t, Config{DB: testkit.NewDB(pagedSizes(), 1)})
-	defer stop()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sent := 0
-	exchange := func(req *Request) []byte {
-		payload := rawExchange(t, conn, req)
-		sent += 4 + len(payload)
-		return payload
-	}
-	if got := exchange(&Request{Verb: VerbHello}); string(got) != `{"ok":true,"stmt":1}` {
-		t.Fatalf("hello reply: %s", got)
-	}
-	got := exchange(&Request{Verb: VerbExecute, SQL: rangeQuery, MaxRows: 3, Binds: []BindValue{Named("n", datum.NewInt(5))}})
-	var resp Response
-	if err := json.Unmarshal(got, &resp); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(&Response{OK: true, SQL: resp.SQL, Cached: resp.Cached, RowCount: 5, Params: []string{"N"},
-		Rows: [][]WireDatum{{{Kind: "int", I: 1}}, {{Kind: "int", I: 2}}, {{Kind: "int", I: 3}}}})
-	if !bytes.Equal(got, want) {
-		t.Fatalf("execute reply:\n got %s\nwant %s", got, want)
-	}
-	if got := exchange(&Request{Verb: VerbFetch, MaxRows: 1}); string(got) != `{"ok":true,"rows":[[{"k":"int","i":4}]]}` {
-		t.Fatalf("fetch reply: %s", got)
-	}
-	if got := exchange(&Request{Verb: VerbFetch}); string(got) != `{"ok":true,"rows":[[{"k":"int","i":5}]],"done":true}` {
-		t.Fatalf("last fetch reply: %s", got)
-	}
-	if got := exchange(&Request{Verb: VerbFetch}); string(got) != `{"ok":true,"done":true}` {
-		t.Fatalf("fetch past the end: %s", got)
-	}
-	var m Response
-	if err := json.Unmarshal(rawExchange(t, conn, &Request{Verb: VerbMetrics}), &m); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Metrics[MetricBytesSent]; got != int64(sent) {
-		t.Fatalf("%s = %d before the metrics reply, the socket carried %d", MetricBytesSent, got, sent)
-	}
-}
-
-// TestColumnarPageOnTheWire reads a negotiated session's frames off a bare
-// socket: hello echoes the format, a paged reply is a JSON control frame
-// without rows whose page field counts the columnar bytes right behind it,
-// and server.bytes_sent counts those bytes too.
+// TestColumnarPageOnTheWire reads a session's frames off a bare socket: a
+// paged reply is a JSON control frame without rows whose page field counts
+// the columnar bytes right behind it, and server.bytes_sent counts those
+// bytes too.
 func TestColumnarPageOnTheWire(t *testing.T) {
 	_, addr, stop := startServer(t, Config{DB: testkit.NewDB(pagedSizes(), 1)})
 	defer stop()
@@ -330,7 +254,7 @@ func TestColumnarPageOnTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.Rows != nil {
-			t.Fatalf("JSON rows on a columnar session: %s", payload)
+			t.Fatalf("JSON rows on the wire: %s", payload)
 		}
 		page := make([]byte, resp.Page)
 		if _, err := io.ReadFull(conn, page); err != nil {
@@ -344,8 +268,7 @@ func TestColumnarPageOnTheWire(t *testing.T) {
 		}
 		return resp, rows
 	}
-	// An offer from the future is answered with the newest format served.
-	if resp, _ := exchange(&Request{Verb: VerbHello, PageFormat: 7}); !resp.OK || resp.PageFormat != PageFormatColumnar {
+	if resp, _ := exchange(&Request{Verb: VerbHello}); !resp.OK {
 		t.Fatalf("hello reply: %+v", resp)
 	}
 	resp, rows := exchange(&Request{Verb: VerbExecute, SQL: rangeQuery, MaxRows: 3, Binds: []BindValue{Named("n", datum.NewInt(5))}})
