@@ -309,7 +309,7 @@ func TestNegativePlan(t *testing.T) {
 		broke := false
 		var walk func(n optimizer.PlanNode)
 		walk = func(n optimizer.PlanNode) {
-			for _, e := range nodeExprs(n) {
+			optimizer.NodeExprs(n, func(e qtree.Expr) {
 				qtree.WalkExpr(e, func(x qtree.Expr) bool {
 					if c, ok := x.(*qtree.Col); ok {
 						c.From = 99
@@ -317,7 +317,7 @@ func TestNegativePlan(t *testing.T) {
 					}
 					return true
 				})
-			}
+			})
 			for _, ch := range n.Children() {
 				walk(ch)
 			}
@@ -364,34 +364,47 @@ func TestNegativePlan(t *testing.T) {
 		}
 		wantClass(t, Plan(p), ClassPlan)
 	})
+	t.Run("filter reads a dead slot", func(t *testing.T) {
+		// The scan's live slots are EMP_ID (the result) and SALARY (its
+		// filter); NAME is dead, so the batch engine never fills it.
+		p := optimize("SELECT e.EMP_ID FROM EMP e WHERE e.SALARY > 10")
+		var scan *optimizer.SeqScan
+		optimizer.Walk(p.Root, func(n optimizer.PlanNode) {
+			if v, ok := n.(*optimizer.SeqScan); ok {
+				scan = v
+			}
+		})
+		if scan == nil || len(scan.Filter) == 0 || scan.Live() == nil {
+			t.Fatalf("want a filtered SeqScan with a liveness record:\n%s", optimizer.Explain(p))
+		}
+		if vs := Plan(p); len(vs) > 0 {
+			t.Fatalf("well-formed plan rejected: %v", vs)
+		}
+		scan.Filter[0] = &qtree.Bin{Op: qtree.OpEq,
+			L: &qtree.Col{From: scan.From, Ord: 1, Name: "NAME"},
+			R: &qtree.Const{Val: datum.NewString("ann")}}
+		wantClass(t, Plan(p), ClassPlan)
+	})
+	t.Run("subquery correlated on a dead slot", func(t *testing.T) {
+		p := optimize("SELECT e.EMP_ID FROM EMP e WHERE e.SALARY > (SELECT MAX(x.SALARY) FROM EMP x WHERE x.DEPT_ID = e.DEPT_ID)")
+		if len(p.Subplans) != 1 {
+			t.Fatalf("want one correlated subplan:\n%s", optimizer.Explain(p))
+		}
+		if vs := Plan(p); len(vs) > 0 {
+			t.Fatalf("well-formed plan rejected: %v", vs)
+		}
+		for _, sp := range p.Subplans {
+			// MGR_ID (ordinal 4) is read nowhere, so it is dead below the
+			// filter that evaluates the subquery.
+			sp.Correlated = append(sp.Correlated, optimizer.ColID{From: sp.Correlated[0].From, Ord: 4})
+		}
+		wantClass(t, Plan(p), ClassPlan)
+	})
 	t.Run("invalid cost", func(t *testing.T) {
 		p := optimize("SELECT e.EMP_ID FROM EMP e")
 		p.Cost.Total = -1
 		wantClass(t, Plan(p), ClassPlan)
 	})
-}
-
-// nodeExprs extracts the expression slots the plan checker inspects, for
-// the mutation helpers above.
-func nodeExprs(n optimizer.PlanNode) []qtree.Expr {
-	switch v := n.(type) {
-	case *optimizer.SeqScan:
-		return v.Filter
-	case *optimizer.IndexScan:
-		out := append([]qtree.Expr{}, v.EqKeys...)
-		return append(out, v.Filter...)
-	case *optimizer.Filter:
-		return v.Preds
-	case *optimizer.Join:
-		out := append([]qtree.Expr{}, v.EqL...)
-		out = append(out, v.EqR...)
-		return append(out, v.On...)
-	case *optimizer.Project:
-		return v.Exprs
-	case *optimizer.Sort:
-		return v.Keys
-	}
-	return nil
 }
 
 // TestEveryClassHasNegativeCase re-runs every negative test above as a

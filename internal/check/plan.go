@@ -12,8 +12,10 @@ import (
 // hash join keys agree in arity, set-operation inputs agree in
 // arity, every subquery expression left in the tree has a compiled
 // subplan, every column an expression references is produced by the
-// operator's inputs (or supplied by correlation), and cost estimates are
-// finite and non-negative. Like Query, it never panics on malformed input.
+// operator's inputs and live there (or supplied by correlation), every
+// correlation column of a subquery is live wherever it is evaluated, and
+// cost estimates are finite and non-negative. Like Query, it never panics
+// on malformed input.
 func Plan(p *optimizer.Plan) Violations {
 	if p == nil {
 		return Violations{&Violation{Class: ClassPlan, Detail: "nil plan"}}
@@ -87,21 +89,33 @@ func (c *planChecker) node(n optimizer.PlanNode, ambient map[optimizer.ColID]boo
 	c.visited[n] = true
 	c.checkCost(n.Label(), n.Cost())
 
+	// avail is ambient plus the live columns of nodes: the batch engine
+	// leaves a dead slot unfilled, so an expression may read only live ones.
 	avail := func(nodes ...optimizer.PlanNode) map[optimizer.ColID]bool {
 		out := make(map[optimizer.ColID]bool, len(ambient))
 		for id := range ambient {
 			out[id] = true
 		}
 		for _, ch := range nodes {
-			if ch != nil {
-				for _, id := range ch.Columns() {
-					out[id] = true
+			if ch == nil {
+				continue
+			}
+			cols := ch.Columns()
+			if live := ch.Live(); live != nil {
+				for _, s := range live.Slots {
+					if s >= 0 && s < len(cols) {
+						out[cols[s]] = true
+					}
 				}
+				continue
+			}
+			for _, id := range cols {
+				out[id] = true
 			}
 		}
 		return out
 	}
-	self := avail(n) // the node's own outputs plus ambient (for scans)
+	self := avail(n) // the node's own live outputs plus ambient (for scans)
 
 	switch v := n.(type) {
 	case *optimizer.SeqScan:
@@ -234,7 +248,7 @@ func (c *planChecker) node(n optimizer.PlanNode, ambient map[optimizer.ColID]boo
 
 // exprs verifies expressions attached to one operator: every column they
 // reference must be available, and every subquery expression must have a
-// compiled subplan.
+// compiled subplan whose correlation columns are available.
 func (c *planChecker) exprs(n optimizer.PlanNode, avail map[optimizer.ColID]bool, es ...qtree.Expr) {
 	for _, e := range es {
 		if e == nil {
@@ -244,12 +258,20 @@ func (c *planChecker) exprs(n optimizer.PlanNode, avail map[optimizer.ColID]bool
 			switch v := x.(type) {
 			case *qtree.Col:
 				if !avail[optimizer.ColID{From: v.From, Ord: v.Ord}] {
-					c.violate("%s references column q%d.#%d, which none of its inputs produce",
+					c.violate("%s references column q%d.#%d, which none of its inputs produce live",
 						n.Label(), v.From, v.Ord)
 				}
 			case *qtree.Subq:
-				if c.plan.Subplans[v] == nil {
+				sp := c.plan.Subplans[v]
+				if sp == nil {
 					c.violate("%s carries a %s subquery with no compiled subplan", n.Label(), v.Kind)
+					return false
+				}
+				for _, id := range sp.Correlated {
+					if !avail[id] {
+						c.violate("%s evaluates a %s subquery correlated on column q%d.#%d, which none of its inputs produce live",
+							n.Label(), v.Kind, id.From, id.Ord)
+					}
 				}
 				return false
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"repro/internal/datum"
 	"repro/internal/obsv"
+	"repro/internal/optimizer"
 	"repro/internal/storage"
 )
 
@@ -66,6 +67,10 @@ type Batch struct {
 	// on the execution, so an operator that is re-opened (a join's inner
 	// side, a correlated subplan) keeps the capacity it has earned.
 	size int
+	// live, once pruned is set (see onlyLive), lists the only columns
+	// reset gives a vector: a dead column's vector stays nil.
+	live   []int
+	pruned bool
 }
 
 // Rows is the logical row count (selected rows).
@@ -99,27 +104,114 @@ func (b *Batch) appendRows(rows []Row) []Row {
 	return rows
 }
 
-// gather copies physical row r into buf (len(buf) == len(b.Cols)).
+// gather copies physical row r into buf (len(buf) == len(b.Cols)). A dead
+// column (no vector) leaves its buf slot as it was.
 func (b *Batch) gather(r int, buf Row) {
-	for c := range b.Cols {
-		buf[c] = b.Cols[c][r]
+	for c, col := range b.Cols {
+		if col != nil {
+			buf[c] = col[r]
+		}
 	}
 }
 
+// onlyLive restricts the batch to the given columns: reset allocates no
+// vector for the others, and an operator fills only these.
+func (b *Batch) onlyLive(slots []int) {
+	b.live, b.pruned = slots, true
+}
+
 // reset prepares the batch to carry up to capacity physical rows of the
-// given width, reusing the column vectors from previous calls.
+// given width, reusing the column vectors from previous calls. A row the
+// operator does not fill keeps whatever the previous batch left in it.
 func (b *Batch) reset(width, capacity int) {
 	if len(b.Cols) != width {
 		b.Cols = make([][]datum.Datum, width)
 	}
-	for c := range b.Cols {
-		if cap(b.Cols[c]) < capacity {
-			b.Cols[c] = make([]datum.Datum, capacity)
+	if b.pruned && !poisonDead {
+		for _, c := range b.live {
+			b.fit(c, capacity)
 		}
-		b.Cols[c] = b.Cols[c][:capacity]
+	} else {
+		for c := range b.Cols {
+			b.fit(c, capacity)
+		}
 	}
 	b.Sel = nil
 	b.N = 0
+}
+
+// fit gives column c a vector of exactly capacity values.
+func (b *Batch) fit(c, capacity int) {
+	if cap(b.Cols[c]) < capacity {
+		b.Cols[c] = make([]datum.Datum, capacity)
+	}
+	b.Cols[c] = b.Cols[c][:capacity]
+	if poisonDead {
+		poison(b.Cols[c])
+	}
+}
+
+// poisonDead makes every batch start with a vector for every column and
+// each value poisoned. A dead column, which has no vector otherwise (see
+// onlyLive), then reads as a value no table holds, and so does a row an
+// operator left unfilled; a reader of either changes results, which the
+// batch-vs-row tests see. Only tests set it.
+var poisonDead = false
+
+// poisonDatum is the value poisonDead writes.
+var poisonDatum = datum.NewString("\x00dead slot")
+
+// poison overwrites vals with poisonDatum.
+func poison(vals []datum.Datum) {
+	for i := range vals {
+		vals[i] = poisonDatum
+	}
+}
+
+// liveSlots returns the output slots of n that a batch operator fills: the
+// liveness pass's record, or every slot when n carries none (a hand-built
+// plan).
+func liveSlots(n optimizer.PlanNode) []int {
+	if l := n.Live(); l != nil {
+		return l.Slots
+	}
+	return allSlots(len(n.Columns()))
+}
+
+// scanSlots returns the slots a scan fills for every candidate row (first)
+// and those it fills only for rows that pass its filter (late). A scan with
+// no liveness record fills every slot first.
+func scanSlots(n optimizer.PlanNode) (first, late []int) {
+	if l := n.Live(); l != nil {
+		return l.First(), l.Late()
+	}
+	return allSlots(len(n.Columns())), nil
+}
+
+// allSlots returns 0..width-1.
+func allSlots(width int) []int {
+	out := make([]int, width)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// rowSlot returns slot c of a scan's output for table row rid (held in
+// src): a table column, or the rowid in the slot just past them.
+func rowSlot(src []datum.Datum, c, rid int) datum.Datum {
+	if c < len(src) {
+		return src[c]
+	}
+	return datum.NewInt(int64(rid))
+}
+
+// fillSlots copies the given slots of table row rid (held in src) into
+// physical row r.
+func (b *Batch) fillSlots(slots []int, r int, src []datum.Datum, rid int) {
+	for _, c := range slots {
+		b.Cols[c][r] = rowSlot(src, c, rid)
+	}
 }
 
 // grow prepares the batch for an operator's next fill and returns the

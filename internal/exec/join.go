@@ -34,48 +34,8 @@ func leftRefCols(n *optimizer.Join) []optimizer.ColID {
 		addExpr(e)
 	}
 	// Right subtree expressions (index probe keys, lateral view bodies).
-	optimizer.Walk(n.R, func(pn optimizer.PlanNode) {
-		for _, e := range nodeExprs(pn) {
-			addExpr(e)
-		}
-	})
+	optimizer.Walk(n.R, func(pn optimizer.PlanNode) { optimizer.NodeExprs(pn, addExpr) })
 	return out
-}
-
-// nodeExprs gathers the expressions a plan node evaluates.
-func nodeExprs(n optimizer.PlanNode) []qtree.Expr {
-	switch v := n.(type) {
-	case *optimizer.SeqScan:
-		return v.Filter
-	case *optimizer.IndexScan:
-		out := append([]qtree.Expr(nil), v.EqKeys...)
-		if v.Lo != nil {
-			out = append(out, v.Lo)
-		}
-		if v.Hi != nil {
-			out = append(out, v.Hi)
-		}
-		return append(out, v.Filter...)
-	case *optimizer.Filter:
-		return v.Preds
-	case *optimizer.Project:
-		return v.Exprs
-	case *optimizer.Join:
-		out := append([]qtree.Expr(nil), v.On...)
-		out = append(out, v.EqL...)
-		return append(out, v.EqR...)
-	case *optimizer.Agg:
-		out := append([]qtree.Expr(nil), v.GroupBy...)
-		for _, a := range v.Aggs {
-			if a.Arg != nil {
-				out = append(out, a.Arg)
-			}
-		}
-		return out
-	case *optimizer.Sort:
-		return v.Keys
-	}
-	return nil
 }
 
 // pairRow is a join's scratch row for residual conditions: the current left

@@ -16,6 +16,7 @@ import (
 // separator lets such a value forge a column boundary, so two different
 // rows share one key; every operator must keep them apart on both engines.
 func TestHashKeysInjective(t *testing.T) {
+	exec.PoisonDeadSlots(t)
 	db := testkit.NewDB(testkit.SmallSizes(), 1)
 	const view = `(SELECT 'x` + "\x1f\x03" + `y' a, 'z' b FROM departments d WHERE d.dept_id = 1
 	  UNION ALL SELECT 'x' a, 'y` + "\x1f\x03" + `z' b FROM departments d WHERE d.dept_id = 1) v`

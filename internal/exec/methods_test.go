@@ -133,6 +133,7 @@ func TestOuterJoinMethodsAgree(t *testing.T) {
 // row engine's result keeps every row as emitted; the batch engine copies
 // rows into batches at once, so it is the reference.
 func TestJoinRowsOutliveNext(t *testing.T) {
+	PoisonDeadSlots(t)
 	db := testkit.TinyDB()
 	queries := []string{
 		`SELECT e.name, p.pname FROM emp e, proj p
@@ -154,6 +155,7 @@ func TestJoinRowsOutliveNext(t *testing.T) {
 				t.Fatalf("no join in plan:\n%s", optimizer.Explain(plan))
 			}
 			plan.Root = top
+			optimizer.MarkLive(plan) // the join's whole output is now the result
 			rows, err := RunWith(context.Background(), db, plan, Options{RowExec: true})
 			if err != nil {
 				t.Fatal(err)

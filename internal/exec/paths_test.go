@@ -283,6 +283,7 @@ func pathCases() []pathCase {
 // engine at batch sizes 1 and the default, requires identical rows, and
 // requires the plan and result to take the case's named path.
 func TestReachablePaths(t *testing.T) {
+	PoisonDeadSlots(t)
 	ctx := context.Background()
 	for _, tc := range pathCases() {
 		t.Run(tc.name, func(t *testing.T) {

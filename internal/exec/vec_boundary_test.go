@@ -99,6 +99,7 @@ func sortedRows(res *exec.Result) []string {
 // batch fill, selection-vector refinement, mid-batch limit cuts or
 // empty-input handling shows up as a row diff.
 func TestBatchBoundaries(t *testing.T) {
+	exec.PoisonDeadSlots(t)
 	db := testkit.NewDB(boundarySizes(), 3)
 	ctx := context.Background()
 	for qi, sql := range boundaryQueries {
@@ -180,6 +181,7 @@ func probeJoin(plan *optimizer.Plan) (*optimizer.Join, *optimizer.IndexScan) {
 // error raised, must be identical, and so must the inlined IndexScan's
 // EXPLAIN ANALYZE opens and rows.
 func TestBatchBoundariesProbeFilter(t *testing.T) {
+	exec.PoisonDeadSlots(t)
 	sizes := boundarySizes()
 	sizes.Jobs = 2
 	db := testkit.NewDB(sizes, 3)
@@ -210,6 +212,7 @@ func TestBatchBoundariesProbeFilter(t *testing.T) {
 			if len(rn.Filter) == 0 {
 				t.Fatalf("probe has no filter:\n%s", optimizer.Explain(plan))
 			}
+			optimizer.MarkLive(plan) // the probe filter may now read more columns
 			ref, refSt, refErr := exec.RunAnalyzeWith(ctx, db, plan, exec.Options{RowExec: true})
 			if pc.wantErr != (refErr != nil) {
 				t.Fatalf("row engine error = %v, want error %v\n%s", refErr, pc.wantErr, optimizer.Explain(plan))

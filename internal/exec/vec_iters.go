@@ -16,21 +16,28 @@ import (
 // columns. The NextBatch contract: nil at end of input, never an empty
 // batch, and the returned batch is valid only until the next call.
 
-// batchSeqScanIter scans a heap table batch-wise: it fills column vectors
-// straight from storage (appending the rowid column) and refines the
-// selection vector with the scan filter.
+// batchSeqScanIter scans a heap table batch-wise with late
+// materialization: it fills the slots its filter reads (the rowid column is
+// the slot past the table's columns), refines the selection vector with the
+// filter, and only then fills the remaining live slots, for the surviving
+// rows alone. Dead slots are never filled.
 type batchSeqScanIter struct {
-	e     *env
-	n     *optimizer.SeqScan
-	tbl   *storage.Table
-	pos   int
-	width int
-	bc    *batchCtx
-	b     Batch
+	e           *env
+	n           *optimizer.SeqScan
+	tbl         *storage.Table
+	first, late []int
+	pos         int
+	width       int
+	rids        []int // table row of each physical row, kept when late is set
+	bc          *batchCtx
+	b           Batch
 }
 
 func newBatchSeqScan(e *env, n *optimizer.SeqScan) *batchSeqScanIter {
-	return &batchSeqScanIter{e: e, n: n, tbl: e.table(n.Table.Name), bc: newBatchCtx(e, n.Columns())}
+	it := &batchSeqScanIter{e: e, n: n, tbl: e.table(n.Table.Name), bc: newBatchCtx(e, n.Columns())}
+	it.first, it.late = scanSlots(n)
+	it.b.onlyLive(liveSlots(n))
+	return it
 }
 
 func (it *batchSeqScanIter) Open(outer *Ctx) error {
@@ -52,17 +59,18 @@ func (it *batchSeqScanIter) NextBatch() (*Batch, error) {
 			return nil, nil
 		}
 		fill := it.b.grow(it.width, it.e.batchSize)
-		rowidCol := it.width - 1
+		if len(it.late) > 0 && len(it.rids) < fill {
+			it.rids = make([]int, fill)
+		}
 		for it.b.N < fill && it.pos < len(it.tbl.Rows) {
 			if !it.tbl.Visible(it.pos) {
 				it.pos++
 				continue
 			}
-			src := it.tbl.Rows[it.pos]
-			for c := range src {
-				it.b.Cols[c][it.b.N] = src[c]
+			it.b.fillSlots(it.first, it.b.N, it.tbl.Rows[it.pos], it.pos)
+			if len(it.late) > 0 {
+				it.rids[it.b.N] = it.pos
 			}
-			it.b.Cols[rowidCol][it.b.N] = datum.NewInt(int64(it.pos))
 			it.pos++
 			it.b.N++
 		}
@@ -75,6 +83,12 @@ func (it *batchSeqScanIter) NextBatch() (*Batch, error) {
 		if it.b.Rows() == 0 {
 			continue // filter rejected the whole batch; keep scanning
 		}
+		if len(it.late) > 0 {
+			for k := 0; k < it.b.Rows(); k++ {
+				r := it.b.Live(k)
+				it.b.fillSlots(it.late, r, it.tbl.Rows[it.rids[r]], it.rids[r])
+			}
+		}
 		it.e.noteBatch(&it.b)
 		return &it.b, nil
 	}
@@ -82,16 +96,18 @@ func (it *batchSeqScanIter) NextBatch() (*Batch, error) {
 
 func (it *batchSeqScanIter) Close() error { return nil }
 
-// batchIndexScanIter probes or range-scans an index batch-wise.
+// batchIndexScanIter probes or range-scans an index batch-wise, with the
+// sequential scan's late materialization.
 type batchIndexScanIter struct {
-	e     *env
-	n     *optimizer.IndexScan
-	tbl   *storage.Table
-	match []int32
-	pos   int
-	width int
-	bc    *batchCtx
-	b     Batch
+	e           *env
+	n           *optimizer.IndexScan
+	tbl         *storage.Table
+	first, late []int
+	match       []int32
+	pos         int
+	width       int
+	bc          *batchCtx
+	b           Batch
 }
 
 func newBatchIndexScan(e *env, n *optimizer.IndexScan) (*batchIndexScanIter, error) {
@@ -99,7 +115,10 @@ func newBatchIndexScan(e *env, n *optimizer.IndexScan) (*batchIndexScanIter, err
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", n.Table.Name)
 	}
-	return &batchIndexScanIter{e: e, n: n, tbl: tbl, bc: newBatchCtx(e, n.Columns())}, nil
+	it := &batchIndexScanIter{e: e, n: n, tbl: tbl, bc: newBatchCtx(e, n.Columns())}
+	it.first, it.late = scanSlots(n)
+	it.b.onlyLive(liveSlots(n))
+	return it, nil
 }
 
 func (it *batchIndexScanIter) Open(outer *Ctx) error {
@@ -123,14 +142,11 @@ func (it *batchIndexScanIter) NextBatch() (*Batch, error) {
 			return nil, nil
 		}
 		fill := it.b.grow(it.width, it.e.batchSize)
-		rowidCol := it.width - 1
+		// Physical row r of this batch is match[base+r].
+		base := it.pos
 		for it.b.N < fill && it.pos < len(it.match) {
-			rowid := it.match[it.pos]
-			src := it.tbl.Rows[rowid]
-			for c := range src {
-				it.b.Cols[c][it.b.N] = src[c]
-			}
-			it.b.Cols[rowidCol][it.b.N] = datum.NewInt(int64(rowid))
+			rowid := int(it.match[it.pos])
+			it.b.fillSlots(it.first, it.b.N, it.tbl.Rows[rowid], rowid)
 			it.pos++
 			it.b.N++
 		}
@@ -139,6 +155,13 @@ func (it *batchIndexScanIter) NextBatch() (*Batch, error) {
 		}
 		if it.b.Rows() == 0 {
 			continue
+		}
+		if len(it.late) > 0 {
+			for k := 0; k < it.b.Rows(); k++ {
+				r := it.b.Live(k)
+				rowid := int(it.match[base+r])
+				it.b.fillSlots(it.late, r, it.tbl.Rows[rowid], rowid)
+			}
 		}
 		it.e.noteBatch(&it.b)
 		return &it.b, nil
@@ -182,18 +205,21 @@ func (it *batchFilterIter) NextBatch() (*Batch, error) {
 
 func (it *batchFilterIter) Close() error { return it.child.Close() }
 
-// batchProjectIter evaluates the output expressions column-wise into its
-// own batch, carrying the child's selection vector through unchanged.
+// batchProjectIter evaluates its live output expressions column-wise into
+// its own batch, carrying the child's selection vector through unchanged.
 type batchProjectIter struct {
 	e     *env
 	n     *optimizer.Project
 	child batchIterator
+	live  []int
 	bc    *batchCtx
 	out   Batch
 }
 
 func newBatchProject(e *env, n *optimizer.Project, child batchIterator) *batchProjectIter {
-	return &batchProjectIter{e: e, n: n, child: child, bc: newBatchCtx(e, n.Child.Columns())}
+	it := &batchProjectIter{e: e, n: n, child: child, live: liveSlots(n), bc: newBatchCtx(e, n.Child.Columns())}
+	it.out.onlyLive(it.live)
+	return it
 }
 
 func (it *batchProjectIter) Open(outer *Ctx) error {
@@ -207,8 +233,8 @@ func (it *batchProjectIter) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	it.out.reset(len(it.n.Exprs), b.N)
-	for i, ex := range it.n.Exprs {
-		if err := it.e.evalExprBatch(ex, b, b.Sel, it.bc, it.out.Cols[i]); err != nil {
+	for _, i := range it.live {
+		if err := it.e.evalExprBatch(it.n.Exprs[i], b, b.Sel, it.bc, it.out.Cols[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -29,6 +29,10 @@ type batchHashJoinIter struct {
 	comb    Row // scratch combined row for residual On evaluation
 	nLeft   int
 	nRight  int
+	// leftLive and rightLive are the live slots of the two inputs. Only
+	// they are copied into comb and the output batch, and only the live
+	// build columns are stored.
+	leftLive, rightLive []int
 
 	table keyTable
 	// Single-key fast path: when the join has exactly one non-null-safe
@@ -39,8 +43,8 @@ type batchHashJoinIter struct {
 	intMode  bool
 	intTable map[int64][]int
 	// buildCols stores the build side columnar (buildCols[c][ri] is column
-	// c of build row ri): one growing slice per column instead of one Row
-	// allocation per build row.
+	// c of build row ri): one growing slice per live column instead of one
+	// Row allocation per build row. A dead column's slice stays nil.
 	buildCols [][]datum.Datum
 	// presenceOnly marks semijoin-family builds with no residual On
 	// predicates: build columns are never read and a key's verdict depends
@@ -77,10 +81,16 @@ type batchHashJoinIter struct {
 
 func newBatchHashJoin(e *env, n *optimizer.Join, l, r batchIterator) *batchHashJoinIter {
 	nLeft, nRight := len(n.L.Columns()), len(n.R.Columns())
-	return &batchHashJoinIter{e: e, n: n, l: l, r: r, nLeft: nLeft, nRight: nRight,
+	it := &batchHashJoinIter{e: e, n: n, l: l, r: r, nLeft: nLeft, nRight: nRight,
+		leftLive: liveSlots(n.L), rightLive: liveSlots(n.R),
 		combCtx: schemaCtx(joinSchema(n)), comb: make(Row, nLeft+nRight),
 		keyVecs: make([][]datum.Datum, len(n.EqL)),
 		bcL:     newBatchCtx(e, n.L.Columns()), bcR: newBatchCtx(e, n.R.Columns())}
+	if poisonDead {
+		poison(it.comb)
+	}
+	it.out.onlyLive(liveSlots(n))
+	return it
 }
 
 func (it *batchHashJoinIter) Open(outer *Ctx) error {
@@ -123,7 +133,7 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 		it.buildCols = nil
 	} else {
 		it.buildCols = make([][]datum.Datum, it.nRight)
-		for c := range it.buildCols {
+		for _, c := range it.rightLive {
 			it.buildCols[c] = make([]datum.Datum, 0, est)
 		}
 	}
@@ -160,8 +170,10 @@ func (it *batchHashJoinIter) Open(outer *Ctx) error {
 				key[i] = d
 			}
 			idx := it.nBuild
-			for c := range it.buildCols {
-				it.buildCols[c] = append(it.buildCols[c], rb.Cols[c][r])
+			if !it.presenceOnly {
+				for _, c := range it.rightLive {
+					it.buildCols[c] = append(it.buildCols[c], rb.Cols[c][r])
+				}
 			}
 			it.nBuild++ // counted even when presenceOnly: NOT IN needs the empty-set check
 			if hasNull {
@@ -289,10 +301,10 @@ func (it *batchHashJoinIter) onMatch(b *Batch, r, ri int) (bool, error) {
 	if len(it.n.On) == 0 {
 		return true, nil
 	}
-	for c := 0; c < it.nLeft; c++ {
+	for _, c := range it.leftLive {
 		it.comb[c] = b.Cols[c][r]
 	}
-	for c := 0; c < it.nRight; c++ {
+	for _, c := range it.rightLive {
 		it.comb[it.nLeft+c] = it.buildCols[c][ri]
 	}
 	it.combCtx.row = it.comb
@@ -387,24 +399,27 @@ func (it *batchHashJoinIter) verdict(b *Batch, r int) (bool, error) {
 	}
 }
 
-// emitComb appends probe row r combined with build row ri to the output.
+// emitComb appends probe row r combined with build row ri to the output,
+// live slots only (as do the two pad emitters).
 func (it *batchHashJoinIter) emitComb(r, ri int) {
-	for c := 0; c < it.nLeft; c++ {
-		it.out.Cols[c][it.out.N] = it.cur.Cols[c][r]
+	n := it.out.N
+	for _, c := range it.leftLive {
+		it.out.Cols[c][n] = it.cur.Cols[c][r]
 	}
-	for c := 0; c < it.nRight; c++ {
-		it.out.Cols[it.nLeft+c][it.out.N] = it.buildCols[c][ri]
+	for _, c := range it.rightLive {
+		it.out.Cols[it.nLeft+c][n] = it.buildCols[c][ri]
 	}
 	it.out.N++
 }
 
 // emitLeftPad appends probe row r padded with right NULLs (left/full outer).
 func (it *batchHashJoinIter) emitLeftPad(r int) {
-	for c := 0; c < it.nLeft; c++ {
-		it.out.Cols[c][it.out.N] = it.cur.Cols[c][r]
+	n := it.out.N
+	for _, c := range it.leftLive {
+		it.out.Cols[c][n] = it.cur.Cols[c][r]
 	}
-	for c := 0; c < it.nRight; c++ {
-		it.out.Cols[it.nLeft+c][it.out.N] = datum.Null
+	for _, c := range it.rightLive {
+		it.out.Cols[it.nLeft+c][n] = datum.Null
 	}
 	it.out.N++
 }
@@ -412,11 +427,12 @@ func (it *batchHashJoinIter) emitLeftPad(r int) {
 // emitRightPad appends unmatched build row ri padded with left NULLs (full
 // outer tail).
 func (it *batchHashJoinIter) emitRightPad(ri int) {
-	for c := 0; c < it.nLeft; c++ {
-		it.out.Cols[c][it.out.N] = datum.Null
+	n := it.out.N
+	for _, c := range it.leftLive {
+		it.out.Cols[c][n] = datum.Null
 	}
-	for c := 0; c < it.nRight; c++ {
-		it.out.Cols[it.nLeft+c][it.out.N] = it.buildCols[c][ri]
+	for _, c := range it.rightLive {
+		it.out.Cols[it.nLeft+c][n] = it.buildCols[c][ri]
 	}
 	it.out.N++
 }
@@ -521,7 +537,9 @@ func (it *batchHashJoinIter) Close() error {
 
 // memBytes approximates the build side: rows plus hash-table buckets. The
 // per-row term uses the row engine's rowBytes formula on the columnar
-// store, so EXPLAIN ANALYZE mem= stays comparable across engines.
+// store at the build side's full schema width, although only its live
+// columns are stored, so EXPLAIN ANALYZE mem= stays comparable across
+// engines (and its goldens stable).
 func (it *batchHashJoinIter) memBytes() int64 {
 	b := it.table.memBytes()
 	if !it.presenceOnly {

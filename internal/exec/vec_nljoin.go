@@ -32,11 +32,15 @@ type batchNLJoinIter struct {
 	comb    Row // scratch: left row ++ right row; prefix doubles as leftCtx.row
 	nLeft   int
 	nRight  int
+	// leftLive and rightLive are the live slots of the two inputs: the
+	// only slots copied into comb and into the output batch.
+	leftLive, rightLive []int
 
 	// The probe filter runs batch-wise over cand, a candidate batch that
-	// carries only the right-side columns rn.Filter reads: candSlots[j] is
-	// the right-schema slot of cand column j, and candBC resolves the
-	// filter's columns against that narrow schema, with leftCtx as outer.
+	// carries only the right-side columns rn.Filter reads (the scan's first
+	// live slots): candSlots[j] is the right-schema slot of cand column j,
+	// and candBC resolves the filter's columns against that narrow schema,
+	// with leftCtx as outer.
 	candSlots []int
 	candBC    *batchCtx
 	cand      Batch
@@ -89,26 +93,20 @@ func newBatchNLJoin(e *env, n *optimizer.Join, l batchIterator) (*batchNLJoinIte
 	nLeft, nRight := len(n.L.Columns()), len(n.R.Columns())
 	it := &batchNLJoinIter{e: e, n: n, l: l, rn: rn, tbl: tbl, cacheCols: leftRefCols(n),
 		leftCtx: schemaCtx(n.L.Columns()), combCtx: schemaCtx(joinSchema(n)),
-		comb: make(Row, nLeft+nRight), nLeft: nLeft, nRight: nRight}
+		comb: make(Row, nLeft+nRight), nLeft: nLeft, nRight: nRight,
+		leftLive: liveSlots(n.L), rightLive: liveSlots(rn)}
+	if poisonDead {
+		poison(it.comb)
+	}
+	it.out.onlyLive(liveSlots(n))
 	it.combCtx.row = it.comb
 	it.leftCtx.row = it.comb[:nLeft]
 	if len(rn.Filter) > 0 {
 		rcols := rn.Columns()
-		idx := newColIndex(rcols)
-		read := make([]bool, len(rcols))
-		for _, f := range rn.Filter {
-			qtree.ExprCols(f, func(c *qtree.Col) {
-				if slot, ok := idx.find(optimizer.ColID{From: c.From, Ord: c.Ord}); ok {
-					read[slot] = true
-				}
-			})
-		}
-		var schema []optimizer.ColID
-		for slot, ok := range read {
-			if ok {
-				it.candSlots = append(it.candSlots, slot)
-				schema = append(schema, rcols[slot])
-			}
+		it.candSlots, _ = scanSlots(rn)
+		schema := make([]optimizer.ColID, len(it.candSlots))
+		for j, slot := range it.candSlots {
+			schema[j] = rcols[slot]
 		}
 		it.candBC = newBatchCtx(e, schema)
 		it.candBC.bind(&it.leftCtx)
@@ -174,11 +172,7 @@ func (it *batchNLJoinIter) probe() ([]int32, error) {
 			for i, rid := range chunk {
 				src := it.tbl.Rows[rid]
 				for j, slot := range it.candSlots {
-					if slot < len(src) {
-						it.cand.Cols[j][i] = src[slot]
-					} else {
-						it.cand.Cols[j][i] = datum.NewInt(int64(rid))
-					}
+					it.cand.Cols[j][i] = rowSlot(src, slot, int(rid))
 				}
 			}
 			it.cand.N = len(chunk)
@@ -227,31 +221,34 @@ func (it *batchNLJoinIter) onMatch(rid int32) (bool, error) {
 		return true, nil
 	}
 	src := it.tbl.Rows[rid]
-	copy(it.comb[it.nLeft:], src)
-	it.comb[it.nLeft+len(src)] = datum.NewInt(int64(rid))
+	for _, c := range it.rightLive {
+		it.comb[it.nLeft+c] = rowSlot(src, c, int(rid))
+	}
 	return it.e.evalPreds(it.n.On, &it.combCtx)
 }
 
-// emit appends the current left row combined with right row rid.
+// emit appends the current left row combined with right row rid, live
+// slots only.
 func (it *batchNLJoinIter) emit(rid int32) {
-	for c := 0; c < it.nLeft; c++ {
-		it.out.Cols[c][it.out.N] = it.comb[c]
+	n := it.out.N
+	for _, c := range it.leftLive {
+		it.out.Cols[c][n] = it.comb[c]
 	}
 	src := it.tbl.Rows[rid]
-	for c := range src {
-		it.out.Cols[it.nLeft+c][it.out.N] = src[c]
+	for _, c := range it.rightLive {
+		it.out.Cols[it.nLeft+c][n] = rowSlot(src, c, int(rid))
 	}
-	it.out.Cols[it.nLeft+len(src)][it.out.N] = datum.NewInt(int64(rid))
 	it.out.N++
 }
 
 // emitLeftPad appends the current left row padded with right NULLs.
 func (it *batchNLJoinIter) emitLeftPad() {
-	for c := 0; c < it.nLeft; c++ {
-		it.out.Cols[c][it.out.N] = it.comb[c]
+	n := it.out.N
+	for _, c := range it.leftLive {
+		it.out.Cols[c][n] = it.comb[c]
 	}
-	for c := 0; c < it.nRight; c++ {
-		it.out.Cols[it.nLeft+c][it.out.N] = datum.Null
+	for _, c := range it.rightLive {
+		it.out.Cols[it.nLeft+c][n] = datum.Null
 	}
 	it.out.N++
 }
@@ -312,7 +309,7 @@ func (it *batchNLJoinIter) NextBatch() (*Batch, error) {
 		}
 		r := it.cur.Live(it.k)
 		it.k++
-		for c := 0; c < it.nLeft; c++ {
+		for _, c := range it.leftLive {
 			it.comb[c] = it.cur.Cols[c][r]
 		}
 		rowids, err := it.rightFor()

@@ -29,8 +29,8 @@ func explainNode(sb *strings.Builder, p *Plan, n PlanNode, depth int, annotate f
 		extra = annotate(n)
 	}
 	fmt.Fprintf(sb, "%s%s  (cost=%.1f rows=%.0f)%s\n", indent, describe(n), c.Total, c.Rows, extra)
-	// Subplans referenced by this node's predicates.
-	for _, e := range nodePreds(n) {
+	// Subplans referenced by this node's expressions.
+	NodeExprs(n, func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
 			if s, ok := x.(*qtree.Subq); ok {
 				if sp, ok := p.Subplans[s]; ok {
@@ -42,7 +42,7 @@ func explainNode(sb *strings.Builder, p *Plan, n PlanNode, depth int, annotate f
 			}
 			return true
 		})
-	}
+	})
 	for _, ch := range n.Children() {
 		explainNode(sb, p, ch, depth+1, annotate)
 	}
@@ -94,22 +94,6 @@ func describe(n PlanNode) string {
 	default:
 		return n.Label()
 	}
-}
-
-func nodePreds(n PlanNode) []qtree.Expr {
-	switch v := n.(type) {
-	case *Filter:
-		return v.Preds
-	case *SeqScan:
-		return v.Filter
-	case *IndexScan:
-		return v.Filter
-	case *Join:
-		return v.On
-	case *Project:
-		return v.Exprs
-	}
-	return nil
 }
 
 func exprList(es []qtree.Expr) string {

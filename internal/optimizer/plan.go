@@ -42,16 +42,24 @@ type PlanNode interface {
 	Children() []PlanNode
 	// Label is a short operator name for EXPLAIN output.
 	Label() string
+	// Live returns the liveness pass's record of which output slots some
+	// consumer reads, or nil when the node never went through the pass (a
+	// cost-only or hand-built plan): every slot then counts as live.
+	Live() *Live
+	setLive(*Live)
 }
 
 // base carries the fields shared by all plan nodes.
 type base struct {
 	cols []ColID
 	cost Cost
+	live *Live
 }
 
 func (b *base) Columns() []ColID { return b.cols }
 func (b *base) Cost() Cost       { return b.cost }
+func (b *base) Live() *Live      { return b.live }
+func (b *base) setLive(l *Live)  { b.live = l }
 
 // SeqScan reads all rows of a base table, applying Filter.
 type SeqScan struct {

@@ -77,6 +77,9 @@ func (p *Planner) Optimize(q *qtree.Query) (*Plan, error) {
 	}
 	plan.Root = node
 	plan.Cost = node.Cost()
+	if !p.CostOnly {
+		MarkLive(plan)
+	}
 	return plan, nil
 }
 

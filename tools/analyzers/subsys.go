@@ -287,6 +287,7 @@ func fieldListHasCtx(p *Pass, params *ast.FieldList) bool {
 var selvecKernels = map[string]bool{
 	"Batch.gather":                   true,
 	"Batch.appendRow":                true,
+	"Batch.fillSlots":                true,
 	"batchSeqScanIter.NextBatch":     true,
 	"batchIndexScanIter.NextBatch":   true,
 	"batchNLJoinIter.emit":           true,
