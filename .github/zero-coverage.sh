@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Lists the production functions in internal/ that no test executes, and
 # fails if one is missing from .github/zero-coverage.txt, so a newly dead
-# or untested path shows up in review. internal/sql's AST marker methods
-# (empty interface-tagging methods) are filtered out.
+# or untested path shows up in review. It also fails, before running any
+# test, if the list names a function its file no longer declares.
+# internal/sql's AST marker methods (empty interface-tagging methods) are
+# filtered out.
 #
 #   .github/zero-coverage.sh          check against the committed list
 #   .github/zero-coverage.sh update   rewrite the committed list
@@ -11,6 +13,17 @@ cd "$(dirname "$0")/.."
 list=.github/zero-coverage.txt
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
+
+if [ "${1:-}" != update ]; then
+	gone=$(while read -r file fn; do
+		grep -Eqs "^func (\([^)]*\) )?$fn[[(]" "${file#repro/}" || echo "$file $fn"
+	done < "$list")
+	if [ -n "$gone" ]; then
+		echo "no longer declared in the source; remove from $list:" >&2
+		echo "$gone" >&2
+		exit 1
+	fi
+fi
 
 go test -coverpkg=./internal/... -coverprofile="$profile" ./... > /dev/null
 current=$(go tool cover -func="$profile" | awk '

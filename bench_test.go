@@ -10,8 +10,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -186,48 +184,6 @@ WHERE e1.emp_id BETWEEN 100 AND 130 AND
 	b.Run("interleave=on", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkParallelSearch measures the parallel state-evaluation engine on
-// the Table 2 query under exhaustive search: one worker (the sequential
-// baseline) versus a worker pool. The chosen transformed query and plan
-// cost must be identical at every parallelism level; only the wall-clock
-// optimization time may change.
-func BenchmarkParallelSearch(b *testing.B) {
-	db := sharedDB()
-	var baseSQL string
-	var baseCost float64
-	levels := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		levels = append(levels, p)
-	}
-	for _, par := range levels {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			var cost float64
-			for i := 0; i < b.N; i++ {
-				q, err := qtree.BindSQL(bench.Table2Query, db.Catalog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts := cbqt.DefaultOptions()
-				opts.Strategy = cbqt.StrategyExhaustive
-				opts.Parallelism = par
-				opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
-				o := &cbqt.Optimizer{Cat: db.Catalog, Opts: opts}
-				res, err := o.Optimize(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.Plan.Cost.Total
-				if baseSQL == "" {
-					baseSQL, baseCost = res.Query.SQL(), cost
-				} else if got := res.Query.SQL(); got != baseSQL || cost != baseCost {
-					b.Fatalf("workers=%d chose a different outcome: cost %v vs %v", par, cost, baseCost)
-				}
-			}
-			b.ReportMetric(cost, "plan-cost")
-		})
-	}
-}
-
 // BenchmarkSmallDBEndToEnd runs the tiny-scale smoke version of every
 // figure so the full paper pipeline is exercised even in -short
 // environments.
@@ -248,7 +204,7 @@ func BenchmarkSmallDBEndToEnd(b *testing.B) {
 
 // BenchmarkAdhocOptimize sizes the one-shot optimize path in process:
 // parse, bind and CBQT (heuristics, state search, final plan) of the texts
-// of bench.AdhocCorpus in turn, at one worker on small data — the
+// of bench.AdhocCorpus in turn, on small data — the
 // per-statement work of the adhoc_cbqt benchmark workload without the
 // server or the executor. One op is one statement, so ns/op, B/op and
 // allocs/op are per statement; us/stmt repeats ns/op in microseconds.
@@ -256,7 +212,6 @@ func BenchmarkAdhocOptimize(b *testing.B) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	corpus := bench.AdhocCorpus(41)
 	opts := cbqt.DefaultOptions()
-	opts.Parallelism = 1
 	o := &cbqt.Optimizer{Cat: db.Catalog, Opts: opts}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchrunner -exp all|fig2|fig3|fig4|gbp|table1|table2|par|vec|overload [-n 12] [-repeats 3] [-seed 1] [-small] [-parallel 0]
+//	benchrunner -exp all|fig2|fig3|fig4|gbp|table1|table2|vec|overload [-n 12] [-repeats 3] [-seed 1] [-small]
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -28,7 +27,7 @@ import (
 )
 
 // experiments names the -exp values, in run order under -exp all.
-var experiments = []string{"fig2", "fig3", "fig4", "gbp", "table1", "table2", "par", "vec", "overload"}
+var experiments = []string{"fig2", "fig3", "fig4", "gbp", "table1", "table2", "vec", "overload"}
 
 func main() {
 	valid := "all, " + strings.Join(experiments, ", ")
@@ -41,7 +40,6 @@ func main() {
 	repeats := flag.Int("repeats", 3, "execution repetitions per query (min taken)")
 	seed := flag.Int64("seed", 1, "data generation seed")
 	small := flag.Bool("small", false, "use the small data sizes (quick smoke run)")
-	parallel := flag.Int("parallel", 0, "CBQT state-evaluation workers for the figure experiments (0 = cbqt default)")
 	timeout := flag.Duration("timeout", 0, "per-query optimization deadline for the figure experiments (0 = none)")
 	metrics := flag.Bool("metrics", false, "dump the optimizer metrics delta after each experiment")
 	flag.Parse()
@@ -49,7 +47,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchrunner: unknown -exp %q (valid: %s)\n", *exp, valid)
 		os.Exit(2)
 	}
-	bench.Parallelism = *parallel
 	bench.Budget = cbqt.Budget{Timeout: *timeout}
 	var reg *obsv.Registry
 	if *metrics {
@@ -137,18 +134,6 @@ func main() {
 		fmt.Println(bench.FormatTable2(rows))
 		return nil
 	})
-	run("par", func() error {
-		levels := []int{1, 2, 4}
-		if p := runtime.GOMAXPROCS(0); p > 4 {
-			levels = append(levels, p)
-		}
-		rows, err := bench.ParallelSearch(db, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatParallelSearch(rows))
-		return nil
-	})
 	run("vec", func() error {
 		rows, err := bench.Vec(ctx, db, *repeats)
 		if err != nil {
@@ -159,7 +144,6 @@ func main() {
 	})
 	run("overload", func() error {
 		opts := cbqt.DefaultOptions()
-		opts.Parallelism = 1
 		if *overloadDelay > 0 {
 			opts.Faults = faultinject.New(faultinject.Fault{
 				Site: "heuristics", Kind: faultinject.KindDelay, Delay: *overloadDelay,

@@ -55,7 +55,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print the search trace as a tree and as JSONL events")
 	analyze := flag.Bool("analyze", false, "execute the plan with per-operator runtime counters (EXPLAIN ANALYZE)")
 	metrics := flag.Bool("metrics", false, "dump the cumulative metrics registry after each query")
-	parallel := flag.Int("parallel", 0, "state-evaluation workers: 0 = GOMAXPROCS, 1 = sequential search")
 	timeout := flag.Duration("timeout", 0, "per-query optimization deadline (0 = none); on expiry the best plan found so far is kept")
 	maxStates := flag.Int("max-states", 0, "cap on transformation states evaluated per query (0 = unlimited)")
 	maxMem := flag.Int64("max-mem", 0, "approximate memory budget in bytes for copied trees and the cost cache (0 = unlimited)")
@@ -88,11 +87,6 @@ func main() {
 	opts := cbqt.DefaultOptions()
 	opts.Trace = *trace
 	opts.Metrics = reg
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "-parallel must be >= 0\n")
-		os.Exit(2)
-	}
-	opts.Parallelism = *parallel
 	opts.Check = *chk
 	opts.Budget = cbqt.Budget{Timeout: *timeout, MaxStates: *maxStates, MaxMemBytes: *maxMem}
 	if *faults != "" {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cbqt"
+	"repro/internal/obsv"
 	"repro/internal/qtree"
 	"repro/internal/storage"
 	"repro/internal/testkit"
@@ -25,6 +26,26 @@ func NewBenchDB(seed int64) *storage.DB {
 func workloadConfig(seed int64, n int) workload.Config {
 	s := testkit.MediumSizes()
 	return workload.DefaultConfig(seed, n, s.Employees, s.Departments, s.Jobs)
+}
+
+// Budget, when non-zero, applies a per-query optimization budget to every
+// optimizer configuration the figure experiments build (benchrunner's
+// -timeout flag). Budget-capped runs degrade to the best plan found, so
+// the equivalence guard in Compare still holds.
+var Budget cbqt.Budget
+
+// Metrics, when non-nil, receives the cbqt.* and costcache.* counters of
+// every optimizer the experiments build (benchrunner's -metrics flag), so
+// per-experiment deltas can be dumped via obsv.Snapshot.Sub.
+var Metrics *obsv.Registry
+
+// defaultOptions is cbqt.DefaultOptions with the benchmark-wide budget and
+// metrics overrides applied.
+func defaultOptions() cbqt.Options {
+	opts := cbqt.DefaultOptions()
+	opts.Budget = Budget
+	opts.Metrics = Metrics
+	return opts
 }
 
 // heuristicModeOptions turn every cost-based transformation into its
@@ -189,7 +210,6 @@ func Table2(db *storage.DB) ([]Table2Row, error) {
 func strategyUnnestOnly(s cbqt.Strategy) cbqt.Options {
 	opts := defaultOptions()
 	opts.Strategy = s
-	opts.Parallelism = 1 // Table 2 compares the strategies' sequential optimization times
 	opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
 	// The imperative merge flavour would consume the single-table
 	// subqueries; Table 2 subqueries are all multi-table so the default
@@ -245,7 +265,6 @@ func Table1(db *storage.DB) (Table1Result, error) {
 		opts.Strategy = cbqt.StrategyExhaustive
 		opts.AnnotationReuse = reuse
 		opts.CostCutoff = false
-		opts.Parallelism = 1 // Table 1's exact hit accounting needs one worker
 		opts.SkipHeuristics = true
 		opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
 		o := &cbqt.Optimizer{Cat: db.Catalog, Opts: opts}

@@ -19,7 +19,6 @@ import (
 func TestOverloadShedsNotQueues(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 1)
 	opts := cbqt.DefaultOptions()
-	opts.Parallelism = 1
 	// Service time must dominate scheduler and race-detector overhead, and
 	// QueueWait must be a small fraction of it, so the 2x bound on admitted
 	// latency holds by construction rather than by luck. A single moderate

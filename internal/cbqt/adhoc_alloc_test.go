@@ -11,7 +11,7 @@ import (
 
 // adhocOptimizeAllocBudget bounds the heap allocations of one Optimize of a
 // one-shot text — heuristics, the whole state search and the final plan,
-// as adhoc_cbqt pays it — averaged over bench.AdhocCorpus(41) at one worker
+// as adhoc_cbqt pays it — averaged over bench.AdhocCorpus(41)
 // on small data with the checker off, as production runs it. Measured on
 // x86-64 with go1.24: 2 692 per optimization when every state
 // re-discovered its rule's objects and re-ran the heuristics over every
@@ -24,7 +24,6 @@ const adhocOptimizeAllocBudget = 2200
 func TestAdhocOptimizeAllocBudget(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	opts := cbqt.DefaultOptions()
-	opts.Parallelism = 1
 	opts.Check = false
 	o := &cbqt.Optimizer{Cat: db.Catalog, Opts: opts}
 	corpus := bench.AdhocCorpus(41)

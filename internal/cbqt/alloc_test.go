@@ -9,7 +9,7 @@ import (
 )
 
 // searchAllocBudget bounds the heap allocations per costed state of the
-// exhaustive Table 2 search (16 states, one worker, unnesting only). Every
+// exhaustive Table 2 search (16 states, unnesting only). Every
 // state clones the tree, re-runs the heuristics, keys its blocks for
 // annotation reuse and plans what it cannot reuse, so this is the
 // optimizer's per-state fixed cost. Measured on x86-64 with go1.24: 2 118
@@ -25,7 +25,6 @@ func TestSearchAllocBudget(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	opts := DefaultOptions()
 	opts.Strategy = StrategyExhaustive
-	opts.Parallelism = 1
 	opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
 	o := &Optimizer{Cat: db.Catalog, Opts: opts}
 

@@ -37,7 +37,6 @@ func TestAnalyzeRowCountsEngineInvariant(t *testing.T) {
 	for _, tc := range traceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.Parallelism = 1
 			q := qtree.MustBind(tc.sql, tc.db.Catalog)
 			o := &Optimizer{Cat: tc.db.Catalog, Opts: opts}
 			res, err := o.Optimize(q)

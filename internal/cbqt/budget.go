@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/check"
@@ -100,12 +98,12 @@ func (e *TransformError) class() string {
 // far. Never escapes the cbqt package.
 var errBudgetStop = errors.New("cbqt: budget exhausted, stop search")
 
-// budgetTracker enforces a Budget across the (possibly parallel) search.
-// State-count and memory accounting go through reserve, which grants states
-// in enumeration order before they are dispatched — so the set of states a
-// capped search evaluates is the same prefix of the canonical enumeration
-// at every parallelism level, keeping capped searches deterministic. The
-// first bound to trip records the sticky degradation reason.
+// budgetTracker enforces a Budget across one search. State-count and memory
+// accounting go through reserve, which grants a batch's states in
+// enumeration order before any of them is costed, so a capped search
+// evaluates a prefix of the canonical enumeration. The first bound to trip
+// records the sticky degradation reason. It is owned by one search and not
+// safe for concurrent use.
 type budgetTracker struct {
 	ctx           context.Context
 	deadline      time.Time // zero = none
@@ -114,21 +112,20 @@ type budgetTracker struct {
 	perStateBytes int64     // approx bytes of one deep-copied query tree
 	cacheBytes    func() int64
 
-	resMu  sync.Mutex   // serializes reserve's read-modify-write
-	states atomic.Int64 // states granted so far
+	states int64 // states granted so far
 
 	// preSummary is the contract summary of the query a rule search starts
-	// from (Options.Check only). o.search writes it before dispatching
-	// workers; evalState reads it concurrently but never writes.
+	// from (Options.Check only). o.search writes it before costing any
+	// state; evalState only reads it.
 	preSummary *check.Summary
 	// baseSnap fingerprints the same query's tree (Options.Check only):
 	// every evaluated state re-verifies it to prove no transformation
 	// mutated the blocks its copy-on-write clone shares with the base.
-	// Written with preSummary, read concurrently, never re-written mid-rule.
+	// Written with preSummary, never re-written mid-rule.
 	baseSnap *check.TreeSnapshot
 	// objs is the object set the current rule's Find returned on the base.
-	// o.search writes it before dispatching workers; every state applies
-	// its variants through these handles and none writes them.
+	// o.search writes it before costing any state; every state applies its
+	// variants through these handles and none writes them.
 	objs []transform.Object
 	// baseFixpoint records that the query the search starts from is at a
 	// fixpoint of the heuristic rules, so a state's heuristic re-pass may
@@ -137,7 +134,6 @@ type budgetTracker struct {
 	// converges, cleared when a RuleHeuristic-mode rule changes the query.
 	baseFixpoint bool
 
-	mu     sync.Mutex
 	reason DegradeReason
 }
 
@@ -167,17 +163,9 @@ func newBudgetTracker(ctx context.Context, b Budget, q *qtree.Query, cache *opti
 
 // trip records the first degradation reason; later trips keep the first.
 func (t *budgetTracker) trip(r DegradeReason) {
-	t.mu.Lock()
 	if t.reason == DegradeNone {
 		t.reason = r
 	}
-	t.mu.Unlock()
-}
-
-func (t *budgetTracker) degradeReason() DegradeReason {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.reason
 }
 
 // expired reports (and records) whether the wall-clock or cancellation
@@ -199,8 +187,7 @@ func (t *budgetTracker) expired() bool {
 
 // reserve grants permission to cost up to n more states and returns how
 // many were granted (0..n). The grant depends only on the totals reserved
-// so far, never on goroutine scheduling, so trimming a batch to its granted
-// prefix evaluates the same states at every worker count.
+// so far, so a batch trimmed to its granted prefix is the same on every run.
 func (t *budgetTracker) reserve(n int) int {
 	if n <= 0 {
 		return 0
@@ -208,10 +195,8 @@ func (t *budgetTracker) reserve(n int) int {
 	if t.expired() {
 		return 0
 	}
-	t.resMu.Lock()
-	defer t.resMu.Unlock()
 	granted := int64(n)
-	used := t.states.Load()
+	used := t.states
 	if t.maxStates > 0 && used+granted > t.maxStates {
 		granted = t.maxStates - used
 		if granted < 0 {
@@ -229,6 +214,6 @@ func (t *budgetTracker) reserve(n int) int {
 			t.trip(DegradeMemCap)
 		}
 	}
-	t.states.Add(granted)
+	t.states += granted
 	return int(granted)
 }

@@ -94,25 +94,14 @@ type Options struct {
 	Strategy Strategy
 	// IterativeMaxStates bounds the states iterative improvement costs.
 	IterativeMaxStates int
-	// Parallelism bounds the worker goroutines that evaluate
-	// transformation states concurrently. Each state is costed on its own
-	// copy of the query, so the Exhaustive, Linear and Two-Pass searches
-	// give their states in batches to this many workers (Iterative stays
-	// sequential: every step depends on the previous best). 0 selects
-	// runtime.GOMAXPROCS(0); 1 evaluates each batch in enumeration order
-	// on the calling goroutine, which is the sequential search. The
-	// chosen state, its cost and the final plan are identical at every
-	// parallelism level: the winner is the minimum-cost state with ties
-	// broken by the state's position in the canonical enumeration order
-	// (its mixed-radix key), never by completion order.
+	// Parallelism is ignored: every search costs its states in enumeration
+	// order on the calling goroutine. The benchmark harness still sets it
+	// (benchmark/replay.go and benchmark/verify.go); the field goes with
+	// the next change to that harness (ROADMAP item 3(b)).
 	Parallelism int
 	// CostCutoff enables abandoning states whose cost exceeds the best
-	// found so far (§3.4.1). Each state prunes against the completed costs
-	// of the states that precede it in enumeration order (a prefix bound):
-	// several workers may observe a later (higher) bound than one worker
-	// would hold, which only reduces pruning — never correctness, and
-	// never below what one worker prunes, keeping normalized search traces
-	// identical at every worker count.
+	// found so far (§3.4.1): each state prunes against the running minimum
+	// of the states costed before it.
 	CostCutoff bool
 	// AnnotationReuse enables reuse of query sub-tree cost annotations
 	// across states (§3.4.2).
@@ -154,17 +143,17 @@ type Options struct {
 	// plan), the tree after the winning directives are applied, and the
 	// final physical plan. A violation in a transformation state or in the
 	// winner/heuristic application quarantines the offending rule through
-	// the same machinery that isolates panics, deterministically at every
-	// parallelism level; a violation in the input query or the final plan
-	// fails the optimization. Violations count through Options.Metrics
-	// (cbqt.check_violations and per-class counters).
+	// the same machinery that isolates panics; a violation in the input
+	// query or the final plan fails the optimization. Violations count
+	// through Options.Metrics (cbqt.check_violations and per-class
+	// counters).
 	Check bool
 }
 
 // defaultCheck is the Options.Check value DefaultOptions hands out. It is
 // false for production callers (the -check flags opt in) and flipped to
-// true by this package's test suite, so every differential, fault, golden,
-// and parallel test runs with the static checker armed.
+// true by this package's test suite, so every differential, fault and
+// golden test runs with the static checker armed.
 var defaultCheck = false
 
 // fullCloneStates makes evalState cost every state on a full deep copy of
@@ -195,7 +184,6 @@ func DefaultOptions() Options {
 	return Options{
 		Strategy:           StrategyAuto,
 		IterativeMaxStates: 24,
-		Parallelism:        0, // runtime.GOMAXPROCS(0) workers
 		CostCutoff:         true,
 		AnnotationReuse:    true,
 		Seed:               1,
@@ -221,8 +209,8 @@ type Stats struct {
 	// Events is the structured search-event stream recorded when
 	// Options.Trace is set: rule headers, every state evaluation with its
 	// outcome, winners, quarantines and degradations, in state enumeration
-	// order (deterministic at every parallelism level; obsv.Normalize makes
-	// the serialized form byte-identical across worker counts).
+	// order (obsv.Normalize strips its timings and work counters for
+	// comparison across runs).
 	Events []obsv.SearchEvent
 	// Degraded records why the search stopped early (empty: it completed).
 	Degraded DegradeReason
@@ -316,8 +304,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	}
 
 	// quarantine disables a failed transformation for the rest of the
-	// query: the search continues with the untransformed state, identically
-	// at every parallelism level.
+	// query: the search continues with the untransformed state.
 	quarantined := map[string]bool{}
 	quarantine := func(rule string, te *TransformError) {
 		stats.TransformErrors = append(stats.TransformErrors, te)
@@ -400,7 +387,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		})
 	}
 
-	stats.Degraded = tracker.degradeReason()
+	stats.Degraded = tracker.reason
 	if stats.Degraded != DegradeNone {
 		o.traceEvent(&stats, obsv.SearchEvent{Ev: obsv.EvDegraded, Reason: string(stats.Degraded)})
 	}

@@ -208,7 +208,6 @@ func TestTable1AnnotationReuse(t *testing.T) {
 		opts.Strategy = StrategyExhaustive
 		opts.AnnotationReuse = reuse
 		opts.CostCutoff = false // isolate the reuse effect (Table 1)
-		opts.Parallelism = 1    // exact hit counts need one worker: concurrent misses may duplicate work
 		opts.SkipHeuristics = true
 		opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
 		o := &Optimizer{Cat: db.Catalog, Opts: opts}

@@ -12,9 +12,7 @@ import (
 
 // countCheckViolations folds static-checker findings into the per-state
 // Stats and the metrics registry: the total under MetricCheckViolations
-// and one counter per violation class. Safe from parallel workers — Stats
-// is per-worker (merged in enumeration order) and obsv counters are
-// atomic.
+// and one counter per violation class.
 func (o *Optimizer) countCheckViolations(stats *Stats, vs check.Violations) {
 	stats.CheckViolations += len(vs)
 	reg := o.Opts.Metrics
@@ -26,8 +24,7 @@ func (o *Optimizer) countCheckViolations(stats *Stats, vs check.Violations) {
 
 // checkFault converts checker findings on a transformation state into the
 // quarantine path: a *TransformError carrying the Violations, which the
-// search surfaces in enumeration order so the offending rule is
-// quarantined identically at every parallelism level.
+// search surfaces in enumeration order.
 func (o *Optimizer) checkFault(rule, st string, stats *Stats, vs check.Violations) *TransformError {
 	o.countCheckViolations(stats, vs)
 	return &TransformError{Rule: rule, State: st, Err: vs}

@@ -38,7 +38,7 @@ func decisionCorpus() []string {
 
 // TestDecisionIdentity pins every decision the optimizer makes over
 // decisionCorpus, on small and medium data, under the default strategy and
-// under exhaustive search at one worker: the transformed SQL, the search's
+// under exhaustive search: the transformed SQL, the search's
 // state, block and annotation-hit counts, and each plan operator with its
 // exact cost and row estimate as hex floats. A change that claims to move no
 // decision (a faster search, a pass over finished plans) must leave
@@ -64,7 +64,6 @@ func TestDecisionIdentity(t *testing.T) {
 		}{{"auto", cbqt.StrategyAuto}, {"exhaustive", cbqt.StrategyExhaustive}} {
 			opts := cbqt.DefaultOptions()
 			opts.Strategy = strat.strat
-			opts.Parallelism = 1
 			o := &cbqt.Optimizer{Cat: data.db.Catalog, Opts: opts}
 			for i, src := range corpus {
 				res, err := o.Optimize(qtree.MustBind(src, data.db.Catalog))

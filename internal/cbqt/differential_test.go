@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/testkit"
-	"repro/internal/transform"
 	"repro/internal/workload"
 )
 
-// TestDifferentialOracle is the safety net for the parallel search engine:
-// a seeded sample of generated workload queries is optimized three ways —
-// cost-based transformation disabled entirely, sequential CBQT, and
-// parallel CBQT — each chosen plan is executed, and all three must return
-// identical (sorted) result rows. Any transformation, search or
-// concurrency bug that changes query semantics surfaces here as a row
-// diff on real data.
+// TestDifferentialOracle is the safety net for the search engine: a seeded
+// sample of generated workload queries is optimized twice — cost-based
+// transformation disabled entirely, and CBQT — each chosen plan is
+// executed, and both must return identical (sorted) result rows. Any
+// transformation or search bug that changes query semantics surfaces here
+// as a row diff on real data.
 func TestDifferentialOracle(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	s := testkit.SmallSizes()
@@ -27,36 +25,12 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("generated only %d queries, want >= 100", len(queries))
 	}
 
-	disabled := DefaultOptions()
-	disabled.RuleModes = map[string]RuleMode{}
-	for _, r := range transform.CostBasedRules() {
-		disabled.RuleModes[r.Name()] = RuleOff
-	}
-	disabled.Parallelism = 1
-
-	sequential := DefaultOptions()
-	sequential.Parallelism = 1
-
-	parallel := DefaultOptions()
-	parallel.Parallelism = 8
-
 	for _, wq := range queries {
-		off, _ := runCBQT(t, db, wq.SQL, disabled)
-		seq, resSeq := runCBQT(t, db, wq.SQL, sequential)
-		par, resPar := runCBQT(t, db, wq.SQL, parallel)
-		if !equalStrs(seq, off) {
-			t.Errorf("query %d (%s): sequential CBQT changed results (%d rows vs %d)\nsql: %s\ntransformed: %s",
-				wq.ID, wq.Class, len(seq), len(off), wq.SQL, resSeq.Query.SQL())
-		}
-		if !equalStrs(par, off) {
-			t.Errorf("query %d (%s): parallel CBQT changed results (%d rows vs %d)\nsql: %s\ntransformed: %s",
-				wq.ID, wq.Class, len(par), len(off), wq.SQL, resPar.Query.SQL())
-		}
-		// Parallel and sequential CBQT must also agree on the chosen
-		// transformed query itself, not just its results.
-		if got, want := resPar.Query.SQL(), resSeq.Query.SQL(); got != want {
-			t.Errorf("query %d (%s): parallel chose a different transformed query\nsql: %s\nparallel:   %s\nsequential: %s",
-				wq.ID, wq.Class, wq.SQL, got, want)
+		off, _ := runCBQT(t, db, wq.SQL, disabledOptions())
+		rows, res := runCBQT(t, db, wq.SQL, DefaultOptions())
+		if !equalStrs(rows, off) {
+			t.Errorf("query %d (%s): CBQT changed results (%d rows vs %d)\nsql: %s\ntransformed: %s",
+				wq.ID, wq.Class, len(rows), len(off), wq.SQL, res.Query.SQL())
 		}
 	}
 }

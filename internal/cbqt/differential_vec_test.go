@@ -138,7 +138,6 @@ func TestDifferentialVectorized(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	opts.Parallelism = 1
 	type planned struct {
 		sql  string
 		plan *optimizer.Plan

@@ -41,7 +41,6 @@ func TestFaultPanicEveryRuleDifferential(t *testing.T) {
 		for i, wq := range queries {
 			faults := faultinject.New(faultinject.Fault{Site: site, Kind: faultinject.KindPanic})
 			opts := DefaultOptions()
-			opts.Parallelism = 1
 			opts.Faults = faults
 			rows, res := runCBQT(t, db, wq.SQL, opts)
 			if !equalStrs(rows, baseline[i]) {
@@ -67,7 +66,6 @@ func TestFaultApplyPanic(t *testing.T) {
 		site := "apply:" + r.Name()
 		faults := faultinject.New(faultinject.Fault{Site: site, Kind: faultinject.KindPanic})
 		opts := DefaultOptions()
-		opts.Parallelism = 1
 		opts.Faults = faults
 		rows, res := runCBQT(t, db, table2SQL, opts)
 		if !equalStrs(rows, baseRows) {
@@ -75,38 +73,6 @@ func TestFaultApplyPanic(t *testing.T) {
 		}
 		if faults.Hits(site) > 0 && len(res.Stats.TransformErrors) == 0 {
 			t.Errorf("panic@%s: fault fired but no TransformError was recorded", site)
-		}
-	}
-}
-
-// TestFaultParallelSequentialAgreement: under one deterministic fault
-// schedule, the parallel and sequential searches must quarantine the same
-// rules and choose the identical transformed query. Only always-fire faults
-// are schedule-deterministic across worker counts (per-hit faults may land
-// on a different state), so that is what the test pins.
-func TestFaultParallelSequentialAgreement(t *testing.T) {
-	db := testkit.NewDB(testkit.SmallSizes(), 7)
-	schedules := [][]faultinject.Fault{
-		{{Site: "state:" + (&transform.UnnestSubquery{}).Name(), Kind: faultinject.KindPanic}},
-		{{Site: "state:" + (&transform.GroupByPlacement{}).Name(), Kind: faultinject.KindError}},
-		{{Site: "apply:*", Kind: faultinject.KindPanic}},
-	}
-	for _, sched := range schedules {
-		run := func(parallelism int) *Result {
-			opts := DefaultOptions()
-			opts.Parallelism = parallelism
-			opts.Faults = faultinject.New(sched...)
-			_, res := runCBQT(t, db, table2SQL, opts)
-			return res
-		}
-		seq := run(1)
-		par := run(8)
-		if got, want := par.Query.SQL(), seq.Query.SQL(); got != want {
-			t.Errorf("schedule %v: parallel chose a different query\nparallel:   %s\nsequential: %s",
-				sched, got, want)
-		}
-		if got, want := par.Stats.QuarantinedRules, seq.Stats.QuarantinedRules; !equalStrs(got, want) {
-			t.Errorf("schedule %v: quarantine sets differ: parallel %v vs sequential %v", sched, got, want)
 		}
 	}
 }
@@ -119,7 +85,6 @@ func TestFaultHeuristics(t *testing.T) {
 
 	for _, kind := range []faultinject.Kind{faultinject.KindPanic, faultinject.KindError} {
 		opts := DefaultOptions()
-		opts.Parallelism = 1
 		opts.Faults = faultinject.New(faultinject.Fault{Site: "heuristics", Kind: kind})
 		rows, res := runCBQT(t, db, table2SQL, opts)
 		if !equalStrs(rows, baseRows) {
@@ -143,11 +108,9 @@ func TestFaultHeuristics(t *testing.T) {
 func TestFaultCache(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	clean := DefaultOptions()
-	clean.Parallelism = 1
 	cleanRows, cleanRes := runCBQT(t, db, table2SQL, clean)
 
 	opts := DefaultOptions()
-	opts.Parallelism = 1
 	opts.Faults = faultinject.New(
 		faultinject.Fault{Site: "cache:get", Kind: faultinject.KindError},
 		faultinject.Fault{Site: "cache:put", Kind: faultinject.KindError},

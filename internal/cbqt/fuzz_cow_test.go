@@ -53,7 +53,6 @@ WHERE e.dept_id = d.dept_id AND
 		}
 
 		opts := DefaultOptions()
-		opts.Parallelism = 1
 		opts.Check = true
 
 		fullCloneStates = true

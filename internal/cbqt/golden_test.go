@@ -61,10 +61,6 @@ func TestGoldenExplain(t *testing.T) {
 			t.Run(tc.name+"/"+st.name, func(t *testing.T) {
 				opts := DefaultOptions()
 				opts.Strategy = st.strat
-				// Golden snapshots are scheduling-independent by the
-				// determinism guarantee; pin one worker anyway so a
-				// determinism regression fails its own test, not this one.
-				opts.Parallelism = 1
 				q := qtree.MustBind(tc.sql, tc.db.Catalog)
 				o := &Optimizer{Cat: tc.db.Catalog, Opts: opts}
 				res, err := o.Optimize(q)
@@ -104,7 +100,6 @@ func TestGoldenExplainDegraded(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	opts := DefaultOptions()
 	opts.Strategy = StrategyExhaustive
-	opts.Parallelism = 1
 	opts.Budget.MaxStates = 3
 	q := qtree.MustBind(table2SQL, db.Catalog)
 	o := &Optimizer{Cat: db.Catalog, Opts: opts}

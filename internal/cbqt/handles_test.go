@@ -2,7 +2,6 @@ package cbqt
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/obsv"
@@ -31,12 +30,11 @@ type referenceCase struct {
 
 // referenceCorpus is testQueries under every strategy and in mixed mode
 // (each rule that has a heuristic decision in RuleHeuristic mode, the rest
-// cost-based), the TestDifferentialCOW workload at one and at eight
-// workers, and the Table 2 query under every strategy.
+// cost-based), the TestDifferentialCOW workload, and the Table 2 query
+// under every strategy.
 func referenceCorpus() []referenceCase {
-	traced := func(par int) Options {
+	traced := func() Options {
 		opts := DefaultOptions()
-		opts.Parallelism = par
 		opts.Trace = true
 		return opts
 	}
@@ -44,7 +42,7 @@ func referenceCorpus() []referenceCase {
 	tiny := testkit.TinyDB()
 	for i, src := range testQueries {
 		for _, strat := range []Strategy{StrategyExhaustive, StrategyLinear, StrategyTwoPass, StrategyIterative} {
-			opts := traced(1)
+			opts := traced()
 			opts.Strategy = strat
 			cases = append(cases, referenceCase{fmt.Sprintf("testQueries[%d] %s", i, strat), tiny, src, opts})
 		}
@@ -52,7 +50,7 @@ func referenceCorpus() []referenceCase {
 			if _, ok := r.(HeuristicDecider); !ok {
 				continue
 			}
-			opts := traced(1)
+			opts := traced()
 			opts.RuleModes = map[string]RuleMode{r.Name(): RuleHeuristic}
 			cases = append(cases, referenceCase{fmt.Sprintf("testQueries[%d] heuristic %s", i, r.Name()), tiny, src, opts})
 		}
@@ -62,7 +60,7 @@ func referenceCorpus() []referenceCase {
 	// aggregate view and push it in), and the group-by placement states
 	// that follow do not own the view: only a full re-pass reaches it, so
 	// skipping shared blocks here would change the decision.
-	opts := traced(1)
+	opts := traced()
 	unnest := &transform.UnnestSubquery{}
 	opts.Rules = []transform.Rule{unnest, &transform.GroupByPlacement{}}
 	opts.RuleModes = map[string]RuleMode{unnest.Name(): RuleHeuristic}
@@ -78,14 +76,12 @@ WHERE d.dept_id = p.dept_id AND v.d2 = d.dept_id GROUP BY d.name`, opts})
 	cfg := workload.DefaultConfig(13, 120, s.Employees, s.Departments, s.Jobs)
 	cfg.RelevantFraction = 0.7
 	for _, wq := range workload.Generate(cfg) {
-		for _, par := range []int{1, 8} {
-			cases = append(cases, referenceCase{fmt.Sprintf("workload %d (%s) par %d", wq.ID, wq.Class, par), small, wq.SQL, traced(par)})
-		}
+		cases = append(cases, referenceCase{fmt.Sprintf("workload %d (%s)", wq.ID, wq.Class), small, wq.SQL, traced()})
 	}
 	// Four unnesting objects in one block: states apply several handles to
 	// a block whose conjuncts earlier applications remove.
 	for _, strat := range []Strategy{StrategyExhaustive, StrategyLinear, StrategyTwoPass, StrategyIterative} {
-		opts := traced(1)
+		opts := traced()
 		opts.Strategy = strat
 		cases = append(cases, referenceCase{"table 2 " + strat.String(), small, table2SQL, opts})
 	}
@@ -132,10 +128,8 @@ func checkAgainstReference(t *testing.T, setRef func(bool)) {
 		if w, g := memoCounts(want.Stats), memoCounts(got.Stats); w != g {
 			diff("memo counters", w, g)
 		}
-		if c.opts.Parallelism == 1 {
-			if w, g := planCounts(want.Stats), planCounts(got.Stats); w != g {
-				diff("planner counters", w, g)
-			}
+		if w, g := planCounts(want.Stats), planCounts(got.Stats); w != g {
+			diff("planner counters", w, g)
 		}
 		if w, g := obsv.MarshalJSONL(obsv.Normalize(want.Stats.Events)), obsv.MarshalJSONL(obsv.Normalize(got.Stats.Events)); w != g {
 			diff("normalized trace", w, g)
@@ -159,19 +153,19 @@ func planCounts(s Stats) string {
 // the state's clone as it stands then finds object i at index i, equal to
 // the handle found once on the base.
 func TestHandlesMatchRediscovery(t *testing.T) {
-	var mismatches atomic.Int64 // reported from the search's workers
+	mismatches := 0
 	checkAgainstReference(t, func(on bool) {
 		onHandleMismatch = nil
 		if on {
 			onHandleMismatch = func(err error) {
-				if mismatches.Add(1) <= 5 {
+				if mismatches++; mismatches <= 5 {
 					t.Error(err)
 				}
 			}
 		}
 	})
-	if n := mismatches.Load(); n > 0 {
-		t.Fatalf("%d handle(s) disagree with rediscovery", n)
+	if mismatches > 0 {
+		t.Fatalf("%d handle(s) disagree with rediscovery", mismatches)
 	}
 }
 

@@ -21,7 +21,6 @@ func TestNoOpSearchPerformsNoCopies(t *testing.T) {
 	q := qtree.MustBind("SELECT e.NAME FROM EMP e WHERE e.SALARY > 10", db.Catalog)
 
 	opts := DefaultOptions()
-	opts.Parallelism = 1
 	full0, _, mat0 := qtree.CopyCounters()
 	if _, err := (&Optimizer{Cat: db.Catalog, Opts: opts}).Optimize(q); err != nil {
 		t.Fatal(err)

@@ -60,7 +60,6 @@ SELECT d.department_name, l.city, s.country_id FROM sales s, departments d, loca
 			opts.Strategy = strat
 			opts.Trace = true
 			opts.CostCutoff = false
-			opts.Parallelism = 1
 			var sqls [2]string
 			for i, deep := range []bool{false, true} {
 				fullCloneStates = deep

@@ -62,8 +62,7 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 		return 0, errInfeasible
 	}
 	// Each state gets its own copy of the query (§3.1): a copy-on-write
-	// clone sharing every block the state does not rewrite with the base
-	// and with every concurrently evaluated sibling.
+	// clone sharing every block the state does not rewrite with the base.
 	var clone *qtree.Query
 	objs := tracker.objs
 	if fullCloneStates {
@@ -123,8 +122,7 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	// Memo accounting: how much of this state's tree stayed shared with the
 	// base versus privately materialized, and the private bytes the state
 	// cost. Counted for every state that reaches the planner, before the
-	// cost cut-off can intervene, so the totals are identical at every
-	// parallelism level.
+	// cost cut-off can intervene.
 	shared, owned := clone.COWStats()
 	stats.MemoSharedBlocks += shared
 	stats.MemoMaterializedBlocks += owned
@@ -174,8 +172,8 @@ func (o *Optimizer) search(q *qtree.Query, r transform.Rule, objs []transform.Ob
 	if o.Opts.Check {
 		// The contract pre-state for every state this search evaluates (q is
 		// not mutated until the winner is applied, after the search), and the
-		// base-tree fingerprint every state verifies against: COW states read
-		// q's blocks concurrently, so any mutation of them is corruption.
+		// base-tree fingerprint every state verifies against: COW states share
+		// q's blocks, so any mutation of them is corruption.
 		tracker.preSummary = check.Summarize(q)
 		tracker.baseSnap = check.Snapshot(q)
 	}
@@ -267,9 +265,8 @@ func (o *Optimizer) searchLinear(q *qtree.Query, r transform.Rule, variants []in
 }
 
 // searchTwoPass compares only the all-untransformed and all-transformed
-// states (§3.2), as one batch of two. The prefix bound applies the zero
-// state's cost as the transformed state's cut-off once the zero state has
-// completed — never the reverse.
+// states (§3.2), as one batch of two: the zero state's cost is the
+// transformed state's cut-off.
 func (o *Optimizer) searchTwoPass(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
 	n := len(variants)
 	zero := make(state, n)
@@ -305,13 +302,18 @@ func (o *Optimizer) searchTwoPass(q *qtree.Query, r transform.Rule, variants []i
 // initial state, repeatedly move to a cheaper neighbour (one object
 // changed) until a local minimum; restart with a different initial state,
 // bounded by iterativeRestarts and IterativeMaxStates.
+//
+// A neighbour is kept only if it beats the climb's current state, so each
+// state's cut-off is min(bestCost, curCost): the best of the finished climbs
+// or the climb's own cost, whichever is lower. curCost is +Inf until the
+// climb's start state is costed.
 func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
 	n := len(variants)
 	rng := rand.New(rand.NewSource(o.Opts.Seed))
 	seen := map[string]bool{}
 	count := 0
 	best := make(state, n)
-	bestCost := math.Inf(1)
+	bestCost, curCost := math.Inf(1), math.Inf(1)
 
 	eval := func(s state) (float64, bool, error) {
 		key := stateKey(s)
@@ -322,7 +324,7 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 		if tracker.reserve(1) == 0 {
 			return 0, false, errBudgetStop
 		}
-		cost, err := o.evalState(q, r, s, cache, bestCost, stats, tracker)
+		cost, err := o.evalState(q, r, s, cache, math.Min(bestCost, curCost), stats, tracker)
 		if errors.Is(err, errInfeasible) {
 			return math.Inf(1), true, nil
 		}
@@ -349,7 +351,8 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 		for i := range cur {
 			cur[i] = rng.Intn(variants[i] + 1)
 		}
-		curCost, fresh, err := eval(cur)
+		curCost = math.Inf(1)
+		startCost, fresh, err := eval(cur)
 		if err != nil {
 			if errors.Is(err, errBudgetStop) {
 				return best, count, nil
@@ -359,6 +362,7 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 		if !fresh {
 			continue
 		}
+		curCost = startCost
 		// Hill-climb to a local minimum.
 		improved := true
 		for improved && count < o.Opts.IterativeMaxStates {

@@ -44,12 +44,11 @@ var traceStrategies = []struct {
 }
 
 // optimizeTraced runs one CBQT optimization with tracing on and returns the
-// result; parallelism is the worker count under test.
-func optimizeTraced(t *testing.T, db *storage.DB, sql string, strat Strategy, parallelism int) *Result {
+// result.
+func optimizeTraced(t *testing.T, db *storage.DB, sql string, strat Strategy) *Result {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Strategy = strat
-	opts.Parallelism = parallelism
 	opts.Trace = true
 	q := qtree.MustBind(sql, db.Catalog)
 	o := &Optimizer{Cat: db.Catalog, Opts: opts}
@@ -85,16 +84,15 @@ func compareGolden(t *testing.T, path, got string) {
 
 // TestGoldenTrace pins the normalized JSONL search trace of the Table 1 and
 // Table 2 queries under every search strategy. The normalized form strips
-// timings and work counters and collapses the cost cut-off's run-dependent
-// costed/cut split, so the snapshots are byte-stable across machines and
-// worker counts; refresh intentionally with
+// timings and work counters, so the snapshots are byte-stable across
+// machines; refresh intentionally with
 //
 //	go test ./internal/cbqt/ -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	for _, tc := range traceCases() {
 		for _, st := range traceStrategies {
 			t.Run(tc.name+"/"+st.name, func(t *testing.T) {
-				res := optimizeTraced(t, tc.db, tc.sql, st.strat, 1)
+				res := optimizeTraced(t, tc.db, tc.sql, st.strat)
 				got := obsv.MarshalJSONL(obsv.Normalize(res.Stats.Events))
 				path := filepath.Join("testdata", "golden", tc.name+"_"+st.name+"_trace.jsonl")
 				compareGolden(t, path, got)
@@ -103,66 +101,31 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceParallelByteIdentical is the acceptance check for the
-// deterministic-trace guarantee: on the Table 2 query, the normalized JSONL
-// trace is byte-identical at every worker count, and for the exhaustive
-// strategy it equals the committed golden snapshot — so the guarantee is
-// pinned against a file in the repository, not only against another run.
-func TestGoldenTraceParallelByteIdentical(t *testing.T) {
-	db := testkit.NewDB(testkit.SmallSizes(), 7)
-	for _, st := range traceStrategies {
-		t.Run(st.name, func(t *testing.T) {
-			base := obsv.MarshalJSONL(obsv.Normalize(optimizeTraced(t, db, table2SQL, st.strat, 1).Stats.Events))
-			for _, par := range []int{2, 8} {
-				got := obsv.MarshalJSONL(obsv.Normalize(optimizeTraced(t, db, table2SQL, st.strat, par).Stats.Events))
-				if got != base {
-					t.Errorf("parallelism %d normalized trace differs from parallelism 1:\n--- par %d ---\n%s\n--- par 1 ---\n%s\ndiff starts at %q",
-						par, par, got, base, firstDiff(got, base))
-				}
-			}
-			if st.strat != StrategyExhaustive || *updateGolden {
-				return
-			}
-			path := filepath.Join("testdata", "golden", "table2_exhaustive_trace.jsonl")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot %s (run TestGoldenTrace with -update to create): %v", path, err)
-			}
-			if base != string(want) {
-				t.Errorf("normalized trace diverged from committed golden %s:\ndiff starts at %q",
-					path, firstDiff(base, string(want)))
-			}
-		})
-	}
-}
-
 // TestTraceStateCountMatchesStats checks the accounting invariant between
 // the structured trace and the summary statistics: the number of EvState
 // events whose outcome is costed or cut equals Stats.StatesEvaluated
 // (infeasible, faulted and budget-stopped states are excluded from both), at
-// every strategy and worker count.
+// every strategy.
 func TestTraceStateCountMatchesStats(t *testing.T) {
 	for _, tc := range traceCases() {
 		for _, st := range traceStrategies {
-			for _, par := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/par%d", tc.name, st.name, par), func(t *testing.T) {
-					res := optimizeTraced(t, tc.db, tc.sql, st.strat, par)
-					evaluated := 0
-					for _, e := range res.Stats.Events {
-						if e.Ev != obsv.EvState {
-							continue
-						}
-						switch e.Outcome {
-						case obsv.OutcomeCosted, obsv.OutcomeCut:
-							evaluated++
-						}
+			t.Run(tc.name+"/"+st.name, func(t *testing.T) {
+				res := optimizeTraced(t, tc.db, tc.sql, st.strat)
+				evaluated := 0
+				for _, e := range res.Stats.Events {
+					if e.Ev != obsv.EvState {
+						continue
 					}
-					if evaluated != res.Stats.StatesEvaluated {
-						t.Errorf("trace has %d costed/cut state events, Stats.StatesEvaluated = %d",
-							evaluated, res.Stats.StatesEvaluated)
+					switch e.Outcome {
+					case obsv.OutcomeCosted, obsv.OutcomeCut:
+						evaluated++
 					}
-				})
-			}
+				}
+				if evaluated != res.Stats.StatesEvaluated {
+					t.Errorf("trace has %d costed/cut state events, Stats.StatesEvaluated = %d",
+						evaluated, res.Stats.StatesEvaluated)
+				}
+			})
 		}
 	}
 }
@@ -176,7 +139,6 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 	for _, tc := range traceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.Parallelism = 1
 			q := qtree.MustBind(tc.sql, tc.db.Catalog)
 			o := &Optimizer{Cat: tc.db.Catalog, Opts: opts}
 			res, err := o.Optimize(q)
@@ -221,7 +183,6 @@ func TestExplainAnalyzeRowInvariants(t *testing.T) {
 	for _, tc := range invariantSQL {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.Parallelism = 1
 			q := qtree.MustBind(tc.sql, db.Catalog)
 			o := &Optimizer{Cat: db.Catalog, Opts: opts}
 			res, err := o.Optimize(q)
@@ -328,22 +289,18 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// TestGoldenRawOneWorker pins "one worker is the sequential search": the
-// un-normalized event stream (every state's key, outcome, Blocks, CacheHits
-// and cost; only timings stripped) and the exact work totals of the Table 1
-// and Table 2 searches at Parallelism 1. The snapshots were recorded from the
-// dedicated sequential searchExhaustive/searchLinear/searchTwoPass before
-// they were deleted, so the batch engine at one worker must reproduce the
-// sequential cut/costed split, block counts and cache hits exactly — not
-// merely up to obsv.Normalize.
+// TestGoldenRawOneWorker pins the un-normalized event stream (every state's
+// key, outcome, Blocks, CacheHits and cost; only timings stripped) and the
+// exact work totals of the Table 1 and Table 2 searches under every
+// strategy: the cut/costed split, block counts and cache hits exactly, not
+// merely up to obsv.Normalize. The exhaustive, linear and two-pass snapshots
+// were recorded from the dedicated sequential search functions the batch
+// engine replaced.
 func TestGoldenRawOneWorker(t *testing.T) {
 	for _, tc := range traceCases() {
 		for _, st := range traceStrategies {
-			if st.strat == StrategyIterative {
-				continue // never had a second implementation
-			}
 			t.Run(tc.name+"/"+st.name, func(t *testing.T) {
-				res := optimizeTraced(t, tc.db, tc.sql, st.strat, 1)
+				res := optimizeTraced(t, tc.db, tc.sql, st.strat)
 				events := append([]obsv.SearchEvent(nil), res.Stats.Events...)
 				for i := range events {
 					events[i].ElapsedUS = 0

@@ -122,80 +122,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNormalizeCollapsesCutoffSplit is the determinism core: a sequential
-// trace (every state costed against the full prefix minimum) and a parallel
-// trace of the same search (some states costed that the sequential cut-off
-// would have abandoned, because the worker's bound lagged) must normalize to
-// the same stream.
-func TestNormalizeCollapsesCutoffSplit(t *testing.T) {
-	seq := []SearchEvent{
-		{Ev: EvRule, Rule: "R", Strategy: "exhaustive", Objects: 2},
-		{Ev: EvState, Rule: "R", State: "00", Outcome: OutcomeCosted, Cost: 100, Blocks: 4, ElapsedUS: 17},
-		{Ev: EvState, Rule: "R", State: "10", Outcome: OutcomeCut},
-		{Ev: EvState, Rule: "R", State: "01", Outcome: OutcomeCosted, Cost: 60, CacheHits: 2},
-		{Ev: EvState, Rule: "R", State: "11", Outcome: OutcomeCut},
-		{Ev: EvWinner, Rule: "R", State: "01", Outcome: WinnerApplied},
-	}
-	// The parallel run costed states 10 and 11 fully (its prefix bound had
-	// not yet observed the cheaper states), with costs above the sequential
-	// bound at their position.
-	par := []SearchEvent{
-		{Ev: EvRule, Rule: "R", Strategy: "exhaustive", Objects: 2},
-		{Ev: EvState, Rule: "R", State: "00", Outcome: OutcomeCosted, Cost: 100, Blocks: 9},
-		{Ev: EvState, Rule: "R", State: "10", Outcome: OutcomeCosted, Cost: 140},
-		{Ev: EvState, Rule: "R", State: "01", Outcome: OutcomeCosted, Cost: 60},
-		{Ev: EvState, Rule: "R", State: "11", Outcome: OutcomeCosted, Cost: 75, ElapsedUS: 3},
-		{Ev: EvWinner, Rule: "R", State: "01", Outcome: WinnerApplied},
-	}
-	ns, np := Normalize(seq), Normalize(par)
-	if MarshalJSONL(ns) != MarshalJSONL(np) {
-		t.Fatalf("normalized traces differ:\n%s\nvs\n%s", MarshalJSONL(ns), MarshalJSONL(np))
-	}
-	if ns[2].Outcome != OutcomeCut || np[2].Outcome != OutcomeCut {
-		t.Fatalf("state 10 should normalize to cut, got %q / %q", ns[2].Outcome, np[2].Outcome)
-	}
-	if ns[3].Outcome != OutcomeCosted || ns[3].Cost != 60 {
-		t.Fatalf("state 01 should stay costed at 60, got %+v", ns[3])
-	}
-	for i, e := range np {
-		if e.Seq != i {
-			t.Fatalf("seq not dense: event %d has seq %d", i, e.Seq)
-		}
-		if e.ElapsedUS != 0 || e.Blocks != 0 || e.CacheHits != 0 {
-			t.Fatalf("timings/counters not stripped: %+v", e)
-		}
-	}
-}
-
-func TestNormalizeResetsBoundPerRule(t *testing.T) {
-	events := []SearchEvent{
-		{Ev: EvRule, Rule: "A", Strategy: "exhaustive", Objects: 1},
-		{Ev: EvState, Rule: "A", State: "0", Outcome: OutcomeCosted, Cost: 10},
-		{Ev: EvRule, Rule: "B", Strategy: "exhaustive", Objects: 1},
-		// Cost 50 > rule A's bound 10; must stay costed because the bound
-		// resets at the rule boundary.
-		{Ev: EvState, Rule: "B", State: "0", Outcome: OutcomeCosted, Cost: 50},
-	}
-	n := Normalize(events)
-	if n[3].Outcome != OutcomeCosted || n[3].Cost != 50 {
-		t.Fatalf("rule B baseline flipped: %+v", n[3])
-	}
-}
-
-func TestNormalizeEqualCostKept(t *testing.T) {
-	// The planner's cut-off condition is strictly-greater, so a state whose
-	// cost equals the bound stays costed.
-	events := []SearchEvent{
-		{Ev: EvRule, Rule: "R", Strategy: "linear", Objects: 1},
-		{Ev: EvState, Rule: "R", State: "0", Outcome: OutcomeCosted, Cost: 40},
-		{Ev: EvState, Rule: "R", State: "1", Outcome: OutcomeCosted, Cost: 40},
-	}
-	n := Normalize(events)
-	if n[2].Outcome != OutcomeCosted || n[2].Cost != 40 {
-		t.Fatalf("equal-cost state flipped: %+v", n[2])
-	}
-}
-
 func TestRenderTree(t *testing.T) {
 	events := []SearchEvent{
 		{Ev: EvHeuristics, Outcome: "ok"},

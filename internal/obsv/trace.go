@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -52,10 +51,8 @@ const (
 )
 
 // SearchEvent is one record of the structured CBQT search trace. Events are
-// merged into Stats in state enumeration order (never completion order), so
-// the stream's ordering is identical at every parallelism level; Normalize
-// removes the remaining run-dependent content (timings, work counters, and
-// the cost-cut-off's scheduling-dependent costed/cut split).
+// recorded in state enumeration order; Normalize removes the run-dependent
+// content (timings and work counters).
 type SearchEvent struct {
 	// Seq is the event's position in the stream — the per-state sequence
 	// key that makes traces comparable across runs.
@@ -77,8 +74,8 @@ type SearchEvent struct {
 	// OutcomeCosted.
 	Cost float64 `json:"cost,omitempty"`
 	// Blocks and CacheHits count the physical-optimizer work of this state.
-	// Scheduling-dependent under parallelism (cache warm-up order), so
-	// Normalize strips them.
+	// Normalize strips them, so normalized traces pin decisions, not work;
+	// the raw trace goldens pin them.
 	Blocks    int `json:"blocks,omitempty"`
 	CacheHits int `json:"cache_hits,omitempty"`
 	// Reason carries detail: the degradation reason (EvDegraded), the
@@ -107,40 +104,16 @@ func MarshalJSONL(events []SearchEvent) string {
 	return sb.String()
 }
 
-// Normalize canonicalizes a trace for comparison across runs and worker
-// counts: timings and per-state work counters are stripped, sequence keys
-// are reassigned densely, and the cost cut-off's run-dependent costed/cut
-// split is collapsed.
-//
-// The collapse walks each rule's states in enumeration order maintaining m,
-// the running minimum of the costs kept so far (the cut-off bound a
-// sequential search would hold before each state). A state costed above m
-// is rewritten to OutcomeCut: a sequential searcher would have abandoned
-// it, and a parallel searcher only ever costs a superset of the sequential
-// run's states (its per-state prefix bound is at least the sequential
-// bound), so rewriting the surplus makes the two streams identical. States
-// costed at or below m are kept and lower m exactly as the sequential
-// cut-off would.
+// Normalize canonicalizes a trace for comparison across runs: timings and
+// per-state work counters are stripped and sequence keys are reassigned
+// densely, so a normalized trace pins the search's decisions — states,
+// outcomes and costs — and nothing that varies from run to run.
 func Normalize(events []SearchEvent) []SearchEvent {
 	out := make([]SearchEvent, 0, len(events))
-	m := math.Inf(1)
 	for _, e := range events {
 		e.ElapsedUS = 0
 		e.Blocks = 0
 		e.CacheHits = 0
-		switch e.Ev {
-		case EvRule:
-			m = math.Inf(1)
-		case EvState:
-			if e.Outcome == OutcomeCosted {
-				if e.Cost > m {
-					e.Outcome = OutcomeCut
-					e.Cost = 0
-				} else if e.Cost < m {
-					m = e.Cost
-				}
-			}
-		}
 		e.Seq = len(out)
 		out = append(out, e)
 	}

@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"sync"
-
 	"repro/internal/faultinject"
 	"repro/internal/qtree"
 )
@@ -17,14 +15,8 @@ import (
 // unnest the same subquery build two distinct but structurally equal views,
 // and the second must reuse the first's annotation (Table 1's 12 → 8 blocks).
 //
-// The table is safe for concurrent use — the search's workers share it —
-// under one mutex: a search holds tens of annotations and a lookup is a map
-// probe, so there is nothing to shard. Concurrent misses on the same key may
-// both optimize the block and both store the annotation; both store the same
-// value (annotations are a deterministic function of the canonical key), so
-// the duplication costs work, never correctness.
+// The table is owned by one search and not safe for concurrent use.
 type CostCache struct {
-	mu      sync.Mutex
 	entries map[string]costAnnotation
 	bytes   int64
 	hits    int64
@@ -67,8 +59,6 @@ func (c *CostCache) lookup(keys *qtree.BlockKeyer, b *qtree.Block) (string, cost
 	key := keys.Key(b)
 	// An injected lookup failure degrades to a miss.
 	faulted := c.Faults.Fire("cache:get") != nil
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if ann, ok := c.entries[key]; ok && !faulted {
 		c.hits++
 		return key, ann, true
@@ -81,33 +71,25 @@ func (c *CostCache) put(key string, ann costAnnotation) {
 	if err := c.Faults.Fire("cache:put"); err != nil {
 		return // injected store failure: drop the annotation
 	}
-	c.mu.Lock()
 	if old, ok := c.entries[key]; ok {
 		c.bytes -= entryBytes(key, old)
 	}
 	c.entries[key] = ann
 	c.bytes += entryBytes(key, ann)
-	c.mu.Unlock()
 }
 
 // Len reports the number of cached annotations.
 func (c *CostCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // ApproxBytes reports the approximate resident size of the table, for the
 // CBQT memory budget.
 func (c *CostCache) ApproxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.bytes
 }
 
 // Counts reports the lookups answered from the table and those that were not.
 func (c *CostCache) Counts() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hits, c.misses
 }

@@ -607,7 +607,6 @@ const oneShotAllocBudget = 440
 // the plan cache and is optimized.
 func TestOneShotBindsOnceAllocBudget(t *testing.T) {
 	opts := cbqt.DefaultOptions()
-	opts.Parallelism = 1
 	opts.Check = false
 	srv := New(Config{DB: testkit.NewDB(testkit.SmallSizes(), 1), Registry: obsv.NewRegistry(), Opts: opts})
 	peer, conn := net.Pipe()

@@ -75,7 +75,7 @@ func pathIn(paths ...string) func(string) bool {
 
 // detPackages are the deterministic search paths: every function of these
 // packages may run under the CBQT state-space search, whose traces and
-// chosen plans must be identical run to run and at every parallelism.
+// chosen plans must be identical run to run.
 var detPackages = pathIn(
 	"repro/internal/qtree",
 	"repro/internal/transform",
