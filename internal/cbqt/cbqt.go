@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/check"
+	"repro/internal/datum"
 	"repro/internal/faultinject"
 	"repro/internal/obsv"
 	"repro/internal/optimizer"
@@ -245,6 +246,12 @@ type Stats struct {
 type Optimizer struct {
 	Cat  *catalog.Catalog
 	Opts Options
+	// Binds, when non-nil, are the values of the query's bind parameters
+	// for this call. Every planner the search builds estimates its
+	// parameter comparisons for them (optimizer.Planner.Binds); nil
+	// estimates each parameter as an unknown value. The plan keeps its
+	// parameters either way, so it is correct for any binds.
+	Binds []datum.Datum
 }
 
 // New creates an optimizer with default options.
@@ -405,6 +412,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	// evaluation work (Table 1). It runs without the search budget: a
 	// degraded optimization must still produce an executable plan.
 	p := optimizer.New(o.Cat)
+	p.Binds = o.Binds
 	plan, err := p.Optimize(q)
 	if err != nil {
 		return nil, err

@@ -128,6 +128,7 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	stats.MemoMaterializedBlocks += owned
 	stats.MemoStateBytes += clone.OwnedApproxBytes()
 	p := optimizer.New(o.Cat)
+	p.Binds = o.Binds
 	p.CostOnly = true
 	p.Cache = cache
 	p.Ctx = tracker.ctx

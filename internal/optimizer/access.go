@@ -151,13 +151,13 @@ func (jb *joinBuilder) tryIndexAccess(f *qtree.FromItem, idx *catalog.Index, pre
 		if lo != nil && hi != nil {
 			matchSel = 0.15
 		}
-		if cb, ok := boundConst(lo); ok {
+		if cb := jb.es.value(lo); cb != nil {
 			ci, _ := jb.es.col(&qtree.Col{From: f.ID, Ord: idx.Cols[0]})
-			matchSel = jb.es.colVsValue(ci, qtree.OpGe, cb)
+			matchSel = colVsValue(ci, qtree.OpGe, cb)
 		}
-		if cb, ok := boundConst(hi); ok {
+		if cb := jb.es.value(hi); cb != nil {
 			ci, _ := jb.es.col(&qtree.Col{From: f.ID, Ord: idx.Cols[0]})
-			s := jb.es.colVsValue(ci, qtree.OpLe, cb)
+			s := colVsValue(ci, qtree.OpLe, cb)
 			if lo != nil {
 				matchSel = clampSel(matchSel + s - 1)
 			} else {
@@ -198,15 +198,6 @@ func tighterConst(candidate, current qtree.Expr, lower bool) bool {
 		return cmp > 0
 	}
 	return cmp < 0
-}
-
-// boundConst extracts the constant value of a bound expression if it is a
-// literal.
-func boundConst(e qtree.Expr) (*datum.Datum, bool) {
-	if c, ok := e.(*qtree.Const); ok {
-		return &c.Val, true
-	}
-	return nil, false
 }
 
 // eqColKey matches pred as "col = key" where col is column ord of from id

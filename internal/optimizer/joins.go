@@ -78,7 +78,7 @@ type dpEntry struct {
 }
 
 func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[qtree.FromID][]qtree.Expr, joinPreds []qtree.Expr, plan *Plan) (*joinBuilder, error) {
-	jb := &joinBuilder{p: p, es: newEstimator(), idToIdx: map[qtree.FromID]int{}}
+	jb := &joinBuilder{p: p, es: newEstimator(p.Binds), idToIdx: map[qtree.FromID]int{}}
 	for i, f := range b.From {
 		jb.idToIdx[f.ID] = i
 	}

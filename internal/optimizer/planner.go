@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/datum"
 	"repro/internal/qtree"
 )
 
@@ -53,6 +54,12 @@ type Planner struct {
 	// wall clock passes it. Cheaper than a context for the per-state
 	// cost-only planners the CBQT search spawns in bulk.
 	Deadline time.Time
+	// Binds, when non-nil, are the values of the query's bind parameters,
+	// indexed by qtree.Param.Ord. Only the estimator reads them: a
+	// comparison of a column with a parameter is estimated for its value.
+	// The plan keeps its Param nodes, so it is correct for any binds; nil
+	// estimates every parameter as an unknown constant.
+	Binds []datum.Datum
 
 	Counters Counters
 
@@ -122,7 +129,7 @@ func (p *Planner) planBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.FromID
 		return nil, blockInfo{}, err
 	}
 	if b.Set != nil {
-		return p.planSetOp(q, b, outFrom, plan)
+		return p.planLimited(q, b, outFrom, plan)
 	}
 	// Cost-annotation reuse (§3.4.2).
 	var key string
@@ -137,13 +144,42 @@ func (p *Planner) planBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.FromID
 		}
 		key = k
 	}
-	node, info, err := p.planSelectBlock(q, b, outFrom, plan)
+	node, info, err := p.planLimited(q, b, outFrom, plan)
 	if err != nil {
 		return nil, blockInfo{}, err
 	}
 	p.Counters.BlocksOptimized++
 	if key != "" {
 		p.Cache.put(key, costAnnotation{cost: node.Cost(), ndvs: info.ndvs})
+	}
+	return node, info, nil
+}
+
+// planLimited plans b's set operation or SELECT. A limit charges the
+// operators above the block's first blocking one only for the rows it reads
+// (limitCost), so a cost met while planning inside a limited block may
+// exceed the block's final cost: nothing inside it, views and subqueries
+// included, checks the cut-off, and the block is checked once, with its
+// Limit costed.
+func (p *Planner) planLimited(q *qtree.Query, b *qtree.Block, outFrom qtree.FromID, plan *Plan) (PlanNode, blockInfo, error) {
+	cut := p.Cutoff
+	if b.Limit > 0 {
+		p.Cutoff = 0
+	}
+	var node PlanNode
+	var info blockInfo
+	var err error
+	if b.Set != nil {
+		node, info, err = p.planSetOp(q, b, outFrom, plan)
+	} else {
+		node, info, err = p.planSelectBlock(q, b, outFrom, plan)
+	}
+	p.Cutoff = cut
+	if err == nil && b.Limit > 0 {
+		err = p.checkCutoff(node.Cost().Total)
+	}
+	if err != nil {
+		return nil, blockInfo{}, err
 	}
 	return node, info, nil
 }
@@ -250,15 +286,43 @@ func sortCost(in Cost) Cost {
 	return Cost{Total: in.Total + sortFactor*n*math.Log2(n), Rows: in.Rows}
 }
 
+// limitCost costs a limit of n rows over child. A streaming child stops
+// early and is charged for the share of its rows the limit reads. Otherwise
+// the child's first operator that is not a Filter or Project (its blocking
+// base) must complete, and the filters and projections above it are charged
+// only for the share of the base's output they process before the limit
+// has its rows.
 func limitCost(child PlanNode, n int64) Cost {
 	c := child.Cost()
 	out := math.Min(float64(n), c.Rows)
-	// Streaming children stop early; blocking children must complete.
+	frac := 1.0
+	if c.Rows > 0 {
+		frac = math.Min(1, float64(n)/c.Rows)
+	}
 	if isStreaming(child) && c.Rows > 0 {
-		frac := math.Min(1, float64(n)/c.Rows)
 		return Cost{Total: c.Total * frac, Rows: out}
 	}
-	return Cost{Total: c.Total + out*projectRowCost, Rows: out}
+	total := c.Total
+	if frac < 1 {
+		base := blockingBase(child).Cost().Total
+		total = base + (c.Total-base)*frac
+	}
+	return Cost{Total: total + out*projectRowCost, Rows: out}
+}
+
+// blockingBase is the first node below n, n included, that is neither a
+// Filter nor a Project.
+func blockingBase(n PlanNode) PlanNode {
+	for {
+		switch v := n.(type) {
+		case *Filter:
+			n = v.Child
+		case *Project:
+			n = v.Child
+		default:
+			return n
+		}
+	}
 }
 
 // isStreaming reports whether a node produces rows incrementally, so a

@@ -45,38 +45,54 @@ type relInfo struct {
 // estimator resolves column statistics across the from items in scope.
 type estimator struct {
 	rels map[qtree.FromID]*relInfo
+	// binds, when non-nil, are the values of the query's bind parameters:
+	// a comparison of a column with a parameter is then estimated for its
+	// value, not as one with an unknown constant (Planner.Binds).
+	binds []datum.Datum
 }
 
-func newEstimator() *estimator {
-	return &estimator{rels: map[qtree.FromID]*relInfo{}}
+func newEstimator(binds []datum.Datum) *estimator {
+	return &estimator{rels: map[qtree.FromID]*relInfo{}, binds: binds}
 }
 
 // addTable registers base-table statistics for a from item.
 func (es *estimator) addTable(id qtree.FromID, t *catalog.Table) {
-	ri := &relInfo{rows: 1000, cols: map[int]colInfo{}}
-	if st := t.Stats(); st != nil {
-		ri.rows = float64(st.RowCount)
-		if ri.rows < 1 {
-			ri.rows = 1
-		}
+	st := t.Stats()
+	ri := &relInfo{rows: tableRows(st), cols: map[int]colInfo{}}
+	if st != nil {
 		for i := range t.Cols {
-			cs := st.Col(i)
-			ci := colInfo{
-				ndv:  math.Max(float64(cs.NDV), 1),
-				min:  cs.Min,
-				max:  cs.Max,
-				hist: cs.Hist,
-				rows: ri.rows,
-			}
-			if st.RowCount > 0 {
-				ci.nullFrac = float64(cs.NullCount) / float64(st.RowCount)
-			}
-			ri.cols[i] = ci
+			ri.cols[i] = statsColInfo(st, i, ri.rows)
 		}
 	}
 	// rowid is unique.
 	ri.cols[t.RowidOrdinal()] = colInfo{ndv: ri.rows, rows: ri.rows}
 	es.rels[id] = ri
+}
+
+// tableRows is a base table's row estimate: its statistics' row count, or
+// 1000 for a table never analyzed.
+func tableRows(st *catalog.TableStats) float64 {
+	if st == nil {
+		return 1000
+	}
+	return math.Max(float64(st.RowCount), 1)
+}
+
+// statsColInfo is what the statistics st say about column ord of a table
+// of rows rows.
+func statsColInfo(st *catalog.TableStats, ord int, rows float64) colInfo {
+	cs := st.Col(ord)
+	ci := colInfo{
+		ndv:  math.Max(float64(cs.NDV), 1),
+		min:  cs.Min,
+		max:  cs.Max,
+		hist: cs.Hist,
+		rows: rows,
+	}
+	if st.RowCount > 0 {
+		ci.nullFrac = float64(cs.NullCount) / float64(st.RowCount)
+	}
+	return ci
 }
 
 // addDerived registers estimates for a view's output columns.
@@ -222,30 +238,45 @@ func (es *estimator) binSelectivity(b *qtree.Bin) float64 {
 			}
 			return cmpDefaultSel(b.Op)
 		case lOK:
-			return es.colVsValue(li, b.Op, nil)
+			return colVsValue(li, b.Op, nil)
 		case rOK:
-			return es.colVsValue(ri, b.Op.Commute(), nil)
+			return colVsValue(ri, b.Op.Commute(), nil)
 		default:
 			return cmpDefaultSel(b.Op)
 		}
 	case lIsCol:
 		if ci, ok := es.col(l); ok {
-			if c, isConst := b.R.(*qtree.Const); isConst {
-				return es.colVsValue(ci, b.Op, &c.Val)
-			}
-			return es.colVsValue(ci, b.Op, nil)
+			return colVsValue(ci, b.Op, es.value(b.R))
 		}
 		return cmpDefaultSel(b.Op)
 	case rIsCol:
 		if ci, ok := es.col(r); ok {
-			if c, isConst := b.L.(*qtree.Const); isConst {
-				return es.colVsValue(ci, b.Op.Commute(), &c.Val)
-			}
-			return es.colVsValue(ci, b.Op.Commute(), nil)
+			return colVsValue(ci, b.Op.Commute(), es.value(b.L))
 		}
 		return cmpDefaultSel(b.Op)
 	}
 	return cmpDefaultSel(b.Op)
+}
+
+// value is the known value of a comparison operand: a literal's, or a bind
+// parameter's when the estimator peeks binds. It is nil for anything else.
+func (es *estimator) value(e qtree.Expr) *datum.Datum {
+	switch v := e.(type) {
+	case *qtree.Const:
+		return &v.Val
+	case *qtree.Param:
+		return bindValue(es.binds, v.Ord)
+	}
+	return nil
+}
+
+// bindValue is bind ord of binds, or nil when binds do not hold it or hold
+// NULL (a comparison with NULL is estimated as one with an unknown value).
+func bindValue(binds []datum.Datum, ord int) *datum.Datum {
+	if ord < 0 || ord >= len(binds) || binds[ord].IsNull() {
+		return nil
+	}
+	return &binds[ord]
 }
 
 // eqSelectivity is the selectivity of "e = <one value>".
@@ -260,7 +291,7 @@ func (es *estimator) eqSelectivity(e qtree.Expr) float64 {
 
 // colVsValue estimates "col <op> value"; val may be nil (unknown constant /
 // parameter).
-func (es *estimator) colVsValue(ci colInfo, op qtree.BinOp, val *datum.Datum) float64 {
+func colVsValue(ci colInfo, op qtree.BinOp, val *datum.Datum) float64 {
 	switch op {
 	case qtree.OpEq, qtree.OpNullSafeEq:
 		if val != nil && len(ci.hist) > 0 {
@@ -286,7 +317,7 @@ func (es *estimator) colVsValue(ci colInfo, op qtree.BinOp, val *datum.Datum) fl
 		return clampSel(1 - 1/ci.ndv)
 	case qtree.OpLt, qtree.OpLe, qtree.OpGt, qtree.OpGe:
 		if val != nil && len(ci.hist) > 0 {
-			return clampSel(es.histRangeFrac(ci, op, *val))
+			return clampSel(histRangeFrac(ci, op, *val))
 		}
 		if val != nil && !ci.min.IsNull() && !ci.max.IsNull() {
 			if f, ok := interpolate(ci.min, ci.max, *val); ok {
@@ -305,7 +336,7 @@ func (es *estimator) colVsValue(ci colInfo, op qtree.BinOp, val *datum.Datum) fl
 // equi-height histogram, interpolating linearly within the boundary bucket
 // so that narrow ranges (lo and hi in the same bucket) still produce a
 // sensible estimate.
-func (es *estimator) histRangeFrac(ci colInfo, op qtree.BinOp, val datum.Datum) float64 {
+func histRangeFrac(ci colInfo, op qtree.BinOp, val datum.Datum) float64 {
 	var total, below float64
 	for _, bk := range ci.hist {
 		total += float64(bk.Count)

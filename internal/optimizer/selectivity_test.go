@@ -30,7 +30,7 @@ func estTable(t *testing.T, n int) (*estimator, qtree.FromID) {
 		}
 		rows = append(rows, []datum.Datum{datum.NewInt(int64(i)), g, datum.NewString(string(rune('a' + i%26)))})
 	}
-	es := newEstimator()
+	es := newEstimator(nil)
 	es.addTable(1, analyzed(t, meta, rows))
 	return es, 1
 }

@@ -12,12 +12,19 @@
 // stale plans and lets the cache sweep them out (counted as
 // invalidations, distinct from capacity evictions).
 //
+// A parameterized statement is cached once per selectivity-bucket vector
+// of its binds (Key.Buckets), so binds whose predicates select very
+// different shares of a table get the plans they call for. One statement
+// holds at most MaxVariants such variants; further vectors share its blind
+// variant, the zero vector.
+//
 // Hit/miss/eviction/invalidation/coalescing counters are published through
 // an obsv.Registry under the "plancache." prefix.
 package plancache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/obsv"
@@ -31,10 +38,44 @@ const (
 	MetricInvalidations = "plancache.invalidations"
 	MetricCoalesced     = "plancache.coalesced"
 	MetricEntries       = "plancache.entries"
+	// MetricVariants gauges the live bucket-variant entries;
+	// MetricBlindFallbacks counts the lookups that fell back to the blind
+	// variant because their statement held MaxVariants variants.
+	MetricVariants       = "plancache.variants"
+	MetricBlindFallbacks = "plancache.blind_fallbacks"
 )
 
 // DefaultMaxEntries bounds the cache when the caller passes maxEntries <= 0.
 const DefaultMaxEntries = 1024
+
+// MaxBucketed is the number of parameter predicates a key can bucket. A
+// statement with more runs its blind variant for every bind set.
+const MaxBucketed = 8
+
+// MaxVariants bounds the bucket variants cached for one statement (SQL,
+// Strategy and Version).
+const MaxVariants = 8
+
+// maxBucket is the bucket of the smallest selectivities, 2^-63 and below.
+const maxBucket = 64
+
+// Buckets is the selectivity-bucket vector of one bind set: element i is
+// the bucket (BucketOf) of the statement's i-th parameter predicate, and 0
+// marks no predicate. The zero vector names the blind variant, planned
+// without looking at the binds.
+type Buckets [MaxBucketed]int8
+
+// BucketOf is the bucket of an estimated selectivity: 1 - round(log2(sel)),
+// so selectivities within a factor of √2 of the same power of two share a
+// bucket (1 holds 1 down to 0.71, 2 holds 0.71 to 0.35, and so on). It is
+// never 0.
+func BucketOf(sel float64) int8 {
+	if !(sel > 0) {
+		return maxBucket
+	}
+	b := 1 - math.Round(math.Log2(sel))
+	return int8(math.Max(1, math.Min(b, maxBucket)))
+}
 
 // Key identifies one cached plan.
 type Key struct {
@@ -47,12 +88,27 @@ type Key struct {
 	// Version is the catalog statistics/DDL version the plan was (or will
 	// be) optimized under.
 	Version int64
+	// Buckets is the bind set's bucket vector: zero for the blind variant,
+	// which every statement without parameter predicates uses.
+	Buckets Buckets
 }
+
+// blind is k's blind variant.
+func (k Key) blind() Key {
+	k.Buckets = Buckets{}
+	return k
+}
+
+// isVariant reports whether k names a bucket variant.
+func (k Key) isVariant() bool { return k.Buckets != Buckets{} }
 
 // String renders the key for diagnostics. The cache itself never builds
 // it: its map is keyed by the comparable Key, so a lookup allocates
 // nothing.
 func (k Key) String() string {
+	if k.isVariant() {
+		return fmt.Sprintf("v%d|%s|%v|%s", k.Version, k.Strategy, k.Buckets, k.SQL)
+	}
 	return fmt.Sprintf("v%d|%s|%s", k.Version, k.Strategy, k.SQL)
 }
 
@@ -79,13 +135,19 @@ type Cache struct {
 	ring    []*entry // clock ring, fixed capacity; nil slots are free
 	hand    int
 	calls   map[Key]*call
+	// variants counts, under each statement's blind key, its cached bucket
+	// variants plus those being computed; nvariants is the cached total.
+	variants  map[Key]int
+	nvariants int
 
-	hits          *obsv.Counter
-	misses        *obsv.Counter
-	evictions     *obsv.Counter
-	invalidations *obsv.Counter
-	coalesced     *obsv.Counter
-	entriesGauge  *obsv.Gauge
+	hits           *obsv.Counter
+	misses         *obsv.Counter
+	evictions      *obsv.Counter
+	invalidations  *obsv.Counter
+	coalesced      *obsv.Counter
+	blindFallbacks *obsv.Counter
+	entriesGauge   *obsv.Gauge
+	variantsGauge  *obsv.Gauge
 }
 
 // New creates a cache bounded to maxEntries plans (DefaultMaxEntries when
@@ -95,15 +157,18 @@ func New(maxEntries int, reg *obsv.Registry) *Cache {
 		maxEntries = DefaultMaxEntries
 	}
 	return &Cache{
-		entries:       map[Key]*entry{},
-		ring:          make([]*entry, maxEntries),
-		calls:         map[Key]*call{},
-		hits:          reg.Counter(MetricHits),
-		misses:        reg.Counter(MetricMisses),
-		evictions:     reg.Counter(MetricEvictions),
-		invalidations: reg.Counter(MetricInvalidations),
-		coalesced:     reg.Counter(MetricCoalesced),
-		entriesGauge:  reg.Gauge(MetricEntries),
+		entries:        map[Key]*entry{},
+		ring:           make([]*entry, maxEntries),
+		calls:          map[Key]*call{},
+		variants:       map[Key]int{},
+		hits:           reg.Counter(MetricHits),
+		misses:         reg.Counter(MetricMisses),
+		evictions:      reg.Counter(MetricEvictions),
+		invalidations:  reg.Counter(MetricInvalidations),
+		coalesced:      reg.Counter(MetricCoalesced),
+		blindFallbacks: reg.Counter(MetricBlindFallbacks),
+		entriesGauge:   reg.Gauge(MetricEntries),
+		variantsGauge:  reg.Gauge(MetricVariants),
 	}
 }
 
@@ -127,6 +192,15 @@ func (c *Cache) Get(k Key) (any, bool) {
 // i.e. whether this call avoided an optimizer run). Errors are returned to
 // every waiter and are not cached.
 func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, shared bool, err error) {
+	return c.GetOrComputeVariant(k, func(Key) (any, error) { return compute() })
+}
+
+// GetOrComputeVariant is GetOrCompute for a key that may name a bucket
+// variant. A variant that is neither cached nor being computed, of a
+// statement that already holds MaxVariants variants, falls back to the
+// statement's blind variant (counted in MetricBlindFallbacks). compute
+// receives the key it computes: k, or k's blind variant.
+func (c *Cache) GetOrComputeVariant(k Key, compute func(Key) (any, error)) (val any, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
 		e.ref = true
@@ -140,31 +214,55 @@ func (c *Cache) GetOrCompute(k Key, compute func() (any, error)) (val any, share
 		cl.wg.Wait()
 		return cl.val, true, cl.err
 	}
+	if k.isVariant() {
+		if c.variants[k.blind()] >= MaxVariants {
+			c.blindFallbacks.Inc()
+			c.mu.Unlock()
+			return c.GetOrComputeVariant(k.blind(), compute)
+		}
+		c.variants[k.blind()]++ // reserved until the computation ends
+	}
 	cl := &call{}
 	cl.wg.Add(1)
 	c.calls[k] = cl
 	c.misses.Inc()
 	c.mu.Unlock()
 
-	cl.val, cl.err = compute()
+	cl.val, cl.err = compute(k)
 
 	c.mu.Lock()
 	delete(c.calls, k)
-	if cl.err == nil {
-		c.insertLocked(&entry{key: k, val: cl.val})
+	if cl.err != nil || !c.insertLocked(&entry{key: k, val: cl.val}) {
+		c.dropVariantLocked(k, false)
 	}
 	c.mu.Unlock()
 	cl.wg.Done()
 	return cl.val, false, cl.err
 }
 
+// dropVariantLocked releases k's count in its statement's variant bound,
+// if k is a variant; cached says k was a cached entry. Caller holds c.mu.
+func (c *Cache) dropVariantLocked(k Key, cached bool) {
+	if !k.isVariant() {
+		return
+	}
+	b := k.blind()
+	if c.variants[b]--; c.variants[b] <= 0 {
+		delete(c.variants, b)
+	}
+	if cached {
+		c.nvariants--
+		c.variantsGauge.Set(int64(c.nvariants))
+	}
+}
+
 // insertLocked places e into the ring, evicting by second chance when it
-// is full. Caller holds c.mu.
-func (c *Cache) insertLocked(e *entry) {
+// is full, and reports whether it added an entry. Caller holds c.mu.
+func (c *Cache) insertLocked(e *entry) bool {
 	if old, ok := c.entries[e.key]; ok {
 		// A racing recompute of the same key: replace in place.
 		old.val, old.ref = e.val, true
-		return
+		return false
 	}
 	for {
 		v := c.ring[c.hand]
@@ -178,6 +276,7 @@ func (c *Cache) insertLocked(e *entry) {
 		}
 		delete(c.entries, v.key)
 		c.ring[c.hand] = nil
+		c.dropVariantLocked(v.key, true)
 		c.evictions.Inc()
 		break
 	}
@@ -186,11 +285,16 @@ func (c *Cache) insertLocked(e *entry) {
 	c.hand = (c.hand + 1) % len(c.ring)
 	c.entries[e.key] = e
 	c.entriesGauge.Set(int64(len(c.entries)))
+	if e.key.isVariant() {
+		c.nvariants++
+		c.variantsGauge.Set(int64(c.nvariants))
+	}
+	return true
 }
 
 // Invalidate removes every entry whose key version is below version —
-// plans optimized under statistics that ANALYZE or DDL has since replaced —
-// and returns how many were dropped. Stale entries that are never swept
+// plans optimized under statistics that ANALYZE or DDL has since replaced,
+// every bucket variant included — and returns how many were dropped. Stale entries that are never swept
 // are still harmless (new lookups carry the new version and miss), but
 // sweeping frees their slots immediately.
 func (c *Cache) Invalidate(version int64) int {
@@ -200,6 +304,7 @@ func (c *Cache) Invalidate(version int64) int {
 		if k.Version < version {
 			delete(c.entries, k)
 			c.ring[e.slot] = nil
+			c.dropVariantLocked(k, true)
 			n++
 		}
 	}

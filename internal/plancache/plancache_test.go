@@ -193,3 +193,111 @@ func TestNormalize(t *testing.T) {
 		t.Error("distinct literals must not normalize identically")
 	}
 }
+
+// TestVariantBound: one statement caches at most MaxVariants bucket
+// variants. Further vectors run its blind variant, computed once for the
+// blind key and counted as blind fallbacks; a vector already cached still
+// hits. Invalidate sweeps every variant.
+func TestVariantBound(t *testing.T) {
+	reg := obsv.NewRegistry()
+	c := New(64, reg)
+	base := Key{SQL: "SELECT x FROM t WHERE c > :p", Strategy: "auto", Version: 1}
+	variant := func(i int) Key {
+		k := base
+		k.Buckets[0] = int8(i + 1)
+		return k
+	}
+	var computed []Key
+	compute := func(k Key) (any, error) {
+		computed = append(computed, k)
+		return k.String(), nil
+	}
+	const vectors = MaxVariants + 5
+	for i := 0; i < vectors; i++ {
+		v, shared, err := c.GetOrComputeVariant(variant(i), compute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantShared := variant(i).String(), false
+		if i >= MaxVariants {
+			want, wantShared = base.String(), i > MaxVariants
+		}
+		if v != want || shared != wantShared {
+			t.Fatalf("vector %d: got %v (shared %v), want %v (shared %v)", i, v, shared, want, wantShared)
+		}
+	}
+	if len(computed) != MaxVariants+1 || computed[MaxVariants] != base {
+		t.Fatalf("computed %v, want %d variants then the blind key", computed, MaxVariants)
+	}
+	if n := reg.GaugeValue(MetricVariants); n != MaxVariants {
+		t.Fatalf("variants gauge %d, want %d", n, MaxVariants)
+	}
+	if n := reg.CounterValue(MetricBlindFallbacks); n != vectors-MaxVariants {
+		t.Fatalf("blind fallbacks %d, want %d", n, vectors-MaxVariants)
+	}
+	if v, shared, _ := c.GetOrComputeVariant(variant(0), compute); !shared || v != variant(0).String() {
+		t.Fatalf("a cached variant at the bound: %v (shared %v)", v, shared)
+	}
+	// Another statement has its own bound.
+	other := variant(0)
+	other.SQL = "SELECT y FROM t WHERE c > :p"
+	if v, _, _ := c.GetOrComputeVariant(other, compute); v != other.String() {
+		t.Fatalf("a second statement's first variant ran %v", v)
+	}
+
+	if n := c.Invalidate(2); n != MaxVariants+2 {
+		t.Fatalf("Invalidate dropped %d entries, want %d", n, MaxVariants+2)
+	}
+	if c.Len() != 0 || reg.GaugeValue(MetricVariants) != 0 || len(c.variants) != 0 {
+		t.Fatalf("after Invalidate: %d entries, variants gauge %d, %d statements counted",
+			c.Len(), reg.GaugeValue(MetricVariants), len(c.variants))
+	}
+	next := variant(MaxVariants + 1)
+	next.Version = 2
+	if v, _, _ := c.GetOrComputeVariant(next, compute); v != next.String() {
+		t.Fatalf("after Invalidate a new vector ran %v, want its own variant", v)
+	}
+}
+
+// TestVariantEvictionReleasesBound: a variant evicted by the clock no
+// longer counts against its statement's bound, and a failed computation
+// never did.
+func TestVariantEvictionReleasesBound(t *testing.T) {
+	reg := obsv.NewRegistry()
+	c := New(2, reg)
+	base := Key{SQL: "SELECT x FROM t WHERE c > :p", Strategy: "auto", Version: 1}
+	k := base
+	k.Buckets[0] = 1
+	if _, _, err := c.GetOrComputeVariant(k, func(Key) (any, error) { return nil, fmt.Errorf("boom") }); err == nil {
+		t.Fatal("expected error")
+	}
+	if len(c.variants) != 0 {
+		t.Fatalf("a failed computation holds %v", c.variants)
+	}
+	for i := 0; i < 3*MaxVariants; i++ {
+		k.Buckets[0] = int8(i + 1)
+		v, _, err := c.GetOrComputeVariant(k, func(got Key) (any, error) { return got.String(), nil })
+		if err != nil || v != k.String() {
+			t.Fatalf("vector %d ran %v (err %v): evicted variants still count", i, v, err)
+		}
+	}
+	if n := reg.CounterValue(MetricBlindFallbacks); n != 0 {
+		t.Fatalf("%d blind fallbacks with at most 2 variants cached", n)
+	}
+	if n := reg.GaugeValue(MetricVariants); n != 2 || c.variants[base] != 2 {
+		t.Fatalf("variants gauge %d, counted %d, want 2", n, c.variants[base])
+	}
+}
+
+func TestBucketOf(t *testing.T) {
+	for _, tc := range []struct {
+		sel  float64
+		want int8
+	}{
+		{1, 1}, {0.98, 1}, {0.75, 1}, {0.7, 2}, {0.5, 2}, {1.0 / 3, 3}, {0.05, 5}, {1e-6, 21}, {0, maxBucket}, {1e-30, maxBucket},
+	} {
+		if got := BucketOf(tc.sel); got != tc.want {
+			t.Errorf("BucketOf(%g) = %d, want %d", tc.sel, got, tc.want)
+		}
+	}
+}

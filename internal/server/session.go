@@ -41,6 +41,9 @@ type stmt struct {
 	params []string // parameter names from prepare-time binding
 	binds  []datum.Datum
 	bound  []bool
+	// preds are the parameter predicates whose selectivity buckets key the
+	// statement's plan variants (nil: it runs its blind variant only).
+	preds []optimizer.ParamPred
 	// tree is the statement as prepare bound it, kept for the first plan
 	// lookup, which takes it: a miss optimizes this tree instead of binding
 	// the text again. Optimization mutates a tree, so it serves one lookup;
@@ -313,11 +316,16 @@ func (ss *session) newStmt(src string) (*stmt, error) {
 		return nil, err
 	}
 	var params []string
+	var read *qtree.Query
 	switch v := bound.(type) {
 	case *qtree.Query:
-		params = v.Params
+		params, read = v.Params, v
 	case *qtree.DMLStmt:
-		params = v.Params
+		params, read = v.Params, v.Read
+	}
+	var preds []optimizer.ParamPred
+	if len(params) > 0 && read != nil {
+		preds = bucketedPreds(read)
 	}
 	ss.nextStmt++
 	return &stmt{
@@ -327,8 +335,30 @@ func (ss *session) newStmt(src string) (*stmt, error) {
 		params: params,
 		binds:  make([]datum.Datum, len(params)),
 		bound:  make([]bool, len(params)),
+		preds:  preds,
 		tree:   bound,
 	}, nil
+}
+
+// bucketedPreds are the parameter predicates whose buckets key q's plan
+// variants: none when there are more than a key holds, so the statement
+// runs its blind variant only.
+func bucketedPreds(q *qtree.Query) []optimizer.ParamPred {
+	preds := optimizer.ParamPreds(q)
+	if len(preds) > plancache.MaxBucketed {
+		return nil
+	}
+	return preds
+}
+
+// buckets is the bucket vector of the statement's current binds: one
+// estimate per parameter predicate, from the current statistics.
+func (st *stmt) buckets() plancache.Buckets {
+	var b plancache.Buckets
+	for i, pp := range st.preds {
+		b[i] = plancache.BucketOf(pp.Selectivity(st.binds))
+	}
+	return b
 }
 
 // parseBind parses and binds one statement's text: a *qtree.Query or a
@@ -529,19 +559,28 @@ func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
 // cached plan correct under any amount of concurrent write churn.
 // The lookup takes the statement's bound tree, hit or miss, so the tree is
 // optimized at most once and a hit does not keep it alive.
+// The key carries the bucket vector of the binds: a miss on a bucket variant
+// optimizes with the estimator reading these binds, a miss on the blind
+// variant (no parameter predicates, or the statement's variant bound
+// reached) without.
 func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error) {
 	key := plancache.Key{
 		SQL:      st.norm,
 		Strategy: ss.strategy,
 		Version:  ss.srv.db.Catalog.Version(),
+		Buckets:  st.buckets(),
 	}
 	tree := st.tree
 	st.tree = nil
 	// Coalesced waiters share the computing caller's context: if that
 	// caller's deadline degrades or fails the optimization, the error is
 	// returned to every waiter and nothing is cached.
-	v, shared, err := ss.srv.cache.GetOrCompute(key, func() (any, error) {
-		return ss.optimize(ctx, st.sql, tree)
+	v, shared, err := ss.srv.cache.GetOrComputeVariant(key, func(k plancache.Key) (any, error) {
+		var binds []datum.Datum
+		if k.Buckets != (plancache.Buckets{}) {
+			binds = st.binds
+		}
+		return ss.optimize(ctx, st.sql, tree, binds)
 	})
 	if err != nil {
 		return nil, false, err
@@ -555,7 +594,8 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 
 // optimize runs CBQT over one statement's bound tree, parsing and binding
 // src first when there is none (a prepared statement optimized again after
-// its tree was used). Mutations go through the same optimizer: their
+// its tree was used). binds, when non-nil, are the values the estimator
+// reads (cbqt.Optimizer.Binds). Mutations go through the same optimizer: their
 // locating/source query is an ordinary bound query that the cost-based
 // transformer plans like any SELECT, so an UPDATE's subquery predicate gets
 // unnested exactly as it would in a read, and the DML contract (ROWID
@@ -565,14 +605,14 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 // the context error rather than returning the degraded plan: the query
 // could not make its deadline anyway, and a plan degraded by one caller's
 // deadline must never be cached for everyone else.
-func (ss *session) optimize(ctx context.Context, src string, tree any) (*cachedPlan, error) {
+func (ss *session) optimize(ctx context.Context, src string, tree any, binds []datum.Datum) (*cachedPlan, error) {
 	if tree == nil {
 		var err error
 		if tree, err = ss.parseBind(src); err != nil {
 			return nil, err
 		}
 	}
-	o := &cbqt.Optimizer{Cat: ss.srv.db.Catalog, Opts: ss.opts}
+	o := &cbqt.Optimizer{Cat: ss.srv.db.Catalog, Opts: ss.opts, Binds: binds}
 	var cp *cachedPlan
 	var res *cbqt.Result
 	var err error
