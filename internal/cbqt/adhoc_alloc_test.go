@@ -17,8 +17,11 @@ import (
 // re-discovered its rule's objects and re-ran the heuristics over every
 // block, 1 932 once objects are found once per search and the re-pass
 // visits only the blocks a state owns, rendering their conjuncts only when
-// it has a predicate to add.
-const adhocOptimizeAllocBudget = 2200
+// it has a predicate to add; 1 942 with a budget of 2 200 when three
+// strategies still costed their states through a batch engine, 1 940 once
+// every strategy costs them through one loop. The budget keeps the 258
+// margin above the reading.
+const adhocOptimizeAllocBudget = 2198
 
 // The corpus is bound outside the measurement; the gate counts Optimize.
 func TestAdhocOptimizeAllocBudget(t *testing.T) {

@@ -17,8 +17,10 @@ import (
 // candidate it priced and expressions rendered through fmt, 708 (11 334)
 // once it built only winners and rendered with one append-style writer,
 // 600 (9 598) once each search finds its objects once and a state's
-// heuristic re-pass visits only the blocks it owns. The budget was 1 000
-// until then.
+// heuristic re-pass visits only the blocks it owns. It read 622 (9 944)
+// when three strategies still costed their states through a batch engine
+// and 622 (9 944-9 945) once every strategy costs them through one loop. The
+// budget was 1 000 until the 600 reading.
 const searchAllocBudget = 800
 
 func TestSearchAllocBudget(t *testing.T) {

@@ -7,10 +7,8 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/optimizer"
 	"repro/internal/qtree"
-	"repro/internal/transform"
 )
 
 // stack captures the current goroutine stack for TransformError reports.
@@ -98,41 +96,20 @@ func (e *TransformError) class() string {
 // far. Never escapes the cbqt package.
 var errBudgetStop = errors.New("cbqt: budget exhausted, stop search")
 
-// budgetTracker enforces a Budget across one search. State-count and memory
-// accounting go through reserve, which grants a batch's states in
-// enumeration order before any of them is costed, so a capped search
-// evaluates a prefix of the canonical enumeration. The first bound to trip
-// records the sticky degradation reason. It is owned by one search and not
-// safe for concurrent use.
+// budgetTracker enforces a Budget across one optimization. Every strategy
+// asks it to admit each state just before costing it, so a capped search
+// evaluates a prefix of the states it visits, in the order it visits them.
+// The first bound to trip records the sticky degradation reason. It is
+// owned by one optimization and not safe for concurrent use.
 type budgetTracker struct {
 	ctx           context.Context
 	deadline      time.Time // zero = none
 	maxStates     int64     // 0 = unlimited
 	maxMem        int64     // 0 = unlimited
-	perStateBytes int64     // approx bytes of one deep-copied query tree
+	perStateBytes int64     // approx bytes of one deep-copied query tree (maxMem > 0 only)
 	cacheBytes    func() int64
 
-	states int64 // states granted so far
-
-	// preSummary is the contract summary of the query a rule search starts
-	// from (Options.Check only). o.search writes it before costing any
-	// state; evalState only reads it.
-	preSummary *check.Summary
-	// baseSnap fingerprints the same query's tree (Options.Check only):
-	// every evaluated state re-verifies it to prove no transformation
-	// mutated the blocks its copy-on-write clone shares with the base.
-	// Written with preSummary, never re-written mid-rule.
-	baseSnap *check.TreeSnapshot
-	// objs is the object set the current rule's Find returned on the base.
-	// o.search writes it before costing any state; every state applies its
-	// variants through these handles and none writes them.
-	objs []transform.Object
-	// baseFixpoint records that the query the search starts from is at a
-	// fixpoint of the heuristic rules, so a state's heuristic re-pass may
-	// skip the blocks it shares with it. The driver writes it between rule
-	// searches only: set when the heuristic phase or a winner's re-pass
-	// converges, cleared when a RuleHeuristic-mode rule changes the query.
-	baseFixpoint bool
+	states int64 // states admitted so far
 
 	reason DegradeReason
 }
@@ -142,14 +119,16 @@ func newBudgetTracker(ctx context.Context, b Budget, q *qtree.Query, cache *opti
 		ctx = context.Background()
 	}
 	t := &budgetTracker{
-		ctx:           ctx,
-		maxStates:     int64(b.MaxStates),
-		maxMem:        b.MaxMemBytes,
-		perStateBytes: q.ApproxBytes(),
-		cacheBytes:    func() int64 { return 0 },
+		ctx:        ctx,
+		maxStates:  int64(b.MaxStates),
+		maxMem:     b.MaxMemBytes,
+		cacheBytes: func() int64 { return 0 },
+	}
+	if t.maxMem > 0 {
+		t.perStateBytes = q.ApproxBytes()
 	}
 	if b.Timeout > 0 {
-		//lint:allow nodeterm the wall-clock budget is the feature; capped searches stay deterministic because reserve grants states in enumeration order
+		//lint:allow nodeterm the wall-clock budget is the feature; capped searches stay deterministic because admit counts states in the order a search visits them
 		t.deadline = time.Now().Add(b.Timeout)
 	}
 	if d, ok := ctx.Deadline(); ok && (t.deadline.IsZero() || d.Before(t.deadline)) {
@@ -185,35 +164,22 @@ func (t *budgetTracker) expired() bool {
 	return false
 }
 
-// reserve grants permission to cost up to n more states and returns how
-// many were granted (0..n). The grant depends only on the totals reserved
-// so far, so a batch trimmed to its granted prefix is the same on every run.
-func (t *budgetTracker) reserve(n int) int {
-	if n <= 0 {
-		return 0
-	}
+// admit reports whether one more state may be costed, and counts it when
+// it may: the wall clock and the context have not expired, the state cap
+// is not reached, and one more state's copy fits beside the annotation
+// table under the memory cap.
+func (t *budgetTracker) admit() bool {
 	if t.expired() {
-		return 0
+		return false
 	}
-	granted := int64(n)
-	used := t.states
-	if t.maxStates > 0 && used+granted > t.maxStates {
-		granted = t.maxStates - used
-		if granted < 0 {
-			granted = 0
-		}
+	if t.maxStates > 0 && t.states >= t.maxStates {
 		t.trip(DegradeStateCap)
+		return false
 	}
-	if t.maxMem > 0 && t.perStateBytes > 0 {
-		avail := t.maxMem - t.cacheBytes() - used*t.perStateBytes
-		if byMem := avail / t.perStateBytes; byMem < granted {
-			if byMem < 0 {
-				byMem = 0
-			}
-			granted = byMem
-			t.trip(DegradeMemCap)
-		}
+	if t.maxMem > 0 && t.cacheBytes()+(t.states+1)*t.perStateBytes > t.maxMem {
+		t.trip(DegradeMemCap)
+		return false
 	}
-	t.states += granted
-	return int(granted)
+	t.states++
+	return true
 }

@@ -14,7 +14,11 @@
 //
 // Four state-space search strategies are provided (§3.2): exhaustive,
 // iterative improvement, linear, and two-pass, with automatic selection
-// based on the number of objects. Optimization performance techniques from
+// based on the number of objects. All four cost their states one at a time
+// through one loop (ruleSearch.cost): the budget admits each state just
+// before it is costed, each state is cut off at the cheapest cost costed
+// before it in its rule, and the first faulting state ends the rule's
+// search and quarantines the rule. Optimization performance techniques from
 // §3.4 are implemented: cost cut-off, reuse of query sub-tree cost
 // annotations, and caching of expensive optimizer computations.
 package cbqt
@@ -93,8 +97,6 @@ type HeuristicDecider interface {
 // Options configure the CBQT driver.
 type Options struct {
 	Strategy Strategy
-	// IterativeMaxStates bounds the states iterative improvement costs.
-	IterativeMaxStates int
 	// Parallelism is ignored: every search costs its states in enumeration
 	// order on the calling goroutine. The benchmark harness still sets it
 	// (benchmark/replay.go and benchmark/verify.go); the field goes with
@@ -118,8 +120,6 @@ type Options struct {
 	// Rules overrides the cost-based rule sequence (defaults to
 	// transform.CostBasedRules).
 	Rules []transform.Rule
-	// Seed drives the iterative strategy's pseudo-random walk.
-	Seed int64
 	// Trace records the structured search-event stream in Stats.Events —
 	// every state evaluated with its rule, state vector, outcome and cost;
 	// used by the CLI's -trace flag, golden-trace tests and examples.
@@ -183,12 +183,10 @@ var onHandleMismatch func(error)
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		Strategy:           StrategyAuto,
-		IterativeMaxStates: 24,
-		CostCutoff:         true,
-		AnnotationReuse:    true,
-		Seed:               1,
-		Check:              defaultCheck,
+		Strategy:        StrategyAuto,
+		CostCutoff:      true,
+		AnnotationReuse: true,
+		Check:           defaultCheck,
 	}
 }
 
@@ -297,12 +295,16 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	if err := o.checkedInput(q, &stats); err != nil {
 		return nil, err
 	}
+	// baseFixpoint records that q is at a fixpoint of the heuristic rules:
+	// set when the heuristic phase or a winner's re-pass converges, cleared
+	// when a RuleHeuristic-mode rule changes the query.
+	baseFixpoint := false
 	if !o.Opts.SkipHeuristics {
 		fixpoint, err := o.protectedHeuristics(q, &stats)
 		if err != nil {
 			return nil, err
 		}
-		tracker.baseFixpoint = fixpoint
+		baseFixpoint = fixpoint
 	}
 
 	rules := o.Opts.Rules
@@ -354,8 +356,12 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		case RuleOff:
 			continue
 		case RuleHeuristic:
-			if o.applyRuleHeuristically(q, r, quarantine, &stats) {
-				tracker.baseFixpoint = false
+			changed, te := o.applyRuleHeuristically(q, r, &stats)
+			if te != nil {
+				quarantine(r.Name(), te)
+			}
+			if changed {
+				baseFixpoint = false
 			}
 			continue
 		}
@@ -367,9 +373,11 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		o.traceEvent(&stats, obsv.SearchEvent{
 			Ev: obsv.EvRule, Rule: r.Name(), Strategy: strat.String(), Objects: len(objs),
 		})
-		best, states, err := o.search(q, r, objs, strat, cache, &stats, tracker)
-		stats.StatesEvaluated += states
-		stats.StatesByRule[r.Name()] += states
+		rs := &ruleSearch{o: o, q: q, r: r, objs: objs, baseFixpoint: baseFixpoint,
+			cache: cache, stats: &stats, tracker: tracker}
+		best, err := rs.run(strat)
+		stats.StatesEvaluated += rs.count
+		stats.StatesByRule[r.Name()] += rs.count
 		if err != nil {
 			var te *TransformError
 			if errors.As(err, &te) {
@@ -383,10 +391,12 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 		// Transfer the winning directives onto the original tree (§3.1).
 		winner := obsv.WinnerUntransformed
 		if !best.isZero() {
-			if o.applyWinner(q, r, objs, best, quarantine, &stats, tracker) {
-				winner = obsv.WinnerApplied
-			} else {
+			if fixpoint, te := rs.applyWinner(best); te != nil {
+				quarantine(r.Name(), te)
 				winner = obsv.WinnerRolledBack
+			} else {
+				baseFixpoint = fixpoint
+				winner = obsv.WinnerApplied
 			}
 		}
 		o.traceEvent(&stats, obsv.SearchEvent{
@@ -402,9 +412,6 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 	if cache != nil {
 		stats.CacheHits, stats.CacheMisses = cache.Counts()
 		cacheBytes = cache.ApproxBytes()
-	}
-	for i := range stats.Events {
-		stats.Events[i].Seq = i
 	}
 
 	// Final physical optimization of the chosen form. Its block count is
@@ -479,119 +486,106 @@ func (o *Optimizer) publishMetrics(stats *Stats, cacheBytes int64) {
 		Observe(float64(stats.OptimizeTime.Milliseconds()))
 }
 
-// traceEvent appends a structured search event when tracing is enabled.
+// traceEvent appends a structured search event, numbered by its position
+// in the stream, when tracing is enabled.
 func (o *Optimizer) traceEvent(stats *Stats, e obsv.SearchEvent) {
 	if o.Opts.Trace {
+		e.Seq = len(stats.Events)
 		stats.Events = append(stats.Events, e)
 	}
 }
 
-// protectedHeuristics runs the imperative transformation phase with panic
-// isolation. The passes mutate a copy-on-write clone of the query, which is
-// adopted (qtree.AdoptCOW) only when every pass and check succeeds: a
-// panicking, fault-injected or checker-rejected pass simply discards the
-// work clone and continues with the untransformed query, with no deep
-// backup copy ever taken. Genuine rule errors still propagate. It reports
-// whether q is now at a fixpoint of the heuristic rules.
-func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint bool, err error) {
+// adoptProtected runs mutate on a copy-on-write clone of q and adopts the
+// clone into q (qtree.AdoptCOW) when mutate reports a change and the static
+// checker (Options.Check) accepts the clone's tree and its copy-on-write
+// discipline. A panic, an error from mutate or a checker violation discards
+// the clone, so q is never left half transformed and no deep backup copy is
+// taken, and comes back as a *TransformError of rule (in state s, when
+// known).
+func (o *Optimizer) adoptProtected(q *qtree.Query, rule string, s state, stats *Stats, mutate func(work *qtree.Query) (bool, error)) (changed bool, te *TransformError) {
 	work := q.CloneCOW()
 	defer func() {
 		if p := recover(); p != nil {
-			stats.TransformErrors = append(stats.TransformErrors,
-				&TransformError{Rule: "heuristics", Panic: p, Stack: stack()})
-			o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: "panic"})
-			fixpoint, err = false, nil
+			changed, te = false, &TransformError{Rule: rule, State: stateKey(s), Panic: p, Stack: stack()}
 		}
 	}()
-	converged, herr := o.applyHeuristics(work, false)
-	if herr != nil {
-		if errors.Is(herr, faultinject.ErrInjected) {
-			stats.TransformErrors = append(stats.TransformErrors,
-				&TransformError{Rule: "heuristics", Err: herr})
-			o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: "injected"})
-			return false, nil
-		}
-		return false, herr
-	}
-	if o.Opts.Check {
-		// A heuristic pass that broke the tree — or mutated blocks without
-		// materializing them — leaves q untouched; drop the work clone and
-		// continue with the pre-heuristics form, like any heuristics fault.
-		vs := check.Aliasing(work)
-		vs = append(vs, check.Query(work)...)
-		if len(vs) > 0 {
+	changed, err := mutate(work)
+	if err == nil && changed && o.Opts.Check {
+		if vs := append(check.Aliasing(work), check.Query(work)...); len(vs) > 0 {
 			o.countCheckViolations(stats, vs)
-			stats.TransformErrors = append(stats.TransformErrors,
-				&TransformError{Rule: "heuristics", Err: vs})
-			o.traceCheckFault(stats)
-			return false, nil
+			err = vs
 		}
 	}
-	q.AdoptCOW(work)
-	o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: "ok"})
-	return converged, nil
+	if err != nil {
+		return false, &TransformError{Rule: rule, State: stateKey(s), Err: err}
+	}
+	if changed {
+		q.AdoptCOW(work)
+	}
+	return changed, nil
+}
+
+// checkContract checks rule's contract from q to its work clone
+// (Options.Check), counting any violations; the per-rule contract runs
+// before any heuristic re-pass, which may legally drop tables.
+func (o *Optimizer) checkContract(rule string, q, work *qtree.Query, stats *Stats) error {
+	if !o.Opts.Check {
+		return nil
+	}
+	if vs := check.CheckContract(rule, check.Summarize(q), work); len(vs) > 0 {
+		o.countCheckViolations(stats, vs)
+		return vs
+	}
+	return nil
+}
+
+// protectedHeuristics runs the imperative transformation phase under
+// adoptProtected: a panicking, fault-injected or checker-rejected pass is
+// recorded and the search continues with the untransformed query. Genuine
+// rule errors still propagate. It reports whether q is now at a fixpoint of
+// the heuristic rules.
+func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint bool, err error) {
+	_, te := o.adoptProtected(q, "heuristics", nil, stats, func(work *qtree.Query) (bool, error) {
+		converged, err := o.applyHeuristics(work, false)
+		fixpoint = converged
+		return true, err
+	})
+	if te == nil {
+		o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: "ok"})
+		return fixpoint, nil
+	}
+	reason := te.class()
+	if errors.Is(te.Err, faultinject.ErrInjected) {
+		reason = "injected"
+	} else if reason == "error" {
+		return false, te.Err
+	}
+	stats.TransformErrors = append(stats.TransformErrors, te)
+	o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: reason})
+	return false, nil
 }
 
 // applyWinner transfers the winning directives (and the heuristic re-pass
-// they enable) onto the original tree, protected against panics: the state
-// is applied to a copy-on-write work clone that is adopted only when every
-// step and check succeeds. On any failure the work clone is discarded — q
-// was never mutated, its from-ID allocation is untouched, and the SQL the
-// non-fault path generates is unchanged — and the rule is quarantined. On
-// success, tracker.baseFixpoint records whether the re-pass converged.
-func (o *Optimizer) applyWinner(q *qtree.Query, r transform.Rule, objs []transform.Object, best state, quarantine func(string, *TransformError), stats *Stats, tracker *budgetTracker) (applied bool) {
-	work := q.CloneCOW()
-	fail := func(p any, err error, stk string) {
-		quarantine(r.Name(), &TransformError{Rule: r.Name(), State: stateKey(best), Panic: p, Err: err, Stack: stk})
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			fail(p, nil, stack())
-			applied = false
+// they enable) onto the original tree under adoptProtected. On failure q
+// is untouched and the returned error quarantines the rule; on success it
+// reports whether the re-pass converged.
+func (rs *ruleSearch) applyWinner(best state) (fixpoint bool, te *TransformError) {
+	o := rs.o
+	_, te = o.adoptProtected(rs.q, rs.r.Name(), best, rs.stats, func(work *qtree.Query) (bool, error) {
+		if err := o.applyState(work, rs.r, rs.objs, best); err != nil {
+			return false, err
 		}
-	}()
-	if err := o.applyState(work, r, objs, best); err != nil {
-		fail(nil, err, "")
-		return false
-	}
-	if o.Opts.Check {
-		if vs := check.CheckContract(r.Name(), check.Summarize(q), work); len(vs) > 0 {
-			o.countCheckViolations(stats, vs)
-			fail(nil, vs, "")
-			return false
+		if err := o.checkContract(rs.r.Name(), rs.q, work, rs.stats); err != nil {
+			return false, err
 		}
-	}
-	fixpoint := false
-	if !o.Opts.SkipHeuristics {
-		converged, err := o.applyHeuristics(work, tracker.baseFixpoint && !fullHeuristicRepass)
-		if err != nil {
-			fail(nil, err, "")
-			return false
+		if !o.Opts.SkipHeuristics {
+			converged, err := o.applyHeuristics(work, rs.baseFixpoint && !fullHeuristicRepass)
+			fixpoint = converged
+			return true, err
 		}
-		fixpoint = converged
-	}
-	if !o.adoptChecked(q, work, stats, fail) {
-		return false
-	}
-	tracker.baseFixpoint = fixpoint
-	return true
-}
-
-// adoptChecked adopts the work clone into q, after the static checker
-// (Options.Check) accepts its tree and its copy-on-write discipline; on a
-// violation it reports through fail and leaves q untouched.
-func (o *Optimizer) adoptChecked(q, work *qtree.Query, stats *Stats, fail func(any, error, string)) bool {
-	if o.Opts.Check {
-		vs := check.Aliasing(work)
-		vs = append(vs, check.Query(work)...)
-		if len(vs) > 0 {
-			o.countCheckViolations(stats, vs)
-			fail(nil, vs, "")
-			return false
-		}
-	}
-	q.AdoptCOW(work)
-	return true
+		return true, nil
+	})
+	return fixpoint, te
 }
 
 // applyHeuristics runs the heuristic phase's rules over q to a fixpoint
@@ -623,61 +617,42 @@ func (o *Optimizer) mode(r transform.Rule) RuleMode {
 }
 
 // applyRuleHeuristically applies the rule's pre-CBQT heuristic decision to
-// every object (releases prior to Oracle 10g, §2.2.1), protected like
-// applyWinner: the decisions are applied to a copy-on-write work clone, each
-// application fires the "apply:<rule>" site, and the clone is adopted only
-// when every step and check succeeds. A panic, an injected error or a
-// checker violation discards the clone and quarantines the rule. It reports
-// whether q changed.
-func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule, quarantine func(string, *TransformError), stats *Stats) (changed bool) {
+// every object (releases prior to Oracle 10g, §2.2.1) under
+// adoptProtected, each application firing the "apply:<rule>" site. It
+// reports whether q changed, and the failure that quarantines the rule.
+func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule, stats *Stats) (bool, *TransformError) {
 	hd, ok := r.(HeuristicDecider)
 	if !ok {
-		return false // no heuristic counterpart: leave untransformed
+		return false, nil // no heuristic counterpart: leave untransformed
 	}
-	work := q.CloneCOW()
-	fail := func(p any, err error, stk string) {
-		quarantine(r.Name(), &TransformError{Rule: r.Name(), Panic: p, Err: err, Stack: stk})
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			fail(p, nil, stack())
-			changed = false
-		}
-	}()
-	// Objects shift as transformations apply; re-discover each round.
-	for guard := 0; guard < 32; guard++ {
-		applied := false
-		for _, obj := range r.Find(work) {
-			v := hd.HeuristicVariant(work, obj)
-			if v == 0 {
-				continue
+	return o.adoptProtected(q, r.Name(), nil, stats, func(work *qtree.Query) (changed bool, err error) {
+		// Objects shift as transformations apply; re-discover each round.
+		for guard := 0; guard < 32; guard++ {
+			applied := false
+			for _, obj := range r.Find(work) {
+				v := hd.HeuristicVariant(work, obj)
+				if v == 0 {
+					continue
+				}
+				if err := o.Opts.Faults.Fire("apply:" + r.Name()); err != nil {
+					return false, err
+				}
+				if err := r.Apply(work, obj, v); err != nil {
+					continue // treat as inapplicable
+				}
+				applied = true
+				break // re-discover objects after mutation
 			}
-			if err := o.Opts.Faults.Fire("apply:" + r.Name()); err != nil {
-				fail(nil, err, "")
-				return false
+			if !applied {
+				break
 			}
-			if err := r.Apply(work, obj, v); err != nil {
-				continue // treat as inapplicable
-			}
-			applied = true
-			break // re-discover objects after mutation
+			changed = true
 		}
-		if !applied {
-			break
+		if !changed {
+			return false, nil
 		}
-		changed = true
-	}
-	if !changed {
-		return false
-	}
-	if o.Opts.Check {
-		if vs := check.CheckContract(r.Name(), check.Summarize(q), work); len(vs) > 0 {
-			o.countCheckViolations(stats, vs)
-			fail(nil, vs, "")
-			return false
-		}
-	}
-	return o.adoptChecked(q, work, stats, fail)
+		return true, o.checkContract(r.Name(), q, work, stats)
+	})
 }
 
 // The search-strategy limits of §3.2, which picks strategies by "a fixed
@@ -692,8 +667,11 @@ const (
 	// query above which StrategyAuto degrades every search to two-pass.
 	twoPassThreshold = 10
 	// iterativeRestarts bounds the random restarts of iterative
-	// improvement.
-	iterativeRestarts = 3
+	// improvement, and iterativeMaxStates the states it costs.
+	iterativeRestarts  = 3
+	iterativeMaxStates = 24
+	// iterativeSeed drives iterative improvement's pseudo-random walk.
+	iterativeSeed = 1
 )
 
 // pickStrategy implements the automatic selection (§3.2).

@@ -263,24 +263,6 @@ func TestStateCountsPerStrategy(t *testing.T) {
 	}
 }
 
-func TestIterativeBounded(t *testing.T) {
-	db := testkit.TinyDB()
-	q := qtree.MustBind(table1SQL, db.Catalog)
-	opts := DefaultOptions()
-	opts.Strategy = StrategyIterative
-	opts.IterativeMaxStates = 3
-	opts.SkipHeuristics = true
-	opts.Rules = []transform.Rule{&transform.UnnestSubquery{}}
-	o := &Optimizer{Cat: db.Catalog, Opts: opts}
-	res, err := o.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.StatesEvaluated > 3+1 {
-		t.Errorf("iterative exceeded bound: %d states", res.Stats.StatesEvaluated)
-	}
-}
-
 func TestAutoStrategySelection(t *testing.T) {
 	o := New(nil)
 	if s := o.pickStrategy(3, 5); s != StrategyExhaustive {

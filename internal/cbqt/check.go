@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/check"
-	"repro/internal/obsv"
 	"repro/internal/qtree"
 )
 
@@ -96,11 +95,3 @@ func IsCheckViolation(err error) (check.Violations, bool) {
 
 // checkEventReason is the trace/quarantine reason for checker findings.
 const checkEventReason = "check"
-
-// traceCheckFault emits the heuristics-phase fault event for checker
-// findings; split out so protectedHeuristics stays readable.
-func (o *Optimizer) traceCheckFault(stats *Stats) {
-	o.traceEvent(stats, obsv.SearchEvent{
-		Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: checkEventReason,
-	})
-}

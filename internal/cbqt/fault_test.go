@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/obsv"
 	"repro/internal/testkit"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -52,6 +53,41 @@ func TestFaultPanicEveryRuleDifferential(t *testing.T) {
 					site, wq.ID, res.Stats.QuarantinedRules)
 			}
 		}
+	}
+}
+
+// TestFaultEndsRuleSearch: the first faulting state ends its rule's
+// search. A panic in the second state of the exhaustive Table 2 unnesting
+// search leaves no later state of that rule in the trace, quarantines the
+// rule, and the query returns the fault-free rows.
+func TestFaultEndsRuleSearch(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	opts := DefaultOptions()
+	opts.Strategy = StrategyExhaustive
+	opts.Trace = true
+	baseRows, _ := runCBQT(t, db, table2SQL, opts)
+
+	const rule = "subquery unnesting"
+	opts.Faults = faultinject.New(faultinject.Fault{Site: "state:" + rule, Kind: faultinject.KindPanic, Hit: 2})
+	rows, res := runCBQT(t, db, table2SQL, opts)
+	faulted := false
+	for _, e := range res.Stats.Events {
+		if e.Ev != obsv.EvState || e.Rule != rule {
+			continue
+		}
+		if faulted {
+			t.Errorf("state %s (%s) was evaluated after the rule's faulting state", e.State, e.Outcome)
+		}
+		faulted = faulted || e.Outcome == obsv.OutcomeFault
+	}
+	if !faulted {
+		t.Fatal("no state of the rule faulted")
+	}
+	if !containsStr(res.Stats.QuarantinedRules, rule) {
+		t.Errorf("rule not quarantined (quarantined: %v)", res.Stats.QuarantinedRules)
+	}
+	if !equalStrs(rows, baseRows) {
+		t.Errorf("results changed (%d rows vs %d)", len(rows), len(baseRows))
 	}
 }
 

@@ -17,18 +17,82 @@ import (
 // infeasible marks states whose transformation could not be applied.
 var errInfeasible = errors.New("cbqt: state infeasible")
 
+// ruleSearch is one rule's state-space search over the objects its Find
+// returned on the base query q. All four strategies cost their states
+// through cost, one state at a time in the order the strategy visits them:
+// the budget admits each state just before it is costed, each state is cut
+// off at the cheapest cost costed before it in the rule (§3.4.1), and the
+// first faulting state ends the search. Every state records its counters
+// and trace events straight into the optimization's Stats.
+type ruleSearch struct {
+	o    *Optimizer
+	q    *qtree.Query
+	r    transform.Rule
+	objs []transform.Object
+	// baseFixpoint records that q is at a fixpoint of the heuristic rules,
+	// so a state's heuristic re-pass may skip the blocks it shares with q.
+	baseFixpoint bool
+	cache        *optimizer.CostCache
+	stats        *Stats
+	tracker      *budgetTracker
+
+	// Set by run before the first state is costed.
+	variants []int
+	// preSummary is q's contract summary and baseSnap fingerprints q's
+	// tree (Options.Check only). q is not mutated until the winner is
+	// applied, after the search; every state checks the rule's contract
+	// against preSummary and re-verifies baseSnap, since copy-on-write
+	// states share q's blocks and any mutation of them is corruption.
+	preSummary *check.Summary
+	baseSnap   *check.TreeSnapshot
+
+	min   float64 // the cheapest cost so far: the next state's cut-off
+	count int     // states costed
+}
+
+// cost admits, costs and records state s, returning +Inf when s is
+// infeasible or cut off. It returns errBudgetStop when the budget admits
+// no more states and the fault when s faulted; either ends the search.
+func (rs *ruleSearch) cost(s state) (float64, error) {
+	if !rs.tracker.admit() {
+		return 0, errBudgetStop
+	}
+	c, err := rs.evalState(s)
+	if errors.Is(err, errInfeasible) {
+		return math.Inf(1), nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	rs.count++
+	rs.min = math.Min(rs.min, c)
+	return c, nil
+}
+
+// stop ends a search on err: a budget stop keeps best, the best state
+// costed so far; any other error goes to OptimizeContext, which
+// quarantines the rule for a *TransformError and fails the optimization
+// otherwise.
+func stop(best state, err error) (state, error) {
+	if errors.Is(err, errBudgetStop) {
+		return best, nil
+	}
+	return nil, err
+}
+
 // evalState gives the state its own copy-on-write clone of the query,
 // applies the state through the handles of the objects the search found on
-// the base (tracker.objs), re-runs the imperative transformations that the
+// the base (rs.objs), re-runs the imperative transformations that the
 // new constructs may enable (§3.1) over the blocks the state owns, and
-// invokes the physical optimizer in cost-only mode.
+// invokes the physical optimizer in cost-only mode, cut off at rs.min.
 //
 // It is the fault boundary of the search: the "state:<rule>" injection site
 // fires first, any panic out of the transformation or the planner is
 // recovered into a *TransformError (the caller quarantines the rule),
 // injected errors skip just this state, and a planner budget abort maps to
 // errBudgetStop ("stop searching, keep the best so far").
-func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *optimizer.CostCache, cutoff float64, stats *Stats, tracker *budgetTracker) (cost float64, err error) {
+func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
+	o, r, stats := rs.o, rs.r, rs.stats
 	// stateEvent emits the state's EvState trace record. Exactly one fires
 	// per evaluation, at the return point that decided the outcome.
 	began := time.Time{}
@@ -64,14 +128,14 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	// Each state gets its own copy of the query (§3.1): a copy-on-write
 	// clone sharing every block the state does not rewrite with the base.
 	var clone *qtree.Query
-	objs := tracker.objs
+	objs := rs.objs
 	if fullCloneStates {
 		// The differential tests' reference copy: handles name the base's
 		// blocks, so find the objects again on the untouched deep copy.
-		clone, _ = q.Clone()
+		clone, _ = rs.q.Clone()
 		objs = r.Find(clone)
 	} else {
-		clone = q.CloneCOW()
+		clone = rs.q.CloneCOW()
 	}
 	if aerr := o.applyState(clone, r, objs, s); aerr != nil {
 		reason := "inapplicable"
@@ -84,14 +148,14 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	if o.Opts.Check && !s.isZero() {
 		// Per-rule contract, before the heuristic re-pass: heuristics may
 		// legally drop tables (join elimination), the rule may not.
-		if vs := check.CheckContract(r.Name(), tracker.preSummary, clone); len(vs) > 0 {
+		if vs := check.CheckContract(r.Name(), rs.preSummary, clone); len(vs) > 0 {
 			stateEvent(obsv.OutcomeFault, checkEventReason, 0, 0, 0)
 			return 0, o.checkFault(r.Name(), stateKey(s), stats, vs)
 		}
 	}
 	if !o.Opts.SkipHeuristics && !s.isZero() {
 		// Blocks the state shares with a base at a fixpoint need no visit.
-		if _, herr := o.applyHeuristics(clone, tracker.baseFixpoint && !fullHeuristicRepass); herr != nil {
+		if _, herr := o.applyHeuristics(clone, rs.baseFixpoint && !fullHeuristicRepass); herr != nil {
 			if errors.Is(herr, faultinject.ErrInjected) {
 				stats.TransformErrors = append(stats.TransformErrors,
 					&TransformError{Rule: r.Name(), State: stateKey(s), Err: herr})
@@ -110,8 +174,8 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 		// the search began — any deviation means a transformation mutated
 		// shared structure and is quarantined like a panic.
 		vs := check.Aliasing(clone)
-		if tracker.baseSnap != nil {
-			vs = append(vs, tracker.baseSnap.Verify()...)
+		if rs.baseSnap != nil {
+			vs = append(vs, rs.baseSnap.Verify()...)
 		}
 		vs = append(vs, check.Query(clone)...)
 		if len(vs) > 0 {
@@ -130,11 +194,11 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	p := optimizer.New(o.Cat)
 	p.Binds = o.Binds
 	p.CostOnly = true
-	p.Cache = cache
-	p.Ctx = tracker.ctx
-	p.Deadline = tracker.deadline
-	if o.Opts.CostCutoff && cutoff > 0 && !math.IsInf(cutoff, 1) {
-		p.Cutoff = cutoff
+	p.Cache = rs.cache
+	p.Ctx = rs.tracker.ctx
+	p.Deadline = rs.tracker.deadline
+	if o.Opts.CostCutoff && rs.min > 0 && !math.IsInf(rs.min, 1) {
+		p.Cutoff = rs.min
 	}
 	plan, perr := p.Optimize(clone)
 	stats.BlocksOptimized += p.Counters.BlocksOptimized
@@ -146,7 +210,7 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 			return math.Inf(1), nil
 		}
 		if errors.Is(perr, optimizer.ErrBudget) {
-			tracker.expired() // record deadline vs. canceled
+			rs.tracker.expired() // record deadline vs. canceled
 			stateEvent(obsv.OutcomeBudget, "wall-clock", 0, p.Counters.BlocksOptimized, p.Counters.CacheHits)
 			return 0, errBudgetStop
 		}
@@ -162,214 +226,153 @@ func (o *Optimizer) evalState(q *qtree.Query, r transform.Rule, s state, cache *
 	return plan.Cost.Total, nil
 }
 
-// search runs the chosen strategy and returns the best state found plus
-// the number of states evaluated.
-func (o *Optimizer) search(q *qtree.Query, r transform.Rule, objs []transform.Object, strat Strategy, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	variants := make([]int, len(objs))
-	for i, obj := range objs {
-		variants[i] = obj.Variants
+// run sets up the search over rs.objs and runs the chosen strategy,
+// returning the best state found.
+func (rs *ruleSearch) run(strat Strategy) (state, error) {
+	rs.variants = make([]int, len(rs.objs))
+	for i, obj := range rs.objs {
+		rs.variants[i] = obj.Variants
 	}
-	tracker.objs = objs
-	if o.Opts.Check {
-		// The contract pre-state for every state this search evaluates (q is
-		// not mutated until the winner is applied, after the search), and the
-		// base-tree fingerprint every state verifies against: COW states share
-		// q's blocks, so any mutation of them is corruption.
-		tracker.preSummary = check.Summarize(q)
-		tracker.baseSnap = check.Snapshot(q)
+	rs.min = math.Inf(1)
+	if rs.o.Opts.Check {
+		rs.preSummary = check.Summarize(rs.q)
+		rs.baseSnap = check.Snapshot(rs.q)
 	}
 	switch strat {
 	case StrategyLinear:
-		return o.searchLinear(q, r, variants, cache, stats, tracker)
+		return rs.linear()
 	case StrategyTwoPass:
-		return o.searchTwoPass(q, r, variants, cache, stats, tracker)
+		return rs.twoPass()
 	case StrategyIterative:
-		return o.searchIterative(q, r, variants, cache, stats, tracker)
+		return rs.iterative()
 	}
-	return o.searchExhaustive(q, r, variants, cache, stats, tracker)
+	return rs.exhaustive()
 }
 
-// searchExhaustive costs every combination as one batch: with binary
+// exhaustive costs every combination in enumeration order: with binary
 // objects that is the paper's 2^N states; with V-variant objects,
-// prod(V_i + 1). A state cap trims the space to a prefix of the enumeration;
-// budget exhaustion returns the best state costed so far (the zero state
-// when nothing was costed yet).
-func (o *Optimizer) searchExhaustive(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	states := enumerateStates(variants)
-	granted := tracker.reserve(len(states))
-	if granted == 0 {
-		return make(state, len(variants)), 0, nil
+// prod(V_i + 1). The winner is the cheapest state, ties going to the
+// earlier in enumeration order; the zero state when nothing was costed.
+func (rs *ruleSearch) exhaustive() (state, error) {
+	best, bestCost := make(state, len(rs.variants)), math.Inf(1)
+	for _, s := range enumerateStates(rs.variants) {
+		c, err := rs.cost(s)
+		if err != nil {
+			return stop(best, err)
+		}
+		if c < bestCost {
+			best, bestCost = s, c
+		}
 	}
-	states = states[:granted]
-	results := o.evalBatch(q, r, states, cache, math.Inf(1), tracker)
-	bestIdx, _, count, err := mergeBatch(results, stats)
-	if err != nil {
-		return nil, count, err
-	}
-	if bestIdx < 0 {
-		// Everything infeasible or abandoned: keep the untransformed state.
-		return make(state, len(variants)), count, nil
-	}
-	return states[bestIdx], count, nil
+	return best, nil
 }
 
-// searchLinear implements the dynamic-programming style linear search
-// (§3.2): it fixes objects one at a time, keeping a transformation of object
-// i only if it lowers the cost given the decisions already made, ties going
-// to the smaller variant. It evaluates N+1 states for binary objects. The
-// variants of one object are a batch; the per-object decisions are
-// sequential, each fixing the context of the next.
-func (o *Optimizer) searchLinear(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	n := len(variants)
-	cur := make(state, n)
-	if tracker.reserve(1) == 0 {
-		return cur, 0, nil
-	}
-	bestCost, err := o.evalState(q, r, cur, cache, 0, stats, tracker)
+// linear implements the dynamic-programming style linear search (§3.2): it
+// fixes objects one at a time, keeping a transformation of object i only if
+// it lowers the cost given the decisions already made, ties going to the
+// smaller variant. It evaluates N+1 states for binary objects. A budget
+// stop keeps the decisions made so far.
+func (rs *ruleSearch) linear() (state, error) {
+	cur := make(state, len(rs.variants))
+	curCost, err := rs.cost(cur)
 	if err != nil {
-		if errors.Is(err, errBudgetStop) || errors.Is(err, errInfeasible) {
-			return cur, 0, nil
-		}
-		return nil, 1, err
+		return stop(cur, err)
 	}
-	count := 1
-	for i := 0; i < n; i++ {
-		trials := make([]state, 0, variants[i])
-		for v := 1; v <= variants[i]; v++ {
+	if math.IsInf(curCost, 1) {
+		return cur, nil // fault-skipped baseline: stay untransformed
+	}
+	for i, nv := range rs.variants {
+		best := cur
+		for v := 1; v <= nv; v++ {
 			trial := cur.clone()
 			trial[i] = v
-			trials = append(trials, trial)
-		}
-		if len(trials) == 0 {
-			continue
-		}
-		granted := tracker.reserve(len(trials))
-		capped := granted < len(trials)
-		trials = trials[:granted]
-		if granted > 0 {
-			results := o.evalBatch(q, r, trials, cache, bestCost, tracker)
-			bestIdx, cost, batchCount, err := mergeBatch(results, stats)
-			count += batchCount
+			c, err := rs.cost(trial)
 			if err != nil {
-				return nil, count, err
+				return stop(best, err)
 			}
-			if bestIdx >= 0 && cost < bestCost {
-				bestCost = cost
-				cur[i] = bestIdx + 1
+			if c < curCost {
+				best, curCost = trial, c
 			}
 		}
-		if capped {
-			return cur, count, nil // degraded mid-object, decisions so far stand
-		}
+		cur = best
 	}
-	return cur, count, nil
+	return cur, nil
 }
 
-// searchTwoPass compares only the all-untransformed and all-transformed
-// states (§3.2), as one batch of two: the zero state's cost is the
-// transformed state's cut-off.
-func (o *Optimizer) searchTwoPass(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	n := len(variants)
-	zero := make(state, n)
-	all := make(state, n)
+// twoPass compares only the all-untransformed and all-transformed states
+// (§3.2): the zero state's cost is the transformed state's cut-off.
+func (rs *ruleSearch) twoPass() (state, error) {
+	zero := make(state, len(rs.variants))
+	zeroCost, err := rs.cost(zero)
+	if err != nil {
+		return stop(zero, err)
+	}
+	if math.IsInf(zeroCost, 1) {
+		return zero, nil // fault-skipped baseline: stay untransformed
+	}
+	all := make(state, len(rs.variants))
 	for i := range all {
 		all[i] = 1 // first variant of every object
 	}
-	granted := tracker.reserve(2)
-	if granted == 0 {
-		return zero, 0, nil
-	}
-	states := []state{zero, all}[:granted]
-	results := o.evalBatch(q, r, states, cache, math.Inf(1), tracker)
-	bestIdx, _, count, err := mergeBatch(results, stats)
-	if zerr := results[0].err; zerr != nil {
-		if errors.Is(zerr, errInfeasible) || errors.Is(zerr, errBudgetStop) {
-			// Degraded or fault-skipped baseline: stay untransformed.
-			return zero, count, nil
-		}
-		// A genuinely uncostable zero state is a driver bug: fail.
-		return nil, count, zerr
-	}
+	c, err := rs.cost(all)
 	if err != nil {
-		return nil, count, err
+		return stop(zero, err)
 	}
-	if bestIdx == 1 {
-		return all, count, nil
+	if c < zeroCost {
+		return all, nil
 	}
-	return zero, count, nil
+	return zero, nil
 }
 
-// searchIterative performs iterative improvement (§3.2): from a random
-// initial state, repeatedly move to a cheaper neighbour (one object
-// changed) until a local minimum; restart with a different initial state,
-// bounded by iterativeRestarts and IterativeMaxStates.
+// iterative performs iterative improvement (§3.2): from a random initial
+// state, repeatedly move to a cheaper neighbour (one object changed) until
+// a local minimum; restart with a different initial state, bounded by
+// iterativeRestarts and iterativeMaxStates.
 //
-// A neighbour is kept only if it beats the climb's current state, so each
-// state's cut-off is min(bestCost, curCost): the best of the finished climbs
-// or the climb's own cost, whichever is lower. curCost is +Inf until the
-// climb's start state is costed.
-func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants []int, cache *optimizer.CostCache, stats *Stats, tracker *budgetTracker) (state, int, error) {
-	n := len(variants)
-	rng := rand.New(rand.NewSource(o.Opts.Seed))
+// A neighbour is kept only if it beats the climb's current state, and no
+// state of a finished climb is cheaper than the state it ended at, so the
+// rule's running minimum cuts every state at min(bestCost, curCost).
+func (rs *ruleSearch) iterative() (state, error) {
+	n := len(rs.variants)
+	rng := rand.New(rand.NewSource(iterativeSeed))
 	seen := map[string]bool{}
-	count := 0
 	best := make(state, n)
-	bestCost, curCost := math.Inf(1), math.Inf(1)
 
+	// eval costs s unless this search has costed it before (fresh false).
 	eval := func(s state) (float64, bool, error) {
 		key := stateKey(s)
 		if seen[key] {
 			return 0, false, nil
 		}
 		seen[key] = true
-		if tracker.reserve(1) == 0 {
-			return 0, false, errBudgetStop
-		}
-		cost, err := o.evalState(q, r, s, cache, math.Min(bestCost, curCost), stats, tracker)
-		if errors.Is(err, errInfeasible) {
-			return math.Inf(1), true, nil
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		count++
-		return cost, true, nil
+		c, err := rs.cost(s)
+		return c, true, err
 	}
 
 	// Always include the untransformed state.
-	zero := make(state, n)
-	cost, _, err := eval(zero)
+	bestCost, _, err := eval(best)
 	if err != nil {
-		if errors.Is(err, errBudgetStop) {
-			return best, count, nil
-		}
-		return nil, count, err
+		return stop(best, err)
 	}
-	best, bestCost = zero.clone(), cost
 
-	for restart := 0; restart < iterativeRestarts && count < o.Opts.IterativeMaxStates; restart++ {
+	for restart := 0; restart < iterativeRestarts && rs.count < iterativeMaxStates; restart++ {
 		cur := make(state, n)
 		for i := range cur {
-			cur[i] = rng.Intn(variants[i] + 1)
+			cur[i] = rng.Intn(rs.variants[i] + 1)
 		}
-		curCost = math.Inf(1)
-		startCost, fresh, err := eval(cur)
+		curCost, fresh, err := eval(cur)
 		if err != nil {
-			if errors.Is(err, errBudgetStop) {
-				return best, count, nil
-			}
-			return nil, count, err
+			return stop(best, err)
 		}
 		if !fresh {
 			continue
 		}
-		curCost = startCost
 		// Hill-climb to a local minimum.
 		improved := true
-		for improved && count < o.Opts.IterativeMaxStates {
+		for improved && rs.count < iterativeMaxStates {
 			improved = false
-			for i := 0; i < n && count < o.Opts.IterativeMaxStates; i++ {
-				for v := 0; v <= variants[i]; v++ {
+			for i := 0; i < n && rs.count < iterativeMaxStates; i++ {
+				for v := 0; v <= rs.variants[i]; v++ {
 					if v == cur[i] {
 						continue
 					}
@@ -377,13 +380,10 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 					nb[i] = v
 					nbCost, fresh, err := eval(nb)
 					if err != nil {
-						if errors.Is(err, errBudgetStop) {
-							if curCost < bestCost {
-								best = cur.clone()
-							}
-							return best, count, nil
+						if curCost < bestCost {
+							best = cur
 						}
-						return nil, count, err
+						return stop(best, err)
 					}
 					if fresh && nbCost < curCost {
 						cur, curCost = nb, nbCost
@@ -393,10 +393,37 @@ func (o *Optimizer) searchIterative(q *qtree.Query, r transform.Rule, variants [
 			}
 		}
 		if curCost < bestCost {
-			best, bestCost = cur.clone(), curCost
+			best, bestCost = cur, curCost
 		}
 	}
-	return best, count, nil
+	return best, nil
+}
+
+// enumerateStates lists every state of the mixed-radix space in canonical
+// enumeration order, digit 0 least significant.
+func enumerateStates(variants []int) []state {
+	n := len(variants)
+	total := 1
+	for _, v := range variants {
+		total *= v + 1
+	}
+	out := make([]state, 0, total)
+	cur := make(state, n)
+	for {
+		out = append(out, cur.clone())
+		i := 0
+		for i < n {
+			cur[i]++
+			if cur[i] <= variants[i] {
+				break
+			}
+			cur[i] = 0
+			i++
+		}
+		if i == n {
+			return out
+		}
+	}
 }
 
 func stateKey(s state) string {

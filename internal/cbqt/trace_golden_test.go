@@ -293,9 +293,9 @@ func maxI64(a, b int64) int64 {
 // key, outcome, Blocks, CacheHits and cost; only timings stripped) and the
 // exact work totals of the Table 1 and Table 2 searches under every
 // strategy: the cut/costed split, block counts and cache hits exactly, not
-// merely up to obsv.Normalize. The exhaustive, linear and two-pass snapshots
-// were recorded from the dedicated sequential search functions the batch
-// engine replaced.
+// merely up to obsv.Normalize. The search is one sequential loop; the
+// "_par1" in the file names is the one-worker setting they were first
+// recorded at, before the search had a single mode.
 func TestGoldenRawOneWorker(t *testing.T) {
 	for _, tc := range traceCases() {
 		for _, st := range traceStrategies {
