@@ -180,6 +180,11 @@ var fullHeuristicRepass = false
 // package's tests set it.
 var onHandleMismatch func(error)
 
+// onHeuristicWork, when non-nil, is called on protectedHeuristics' work
+// clone after the heuristic rules ran, before the checker sees it, so a
+// test can plant a violation there. Only this package's tests set it.
+var onHeuristicWork func(work *qtree.Query)
+
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
@@ -548,6 +553,9 @@ func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint 
 	_, te := o.adoptProtected(q, "heuristics", nil, stats, func(work *qtree.Query) (bool, error) {
 		converged, err := o.applyHeuristics(work, false)
 		fixpoint = converged
+		if onHeuristicWork != nil {
+			onHeuristicWork(work)
+		}
 		return true, err
 	})
 	if te == nil {

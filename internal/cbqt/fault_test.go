@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obsv"
+	"repro/internal/qtree"
 	"repro/internal/testkit"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -136,6 +137,52 @@ func TestFaultHeuristics(t *testing.T) {
 			t.Errorf("%v@heuristics: no heuristics TransformError recorded (errors: %v)",
 				kind, res.Stats.TransformErrors)
 		}
+	}
+}
+
+// TestHeuristicCheckRejection: when the checker rejects the heuristic
+// phase's result, the fault is recorded with reason "check", the phase's
+// work is discarded so the search starts from the untransformed query (the
+// same final query as with the phase skipped), and the rows are the
+// baseline's. The phase merges the SPJ view here, so skipping it shows.
+func TestHeuristicCheckRejection(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	const src = `SELECT v.employee_name, d.department_name
+FROM (SELECT e.employee_name, e.dept_id FROM employees e WHERE e.salary > 3000) v, departments d
+WHERE v.dept_id = d.dept_id`
+	baseRows, heurRes := runCBQT(t, db, src, disabledOptions())
+	skip := DefaultOptions()
+	skip.SkipHeuristics = true
+	_, skipRes := runCBQT(t, db, src, skip)
+	if heurRes.Query.SQL() == skipRes.Query.SQL() {
+		t.Fatalf("the heuristic phase does not change the query: %s", skipRes.Query.SQL())
+	}
+
+	onHeuristicWork = func(work *qtree.Query) {
+		root := work.Mutable(work.Root)
+		root.Where = append(root.Where, &qtree.Col{From: 1 << 20, Name: "PLANTED"})
+	}
+	defer func() { onHeuristicWork = nil }()
+	opts := DefaultOptions()
+	opts.Check = true
+	opts.Trace = true
+	rows, res := runCBQT(t, db, src, opts)
+	if len(res.Stats.TransformErrors) != 1 || res.Stats.TransformErrors[0].Rule != "heuristics" ||
+		res.Stats.TransformErrors[0].class() != checkEventReason {
+		t.Fatalf("transform errors %v, want one heuristics error of class %q", res.Stats.TransformErrors, checkEventReason)
+	}
+	traced := false
+	for _, e := range res.Stats.Events {
+		traced = traced || e.Ev == obsv.EvHeuristics && e.Outcome == obsv.OutcomeFault && e.Reason == checkEventReason
+	}
+	if !traced {
+		t.Errorf("no heuristics fault event with reason %q in the trace", checkEventReason)
+	}
+	if got, want := res.Query.SQL(), skipRes.Query.SQL(); got != want {
+		t.Errorf("a rejected heuristic phase changed the query\ngot:  %s\nwant: %s", got, want)
+	}
+	if !equalStrs(rows, baseRows) {
+		t.Errorf("results changed (%d rows vs %d)", len(rows), len(baseRows))
 	}
 }
 

@@ -18,22 +18,16 @@ func (p *Planner) buildAgg(
 	selExprs, havingPreds, orderExprs []qtree.Expr,
 ) (PlanNode, []qtree.Expr, []qtree.Expr, []qtree.Expr, error) {
 	// Collect distinct aggregates across all consuming clauses.
-	var specs []AggSpec
-	var specKeys []string
+	var aggs []*qtree.Agg
 	collect := func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
 			if _, ok := x.(*qtree.Subq); ok {
 				return false
 			}
 			if a, ok := x.(*qtree.Agg); ok {
-				key := a.String()
-				for _, k := range specKeys {
-					if k == key {
-						return false
-					}
+				if qtree.IndexOf(aggs, a) < 0 {
+					aggs = append(aggs, a)
 				}
-				specKeys = append(specKeys, key)
-				specs = append(specs, AggSpec{Op: a.Op, Arg: a.Arg, Star: a.Star, Distinct: a.Distinct})
 				return false
 			}
 			return true
@@ -47,6 +41,10 @@ func (p *Planner) buildAgg(
 	}
 	for _, e := range orderExprs {
 		collect(e)
+	}
+	specs := make([]AggSpec, len(aggs))
+	for i, a := range aggs {
+		specs[i] = AggSpec{Op: a.Op, Arg: a.Arg, Star: a.Star, Distinct: a.Distinct}
 	}
 
 	outFrom := q.NewFromID()
@@ -94,28 +92,18 @@ func (p *Planner) buildAgg(
 	es.addDerived(outFrom, agg.cost.Rows, ndvs)
 
 	// Rewrite consumers to reference the aggregate output.
-	gbKeys := make([]string, nGB)
-	for i, g := range b.GroupBy {
-		gbKeys[i] = g.String()
-	}
 	rewrite := func(e qtree.Expr) qtree.Expr {
 		return qtree.RewriteExpr(e, func(x qtree.Expr) qtree.Expr {
 			if a, ok := x.(*qtree.Agg); ok {
-				key := a.String()
-				for j, k := range specKeys {
-					if k == key {
-						return &qtree.Col{From: outFrom, Ord: nGB + j, Name: "AGG"}
-					}
+				if j := qtree.IndexOf(aggs, a); j >= 0 {
+					return &qtree.Col{From: outFrom, Ord: nGB + j, Name: "AGG"}
 				}
 			}
 			if _, ok := x.(*qtree.Subq); ok {
 				return x // leave subqueries intact
 			}
-			key := x.String()
-			for i, k := range gbKeys {
-				if k == key {
-					return &qtree.Col{From: outFrom, Ord: i, Name: "GRP"}
-				}
+			if i := qtree.IndexOf(b.GroupBy, x); i >= 0 {
+				return &qtree.Col{From: outFrom, Ord: i, Name: "GRP"}
 			}
 			return nil
 		})

@@ -516,7 +516,7 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 	projExprs := append([]qtree.Expr(nil), selExprs...)
 	sortOrds := make([]int, len(orderExprs))
 	for i, oe := range orderExprs {
-		idx := findEquivExpr(projExprs[:len(selExprs)], oe)
+		idx := qtree.IndexOf(projExprs[:len(selExprs)], oe)
 		if idx < 0 {
 			if b.Distinct {
 				return nil, blockInfo{}, fmt.Errorf("optimizer: ORDER BY expression not in SELECT DISTINCT list")
@@ -605,15 +605,4 @@ func (p *Planner) outputNDVs(b *qtree.Block, es *estimator, outRows float64, sel
 		ndvs[i] = math.Min(n, math.Max(outRows, 1))
 	}
 	return ndvs
-}
-
-// findEquivExpr locates e in list by rendered structural equality.
-func findEquivExpr(list []qtree.Expr, e qtree.Expr) int {
-	es := e.String()
-	for i, x := range list {
-		if x.String() == es {
-			return i
-		}
-	}
-	return -1
 }

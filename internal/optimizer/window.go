@@ -11,18 +11,12 @@ import (
 // rewrites the select expressions to reference the window outputs.
 func (p *Planner) buildWindow(q *qtree.Query, child PlanNode, selExprs []qtree.Expr) (PlanNode, []qtree.Expr) {
 	var funcs []*qtree.WinFunc
-	var keys []string
 	collect := func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
 			if w, ok := x.(*qtree.WinFunc); ok {
-				k := w.String()
-				for _, seen := range keys {
-					if seen == k {
-						return false
-					}
+				if qtree.IndexOf(funcs, w) < 0 {
+					funcs = append(funcs, w)
 				}
-				keys = append(keys, k)
-				funcs = append(funcs, w)
 				return false
 			}
 			if _, ok := x.(*qtree.Subq); ok {
@@ -63,11 +57,8 @@ func (p *Planner) buildWindow(q *qtree.Query, child PlanNode, selExprs []qtree.E
 func rewriteWindowRefs(e qtree.Expr, win *Window) qtree.Expr {
 	return qtree.RewriteExpr(e, func(x qtree.Expr) qtree.Expr {
 		if w, ok := x.(*qtree.WinFunc); ok {
-			k := w.String()
-			for j, f := range win.Funcs {
-				if f.String() == k {
-					return &qtree.Col{From: win.OutFrom, Ord: j, Name: "WIN"}
-				}
+			if j := qtree.IndexOf(win.Funcs, w); j >= 0 {
+				return &qtree.Col{From: win.OutFrom, Ord: j, Name: "WIN"}
 			}
 		}
 		return nil

@@ -192,7 +192,7 @@ func (bd *binder) bindSelect(sel *sql.Select, outer *scope) (*Block, error) {
 					if err != nil {
 						return nil, err
 					}
-					idx := findExpr(b.GroupBy, e)
+					idx := IndexOf(b.GroupBy, e)
 					if idx < 0 {
 						return nil, fmt.Errorf("qtree: grouping set column not in grouping union")
 					}
@@ -434,21 +434,6 @@ func rownumLimit(e sql.Expr) (int64, bool) {
 		return n, true
 	}
 	return 0, false
-}
-
-// findExpr returns the index of e in list by structural column equality, or
-// -1. Only simple column expressions participate (grouping sets).
-func findExpr(list []Expr, e Expr) int {
-	ec, ok := e.(*Col)
-	if !ok {
-		return -1
-	}
-	for i, x := range list {
-		if xc, ok := x.(*Col); ok && xc.From == ec.From && xc.Ord == ec.Ord {
-			return i
-		}
-	}
-	return -1
 }
 
 var aggOps = map[string]AggOp{

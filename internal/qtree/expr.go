@@ -28,7 +28,8 @@ type Expr interface {
 	// i.e. correlation) are preserved.
 	Clone(r *Remap) Expr
 	// String renders the expression in SQL-ish syntax using raw from IDs;
-	// use Block rendering for resolvable SQL.
+	// use Block rendering for resolvable SQL. It is for display: compare
+	// expressions with Equal.
 	String() string
 }
 
@@ -355,3 +356,104 @@ func (e *Agg) String() string     { return rawString(e) }
 func (e *WinFunc) String() string { return rawString(e) }
 func (e *Subq) String() string    { return rawString(e) }
 func (e *Case) String() string    { return rawString(e) }
+
+// Equal reports whether a and b are the same expression: the structural
+// identity the transformations and the planner dedupe and match by.
+// Columns compare by (From, Ord), never by display name, so a reference
+// spelt in another case is the same column; constants compare by
+// datum.SameValue, parameters by slot, and subqueries by kind, operator,
+// left side and block identity. Every other node compares by operator,
+// flags and children.
+func Equal(a, b Expr) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	switch x := a.(type) {
+	case *Const:
+		y, ok := b.(*Const)
+		return ok && datum.SameValue(x.Val, y.Val)
+	case *Param:
+		y, ok := b.(*Param)
+		return ok && x.Ord == y.Ord
+	case *Col:
+		y, ok := b.(*Col)
+		return ok && x.From == y.From && x.Ord == y.Ord
+	case *Bin:
+		y, ok := b.(*Bin)
+		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case *Not:
+		y, ok := b.(*Not)
+		return ok && Equal(x.E, y.E)
+	case *IsNull:
+		y, ok := b.(*IsNull)
+		return ok && x.Neg == y.Neg && Equal(x.E, y.E)
+	case *Like:
+		y, ok := b.(*Like)
+		return ok && x.Neg == y.Neg && Equal(x.E, y.E) && Equal(x.Pattern, y.Pattern)
+	case *InList:
+		y, ok := b.(*InList)
+		return ok && x.Neg == y.Neg && Equal(x.E, y.E) && equalList(x.Vals, y.Vals)
+	case *Func:
+		y, ok := b.(*Func)
+		return ok && x.Def.Name == y.Def.Name && equalList(x.Args, y.Args)
+	case *LNNVL:
+		y, ok := b.(*LNNVL)
+		return ok && Equal(x.E, y.E)
+	case *IsTrue:
+		y, ok := b.(*IsTrue)
+		return ok && Equal(x.E, y.E)
+	case *Agg:
+		y, ok := b.(*Agg)
+		return ok && x.Op == y.Op && x.Star == y.Star && x.Distinct == y.Distinct && Equal(x.Arg, y.Arg)
+	case *WinFunc:
+		y, ok := b.(*WinFunc)
+		if !ok || x.Op != y.Op || x.Star != y.Star || x.Running != y.Running ||
+			!Equal(x.Arg, y.Arg) || !equalList(x.PartitionBy, y.PartitionBy) || len(x.OrderBy) != len(y.OrderBy) {
+			return false
+		}
+		for i, o := range x.OrderBy {
+			if o.Desc != y.OrderBy[i].Desc || !Equal(o.Expr, y.OrderBy[i].Expr) {
+				return false
+			}
+		}
+		return true
+	case *Subq:
+		y, ok := b.(*Subq)
+		return ok && x.Kind == y.Kind && x.Op == y.Op && x.Block.ID == y.Block.ID && equalList(x.Left, y.Left)
+	case *Case:
+		y, ok := b.(*Case)
+		if !ok || len(x.Whens) != len(y.Whens) || !Equal(x.Else, y.Else) {
+			return false
+		}
+		for i, w := range x.Whens {
+			if !Equal(w.Cond, y.Whens[i].Cond) || !Equal(w.Result, y.Whens[i].Result) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+func equalList(a, b []Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// IndexOf returns the index of the first expression in list that is Equal
+// to e, or -1. The list may hold any one expression type ([]*Agg, say).
+func IndexOf[E Expr](list []E, e Expr) int {
+	for i, x := range list {
+		if Equal(x, e) {
+			return i
+		}
+	}
+	return -1
+}

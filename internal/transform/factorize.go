@@ -2,6 +2,8 @@ package transform
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/qtree"
@@ -23,9 +25,10 @@ type JoinFactorization struct{}
 // Name implements Rule.
 func (*JoinFactorization) Name() string { return "join factorization" }
 
-// Find implements Rule. When both forms are legal, variant 1 pulls the
-// join predicates out (Q15) and variant 2 leaves them in the branches with
-// a lateral join; when only one is legal, it is variant 1.
+// Find implements Rule. The lateral form is legal wherever the table can
+// be factored out at all. When the strict form is legal too, variant 1
+// pulls the join predicates out (Q15) and variant 2 leaves them in the
+// branches with a lateral join; otherwise the lateral form is variant 1.
 func (r *JoinFactorization) Find(q *qtree.Query) []Object {
 	var out []Object
 	for _, b := range Blocks(q) {
@@ -49,71 +52,12 @@ func (r *JoinFactorization) Find(q *qtree.Query) []Object {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			strictOK := analyzeFactorization(b, name) != nil
-			lateralOK := analyzeLateralFactorization(b, name) != nil
-			if strictOK || lateralOK {
-				out = append(out, Object{Block: b, table: name}.withForms(strictOK, lateralOK))
+			if plans, strict := analyzeFactorization(b, name); plans != nil {
+				out = append(out, Object{Block: b, table: name}.withForms(strict, true))
 			}
 		}
 	}
 	return out
-}
-
-// analyzeLateralFactorization checks the weaker legality of the lateral
-// variant: one inner occurrence of the table per branch, plain same-ordinal
-// select references, and no use of the table in grouping clauses. Join
-// predicates may have any shape — they stay inside the branches.
-func analyzeLateralFactorization(b *qtree.Block, name string) []branchPlan {
-	var plans []branchPlan
-	var selSig map[int]int
-	for bi, br := range b.Set.Children {
-		if br.IsSetOp() || br.Distinct || br.HasGroupBy() || br.Limit > 0 ||
-			len(br.OrderBy) > 0 || blockHasSubqueries(br) || br.HasWindowFuncs() {
-			return nil
-		}
-		var item *qtree.FromItem
-		for _, f := range br.From {
-			if f.IsTable() && f.Table.Name == name && f.Kind == qtree.JoinInner {
-				if item != nil {
-					return nil
-				}
-				item = f
-			}
-		}
-		if item == nil || len(br.From) < 2 {
-			return nil
-		}
-		p := branchPlan{item: item, selOrds: map[int]int{}}
-		for si, it := range br.Select {
-			if !refersTo(it.Expr, item.ID) {
-				continue
-			}
-			ord, isCol := colOfTable(it.Expr, item.ID)
-			if !isCol {
-				return nil
-			}
-			p.selOrds[si] = ord
-		}
-		// Non-inner join conditions referencing the table would change
-		// meaning when the table becomes correlated; reject.
-		for _, f := range br.From {
-			if f == item {
-				continue
-			}
-			for _, c := range f.Cond {
-				if refersTo(c, item.ID) {
-					return nil
-				}
-			}
-		}
-		if bi == 0 {
-			selSig = p.selOrds
-		} else if !equalIntMap(selSig, p.selOrds) {
-			return nil
-		}
-		plans = append(plans, p)
-	}
-	return plans
 }
 
 // branchPlan describes how one branch participates in the factorization.
@@ -125,121 +69,109 @@ type branchPlan struct {
 	selOrds   map[int]int // select position -> table column ordinal
 }
 
-// analyzeFactorization checks legality of factoring table name out of
-// every branch and returns the per-branch plans (nil if illegal).
-func analyzeFactorization(b *qtree.Block, name string) []branchPlan {
-	var plans []branchPlan
-	var refOrds []int // join ordinal signature from the first branch
-	var selSig map[int]int
+// analyzeFactorization walks every branch once and returns the per-branch
+// plans for factoring table name out, nil when the table cannot be factored
+// out, and whether the strict form is legal. Both forms need, in every
+// branch, a plain SPJ block with exactly one inner occurrence of the table,
+// no non-inner join condition on it (the table leaves the branch, so the
+// condition would be left dangling or, correlated, change meaning), and
+// select positions that reference it as plain columns at the same
+// ordinals. The lateral form leaves the join predicates in the branches,
+// so they may have any shape. The strict form moves them out: every
+// conjunct touching the table must be an equality between a table column
+// and a table-free expression, on the same column ordinals in every branch
+// (single-table filters on the table would have to match across branches;
+// kept out of scope).
+func analyzeFactorization(b *qtree.Block, name string) (plans []branchPlan, strict bool) {
+	strict = true
 	for bi, br := range b.Set.Children {
 		if br.IsSetOp() || br.Distinct || br.HasGroupBy() || br.Limit > 0 ||
 			len(br.OrderBy) > 0 || blockHasSubqueries(br) || br.HasWindowFuncs() {
-			return nil
+			return nil, false
 		}
-		// Exactly one inner occurrence of the table.
 		var item *qtree.FromItem
 		for _, f := range br.From {
 			if f.IsTable() && f.Table.Name == name && f.Kind == qtree.JoinInner {
 				if item != nil {
-					return nil
+					return nil, false
 				}
 				item = f
 			}
 		}
-		if item == nil || len(br.From) < 2 {
-			return nil
+		if item == nil || len(br.From) < 2 || outerCondRefers(br, item) {
+			return nil, false
 		}
 		p := branchPlan{item: item, selOrds: map[int]int{}}
-		// Classify conjuncts touching the table: every one must be an
-		// equality between a table column and a T-free expression (no
-		// single-table filters on T, which would have to match across
-		// branches; kept out of scope and documented).
-		type jp struct {
-			ord  int
-			expr qtree.Expr
-			wi   int
-		}
-		var jps []jp
-		for wi, e := range br.Where {
-			if !refersTo(e, item.ID) {
-				continue
-			}
-			bin, ok := e.(*qtree.Bin)
-			if !ok || bin.Op != qtree.OpEq {
-				return nil
-			}
-			if ord, isT := colOfTable(bin.L, item.ID); isT && !refersTo(bin.R, item.ID) {
-				jps = append(jps, jp{ord: ord, expr: bin.R, wi: wi})
-				continue
-			}
-			if ord, isT := colOfTable(bin.R, item.ID); isT && !refersTo(bin.L, item.ID) {
-				jps = append(jps, jp{ord: ord, expr: bin.L, wi: wi})
-				continue
-			}
-			return nil
-		}
-		if len(jps) == 0 {
-			return nil
-		}
-		sort.SliceStable(jps, func(i, j int) bool { return jps[i].ord < jps[j].ord })
-		for _, x := range jps {
-			p.joinOrds = append(p.joinOrds, x.ord)
-			p.joinExprs = append(p.joinExprs, x.expr)
-			p.joinWhere = append(p.joinWhere, x.wi)
-		}
-		// Select positions referencing the table must be plain columns.
 		for si, it := range br.Select {
 			if !refersTo(it.Expr, item.ID) {
 				continue
 			}
 			ord, isCol := colOfTable(it.Expr, item.ID)
 			if !isCol {
-				return nil
+				return nil, false
 			}
 			p.selOrds[si] = ord
 		}
-		// The table must not appear anywhere else in the branch.
-		for _, g := range br.GroupBy {
-			if refersTo(g, item.ID) {
-				return nil
-			}
+		if bi > 0 && !maps.Equal(plans[0].selOrds, p.selOrds) {
+			return nil, false
 		}
-		// Signatures must match across branches.
-		if bi == 0 {
-			refOrds = p.joinOrds
-			selSig = p.selOrds
-		} else {
-			if !equalInts(refOrds, p.joinOrds) || !equalIntMap(selSig, p.selOrds) {
-				return nil
-			}
-		}
+		strict = strict && p.joinPreds(br) && (bi == 0 || slices.Equal(plans[0].joinOrds, p.joinOrds))
 		plans = append(plans, p)
 	}
-	return plans
+	return plans, strict
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// joinPreds fills the plan's join predicates, sorted by table column
+// ordinal, and reports whether every conjunct of br touching the table is
+// one (at least one must be).
+func (p *branchPlan) joinPreds(br *qtree.Block) bool {
+	type jp struct {
+		ord  int
+		expr qtree.Expr
+		wi   int
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	var jps []jp
+	for wi, e := range br.Where {
+		if !refersTo(e, p.item.ID) {
+			continue
+		}
+		bin, ok := e.(*qtree.Bin)
+		if !ok || bin.Op != qtree.OpEq {
 			return false
 		}
+		if ord, isT := colOfTable(bin.L, p.item.ID); isT && !refersTo(bin.R, p.item.ID) {
+			jps = append(jps, jp{ord: ord, expr: bin.R, wi: wi})
+			continue
+		}
+		if ord, isT := colOfTable(bin.R, p.item.ID); isT && !refersTo(bin.L, p.item.ID) {
+			jps = append(jps, jp{ord: ord, expr: bin.L, wi: wi})
+			continue
+		}
+		return false
 	}
-	return true
+	sort.SliceStable(jps, func(i, j int) bool { return jps[i].ord < jps[j].ord })
+	for _, x := range jps {
+		p.joinOrds = append(p.joinOrds, x.ord)
+		p.joinExprs = append(p.joinExprs, x.expr)
+		p.joinWhere = append(p.joinWhere, x.wi)
+	}
+	return len(jps) > 0
 }
 
-func equalIntMap(a, b map[int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// outerCondRefers reports whether a join condition of another item of br
+// (a non-inner join's) references item.
+func outerCondRefers(br *qtree.Block, item *qtree.FromItem) bool {
+	for _, f := range br.From {
+		if f == item {
+			continue
+		}
+		for _, c := range f.Cond {
+			if refersTo(c, item.ID) {
+				return true
+			}
 		}
 	}
-	return true
+	return false
 }
 
 // factorizationSite returns q's UNION ALL block that object o factors its
@@ -259,21 +191,26 @@ func factorizationSite(q *qtree.Query, o Object) *qtree.Block {
 	return b
 }
 
-// Apply implements Rule.
+// Apply implements Rule. Both forms move one copy of the common table to
+// the block, which becomes a join of the table with a view over the UNION
+// ALL of the branch remainders (VW_JF). The strict form also moves the join
+// predicates out: each branch exposes their other sides as extra outputs
+// the block joins on. The lateral form (VW_JF_L) leaves them in the
+// branches, redirected to the pulled-out table, exactly the JPPD-based
+// technique §2.2.5 sketches for non-pullable predicates.
 func (r *JoinFactorization) Apply(q *qtree.Query, o Object, variant int) error {
-	switch o.form(variant) {
-	case formSecond:
-		return applyLateralFactorization(q, o)
-	case 0:
+	form := o.form(variant)
+	if form == 0 {
 		return fmt.Errorf("join factorization: no variant %d for table %s", variant, o.table)
 	}
+	lateral := form == formSecond
 	b := factorizationSite(q, o)
 	if b == nil {
 		return fmt.Errorf("join factorization: block %d is no longer a UNION ALL", o.Block.ID)
 	}
 	b = q.Mutable(b)
-	plans := analyzeFactorization(b, o.table)
-	if plans == nil {
+	plans, strict := analyzeFactorization(b, o.table)
+	if plans == nil || !lateral && !strict {
 		return fmt.Errorf("join factorization: no longer legal")
 	}
 	children := b.Set.Children
@@ -284,14 +221,37 @@ func (r *JoinFactorization) Apply(q *qtree.Query, o Object, variant int) error {
 	tItem := copyFromItem(plans[0].item)
 	nJoin := len(plans[0].joinOrds)
 
-	// Rewrite each branch: drop the table and its join predicates, expose
-	// the join expressions as extra outputs, null out the table's select
-	// positions. Materializing a branch relinks it into b.Set.Children,
-	// which `children` aliases, so the slice stays current.
+	// Rewrite each branch: drop the table and null out its select
+	// positions (the block reads those columns from the table directly).
+	// Materializing a branch relinks it into b.Set.Children, which
+	// `children` aliases, so the slice stays current.
 	for bi, br := range children {
-		br = q.Mutable(br)
 		p := plans[bi]
+		redirect := lateral && p.item.ID != tItem.ID
+		if redirect {
+			// The redirect below rewrites the branch's whole subtree.
+			br = q.MutableDeep(br)
+		} else {
+			br = q.Mutable(br)
+		}
 		removeFromItem(br, p.item.ID)
+		for si := range p.selOrds {
+			br.Select[si].Expr = &qtree.Const{} // dead position, NULL
+		}
+		if redirect {
+			// Redirect this branch's references to the pulled-out item.
+			old := p.item.ID
+			qtree.RewriteBlockExprsDeep(br, func(e qtree.Expr) qtree.Expr {
+				if c, ok := e.(*qtree.Col); ok && c.From == old {
+					return &qtree.Col{From: tItem.ID, Ord: c.Ord, Name: c.Name}
+				}
+				return nil
+			})
+		}
+		if lateral {
+			continue
+		}
+		// Strict: drop the join predicates and expose their other sides.
 		drop := map[int]bool{}
 		for _, wi := range p.joinWhere {
 			drop[wi] = true
@@ -303,9 +263,6 @@ func (r *JoinFactorization) Apply(q *qtree.Query, o Object, variant int) error {
 			}
 		}
 		br.Where = keep
-		for si := range p.selOrds {
-			br.Select[si].Expr = &qtree.Const{} // dead position, NULL
-		}
 		for k := 0; k < nJoin; k++ {
 			br.Select = append(br.Select, qtree.SelectItem{
 				Expr:  p.joinExprs[k],
@@ -318,83 +275,20 @@ func (r *JoinFactorization) Apply(q *qtree.Query, o Object, variant int) error {
 	vBlock := q.NewBlock()
 	vBlock.Set = &qtree.SetOp{Kind: qtree.SetUnionAll, Children: children}
 	vItem := &qtree.FromItem{ID: q.NewFromID(), Alias: "VW_JF", View: vBlock}
+	if lateral {
+		vItem.Alias, vItem.Lateral = "VW_JF_L", true
+	}
 
 	b.Set = nil
 	b.From = []*qtree.FromItem{tItem, vItem}
 	b.Where = nil
-	for k := 0; k < nJoin; k++ {
+	for k := 0; k < nJoin && !lateral; k++ {
 		b.Where = append(b.Where, &qtree.Bin{
 			Op: qtree.OpEq,
 			L:  &qtree.Col{From: tItem.ID, Ord: plans[0].joinOrds[k], Name: tItem.ColName(plans[0].joinOrds[k])},
 			R:  &qtree.Col{From: vItem.ID, Ord: nOut + k, Name: fmt.Sprintf("JF%d", k)},
 		})
 	}
-	b.Select = nil
-	for si := 0; si < nOut; si++ {
-		var e qtree.Expr
-		if ord, fromT := plans[0].selOrds[si]; fromT {
-			e = &qtree.Col{From: tItem.ID, Ord: ord, Name: tItem.ColName(ord)}
-		} else {
-			e = &qtree.Col{From: vItem.ID, Ord: si, Name: outNames[si]}
-		}
-		b.Select = append(b.Select, qtree.SelectItem{Expr: e, Alias: outNames[si]})
-	}
-	return nil
-}
-
-// applyLateralFactorization factors the common table out while leaving its
-// join predicates inside the branches: every branch's occurrence of the
-// table is removed and its references redirected to the single pulled-out
-// item, making the UNION ALL view correlated (lateral), exactly the
-// JPPD-based technique §2.2.5 sketches for non-pullable predicates.
-func applyLateralFactorization(q *qtree.Query, o Object) error {
-	b := factorizationSite(q, o)
-	if b == nil {
-		return fmt.Errorf("join factorization (lateral): block %d is no longer a UNION ALL", o.Block.ID)
-	}
-	b = q.Mutable(b)
-	plans := analyzeLateralFactorization(b, o.table)
-	if plans == nil {
-		return fmt.Errorf("join factorization (lateral): no longer legal")
-	}
-	children := b.Set.Children
-	outNames := b.OutCols()
-	nOut := len(children[0].Select)
-	tItem := copyFromItem(plans[0].item)
-
-	for bi, br := range children {
-		p := plans[bi]
-		if p.item.ID != tItem.ID {
-			// The redirect below rewrites the branch's whole subtree.
-			br = q.MutableDeep(br)
-		} else {
-			br = q.Mutable(br)
-		}
-		removeFromItem(br, p.item.ID)
-		if p.item.ID != tItem.ID {
-			// Redirect this branch's references to the pulled-out item.
-			old := p.item.ID
-			qtree.RewriteBlockExprsDeep(br, func(e qtree.Expr) qtree.Expr {
-				if c, ok := e.(*qtree.Col); ok && c.From == old {
-					return &qtree.Col{From: tItem.ID, Ord: c.Ord, Name: c.Name}
-				}
-				return nil
-			})
-		}
-		// Select positions that exposed the table become dead; the outer
-		// block reads those columns from the table directly.
-		for si := range p.selOrds {
-			br.Select[si].Expr = &qtree.Const{}
-		}
-	}
-
-	vBlock := q.NewBlock()
-	vBlock.Set = &qtree.SetOp{Kind: qtree.SetUnionAll, Children: children}
-	vItem := &qtree.FromItem{ID: q.NewFromID(), Alias: "VW_JF_L", View: vBlock, Lateral: true}
-
-	b.Set = nil
-	b.From = []*qtree.FromItem{tItem, vItem}
-	b.Where = nil
 	b.Select = nil
 	for si := 0; si < nOut; si++ {
 		var e qtree.Expr

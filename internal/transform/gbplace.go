@@ -108,18 +108,12 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	}
 	// Collect the distinct aggregate specs.
 	var specs []*qtree.Agg
-	var specKeys []string
 	collect := func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
 			if a, ok := x.(*qtree.Agg); ok {
-				k := a.String()
-				for _, s := range specKeys {
-					if s == k {
-						return false
-					}
+				if qtree.IndexOf(specs, a) < 0 {
+					specs = append(specs, a)
 				}
-				specKeys = append(specKeys, k)
-				specs = append(specs, a)
 				return false
 			}
 			return true
@@ -139,10 +133,6 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	// grouping key (join columns and outer grouping columns).
 	keyOrds := []int{}
 	keySet := map[int]bool{}
-	inAggArg := map[string]bool{}
-	for _, k := range specKeys {
-		inAggArg[k] = true
-	}
 	var scanForKeys func(e qtree.Expr)
 	scanForKeys = func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
@@ -199,10 +189,7 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	}
 
 	// Partial aggregates, and the outer compensation expression per spec.
-	// The outer Col references must carry the view column's actual alias:
-	// expression identity downstream (aggregate dedup, equivalence checks)
-	// is keyed on the rendered form, so two references with a shared
-	// placeholder name would collapse into one aggregate.
+	// The outer Col references carry the view column's alias for display.
 	outerExpr := make([]qtree.Expr, len(specs))
 	fvID := q.NewFromID()
 	addPartial := func(a *qtree.Agg, alias string) int {
@@ -251,11 +238,8 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	// plain f columns become view key outputs.
 	qtree.RewriteBlockExprs(b, func(x qtree.Expr) qtree.Expr {
 		if a, ok := x.(*qtree.Agg); ok {
-			k := a.String()
-			for i, sk := range specKeys {
-				if sk == k {
-					return cloneExpr(q, outerExpr[i])
-				}
+			if i := qtree.IndexOf(specs, a); i >= 0 {
+				return cloneExpr(q, outerExpr[i])
 			}
 			return nil
 		}

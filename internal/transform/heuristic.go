@@ -64,10 +64,11 @@ func mergeSPJView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) {
 	substituteView(b, f.ID, func(ord int) qtree.Expr {
 		return cloneExpr(q, v.Select[ord].Expr)
 	})
-	// Splice from items and predicates.
+	// Splice from items and predicates; a view conjunct the substituted
+	// outer block already holds is not added twice.
 	removeFromItem(b, f.ID)
 	b.From = append(b.From, v.From...)
-	b.Where = append(b.Where, v.Where...)
+	b.Where = appendNew(b.Where, v.Where...)
 }
 
 // JoinElimination removes provably redundant joins (§2.1.2): an inner join

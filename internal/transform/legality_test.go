@@ -195,6 +195,17 @@ func TestFactorizationRefusals(t *testing.T) {
 		// Common table selected at different positions.
 		`SELECT d.name, e.name FROM emp e, dept d WHERE e.dept_id = d.dept_id
 		 UNION ALL SELECT p.pname, d.name FROM proj p, dept d WHERE p.dept_id = d.dept_id`,
+		// Common table's first column (ordinal 0) selected at different
+		// positions: the select signatures used to compare equal because a
+		// missing position read as ordinal 0.
+		`SELECT d.dept_id, e.name FROM emp e, dept d WHERE e.dept_id = d.dept_id
+		 UNION ALL SELECT p.pname, d.dept_id FROM proj p, dept d WHERE p.dept_id = d.dept_id`,
+		// An outer join condition on the common table: neither form may
+		// take the table out from under it (the strict form used to leave
+		// the condition dangling).
+		`SELECT d.name, e.name FROM dept d, emp e LEFT OUTER JOIN proj p ON (p.dept_id = d.dept_id)
+		 WHERE e.dept_id = d.dept_id
+		 UNION ALL SELECT d.name, p.pname FROM dept d, proj p WHERE p.dept_id = d.dept_id`,
 	}
 	for _, src := range bad {
 		q := qtree.MustBind(src, db.Catalog)

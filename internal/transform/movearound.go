@@ -36,37 +36,33 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 	if b.IsSetOp() {
 		return false
 	}
-	var existing map[string]bool // rendered conjuncts, on the first candidate
 	changed := false
 	for _, f := range b.From {
 		if f.View == nil || f.View.IsSetOp() || f.Kind != qtree.JoinInner {
 			continue
 		}
 		v := f.View
-		// Output ordinal by underlying expression rendering.
-		ordOf := map[string]int{}
-		for i, it := range v.Select {
-			if _, ok := it.Expr.(*qtree.Col); ok {
-				ordOf[it.Expr.String()] = i
-			}
-		}
 		for _, e := range v.Where {
 			bin, ok := e.(*qtree.Bin)
 			if !ok || !bin.Op.IsComparison() || bin.Op == qtree.OpNullSafeEq {
 				continue
 			}
-			var side qtree.Expr
+			var side *qtree.Col
 			var con *qtree.Const
 			op := bin.Op
 			if c, isC := bin.R.(*qtree.Const); isC {
-				side, con = bin.L, c
+				side, _ = bin.L.(*qtree.Col)
+				con = c
 			} else if c, isC := bin.L.(*qtree.Const); isC {
-				side, con, op = bin.R, c, bin.Op.Commute()
-			} else {
+				side, _ = bin.R.(*qtree.Col)
+				con, op = c, bin.Op.Commute()
+			}
+			if side == nil {
 				continue
 			}
-			ord, exposed := ordOf[side.String()]
-			if !exposed {
+			// Only a column the view exposes as an output moves up.
+			ord := selectOrd(v, side)
+			if ord < 0 {
 				continue
 			}
 			up := &qtree.Bin{
@@ -74,30 +70,15 @@ func pullUpImplied(q *qtree.Query, b *qtree.Block) bool {
 				L:  &qtree.Col{From: f.ID, Ord: ord, Name: f.ColName(ord)},
 				R:  &qtree.Const{Val: con.Val},
 			}
-			k := up.String()
-			if existing == nil {
-				existing = whereKeys(b)
-			}
-			if existing[k] {
+			if qtree.IndexOf(b.Where, up) >= 0 {
 				continue
 			}
-			existing[k] = true
 			b = q.Mutable(b)
 			b.Where = append(b.Where, up)
 			changed = true
 		}
 	}
 	return changed
-}
-
-// whereKeys renders b's conjuncts, the keys the move-around steps
-// deduplicate new predicates by.
-func whereKeys(b *qtree.Block) map[string]bool {
-	keys := make(map[string]bool, len(b.Where))
-	for _, e := range b.Where {
-		keys[e.String()] = true
-	}
-	return keys
 }
 
 // transitiveClose derives new constant predicates across equality classes:
@@ -145,8 +126,6 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 	if len(parent) == 0 {
 		return false
 	}
-	// Existing conjunct renderings deduplicate the derived predicates.
-	var existing map[string]bool
 	// For each col-vs-constant comparison, propagate to class members.
 	changed := false
 	var derived []qtree.Expr
@@ -182,11 +161,7 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 			}
 			oc := colByKey[other]
 			ne := &qtree.Bin{Op: op, L: &qtree.Col{From: oc.From, Ord: oc.Ord, Name: oc.Name}, R: cloneExpr(q, con)}
-			if existing == nil {
-				existing = whereKeys(b)
-			}
-			if k := ne.String(); !existing[k] {
-				existing[k] = true
+			if qtree.IndexOf(b.Where, ne) < 0 && qtree.IndexOf(derived, ne) < 0 {
 				derived = append(derived, ne)
 				changed = true
 			}
@@ -299,11 +274,8 @@ func pushIntoBlock(q *qtree.Query, v *qtree.Block, viewID qtree.FromID, e qtree.
 	// An already-present conjunct (e.g. one that pull-up copied from this
 	// very view) is left alone at the outer level; pushing would duplicate
 	// it and the pull-up/push-down loop would never reach a fixpoint.
-	key := pushed.String()
-	for _, w := range v.Where {
-		if w.String() == key {
-			return false
-		}
+	if qtree.IndexOf(v.Where, pushed) >= 0 {
+		return false
 	}
 	v = q.Mutable(v)
 	v.Where = append(v.Where, pushed)
@@ -336,14 +308,7 @@ func canAcceptPush(v *qtree.Block, e qtree.Expr, viewID qtree.FromID) bool {
 				ok = false
 				return false
 			}
-			inGB := false
-			for _, g := range v.GroupBy {
-				if g.String() == se.String() {
-					inGB = true
-					break
-				}
-			}
-			if !inGB {
+			if qtree.IndexOf(v.GroupBy, se) < 0 {
 				ok = false
 				return false
 			}
@@ -386,7 +351,7 @@ func pruneGroups(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) bool {
 		}
 		se := v.Select[ord].Expr
 		for gi, g := range v.GroupBy {
-			if g.String() == se.String() {
+			if qtree.Equal(g, se) {
 				required[gi] = true
 			}
 		}

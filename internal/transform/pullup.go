@@ -67,25 +67,17 @@ func (r *PredicatePullup) Apply(q *qtree.Query, o Object, variant int) error {
 	// Expose every view-internal column the predicate references as an
 	// extra output, reusing existing outputs where possible.
 	internal := v.Defined()
-	exposed := map[string]int{} // col string -> view output ordinal
-	for i, it := range v.Select {
-		if c, ok := it.Expr.(*qtree.Col); ok {
-			exposed[c.String()] = i
-		}
-	}
 	mapCol := func(c *qtree.Col) *qtree.Col {
 		if !internal[c.From] {
 			return nil // already an outer reference (correlation)
 		}
-		key := c.String()
-		ord, ok := exposed[key]
-		if !ok {
+		ord := selectOrd(v, c)
+		if ord < 0 {
 			ord = len(v.Select)
 			v.Select = append(v.Select, qtree.SelectItem{
 				Expr:  &qtree.Col{From: c.From, Ord: c.Ord, Name: c.Name},
 				Alias: fmt.Sprintf("PU%d", ord),
 			})
-			exposed[key] = ord
 		}
 		return &qtree.Col{From: f.ID, Ord: ord, Name: c.Name}
 	}

@@ -131,6 +131,29 @@ func eqConjunct(e qtree.Expr) (l, r *qtree.Col, ok bool) {
 	return lc, rc, true
 }
 
+// selectOrd returns the first select-list position of b whose expression
+// is qtree.Equal to e, or -1.
+func selectOrd(b *qtree.Block, e qtree.Expr) int {
+	for i, it := range b.Select {
+		if qtree.Equal(it.Expr, e) {
+			return i
+		}
+	}
+	return -1
+}
+
+// appendNew appends to list each of es that list does not already hold
+// (qtree.Equal), so a conjunct or grouping key that reaches a block twice
+// is kept once.
+func appendNew(list []qtree.Expr, es ...qtree.Expr) []qtree.Expr {
+	for _, e := range es {
+		if qtree.IndexOf(list, e) < 0 {
+			list = append(list, e)
+		}
+	}
+	return list
+}
+
 // falseConst is a FALSE literal.
 func falseConst() qtree.Expr { return &qtree.Const{Val: datum.NewBool(false)} }
 
@@ -177,16 +200,8 @@ func pushableThroughWindows(v *qtree.Block, e qtree.Expr, viewID qtree.FromID) b
 			ok = false
 			return false
 		}
-		key := se.String()
 		for _, w := range wins {
-			inPBY := false
-			for _, pe := range w.PartitionBy {
-				if pe.String() == key {
-					inPBY = true
-					break
-				}
-			}
-			if !inPBY {
+			if qtree.IndexOf(w.PartitionBy, se) < 0 {
 				ok = false
 				return false
 			}

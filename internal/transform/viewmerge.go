@@ -14,11 +14,9 @@ import (
 // space for the view object has three states — unchanged, merged, pushed —
 // and the optimizer picks the cheapest.
 type ViewStrategy struct {
-	// NoJPPD and NoMerge disable one of the juxtaposed alternatives; the
-	// benchmark harness uses them to isolate a transformation (Figure 4
-	// disables JPPD entirely).
-	NoJPPD  bool
-	NoMerge bool
+	// NoJPPD disables the pushdown alternative; the benchmark harness uses
+	// it to isolate merging (Figure 4 disables JPPD entirely).
+	NoJPPD bool
 }
 
 // Name implements Rule.
@@ -33,7 +31,7 @@ func (r *ViewStrategy) Find(q *qtree.Query) []Object {
 			continue
 		}
 		for _, f := range b.From {
-			mergeOK := !r.NoMerge && canMergeGroupByView(b, f)
+			mergeOK := canMergeGroupByView(b, f)
 			jppdOK := !r.NoJPPD && canJPPD(b, f)
 			if mergeOK || jppdOK {
 				out = append(out, Object{Block: b, From: f.ID}.withForms(mergeOK, jppdOK))
@@ -91,15 +89,8 @@ func canMergeGroupByView(b *qtree.Block, f *qtree.FromItem) bool {
 	}
 	// Aggregate view outputs: aggregates or grouping expressions only.
 	if v.HasGroupBy() {
-		gbKeys := map[string]bool{}
-		for _, g := range v.GroupBy {
-			gbKeys[g.String()] = true
-		}
 		for _, it := range v.Select {
-			if qtree.ContainsAgg(it.Expr) {
-				continue
-			}
-			if !gbKeys[it.Expr.String()] {
+			if !qtree.ContainsAgg(it.Expr) && qtree.IndexOf(v.GroupBy, it.Expr) < 0 {
 				return false
 			}
 		}
@@ -138,11 +129,12 @@ func mergeGroupByView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 		return cloneExpr(q, v.Select[ord].Expr)
 	})
 
-	// Splice the view's relations and filters.
+	// Splice the view's relations and filters; a view conjunct the
+	// substituted outer block already holds is not added twice.
 	removeFromItem(b, f.ID)
 	outerItems := append([]*qtree.FromItem(nil), b.From...)
 	b.From = append(b.From, v.From...)
-	b.Where = append(b.Where, v.Where...)
+	b.Where = appendNew(b.Where, v.Where...)
 
 	// Predicates that now contain aggregates must become HAVING.
 	var keep []qtree.Expr
@@ -159,19 +151,9 @@ func mergeGroupByView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	// table, plus every outer column the block still references outside
 	// aggregates.
 	b.GroupBy = append(b.GroupBy, v.GroupBy...)
-	gbKeys := map[string]bool{}
-	for _, g := range b.GroupBy {
-		gbKeys[g.String()] = true
-	}
-	addGB := func(e qtree.Expr) {
-		if !gbKeys[e.String()] {
-			gbKeys[e.String()] = true
-			b.GroupBy = append(b.GroupBy, e)
-		}
-	}
 	for _, it := range outerItems {
 		if it.IsTable() {
-			addGB(&qtree.Col{From: it.ID, Ord: it.Table.RowidOrdinal(), Name: "ROWID"})
+			b.GroupBy = appendNew(b.GroupBy, &qtree.Col{From: it.ID, Ord: it.Table.RowidOrdinal(), Name: "ROWID"})
 		}
 	}
 	outerIDs := map[qtree.FromID]bool{}
@@ -187,7 +169,7 @@ func mergeGroupByView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 				return false
 			case *qtree.Col:
 				if outerIDs[vv.From] {
-					addGB(&qtree.Col{From: vv.From, Ord: vv.Ord, Name: vv.Name})
+					b.GroupBy = appendNew(b.GroupBy, &qtree.Col{From: vv.From, Ord: vv.Ord, Name: vv.Name})
 				}
 			}
 			return true
@@ -288,12 +270,7 @@ func jppdAccepts(v *qtree.Block, ord int) bool {
 	if qtree.ContainsAgg(se) {
 		return false
 	}
-	for _, g := range v.GroupBy {
-		if g.String() == se.String() {
-			return true
-		}
-	}
-	return false
+	return qtree.IndexOf(v.GroupBy, se) >= 0
 }
 
 // jppdProbe is a synthetic from ID used to probe output-ordinal legality
