@@ -28,8 +28,9 @@ type Budget struct {
 	Timeout time.Duration
 	// MaxStates caps transformation states costed across all rules.
 	MaxStates int
-	// MaxMemBytes caps the approximate bytes held by per-state copies of the
-	// query tree plus the cost-annotation table.
+	// MaxMemBytes caps the approximate bytes of the cost-annotation table
+	// plus one state's copy of the query tree: the search costs one state
+	// at a time, and a costed state's copy is garbage.
 	MaxMemBytes int64
 }
 
@@ -166,8 +167,8 @@ func (t *budgetTracker) expired() bool {
 
 // admit reports whether one more state may be costed, and counts it when
 // it may: the wall clock and the context have not expired, the state cap
-// is not reached, and one more state's copy fits beside the annotation
-// table under the memory cap.
+// is not reached, and the state's copy fits beside the annotation table
+// under the memory cap.
 func (t *budgetTracker) admit() bool {
 	if t.expired() {
 		return false
@@ -176,7 +177,7 @@ func (t *budgetTracker) admit() bool {
 		t.trip(DegradeStateCap)
 		return false
 	}
-	if t.maxMem > 0 && t.cacheBytes()+(t.states+1)*t.perStateBytes > t.maxMem {
+	if t.maxMem > 0 && t.cacheBytes()+t.perStateBytes > t.maxMem {
 		t.trip(DegradeMemCap)
 		return false
 	}

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/obsv"
+	"repro/internal/optimizer"
 	"repro/internal/qtree"
 	"repro/internal/testkit"
 	"repro/internal/transform"
@@ -112,6 +114,28 @@ func TestDegradeMemCap(t *testing.T) {
 	}
 	if len(rows) == 0 {
 		t.Error("mem-capped plan returned no rows")
+	}
+}
+
+// TestMemCapHoldsOneState: the sequential search holds one state's copy at a
+// time, so a cap of the final annotation table plus two tree copies costs
+// every state of the Table 2 search, undegraded.
+func TestMemCapHoldsOneState(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	opts := DefaultOptions()
+	opts.Metrics = obsv.NewRegistry()
+	_, full := runCBQT(t, db, table2SQL, opts)
+	table := opts.Metrics.GaugeValue(optimizer.MetricCacheBytes)
+	if full.Stats.StatesEvaluated != 16 || table == 0 {
+		t.Fatalf("uncapped search costed %d states into a %d-byte table, want 16 and a table", full.Stats.StatesEvaluated, table)
+	}
+
+	opts = DefaultOptions()
+	opts.Budget.MaxMemBytes = table + 2*qtree.MustBind(table2SQL, db.Catalog).ApproxBytes()
+	_, res := runCBQT(t, db, table2SQL, opts)
+	if res.Stats.Degraded != DegradeNone || res.Stats.StatesEvaluated != 16 {
+		t.Fatalf("cap %d B: Degraded = %q after %d states, want none after 16",
+			opts.Budget.MaxMemBytes, res.Stats.Degraded, res.Stats.StatesEvaluated)
 	}
 }
 

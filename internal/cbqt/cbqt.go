@@ -234,7 +234,7 @@ type Stats struct {
 	MemoSharedBlocks       int
 	MemoMaterializedBlocks int
 	// MemoStateBytes sums the approximate private bytes of every state's
-	// tree (qtree.OwnedApproxBytes) — the per-state copy cost the memo
+	// tree (qtree.COWStats' bytes) — the per-state copy cost the memo
 	// actually paid.
 	MemoStateBytes int64
 	// CacheHits/CacheMisses are this optimization's cost-annotation table

@@ -57,7 +57,7 @@ func TestDifferentialCOW(t *testing.T) {
 	}
 	// What the memo is for: over the same states, COW clones hold at most half
 	// the private tree bytes deep copies hold. The accounting is deterministic
-	// (Stats.MemoStateBytes sums qtree.OwnedApproxBytes), so this is exact.
+	// (Stats.MemoStateBytes sums qtree.COWStats' bytes), so this is exact.
 	if bytesCOW <= 0 || 2*bytesCOW > bytesFull {
 		t.Errorf("COW states hold %d private tree bytes, full-clone states %d (ratio %.3f, want <= 0.5)",
 			bytesCOW, bytesFull, float64(bytesCOW)/float64(bytesFull))

@@ -187,10 +187,10 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 	// base versus privately materialized, and the private bytes the state
 	// cost. Counted for every state that reaches the planner, before the
 	// cost cut-off can intervene.
-	shared, owned := clone.COWStats()
+	shared, owned, bytes := clone.COWStats()
 	stats.MemoSharedBlocks += shared
 	stats.MemoMaterializedBlocks += owned
-	stats.MemoStateBytes += clone.OwnedApproxBytes()
+	stats.MemoStateBytes += bytes
 	p := optimizer.New(o.Cat)
 	p.Binds = o.Binds
 	p.CostOnly = true

@@ -14,8 +14,9 @@ import (
 // workload query, before and after the heuristics and under every variant
 // of every cost-based rule applied to a copy-on-write clone, Walk must
 // visit exactly the blocks forEachBlock visits, each once, and every
-// block's OuterRefs must equal its column references minus its
-// definitions as the checker's walk computes them.
+// block's OuterCols must name the from IDs of its column references minus
+// its definitions and the set-operation output references (From 0), as the
+// checker's walk computes them.
 func TestTreeWalkMatchesChecker(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	s := testkit.SmallSizes()
@@ -43,9 +44,11 @@ func TestTreeWalkMatchesChecker(t *testing.T) {
 			if len(outer) > 0 {
 				correlated++
 			}
-			if !sameIDs(b.OuterRefs(), outer) {
-				t.Errorf("query %d %s: block %d OuterRefs = %v, checker walk says %v",
-					id, stage, b.ID, b.OuterRefs(), outer)
+			got := map[qtree.FromID]bool{}
+			b.OuterCols(func(c *qtree.Col) { got[c.From] = true })
+			if !sameIDs(got, outer) {
+				t.Errorf("query %d %s: block %d OuterCols = %v, checker walk says %v",
+					id, stage, b.ID, got, outer)
 			}
 		}
 	}
@@ -89,13 +92,14 @@ func TestTreeWalkMatchesChecker(t *testing.T) {
 	}
 }
 
-// checkerOuterRefs is Block.OuterRefs computed through forEachBlock: the
-// from IDs referenced in b's subtree (a subquery's left operands included)
-// minus those defined there.
+// checkerOuterRefs is the from IDs of Block.OuterCols computed through
+// forEachBlock: the from IDs referenced in b's subtree (a subquery's left
+// operands included) minus those defined there and minus 0, which names a
+// set operation's output.
 func checkerOuterRefs(b *qtree.Block) map[qtree.FromID]bool {
 	refs, defs := map[qtree.FromID]bool{}, map[qtree.FromID]bool{}
 	addCol := func(x qtree.Expr) bool {
-		if c, ok := x.(*qtree.Col); ok {
+		if c, ok := x.(*qtree.Col); ok && c.From != 0 {
 			refs[c.From] = true
 		}
 		return true

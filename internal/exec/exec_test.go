@@ -329,6 +329,37 @@ WHERE e.salary > (SELECT AVG(e2.salary) FROM emp e2 WHERE e2.dept_id = e.dept_id
 	}
 }
 
+// TestSetOrderBySubqueryRunsOnce: a scalar subquery over a set operation
+// that keeps its ORDER BY is uncorrelated (the ORDER BY names the set's own
+// output), so it executes once, as the plan's effective-execution count
+// says, on either engine and with the same rows.
+func TestSetOrderBySubqueryRunsOnce(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 1)
+	q := qtree.MustBind(`SELECT e.emp_id FROM employees e WHERE e.salary > (SELECT MAX(v.emp_id)
+FROM (SELECT j.emp_id FROM job_history j UNION SELECT d.dept_id FROM departments d ORDER BY emp_id) v
+WHERE ROWNUM <= 3)`, db.Catalog)
+	plan, err := optimizer.New(db.Catalog).Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [2][]string
+	for i, opts := range []Options{{}, {RowExec: true}} {
+		e := newEnv(nil, db, plan)
+		e.applyOptions(opts)
+		res, err := runEnv(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.SubqExecs != 1 {
+			t.Errorf("RowExec=%v: subquery executions = %d, want 1", opts.RowExec, e.SubqExecs)
+		}
+		rows[i] = rowStrings(res.Rows)
+	}
+	if len(rows[0]) == 0 || strings.Join(rows[0], "\n") != strings.Join(rows[1], "\n") {
+		t.Errorf("batch rows %v, row-engine rows %v", rows[0], rows[1])
+	}
+}
+
 func TestErrorPropagation(t *testing.T) {
 	db := testkit.TinyDB()
 	q, err := qtree.BindSQL(`SELECT e.salary / (e.emp_id - 1) FROM emp e`, db.Catalog)

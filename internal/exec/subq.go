@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/optimizer"
@@ -39,7 +40,13 @@ func (e *env) subqRuntime(s *qtree.Subq) (*subqRuntime, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: no subplan compiled for %s subquery", s.Kind)
 	}
-	corrCols := outerColIDs(s.Block)
+	// The TIS cache key: each distinct outer (from, ord) pair once.
+	var corrCols []optimizer.ColID
+	s.Block.OuterCols(func(c *qtree.Col) {
+		if id := (optimizer.ColID{From: c.From, Ord: c.Ord}); !slices.Contains(corrCols, id) {
+			corrCols = append(corrCols, id)
+		}
+	})
 	// Uncorrelated subplans execute exactly once and are materialized, so
 	// they benefit from the batch engine; the RowIter adapter feeds the
 	// materialization row-wise. Correlated subplans are re-opened per outer
@@ -63,23 +70,6 @@ func (e *env) subqRuntime(s *qtree.Subq) (*subqRuntime, error) {
 	rt.uncorrelated = len(rt.corrCols) == 0
 	e.subqIters[s] = rt
 	return rt, nil
-}
-
-// outerColIDs returns every (from, ord) pair referenced in the block's
-// subtree whose from item is defined outside the subtree — the full
-// correlation signature used as the TIS cache key.
-func outerColIDs(b *qtree.Block) []optimizer.ColID {
-	defined := b.Defined()
-	seen := map[optimizer.ColID]bool{}
-	var out []optimizer.ColID
-	b.Cols(func(c *qtree.Col) {
-		id := optimizer.ColID{From: c.From, Ord: c.Ord}
-		if !defined[c.From] && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	})
-	return out
 }
 
 // execute runs the subquery and returns all rows; for uncorrelated

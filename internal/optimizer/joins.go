@@ -109,7 +109,7 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 				// Pre-filtering the right side is equivalent for semi, anti
 				// and left outer joins, but NOT for full outer: rows failing
 				// the ON condition must still surface null-padded.
-				if others == 0 && f.Kind != qtree.JoinFullOuter && !containsSubq(c) {
+				if others == 0 && f.Kind != qtree.JoinFullOuter && !qtree.ContainsSubq(c) {
 					// IS TRUE wrappers are redundant in strict filter
 					// context; unwrap so index matching sees the predicate.
 					if st, ok := c.(*qtree.IsTrue); ok {
@@ -130,7 +130,7 @@ func (p *Planner) newJoinBuilder(q *qtree.Query, b *qtree.Block, itemPreds map[q
 		if f.Lateral && f.View != nil {
 			in.lateral = true
 			in.mustFollow = true
-			f.View.Cols(func(c *qtree.Col) {
+			f.View.OuterCols(func(c *qtree.Col) {
 				if idx, ok := jb.idToIdx[c.From]; ok {
 					in.prereq |= 1 << uint(idx)
 				}
@@ -474,12 +474,7 @@ func (jb *joinBuilder) keyNDV(in *joinInput, equis []equiPred, idx *catalog.Inde
 
 // lateralNDV estimates distinct correlation bindings for a lateral view.
 func (jb *joinBuilder) lateralNDV(in *joinInput) float64 {
-	n := 1.0
-	for _, c := range collectOuterCols(in.item.View, jb.es) {
-		if ci, ok := jb.es.col(c); ok {
-			n *= math.Max(ci.ndv, 1)
-		}
-	}
+	_, n := outerBindings(in.item.View, jb.es)
 	return math.Max(n, 1)
 }
 
@@ -530,13 +525,14 @@ func (jb *joinBuilder) matchFrac(equis []equiPred, nResidual int, rightRows floa
 	return frac
 }
 
+// joinOutCols is the output schema of a join of l and r: l's columns for a
+// semi- or antijoin, else l's then r's in one exact allocation.
 func joinOutCols(l, r PlanNode, kind qtree.JoinKind) []ColID {
 	switch kind {
 	case qtree.JoinSemi, qtree.JoinAnti, qtree.JoinNullAwareAnti:
 		return l.Columns()
 	}
-	out := append([]ColID(nil), l.Columns()...)
-	return append(out, r.Columns()...)
+	return slices.Concat(l.Columns(), r.Columns())
 }
 
 // indexProbe is the cheapest index a nested-loops join can probe the

@@ -348,18 +348,6 @@ func isStreaming(n PlanNode) bool {
 	return true
 }
 
-// containsSubq reports whether e contains a subquery expression.
-func containsSubq(e qtree.Expr) bool {
-	found := false
-	qtree.WalkExpr(e, func(x qtree.Expr) bool {
-		if _, ok := x.(*qtree.Subq); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // expensiveEvalCost returns extra per-row cost for expensive function calls
 // in a predicate.
 func expensiveEvalCost(e qtree.Expr) float64 {
@@ -392,7 +380,7 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 	var itemPreds = map[qtree.FromID][]qtree.Expr{}
 	var joinPreds []qtree.Expr
 	for _, e := range b.Where {
-		if containsSubq(e) {
+		if qtree.ContainsSubq(e) {
 			subqPreds = append(subqPreds, e)
 			continue
 		}
@@ -461,7 +449,7 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 			// HAVING may itself contain subqueries.
 			var plain, subq []qtree.Expr
 			for _, h := range havingPreds {
-				if containsSubq(h) {
+				if qtree.ContainsSubq(h) {
 					subq = append(subq, h)
 				} else {
 					plain = append(plain, h)

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/qtree"
 )
@@ -22,17 +23,9 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 	}
 	sp := &SubPlan{Root: node, PerExec: node.Cost().Total}
 
-	// Distinct correlation bindings: product of NDVs of the outer columns
-	// referenced by the subquery that belong to relations in scope.
-	distinct := 1.0
-	refCols := collectOuterCols(s.Block, es)
-	for _, c := range refCols {
-		sp.Correlated = append(sp.Correlated, ColID{From: c.From, Ord: c.Ord})
-		if ci, ok := es.col(c); ok {
-			distinct *= math.Max(ci.ndv, 1)
-		}
-	}
-	if len(refCols) == 0 {
+	var distinct float64
+	sp.Correlated, distinct = outerBindings(s.Block, es)
+	if len(sp.Correlated) == 0 {
 		// Uncorrelated subquery: executed once.
 		sp.EffectiveExecs = 1
 	} else {
@@ -42,19 +35,22 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 	return sp, nil
 }
 
-// collectOuterCols returns the column references inside block b (at any
-// depth) that refer to relations known to es (i.e. the current block).
-func collectOuterCols(b *qtree.Block, es *estimator) []*qtree.Col {
-	var out []*qtree.Col
-	seen := map[ColID]bool{}
-	b.Cols(func(c *qtree.Col) {
+// outerBindings returns b's outer references (qtree OuterCols) into
+// relations known to es (the current block), each distinct column once, and
+// the product of their NDVs: the distinct correlation bindings.
+func outerBindings(b *qtree.Block, es *estimator) (cols []ColID, ndv float64) {
+	ndv = 1
+	b.OuterCols(func(c *qtree.Col) {
 		id := ColID{From: c.From, Ord: c.Ord}
-		if _, ok := es.rels[c.From]; ok && !seen[id] {
-			seen[id] = true
-			out = append(out, c)
+		if _, ok := es.rels[c.From]; !ok || slices.Contains(cols, id) {
+			return
+		}
+		cols = append(cols, id)
+		if ci, ok := es.col(c); ok {
+			ndv *= math.Max(ci.ndv, 1)
 		}
 	})
-	return out
+	return cols, ndv
 }
 
 // buildSubqFilter builds the Filter node applying predicates that contain

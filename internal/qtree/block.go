@@ -430,6 +430,18 @@ func ContainsAgg(e Expr) bool {
 	return found
 }
 
+// ContainsSubq reports whether e contains a subquery expression.
+func ContainsSubq(e Expr) bool {
+	found := false
+	WalkExpr(e, func(x Expr) bool {
+		if _, ok := x.(*Subq); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // LocalFromIDs returns the set of from IDs defined directly in b.
 func (b *Block) LocalFromIDs() map[FromID]bool {
 	out := map[FromID]bool{}
@@ -439,50 +451,63 @@ func (b *Block) LocalFromIDs() map[FromID]bool {
 	return out
 }
 
-// OuterRefs returns the from IDs referenced by block b (anywhere in its
-// subtree) that are not defined in b or any nested block of b — i.e. b's
-// correlated references.
-func (b *Block) OuterRefs() map[FromID]bool {
-	refs := map[FromID]bool{}
-	b.Cols(func(c *Col) { refs[c.From] = true })
-	b.Walk(func(blk *Block) bool {
-		for _, f := range blk.From {
-			delete(refs, f.ID)
+// OuterCols calls f, in Cols order, on every column reference in b's
+// subtree whose from item is defined outside that subtree: b's correlated
+// references. A set operation's output references (From 0) name no from
+// item and never count. This is the one definition of correlation: the
+// unnester's legality, the planner's execution count, the executor's TIS
+// cache key and the cost-annotation key all read it.
+func (b *Block) OuterCols(f func(*Col)) {
+	defined, cands := make([]FromID, 0, 16), make([]*Col, 0, 16)
+	b.walk(func(blk *Block) bool {
+		for _, fi := range blk.From {
+			defined = append(defined, fi.ID)
 		}
 		return true
+	}, func(c *Col) {
+		if c.From != 0 && !slices.Contains(defined, c.From) {
+			cands = append(cands, c)
+		}
 	})
-	return refs
+	// An item defined in a block the pass reaches after the reference (which
+	// scoping rules out, but a broken tree may hold) still counts as inside.
+	for _, c := range cands {
+		if !slices.Contains(defined, c.From) {
+			f(c)
+		}
+	}
 }
 
-// IsCorrelated reports whether block b references from items defined
-// outside its own subtree.
+// IsCorrelated reports whether b has an outer reference (OuterCols).
 func (b *Block) IsCorrelated() bool {
-	var arr [16]FromID
-	defined := arr[:0]
-	b.Walk(func(blk *Block) bool {
-		for _, f := range blk.From {
-			defined = append(defined, f.ID)
-		}
-		return true
-	})
 	correlated := false
-	b.Cols(func(c *Col) { correlated = correlated || !slices.Contains(defined, c.From) })
+	b.OuterCols(func(*Col) { correlated = true })
 	return correlated
 }
 
 // ApproxBytes is a rough estimate of the memory held by the query tree —
-// the unit of the cbqt memory budget, which charges one tree copy per
-// transformation state evaluated (§3.4.3's explicit memory management).
+// the unit of the cbqt memory budget, which charges one tree copy beside
+// the annotation table for the state being costed (§3.4.3's explicit
+// memory management).
 func (q *Query) ApproxBytes() int64 {
 	var total int64
 	q.Root.Walk(func(b *Block) bool {
-		total += 256 // block header, slices
-		for _, f := range b.From {
-			total += 128 + int64(len(f.Alias))
-		}
-		b.VisitExprs(func(Expr) { total += 48 }) // expr node
+		total += b.approxBytes(exprNodeBytes)
 		return true
 	})
+	return total
+}
+
+const exprNodeBytes = 48 // ApproxBytes' charge for one expression node
+
+// approxBytes is block b's own share of ApproxBytes, charging node bytes
+// per expression node.
+func (b *Block) approxBytes(node int64) int64 {
+	total := int64(256) // block header, slices
+	for _, f := range b.From {
+		total += 128 + int64(len(f.Alias))
+	}
+	b.VisitExprs(func(Expr) { total += node })
 	return total
 }
 
@@ -493,8 +518,32 @@ func (q *Query) ApproxBytes() int64 {
 
 // children calls f on each block directly nested in b: set-operation
 // branches, then view bodies in from order, then subquery blocks in
-// expression order.
-func (b *Block) children(f func(*Block)) {
+// expression order. col, when non-nil, is called first on every column
+// reference of b's own expressions, a subquery's left operands included,
+// in the same pass over them that finds the subquery blocks.
+func (b *Block) children(col func(*Col), f func(*Block)) {
+	subs := make([]*Block, 0, 16)
+	cols := func(x Expr) bool {
+		if c, ok := x.(*Col); ok && col != nil {
+			col(c)
+		}
+		return true
+	}
+	b.exprRoots(func(e Expr) {
+		WalkExpr(e, func(x Expr) bool {
+			s, ok := x.(*Subq)
+			if !ok {
+				return cols(x)
+			}
+			subs = append(subs, s.Block)
+			for _, l := range s.Left {
+				if col != nil {
+					WalkExpr(l, cols) // a subquery there is not a child
+				}
+			}
+			return false
+		})
+	})
 	if b.Set != nil {
 		for _, c := range b.Set.Children {
 			f(c)
@@ -505,37 +554,29 @@ func (b *Block) children(f func(*Block)) {
 			f(fi.View)
 		}
 	}
-	b.VisitExprs(func(e Expr) {
-		if s, ok := e.(*Subq); ok {
-			f(s.Block)
-		}
-	})
+	for _, s := range subs {
+		f(s)
+	}
 }
 
 // Walk visits b's subtree in pre-order: a block, then the subtree of each of
 // its children in children order. When f returns false the block's
 // descendants are skipped.
-func (b *Block) Walk(f func(*Block) bool) {
+func (b *Block) Walk(f func(*Block) bool) { b.walk(f, nil) }
+
+// walk is Walk that also calls col on each visited block's column
+// references (children's col), after f and before the block's children.
+func (b *Block) walk(f func(*Block) bool, col func(*Col)) {
 	if b == nil || !f(b) {
 		return
 	}
-	b.children(func(c *Block) { c.Walk(f) })
+	b.children(col, func(c *Block) { c.walk(f, col) })
 }
 
 // Cols calls f on every column reference in b's subtree, including those in
 // a subquery's left operands.
 func (b *Block) Cols(f func(*Col)) {
-	b.Walk(func(blk *Block) bool {
-		blk.exprRoots(func(e Expr) {
-			WalkExpr(e, func(x Expr) bool {
-				if c, ok := x.(*Col); ok {
-					f(c)
-				}
-				return true
-			})
-		})
-		return true
-	})
+	b.walk(func(*Block) bool { return true }, f)
 }
 
 // ExprCols calls f on every column reference in e, including those inside

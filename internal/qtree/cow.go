@@ -177,7 +177,7 @@ func (q *Query) findPath(target *Block) ([]*Block, bool) {
 	onPath = func(b *Block) bool {
 		found := b == target
 		if !found {
-			b.children(func(c *Block) { found = found || onPath(c) })
+			b.children(nil, func(c *Block) { found = found || onPath(c) })
 		}
 		if found {
 			path = append(path, b)
@@ -327,48 +327,31 @@ func (q *Query) AdoptCOW(work *Query) {
 	})
 }
 
-// COWStats counts the blocks reachable from q's root by ownership: shared
-// blocks still alias the COW base, owned blocks are private to q
-// (materialized copies and transformation-created blocks). A non-COW query
-// reports every block as owned.
-func (q *Query) COWStats() (shared, owned int) {
-	q.Root.Walk(func(b *Block) bool {
-		if b.query == q {
-			owned++
-		} else {
-			shared++
-		}
-		return true
-	})
-	return shared, owned
-}
-
-// OwnedApproxBytes estimates the private tree memory this query paid for
-// its state, in the units of ApproxBytes. On a COW clone, shared blocks
-// cost nothing and owned blocks cost their structural copy — block shell,
+// COWStats accounts one state's tree in one walk. shared counts the blocks
+// that still alias the COW base; owned counts those private to q
+// (materialized copies and transformation-created blocks); bytes estimates
+// the private tree memory q paid for its state, in the units of
+// ApproxBytes. An owned block costs its structural copy — block shell,
 // FromItem structs, and a pointer per expression node — because under the
 // COW discipline expression nodes are immutable and shared freely (a
 // materialized block keeps the base's nodes; a rewrite builds a new spine
-// that both modes allocate identically). The walk stops at shared
-// sub-trees: the owned region is upward-closed, so a shared block never
-// has owned descendants. For a non-COW query it equals ApproxBytes —
-// a deep clone really does duplicate every expression node per state,
-// which is exactly the tax this accounting exposes.
-func (q *Query) OwnedApproxBytes() int64 {
+// that both modes allocate identically). A shared block costs nothing. A
+// non-COW query owns every block and costs ApproxBytes — a deep clone
+// really does duplicate every expression node per state, which is exactly
+// the tax this accounting exposes.
+func (q *Query) COWStats() (shared, owned int, bytes int64) {
+	node := int64(8) // slice entry; the node itself is shared
 	if q.cow == nil {
-		return q.ApproxBytes()
+		node = exprNodeBytes
 	}
-	var total int64
 	q.Root.Walk(func(b *Block) bool {
 		if b.query != q {
-			return false
+			shared++
+			return true
 		}
-		total += 256
-		for _, f := range b.From {
-			total += 128 + int64(len(f.Alias))
-		}
-		b.VisitExprs(func(Expr) { total += 8 }) // slice entry; the node itself is shared
+		owned++
+		bytes += b.approxBytes(node)
 		return true
 	})
-	return total
+	return shared, owned, bytes
 }

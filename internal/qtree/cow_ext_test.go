@@ -124,7 +124,7 @@ func TestCOWSingleBlockMutation(t *testing.T) {
 	if vs := check.Aliasing(c); len(vs) > 0 {
 		t.Fatalf("aliasing violations on mutated clone: %v", vs)
 	}
-	shared, owned := c.COWStats()
+	shared, owned, _ := c.COWStats()
 	if shared == 0 {
 		t.Error("no blocks remain shared after a single-block mutation")
 	}

@@ -269,9 +269,14 @@ func TestCloneBlockIntoPreservesCorrelation(t *testing.T) {
 	if sub == nil {
 		t.Fatal("no scalar subquery")
 	}
-	outerBefore := sub.OuterRefs()
+	outerRefs := func(b *Block) map[FromID]bool {
+		refs := map[FromID]bool{}
+		b.OuterCols(func(c *Col) { refs[c.From] = true })
+		return refs
+	}
+	outerBefore := outerRefs(sub)
 	cl := CloneBlockInto(sub, q)
-	outerAfter := cl.OuterRefs()
+	outerAfter := outerRefs(cl)
 	if len(outerBefore) != 1 || len(outerAfter) != 1 {
 		t.Fatalf("outer refs: before=%d after=%d", len(outerBefore), len(outerAfter))
 	}
@@ -290,6 +295,43 @@ func TestOuterRefs(t *testing.T) {
 	q := bindQ1(t)
 	if q.Root.IsCorrelated() {
 		t.Error("root block cannot be correlated")
+	}
+}
+
+// TestOuterColsSkipsSetOutputRefs pins that a set operation's ORDER BY
+// reference (From 0, the set's own output) is not an outer reference: a
+// view or a subquery that keeps one is uncorrelated.
+func TestOuterColsSkipsSetOutputRefs(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 1)
+	outer := func(b *Block) []string {
+		var out []string
+		b.OuterCols(func(c *Col) { out = append(out, c.String()) })
+		return out
+	}
+	q, err := BindSQL(`SELECT v.emp_id FROM (SELECT e.emp_id FROM employees e
+		UNION SELECT j.emp_id FROM job_history j ORDER BY emp_id) v`, db.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outer(q.Root); q.Root.IsCorrelated() || len(got) != 0 {
+		t.Errorf("root over a set view with ORDER BY: IsCorrelated = %v, OuterCols = %v, want false and none",
+			q.Root.IsCorrelated(), got)
+	}
+	q, err = BindSQL(`SELECT e.emp_id FROM employees e WHERE e.salary > (SELECT MAX(v.emp_id)
+		FROM (SELECT j.emp_id FROM job_history j UNION SELECT d.dept_id FROM departments d ORDER BY emp_id) v
+		WHERE ROWNUM <= 3 AND v.emp_id <> e.emp_id AND e.dept_id > 0)`, db.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := q.Root.Where[0].(*Bin).R.(*Subq).Block
+	// Correlated references come in Cols order, one call per reference.
+	if got, want := strings.Join(outer(sub), " "), "q1.EMP_ID q1.DEPT_ID"; got != want {
+		t.Errorf("scalar subquery OuterCols = %q, want %q", got, want)
+	}
+	sub.Where = sub.Where[:0]
+	if got := outer(sub); sub.IsCorrelated() || len(got) != 0 {
+		t.Errorf("uncorrelated scalar subquery over a set view with ORDER BY: IsCorrelated = %v, OuterCols = %v",
+			sub.IsCorrelated(), got)
 	}
 }
 

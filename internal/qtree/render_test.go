@@ -229,7 +229,7 @@ func TestRenderBlockForms(t *testing.T) {
 		{`SELECT e.emp_id FROM employees e, (SELECT e.dept_id FROM employees e) v WHERE e.dept_id = v.dept_id`,
 			func(q *Query) { q.Root.From[1].Lateral = true },
 			"SELECT e.EMP_ID EMP_ID FROM EMPLOYEES e, LATERAL (SELECT e_2.DEPT_ID DEPT_ID FROM EMPLOYEES e_2) v WHERE (e.DEPT_ID = v.DEPT_ID)",
-			"SELECT t0.#0 FROM EMPLOYEES t0, LATERAL (SELECT t2.#2 FROM EMPLOYEES t2) t1 WHERE (t0.#2 = t1.#0)"},
+			"SELECT t0.#0 FROM EMPLOYEES t0, LATERAL (SELECT t1.#2 FROM EMPLOYEES t1) t2 WHERE (t0.#2 = t2.#0)"},
 	}
 	for _, c := range cases {
 		q, err := BindSQL(c.sql, db.Catalog)

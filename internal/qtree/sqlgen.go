@@ -22,6 +22,10 @@ const (
 type Namer struct {
 	names map[FromID]string
 	form  renderForm
+	// Canonical form: tnames[i] names the i-th unnamed item the render meets
+	// (one of the keyed subtree's own); next counts them.
+	tnames []string
+	next   int
 }
 
 // rawNamer renders Expr.String(): every item is named q<ID>.
@@ -98,10 +102,8 @@ func (q *Query) CanonicalKey(b *Block) string {
 type BlockKeyer struct {
 	q     *Query
 	outer map[FromID]*FromItem
-	// n and tnames are reused by every key: the namer's map is cleared,
-	// and tnames[i] is the name of a subtree's i-th from item.
-	n      Namer
-	tnames []string
+	// n is reused by every key: its map is cleared and its count reset.
+	n Namer
 }
 
 // BlockKeyer returns a keyer for q's blocks.
@@ -109,28 +111,25 @@ func (q *Query) BlockKeyer() *BlockKeyer {
 	return &BlockKeyer{q: q, n: Namer{names: map[FromID]string{}, form: formCanonical}}
 }
 
-// Key is q.CanonicalKey(b).
+// Key is q.CanonicalKey(b). The outer references are named up front; the
+// render names b's own items t0, t1, ... in the order it first meets them.
 func (k *BlockKeyer) Key(b *Block) string {
 	names := k.n.names
 	clear(names)
-	i := 0
-	visitFromItems(b, func(f *FromItem) {
-		if i == len(k.tnames) {
-			k.tnames = append(k.tnames, "t"+strconv.Itoa(i))
-		}
-		names[f.ID] = k.tnames[i]
-		i++
-	})
+	k.n.next = 0
 	// Outer items referenced from within b: name by stable attributes.
-	b.Cols(func(c *Col) {
+	b.OuterCols(func(c *Col) {
 		id := c.From
 		if _, named := names[id]; named {
 			return
 		}
 		if k.outer == nil {
 			k.outer = map[FromID]*FromItem{}
-			visitFromItems(k.q.Root, func(f *FromItem) {
-				k.outer[f.ID] = f
+			k.q.Root.Walk(func(blk *Block) bool {
+				for _, f := range blk.From {
+					k.outer[f.ID] = f
+				}
+				return true
 			})
 		}
 		f := k.outer[id]
@@ -203,6 +202,15 @@ func (w *sqlWriter) list(es []Expr, sep string) {
 func (w *sqlWriter) name(id FromID) {
 	if s, ok := w.n.names[id]; ok {
 		w.s(s)
+		return
+	}
+	if n := w.n; n.form == formCanonical {
+		if n.next == len(n.tnames) {
+			n.tnames = append(n.tnames, "t"+strconv.Itoa(n.next))
+		}
+		n.names[id] = n.tnames[n.next]
+		n.next++
+		w.s(n.names[id])
 		return
 	}
 	w.s("q")

@@ -170,7 +170,7 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	// Single-table predicates on f move into the view.
 	var keep []qtree.Expr
 	for _, e := range b.Where {
-		if refsOnly(e, map[qtree.FromID]bool{f.ID: true}) && !containsSubq(e) {
+		if refsOnly(e, map[qtree.FromID]bool{f.ID: true}) && !qtree.ContainsSubq(e) {
 			v.Where = append(v.Where, e)
 		} else {
 			keep = append(keep, e)

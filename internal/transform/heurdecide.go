@@ -29,7 +29,7 @@ func (r *UnnestSubquery) HeuristicVariant(q *qtree.Query, o Object) int {
 // filter predicates (which make TIS cheap by reducing the driving rows).
 func outerHasFilterPreds(b *qtree.Block) bool {
 	for _, e := range b.Where {
-		if containsSubq(e) {
+		if qtree.ContainsSubq(e) {
 			continue
 		}
 		// Exactly one from item referenced?

@@ -309,13 +309,8 @@ func canUnnestMerge(q *qtree.Query, b *qtree.Block, s *qtree.Subq) bool {
 	if blockHasSubqueries(sub) || sub.HasWindowFuncs() {
 		return false
 	}
-	// The subquery must be correlated only to the containing block (the
-	// paper: no unnesting of subqueries correlated to non-parents).
-	local := b.LocalFromIDs()
-	for id := range sub.OuterRefs() {
-		if !local[id] {
-			return false
-		}
+	if !correlatedToParentOnly(b, sub) {
+		return false
 	}
 	switch s.Kind {
 	case qtree.SubqExists, qtree.SubqIn, qtree.SubqNotExists:

@@ -37,7 +37,7 @@ func orExpandable(b *qtree.Block, wi int) bool {
 		return false
 	}
 	e := b.Where[wi]
-	if len(splitOr(e)) < 2 || containsSubq(e) {
+	if len(splitOr(e)) < 2 || qtree.ContainsSubq(e) {
 		return false
 	}
 	// Each disjunct should constrain at least one local relation,

@@ -181,12 +181,8 @@ func aggUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 	if !sub.IsCorrelated() {
 		return false // uncorrelated scalar subqueries execute once; leave
 	}
-	// Correlation must go to the immediate parent only.
-	local := b.LocalFromIDs()
-	for id := range sub.OuterRefs() {
-		if !local[id] {
-			return false
-		}
+	if !correlatedToParentOnly(b, sub) {
+		return false
 	}
 	defined := sub.Defined()
 	nCorr := 0
@@ -199,7 +195,7 @@ func aggUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 		if _, outer := sideRefs(e, defined); outer {
 			return false
 		}
-		if containsSubq(e) {
+		if qtree.ContainsSubq(e) {
 			return false
 		}
 	}
@@ -300,11 +296,8 @@ func joinUnnestLegal(b *qtree.Block, s *qtree.Subq) bool {
 	if blockHasSubqueries(sub) || sub.HasWindowFuncs() {
 		return false
 	}
-	local := b.LocalFromIDs()
-	for id := range sub.OuterRefs() {
-		if !local[id] {
-			return false // correlated to a non-parent (§2.1.1)
-		}
+	if !correlatedToParentOnly(b, sub) {
+		return false
 	}
 	defined := sub.Defined()
 	if sub.HasGroupBy() || sub.Distinct {

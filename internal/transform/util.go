@@ -28,16 +28,13 @@ func blockRefersTo(b *qtree.Block, id qtree.FromID) bool {
 	return found
 }
 
-// containsSubq reports whether the expression contains a subquery.
-func containsSubq(e qtree.Expr) bool {
-	found := false
-	qtree.WalkExpr(e, func(x qtree.Expr) bool {
-		if _, ok := x.(*qtree.Subq); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
+// correlatedToParentOnly reports whether every outer reference of sub
+// points at a from item of b, its parent: the paper does not unnest a
+// subquery correlated to a non-parent (§2.1.1).
+func correlatedToParentOnly(b, sub *qtree.Block) bool {
+	ok := true
+	sub.OuterCols(func(c *qtree.Col) { ok = ok && b.FindFrom(c.From) != nil })
+	return ok
 }
 
 // isExpensive reports whether the predicate contains an expensive function
