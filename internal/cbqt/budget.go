@@ -28,9 +28,10 @@ type Budget struct {
 	Timeout time.Duration
 	// MaxStates caps transformation states costed across all rules.
 	MaxStates int
-	// MaxMemBytes caps the approximate bytes of the cost-annotation table
-	// plus one state's copy of the query tree: the search costs one state
-	// at a time, and a costed state's copy is garbage.
+	// MaxMemBytes caps the approximate bytes of the cost-annotation table,
+	// one state's copy of the query tree and the private bytes of the
+	// cheapest state's tree: the search costs one state at a time and keeps
+	// only the cheapest state's copy, which the driver adopts.
 	MaxMemBytes int64
 }
 
@@ -167,9 +168,10 @@ func (t *budgetTracker) expired() bool {
 
 // admit reports whether one more state may be costed, and counts it when
 // it may: the wall clock and the context have not expired, the state cap
-// is not reached, and the state's copy fits beside the annotation table
-// under the memory cap.
-func (t *budgetTracker) admit() bool {
+// is not reached, and the state's copy fits under the memory cap beside the
+// annotation table and kept, the private bytes of the tree the search keeps
+// for its cheapest state.
+func (t *budgetTracker) admit(kept int64) bool {
 	if t.expired() {
 		return false
 	}
@@ -177,7 +179,7 @@ func (t *budgetTracker) admit() bool {
 		t.trip(DegradeStateCap)
 		return false
 	}
-	if t.maxMem > 0 && t.cacheBytes()+t.perStateBytes > t.maxMem {
+	if t.maxMem > 0 && t.cacheBytes()+t.perStateBytes+kept > t.maxMem {
 		t.trip(DegradeMemCap)
 		return false
 	}

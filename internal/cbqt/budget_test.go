@@ -190,3 +190,19 @@ func TestNoBudgetNoDegrade(t *testing.T) {
 		t.Error("zero budget evaluated no states")
 	}
 }
+
+// TestMemCapChargesKeptWinner: the memory cap admits a state only when the
+// annotation table, one state's copy and the private bytes of the tree the
+// search keeps for its cheapest state fit together.
+func TestMemCapChargesKeptWinner(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	q := qtree.MustBind(table2SQL, db.Catalog)
+	const kept = 100
+	tr := newBudgetTracker(context.Background(), Budget{MaxMemBytes: q.ApproxBytes() + kept}, q, nil)
+	if !tr.admit(kept) {
+		t.Fatalf("a state's copy beside a %d-byte kept tree does not fit a cap of exactly their sum", kept)
+	}
+	if tr.admit(kept+1) || tr.reason != DegradeMemCap {
+		t.Errorf("a kept tree one byte larger was admitted (reason %q)", tr.reason)
+	}
+}

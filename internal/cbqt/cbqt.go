@@ -8,17 +8,18 @@
 // juxtaposition, §3.3) — gives each state a copy-on-write clone of the
 // query (qtree.CloneCOW: blocks are shared until a rule mutates them),
 // applies the state through the objects' handles, re-runs the heuristic
-// transformations over the blocks the state owns, invokes the physical
-// optimizer to cost it, and finally transfers the directives of the winning
-// state onto the original query tree.
+// transformations over the blocks the state owns, and invokes the physical
+// optimizer to cost it. The cheapest state's tree, already transformed,
+// re-passed and checked, then becomes the query's tree (qtree.AdoptCOW).
 //
 // Four state-space search strategies are provided (§3.2): exhaustive,
 // iterative improvement, linear, and two-pass, with automatic selection
 // based on the number of objects. All four cost their states one at a time
 // through one loop (ruleSearch.cost): the budget admits each state just
 // before it is costed, each state is cut off at the cheapest cost costed
-// before it in its rule, and the first faulting state ends the rule's
-// search and quarantines the rule. Optimization performance techniques from
+// before it in its rule, that running minimum also picks the rule's winner,
+// and the first faulting state ends the rule's search and quarantines the
+// rule. Optimization performance techniques from
 // §3.4 are implemented: cost cut-off, reuse of query sub-tree cost
 // annotations, and caching of expensive optimizer computations.
 package cbqt
@@ -141,9 +142,9 @@ type Options struct {
 	// query tree and plan at every seam of the optimize path: the input
 	// query, the tree after the heuristic phase, every transformation
 	// state evaluated by the search (tree, per-rule contract, and costed
-	// plan), the tree after the winning directives are applied, and the
-	// final physical plan. A violation in a transformation state or in the
-	// winner/heuristic application quarantines the offending rule through
+	// plan; the winner's tree is adopted as checked there), and the final
+	// physical plan. A violation in a transformation state, the heuristic
+	// phase or a heuristic-mode rule quarantines the offending rule through
 	// the same machinery that isolates panics; a violation in the input
 	// query or the final plan fails the optimization. Violations count
 	// through Options.Metrics (cbqt.check_violations and per-class
@@ -162,15 +163,15 @@ var defaultCheck = false
 // identical either way — COW materializes blocks with their original IDs and
 // allocates nothing from the base — so the deep copy survives only as the
 // reference TestDifferentialCOW and FuzzCOWClone compare against; nothing
-// outside this package's tests sets it.
+// outside this package's tests sets it. Under it the driver builds the
+// winner's tree again (ruleSearch.reapply) instead of adopting it.
 var fullCloneStates = false
 
-// fullHeuristicRepass makes every heuristic re-pass (evalState's and
-// applyWinner's) visit every block, as if the base were never known to be at
-// a heuristic fixpoint. The passes that skip shared blocks produce the same
-// tree by construction; the full passes survive only as the reference the
-// equivalence tests compare against. Nothing outside this package's tests
-// sets it.
+// fullHeuristicRepass makes every state's heuristic re-pass visit every
+// block, as if the base were never known to be at a heuristic fixpoint. The
+// passes that skip shared blocks produce the same tree by construction; the
+// full passes survive only as the reference the equivalence tests compare
+// against. Nothing outside this package's tests sets it.
 var fullHeuristicRepass = false
 
 // onHandleMismatch, when non-nil, makes applyState re-discover the rule's
@@ -184,6 +185,10 @@ var onHandleMismatch func(error)
 // clone after the heuristic rules ran, before the checker sees it, so a
 // test can plant a violation there. Only this package's tests set it.
 var onHeuristicWork func(work *qtree.Query)
+
+// onAdopt, when non-nil, sees each rule's winner just before rs.q, the
+// pre-rule base, adopts its tree. Only this package's tests set it.
+var onAdopt func(rs *ruleSearch, w evaluated)
 
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
@@ -264,8 +269,8 @@ func New(cat *catalog.Catalog) *Optimizer {
 
 // Result is the outcome of CBQT optimization.
 type Result struct {
-	// Query is the transformed query tree (the input query mutated by the
-	// winning transformation directives).
+	// Query is the transformed query tree (the input query, which adopted
+	// each rule's winning tree).
 	Query *qtree.Query
 	// Plan is the final physical plan for the transformed query.
 	Plan  *optimizer.Plan
@@ -274,7 +279,7 @@ type Result struct {
 
 // Optimize runs heuristic transformations, cost-based transformation with
 // state-space search, and final physical optimization. The input query is
-// mutated (the chosen directives are applied to it).
+// mutated (it adopts each rule's winning tree).
 func (o *Optimizer) Optimize(q *qtree.Query) (*Result, error) {
 	return o.OptimizeContext(context.Background(), q)
 }
@@ -393,19 +398,22 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *qtree.Query) (*Resul
 			}
 			return nil, err
 		}
-		// Transfer the winning directives onto the original tree (§3.1).
+		// The winner's evaluated tree becomes the query (§3.1 transfers the
+		// winning directives instead; see DESIGN.md).
 		winner := obsv.WinnerUntransformed
-		if !best.isZero() {
-			if fixpoint, te := rs.applyWinner(best); te != nil {
-				quarantine(r.Name(), te)
-				winner = obsv.WinnerRolledBack
-			} else {
-				baseFixpoint = fixpoint
-				winner = obsv.WinnerApplied
+		if !best.s.isZero() {
+			if fullCloneStates {
+				best = rs.reapply(best)
 			}
+			if onAdopt != nil {
+				onAdopt(rs, best)
+			}
+			q.AdoptCOW(best.tree)
+			baseFixpoint = best.fixpoint
+			winner = obsv.WinnerApplied
 		}
 		o.traceEvent(&stats, obsv.SearchEvent{
-			Ev: obsv.EvWinner, Rule: r.Name(), State: stateKey(best), Outcome: winner,
+			Ev: obsv.EvWinner, Rule: r.Name(), State: stateKey(best.s), Outcome: winner,
 		})
 	}
 
@@ -505,13 +513,12 @@ func (o *Optimizer) traceEvent(stats *Stats, e obsv.SearchEvent) {
 // checker (Options.Check) accepts the clone's tree and its copy-on-write
 // discipline. A panic, an error from mutate or a checker violation discards
 // the clone, so q is never left half transformed and no deep backup copy is
-// taken, and comes back as a *TransformError of rule (in state s, when
-// known).
-func (o *Optimizer) adoptProtected(q *qtree.Query, rule string, s state, stats *Stats, mutate func(work *qtree.Query) (bool, error)) (changed bool, te *TransformError) {
+// taken, and comes back as a *TransformError of rule.
+func (o *Optimizer) adoptProtected(q *qtree.Query, rule string, stats *Stats, mutate func(work *qtree.Query) (bool, error)) (changed bool, te *TransformError) {
 	work := q.CloneCOW()
 	defer func() {
 		if p := recover(); p != nil {
-			changed, te = false, &TransformError{Rule: rule, State: stateKey(s), Panic: p, Stack: stack()}
+			changed, te = false, &TransformError{Rule: rule, Panic: p, Stack: stack()}
 		}
 	}()
 	changed, err := mutate(work)
@@ -522,26 +529,12 @@ func (o *Optimizer) adoptProtected(q *qtree.Query, rule string, s state, stats *
 		}
 	}
 	if err != nil {
-		return false, &TransformError{Rule: rule, State: stateKey(s), Err: err}
+		return false, &TransformError{Rule: rule, Err: err}
 	}
 	if changed {
 		q.AdoptCOW(work)
 	}
 	return changed, nil
-}
-
-// checkContract checks rule's contract from q to its work clone
-// (Options.Check), counting any violations; the per-rule contract runs
-// before any heuristic re-pass, which may legally drop tables.
-func (o *Optimizer) checkContract(rule string, q, work *qtree.Query, stats *Stats) error {
-	if !o.Opts.Check {
-		return nil
-	}
-	if vs := check.CheckContract(rule, check.Summarize(q), work); len(vs) > 0 {
-		o.countCheckViolations(stats, vs)
-		return vs
-	}
-	return nil
 }
 
 // protectedHeuristics runs the imperative transformation phase under
@@ -550,7 +543,7 @@ func (o *Optimizer) checkContract(rule string, q, work *qtree.Query, stats *Stat
 // rule errors still propagate. It reports whether q is now at a fixpoint of
 // the heuristic rules.
 func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint bool, err error) {
-	_, te := o.adoptProtected(q, "heuristics", nil, stats, func(work *qtree.Query) (bool, error) {
+	_, te := o.adoptProtected(q, "heuristics", stats, func(work *qtree.Query) (bool, error) {
 		converged, err := o.applyHeuristics(work, false)
 		fixpoint = converged
 		if onHeuristicWork != nil {
@@ -571,29 +564,6 @@ func (o *Optimizer) protectedHeuristics(q *qtree.Query, stats *Stats) (fixpoint 
 	stats.TransformErrors = append(stats.TransformErrors, te)
 	o.traceEvent(stats, obsv.SearchEvent{Ev: obsv.EvHeuristics, Outcome: obsv.OutcomeFault, Reason: reason})
 	return false, nil
-}
-
-// applyWinner transfers the winning directives (and the heuristic re-pass
-// they enable) onto the original tree under adoptProtected. On failure q
-// is untouched and the returned error quarantines the rule; on success it
-// reports whether the re-pass converged.
-func (rs *ruleSearch) applyWinner(best state) (fixpoint bool, te *TransformError) {
-	o := rs.o
-	_, te = o.adoptProtected(rs.q, rs.r.Name(), best, rs.stats, func(work *qtree.Query) (bool, error) {
-		if err := o.applyState(work, rs.r, rs.objs, best); err != nil {
-			return false, err
-		}
-		if err := o.checkContract(rs.r.Name(), rs.q, work, rs.stats); err != nil {
-			return false, err
-		}
-		if !o.Opts.SkipHeuristics {
-			converged, err := o.applyHeuristics(work, rs.baseFixpoint && !fullHeuristicRepass)
-			fixpoint = converged
-			return true, err
-		}
-		return true, nil
-	})
-	return fixpoint, te
 }
 
 // applyHeuristics runs the heuristic phase's rules over q to a fixpoint
@@ -633,7 +603,7 @@ func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule, sta
 	if !ok {
 		return false, nil // no heuristic counterpart: leave untransformed
 	}
-	return o.adoptProtected(q, r.Name(), nil, stats, func(work *qtree.Query) (changed bool, err error) {
+	return o.adoptProtected(q, r.Name(), stats, func(work *qtree.Query) (changed bool, err error) {
 		// Objects shift as transformations apply; re-discover each round.
 		for guard := 0; guard < 32; guard++ {
 			applied := false
@@ -656,10 +626,14 @@ func (o *Optimizer) applyRuleHeuristically(q *qtree.Query, r transform.Rule, sta
 			}
 			changed = true
 		}
-		if !changed {
-			return false, nil
+		if !changed || !o.Opts.Check {
+			return changed, nil
 		}
-		return true, o.checkContract(r.Name(), q, work, stats)
+		if vs := check.CheckContract(r.Name(), check.Summarize(q), work); len(vs) > 0 {
+			o.countCheckViolations(stats, vs)
+			return false, vs
+		}
+		return true, nil
 	})
 }
 

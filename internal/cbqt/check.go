@@ -71,7 +71,7 @@ func (o *Optimizer) OptimizeDML(ctx context.Context, stmt *qtree.DMLStmt) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	// The winner's directives were applied to the read query; keep the
+	// The read query adopted the winners' trees; keep the
 	// statement pointed at the transformed tree the plan was compiled from.
 	stmt.Read = res.Query
 	if o.Opts.Check {

@@ -92,9 +92,10 @@ func TestFaultEndsRuleSearch(t *testing.T) {
 	}
 }
 
-// TestFaultApplyPanic injects a panic into the winner-application path of
-// every transformation on the Table 2 query: the backup tree must be
-// restored, the rule quarantined, and the results unchanged.
+// TestFaultApplyPanic injects a panic into every application of each
+// transformation on the Table 2 query. It fires on the first application,
+// in the evaluation of the first transformed state: that state's clone is
+// discarded, the rule quarantined, and the results unchanged.
 func TestFaultApplyPanic(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	baseRows, _ := runCBQT(t, db, table2SQL, disabledOptions())

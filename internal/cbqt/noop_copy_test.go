@@ -8,9 +8,9 @@ import (
 )
 
 // TestNoOpSearchPerformsNoCopies is the regression test for the latent
-// double-clone on the quarantine paths: protectedHeuristics and applyWinner
-// used to take a full defensive deep copy of the query before every rule so
-// they could restore it on a fault. With copy-on-write clones that copying
+// double-clone on the quarantine paths: the heuristic phase and the winner's
+// application used to take a full defensive deep copy of the query before
+// every rule so they could restore it on a fault. With copy-on-write clones that copying
 // is deferred to the first materialization, so optimizing a query no rule
 // can touch must perform zero deep clones AND zero block materializations —
 // the whole run works on shared blocks. The cbqt suite never calls

@@ -22,8 +22,10 @@ var errInfeasible = errors.New("cbqt: state infeasible")
 // through cost, one state at a time in the order the strategy visits them:
 // the budget admits each state just before it is costed, each state is cut
 // off at the cheapest cost costed before it in the rule (§3.4.1), and the
-// first faulting state ends the search. Every state records its counters
-// and trace events straight into the optimization's Stats.
+// first faulting state ends the search. The same running minimum picks the
+// winner: a state costed strictly below it becomes best, kept with the tree
+// evalState built for it. Every state records its counters and trace events
+// straight into the optimization's Stats.
 type ruleSearch struct {
 	o    *Optimizer
 	q    *qtree.Query
@@ -39,25 +41,39 @@ type ruleSearch struct {
 	// Set by run before the first state is costed.
 	variants []int
 	// preSummary is q's contract summary and baseSnap fingerprints q's
-	// tree (Options.Check only). q is not mutated until the winner is
-	// applied, after the search; every state checks the rule's contract
+	// tree (Options.Check only). q is not mutated until the winner's tree
+	// is adopted, after the search; every state checks the rule's contract
 	// against preSummary and re-verifies baseSnap, since copy-on-write
 	// states share q's blocks and any mutation of them is corruption.
 	preSummary *check.Summary
 	baseSnap   *check.TreeSnapshot
 
-	min   float64 // the cheapest cost so far: the next state's cut-off
-	count int     // states costed
+	min   float64   // the cheapest cost so far: the next state's cut-off
+	best  evaluated // the first state costed at min
+	count int       // states costed
+}
+
+// evaluated is one costed state with the tree evalState built for it: the
+// base's copy-on-write clone with the state applied, re-passed by the
+// heuristics and, under Options.Check, checked. The zero value is the
+// untransformed state with no tree.
+type evaluated struct {
+	s        state
+	cost     float64
+	tree     *qtree.Query
+	fixpoint bool  // the tree's heuristic re-pass converged
+	bytes    int64 // the tree's private bytes (qtree.COWStats)
 }
 
 // cost admits, costs and records state s, returning +Inf when s is
-// infeasible or cut off. It returns errBudgetStop when the budget admits
-// no more states and the fault when s faulted; either ends the search.
+// infeasible or cut off. A state costed strictly below the running minimum
+// becomes rs.best. It returns errBudgetStop when the budget admits no more
+// states and the fault when s faulted; either ends the search.
 func (rs *ruleSearch) cost(s state) (float64, error) {
-	if !rs.tracker.admit() {
+	if !rs.tracker.admit(rs.best.bytes) {
 		return 0, errBudgetStop
 	}
-	c, err := rs.evalState(s)
+	e, err := rs.evalState(s)
 	if errors.Is(err, errInfeasible) {
 		return math.Inf(1), nil
 	}
@@ -65,33 +81,25 @@ func (rs *ruleSearch) cost(s state) (float64, error) {
 		return 0, err
 	}
 	rs.count++
-	rs.min = math.Min(rs.min, c)
-	return c, nil
-}
-
-// stop ends a search on err: a budget stop keeps best, the best state
-// costed so far; any other error goes to OptimizeContext, which
-// quarantines the rule for a *TransformError and fails the optimization
-// otherwise.
-func stop(best state, err error) (state, error) {
-	if errors.Is(err, errBudgetStop) {
-		return best, nil
+	if e.cost < rs.min {
+		rs.min, rs.best = e.cost, e
 	}
-	return nil, err
+	return e.cost, nil
 }
 
 // evalState gives the state its own copy-on-write clone of the query,
 // applies the state through the handles of the objects the search found on
 // the base (rs.objs), re-runs the imperative transformations that the
 // new constructs may enable (§3.1) over the blocks the state owns, and
-// invokes the physical optimizer in cost-only mode, cut off at rs.min.
+// invokes the physical optimizer in cost-only mode, cut off at rs.min. A
+// costed state comes back with its tree; a cut-off one with cost +Inf.
 //
 // It is the fault boundary of the search: the "state:<rule>" injection site
 // fires first, any panic out of the transformation or the planner is
 // recovered into a *TransformError (the caller quarantines the rule),
 // injected errors skip just this state, and a planner budget abort maps to
 // errBudgetStop ("stop searching, keep the best so far").
-func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
+func (rs *ruleSearch) evalState(s state) (e evaluated, err error) {
 	o, r, stats := rs.o, rs.r, rs.stats
 	// stateEvent emits the state's EvState trace record. Exactly one fires
 	// per evaluation, at the return point that decided the outcome.
@@ -114,7 +122,7 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			cost = 0
+			e = evaluated{}
 			err = &TransformError{Rule: r.Name(), State: stateKey(s), Panic: p, Stack: stack()}
 			stateEvent(obsv.OutcomeFault, "panic", 0, 0, 0)
 		}
@@ -123,7 +131,7 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 		stats.TransformErrors = append(stats.TransformErrors,
 			&TransformError{Rule: r.Name(), State: stateKey(s), Err: ferr})
 		stateEvent(obsv.OutcomeFault, "injected", 0, 0, 0)
-		return 0, errInfeasible
+		return evaluated{}, errInfeasible
 	}
 	// Each state gets its own copy of the query (§3.1): a copy-on-write
 	// clone sharing every block the state does not rewrite with the base.
@@ -143,27 +151,29 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 			reason = "injected"
 		}
 		stateEvent(obsv.OutcomeInfeasible, reason, 0, 0, 0)
-		return 0, errInfeasible
+		return evaluated{}, errInfeasible
 	}
 	if o.Opts.Check && !s.isZero() {
 		// Per-rule contract, before the heuristic re-pass: heuristics may
 		// legally drop tables (join elimination), the rule may not.
 		if vs := check.CheckContract(r.Name(), rs.preSummary, clone); len(vs) > 0 {
 			stateEvent(obsv.OutcomeFault, checkEventReason, 0, 0, 0)
-			return 0, o.checkFault(r.Name(), stateKey(s), stats, vs)
+			return evaluated{}, o.checkFault(r.Name(), stateKey(s), stats, vs)
 		}
 	}
 	if !o.Opts.SkipHeuristics && !s.isZero() {
 		// Blocks the state shares with a base at a fixpoint need no visit.
-		if _, herr := o.applyHeuristics(clone, rs.baseFixpoint && !fullHeuristicRepass); herr != nil {
+		converged, herr := o.applyHeuristics(clone, rs.baseFixpoint && !fullHeuristicRepass)
+		if herr != nil {
 			if errors.Is(herr, faultinject.ErrInjected) {
 				stats.TransformErrors = append(stats.TransformErrors,
 					&TransformError{Rule: r.Name(), State: stateKey(s), Err: herr})
 				stateEvent(obsv.OutcomeFault, "injected", 0, 0, 0)
-				return 0, errInfeasible
+				return evaluated{}, errInfeasible
 			}
-			return 0, herr
+			return evaluated{}, herr
 		}
+		e.fixpoint = converged
 	}
 	if o.Opts.Check && !s.isZero() {
 		// Full semantic check of the state the physical optimizer is about
@@ -180,7 +190,7 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 		vs = append(vs, check.Query(clone)...)
 		if len(vs) > 0 {
 			stateEvent(obsv.OutcomeFault, checkEventReason, 0, 0, 0)
-			return 0, o.checkFault(r.Name(), stateKey(s), stats, vs)
+			return evaluated{}, o.checkFault(r.Name(), stateKey(s), stats, vs)
 		}
 	}
 	// Memo accounting: how much of this state's tree stayed shared with the
@@ -191,6 +201,7 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 	stats.MemoSharedBlocks += shared
 	stats.MemoMaterializedBlocks += owned
 	stats.MemoStateBytes += bytes
+	e.bytes = bytes
 	p := optimizer.New(o.Cat)
 	p.Binds = o.Binds
 	p.CostOnly = true
@@ -207,28 +218,32 @@ func (rs *ruleSearch) evalState(s state) (cost float64, err error) {
 		if errors.Is(perr, optimizer.ErrCutoff) {
 			// §3.4.1: the state exceeded the best cost; abandon it.
 			stateEvent(obsv.OutcomeCut, "", 0, p.Counters.BlocksOptimized, p.Counters.CacheHits)
-			return math.Inf(1), nil
+			return evaluated{cost: math.Inf(1)}, nil
 		}
 		if errors.Is(perr, optimizer.ErrBudget) {
 			rs.tracker.expired() // record deadline vs. canceled
 			stateEvent(obsv.OutcomeBudget, "wall-clock", 0, p.Counters.BlocksOptimized, p.Counters.CacheHits)
-			return 0, errBudgetStop
+			return evaluated{}, errBudgetStop
 		}
-		return 0, perr
+		return evaluated{}, perr
 	}
 	if o.Opts.Check && !s.isZero() {
 		if vs := check.Plan(plan); len(vs) > 0 {
 			stateEvent(obsv.OutcomeFault, checkEventReason, 0, 0, 0)
-			return 0, o.checkFault(r.Name(), stateKey(s), stats, vs)
+			return evaluated{}, o.checkFault(r.Name(), stateKey(s), stats, vs)
 		}
 	}
 	stateEvent(obsv.OutcomeCosted, "", plan.Cost.Total, p.Counters.BlocksOptimized, p.Counters.CacheHits)
-	return plan.Cost.Total, nil
+	e.s, e.cost, e.tree = s, plan.Cost.Total, clone
+	return e, nil
 }
 
-// run sets up the search over rs.objs and runs the chosen strategy,
-// returning the best state found.
-func (rs *ruleSearch) run(strat Strategy) (state, error) {
+// run sets up the search over rs.objs, runs the chosen strategy and returns
+// the cheapest state it costed, the zero state when none cost a finite
+// amount. A budget stop keeps the cheapest state costed before it; any other
+// error goes to OptimizeContext, which quarantines the rule for a
+// *TransformError and fails the optimization otherwise.
+func (rs *ruleSearch) run(strat Strategy) (evaluated, error) {
 	rs.variants = make([]int, len(rs.objs))
 	for i, obj := range rs.objs {
 		rs.variants[i] = obj.Variants
@@ -238,90 +253,89 @@ func (rs *ruleSearch) run(strat Strategy) (state, error) {
 		rs.preSummary = check.Summarize(rs.q)
 		rs.baseSnap = check.Snapshot(rs.q)
 	}
+	var err error
 	switch strat {
 	case StrategyLinear:
-		return rs.linear()
+		err = rs.linear()
 	case StrategyTwoPass:
-		return rs.twoPass()
+		err = rs.twoPass()
 	case StrategyIterative:
-		return rs.iterative()
+		err = rs.iterative()
+	default:
+		err = rs.exhaustive()
 	}
-	return rs.exhaustive()
+	if err != nil && !errors.Is(err, errBudgetStop) {
+		return evaluated{}, err
+	}
+	return rs.best, nil
+}
+
+// reapply builds w's tree again on a copy-on-write clone of the base, for
+// the fullCloneStates reference only: qtree.AdoptCOW refuses its deep
+// copies. The state was applied and re-passed once already, so a failure
+// here is a bug in the reference.
+func (rs *ruleSearch) reapply(w evaluated) evaluated {
+	w.tree = rs.q.CloneCOW()
+	err := rs.o.applyState(w.tree, rs.r, rs.objs, w.s)
+	if err == nil && !rs.o.Opts.SkipHeuristics {
+		w.fixpoint, err = rs.o.applyHeuristics(w.tree, rs.baseFixpoint && !fullHeuristicRepass)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return w
 }
 
 // exhaustive costs every combination in enumeration order: with binary
 // objects that is the paper's 2^N states; with V-variant objects,
 // prod(V_i + 1). The winner is the cheapest state, ties going to the
-// earlier in enumeration order; the zero state when nothing was costed.
-func (rs *ruleSearch) exhaustive() (state, error) {
-	best, bestCost := make(state, len(rs.variants)), math.Inf(1)
+// earlier in enumeration order.
+func (rs *ruleSearch) exhaustive() error {
 	for _, s := range enumerateStates(rs.variants) {
-		c, err := rs.cost(s)
-		if err != nil {
-			return stop(best, err)
-		}
-		if c < bestCost {
-			best, bestCost = s, c
+		if _, err := rs.cost(s); err != nil {
+			return err
 		}
 	}
-	return best, nil
+	return nil
 }
 
 // linear implements the dynamic-programming style linear search (§3.2): it
 // fixes objects one at a time, keeping a transformation of object i only if
 // it lowers the cost given the decisions already made, ties going to the
-// smaller variant. It evaluates N+1 states for binary objects. A budget
-// stop keeps the decisions made so far.
-func (rs *ruleSearch) linear() (state, error) {
-	cur := make(state, len(rs.variants))
-	curCost, err := rs.cost(cur)
-	if err != nil {
-		return stop(cur, err)
-	}
-	if math.IsInf(curCost, 1) {
-		return cur, nil // fault-skipped baseline: stay untransformed
+// smaller variant. It evaluates N+1 states for binary objects. Every state
+// it keeps is the running minimum's winner, so the decisions made so far are
+// rs.best.
+func (rs *ruleSearch) linear() error {
+	c, err := rs.cost(make(state, len(rs.variants)))
+	if err != nil || math.IsInf(c, 1) {
+		return err // a fault-skipped baseline stays untransformed
 	}
 	for i, nv := range rs.variants {
-		best := cur
+		cur := rs.best.s
 		for v := 1; v <= nv; v++ {
 			trial := cur.clone()
 			trial[i] = v
-			c, err := rs.cost(trial)
-			if err != nil {
-				return stop(best, err)
-			}
-			if c < curCost {
-				best, curCost = trial, c
+			if _, err := rs.cost(trial); err != nil {
+				return err
 			}
 		}
-		cur = best
 	}
-	return cur, nil
+	return nil
 }
 
 // twoPass compares only the all-untransformed and all-transformed states
 // (§3.2): the zero state's cost is the transformed state's cut-off.
-func (rs *ruleSearch) twoPass() (state, error) {
-	zero := make(state, len(rs.variants))
-	zeroCost, err := rs.cost(zero)
-	if err != nil {
-		return stop(zero, err)
-	}
-	if math.IsInf(zeroCost, 1) {
-		return zero, nil // fault-skipped baseline: stay untransformed
+func (rs *ruleSearch) twoPass() error {
+	c, err := rs.cost(make(state, len(rs.variants)))
+	if err != nil || math.IsInf(c, 1) {
+		return err // a fault-skipped baseline stays untransformed
 	}
 	all := make(state, len(rs.variants))
 	for i := range all {
 		all[i] = 1 // first variant of every object
 	}
-	c, err := rs.cost(all)
-	if err != nil {
-		return stop(zero, err)
-	}
-	if c < zeroCost {
-		return all, nil
-	}
-	return zero, nil
+	_, err = rs.cost(all)
+	return err
 }
 
 // iterative performs iterative improvement (§3.2): from a random initial
@@ -329,14 +343,14 @@ func (rs *ruleSearch) twoPass() (state, error) {
 // a local minimum; restart with a different initial state, bounded by
 // iterativeRestarts and iterativeMaxStates.
 //
-// A neighbour is kept only if it beats the climb's current state, and no
-// state of a finished climb is cheaper than the state it ended at, so the
-// rule's running minimum cuts every state at min(bestCost, curCost).
-func (rs *ruleSearch) iterative() (state, error) {
+// A neighbour is kept only if it beats the climb's current state, so no
+// state of a climb is cheaper than the state the climb reaches: the cheapest
+// state costed, which the running minimum keeps, is the untransformed state
+// or the end of a climb.
+func (rs *ruleSearch) iterative() error {
 	n := len(rs.variants)
 	rng := rand.New(rand.NewSource(iterativeSeed))
 	seen := map[string]bool{}
-	best := make(state, n)
 
 	// eval costs s unless this search has costed it before (fresh false).
 	eval := func(s state) (float64, bool, error) {
@@ -350,9 +364,8 @@ func (rs *ruleSearch) iterative() (state, error) {
 	}
 
 	// Always include the untransformed state.
-	bestCost, _, err := eval(best)
-	if err != nil {
-		return stop(best, err)
+	if _, _, err := eval(make(state, n)); err != nil {
+		return err
 	}
 
 	for restart := 0; restart < iterativeRestarts && rs.count < iterativeMaxStates; restart++ {
@@ -362,7 +375,7 @@ func (rs *ruleSearch) iterative() (state, error) {
 		}
 		curCost, fresh, err := eval(cur)
 		if err != nil {
-			return stop(best, err)
+			return err
 		}
 		if !fresh {
 			continue
@@ -380,10 +393,7 @@ func (rs *ruleSearch) iterative() (state, error) {
 					nb[i] = v
 					nbCost, fresh, err := eval(nb)
 					if err != nil {
-						if curCost < bestCost {
-							best = cur
-						}
-						return stop(best, err)
+						return err
 					}
 					if fresh && nbCost < curCost {
 						cur, curCost = nb, nbCost
@@ -392,11 +402,8 @@ func (rs *ruleSearch) iterative() (state, error) {
 				}
 			}
 		}
-		if curCost < bestCost {
-			best, bestCost = cur, curCost
-		}
 	}
-	return best, nil
+	return nil
 }
 
 // enumerateStates lists every state of the mixed-radix space in canonical

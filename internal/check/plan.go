@@ -273,7 +273,6 @@ func (c *planChecker) exprs(n optimizer.PlanNode, avail map[optimizer.ColID]bool
 							n.Label(), v.Kind, id.From, id.Ord)
 					}
 				}
-				return false
 			}
 			return true
 		})

@@ -208,7 +208,7 @@ type iterator interface {
 	Close() error
 }
 
-// Result holds the rows produced by a query along with column names.
+// Result holds the rows produced by a query.
 type Result struct {
 	Rows []Row
 }

@@ -39,15 +39,15 @@ const (
 	OutcomeBudget = "budget"
 )
 
-// Winner outcomes (SearchEvent.Outcome on EvWinner).
+// Winner outcomes (SearchEvent.Outcome on EvWinner). A rule whose search
+// faulted is quarantined instead and emits no EvWinner.
 const (
-	// WinnerApplied: a non-zero state won and its directives were applied.
+	// WinnerApplied: a non-zero state won; the query adopted the tree the
+	// search built and checked for it.
 	WinnerApplied = "applied"
-	// WinnerUntransformed: the zero state won; the query is unchanged.
+	// WinnerUntransformed: the zero state won (or none was costed); the
+	// query is unchanged.
 	WinnerUntransformed = "untransformed"
-	// WinnerRolledBack: applying the winner failed; the tree was restored
-	// and the rule quarantined.
-	WinnerRolledBack = "rolled-back"
 )
 
 // SearchEvent is one record of the structured CBQT search trace. Events are

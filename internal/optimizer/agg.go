@@ -11,7 +11,6 @@ import (
 // builds the Agg node, and rewrites those expressions to reference the
 // aggregate output columns.
 func (p *Planner) buildAgg(
-	q *qtree.Query,
 	b *qtree.Block,
 	child PlanNode,
 	es *estimator,
@@ -47,7 +46,7 @@ func (p *Planner) buildAgg(
 		specs[i] = AggSpec{Op: a.Op, Arg: a.Arg, Star: a.Star, Distinct: a.Distinct}
 	}
 
-	outFrom := q.NewFromID()
+	outFrom := p.newFromID()
 	agg := &Agg{
 		Child:        child,
 		GroupBy:      b.GroupBy,

@@ -38,9 +38,8 @@ func explainNode(sb *strings.Builder, p *Plan, n PlanNode, depth int, annotate f
 						indent, s.Kind, sp.PerExec, sp.EffectiveExecs)
 					explainNode(sb, p, sp.Root, depth+2, annotate)
 				}
-				return false
 			}
-			return true
+			return true // a subquery's left operands may hold one too
 		})
 	})
 	for _, ch := range n.Children() {

@@ -9,8 +9,9 @@
 //
 // This is the "cost estimation technique (physical optimizer)" component of
 // the paper's cost-based transformation framework (§3.1): the CBQT driver
-// deep-copies the query tree, applies a transformation state, and invokes
-// this optimizer to obtain the state's cost.
+// gives each transformation state its own copy of the query tree and invokes
+// this optimizer to obtain the state's cost. Planning reads the tree and
+// writes nothing to it.
 package optimizer
 
 import (
@@ -269,8 +270,7 @@ type SubPlan struct {
 type Plan struct {
 	Root     PlanNode
 	Subplans map[*qtree.Subq]*SubPlan
-	// BlocksOptimized counts query blocks costed while producing this plan,
-	// including cache-avoided ones; see Planner counters for the breakdown.
+	// Cost is the root operator's cumulative cost estimate.
 	Cost Cost
 }
 

@@ -67,6 +67,11 @@ type Planner struct {
 	// call, so the query-wide walk that names correlated references happens
 	// at most once per costed state.
 	keys *qtree.BlockKeyer
+	// nextFrom numbers the from IDs of plan outputs (subplans, set-operation
+	// branches, aggregates, windows). Optimize seeds it at the query's next
+	// from ID, so plan IDs never collide with the query's and planning
+	// writes nothing to the query.
+	nextFrom qtree.FromID
 }
 
 // New creates a planner over the catalog.
@@ -78,6 +83,7 @@ func New(cat *catalog.Catalog) *Planner {
 func (p *Planner) Optimize(q *qtree.Query) (*Plan, error) {
 	plan := &Plan{Subplans: map[*qtree.Subq]*SubPlan{}}
 	p.keys = q.BlockKeyer()
+	p.nextFrom, _ = q.IDCounters()
 	node, _, err := p.planBlock(q, q.Root, 0, plan)
 	if err != nil {
 		return nil, err
@@ -88,6 +94,13 @@ func (p *Planner) Optimize(q *qtree.Query) (*Plan, error) {
 		MarkLive(plan)
 	}
 	return plan, nil
+}
+
+// newFromID allocates the from ID of one plan output.
+func (p *Planner) newFromID() qtree.FromID {
+	id := p.nextFrom
+	p.nextFrom++
+	return id
 }
 
 // planResult carries block-planning outputs needed by enclosing blocks.
@@ -210,7 +223,7 @@ func (p *Planner) planSetOp(q *qtree.Query, b *qtree.Block, outFrom qtree.FromID
 	var total, rows float64
 	var firstInfo blockInfo
 	for i, c := range b.Set.Children {
-		childFrom := q.NewFromID()
+		childFrom := p.newFromID()
 		cn, info, err := p.planBlock(q, c, childFrom, plan)
 		if err != nil {
 			return nil, blockInfo{}, err
@@ -441,7 +454,7 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 
 	// Aggregation.
 	if b.HasGroupBy() {
-		node, selExprs, havingPreds, orderExprs, err = p.buildAgg(q, b, node, jb.es, selExprs, havingPreds, orderExprs)
+		node, selExprs, havingPreds, orderExprs, err = p.buildAgg(b, node, jb.es, selExprs, havingPreds, orderExprs)
 		if err != nil {
 			return nil, blockInfo{}, err
 		}
@@ -480,7 +493,7 @@ func (p *Planner) planSelectBlock(q *qtree.Query, b *qtree.Block, outFrom qtree.
 	// Window functions: computed over the filtered rows, before
 	// projection/distinct/order.
 	if b.HasWindowFuncs() {
-		node, selExprs = p.buildWindow(q, node, selExprs)
+		node, selExprs = p.buildWindow(node, selExprs)
 		// Order-by expressions may reference the same window functions via
 		// select aliases; rewrite them identically.
 		win, ok := node.(*Window)

@@ -16,7 +16,7 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 	if sp, ok := plan.Subplans[s]; ok {
 		return sp, nil
 	}
-	outFrom := q.NewFromID()
+	outFrom := p.newFromID()
 	node, _, err := p.planBlock(q, s.Block, outFrom, plan)
 	if err != nil {
 		return nil, err
@@ -75,9 +75,8 @@ func (p *Planner) buildSubqFilter(q *qtree.Query, child PlanNode, preds []qtree.
 				}
 				execs := math.Min(sp.EffectiveExecs, math.Max(inRows, 1))
 				total += execs*sp.PerExec + inRows*subqCacheProbe
-				return false
 			}
-			return true
+			return true // into a subquery's left operands, which may hold one too
 		})
 		if err != nil {
 			return nil, err
@@ -106,9 +105,8 @@ func (p *Planner) compileExprSubplans(q *qtree.Query, e qtree.Expr, es *estimato
 		}
 		if s, ok := x.(*qtree.Subq); ok {
 			_, err = p.compileSubq(q, s, es, 1, plan)
-			return false
 		}
-		return true
+		return err == nil
 	})
 	return err
 }

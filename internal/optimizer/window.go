@@ -9,7 +9,7 @@ import (
 // buildWindow plans the analytic-function step: it collects the distinct
 // window functions from the select list, builds the Window node, and
 // rewrites the select expressions to reference the window outputs.
-func (p *Planner) buildWindow(q *qtree.Query, child PlanNode, selExprs []qtree.Expr) (PlanNode, []qtree.Expr) {
+func (p *Planner) buildWindow(child PlanNode, selExprs []qtree.Expr) (PlanNode, []qtree.Expr) {
 	var funcs []*qtree.WinFunc
 	collect := func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
@@ -29,7 +29,7 @@ func (p *Planner) buildWindow(q *qtree.Query, child PlanNode, selExprs []qtree.E
 		collect(e)
 	}
 
-	win := &Window{Child: child, Funcs: funcs, OutFrom: q.NewFromID()}
+	win := &Window{Child: child, Funcs: funcs, OutFrom: p.newFromID()}
 	win.cols = append(append([]ColID(nil), child.Columns()...), outputCols(win.OutFrom, len(funcs))...)
 	rows := child.Cost().Rows
 	n := math.Max(rows, 2)

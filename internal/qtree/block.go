@@ -341,14 +341,15 @@ func (b *Block) exprRoots(f func(Expr)) {
 	}
 }
 
-// VisitExprs applies f to every expression in the block, without descending
-// into view blocks or subquery blocks (f receives the Subq node itself).
+// VisitExprs applies f to every expression in the block, a subquery's left
+// operands included, without descending into view blocks or subquery blocks
+// (f receives the Subq node itself). A subquery nested in another's left
+// operands is the block's own, like any other.
 func (b *Block) VisitExprs(f func(Expr)) {
 	b.exprRoots(func(e Expr) {
 		WalkExpr(e, func(x Expr) bool {
 			f(x)
-			_, isSubq := x.(*Subq)
-			return !isSubq
+			return true
 		})
 	})
 }
@@ -518,31 +519,21 @@ func (b *Block) approxBytes(node int64) int64 {
 
 // children calls f on each block directly nested in b: set-operation
 // branches, then view bodies in from order, then subquery blocks in
-// expression order. col, when non-nil, is called first on every column
-// reference of b's own expressions, a subquery's left operands included,
-// in the same pass over them that finds the subquery blocks.
+// expression order (VisitExprs', so a subquery nested in another's left
+// operands is a child too). col, when non-nil, is called first on every
+// column reference of b's own expressions, a subquery's left operands
+// included, in the same pass over them that finds the subquery blocks.
 func (b *Block) children(col func(*Col), f func(*Block)) {
 	subs := make([]*Block, 0, 16)
-	cols := func(x Expr) bool {
-		if c, ok := x.(*Col); ok && col != nil {
-			col(c)
+	b.VisitExprs(func(x Expr) {
+		switch v := x.(type) {
+		case *Col:
+			if col != nil {
+				col(v)
+			}
+		case *Subq:
+			subs = append(subs, v.Block)
 		}
-		return true
-	}
-	b.exprRoots(func(e Expr) {
-		WalkExpr(e, func(x Expr) bool {
-			s, ok := x.(*Subq)
-			if !ok {
-				return cols(x)
-			}
-			subs = append(subs, s.Block)
-			for _, l := range s.Left {
-				if col != nil {
-					WalkExpr(l, cols) // a subquery there is not a child
-				}
-			}
-			return false
-		})
 	})
 	if b.Set != nil {
 		for _, c := range b.Set.Children {

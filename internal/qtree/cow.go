@@ -249,14 +249,14 @@ func (q *Query) relink(parent, old, nb *Block) {
 		}
 	}
 	replaced := false
-	RewriteBlockExprs(parent, func(e Expr) Expr {
-		if s, ok := e.(*Subq); ok && s.Block == old {
-			ns := *s
-			ns.Block = nb
-			replaced = true
-			return &ns
+	rewriteSubqs(parent, func(s *Subq) *Subq {
+		if s.Block != old {
+			return nil
 		}
-		return nil
+		ns := *s
+		ns.Block = nb
+		replaced = true
+		return &ns
 	})
 	if !replaced {
 		panic("qtree: COW relink found no link from parent to child")
@@ -286,11 +286,7 @@ func (q *Query) privatize(b *Block) {
 		f.View = v
 		q.privatize(v)
 	}
-	RewriteBlockExprs(b, func(e Expr) Expr {
-		s, ok := e.(*Subq)
-		if !ok {
-			return nil
-		}
+	rewriteSubqs(b, func(s *Subq) *Subq {
 		blk := q.Resolve(s.Block)
 		if blk.query != q {
 			blk = q.materialize(blk)

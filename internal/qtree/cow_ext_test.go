@@ -2,6 +2,7 @@ package qtree_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -21,6 +22,52 @@ var cowSQLs = []string{
 	"SELECT e.DEPT_ID, AVG(e.SALARY) AS A FROM EMP e GROUP BY e.DEPT_ID ORDER BY e.DEPT_ID",
 	"SELECT e.NAME FROM EMP e UNION ALL SELECT d.NAME FROM DEPT d",
 	"SELECT e.EMP_ID, w.M FROM EMP e, (SELECT v.N AS M FROM (SELECT d.NAME AS N FROM DEPT d) v) w",
+	nestedLeftSQL,
+}
+
+// nestedLeftSQL holds a subquery in another subquery's left operand.
+const nestedLeftSQL = "SELECT e.NAME FROM EMP e WHERE (SELECT MAX(d.LOC_ID) FROM DEPT d WHERE d.DEPT_ID = e.DEPT_ID) > ALL (SELECT d2.LOC_ID FROM DEPT d2 WHERE d2.DEPT_ID < 3)"
+
+// TestCOWNestedLeftSubquery: a subquery nested in another subquery's left
+// operand is a block of the clone like any other. Mutable reaches it through
+// that operand and relinks it, MutableDeep materializes it, and the base
+// never changes.
+func TestCOWNestedLeftSubquery(t *testing.T) {
+	q := bindCOW(t, nestedLeftSQL)
+	before := q.SQL()
+	snap := check.Snapshot(q)
+	var nested *qtree.Block
+	q.Root.Walk(func(b *qtree.Block) bool {
+		if len(b.From) == 1 && b.From[0].Alias == "d" {
+			nested = b
+		}
+		return true
+	})
+	if nested == nil {
+		t.Fatalf("Walk does not reach the nested subquery block of %s", before)
+	}
+
+	c := q.CloneCOW()
+	c.Mutable(nested).Distinct = true
+	if got := c.SQL(); got == before || !strings.Contains(got, "(SELECT DISTINCT MAX(d.LOC_ID)") {
+		t.Errorf("the clone's nested block did not take the mutation: %s", got)
+	}
+	deep := q.CloneCOW()
+	deep.MutableDeep(deep.Root)
+	if shared, _, _ := deep.COWStats(); shared != 0 {
+		t.Errorf("MutableDeep of the root left %d blocks shared", shared)
+	}
+	for _, vq := range []*qtree.Query{q, c, deep} {
+		if vs := check.Aliasing(vq); len(vs) > 0 {
+			t.Errorf("aliasing violations: %v", vs)
+		}
+	}
+	if got := q.SQL(); got != before {
+		t.Errorf("base changed:\n got %s\nwant %s", got, before)
+	}
+	if vs := snap.Verify(); len(vs) > 0 {
+		t.Errorf("base snapshot violated: %v", vs)
+	}
 }
 
 func bindCOW(t *testing.T, sql string) *qtree.Query {

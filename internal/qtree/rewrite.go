@@ -1,5 +1,7 @@
 package qtree
 
+import "slices"
+
 // RewriteExpr rebuilds e bottom-up applying f at every node. If f returns a
 // non-nil expression for a node, that replacement is used and its children
 // are not visited. Subquery blocks are not entered.
@@ -94,6 +96,35 @@ func RewriteBlockExprs(b *Block, f func(Expr) Expr) {
 	for i := range b.OrderBy {
 		b.OrderBy[i].Expr = RewriteExpr(b.OrderBy[i].Expr, f)
 	}
+}
+
+// rewriteSubqs rewrites b's expression slots in place, replacing each
+// subquery expression s, one nested in another's left operands included,
+// with f(s) when that is non-nil.
+func rewriteSubqs(b *Block, f func(*Subq) *Subq) {
+	var rw func(Expr) Expr
+	rw = func(e Expr) Expr {
+		s, ok := e.(*Subq)
+		if !ok {
+			return nil
+		}
+		ns := f(s)
+		if slices.ContainsFunc(s.Left, ContainsSubq) {
+			if ns == nil {
+				c := *s
+				ns = &c
+			}
+			ns.Left = make([]Expr, len(s.Left))
+			for i, l := range s.Left {
+				ns.Left[i] = RewriteExpr(l, rw)
+			}
+		}
+		if ns == nil {
+			return nil // keep s
+		}
+		return ns
+	}
+	RewriteBlockExprs(b, rw)
 }
 
 // RewriteBlockExprsDeep applies f to every expression in the block and in
