@@ -23,7 +23,7 @@ var updateDecisions = flag.Bool("update-decisions", false, "rewrite testdata/dec
 // decisionCorpus is the fixed corpus whose decisions TestDecisionIdentity
 // pins: the Table 2 family at one to ten subqueries, then the per-class
 // texts of bench.AdhocCorpus for seeds 1 to 5 (the family texts it repeats
-// per seed are left out).
+// per seed are left out), then reshapeCorpus.
 func decisionCorpus() []string {
 	var out []string
 	for n := 1; n <= 10; n++ {
@@ -33,7 +33,34 @@ func decisionCorpus() []string {
 		adhoc := bench.AdhocCorpus(seed)
 		out = append(out, adhoc[4:]...)
 	}
-	return out
+	return append(out, reshapeCorpus...)
+}
+
+// reshapeCorpus holds texts whose winning state the heuristic re-pass of
+// §3.1 reshapes (move-around pushes or derives predicates, view merging
+// merges what the transformation left), so the corpus's decisions depend
+// on that re-pass: a search that costed states without it picks other
+// winners or other plans here, where no earlier corpus text moves.
+var reshapeCorpus = []string{
+	// Join factorization over a UNION ALL: the re-pass reshapes the view
+	// factoring leaves.
+	`SELECT d.department_name, l.city, e.employee_name FROM employees e, departments d, locations l
+ WHERE e.dept_id = d.dept_id AND d.loc_id = l.loc_id AND e.salary > 9000
+UNION ALL
+SELECT d.department_name, l.city, s.country_id FROM sales s, departments d, locations l
+ WHERE s.dept_id = d.dept_id AND d.loc_id = l.loc_id AND s.amount > 900`,
+	// Unnesting into a group-by view: move-around pushes e.dept_id = 4 into it.
+	`SELECT e.employee_name FROM employees e
+ WHERE e.salary > (SELECT AVG(e2.salary) FROM employees e2, departments d2 WHERE e2.dept_id = d2.dept_id AND e2.dept_id = e.dept_id)
+ AND e.dept_id = 4`,
+	// INTERSECT into a semijoin over a mergeable view.
+	`SELECT e.emp_id FROM employees e INTERSECT SELECT s.emp_id FROM sales s`,
+	// Group-by placement: move-around derives a filter on the new view.
+	`SELECT d.department_name, SUM(s.amount) FROM departments d, sales s
+ WHERE d.dept_id = s.dept_id AND d.dept_id > 3 GROUP BY d.department_name`,
+	// Group-by view merging against join predicate pushdown.
+	`SELECT v.c FROM (SELECT e.dept_id, COUNT(*) c FROM employees e GROUP BY e.dept_id) v, departments d
+ WHERE v.dept_id = d.dept_id AND d.dept_id = 3`,
 }
 
 // TestDecisionIdentity pins every decision the optimizer makes over

@@ -20,9 +20,6 @@ func (p *Planner) buildAgg(
 	var aggs []*qtree.Agg
 	collect := func(e qtree.Expr) {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
-			if _, ok := x.(*qtree.Subq); ok {
-				return false
-			}
 			if a, ok := x.(*qtree.Agg); ok {
 				if qtree.IndexOf(aggs, a) < 0 {
 					aggs = append(aggs, a)
@@ -97,9 +94,6 @@ func (p *Planner) buildAgg(
 				if j := qtree.IndexOf(aggs, a); j >= 0 {
 					return &qtree.Col{From: outFrom, Ord: nGB + j, Name: "AGG"}
 				}
-			}
-			if _, ok := x.(*qtree.Subq); ok {
-				return x // leave subqueries intact
 			}
 			if i := qtree.IndexOf(b.GroupBy, x); i >= 0 {
 				return &qtree.Col{From: outFrom, Ord: i, Name: "GRP"}

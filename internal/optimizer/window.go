@@ -19,9 +19,6 @@ func (p *Planner) buildWindow(child PlanNode, selExprs []qtree.Expr) (PlanNode, 
 				}
 				return false
 			}
-			if _, ok := x.(*qtree.Subq); ok {
-				return false
-			}
 			return true
 		})
 	}

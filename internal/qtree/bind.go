@@ -550,7 +550,7 @@ func (bd *binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (Expr, error) {
 		}
 		rng := &Bin{Op: OpAnd,
 			L: &Bin{Op: OpGe, L: x, R: lo},
-			R: &Bin{Op: OpLe, L: x.Clone(&Remap{IDs: map[FromID]FromID{}, dst: bd.q}), R: hi},
+			R: &Bin{Op: OpLe, L: CloneExpr(bd.q, x), R: hi},
 		}
 		if v.Not {
 			return &Not{E: rng}, nil
@@ -792,13 +792,8 @@ func (bd *binder) bindWindow(v *sql.FuncCall, sc *scope) (Expr, error) {
 func ContainsWindow(e Expr) bool {
 	found := false
 	WalkExpr(e, func(x Expr) bool {
-		switch x.(type) {
-		case *WinFunc:
-			found = true
-			return false
-		case *Subq:
-			return false
-		}
+		_, isWin := x.(*WinFunc)
+		found = found || isWin
 		return !found
 	})
 	return found
@@ -999,7 +994,7 @@ func (bd *binder) bindOrderBy(b *Block, items []sql.OrderItem, outer *scope) err
 					// Positional reference into the set operation's output.
 					e = &Col{From: 0, Ord: idx, Name: strings.ToUpper(cr.Name)}
 				} else {
-					e = b.Select[idx].Expr.Clone(&Remap{IDs: map[FromID]FromID{}, dst: bd.q})
+					e = CloneExpr(bd.q, b.Select[idx].Expr)
 				}
 				b.OrderBy = append(b.OrderBy, OrderItem{Expr: e, Desc: oi.Desc})
 				continue
@@ -1051,8 +1046,6 @@ func validateGrouping(b *Block) error {
 			switch v := x.(type) {
 			case *Agg:
 				return false // columns under aggregates are fine
-			case *Subq:
-				return false // subqueries validated separately
 			case *Col:
 				// Only local references must be grouped; correlated outer
 				// references are constant per group.

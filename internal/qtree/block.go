@@ -251,11 +251,6 @@ func CloneBlockInto(b *Block, q *Query) *Block {
 	return b.cloneStructure(r)
 }
 
-// RegisterBlockIDs pre-registers fresh IDs in r for every from item of the
-// block subtree. Callers cloning an expression that embeds subquery blocks
-// must register those blocks first so the clones get distinct identities.
-func RegisterBlockIDs(b *Block, r *Remap) { registerFromIDs(b, r) }
-
 // registerFromIDs pre-registers fresh IDs for every from item in the block
 // subtree (including views and subquery blocks) so that references remap
 // consistently regardless of clone order.
@@ -278,66 +273,88 @@ func registerFromIDs(b *Block, r *Remap) {
 	})
 }
 
+// cloneStructure deep-copies b into r's query with a fresh block ID, its
+// from IDs translated through r (registerFromIDs must have covered them):
+// set-operation branches, then view bodies in from order, then every
+// expression slot (cloneExpr), each subquery block in it copied in turn.
 func (b *Block) cloneStructure(r *Remap) *Block {
-	nb := r.dst.NewBlock()
-	nb.Distinct = b.Distinct
-	nb.Limit = b.Limit
-	if b.Set != nil {
-		nb.Set = &SetOp{Kind: b.Set.Kind}
-		for _, c := range b.Set.Children {
-			nb.Set.Children = append(nb.Set.Children, c.cloneStructure(r))
+	id := r.dst.nextBlk
+	r.dst.nextBlk++
+	nb := b.shell(r.dst)
+	nb.ID = id
+	if nb.Set != nil {
+		for i, c := range nb.Set.Children {
+			nb.Set.Children[i] = c.cloneStructure(r)
 		}
 	}
-	for _, f := range b.From {
-		nf := &FromItem{
-			ID: r.lookup(f.ID), Alias: f.Alias, Table: f.Table,
-			Kind: f.Kind, Lateral: f.Lateral,
-		}
+	for _, f := range nb.From {
+		f.ID = r.lookup(f.ID)
 		if f.View != nil {
-			nf.View = f.View.cloneStructure(r)
+			f.View = f.View.cloneStructure(r)
 		}
-		nf.Cond = cloneExprs(f.Cond, r)
-		nb.From = append(nb.From, nf)
 	}
-	for _, it := range b.Select {
-		nb.Select = append(nb.Select, SelectItem{Expr: it.Expr.Clone(r), Alias: it.Alias})
+	nb.exprSlots(func(p *Expr) { *p = cloneExpr(*p, r, false) })
+	return nb
+}
+
+// shell copies b's own structure into a block owned by q: same ID, private
+// slices, FromItem structs and SetOp header, shared expression nodes and
+// child blocks.
+func (b *Block) shell(q *Query) *Block {
+	nb := &Block{
+		ID:       b.ID,
+		Distinct: b.Distinct,
+		Limit:    b.Limit,
+		Select:   slices.Clone(b.Select),
+		Where:    slices.Clone(b.Where),
+		GroupBy:  slices.Clone(b.GroupBy),
+		Having:   slices.Clone(b.Having),
+		OrderBy:  slices.Clone(b.OrderBy),
+		query:    q,
 	}
-	nb.Where = cloneExprs(b.Where, r)
-	nb.GroupBy = cloneExprs(b.GroupBy, r)
 	if b.GroupingSets != nil {
 		nb.GroupingSets = make([][]int, len(b.GroupingSets))
 		for i, s := range b.GroupingSets {
-			nb.GroupingSets[i] = append([]int(nil), s...)
+			nb.GroupingSets[i] = slices.Clone(s)
 		}
 	}
-	nb.Having = cloneExprs(b.Having, r)
-	for _, o := range b.OrderBy {
-		nb.OrderBy = append(nb.OrderBy, OrderItem{Expr: o.Expr.Clone(r), Desc: o.Desc})
+	if len(b.From) > 0 {
+		nb.From = make([]*FromItem, len(b.From))
+		for i, f := range b.From {
+			nf := *f
+			nf.Cond = slices.Clone(f.Cond)
+			nb.From[i] = &nf
+		}
+	}
+	if b.Set != nil {
+		nb.Set = &SetOp{Kind: b.Set.Kind, Children: slices.Clone(b.Set.Children)}
 	}
 	return nb
 }
 
-// exprRoots applies f to the root of every expression slot of the block.
-func (b *Block) exprRoots(f func(Expr)) {
-	for _, it := range b.Select {
-		f(it.Expr)
+// exprSlots is the one list of a block's expression slots: it calls f on a
+// pointer to the root of each, in order: the select list, each from item's
+// ON conjuncts in from order, WHERE, GROUP BY, HAVING and ORDER BY.
+func (b *Block) exprSlots(f func(*Expr)) {
+	for i := range b.Select {
+		f(&b.Select[i].Expr)
 	}
 	for _, fi := range b.From {
-		for _, c := range fi.Cond {
-			f(c)
+		for i := range fi.Cond {
+			f(&fi.Cond[i])
 		}
 	}
-	for _, e := range b.Where {
-		f(e)
+	for i := range b.Where {
+		f(&b.Where[i])
 	}
-	for _, e := range b.GroupBy {
-		f(e)
+	for i := range b.GroupBy {
+		f(&b.GroupBy[i])
 	}
-	for _, e := range b.Having {
-		f(e)
+	for i := range b.Having {
+		f(&b.Having[i])
 	}
-	for _, o := range b.OrderBy {
-		f(o.Expr)
+	for i := range b.OrderBy {
+		f(&b.OrderBy[i].Expr)
 	}
 }
 
@@ -346,86 +363,35 @@ func (b *Block) exprRoots(f func(Expr)) {
 // (f receives the Subq node itself). A subquery nested in another's left
 // operands is the block's own, like any other.
 func (b *Block) VisitExprs(f func(Expr)) {
-	b.exprRoots(func(e Expr) {
-		WalkExpr(e, func(x Expr) bool {
+	b.exprSlots(func(p *Expr) {
+		WalkExpr(*p, func(x Expr) bool {
 			f(x)
 			return true
 		})
 	})
 }
 
-// WalkExpr walks e in pre-order. f returns whether to descend into the
-// node's children. Subquery blocks are not entered (the *Subq node is
-// visited; its Left expressions are walked when f returns true).
+// WalkExpr walks e in pre-order: a node, then its children (subExprs) in
+// order. f returns whether to descend into the node's children. A
+// subquery's left operands are its children; its block is not entered.
 func WalkExpr(e Expr, f func(Expr) bool) {
 	if e == nil || !f(e) {
 		return
 	}
-	switch v := e.(type) {
-	case *Bin:
-		WalkExpr(v.L, f)
-		WalkExpr(v.R, f)
-	case *Not:
-		WalkExpr(v.E, f)
-	case *IsNull:
-		WalkExpr(v.E, f)
-	case *Like:
-		WalkExpr(v.E, f)
-		WalkExpr(v.Pattern, f)
-	case *InList:
-		WalkExpr(v.E, f)
-		for _, x := range v.Vals {
-			WalkExpr(x, f)
-		}
-	case *Func:
-		for _, x := range v.Args {
-			WalkExpr(x, f)
-		}
-	case *LNNVL:
-		WalkExpr(v.E, f)
-	case *IsTrue:
-		WalkExpr(v.E, f)
-	case *Agg:
-		if v.Arg != nil {
-			WalkExpr(v.Arg, f)
-		}
-	case *WinFunc:
-		if v.Arg != nil {
-			WalkExpr(v.Arg, f)
-		}
-		for _, x := range v.PartitionBy {
-			WalkExpr(x, f)
-		}
-		for _, o := range v.OrderBy {
-			WalkExpr(o.Expr, f)
-		}
-	case *Subq:
-		for _, x := range v.Left {
-			WalkExpr(x, f)
-		}
-	case *Case:
-		for _, w := range v.Whens {
-			WalkExpr(w.Cond, f)
-			WalkExpr(w.Result, f)
-		}
-		if v.Else != nil {
-			WalkExpr(v.Else, f)
-		}
+	switch e.(type) {
+	case *Col, *Const:
+		return // the commonest leaves, spared the call
 	}
+	subExprs(e, false, func(c *Expr) { WalkExpr(*c, f) })
 }
 
 // ContainsAgg reports whether e contains an aggregate function reference
-// (not inside a nested subquery).
+// (a subquery's left operands included, not inside a subquery block).
 func ContainsAgg(e Expr) bool {
 	found := false
 	WalkExpr(e, func(x Expr) bool {
-		switch x.(type) {
-		case *Agg:
-			found = true
-			return false
-		case *Subq:
-			return false
-		}
+		_, isAgg := x.(*Agg)
+		found = found || isAgg
 		return !found
 	})
 	return found

@@ -196,34 +196,7 @@ func (q *Query) findPath(target *Block) ([]*Block, bool) {
 // nodes and child *Block pointers. The copy is registered in the forwarding
 // map so stale pointers resolve to it.
 func (q *Query) materialize(b *Block) *Block {
-	nb := &Block{
-		ID:       b.ID,
-		Distinct: b.Distinct,
-		Limit:    b.Limit,
-		Select:   append([]SelectItem(nil), b.Select...),
-		Where:    append([]Expr(nil), b.Where...),
-		GroupBy:  append([]Expr(nil), b.GroupBy...),
-		Having:   append([]Expr(nil), b.Having...),
-		OrderBy:  append([]OrderItem(nil), b.OrderBy...),
-		query:    q,
-	}
-	if b.GroupingSets != nil {
-		nb.GroupingSets = make([][]int, len(b.GroupingSets))
-		for i, s := range b.GroupingSets {
-			nb.GroupingSets[i] = append([]int(nil), s...)
-		}
-	}
-	if len(b.From) > 0 {
-		nb.From = make([]*FromItem, len(b.From))
-		for i, f := range b.From {
-			nf := *f
-			nf.Cond = append([]Expr(nil), f.Cond...)
-			nb.From[i] = &nf
-		}
-	}
-	if b.Set != nil {
-		nb.Set = &SetOp{Kind: b.Set.Kind, Children: append([]*Block(nil), b.Set.Children...)}
-	}
+	nb := b.shell(q)
 	q.cow.fwd[b] = nb
 	materializeCount.Add(1)
 	return nb
@@ -248,15 +221,28 @@ func (q *Query) relink(parent, old, nb *Block) {
 			return
 		}
 	}
+	// Only the slot that holds the link is rebuilt.
 	replaced := false
-	rewriteSubqs(parent, func(s *Subq) *Subq {
-		if s.Block != old {
-			return nil
+	parent.exprSlots(func(p *Expr) {
+		if replaced {
+			return
 		}
-		ns := *s
-		ns.Block = nb
-		replaced = true
-		return &ns
+		WalkExpr(*p, func(x Expr) bool {
+			if s, ok := x.(*Subq); ok && s.Block == old {
+				replaced = true
+			}
+			return !replaced
+		})
+		if replaced {
+			*p = RewriteExpr(*p, func(e Expr) Expr {
+				if s, ok := e.(*Subq); ok && s.Block == old {
+					ns := *s
+					ns.Block = nb
+					return &ns
+				}
+				return nil
+			})
+		}
 	})
 	if !replaced {
 		panic("qtree: COW relink found no link from parent to child")
@@ -286,21 +272,17 @@ func (q *Query) privatize(b *Block) {
 		f.View = v
 		q.privatize(v)
 	}
-	rewriteSubqs(b, func(s *Subq) *Subq {
-		blk := q.Resolve(s.Block)
-		if blk.query != q {
-			blk = q.materialize(blk)
-		}
-		if blk == s.Block {
-			return nil
-		}
-		ns := *s
-		ns.Block = blk
-		return &ns
-	})
+	// Rebuilding the spines gives every subquery node a private copy
+	// (RewriteExpr), which may then link its private block.
+	RewriteBlockExprs(b, func(Expr) Expr { return nil })
 	b.VisitExprs(func(e Expr) {
 		if s, ok := e.(*Subq); ok {
-			q.privatize(s.Block)
+			blk := q.Resolve(s.Block)
+			if blk.query != q {
+				blk = q.materialize(blk)
+			}
+			s.Block = blk
+			q.privatize(blk)
 		}
 	})
 }

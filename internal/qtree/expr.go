@@ -12,6 +12,8 @@
 package qtree
 
 import (
+	"slices"
+
 	"repro/internal/catalog"
 	"repro/internal/datum"
 )
@@ -21,12 +23,10 @@ import (
 // transformations that reorder or splice from lists.
 type FromID int32
 
-// Expr is a scalar or predicate expression in the query tree.
+// Expr is a scalar or predicate expression in the query tree. Its node
+// types are listed here; subExprs names each one's children, and every
+// walk, rewrite and copy of an expression goes through it.
 type Expr interface {
-	// Clone deep-copies the expression, remapping from-item IDs through r.
-	// IDs absent from r (references to items outside the copied subtree,
-	// i.e. correlation) are preserved.
-	Clone(r *Remap) Expr
 	// String renders the expression in SQL-ish syntax using raw from IDs;
 	// use Block rendering for resolvable SQL. It is for display: compare
 	// expressions with Equal.
@@ -51,11 +51,6 @@ func (r *Remap) lookup(id FromID) FromID {
 // Lookup translates an old from-item ID to its clone's ID; IDs outside the
 // copied subtree map to themselves.
 func (r *Remap) Lookup(id FromID) FromID { return r.lookup(id) }
-
-// NewRemap returns an identity remap targeting query q: cloning with it
-// preserves all from-item references while still allocating block
-// identities (for subquery blocks) from q.
-func NewRemap(q *Query) *Remap { return &Remap{IDs: map[FromID]FromID{}, dst: q} }
 
 // Const is a literal value.
 type Const struct{ Val datum.Datum }
@@ -279,66 +274,127 @@ type Case struct {
 	Else  Expr // may be nil (NULL)
 }
 
-func (e *Const) Clone(r *Remap) Expr { return &Const{Val: e.Val} }
-func (e *Param) Clone(r *Remap) Expr { return &Param{Ord: e.Ord, Name: e.Name} }
-func (e *Col) Clone(r *Remap) Expr {
-	return &Col{From: r.lookup(e.From), Ord: e.Ord, Name: e.Name}
-}
-func (e *Bin) Clone(r *Remap) Expr { return &Bin{Op: e.Op, L: e.L.Clone(r), R: e.R.Clone(r)} }
-func (e *Not) Clone(r *Remap) Expr { return &Not{E: e.E.Clone(r)} }
-func (e *IsNull) Clone(r *Remap) Expr {
-	return &IsNull{E: e.E.Clone(r), Neg: e.Neg}
-}
-func (e *Like) Clone(r *Remap) Expr {
-	return &Like{E: e.E.Clone(r), Pattern: e.Pattern.Clone(r), Neg: e.Neg}
-}
-func (e *InList) Clone(r *Remap) Expr {
-	return &InList{E: e.E.Clone(r), Vals: cloneExprs(e.Vals, r), Neg: e.Neg}
-}
-func (e *Func) Clone(r *Remap) Expr   { return &Func{Def: e.Def, Args: cloneExprs(e.Args, r)} }
-func (e *LNNVL) Clone(r *Remap) Expr  { return &LNNVL{E: e.E.Clone(r)} }
-func (e *IsTrue) Clone(r *Remap) Expr { return &IsTrue{E: e.E.Clone(r)} }
-func (e *Agg) Clone(r *Remap) Expr {
-	c := &Agg{Op: e.Op, Star: e.Star, Distinct: e.Distinct}
-	if e.Arg != nil {
-		c.Arg = e.Arg.Clone(r)
+// subExprs is the one definition of an expression node's children: it
+// calls f on a pointer to each sub-expression slot of e, in order. A
+// subquery's children are its left operands; its block is not an
+// expression and is not among them. An absent optional operand (an
+// aggregate's or a window's nil argument, a CASE without ELSE) is passed
+// as a nil slot. With fresh set, a node that has children is first copied,
+// slices included, and f sees the copy's slots, so it may overwrite them;
+// a leaf is never copied. subExprs returns the node whose slots f saw.
+func subExprs(e Expr, fresh bool, f func(*Expr)) Expr {
+	switch v := e.(type) {
+	case *Bin:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.L)
+		f(&v.R)
+		return v
+	case *Not:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.E)
+		return v
+	case *IsNull:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.E)
+		return v
+	case *Like:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.E)
+		f(&v.Pattern)
+		return v
+	case *InList:
+		if fresh {
+			c := *v
+			c.Vals = slices.Clone(v.Vals)
+			v = &c
+		}
+		f(&v.E)
+		for i := range v.Vals {
+			f(&v.Vals[i])
+		}
+		return v
+	case *Func:
+		if fresh {
+			c := *v
+			c.Args = slices.Clone(v.Args)
+			v = &c
+		}
+		for i := range v.Args {
+			f(&v.Args[i])
+		}
+		return v
+	case *LNNVL:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.E)
+		return v
+	case *IsTrue:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.E)
+		return v
+	case *Agg:
+		if fresh {
+			c := *v
+			v = &c
+		}
+		f(&v.Arg)
+		return v
+	case *WinFunc:
+		if fresh {
+			c := *v
+			c.PartitionBy = slices.Clone(v.PartitionBy)
+			c.OrderBy = slices.Clone(v.OrderBy)
+			v = &c
+		}
+		f(&v.Arg)
+		for i := range v.PartitionBy {
+			f(&v.PartitionBy[i])
+		}
+		for i := range v.OrderBy {
+			f(&v.OrderBy[i].Expr)
+		}
+		return v
+	case *Subq:
+		if fresh {
+			c := *v
+			c.Left = slices.Clone(v.Left)
+			v = &c
+		}
+		for i := range v.Left {
+			f(&v.Left[i])
+		}
+		return v
+	case *Case:
+		if fresh {
+			c := *v
+			c.Whens = slices.Clone(v.Whens)
+			v = &c
+		}
+		for i := range v.Whens {
+			f(&v.Whens[i].Cond)
+			f(&v.Whens[i].Result)
+		}
+		f(&v.Else)
+		return v
 	}
-	return c
-}
-func (e *WinFunc) Clone(r *Remap) Expr {
-	c := &WinFunc{Op: e.Op, Star: e.Star, Running: e.Running}
-	if e.Arg != nil {
-		c.Arg = e.Arg.Clone(r)
-	}
-	c.PartitionBy = cloneExprs(e.PartitionBy, r)
-	for _, o := range e.OrderBy {
-		c.OrderBy = append(c.OrderBy, OrderItem{Expr: o.Expr.Clone(r), Desc: o.Desc})
-	}
-	return c
-}
-func (e *Subq) Clone(r *Remap) Expr {
-	return &Subq{Kind: e.Kind, Op: e.Op, Left: cloneExprs(e.Left, r), Block: e.Block.cloneStructure(r)}
-}
-func (e *Case) Clone(r *Remap) Expr {
-	c := &Case{}
-	for _, w := range e.Whens {
-		c.Whens = append(c.Whens, CaseWhen{Cond: w.Cond.Clone(r), Result: w.Result.Clone(r)})
-	}
-	if e.Else != nil {
-		c.Else = e.Else.Clone(r)
-	}
-	return c
-}
-
-func cloneExprs(es []Expr, r *Remap) []Expr {
-	if es == nil {
-		return nil
-	}
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = e.Clone(r)
-	}
-	return out
+	return e // *Const, *Col, *Param: no children
 }
 
 func (e *Const) String() string   { return e.Val.String() }

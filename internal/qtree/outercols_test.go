@@ -7,18 +7,14 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/qtree"
 	"repro/internal/testkit"
-	"repro/internal/transform"
 )
 
 // TestOuterColsMatchReference pins OuterCols and the canonical keys built on
 // it against the walks they replaced (export_test.go). Over every block of
-// the bound, heuristic and per-state trees of the decision corpus (the
-// Table 2 family and the per-class texts of bench.AdhocCorpus, as
-// internal/cbqt's TestDecisionIdentity pins them), under every variant of
-// every cost-based rule applied to a copy-on-write clone:
+// the bound, heuristic, per-state and optimized trees of the decision
+// corpus (corpusTrees):
 //   - OuterCols reports the former column sequence minus the set-operation
 //     output references (From 0) and the subtree's own items, in order; its
 //     from IDs are the former OuterRefs and its distinct (from, ord) pairs
@@ -28,17 +24,10 @@ import (
 //     in the order the text first names them.
 func TestOuterColsMatchReference(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
-	var corpus []string
-	for n := 1; n <= 10; n++ {
-		corpus = append(corpus, bench.Table2FamilyQuery(n))
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		corpus = append(corpus, bench.AdhocCorpus(seed)[4:]...)
-	}
 	keyOf := map[string]string{} // former key -> key
 	refOf := map[string]string{} // key -> former key
 	trees, blocks, correlated := 0, 0, 0
-	check := func(i int, stage string, q *qtree.Query) {
+	check := func(where string, q *qtree.Query) {
 		t.Helper()
 		trees++
 		k := q.BlockKeyer()
@@ -53,7 +42,7 @@ func TestOuterColsMatchReference(t *testing.T) {
 			})
 			b.OuterCols(func(c *qtree.Col) { got = append(got, c) })
 			if !slices.Equal(got, want) {
-				t.Errorf("query %d %s block %d: OuterCols = %v, reference %v", i, stage, b.ID, got, want)
+				t.Errorf("%s block %d: OuterCols = %v, reference %v", where, b.ID, got, want)
 			}
 			if len(got) > 0 {
 				correlated++
@@ -70,42 +59,24 @@ func TestOuterColsMatchReference(t *testing.T) {
 			delete(refs, 0)
 			refTIS := slices.DeleteFunc(qtree.RefOuterColIDs(b), func(id qtree.RefColID) bool { return id.From == 0 })
 			if !maps.Equal(ids, refs) || !slices.Equal(tis, refTIS) {
-				t.Errorf("query %d %s block %d: outer IDs %v and TIS key %v, reference %v and %v",
-					i, stage, b.ID, ids, tis, refs, refTIS)
+				t.Errorf("%s block %d: outer IDs %v and TIS key %v, reference %v and %v",
+					where, b.ID, ids, tis, refs, refTIS)
 			}
 			ref, key := qtree.RefKey(q, b), k.Key(b)
 			if got := renumberLocal(ref); got != key {
-				t.Errorf("query %d %s block %d: key\n%q, former key renumbered\n%q", i, stage, b.ID, key, got)
+				t.Errorf("%s block %d: key\n%q, former key renumbered\n%q", where, b.ID, key, got)
 			}
 			if prev, ok := keyOf[ref]; ok && prev != key {
-				t.Errorf("query %d %s block %d: former key %q maps to both\n%q and\n%q", i, stage, b.ID, ref, prev, key)
+				t.Errorf("%s block %d: former key %q maps to both\n%q and\n%q", where, b.ID, ref, prev, key)
 			}
 			if prev, ok := refOf[key]; ok && prev != ref {
-				t.Errorf("query %d %s block %d: key %q maps to both former\n%q and\n%q", i, stage, b.ID, key, prev, ref)
+				t.Errorf("%s block %d: key %q maps to both former\n%q and\n%q", where, b.ID, key, prev, ref)
 			}
 			keyOf[ref], refOf[key] = key, ref
 			return true
 		})
 	}
-	for i, src := range corpus {
-		q := qtree.MustBind(src, db.Catalog)
-		check(i, "bound", q)
-		if err := transform.ApplyHeuristics(q); err != nil {
-			t.Fatalf("query %d: heuristics: %v", i, err)
-		}
-		check(i, "heuristics", q)
-		for _, r := range transform.CostBasedRules() {
-			for _, o := range r.Find(q) {
-				for v := 1; v <= o.Variants; v++ {
-					clone := q.CloneCOW()
-					if err := r.Apply(clone, o, v); err != nil {
-						continue // inapplicable variant
-					}
-					check(i, r.Name(), clone)
-				}
-			}
-		}
-	}
+	corpusTrees(t, db, check)
 	if trees < 200 || correlated == 0 || len(keyOf) < 100 {
 		t.Fatalf("checked %d trees, %d blocks (%d correlated), %d distinct keys; the sweep is not exercising the walks",
 			trees, blocks, correlated, len(keyOf))

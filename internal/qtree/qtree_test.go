@@ -73,6 +73,7 @@ func TestBindErrors(t *testing.T) {
 		`SELECT e.emp_id FROM employees e, employees e`, // dup alias
 		`SELECT e.emp_id FROM employees e WHERE AVG(e.salary) > 1`,
 		`SELECT e.dept_id, e.salary FROM employees e GROUP BY e.dept_id`,
+		`SELECT e.dept_id FROM employees e GROUP BY e.dept_id HAVING e.salary > ALL (SELECT d.budget FROM departments d)`,
 		`SELECT e.emp_id FROM employees e WHERE e.emp_id IN (SELECT d.dept_id, d.loc_id FROM departments d)`,
 		`SELECT (SELECT d.dept_id, d.loc_id FROM departments d) FROM employees e`,
 		`SELECT SUM(MAX(e.salary)) FROM employees e`,
@@ -443,6 +444,39 @@ func TestOrderByAlias(t *testing.T) {
 	}
 	if _, ok := q.Root.OrderBy[0].Expr.(*Agg); !ok {
 		t.Error("alias should resolve to the aggregate expression")
+	}
+}
+
+// TestBindCopiesSubqueryWithFreshIDs: where the binder copies an expression
+// (an ORDER BY alias, BETWEEN's operand), a subquery in it is copied with its
+// own block and from IDs, so no from item is defined twice.
+func TestBindCopiesSubqueryWithFreshIDs(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 1)
+	for _, src := range []string{
+		`SELECT e.emp_id, (SELECT MAX(d.dept_id) FROM departments d WHERE d.dept_id < e.dept_id) m FROM employees e ORDER BY m`,
+		`SELECT e.emp_id FROM employees e WHERE (SELECT MAX(d.dept_id) FROM departments d WHERE d.dept_id < e.dept_id) BETWEEN 2 AND 5`,
+	} {
+		q, err := BindSQL(src, db.Catalog)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		blocks, items := map[int]bool{}, map[FromID]bool{}
+		q.Root.Walk(func(b *Block) bool {
+			if blocks[b.ID] {
+				t.Errorf("%s: block %d appears twice", src, b.ID)
+			}
+			blocks[b.ID] = true
+			for _, f := range b.From {
+				if items[f.ID] {
+					t.Errorf("%s: from ID q%d is defined twice", src, f.ID)
+				}
+				items[f.ID] = true
+			}
+			return true
+		})
+		if len(blocks) != 3 {
+			t.Errorf("%s: %d blocks, want the query and two copies of the subquery", src, len(blocks))
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func TestQuickCloneRendersIdentically(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := genExpr(rng, 4)
 		q := NewQuery(nil)
-		clone := e.Clone(NewRemap(q))
+		clone := CloneExpr(q, e)
 		return e.String() == clone.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -84,7 +84,7 @@ func TestQuickCloneIsDeepForExprs(t *testing.T) {
 		e := genExpr(rng, 4)
 		before := e.String()
 		q := NewQuery(nil)
-		clone := e.Clone(NewRemap(q))
+		clone := CloneExpr(q, e)
 		_ = RewriteExpr(clone, func(x Expr) Expr {
 			if _, ok := x.(*Col); ok {
 				return &Const{Val: datum.Null}
@@ -105,10 +105,8 @@ func TestQuickRemapTranslatesAllRefs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := genExpr(rng, 4)
 		q := NewQuery(nil)
-		r := NewRemap(q)
-		r.IDs[1] = 101
-		r.IDs[2] = 102
-		clone := e.Clone(r)
+		r := &Remap{IDs: map[FromID]FromID{1: 101, 2: 102}, dst: q}
+		clone := cloneExpr(e, r, true)
 		ok := true
 		WalkExpr(clone, func(x Expr) bool {
 			if c, isCol := x.(*Col); isCol && (c.From == 1 || c.From == 2) {

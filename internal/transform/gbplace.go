@@ -216,7 +216,7 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 			sumAlias := fmt.Sprintf("P%dS", i)
 			cntAlias := fmt.Sprintf("P%dC", i)
 			sumOrd := addPartial(&qtree.Agg{Op: qtree.AggSum, Arg: a.Arg}, sumAlias)
-			cntOrd := addPartial(&qtree.Agg{Op: qtree.AggCount, Arg: cloneExpr(q, a.Arg)}, cntAlias)
+			cntOrd := addPartial(&qtree.Agg{Op: qtree.AggCount, Arg: qtree.CloneExpr(q, a.Arg)}, cntAlias)
 			outerExpr[i] = &qtree.Bin{
 				Op: qtree.OpDiv,
 				L:  &qtree.Agg{Op: qtree.AggSum, Arg: &qtree.Col{From: fvID, Ord: sumOrd, Name: sumAlias}},
@@ -239,7 +239,7 @@ func pushGroupBy(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 	qtree.RewriteBlockExprs(b, func(x qtree.Expr) qtree.Expr {
 		if a, ok := x.(*qtree.Agg); ok {
 			if i := qtree.IndexOf(specs, a); i >= 0 {
-				return cloneExpr(q, outerExpr[i])
+				return qtree.CloneExpr(q, outerExpr[i])
 			}
 			return nil
 		}

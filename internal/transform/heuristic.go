@@ -62,7 +62,7 @@ func mergeSPJView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) {
 	v := f.View
 	// Replace references to the view's outputs everywhere in b's subtree.
 	substituteView(b, f.ID, func(ord int) qtree.Expr {
-		return cloneExpr(q, v.Select[ord].Expr)
+		return qtree.CloneExpr(q, v.Select[ord].Expr)
 	})
 	// Splice from items and predicates; a view conjunct the substituted
 	// outer block already holds is not added twice.

@@ -160,7 +160,7 @@ func transitiveClose(q *qtree.Query, b *qtree.Block) bool {
 				continue
 			}
 			oc := colByKey[other]
-			ne := &qtree.Bin{Op: op, L: &qtree.Col{From: oc.From, Ord: oc.Ord, Name: oc.Name}, R: cloneExpr(q, con)}
+			ne := &qtree.Bin{Op: op, L: &qtree.Col{From: oc.From, Ord: oc.Ord, Name: oc.Name}, R: qtree.CloneExpr(q, con)}
 			if qtree.IndexOf(b.Where, ne) < 0 && qtree.IndexOf(derived, ne) < 0 {
 				derived = append(derived, ne)
 				changed = true
@@ -265,9 +265,9 @@ func pushIntoBlock(q *qtree.Query, v *qtree.Block, viewID qtree.FromID, e qtree.
 		return false
 	}
 	// Substitute output references with the view's select expressions.
-	pushed := qtree.RewriteExpr(cloneExpr(q, e), func(x qtree.Expr) qtree.Expr {
+	pushed := qtree.RewriteExpr(qtree.CloneExpr(q, e), func(x qtree.Expr) qtree.Expr {
 		if c, ok := x.(*qtree.Col); ok && c.From == viewID {
-			return cloneExpr(q, v.Select[c.Ord].Expr)
+			return qtree.CloneExpr(q, v.Select[c.Ord].Expr)
 		}
 		return nil
 	})

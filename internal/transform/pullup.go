@@ -82,8 +82,9 @@ func (r *PredicatePullup) Apply(q *qtree.Query, o Object, variant int) error {
 		return &qtree.Col{From: f.ID, Ord: ord, Name: c.Name}
 	}
 
-	// Rewrite the predicate: top-level columns via RewriteExpr; columns
-	// inside subquery blocks via a deep rewrite of those blocks.
+	// Rewrite the predicate: its own columns (a subquery's left operands
+	// included) via RewriteExpr; columns inside subquery blocks via a deep
+	// rewrite of those blocks.
 	pulled := qtree.RewriteExpr(pred, func(x qtree.Expr) qtree.Expr {
 		if c, ok := x.(*qtree.Col); ok {
 			if nc := mapCol(c); nc != nil {
@@ -102,7 +103,6 @@ func (r *PredicatePullup) Apply(q *qtree.Query, o Object, variant int) error {
 				}
 				return nil
 			})
-			return false
 		}
 		return true
 	})

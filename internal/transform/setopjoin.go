@@ -89,7 +89,7 @@ func (r *SetOpIntoJoin) Apply(q *qtree.Query, o Object, variant int) error {
 	// the new select expressions.
 	for i := range b.OrderBy {
 		if c, ok := b.OrderBy[i].Expr.(*qtree.Col); ok && c.From == 0 {
-			b.OrderBy[i].Expr = cloneExpr(q, b.Select[c.Ord].Expr)
+			b.OrderBy[i].Expr = qtree.CloneExpr(q, b.Select[c.Ord].Expr)
 		}
 	}
 	return nil

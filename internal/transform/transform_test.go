@@ -133,8 +133,8 @@ SELECT x.n FROM (SELECT v.name n FROM (SELECT e.name name FROM emp e) v) x`,
 
 // TestSPJViewMergeCopiesSubqueryPerUse: merging a view whose output column
 // holds a correlated scalar subquery substitutes a copy of the subquery at
-// every use of the column (cloneExpr). Each copy must get its own from IDs,
-// and the result must not change.
+// every use of the column (qtree.CloneExpr). Each copy must get its own
+// from IDs, and the result must not change.
 func TestSPJViewMergeCopiesSubqueryPerUse(t *testing.T) {
 	db := testkit.NewDB(testkit.SmallSizes(), 7)
 	src := `SELECT v.emp_id, v.x, v.x + 1

@@ -68,27 +68,6 @@ func substituteView(b *qtree.Block, id qtree.FromID, exprFor func(ord int) qtree
 	})
 }
 
-// cloneExpr deep-copies an expression. Column references keep their from
-// IDs, but any embedded subquery blocks receive fresh identities so the
-// copy does not collide with the original.
-func cloneExpr(q *qtree.Query, e qtree.Expr) qtree.Expr {
-	r := emptyRemap(q)
-	qtree.WalkExpr(e, func(x qtree.Expr) bool {
-		if s, ok := x.(*qtree.Subq); ok {
-			qtree.RegisterBlockIDs(s.Block, r)
-			return false
-		}
-		return true
-	})
-	return e.Clone(r)
-}
-
-// emptyRemap builds a remap that preserves all IDs but still carries the
-// query (needed for cloning subquery blocks inside expressions).
-func emptyRemap(q *qtree.Query) *qtree.Remap {
-	return qtree.NewRemap(q)
-}
-
 // copyFromItem shallow-copies a from item (private Cond slice, same ID and
 // view pointer). Rules that move an item between blocks use this so the
 // receiving tree never aliases a struct still held by a copy-on-write base.

@@ -126,7 +126,7 @@ func mergeGroupByView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 
 	// Substitute view output references throughout the block.
 	substituteView(b, f.ID, func(ord int) qtree.Expr {
-		return cloneExpr(q, v.Select[ord].Expr)
+		return qtree.CloneExpr(q, v.Select[ord].Expr)
 	})
 
 	// Splice the view's relations and filters; a view conjunct the
@@ -164,8 +164,6 @@ func mergeGroupByView(q *qtree.Query, b *qtree.Block, f *qtree.FromItem) error {
 		qtree.WalkExpr(e, func(x qtree.Expr) bool {
 			switch vv := x.(type) {
 			case *qtree.Agg:
-				return false
-			case *qtree.Subq:
 				return false
 			case *qtree.Col:
 				if outerIDs[vv.From] {
@@ -330,9 +328,9 @@ func pushJoinPredIntoView(q *qtree.Query, f *qtree.FromItem, e qtree.Expr) bool 
 			}
 			return true
 		}
-		pushed := qtree.RewriteExpr(cloneExpr(q, e), func(x qtree.Expr) qtree.Expr {
+		pushed := qtree.RewriteExpr(qtree.CloneExpr(q, e), func(x qtree.Expr) qtree.Expr {
 			if c, ok := x.(*qtree.Col); ok && c.From == f.ID {
-				return cloneExpr(q, v.Select[c.Ord].Expr)
+				return qtree.CloneExpr(q, v.Select[c.Ord].Expr)
 			}
 			return nil
 		})
