@@ -136,3 +136,66 @@ FROM employees e, (SELECT s.emp_id, SUM(s.amount) total FROM sales s GROUP BY s.
 		}
 	}
 }
+
+// TestSubqueryCorrelatedOnGroupingColumn: a grouped block's select list or
+// HAVING may hold a subquery correlated on a grouping column; after the
+// aggregation the plan binds that reference to the aggregate's grouping
+// output. With the search on and off, the checker on
+// and off, and on both engines, each statement returns the rows of a
+// formulation that groups in a view and correlates on the view's column.
+func TestSubqueryCorrelatedOnGroupingColumn(t *testing.T) {
+	db := testkit.NewDB(testkit.SmallSizes(), 7)
+	const grouped = `(SELECT e.dept_id did, COUNT(*) c FROM employees e GROUP BY e.dept_id) v`
+	for _, tc := range []struct{ src, want string }{
+		{`SELECT e.dept_id, (SELECT MAX(d.budget) FROM departments d WHERE d.dept_id = e.dept_id) mb, COUNT(*)
+FROM employees e GROUP BY e.dept_id`,
+			`SELECT v.did, (SELECT MAX(d.budget) FROM departments d WHERE d.dept_id = v.did) mb, v.c FROM ` + grouped},
+		{`SELECT e.dept_id, COUNT(*) FROM employees e GROUP BY e.dept_id
+HAVING COUNT(*) > (SELECT MAX(d.loc_id) FROM departments d WHERE d.dept_id = e.dept_id)`,
+			`SELECT v.did, v.c FROM ` + grouped + ` WHERE v.c > (SELECT MAX(d.loc_id) FROM departments d WHERE d.dept_id = v.did)`},
+		// The left operand's aggregate and the block's correlation both
+		// read the aggregate's output.
+		{`SELECT e.dept_id, COUNT(*) FROM employees e GROUP BY e.dept_id
+HAVING SUM(e.salary) / 50 > ALL (SELECT d.budget FROM departments d WHERE d.dept_id = e.dept_id)`,
+			`SELECT v.did, v.c FROM (SELECT e.dept_id did, COUNT(*) c, SUM(e.salary) s FROM employees e GROUP BY e.dept_id) v
+WHERE v.s / 50 > ALL (SELECT d.budget FROM departments d WHERE d.dept_id = v.did)`},
+	} {
+		want := runOrdered(t, db, qtree.MustBind(tc.want, db.Catalog))
+		sort.Strings(want)
+		if len(want) == 0 {
+			t.Fatalf("the reference returns no rows: %s", tc.want)
+		}
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"cost", DefaultOptions()}, {"off", disabledOptions()}} {
+			for _, checked := range []bool{true, false} {
+				opts := mode.opts
+				opts.Check = checked
+				res, err := (&Optimizer{Cat: db.Catalog, Opts: opts}).Optimize(qtree.MustBind(tc.src, db.Catalog))
+				if err != nil {
+					t.Fatalf("%s, Check=%v: %v\nsql: %s", mode.name, checked, err, tc.src)
+				}
+				for _, rowExec := range []bool{false, true} {
+					er, err := exec.RunWith(context.Background(), db, res.Plan, exec.Options{RowExec: rowExec})
+					if err != nil {
+						t.Fatalf("%s, Check=%v, RowExec=%v: %v\ntransformed: %s", mode.name, checked, rowExec, err, res.Query.SQL())
+					}
+					got := make([]string, len(er.Rows))
+					for i, r := range er.Rows {
+						parts := make([]string, len(r))
+						for j, d := range r {
+							parts[j] = d.String()
+						}
+						got[i] = strings.Join(parts, "|")
+					}
+					sort.Strings(got)
+					if strings.Join(got, ",") != strings.Join(want, ",") {
+						t.Errorf("%s, Check=%v, RowExec=%v: rows %v, the view formulation %v\ntransformed: %s",
+							mode.name, checked, rowExec, got, want, res.Query.SQL())
+					}
+				}
+			}
+		}
+	}
+}

@@ -260,12 +260,16 @@ func (es *estimator) binSelectivity(b *qtree.Bin) float64 {
 
 // value is the known value of a comparison operand: a literal's, or a bind
 // parameter's when the estimator peeks binds. It is nil for anything else.
-func (es *estimator) value(e qtree.Expr) *datum.Datum {
+func (es *estimator) value(e qtree.Expr) *datum.Datum { return valueOf(e, es.binds) }
+
+// valueOf is the value e compares with under binds: a constant's, or a
+// parameter's bind (bindValue); nil for any other expression.
+func valueOf(e qtree.Expr, binds []datum.Datum) *datum.Datum {
 	switch v := e.(type) {
 	case *qtree.Const:
 		return &v.Val
 	case *qtree.Param:
-		return bindValue(es.binds, v.Ord)
+		return bindValue(binds, v.Ord)
 	}
 	return nil
 }

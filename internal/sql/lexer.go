@@ -28,9 +28,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		text := l.src[start:l.pos]
-		up := strings.ToUpper(text)
-		if keywords[up] {
-			return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+		if kw, ok := keyword(text); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 
@@ -137,10 +136,43 @@ func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '#'
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// keyword returns the upper-case text of the keyword text spells in any
+// case, without allocating: the text is upper-cased into a stack buffer
+// and looked up in keywords, whose key is the canonical string.
+func keyword(text string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	if len(text) > len(buf) {
+		return "", false
+	}
+	up := buf[:len(text)]
+	for i := 0; i < len(text); i++ {
+		up[i] = upper(text[i])
+	}
+	kw, ok := keywords[string(up)]
+	return kw, ok
+}
+
+// upper upper-cases an ASCII letter and returns any other byte as it is.
+func upper(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		return c - ('a' - 'A')
+	}
+	return c
+}
+
+// AppendUpper appends s upper-cased, ASCII letters only, to b.
+func AppendUpper(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		b = append(b, upper(s[i]))
+	}
+	return b
+}
+
 // LexAll tokenizes the whole input; used by the parser and tests.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
+	// About one token per five bytes of SQL text: one allocation for most.
+	out := make([]Token, 0, len(src)/5+8)
 	for {
 		t, err := l.Next()
 		if err != nil {
@@ -151,4 +183,28 @@ func LexAll(src string) ([]Token, error) {
 			return out, nil
 		}
 	}
+}
+
+// RownumBound reports whether token i of toks is a numeric literal compared
+// against ROWNUM (e.g. "rownum <= 10"): the parser folds such a bound into
+// the plan's row limit, so it cannot become a bind parameter and it shapes
+// the plan like any keyword does.
+func RownumBound(toks []Token, i int) bool {
+	isRownum := func(t Token) bool {
+		return (t.Kind == TokIdent || t.Kind == TokKeyword) && strings.EqualFold(t.Text, "ROWNUM")
+	}
+	isCmp := func(t Token) bool {
+		switch t.Text {
+		case "<", "<=", ">", ">=", "=":
+			return t.Kind == TokSymbol
+		}
+		return false
+	}
+	if i >= 2 && isCmp(toks[i-1]) && isRownum(toks[i-2]) {
+		return true
+	}
+	if i+2 < len(toks) && isCmp(toks[i+1]) && isRownum(toks[i+2]) {
+		return true
+	}
+	return false
 }

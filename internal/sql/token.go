@@ -45,22 +45,27 @@ func (t Token) String() string {
 	}
 }
 
-// keywords is the set of reserved words. Everything else is an identifier.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "DISTINCT": true, "ALL": true, "ANY": true,
-	"SOME": true, "IN": true, "EXISTS": true, "NOT": true, "AND": true,
-	"OR": true, "NULL": true, "IS": true, "BETWEEN": true, "LIKE": true,
-	"UNION": true, "INTERSECT": true, "MINUS": true, "EXCEPT": true,
-	"JOIN": true, "LEFT": true, "RIGHT": true, "FULL": true, "OUTER": true,
-	"INNER": true, "ON": true, "AS": true, "ASC": true, "DESC": true,
-	"ROWNUM": true, "ROLLUP": true, "GROUPING": true, "SETS": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"TRUE": true, "FALSE": true,
+// keywords is the set of reserved words, each mapped to itself (keyword
+// returns the map's string, so a keyword token allocates nothing).
+// Everything else is an identifier.
+var keywords = map[string]string{
+	"SELECT": "SELECT", "FROM": "FROM", "WHERE": "WHERE", "GROUP": "GROUP", "BY": "BY",
+	"HAVING": "HAVING", "ORDER": "ORDER", "DISTINCT": "DISTINCT", "ALL": "ALL", "ANY": "ANY",
+	"SOME": "SOME", "IN": "IN", "EXISTS": "EXISTS", "NOT": "NOT", "AND": "AND",
+	"OR": "OR", "NULL": "NULL", "IS": "IS", "BETWEEN": "BETWEEN", "LIKE": "LIKE",
+	"UNION": "UNION", "INTERSECT": "INTERSECT", "MINUS": "MINUS", "EXCEPT": "EXCEPT",
+	"JOIN": "JOIN", "LEFT": "LEFT", "RIGHT": "RIGHT", "FULL": "FULL", "OUTER": "OUTER",
+	"INNER": "INNER", "ON": "ON", "AS": "AS", "ASC": "ASC", "DESC": "DESC",
+	"ROWNUM": "ROWNUM", "ROLLUP": "ROLLUP", "GROUPING": "GROUPING", "SETS": "SETS",
+	"CASE": "CASE", "WHEN": "WHEN", "THEN": "THEN", "ELSE": "ELSE", "END": "END",
+	"TRUE": "TRUE", "FALSE": "FALSE",
 	// Window functions.
-	"OVER": true, "PARTITION": true, "ROWS": true, "RANGE": true,
-	"UNBOUNDED": true, "PRECEDING": true, "CURRENT": true, "ROW": true,
+	"OVER": "OVER", "PARTITION": "PARTITION", "ROWS": "ROWS", "RANGE": "RANGE",
+	"UNBOUNDED": "UNBOUNDED", "PRECEDING": "PRECEDING", "CURRENT": "CURRENT", "ROW": "ROW",
 	// DML.
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true,
+	"INSERT": "INSERT", "INTO": "INTO", "VALUES": "VALUES", "UPDATE": "UPDATE",
+	"SET": "SET", "DELETE": "DELETE",
 }
+
+// maxKeywordLen bounds the keywords' length (TestKeywordsFitBuffer).
+const maxKeywordLen = 16

@@ -66,7 +66,7 @@ func Parameterize(src string, nSets int, seed int64) (ParamQuery, bool) {
 		if t.Kind != sql.TokNumber {
 			continue
 		}
-		if nearRownum(toks, i) {
+		if sql.RownumBound(toks, i) {
 			continue
 		}
 		lits = append(lits, lit{pos: t.Pos, text: t.Text})
@@ -121,27 +121,4 @@ func literalDatum(text string, set int, rng *rand.Rand) datum.Datum {
 		return datum.NewFloat(f)
 	}
 	return datum.NewFloat(f * (0.5 + rng.Float64()))
-}
-
-// nearRownum reports whether token i is a numeric literal compared against
-// ROWNUM (e.g. "rownum <= 10"): those fold into the plan's row limit at
-// parse time and must stay literal.
-func nearRownum(toks []sql.Token, i int) bool {
-	isRownum := func(t sql.Token) bool {
-		return (t.Kind == sql.TokIdent || t.Kind == sql.TokKeyword) && strings.EqualFold(t.Text, "ROWNUM")
-	}
-	isCmp := func(t sql.Token) bool {
-		switch t.Text {
-		case "<", "<=", ">", ">=", "=":
-			return t.Kind == sql.TokSymbol
-		}
-		return false
-	}
-	if i >= 2 && isCmp(toks[i-1]) && isRownum(toks[i-2]) {
-		return true
-	}
-	if i+2 < len(toks) && isCmp(toks[i+1]) && isRownum(toks[i+2]) {
-		return true
-	}
-	return false
 }
