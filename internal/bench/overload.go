@@ -143,7 +143,8 @@ func Overload(ctx context.Context, cfg OverloadConfig) (*OverloadResult, error) 
 // multi-table subqueries force the cost-based state search (8 to 64 states
 // each), so optimization — the resource the admission gate protects — is
 // the dominant per-request cost. overloadPick makes every request's text
-// unique, so every request misses the plan cache and pays it. A tight
+// unique, so every request misses the plan cache and pays it, and the
+// server keeps no decision store, so no text reuses another's search. A tight
 // outer filter keeps execution (which the gate deliberately does not
 // cover) near free, so the measurement isolates the gate.
 func overloadQueries() []string {
@@ -157,7 +158,7 @@ func overloadQueries() []string {
 // overloadServer brings up a server with the experiment's admission gate.
 func overloadServer(cfg OverloadConfig, queueWait time.Duration) (*server.Server, string, func(), error) {
 	srv := server.New(server.Config{
-		DB: cfg.DB, Opts: cfg.Opts, Registry: obsv.NewRegistry(),
+		DB: cfg.DB, Opts: cfg.Opts, Registry: obsv.NewRegistry(), NoDecisionStore: true,
 		MaxInflight: cfg.MaxInflight, MaxQueue: cfg.MaxQueue, QueueWait: queueWait,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

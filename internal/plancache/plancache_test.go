@@ -194,6 +194,28 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestTemplate: a template masks number and string literals but keeps a
+// ROWNUM bound, and NormalizeTemplate renders both forms from one pass.
+func TestTemplate(t *testing.T) {
+	a := "select e.x from emp e where e.y > 10 and e.n = 'ab' and rownum <= 5"
+	b := "SELECT e.x FROM emp e WHERE e.y > 99 AND e.n = 'zz' AND ROWNUM <= 5"
+	if ta, tb := Template(a), Template(b); ta != tb {
+		t.Errorf("Template(%q) = %q != Template(%q) = %q", a, ta, b, tb)
+	}
+	if want := "SELECT E . X FROM EMP E WHERE E . Y > $n AND E . N = $s AND ROWNUM <= 5"; Template(a) != want {
+		t.Errorf("Template(%q) = %q, want %q", a, Template(a), want)
+	}
+	if Template("SELECT x FROM t WHERE ROWNUM <= 5") == Template("SELECT x FROM t WHERE ROWNUM <= 6") {
+		t.Error("ROWNUM bounds must not be masked")
+	}
+	for _, src := range []string{a, b, "SELECT :p, ? FROM t", "SELECT 'unterminated FROM t"} {
+		norm, tmpl := NormalizeTemplate(src)
+		if norm != Normalize(src) || tmpl != Template(src) {
+			t.Errorf("NormalizeTemplate(%q) = %q, %q; want %q, %q", src, norm, tmpl, Normalize(src), Template(src))
+		}
+	}
+}
+
 // TestVariantBound: one statement caches at most MaxVariants bucket
 // variants. Further vectors run its blind variant, computed once for the
 // blind key and counted as blind fallbacks; a vector already cached still

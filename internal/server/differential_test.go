@@ -8,6 +8,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/obsv"
+	"repro/internal/optimizer"
 	"repro/internal/plancache"
 	"repro/internal/qtree"
 	"repro/internal/storage"
@@ -23,7 +24,7 @@ func bucketVector(t *testing.T, db *storage.DB, text string, binds map[string]da
 	if err != nil {
 		t.Fatalf("bind: %v\n%s", err, text)
 	}
-	st := &stmt{binds: make([]datum.Datum, len(q.Params)), preds: bucketedPreds(q)}
+	st := &stmt{binds: make([]datum.Datum, len(q.Params)), preds: optimizer.ParamPreds(q)}
 	for i, name := range q.Params {
 		v, ok := binds[name]
 		if !ok {
