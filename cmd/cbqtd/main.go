@@ -1,9 +1,10 @@
 // Command cbqtd is the CBQT SQL server daemon: it loads the built-in
 // HR/OE demo schema, listens on a TCP address, and serves concurrent
 // sessions over the length-prefixed wire protocol (see internal/server).
-// Sessions share one plan cache, so a parameterized query is optimized
-// once and executed everywhere; ANALYZE from any session invalidates the
-// affected plans.
+// Sessions share one plan cache, so a prepared query is optimized once and
+// executed everywhere; one-shot texts only read the cache (they reuse
+// earlier texts of their template through the CBQT decision store instead).
+// ANALYZE from any session invalidates the affected plans.
 //
 // Usage:
 //

@@ -22,7 +22,8 @@ import (
 // copy of a view column holding a subquery whose left operand holds another
 // gives the nested block fresh from IDs too; predicate pull-up maps the
 // correlation of a subquery nested there; an aggregate or a window function
-// in a left operand is planned. Each such statement returns the
+// in a left operand is planned; a subquery two blocks in reads a column of
+// the outermost block. Each such statement returns the
 // rows of its untransformed plan, with the checker on and off, and no rule
 // or heuristic phase fails.
 func TestSubqueryInLeftOperand(t *testing.T) {
@@ -90,6 +91,12 @@ THEN 1 ELSE 0 END f FROM employees e WHERE e.emp_id < 6`,
 		`SELECT v.emp_id FROM (SELECT e.emp_id, e.salary FROM employees e
 WHERE (SELECT MAX(d.dept_id) FROM departments d WHERE d.dept_id < e.dept_id) > ALL (SELECT j.emp_id FROM job_history j WHERE j.emp_id < 3)
 ORDER BY e.salary, e.emp_id) v WHERE ROWNUM <= 5`,
+		// A subquery nested in a subquery names a column two blocks out:
+		// the inner subplan lists it among its correlations.
+		`SELECT e.emp_id, (SELECT COUNT(*) FROM departments d
+WHERE EXISTS (SELECT 1 FROM locations l WHERE l.loc_id = d.loc_id AND d.dept_id = e.dept_id)) n FROM employees e`,
+		`SELECT e.emp_id, (SELECT COUNT(*) FROM departments d
+WHERE EXISTS (SELECT 1 FROM locations l WHERE l.loc_id = d.loc_id AND d.dept_id < e.dept_id)) n FROM employees e`,
 		// Merging the group-by view groups by the column in the left operand.
 		`SELECT e.emp_id, CASE WHEN e.dept_id IN (SELECT d.dept_id FROM departments d WHERE d.loc_id = 1) THEN 1 ELSE 0 END f, v.total
 FROM employees e, (SELECT s.emp_id, SUM(s.amount) total FROM sales s GROUP BY s.emp_id) v WHERE e.emp_id = v.emp_id`,

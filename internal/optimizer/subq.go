@@ -11,7 +11,8 @@ import (
 // SubPlan. Correlated references into the current block's relations (known
 // to es) determine the effective number of executions under tuple iteration
 // semantics with caching: distinct parameter combinations, capped by the
-// number of outer rows.
+// number of outer rows. The SubPlan lists every outer reference, those into
+// blocks further out too.
 func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, outerRows float64, plan *Plan) (*SubPlan, error) {
 	if sp, ok := plan.Subplans[s]; ok {
 		return sp, nil
@@ -35,18 +36,20 @@ func (p *Planner) compileSubq(q *qtree.Query, s *qtree.Subq, es *estimator, oute
 	return sp, nil
 }
 
-// outerBindings returns b's outer references (qtree OuterCols) into
-// relations known to es (the current block), each distinct column once, and
-// the product of their NDVs: the distinct correlation bindings.
+// outerBindings returns b's outer references (qtree OuterCols), each
+// distinct column once, and the product of the NDVs of those into relations
+// known to es (the current block): the distinct correlation bindings. A
+// reference to a block further out is listed but stays out of the product;
+// it is fixed while the current block runs.
 func outerBindings(b *qtree.Block, es *estimator) (cols []ColID, ndv float64) {
 	ndv = 1
 	b.OuterCols(func(c *qtree.Col) {
 		id := ColID{From: c.From, Ord: c.Ord}
-		if _, ok := es.rels[c.From]; !ok || slices.Contains(cols, id) {
+		if slices.Contains(cols, id) {
 			return
 		}
 		cols = append(cols, id)
-		if ci, ok := es.col(c); ok {
+		if ci, ok := es.col(c); ok { // not for a block further out
 			ndv *= math.Max(ci.ndv, 1)
 		}
 	})

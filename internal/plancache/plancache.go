@@ -2,6 +2,8 @@
 // cost of CBQT optimization across executions — the reproduction of the
 // shared cursor cache the paper leans on to justify the optimizer's expense
 // (§3: "the cost of optimization is amortized over many executions").
+// Amortization needs repeats, so the server adds only prepared statements'
+// plans; a one-shot text looks its key up (Get) but never inserts.
 //
 // The cache is one map under one mutex, bounded with second-chance (clock)
 // eviction, and coalesces concurrent misses for the same key through a

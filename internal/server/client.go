@@ -408,7 +408,8 @@ func (s *Stmt) Close() error {
 
 // Query is the one-shot convenience: prepare + execute + drain + close in
 // a single wire exchange, plus fetches when the result outgrows the first
-// page carried on the execute reply.
+// page carried on the execute reply. Its plan is not cached for later
+// calls: Prepare a statement that runs more than once.
 func (c *Client) Query(sql string, binds ...BindValue) ([][]datum.Datum, error) {
 	return c.QueryContext(context.Background(), sql, binds...)
 }

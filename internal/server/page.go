@@ -162,15 +162,12 @@ func decodePage(data []byte) ([][]datum.Datum, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (rows == 0) != (cols == 0) {
-		return nil, fmt.Errorf("%w: %d rows of %d columns", ErrBadPage, rows, cols)
-	}
 	// Each column is a tag byte plus at least a bit per row, so a page of
 	// this shape cannot be shorter than this; checked before the shape is
 	// trusted with an allocation.
 	rest := uint64(len(data) - p.off)
-	if cols > rest || (cols > 0 && rows > 8*rest/cols) {
-		return nil, fmt.Errorf("%w: %d rows of %d columns announced in %d bytes", ErrBadPage, rows, cols, len(data))
+	if (rows == 0) != (cols == 0) || cols > rest || (cols > 0 && rows > 8*rest/cols) {
+		return nil, &shapeError{rows: rows, cols: cols, size: len(data)}
 	}
 	n, w := int(rows), int(cols)
 	vals := make([]datum.Datum, n*w)
@@ -188,6 +185,19 @@ func decodePage(data []byte) ([][]datum.Datum, error) {
 	}
 	return out, nil
 }
+
+// shapeError refuses a page whose announced shape its bytes cannot hold. It
+// is formatted only when read, so the refusal allocates the error alone.
+type shapeError struct {
+	rows, cols uint64
+	size       int
+}
+
+func (e *shapeError) Error() string {
+	return fmt.Sprintf("%v: %d rows of %d columns announced in %d bytes", ErrBadPage, e.rows, e.cols, e.size)
+}
+
+func (e *shapeError) Unwrap() error { return ErrBadPage }
 
 // pageReader is decodePage's position in the page.
 type pageReader struct {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -244,8 +245,12 @@ func TestDecodePageBoundsAllocation(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadPage", err)
 		}
 	})
-	if allocs > 4 { // the error value and its message
+	if allocs > 1 { // the error value
 		t.Fatalf("refusing the page took %.0f allocations", allocs)
+	}
+	_, err := decodePage(page)
+	if want := "268435456 rows of 4 columns announced in 10 bytes"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to say %q", err, want)
 	}
 }
 

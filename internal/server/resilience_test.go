@@ -298,7 +298,12 @@ func TestDeadlinePropagation(t *testing.T) {
 
 	rs := rawDial(t, addr)
 	defer rs.close()
-	req := &Request{Verb: VerbExecute, SQL: heavyQuery}
+	// A prepared statement: only those add plans to the shared cache.
+	prep := rs.call(t, &Request{Verb: VerbPrepare, SQL: heavyQuery})
+	if !prep.OK {
+		t.Fatalf("prepare: %s", prep.Error)
+	}
+	req := &Request{Verb: VerbExecute, Stmt: prep.Stmt}
 
 	withDeadline := *req
 	withDeadline.DeadlineMS = 20

@@ -77,6 +77,16 @@ func equalStrs(a, b []string) bool {
 	return true
 }
 
+// execPrepared prepares src on c and executes it once: only prepared
+// statements add plans to the shared cache.
+func execPrepared(c *Client, src string, binds ...BindValue) error {
+	st, err := c.Prepare(src)
+	if err != nil {
+		return err
+	}
+	return st.Execute(binds...)
+}
+
 const paramQuery = `SELECT e.EMPLOYEE_NAME, e.SALARY FROM employees e
 	WHERE e.DEPT_ID = :d AND e.SALARY > :minsal
 	AND EXISTS (SELECT 1 FROM departments d2 WHERE d2.DEPT_ID = e.DEPT_ID AND d2.BUDGET > :b)`
@@ -238,8 +248,8 @@ func TestOneShotQueryAndPositionalBinds(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossSessions proves the tentpole's amortization claim:
-// two sessions running the same text trigger exactly one optimizer run.
+// TestSharedCacheAcrossSessions proves the amortization claim: two sessions
+// preparing and executing the same text trigger exactly one optimizer run.
 func TestSharedCacheAcrossSessions(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, addr, stop := startServer(t, Config{Registry: reg})
@@ -259,10 +269,10 @@ func TestSharedCacheAcrossSessions(t *testing.T) {
 	// Different literal layout, same normalized text.
 	sqlA := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
 	sqlB := "select  E.emp_id  from EMPLOYEES e where E.DEPT_ID  =  :D -- c"
-	if _, err := c1.Query(sqlA, Named("d", datum.NewInt(10))); err != nil {
+	if err := execPrepared(c1, sqlA, Named("d", datum.NewInt(10))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Query(sqlB, Named("d", datum.NewInt(20))); err != nil {
+	if err := execPrepared(c2, sqlB, Named("d", datum.NewInt(20))); err != nil {
 		t.Fatal(err)
 	}
 	if misses := reg.CounterValue(plancache.MetricMisses); misses != 1 {
@@ -594,10 +604,10 @@ func TestSessionOptionsCheck(t *testing.T) {
 	}
 	defer b.Close()
 	sql := "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d"
-	if _, err := a.Query(sql, Named("d", datum.NewInt(10))); err != nil {
+	if err := execPrepared(a, sql, Named("d", datum.NewInt(10))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Query(sql, Named("d", datum.NewInt(10))); err != nil {
+	if err := execPrepared(b, sql, Named("d", datum.NewInt(10))); err != nil {
 		t.Fatal(err)
 	}
 	if misses := reg.CounterValue(plancache.MetricMisses); misses != 2 {
@@ -609,7 +619,7 @@ func TestSessionOptionsCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Query(sql, Named("d", datum.NewInt(10))); err != nil {
+	if err := execPrepared(c, sql, Named("d", datum.NewInt(10))); err != nil {
 		t.Fatal(err)
 	}
 	if misses := reg.CounterValue(plancache.MetricMisses); misses != 2 {
@@ -808,5 +818,71 @@ AND NOT EXISTS (SELECT 1 FROM job_history j1, jobs jb1 WHERE j1.job_id = jb1.job
 	}
 	if n := srv.decisions.Len(); n != 0 {
 		t.Fatalf("%d decision entries survive ANALYZE", n)
+	}
+}
+
+// TestOneShotPlansNotCached: a one-shot text looks the shared plan cache up
+// but never adds to it, while the decision store still carries its search
+// from one run to the next; a one-shot of a text a prepared statement cached
+// runs that plan when its binds fall in the same buckets.
+func TestOneShotPlansNotCached(t *testing.T) {
+	reg := obsv.NewRegistry()
+	_, addr, stop := startServer(t, Config{Registry: reg})
+	defer stop()
+	rs := rawDial(t, addr)
+	defer rs.close()
+	call := func(req *Request) *Response {
+		t.Helper()
+		resp := rs.call(t, req)
+		if !resp.OK {
+			t.Fatalf("%s %q: %s", req.Verb, req.SQL, resp.Error)
+		}
+		return resp
+	}
+
+	// Two correlated multi-table subqueries: a two-object unnesting search
+	// whose winner the decision store keeps.
+	const text = `SELECT e.employee_name, d.department_name FROM employees e, departments d
+WHERE e.dept_id = d.dept_id
+AND EXISTS (SELECT 1 FROM sales s0, departments ds0 WHERE s0.dept_id = ds0.dept_id AND s0.emp_id = e.emp_id AND s0.amount > 400)
+AND NOT EXISTS (SELECT 1 FROM job_history j1, jobs jb1 WHERE j1.job_id = jb1.job_id AND j1.emp_id = e.emp_id AND j1.start_date > '19970101')`
+	rows := -1
+	for i := 0; i < 3; i++ {
+		resp := call(&Request{Verb: VerbExecute, SQL: text})
+		if resp.Cached {
+			t.Fatalf("one-shot run %d was served from the plan cache", i+1)
+		}
+		if rows >= 0 && resp.RowCount != rows {
+			t.Fatalf("one-shot run %d returns %d rows, the first %d", i+1, resp.RowCount, rows)
+		}
+		rows = resp.RowCount
+	}
+	if n, misses := reg.GaugeValue(plancache.MetricEntries), reg.CounterValue(plancache.MetricMisses); n != 0 || misses != 3 {
+		t.Fatalf("three one-shot runs leave %d plan-cache entries and %d misses, want 0 and 3", n, misses)
+	}
+	if hits, misses, n := reg.CounterValue(cbqt.MetricDecisionHits), reg.CounterValue(cbqt.MetricDecisionMisses),
+		reg.GaugeValue(cbqt.MetricDecisionEntries); hits != 2 || misses != 1 || n != 1 {
+		t.Fatalf("decision store %d hits, %d misses, %d entries; want 2, 1, 1", hits, misses, n)
+	}
+
+	// A prepared statement caches its plan; a one-shot of its text whose
+	// binds land in the same buckets runs it, one in other buckets does not
+	// and adds nothing.
+	const param = "SELECT e.EMP_ID FROM employees e WHERE e.DEPT_ID = :d AND e.SALARY > :s"
+	binds := func(s int64) []BindValue {
+		return []BindValue{Named("d", datum.NewInt(10)), Named("s", datum.NewInt(s))}
+	}
+	id := call(&Request{Verb: VerbPrepare, SQL: param}).Stmt
+	if call(&Request{Verb: VerbExecute, Stmt: id, Binds: binds(0)}).Cached {
+		t.Fatal("the prepared statement's first execute was served from the plan cache")
+	}
+	if !call(&Request{Verb: VerbExecute, SQL: param, Binds: binds(0)}).Cached {
+		t.Fatal("a one-shot in the prepared statement's buckets missed its cached plan")
+	}
+	if call(&Request{Verb: VerbExecute, SQL: param, Binds: binds(1 << 40)}).Cached {
+		t.Fatal("a one-shot in other buckets was served the prepared statement's plan")
+	}
+	if n := reg.GaugeValue(plancache.MetricEntries); n != 1 {
+		t.Fatalf("%d plan-cache entries, want the prepared statement's 1", n)
 	}
 }

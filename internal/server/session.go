@@ -542,6 +542,11 @@ func (ss *session) nextPage(st *stmt, n int, resp *Response) error {
 }
 
 // plan resolves the statement's physical plan through the shared cache.
+// Only prepared statements add plans to it: a one-shot text (id 0) never
+// runs again, so it looks its key up — and runs a plan a prepared statement
+// of the same text and bucket vector cached — but on a miss optimizes
+// without inserting, and what it reuses from earlier texts of its template
+// comes from the decision store. Hits and misses count either way.
 // The catalog stats version in the key is an atomic read: an ANALYZE
 // racing this lookup may cache a plan one stats generation newer than its
 // key says — still a correct plan (statistics only steer cost), and the
@@ -563,16 +568,24 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 	}
 	tree := st.tree
 	st.tree = nil
-	// Coalesced waiters share the computing caller's context: if that
-	// caller's deadline degrades or fails the optimization, the error is
-	// returned to every waiter and nothing is cached.
-	v, shared, err := ss.srv.cache.GetOrComputeVariant(key, func(k plancache.Key) (any, error) {
+	compute := func(k plancache.Key) (any, error) {
 		var binds []datum.Datum
 		if k.Buckets != (plancache.Buckets{}) {
 			binds = st.binds
 		}
 		return ss.optimize(ctx, st.sql, st.tmpl, tree, binds)
-	})
+	}
+	var v any
+	var cached bool
+	var err error
+	if st.id != 0 {
+		// Coalesced waiters share the computing caller's context: if that
+		// caller's deadline degrades or fails the optimization, the error is
+		// returned to every waiter and nothing is cached.
+		v, cached, err = ss.srv.cache.GetOrComputeVariant(key, compute)
+	} else if v, cached = ss.srv.cache.Get(key); !cached {
+		v, err = compute(key)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -580,7 +593,7 @@ func (ss *session) plan(ctx context.Context, st *stmt) (*cachedPlan, bool, error
 	if !ok {
 		return nil, false, fmt.Errorf("server: plan cache holds %T for %q, want *cachedPlan", v, st.norm)
 	}
-	return cp, shared, nil
+	return cp, cached, nil
 }
 
 // optimize runs CBQT over one statement's bound tree, parsing and binding

@@ -5,7 +5,11 @@
 // sessions share the database, the catalog version, and the plan cache, so
 // a parameterized query optimized by one session executes from the cache
 // in every other — the amortization the paper's shared cursor cache
-// provides (§3).
+// provides (§3). Prepared statements populate the cache; a one-shot text
+// (execute with SQL and no statement id) only reads it: it runs a plan a
+// prepared statement of its text and bucket vector cached, and on a miss
+// optimizes — reusing its template's decisions from the CBQT decision
+// store — without caching a plan that no later lookup would hit.
 package server
 
 import (
@@ -41,7 +45,8 @@ const (
 type Request struct {
 	Verb string `json:"verb"`
 	// SQL is the query text (prepare) or — for execute — optional one-shot
-	// text prepared, executed and closed implicitly when Stmt is zero.
+	// text prepared, executed and closed implicitly when Stmt is zero. A
+	// one-shot reads the shared plan cache but adds no plan to it.
 	SQL string `json:"sql,omitempty"`
 	// Stmt identifies a prepared statement (bind/execute/fetch/close_stmt).
 	Stmt int64 `json:"stmt,omitempty"`
